@@ -9,7 +9,7 @@ exact matrix identity; validators return exhaustive reports.
 from __future__ import annotations
 
 from .linalg import (SparseMatrix, SpanSolver, compose, tensor_kron,
-                     kernel_basis, scal, vec_axpy)
+                     kernel_basis, scal, vec_acc, vec_axpy)
 from .spaces import BasedSpace, GROUND, MultiIndex, StructureTensor, tensor_space
 from .hopf import (AlgebraData, CoalgebraData, HopfData, ModularPair,
                    ValidationReport, Violation, swap_matrix, validate_algebra,
@@ -469,12 +469,7 @@ def crossed_product(ma: ModuleAlgebra, ba: ComoduleAlgebra) -> AlgebraData:
                         right = B.mul.apply({ib0: 1}, {jb: 1})  # b0 b'
                         for la, xa in left.items():
                             for lb, xb in right.items():
-                                key = la * b + lb
-                                y = out.get(key, 0) + x * xa * xb
-                                if y:
-                                    out[key] = scal(y)
-                                else:
-                                    del out[key]
+                                vec_acc(out, la * b + lb, x * xa * xb)
                     if out:
                         ent[(mi.flat((ia, ib)), mi.flat((ja, jb)))] = out
     mul = StructureTensor((space, space), space, ent)
@@ -526,21 +521,14 @@ def convolution_algebra(ca: CoalgebraAction) -> ConvolutionAlgebra:
             for ia in range(a):
                 row = {}
                 for jc, x in moved.items():
-                    row[ia * c + jc] = scal(row.get(ia * c + jc, 0) + x)
+                    vec_acc(row, ia * c + jc, x)
                 # minus h . f(c): f(c) = sum_ja f[ja,ic] e_ja
                 for ja in range(a):
-                    hval = ca.ma.action.value((ih, ja))
-                    x = hval.get(ia)
+                    x = ca.ma.action.value((ih, ja)).get(ia)
                     if x:
-                        key = ja * c + ic
-                        y = row.get(key, 0) - x
-                        if y:
-                            row[key] = scal(y)
-                        else:
-                            row.pop(key, None)
+                        vec_acc(row, ja * c + ic, -x)
                 for k, x in row.items():
-                    if x:
-                        rows_entries[(nrows, k)] = x
+                    rows_entries[(nrows, k)] = x
                 nrows += 1
     system = SparseMatrix(nrows, nvars, rows_entries)
     basis = kernel_basis(system)

@@ -3,11 +3,9 @@ and dimension computation for Hochschild, cyclic and truncated periodic
 cohomology.
 
 The degree-lowering operator is assembled as norm . extra-degeneracy .
-(1 - signed cyclic operator).  This operator is stated with several
-degree-placement conventions in the literature, so a small set of readings
-is tried in a fixed order and the first one whose squares and anticommutator
-vanish is selected and recorded.  Degrees within one of the truncation are
-flagged untrusted in reports.
+(1 - signed cyclic operator); its square and its anticommutator with b are
+certified to vanish, and the reading is recorded in reports.  Degrees within
+one of the truncation are flagged untrusted in reports.
 """
 
 from __future__ import annotations
@@ -26,13 +24,12 @@ def lam(cx, n):
     return t if n % 2 == 0 else t.scale(-1)
 
 
-def norm_operator(cx, n, extra_term=False):
-    """1 + lam + ... + lam^n (optionally one extra term, a common variant)."""
+def norm_operator(cx, n):
+    """1 + lam + ... + lam^n."""
     I = SparseMatrix.identity(cx.dim(n))
     total = I
     power = I
-    steps = n + (1 if extra_term else 0)
-    for _ in range(steps):
+    for _ in range(n):
         power = compose(lam(cx, n), power)
         total = total + power
     return total
@@ -53,54 +50,30 @@ def hochschild_b(cx: CocyclicComplex):
     return bs
 
 
-_B_VARIANTS = ("norm.degen.tau.(1-lam)", "norm.degen.(tau-sign)", "long-norm.degen.tau.(1-lam)")
+_B_VARIANTS = ("norm.degen.tau.(1-lam)",)
 
 
-def _connes_B_variant(cx, variant):
-    top = cx.top
-    out = [SparseMatrix.zeros(0, cx.dim(0))]   # degree 0 -> nothing, by convention
-    for n in range(1, top + 1):
-        I = SparseMatrix.identity(cx.dim(n))
-        if variant == "norm.degen.tau.(1-lam)":
-            b0 = compose(cx.degen(n, n - 1), compose(cx.tau(n), I - lam(cx, n)))
-            B = compose(norm_operator(cx, n - 1), b0)
-        elif variant == "norm.degen.(tau-sign)":
-            sign = -1 if n % 2 == 0 else 1
-            b0 = compose(cx.degen(n, n - 1), cx.tau(n)) + cx.degen(n, n - 1).scale(sign)
-            B = compose(norm_operator(cx, n - 1), b0)
-        else:
-            b0 = compose(cx.degen(n, n - 1), compose(cx.tau(n), I - lam(cx, n)))
-            B = compose(norm_operator(cx, n - 1, extra_term=True), b0)
-        out.append(B)
-    return out
+def connes_B(cx: CocyclicComplex, bs=None):
+    """(per-degree matrices B_n: n -> n-1, reading name).
 
-
-def connes_B(cx: CocyclicComplex):
-    """(per-degree matrices B_n: n -> n-1, chosen variant name).
-
-    Certifies B.B = 0 and bB + Bb = 0 on the checkable window; tries the
-    fallback readings if the primary fails, and raises NotAComplex when none
-    passes.
+    Certifies B.B = 0 and bB + Bb = 0 on the checkable window and raises
+    NotAComplex otherwise.  bs is the complex's hochschild_b family, built
+    here when not given.
     """
-    bs = hochschild_b(cx)
-    last = None
-    for variant in _B_VARIANTS:
-        Bs = _connes_B_variant(cx, variant)
-        ok = True
-        for n in range(2, cx.top + 1):
-            if not compose(Bs[n - 1], Bs[n]).is_zero():
-                ok = False
-                break
-        if ok:
-            for n in range(1, cx.N + 1):
-                anti = compose(bs[n - 1], Bs[n]) + compose(Bs[n + 1], bs[n])
-                if not anti.is_zero():
-                    ok = False
-                    break
-        if ok:
-            return Bs, variant
-        last = variant
-    raise NotAComplex("no reading of the boundary operator satisfies B.B = 0 and bB+Bb = 0 (last tried %s)" % last)
+    if bs is None:
+        bs = hochschild_b(cx)
+    Bs = [SparseMatrix.zeros(0, cx.dim(0))]   # degree 0 -> nothing, by convention
+    for n in range(1, cx.top + 1):
+        I = SparseMatrix.identity(cx.dim(n))
+        b0 = compose(cx.degen(n, n - 1), compose(cx.tau(n), I - lam(cx, n)))
+        Bs.append(compose(norm_operator(cx, n - 1), b0))
+    for n in range(2, cx.top + 1):
+        if not compose(Bs[n - 1], Bs[n]).is_zero():
+            raise NotAComplex("B.B != 0 at degree %d" % n)
+    for n in range(1, cx.N + 1):
+        if not (compose(bs[n - 1], Bs[n]) + compose(Bs[n + 1], bs[n])).is_zero():
+            raise NotAComplex("bB + Bb != 0 at degree %d" % n)
+    return Bs, _B_VARIANTS[0]
 
 
 class BBData:
@@ -109,7 +82,7 @@ class BBData:
     def __init__(self, complex):
         self.complex = complex
         self.b = hochschild_b(complex)
-        self.B, self.variant = connes_B(complex)
+        self.B, self.variant = connes_B(complex, self.b)
 
     def checkable_degrees(self):
         return range(1, self.complex.N + 1)
@@ -197,7 +170,7 @@ def cyclic_cocycles(cx, n, bs=None):
 
 def compute_cohomology(cx: CocyclicComplex) -> CohomologyReport:
     bs = hochschild_b(cx)
-    Bs, variant = connes_B(cx)
+    Bs, variant = connes_B(cx, bs)
     N = cx.N
     hh, hh_reps = [], {}
     for n in range(N):

@@ -20,7 +20,7 @@ from itertools import product as iproduct
 
 from .linalg import (SparseMatrix, SpanSolver, compose, tensor_kron, scal,
                      invert_matrix, matrix_to_text, matrix_from_text,
-                     vec_axpy)
+                     vec_acc, vec_axpy, mul_vec)
 from .spaces import BasedSpace, MultiIndex, tensor_power, tensor_space
 from .hopf import iterated_coproduct
 from .actions import QuotientSpace
@@ -174,47 +174,72 @@ def check_cocyclic(cx: CocyclicComplex):
 # shared expansion tables
 
 class HopfTables:
-    """Sparse lookup tables for one Hopf algebra, shared by the builders."""
+    """Sparse lookup tables for one Hopf algebra, shared by the builders.
 
-    def __init__(self, hopf, depth):
+    Obtain them with HopfTables.of(hopf): they are built once per Hopf
+    algebra and kept on it.  Iterated coproduct legs are expanded from the
+    comultiplication table on first use.
+    """
+
+    def __init__(self, hopf):
         if hopf.antipode_inv is None:
             raise ValueError("antipode is not invertible; fix the input data")
-        self.hopf = hopf
-        d = hopf.dim
-        self.dim = d
-        self.mul = {}           # (i,j) -> list (k, coeff)
-        for (i, j) in iproduct(range(d), range(d)):
-            v = hopf.alg.mul.value((i, j))
-            if v:
-                self.mul[(i, j)] = sorted(v.items())
+        # coassociativity makes every bracketing of every iterated coproduct
+        # agree, so checking the triple one suffices (BracketingMismatch)
+        iterated_coproduct(hopf.coalg, 3)
+        self.mul = _action_table(hopf.alg.mul)          # (i,j) -> list (k, coeff)
+        self.right_mul = _by_slot(hopf.alg.mul)         # j -> {i: terms of i*j}
         self.unit = sorted(hopf.alg.unit.items())
-        self.eps = dict(hopf.coalg.counit)
-        self.comul = {}         # i -> list ((a,b), coeff)
-        for i in range(d):
-            v = hopf.coalg.comul.value((i,))
-            self.comul[i] = sorted(((divmod(k, d)), x) for k, x in v.items())
-        self.S = {i: sorted(hopf.antipode.column(i).items()) for i in range(d)}
-        self.Sinv = {i: sorted(hopf.antipode_inv.column(i).items()) for i in range(d)}
-        # iterated coproducts: itco[k][i] = list of (k-tuple, coeff), k >= 1
-        self.itco = {1: {i: [((i,), 1)] for i in range(d)}}
-        for k in range(2, depth + 1):
-            t = iterated_coproduct(hopf.coalg, k)
-            mi = MultiIndex((d,) * k)
-            tab = {}
-            for i in range(d):
-                tab[i] = sorted((mi.unflat(f), x) for f, x in t.value((i,)).items())
-            self.itco[k] = tab
+        ctabs = _coalg_tables(hopf.coalg)
+        self.eps = ctabs["eps"]
+        self.comul = ctabs["comul"]                     # i -> list ((a,b), coeff)
+        self.S = hopf.antipode.columns()                # i -> sparse vector S(i)
+        self.Sinv = hopf.antipode_inv.columns()
+        # legs[k][i] = sorted list of (k-tuple, coeff); k = 0 is the counit
+        self._legs = {0: {i: [((), x)] for i, x in self.eps.items() if x},
+                      1: {i: [((i,), 1)] for i in range(hopf.dim)}}
 
-    def mul_vec(self, u, v):
+    @staticmethod
+    def of(hopf):
+        if hopf.tables is None:
+            hopf.tables = HopfTables(hopf)
+        return hopf.tables
+
+    def legs(self, k):
+        """i -> the k-fold iterated coproduct of basis element i (leftmost
+        bracketing) as a sorted list of (k-tuple of legs, coeff)."""
+        tab = self._legs.get(k)
+        if tab is None:
+            tab = {}
+            for i, terms in self.legs(k - 1).items():
+                out = {}
+                for prev, x in terms:
+                    for (a, b), y in self.comul[prev[0]]:
+                        vec_acc(out, (a, b) + prev[1:], x * y)
+                tab[i] = sorted(out.items())
+            self._legs[k] = tab
+        return tab
+
+    def diag_act(self, hvec, slots):
+        """Diagonal action of the sparse vector hvec on a tensor of slots.
+
+        slots[k] maps a basis element h to the terms [(key, coeff), ...] of
+        h acting on the k-th slot; each basis element u of hvec acts through
+        the legs of its len(slots)-fold coproduct.  The result is keyed by
+        tuples of slot keys."""
         out = {}
-        for i, x in u.items():
-            for j, y in v.items():
-                for k, z in self.mul.get((i, j), ()):
-                    w = out.get(k, 0) + x * y * z
-                    if w:
-                        out[k] = scal(w)
-                    else:
-                        del out[k]
+        legs_tab = self.legs(len(slots))
+        for u, c in hvec.items():
+            for legs, x in legs_tab.get(u, ()):
+                parts = []
+                for leg, slot in zip(legs, slots):
+                    t = slot.get(leg)
+                    if not t:
+                        break
+                    parts.append(t)
+                else:
+                    for keys, y in expand_terms(parts):
+                        vec_acc(out, keys, c * x * y)
         return out
 
 
@@ -223,6 +248,15 @@ def _action_table(action):
     tab = {}
     for idx, vec in action.entries.items():
         tab[idx] = sorted(vec.items())
+    return tab
+
+
+def _by_slot(tensor):
+    """x -> {h: terms} for an arity-2 structure tensor (h, x) -> terms: what
+    every h does to one basis element x of the second slot."""
+    tab = {x: {} for x in range(tensor.domains[1].dim)}
+    for (h, x), vec in tensor.entries.items():
+        tab[x][h] = sorted(vec.items())
     return tab
 
 
@@ -279,36 +313,14 @@ class CoalgebraComplexData:
 
 def build_coalgebra_complex(mc, sayd, N, name="coalgebra") -> CoalgebraComplexData:
     h = mc.hopf
-    tabs = HopfTables(h, N + 3)
+    tabs = HopfTables.of(h)
     act = _action_table(mc.action)
+    act_on = _by_slot(mc.action)
     ctabs = _coalg_tables(mc.coalg)
     mco = _mcoact_table(sayd)
     mract = _action_table(sayd.raction)
     mdim, cdim = sayd.space.dim, mc.space.dim
     top = N + 1
-
-    def diag_act(hh, ctuple):
-        """h . (c_0 (x) ... (x) c_k) via the k+1 fold coproduct of h."""
-        k = len(ctuple)
-        out = {}
-        for legs, x in tabs.itco[k][hh]:
-            parts = []
-            dead = False
-            for leg, ci in zip(legs, ctuple):
-                t = act.get((leg, ci))
-                if not t:
-                    dead = True
-                    break
-                parts.append(t)
-            if dead:
-                continue
-            for keys, c in expand_terms(parts):
-                w = out.get(keys, 0) + x * c
-                if w:
-                    out[keys] = scal(w)
-                else:
-                    del out[keys]
-        return out
 
     ambients, quotients, spaces = [], [], []
     for n in range(top + 1):
@@ -323,14 +335,9 @@ def build_coalgebra_complex(mc, sayd, N, name="coalgebra") -> CoalgebraComplexDa
                     rel = {}
                     for mj, x in left.items():
                         rel[mi.flat((mj,) + ct)] = x
-                    moved = diag_act(hh, ct)
+                    moved = tabs.diag_act({hh: 1}, [act_on[c] for c in ct])
                     for keys, x in moved.items():
-                        f = mi.flat((m,) + keys)
-                        y = rel.get(f, 0) - x
-                        if y:
-                            rel[f] = scal(y)
-                        else:
-                            rel.pop(f, None)
+                        vec_acc(rel, mi.flat((m,) + keys), -x)
                     if rel:
                         relations.append(rel)
         quo = QuotientSpace(mi.size, relations)
@@ -350,12 +357,7 @@ def build_coalgebra_complex(mc, sayd, N, name="coalgebra") -> CoalgebraComplexDa
             for (hh, mj), x1 in mco[m]:
                 for (a, b), x2 in ctabs["comul"][ct[0]]:
                     for cc, x3 in act.get((hh, a), ()):
-                        f = mi1.flat((mj, b) + ct[1:] + (cc,))
-                        y = out.get(f, 0) + x1 * x2 * x3
-                        if y:
-                            out[f] = scal(y)
-                        else:
-                            del out[f]
+                        vec_acc(out, mi1.flat((mj, b) + ct[1:] + (cc,)), x1 * x2 * x3)
         return out
 
     def degen_col(n, j, m, ct):
@@ -369,12 +371,7 @@ def build_coalgebra_complex(mc, sayd, N, name="coalgebra") -> CoalgebraComplexDa
         mi0 = ambients[n]
         for (hh, mj), x1 in mco[m]:
             for cc, x2 in act.get((hh, ct[0]), ()):
-                f = mi0.flat((mj,) + ct[1:] + (cc,))
-                y = out.get(f, 0) + x1 * x2
-                if y:
-                    out[f] = scal(y)
-                else:
-                    del out[f]
+                vec_acc(out, mi0.flat((mj,) + ct[1:] + (cc,)), x1 * x2)
         return out
 
     def lift(colfn, n, target):
@@ -426,14 +423,13 @@ def _coalg_tables(coalg):
 
 class AlgebraComplexData:
 
-    def __init__(self, complex, bases, solvers, ambients, ma, sayd, convention):
+    def __init__(self, complex, bases, solvers, ambients, ma, sayd):
         self.complex = complex
         self.bases = bases          # per-degree list of ambient functional vectors
         self.solvers = solvers      # per-degree SpanSolver over those vectors
         self.ambients = ambients
         self.ma = ma
         self.sayd = sayd
-        self.convention = convention    # "S" or "Sinv"
 
     def functional(self, coords, n):
         """Ambient coefficients of a subspace cochain."""
@@ -447,51 +443,16 @@ class AlgebraComplexData:
 
 
 def build_algebra_complex(ma, sayd, N, name="algebra") -> AlgebraComplexData:
-    last_err = None
-    for convention in ("S", "Sinv"):
-        try:
-            return _build_algebra_complex(ma, sayd, N, convention, name)
-        except IllDefined as e:
-            last_err = e
-    raise last_err
-
-
-def _build_algebra_complex(ma, sayd, N, convention, name):
     h = ma.hopf
-    tabs = HopfTables(h, N + 3)
+    tabs = HopfTables.of(h)
     act = _action_table(ma.action)
+    act_on = _by_slot(ma.action)
     mul = _action_table(ma.alg.mul)
     mco = _mcoact_table(sayd)
     mract = _action_table(sayd.raction)
     unit = sorted(ma.alg.unit.items())
     mdim, adim = sayd.space.dim, ma.space.dim
     top = N + 1
-    Stab = tabs.S if convention == "S" else tabs.Sinv
-    Sinv_tab = tabs.Sinv
-
-    def diag_act_S(hh, atuple):
-        """S(h) (or S^{-1}(h)) acting diagonally on an A-tuple."""
-        out = {}
-        for u, xs in Stab[hh]:
-            k = len(atuple)
-            for legs, x in tabs.itco[k][u]:
-                parts = []
-                dead = False
-                for leg, ai in zip(legs, atuple):
-                    t = act.get((leg, ai))
-                    if not t:
-                        dead = True
-                        break
-                    parts.append(t)
-                if dead:
-                    continue
-                for keys, c in expand_terms(parts):
-                    w = out.get(keys, 0) + xs * x * c
-                    if w:
-                        out[keys] = scal(w)
-                    else:
-                        del out[keys]
-        return out
 
     ambients = [MultiIndex((mdim,) + (adim,) * (n + 1)) for n in range(top + 2)]
 
@@ -509,16 +470,15 @@ def _build_algebra_complex(ma, sayd, N, convention, name):
                     col0 = mi.flat((m,) + at)
                     if eps_h:
                         row[col0] = -eps_h
+                    slots = [act_on[a] for a in at]
                     for (h1, h2), x in tabs.comul[hh]:
-                        for mj, x1 in mract.get((m, h1), ()):
-                            moved = diag_act_S(h2, at)
+                        macts = mract.get((m, h1))
+                        if not macts:
+                            continue
+                        moved = tabs.diag_act(tabs.S[h2], slots)
+                        for mj, x1 in macts:
                             for keys, x2 in moved.items():
-                                f = mi.flat((mj,) + keys)
-                                y = row.get(f, 0) + x * x1 * x2
-                                if y:
-                                    row[f] = scal(y)
-                                else:
-                                    del row[f]
+                                vec_acc(row, mi.flat((mj,) + keys), x * x1 * x2)
                     # condition on phi: phi(E_h v) - eps(h) phi(v) = 0; as a row
                     # over the dual coordinates this IS the column expansion
                     for f, c in row.items():
@@ -551,8 +511,8 @@ def _build_algebra_complex(ma, sayd, N, convention, name):
                 vec_axpy(out, c, Drows[w])
             coords = solvers[n_tgt].solve(out)
             if coords is None:
-                raise IllDefined("%s %s does not preserve equivariance (deg %d, convention %s)"
-                                 % (name, opname, n_src, convention))
+                raise IllDefined("%s %s does not preserve equivariance (deg %d)"
+                                 % (name, opname, n_src))
             cols.append(coords)
         return SparseMatrix.from_columns(cols, len(bases[n_tgt]))
 
@@ -566,15 +526,10 @@ def _build_algebra_complex(ma, sayd, N, convention, name):
         else:
             # m (x) a~  ->  m0 (x) (Sinv(m-1) a_{n+1}) a0 (x) a1..an
             for (hh, mj), x1 in mco[m]:
-                for u, x2 in Sinv_tab[hh]:
+                for u, x2 in tabs.Sinv[hh].items():
                     for b, x3 in act.get((u, at[n + 1]), ()):
                         for k, x4 in mul.get((b, at[0]), ()):
-                            f = mi0.flat((mj, k) + at[1:n + 1])
-                            y = out.get(f, 0) + x1 * x2 * x3 * x4
-                            if y:
-                                out[f] = scal(y)
-                            else:
-                                del out[f]
+                            vec_acc(out, mi0.flat((mj, k) + at[1:n + 1]), x1 * x2 * x3 * x4)
         return out
 
     def Ddegen(n, j, m, at):
@@ -590,14 +545,9 @@ def _build_algebra_complex(ma, sayd, N, convention, name):
         out = {}
         mi0 = ambients[n]
         for (hh, mj), x1 in mco[m]:
-            for u, x2 in Sinv_tab[hh]:
+            for u, x2 in tabs.Sinv[hh].items():
                 for b, x3 in act.get((u, at[n]), ()):
-                    f = mi0.flat((mj, b) + at[:n])
-                    y = out.get(f, 0) + x1 * x2 * x3
-                    if y:
-                        out[f] = scal(y)
-                    else:
-                        del out[f]
+                    vec_acc(out, mi0.flat((mj, b) + at[:n]), x1 * x2 * x3)
         return out
 
     faces, degens, taus = [], {}, []
@@ -611,7 +561,7 @@ def _build_algebra_complex(ma, sayd, N, convention, name):
         taus.append(dual_restrict(lambda m, at, n=n: Dtau(n, m, at), n, n, "cyclic"))
 
     cx = CocyclicComplex(N, spaces, faces, degens, taus, name=name)
-    return AlgebraComplexData(cx, bases, solvers, ambients, ma, sayd, convention)
+    return AlgebraComplexData(cx, bases, solvers, ambients, ma, sayd)
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +586,7 @@ class ComoduleComplexData:
 
 def build_comodule_algebra_complex(ba, sayd, N, name="comodule-algebra") -> ComoduleComplexData:
     h = ba.hopf
-    tabs = HopfTables(h, N + 3)
+    tabs = HopfTables.of(h)
     coact = _coaction_table(ba.coaction, h.dim)
     mul = _action_table(ba.alg.mul)
     unit = sorted(ba.alg.unit.items())
@@ -660,14 +610,7 @@ def build_comodule_algebra_complex(ba, sayd, N, name="comodule-algebra") -> Como
                 if k == 0:
                     rec(1, (b0,), {hh: 1}, coeff * x)
                 else:
-                    nh = {}
-                    for hprev, xp in hvec.items():
-                        for hn, xm in tabs.mul.get((hprev, hh), ()):
-                            y = nh.get(hn, 0) + xp * xm
-                            if y:
-                                nh[hn] = scal(y)
-                            else:
-                                del nh[hn]
+                    nh = mul_vec(tabs.mul, hvec, {hh: 1})
                     if nh:
                         rec(k + 1, bouts + (b0,), nh, coeff * x)
         rec(0, (), {}, 1)
@@ -692,21 +635,10 @@ def build_comodule_algebra_complex(ba, sayd, N, name="comodule-algebra") -> Como
             for m in range(mdim):
                 col = mi.flat((m,) + w)
                 for (hh, mj), x in mco[m]:
-                    r = rowkey(wf, hh, mj)
-                    y = rows.get((r, col), 0) + x
-                    if y:
-                        rows[(r, col)] = y
-                    else:
-                        del rows[(r, col)]
+                    vec_acc(rows, (rowkey(wf, hh, mj), col), x)
             for hh, bouts, x in diag_coact(w):
                 for mj in range(mdim):
-                    r = rowkey(wf, hh, mj)
-                    col = mi.flat((mj,) + bouts)
-                    y = rows.get((r, col), 0) - x
-                    if y:
-                        rows[(r, col)] = scal(y)
-                    else:
-                        del rows[(r, col)]
+                    vec_acc(rows, (rowkey(wf, hh, mj), mi.flat((mj,) + bouts)), -x)
         system = SparseMatrix(nrows, mi.size, rows)
         from .linalg import kernel_basis
         basis = kernel_basis(system)
@@ -743,12 +675,7 @@ def build_comodule_algebra_complex(ba, sayd, N, name="comodule-algebra") -> Como
             for k, x in mul.get((vt[i], vt[i + 1]), ()):
                 w = vt[:i] + (k,) + vt[i + 2:]
                 for m in range(mdim):
-                    key = (mi_t.flat((m,) + vt), mi_s.flat((m,) + w))
-                    y = ent.get(key, 0) + x
-                    if y:
-                        ent[key] = scal(y)
-                    else:
-                        del ent[key]
+                    vec_acc(ent, (mi_t.flat((m,) + vt), mi_s.flat((m,) + w)), x)
         return ent
 
     def last_face_entries(n):
@@ -762,12 +689,8 @@ def build_comodule_algebra_complex(ba, sayd, N, name="comodule-algebra") -> Como
                     w = (k,) + vt[1:n + 1]
                     for m in range(mdim):
                         for mj, x3 in mract.get((m, hh), ()):
-                            key = (mi_t.flat((mj,) + vt), mi_s.flat((m,) + w))
-                            y = ent.get(key, 0) + x1 * x2 * x3
-                            if y:
-                                ent[key] = scal(y)
-                            else:
-                                del ent[key]
+                            vec_acc(ent, (mi_t.flat((mj,) + vt), mi_s.flat((m,) + w)),
+                                    x1 * x2 * x3)
         return ent
 
     def degen_entries(n, j):
@@ -778,12 +701,7 @@ def build_comodule_algebra_complex(ba, sayd, N, name="comodule-algebra") -> Como
             for k, x in unit:
                 w = vt[:j + 1] + (k,) + vt[j + 1:]
                 for m in range(mdim):
-                    key = (mi_t.flat((m,) + vt), mi_s.flat((m,) + w))
-                    y = ent.get(key, 0) + x
-                    if y:
-                        ent[key] = scal(y)
-                    else:
-                        del ent[key]
+                    vec_acc(ent, (mi_t.flat((m,) + vt), mi_s.flat((m,) + w)), x)
         return ent
 
     def tau_entries(n):
@@ -795,12 +713,7 @@ def build_comodule_algebra_complex(ba, sayd, N, name="comodule-algebra") -> Como
                 w = (b0,) + vt[:n]
                 for m in range(mdim):
                     for mj, x2 in mract.get((m, hh), ()):
-                        key = (mi.flat((mj,) + vt), mi.flat((m,) + w))
-                        y = ent.get(key, 0) + x1 * x2
-                        if y:
-                            ent[key] = scal(y)
-                        else:
-                            del ent[key]
+                        vec_acc(ent, (mi.flat((mj,) + vt), mi.flat((m,) + w)), x1 * x2)
         return ent
 
     faces, degens, taus = [], {}, []
@@ -850,14 +763,13 @@ def build_hopf_complex(mp, N) -> HopfComplexData:
     quot = build_coalgebra_complex(mc, sayd, N, name="hopf-quotient")
     power = _build_power_complex(mp, N)
     iso, iso_inv = [], []
-    tabs = HopfTables(h, N + 3)
+    tabs = HopfTables.of(h)
     delta = dict(mp.delta)
     top = N + 1
     for n in range(top + 1):
         mi = quot.ambients[n]
         quo = quot.quotients[n]
-        hdim = h.dim
-        mi_t = MultiIndex((hdim,) * n)
+        mi_t = MultiIndex((h.dim,) * n)
         cols = []
         for k in range(quo.dim):
             amb = quo.include_vec({k: 1})
@@ -866,38 +778,12 @@ def build_hopf_complex(mp, N) -> HopfComplexData:
                 idx = mi.unflat(f)
                 h0, rest = idx[1], idx[2:]
                 # m h0^(1) (x) S(h0^(2)) . (h1 .. hn)
+                hvec = {}
                 for (a, b), x1 in tabs.comul[h0]:
-                    da = delta.get(a, 0)
-                    if not da:
-                        continue
-                    for sb, x2 in tabs.S[b]:
-                        if n == 0:
-                            e = tabs.eps.get(sb, 0)
-                            if e:
-                                y = out.get(0, 0) + c0 * x1 * da * x2 * e
-                                if y:
-                                    out[0] = scal(y)
-                                else:
-                                    del out[0]
-                            continue
-                        for legs, x3 in tabs.itco[n][sb]:
-                            parts = []
-                            dead = False
-                            for leg, hi in zip(legs, rest):
-                                t = tabs.mul.get((leg, hi))
-                                if not t:
-                                    dead = True
-                                    break
-                                parts.append(t)
-                            if dead:
-                                continue
-                            for keys, x4 in expand_terms(parts):
-                                f2 = mi_t.flat(keys)
-                                y = out.get(f2, 0) + c0 * x1 * da * x2 * x3 * x4
-                                if y:
-                                    out[f2] = scal(y)
-                                else:
-                                    del out[f2]
+                    vec_axpy(hvec, c0 * x1 * delta.get(a, 0), tabs.S[b])
+                moved = tabs.diag_act(hvec, [tabs.right_mul[hi] for hi in rest])
+                for keys, x in moved.items():
+                    vec_acc(out, mi_t.flat(keys), x)
             cols.append(out)
         I_n = SparseMatrix.from_columns(cols, mi_t.size)
         inv = invert_matrix(I_n)
@@ -925,10 +811,16 @@ def _build_power_complex(mp, N) -> CocyclicComplex:
     """The simplified complex: degree n space is H^(x) n."""
     h = mp.hopf
     d = h.dim
-    tabs = HopfTables(h, N + 3)
+    tabs = HopfTables.of(h)
     from .hopf import twisted_antipode
-    St = {i: sorted(twisted_antipode(mp).column(i).items()) for i in range(d)}
+    St = twisted_antipode(mp).columns()
     sigma = sorted(mp.sigma.items())
+    # leg -> terms of leg * sigma, the slot table of the appended sigma
+    sigma_slot = {}
+    for leg in range(d):
+        v = mul_vec(tabs.mul, {leg: 1}, mp.sigma)
+        if v:
+            sigma_slot[leg] = sorted(v.items())
     unit = tabs.unit
     top = N + 1
     spaces = [tensor_power(h.space, n) for n in range(top + 1)]
@@ -956,43 +848,11 @@ def _build_power_complex(mp, N) -> CocyclicComplex:
 
     def tau_col(n, ht):
         # (iterated coproduct of the twisted antipode of h1) . (h2..hn, sigma)
-        out = {}
         if n == 0:
             return {0: 1}
-        mi = mis[n]
-        tail = ht[1:]
-        for u, x1 in St[ht[0]]:
-            for legs, x2 in tabs.itco[n][u]:
-                # multiply slotwise: legs[k] * tail[k] for k < n-1, legs[n-1] * sigma
-                parts = []
-                dead = False
-                for k in range(n - 1):
-                    t = tabs.mul.get((legs[k], tail[k]))
-                    if not t:
-                        dead = True
-                        break
-                    parts.append(t)
-                if dead:
-                    continue
-                last = {}
-                for s, xs in sigma:
-                    for kk, xm in tabs.mul.get((legs[n - 1], s), ()):
-                        y = last.get(kk, 0) + xs * xm
-                        if y:
-                            last[kk] = scal(y)
-                        else:
-                            del last[kk]
-                if not last:
-                    continue
-                parts.append(sorted(last.items()))
-                for keys, x3 in expand_terms(parts):
-                    f = mi.flat(keys)
-                    y = out.get(f, 0) + x1 * x2 * x3
-                    if y:
-                        out[f] = scal(y)
-                    else:
-                        del out[f]
-        return out
+        # multiply slotwise: legs[k] * h_{k+1} for k < n-1, legs[n-1] * sigma
+        slots = [tabs.right_mul[t] for t in ht[1:]] + [sigma_slot]
+        return {mis[n].flat(keys): x for keys, x in tabs.diag_act(St[ht[0]], slots).items()}
 
     def materialize(colfn, n_src, rows_dim):
         cols = []

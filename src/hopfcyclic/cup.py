@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import product as iproduct
 
 from .linalg import (SparseMatrix, SpanSolver, compose, tensor_kron, scal,
-                     vec_axpy, vec_sub, kernel_basis)
+                     vec_acc, vec_sub, mul_vec, kernel_basis)
 from .spaces import MultiIndex
 from .hopf import ModularPair, iterated_coproduct
 from .actions import (CoalgebraAction, SAYDModule, convolution_algebra,
@@ -28,7 +28,7 @@ from .actions import (CoalgebraAction, SAYDModule, convolution_algebra,
                       ActionNotDescended)
 from .complexes import (build_algebra_complex, build_coalgebra_complex,
                         build_comodule_algebra_complex, plain_cyclic_complex,
-                        tensor_bicocyclic, diagonal, HopfTables, expand_terms)
+                        product_complex, HopfTables)
 from .cohomology import hochschild_b, lam
 
 
@@ -114,7 +114,7 @@ class CoalgebraCupContext:
         self.hopf = ca.hopf
         self.alg = build_algebra_complex(ca.ma, sayd, N)
         self.coalg = build_coalgebra_complex(ca.mc, sayd, N)
-        self.diag = diagonal(tensor_bicocyclic(self.alg.complex, self.coalg.complex))
+        self.diag = product_complex(self.alg.complex, self.coalg.complex)
         self.conv = convolution_algebra(ca)
         self.conv_cx = plain_cyclic_complex(self.conv.algebra, N)
         self.a_cx = plain_cyclic_complex(ca.ma.alg, N)
@@ -240,7 +240,7 @@ class RelativeCupContext:
         self._build_class_action()
         self.alg = build_algebra_complex(ma, sayd, N)
         self.coalg = build_coalgebra_complex(self.relc, sayd, N)
-        self.diag = diagonal(tensor_bicocyclic(self.alg.complex, self.coalg.complex))
+        self.diag = product_complex(self.alg.complex, self.coalg.complex)
         self.ak_cx = plain_cyclic_complex(self.inv_alg, N)
         _assert_standard_basis(self.ak_cx)
         self._psi_r = None
@@ -272,17 +272,7 @@ class RelativeCupContext:
         ker = kernel_basis(self.proj)
         for r in ker:
             for a in range(akdim):
-                av = inc_cols[a]
-                out = {}
-                for hh, c in r.items():
-                    for ai, x in av.items():
-                        for bi, y in self.ma.action.value((hh, ai)).items():
-                            z = out.get(bi, 0) + c * x * y
-                            if z:
-                                out[bi] = scal(z)
-                            else:
-                                del out[bi]
-                if out:
+                if self.ma.action.apply(r, inc_cols[a]):
                     raise ActionNotDescended("relative action does not factor through the quotient")
         # values on representatives, solved back into the invariant span
         inv_solver = SpanSolver(track=True)
@@ -292,15 +282,7 @@ class RelativeCupContext:
         ent = {}
         for j, hh in enumerate(reps):
             for a in range(akdim):
-                av = inc_cols[a]
-                out = {}
-                for ai, x in av.items():
-                    for bi, y in self.ma.action.value((hh, ai)).items():
-                        z = out.get(bi, 0) + x * y
-                        if z:
-                            out[bi] = scal(z)
-                        else:
-                            del out[bi]
+                out = self.ma.action.apply({hh: 1}, inc_cols[a])
                 self.class_act_in_A[(j, a)] = out
                 coords = inv_solver.solve(out)
                 if coords is None:
@@ -372,16 +354,25 @@ class CrossedCupContext:
         self.hopf = ma.hopf
         self.alg = build_algebra_complex(ma, sayd, N)
         self.comod = build_comodule_algebra_complex(ba, sayd, N)
-        self.diag = diagonal(tensor_bicocyclic(self.alg.complex, self.comod.complex))
+        self.diag = product_complex(self.alg.complex, self.comod.complex)
         self.ab = crossed_product(ma, ba)
         self.ab_cx = plain_cyclic_complex(self.ab, N)
         _assert_standard_basis(self.ab_cx)
-        self.tabs = HopfTables(self.hopf, N + 3)
+        self.tabs = HopfTables.of(self.hopf)
         self._coact = {i: sorted(((divmod(kk, ba.space.dim)), x) for kk, x in
                                  ba.coaction.value((i,)).items()) for i in range(ba.space.dim)}
         self._act = {idx: sorted(v.items()) for idx, v in ma.action.entries.items()}
         self._amul = {idx: sorted(v.items()) for idx, v in ma.alg.mul.entries.items()}
         self._psi = None
+
+    def _leg_product(self, legs):
+        """The product legs[0] legs[1] ... in H as a sparse vector."""
+        hv = {legs[0]: 1}
+        for leg in legs[1:]:
+            if not hv:
+                break
+            hv = mul_vec(self.tabs.mul, hv, {leg: 1})
+        return hv
 
     def iterated_coaction(self, b, depth):
         """[(legs tuple deepest-first, b0, coeff)] for depth applications."""
@@ -437,28 +428,9 @@ class CrossedCupContext:
                             slots = []
                             dead = False
                             for i in range(n + 1):
-                                hv = None
-                                for j in range(i, n + 1):
-                                    legs = combo[j][0]
-                                    leg = legs[j - i]   # depth -(i+1), deepest first
-                                    hv = {leg: 1} if hv is None else self.tabs.mul_vec(hv, {leg: 1})
-                                    if not hv:
-                                        break
-                                if not hv:
-                                    dead = True
-                                    break
-                                sv = {}
-                                for u, x in hv.items():
-                                    for w, y in self.tabs.Sinv[u]:
-                                        vec_axpy(sv, scal(x * y), {w: 1})
-                                av = {}
-                                for u, x in sv.items():
-                                    for w, y in self._act.get((u, ats[i]), ()):
-                                        z = av.get(w, 0) + x * y
-                                        if z:
-                                            av[w] = scal(z)
-                                        else:
-                                            del av[w]
+                                # depth -(i+1) legs, deepest first
+                                hv = self._leg_product([combo[j][0][j - i] for j in range(i, n + 1)])
+                                av = mul_vec(self._act, self.hopf.antipode_inv.apply(hv), {ats[i]: 1})
                                 if not av:
                                     dead = True
                                     break
@@ -589,16 +561,7 @@ def cup_explicit_coalgebra(ctx, phi, p, x, q):
                     if not w:
                         dead = True
                         break
-                    vv = {}
-                    for i1, x1 in v.items():
-                        for i2, x2 in w.items():
-                            for i3, x3 in ctx._amul.get((i1, i2), ()):
-                                z = vv.get(i3, 0) + x1 * x2 * x3
-                                if z:
-                                    vv[i3] = scal(z)
-                                else:
-                                    del vv[i3]
-                    v = vv
+                    v = mul_vec(ctx._amul, v, w)
                     dead = not v
                 if dead:
                     continue
@@ -667,12 +630,12 @@ def cup_explicit_crossed(ctx, phi, p, psi, q):
             if p > 0:
                 prodv = {b0s[q + 1]: 1}
                 for t in range(q + 2, n + 1):
-                    prodv = _bmul_vec(bmul, prodv, {b0s[t]: 1})
+                    prodv = mul_vec(bmul, prodv, {b0s[t]: 1})
                     if not prodv:
                         break
                 if not prodv:
                     continue
-                first = _bmul_vec(bmul, prodv, {b0s[0]: 1})
+                first = mul_vec(bmul, prodv, {b0s[0]: 1})
                 if not first:
                     continue
             mvals = {}
@@ -681,11 +644,7 @@ def cup_explicit_crossed(ctx, phi, p, psi, q):
                 for mi_ in range(mdim):
                     c = psi_amb.get(mi_amb_b.flat((mi_,) + args))
                     if c:
-                        z = mvals.get(mi_, 0) + xf * c
-                        if z:
-                            mvals[mi_] = scal(z)
-                        else:
-                            del mvals[mi_]
+                        vec_acc(mvals, mi_, xf * c)
             if not mvals:
                 continue
             # first slot: the PRODUCT of the q+1 twisted values; a product,
@@ -693,39 +652,15 @@ def cup_explicit_crossed(ctx, phi, p, psi, q):
             first_slot = None
             dead = False
             for i in range(q + 1):
-                hv = None
-                for j in range(i, q + 1):
-                    legs = combo[j][0]
-                    leg = legs[j - i]
-                    hv = {leg: 1} if hv is None else ctx.tabs.mul_vec(hv, {leg: 1})
-                    if not hv:
-                        break
-                if not hv:
-                    dead = True
-                    break
-                sv = {}
-                for u, xx in hv.items():
-                    for w, y in ctx.tabs.Sinv[u]:
-                        z = sv.get(w, 0) + xx * y
-                        if z:
-                            sv[w] = scal(z)
-                        else:
-                            del sv[w]
-                av = {}
-                for u, xx in sv.items():
-                    for w, y in ctx._act.get((u, ats[i]), ()):
-                        z = av.get(w, 0) + xx * y
-                        if z:
-                            av[w] = scal(z)
-                        else:
-                            del av[w]
+                hv = ctx._leg_product([combo[j][0][j - i] for j in range(i, q + 1)])
+                av = mul_vec(ctx._act, ctx.hopf.antipode_inv.apply(hv), {ats[i]: 1})
                 if not av:
                     dead = True
                     break
                 if first_slot is None:
                     first_slot = av
                 else:
-                    first_slot = _bmul_vec(ctx._amul, first_slot, av)
+                    first_slot = mul_vec(ctx._amul, first_slot, av)
                     if not first_slot:
                         dead = True
                         break
@@ -736,24 +671,8 @@ def cup_explicit_crossed(ctx, phi, p, psi, q):
             if p >= 1:
                 slots.append({ats[q + 1]: 1})
             for s in range(q + 2, n + 1):
-                hv = None
-                for t in range(q + 1, s):
-                    legs = combo[t][0]
-                    leg = legs[s - t - 1]
-                    hv = {leg: 1} if hv is None else ctx.tabs.mul_vec(hv, {leg: 1})
-                    if not hv:
-                        break
-                if not hv:
-                    dead = True
-                    break
-                av = {}
-                for u, xx in hv.items():
-                    for w, y in ctx._act.get((u, ats[s]), ()):
-                        z = av.get(w, 0) + xx * y
-                        if z:
-                            av[w] = scal(z)
-                        else:
-                            del av[w]
+                hv = ctx._leg_product([combo[t][0][s - t - 1] for t in range(q + 1, s)])
+                av = mul_vec(ctx._act, hv, {ats[s]: 1})
                 if not av:
                     dead = True
                     break
@@ -767,18 +686,6 @@ def cup_explicit_crossed(ctx, phi, p, psi, q):
     match = (vec_sub(out, normative.vector) == {})
     return normative, out, match
 
-
-def _bmul_vec(bmul, u, v):
-    out = {}
-    for i, x in u.items():
-        for j, y in v.items():
-            for k, z in bmul.get((i, j), ()):
-                w = out.get(k, 0) + x * y * z
-                if w:
-                    out[k] = scal(w)
-                else:
-                    del out[k]
-    return out
 
 # ---------------------------------------------------------------------------
 # the characteristic map of an invariant trace
@@ -841,16 +748,7 @@ def char_map(mp: ModularPair, ma, trace, N=3):
                     if not w:
                         v = {}
                         break
-                    vv = {}
-                    for i1, x1 in v.items():
-                        for i2, x2 in w.items():
-                            for i3, x3 in amul.get((i1, i2), ()):
-                                z = vv.get(i3, 0) + x1 * x2 * x3
-                                if z:
-                                    vv[i3] = scal(z)
-                                else:
-                                    del vv[i3]
-                    v = vv
+                    v = mul_vec(amul, v, w)
                     if not v:
                         break
                 total = scal(sum(trace.get(i, 0) * x for i, x in v.items())) if v else 0
@@ -926,24 +824,8 @@ def shuffle_cup_traces(ctx: CrossedCupContext, phi, p, psi, q):
                 slots = [{ats[0]: 1}]
                 dead = False
                 for k in range(1, n + 1):
-                    hv = None
-                    for t in range(k):
-                        legs = combo[t][0]
-                        leg = legs[k - t - 1]
-                        hv = {leg: 1} if hv is None else ctx.tabs.mul_vec(hv, {leg: 1})
-                        if not hv:
-                            break
-                    if not hv:
-                        dead = True
-                        break
-                    av = {}
-                    for u, xx in hv.items():
-                        for w, y in ctx._act.get((u, ats[k]), ()):
-                            z = av.get(w, 0) + xx * y
-                            if z:
-                                av[w] = scal(z)
-                            else:
-                                del av[w]
+                    hv = ctx._leg_product([combo[t][0][k - t - 1] for t in range(k)])
+                    av = mul_vec(ctx._act, hv, {ats[k]: 1})
                     if not av:
                         dead = True
                         break
@@ -953,12 +835,7 @@ def shuffle_cup_traces(ctx: CrossedCupContext, phi, p, psi, q):
                 for mi_, mc in mvals.items():
                     total += coeff * mc * _pair(phi_amb, mi_amb_a, mi_, slots)
             if total:
-                f = mi_t.flat(abt)
-                y = out.get(f, 0) + sig.sign * total
-                if y:
-                    out[f] = scal(y)
-                else:
-                    del out[f]
+                vec_acc(out, mi_t.flat(abt), sig.sign * total)
     tgt = ctx.target().complex
     return CupResult(out, n, is_b_closed(tgt, n, out), is_cyclic(tgt, n, out))
 
@@ -1005,11 +882,6 @@ def cotrace_cup(ctx: CoalgebraCupContext, x, p, phi, q):
                     continue
                 total += c0 * _pair(phi_amb, mi_amb_a, mindex, slots)
             if total:
-                f2 = mi_t.flat(at)
-                y = out.get(f2, 0) + sig.sign * total
-                if y:
-                    out[f2] = scal(y)
-                else:
-                    del out[f2]
+                vec_acc(out, mi_t.flat(at), sig.sign * total)
     tgt = ctx.target().complex
     return CupResult(out, n, is_b_closed(tgt, n, out), is_cyclic(tgt, n, out))

@@ -5,7 +5,7 @@ contexts.  Everything the acceptance suite runs is built from these.
 
 from __future__ import annotations
 
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, vec_acc
 from .spaces import BasedSpace, StructureTensor, tensor_space
 from .hopf import AlgebraData, CoalgebraData, HopfData, ModularPair
 from .actions import (ModuleAlgebra, ModuleCoalgebra, ComoduleAlgebra,
@@ -116,11 +116,7 @@ def adjoint_module_algebra(h: HopfData) -> ModuleAlgebra:
                 left = h.alg.mul.apply({h1: 1}, {ia: 1})
                 w = h.alg.mul.apply(left, sh2)
                 for j, y in w.items():
-                    z = out.get(j, 0) + x * y
-                    if z:
-                        out[j] = z
-                    else:
-                        del out[j]
+                    vec_acc(out, j, x * y)
             if out:
                 ent[(ih, ia)] = out
     return ModuleAlgebra(h, h.alg, StructureTensor((h.space, h.space), h.space, ent))

@@ -116,6 +116,7 @@ class HopfData:
         if antipode_inv is None:
             antipode_inv = _invert(antipode)
         self.antipode_inv = antipode_inv
+        self.tables = None      # complexes.HopfTables, built on first use
 
     @property
     def dim(self):

@@ -30,6 +30,8 @@ class SubspaceNotContained(Exception):
 
 def scal(x):
     """Normalize a rational scalar: Fraction with denominator 1 becomes int."""
+    if type(x) is int:
+        return x
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return x.numerator
@@ -56,25 +58,24 @@ def format_scalar(x):
 # ---------------------------------------------------------------------------
 # sparse vectors (dict index -> nonzero scalar)
 
+def vec_acc(out, key, x):
+    """In-place out[key] += x on a mutable dict; an exact zero is dropped.
+
+    This is the one rule every sparse sum in the package follows."""
+    y = out.get(key, 0) + x
+    if y:
+        out[key] = scal(y)
+    else:
+        out.pop(key, None)
+
 def vec_add(u, v):
     out = dict(u)
     for i, x in v.items():
-        y = out.get(i, 0) + x
-        if y:
-            out[i] = scal(y)
-        else:
-            out.pop(i, None)
+        vec_acc(out, i, x)
     return out
 
 def vec_sub(u, v):
-    out = dict(u)
-    for i, x in v.items():
-        y = out.get(i, 0) - x
-        if y:
-            out[i] = scal(y)
-        else:
-            out.pop(i, None)
-    return out
+    return vec_axpy(dict(u), -1, v)
 
 def vec_scale(u, c):
     if not c:
@@ -82,7 +83,7 @@ def vec_scale(u, c):
     return {i: scal(c * x) for i, x in u.items()}
 
 def vec_axpy(out, c, v):
-    """In-place out += c*v on a mutable dict."""
+    """In-place out += c*v on a mutable dict (vec_acc inlined: hot loop)."""
     if not c:
         return out
     for i, x in v.items():
@@ -91,6 +92,16 @@ def vec_axpy(out, c, v):
             out[i] = scal(y)
         else:
             out.pop(i, None)
+    return out
+
+def mul_vec(table, u, v):
+    """Product of two sparse vectors through a structure table
+    {(i, j): [(k, coeff), ...]}."""
+    out = {}
+    for i, x in u.items():
+        for j, y in v.items():
+            for k, z in table.get((i, j), ()):
+                vec_acc(out, k, x * y * z)
     return out
 
 def vec_dot(u, v):
@@ -230,15 +241,8 @@ class SparseMatrix:
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeMismatch("add %dx%d + %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        ent = dict(self.entries)
-        for k, x in other.entries.items():
-            y = ent.get(k, 0) + x
-            if y:
-                ent[k] = scal(y)
-            else:
-                ent.pop(k, None)
         m = SparseMatrix(self.rows, self.cols)
-        m.entries = ent
+        m.entries = vec_add(self.entries, other.entries)
         return m
 
     def __sub__(self, other):
@@ -262,10 +266,6 @@ class SparseMatrix:
                 cols = self.columns()
             vec_axpy(out, c, cols[j])
         return out
-
-    def apply_dense_cache(self):
-        """Columns list, for repeated apply() calls."""
-        return self.columns()
 
 
 def compose(a, b):

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from .linalg import vec_acc
+
 
 class DegreeCapExceeded(Exception):
     pass
@@ -87,14 +89,6 @@ def _mul_words(w1, c1, w2, c2):
     return (om1 + new_om2, ga1 + ga2), c1 * c2 * sign
 
 
-def _add(acc, word, coeff):
-    y = acc.get(word, 0) + coeff
-    if y:
-        acc[word] = y
-    else:
-        acc.pop(word, None)
-
-
 def expand_theta(n):
     """theta^n as a dict {word: coeff}."""
     terms = {((((0, False, ()),)), ((0, False),)): 1}
@@ -107,7 +101,7 @@ def expand_theta(n):
         for w1, c1 in terms.items():
             for w2, c2 in factor:
                 w, c = _mul_words(w1, c1, w2, c2)
-                _add(nxt, w, c)
+                vec_acc(nxt, w, c)
         terms = nxt
     return terms
 
@@ -171,7 +165,7 @@ def shuffle_component_words(n, q, p):
                              lambda it, dd: (it[0], dd))
         for aw in a_words:
             for bw in b_words:
-                _add(out, (aw, bw), sig.sign)
+                vec_acc(out, (aw, bw), sig.sign)
     return out
 
 

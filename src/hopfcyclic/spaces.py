@@ -11,7 +11,7 @@ coaction...) as raw structure constants before any axiom checking.
 
 from __future__ import annotations
 
-from .linalg import SparseMatrix, ShapeMismatch, scal
+from .linalg import SparseMatrix, ShapeMismatch, scal, vec_acc
 
 
 class BasedSpace:
@@ -159,9 +159,5 @@ class StructureTensor:
             val = self.entries.get(idx)
             if val:
                 for r, x in val.items():
-                    y = out.get(r, 0) + c * x
-                    if y:
-                        out[r] = scal(y)
-                    else:
-                        del out[r]
+                    vec_acc(out, r, c * x)
         return out

@@ -30,7 +30,7 @@ parse_spec returns a SpecFile whose canonical to_text() round-trips.
 
 from __future__ import annotations
 
-from .linalg import parse_scalar, format_scalar, scal
+from .linalg import parse_scalar, format_scalar, vec_acc
 from .spaces import BasedSpace, StructureTensor, tensor_space
 from .hopf import AlgebraData, CoalgebraData, HopfData, ModularPair
 from .actions import (ModuleAlgebra, ModuleCoalgebra, ComoduleAlgebra, SAYDModule,
@@ -218,56 +218,42 @@ def _fmt_pvec(vec, s1, s2):
     return " + ".join(terms)
 
 
-def _parse_vec(text, space, line_no):
+def _scalar(text, line_no):
+    try:
+        return parse_scalar(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError("bad scalar %r" % text.strip(), line_no)
+
+
+def _parse_terms(text, line_no, form, key):
+    """Sum of the terms coef*rest of text, keyed by key(rest); terms that
+    cancel leave no entry."""
     text = text.strip()
-    if text == "0":
-        return {}
     out = {}
+    if text == "0":
+        return out
     for term in text.split("+"):
         term = term.strip()
         if "*" not in term:
-            raise ParseError("expected coef*label, got %r" % term, line_no)
-        coef, label = term.split("*", 1)
-        label = label.strip()
-        try:
-            idx = space.labels.index(label)
-        except ValueError:
-            raise UnresolvedName("unknown basis label %r" % label, line_no)
-        try:
-            c = parse_scalar(coef)
-        except Exception:
-            raise ParseError("bad scalar %r" % coef, line_no)
-        if c:
-            out[idx] = scal(out.get(idx, 0) + c)
+            raise ParseError("expected %s, got %r" % (form, term), line_no)
+        coef, rest = term.split("*", 1)
+        k = key(rest.strip())
+        vec_acc(out, k, _scalar(coef, line_no))
     return out
+
+
+def _parse_vec(text, space, line_no):
+    return _parse_terms(text, line_no, "coef*label",
+                        lambda label: _label(space, label, line_no))
 
 
 def _parse_pvec(text, s1, s2, line_no):
-    text = text.strip()
-    if text == "0":
-        return {}
-    out = {}
-    d2 = s2.dim
-    for term in text.split("+"):
-        term = term.strip()
-        if "*" not in term or "|" not in term:
-            raise ParseError("expected coef*label|label, got %r" % term, line_no)
-        coef, pair = term.split("*", 1)
+    def key(pair):
+        if "|" not in pair:
+            raise ParseError("expected coef*label|label, got %r" % pair, line_no)
         l1, l2 = pair.split("|", 1)
-        l1, l2 = l1.strip(), l2.strip()
-        try:
-            i = s1.labels.index(l1)
-        except ValueError:
-            raise UnresolvedName("unknown basis label %r" % l1, line_no)
-        try:
-            j = s2.labels.index(l2)
-        except ValueError:
-            raise UnresolvedName("unknown basis label %r" % l2, line_no)
-        c = parse_scalar(coef)
-        if c:
-            f = i * d2 + j
-            out[f] = scal(out.get(f, 0) + c)
-    return out
+        return _label(s1, l1.strip(), line_no) * s2.dim + _label(s2, l2.strip(), line_no)
+    return _parse_terms(text, line_no, "coef*label|label", key)
 
 
 def parse_spec(text) -> SpecFile:
@@ -341,7 +327,7 @@ def _resolve_block(spec, head, header, ln, lines):
             parts = line.split("=", 1)
             lhs = parts[0].split()
             if lhs[0] == "counit":
-                counit[_label(s, lhs[1], l_no)] = parse_scalar(parts[1])
+                counit[_label(s, lhs[1], l_no)] = _scalar(parts[1], l_no)
             elif lhs[0] == "comul":
                 ent[(_label(s, lhs[1], l_no),)] = _parse_pvec(parts[1], s, s, l_no)
             else:
@@ -374,8 +360,8 @@ def _resolve_block(spec, head, header, ln, lines):
         vals = toks[5:]
         if len(vals) != h.dim:
             raise DimensionMismatch("character needs %d values" % h.dim, ln)
-        spec.characters[name] = (hname, {i: parse_scalar(v) for i, v in enumerate(vals)
-                                         if parse_scalar(v)})
+        vals = [_scalar(v, ln) for v in vals]
+        spec.characters[name] = (hname, {i: x for i, x in enumerate(vals) if x})
         spec.order.append(("character", name))
     elif head == "grouplike":
         name, hname = toks[1], toks[3]
@@ -501,8 +487,8 @@ def _resolve_block(spec, head, header, ln, lines):
         vals = header.split("=", 1)[1].split()
         if len(vals) != s.dim:
             raise DimensionMismatch("trace needs %d values" % s.dim, ln)
-        spec.traces[name] = (sname, {i: parse_scalar(v) for i, v in enumerate(vals)
-                                     if parse_scalar(v)})
+        vals = [_scalar(v, ln) for v in vals]
+        spec.traces[name] = (sname, {i: x for i, x in enumerate(vals) if x})
         spec.order.append(("trace", name))
     elif head in ("complex", "context"):
         name = toks[1]

@@ -88,7 +88,6 @@ def test_algebra_complex_deterministic():
     a = build_algebra_complex(swap_module_algebra(), trivial_sayd(h), 3)
     b = build_algebra_complex(swap_module_algebra(), trivial_sayd(h), 3)
     assert complexes_equal(a.complex, b.complex)
-    assert a.convention == b.convention == "S"
 
 def test_algebra_complex_h4_passes():
     data = build_algebra_complex(
@@ -205,6 +204,23 @@ def test_complex_dump_round_trip():
     back = complex_from_text(text)
     assert complexes_equal(alg, back)
     assert back.content_hash == content_hash("fixture")
+
+
+# -- shared Hopf tables ------------------------------------------------------------
+
+def test_hopf_tables_built_once_with_legs_of_the_iterated_coproduct():
+    from hopfcyclic.complexes import HopfTables
+    from hopfcyclic.hopf import iterated_coproduct
+    from hopfcyclic.spaces import MultiIndex
+    for h in (group_algebra(3), sweedler_h4()):
+        tabs = HopfTables.of(h)
+        assert HopfTables.of(h) is tabs
+        for k in range(1, 6):
+            mi = MultiIndex((h.dim,) * k)
+            ref = iterated_coproduct(h.coalg, k)
+            for i in range(h.dim):
+                assert tabs.legs(k)[i] == sorted((mi.unflat(f), x)
+                                                 for f, x in ref.value((i,)).items())
 
 
 # -- failure paths and realization invariants -----------------------------------

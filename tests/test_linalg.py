@@ -2,12 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hopfcyclic.linalg import (
     SparseMatrix, SubspaceNotContained, ShapeMismatch,
     compose, tensor_kron, kernel_basis, kernel_canonicalize, image_rank,
     quotient_dim, rref, parse_scalar, format_scalar, scal,
-    matrix_to_text, matrix_from_text,
+    matrix_to_text, matrix_from_text, vec_acc, vec_axpy, mul_vec,
 )
 
 
@@ -213,3 +214,54 @@ def test_solver_reconstruction_random():
         for k, c in sol.items():
             vec_axpy(recon, c, vecs[k])
         assert recon == target, trial
+
+
+# -- sparse accumulation against a dense Fraction reference -----------------
+
+DIM = 4
+rationals = st.builds(lambda n, d: scal(Fraction(n, d)),
+                      st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+sparse_vecs = st.dictionaries(st.integers(0, DIM - 1), rationals).map(
+    lambda v: {i: x for i, x in v.items() if x})
+
+
+def dense(v):
+    return [Fraction(v.get(i, 0)) for i in range(DIM)]
+
+
+def assert_normal(v):
+    # no stored zero, and integral values stored as int
+    for x in v.values():
+        assert x and (type(x) is int or x.denominator != 1)
+
+
+@given(sparse_vecs, st.lists(st.tuples(st.integers(0, DIM - 1), rationals)))
+def test_vec_acc_matches_dense(v, terms):
+    ref = dense(v)
+    out = dict(v)
+    for i, x in terms:
+        vec_acc(out, i, x)
+        ref[i] += x
+    assert dense(out) == ref
+    assert_normal(out)
+
+
+@given(sparse_vecs, rationals, sparse_vecs)
+def test_vec_axpy_matches_dense(u, c, v):
+    out = vec_axpy(dict(u), c, v)
+    assert dense(out) == [a + c * b for a, b in zip(dense(u), dense(v))]
+    assert_normal(out)
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, DIM - 1), st.integers(0, DIM - 1)),
+                       sparse_vecs), sparse_vecs, sparse_vecs)
+def test_mul_vec_matches_dense(structure, u, v):
+    table = {k: sorted(w.items()) for k, w in structure.items()}
+    ref = [Fraction(0)] * DIM
+    for i, x in enumerate(dense(u)):
+        for j, y in enumerate(dense(v)):
+            for k, z in enumerate(dense(structure.get((i, j), {}))):
+                ref[k] += x * y * z
+    out = mul_vec(table, u, v)
+    assert dense(out) == ref
+    assert_normal(out)

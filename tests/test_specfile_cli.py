@@ -108,6 +108,38 @@ def test_cli_parse_error_exit_two(tmp_path, capsys):
     p.write_text("frobnicate\n")
     assert main([ "validate", str(p)]) == 2
 
+@pytest.mark.parametrize("line,scalar", [("comul g = 1/0*g|g", "1/0"),
+                                         ("comul g = x*g|g", "x"),
+                                         ("counit g = 1/0", "1/0"),
+                                         ("mul g g = 1/0*e", "1/0")])
+def test_cli_bad_scalar_exit_two_with_line(tmp_path, capsys, line, scalar):
+    lines = fixture_file_texts()["kz2.hcy"].splitlines()
+    head = line.split("=")[0]
+    line_no = next(i for i, l in enumerate(lines, 1) if l.strip().startswith(head))
+    lines[line_no - 1] = "  " + line
+    p = tmp_path / "bad.hcy"
+    p.write_text("\n".join(lines) + "\n")
+    assert main(["validate", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err == "input error: line %d: bad scalar %r\n" % (line_no, scalar)
+
+@pytest.mark.parametrize("old,new", [
+    ("grouplike one in H = 1*e", "grouplike one in H = 1*e + 1*g + -1*g"),
+    ("  unit = 1*e", "  unit = 1*e + 1*g + -1*g"),
+])
+def test_cancelled_terms_give_the_same_report(tmp_path, capsys, old, new):
+    # terms that cancel must leave no stored zero behind
+    d = write_fixtures(tmp_path)
+    os.chdir(tmp_path)
+    text = (d / "kz2.hcy").read_text()
+    assert text.count(old + "\n") == 1
+    p = tmp_path / "kz2_cancelled.hcy"
+    p.write_text(text.replace(old + "\n", new + "\n"))
+    code1, out1 = run_cli(["audit", d / "kz2.hcy", "--max-degree", "2"], capsys)
+    code2, out2 = run_cli(["audit", p, "--max-degree", "2"], capsys)
+    assert code1 == code2 == 0
+    assert out1 == out2
+
 def test_cli_cup_command(tmp_path, capsys):
     d = write_fixtures(tmp_path)
     os.chdir(tmp_path)
