@@ -13,6 +13,7 @@ import argparse
 import os
 import random
 import sys
+import tempfile
 
 from . import __version__
 from .linalg import SparseMatrix, SpanSolver, image_rank, kernel_basis, vector_to_text
@@ -86,9 +87,10 @@ def build_declared_complex(spec, spec_text, name, N, no_cache=False, cache_dir=C
     kind, args = spec.complexes[name]
     key = _complex_key(spec_text, name, kind, args, N)
     path = os.path.join(cache_dir, key + ".cx")
-    if not no_cache and os.path.exists(path):
-        with open(path) as f:
-            return complex_from_text(f.read()), "cached"
+    if not no_cache:
+        cx = _read_cache_entry(path, key)
+        if cx is not None:
+            return cx, "cached"
     sayd = spec.coefficients[args[-1]]
     if kind == "hopf":
         mp = spec.modular_pair(args[-1])
@@ -100,10 +102,29 @@ def build_declared_complex(spec, spec_text, name, N, no_cache=False, cache_dir=C
     else:
         cx = build_comodule_algebra_complex(spec.comodule_algebras[args[0]], sayd, N).complex
     if not no_cache:
+        # a complete entry or none: write aside, then rename over the entry
         os.makedirs(cache_dir, exist_ok=True)
-        with open(path, "w") as f:
-            f.write(complex_to_text(cx, key))
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write(complex_to_text(cx, key))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return cx, "built"
+
+
+def _read_cache_entry(path, key):
+    """The complex cached at path, or None when the entry is missing,
+    unreadable, cut short, edited or stored under another key: such an
+    entry is a miss and gets rebuilt."""
+    try:
+        with open(path) as f:
+            cx = complex_from_text(f.read())
+    except (OSError, ValueError):
+        return None
+    return cx if cx.content_hash == key else None
 
 
 # ---------------------------------------------------------------------------

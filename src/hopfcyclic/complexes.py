@@ -982,12 +982,13 @@ def plain_cyclic_complex(alg, N, name="cyclic"):
 # ---------------------------------------------------------------------------
 # serialization (versioned text dump with input content hash)
 
-DUMP_VERSION = "hopfcyclic-complex v1"
+DUMP_VERSION = "hopfcyclic-complex v2"
 
 
 def complex_to_text(cx: CocyclicComplex, content_hash=""):
-    out = ["%s %s" % (DUMP_VERSION, content_hash)]
-    out.append("N %d top %d" % (cx.N, cx.top))
+    """The dump of a complex; its first line carries the version, the
+    caller's content hash and the sha256 digest of the rest of the text."""
+    out = ["N %d top %d" % (cx.N, cx.top)]
     for n in range(cx.top + 1):
         out.append("degree %d dim %d" % (n, cx.dim(n)))
     for n in range(cx.N + 1):
@@ -1001,14 +1002,22 @@ def complex_to_text(cx: CocyclicComplex, content_hash=""):
     for n in range(cx.top + 1):
         out.append("tau %d" % n)
         out.append(matrix_to_text(cx.tau(n)))
-    return "\n".join(out) + "\n"
+    body = "\n".join(out) + "\n"
+    return "%s %s %s\n%s" % (DUMP_VERSION, content_hash,
+                             hashlib.sha256(body.encode()).hexdigest(), body)
 
 
 def complex_from_text(text):
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith(DUMP_VERSION):
+    """Inverse of complex_to_text.  Raises ValueError for a dump of another
+    version or one whose body does not match its digest (cut short or
+    edited)."""
+    head, _, body = text.partition("\n")
+    if not head.startswith(DUMP_VERSION):
         raise ValueError("unrecognized complex dump")
-    content_hash = lines[0][len(DUMP_VERSION):].strip()
+    content_hash, _, digest = head[len(DUMP_VERSION):].strip().rpartition(" ")
+    if digest != hashlib.sha256(body.encode()).hexdigest():
+        raise ValueError("complex dump does not match its digest")
+    lines = text.splitlines()
     head = lines[1].split()
     N, top = int(head[1]), int(head[3])
     dims = {}

@@ -6,6 +6,16 @@ the crossed-product pairing, their chain-map certificates, the composed
 front/back-face cup, the explicit closed formulas with mismatch surfacing,
 the characteristic map of an invariant trace and the shuffle-sum cups.
 
+Every pairing is one factored contraction.  The algebra-side functional phi
+on M (x) A^(x)(n+1) is pushed slot by slot through per-slot tables, built
+once per context, that send a basis element of A to the (x-side key,
+target) pairs whose slot value contains it (linalg.push_slots).  The
+pushforward is then contracted with the x side (linalg.contract): a
+quotient representative keyed by (m, c_0, ..., c_n) on the coalgebra side,
+or, per b-tuple, the coaction expansion into a b0-tuple and leg products in
+H on the comodule side.  Every pairing matrix is still certified to be a
+chain map (certify_chain_map).
+
 Conventions pinned by calibration (see the repo notes): the composed cup
 applies zeroth faces to the algebra-side argument and twisted last faces to
 the coalgebra-side argument; with that split the explicit coalgebra formula
@@ -15,9 +25,11 @@ is reproduced entrywise for trivially-coacting coefficients.
 from __future__ import annotations
 
 from itertools import product as iproduct
+from math import prod
 
 from .linalg import (SparseMatrix, SpanSolver, compose, tensor_kron, scal,
-                     vec_acc, vec_sub, mul_vec, kernel_basis)
+                     vec_acc, vec_axpy, vec_sub, mul_vec, kernel_basis,
+                     push_slots, contract)
 from .spaces import MultiIndex
 from .hopf import ModularPair, iterated_coproduct
 from .actions import (CoalgebraAction, SAYDModule, convolution_algebra,
@@ -28,7 +40,8 @@ from .actions import (CoalgebraAction, SAYDModule, convolution_algebra,
                       ActionNotDescended)
 from .complexes import (build_algebra_complex, build_coalgebra_complex,
                         build_comodule_algebra_complex, plain_cyclic_complex,
-                        product_complex, HopfTables)
+                        product_complex, HopfTables, expand_terms,
+                        _action_table, _coaction_table)
 from .cohomology import hochschild_b, lam
 
 
@@ -58,19 +71,6 @@ def _require_valid(reports):
         raise ValueError("cup context components failed validation: %r" % bad)
 
 
-def _pair(phi_amb, mi, mindex, slot_vecs):
-    """phi(m (x) v_0 (x) ... (x) v_n) for sparse slot vectors."""
-    total = 0
-    for combo in iproduct(*[list(v.items()) for v in slot_vecs]):
-        c = phi_amb.get(mi.flat((mindex,) + tuple(i for i, _ in combo)))
-        if c:
-            x = c
-            for _, y in combo:
-                x = x * y
-            total += x
-    return scal(total)
-
-
 def certify_chain_map(src, tgt, mats, what):
     """mats[n]: src degree n -> tgt degree n must intertwine all operators."""
     N, top = src.N, src.top
@@ -93,6 +93,90 @@ def _assert_standard_basis(data):
         for k, v in enumerate(basis):
             if v != {k: 1}:
                 raise AssertionError("plain complex basis is not standard at degree %d" % n)
+
+
+# ---------------------------------------------------------------------------
+# the factored contraction shared by every pairing
+
+def _slot_table(values):
+    """a -> [(key, target tuple, coeff)]: the transpose of a slot map
+    (key, target tuple) -> sparse vector in A."""
+    table = {}
+    for (key, targets), vec in values.items():
+        for a, x in vec.items():
+            table.setdefault(a, []).append((key, targets, x))
+    return table
+
+
+def _mul_all(table, vecs, unit=None):
+    """Left-to-right product of sparse vectors through a structure table;
+    the unit for an empty product."""
+    if not vecs:
+        return dict(unit)
+    out = dict(vecs[0])
+    for v in vecs[1:]:
+        if not out:
+            break
+        out = mul_vec(table, out, v)
+    return out
+
+
+def _product_table(amul, factor, keys, adim):
+    """Slot table of a slot that holds a product in A: for each key
+    (k_0, ..., k_r) and targets (a_0, ..., a_r), the product
+    factor[k_0, a_0] ... factor[k_r, a_r] of sparse A-vectors."""
+    values = {}
+    for key in keys:
+        for ats in iproduct(range(adim), repeat=len(key)):
+            values[key, ats] = _mul_all(amul, [factor.get((k, a), {}) for k, a in zip(key, ats)])
+    return _slot_table(values)
+
+
+def _push(adata, phi, n, slots):
+    """phi (ambient coefficients of the algebra complex at degree n) pushed
+    through one table per A slot; the M index passes through unchanged."""
+    mi = adata.ambients[n]
+    keep_m = {m: [(m, (), 1)] for m in range(mi.dims[0])}
+    return push_slots({mi.unflat(f): c for f, c in phi.items()}, [keep_m] + list(slots))
+
+
+def _rep(cdata, n, qvec):
+    """Quotient representative of a coalgebra-complex class, keyed by
+    (m, c_0, ..., c_n)."""
+    mi = cdata.ambients[n]
+    return {mi.unflat(f): c for f, c in cdata.quotients[n].include_vec(qvec).items()}
+
+
+def _evaluate(pushed, xside, mi_t, bdim=1):
+    """One pairing value as a target vector.  The x side is a list of
+    (b tuple, x vector); each x vector contracted with phi's pushforward
+    lands at the target (a_k * bdim + b_k)_k."""
+    out = {}
+    for bts, xvec in xside:
+        for ats, y in contract(pushed, xvec).items():
+            vec_acc(out, mi_t.flat([a * bdim + b for a, b in zip(ats, bts)]), y)
+    return out
+
+
+def _pairing_matrix(adata, n, slots, xsides, tdim, bdim=1):
+    """Degree-n pairing matrix, columns phi-major over adata.bases[n] x xsides."""
+    mi_t = MultiIndex((tdim,) * (n + 1))
+    cols = []
+    for phi in adata.bases[n]:
+        pushed = _push(adata, phi, n, slots)
+        cols.extend(_evaluate(pushed, xside, mi_t, bdim) for xside in xsides)
+    return SparseMatrix.from_columns(cols, mi_t.size)
+
+
+def _quotient_pairing(adata, cdata, slot, tdim, N):
+    """Pairing matrices of an algebra complex with a coalgebra complex
+    through one slot table; the x sides are the quotient representatives."""
+    mats = []
+    for n in range(N + 2):
+        zero = (0,) * (n + 1)
+        xsides = [[(zero, _rep(cdata, n, {j: 1}))] for j in range(cdata.quotients[n].dim)]
+        mats.append(_pairing_matrix(adata, n, [slot] * (n + 1), xsides, tdim))
+    return mats
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +204,9 @@ class CoalgebraCupContext:
         self.a_cx = plain_cyclic_complex(ca.ma.alg, N)
         _assert_standard_basis(self.conv_cx)
         _assert_standard_basis(self.a_cx)
-        self._act = {idx: sorted(v.items()) for idx, v in ca.action.entries.items()}
-        self._amul = {idx: sorted(v.items()) for idx, v in ca.ma.alg.mul.entries.items()}
+        self._amul = _action_table(ca.ma.alg.mul)
+        # the slot c (x) a -> c.a of the trace and explicit formulas
+        self._act_slot = _slot_table({(c, (a,)): v for (c, a), v in ca.action.entries.items()})
         self._psi_c = None
         self._psi = None
         self._nat = None
@@ -131,31 +216,10 @@ class CoalgebraCupContext:
     def psi_c_matrices(self):
         if self._psi_c is not None:
             return self._psi_c
-        bdim = self.conv.algebra.space.dim
-        mats = []
-        for n in range(self.N + 2):
-            alg_b = self.alg.bases[n]
-            quo = self.coalg.quotients[n]
-            mi_amb_c = self.coalg.ambients[n]
-            mi_amb_a = self.alg.ambients[n]
-            mi_b = MultiIndex((bdim,) * (n + 1))
-            cols = []
-            for alpha in range(len(alg_b)):
-                phi = alg_b[alpha]
-                for j in range(quo.dim):
-                    rep = quo.include_vec({j: 1})
-                    col = {}
-                    for bt in iproduct(range(bdim), repeat=n + 1):
-                        total = 0
-                        for f, c0 in rep.items():
-                            idx = mi_amb_c.unflat(f)
-                            mindex, ct = idx[0], idx[1:]
-                            slots = [self.conv.maps[bt[k]].column(ct[k]) for k in range(n + 1)]
-                            total += c0 * _pair(phi, mi_amb_a, mindex, slots)
-                        if total:
-                            col[mi_b.flat(bt)] = scal(total)
-                    cols.append(col)
-            mats.append(SparseMatrix.from_columns(cols, mi_b.size))
+        # slot c -> the value of each convolution basis map at c
+        slot = _slot_table({(c, (b,)): v for b, m in enumerate(self.conv.maps)
+                            for c, v in enumerate(m.columns())})
+        mats = _quotient_pairing(self.alg, self.coalg, slot, self.conv.algebra.space.dim, self.N)
         certify_chain_map(self.diag, self.conv_cx.complex, mats, "convolution pairing")
         self._psi_c = mats
         return mats
@@ -167,10 +231,11 @@ class CoalgebraCupContext:
             return self._nat
         adim = self.ca.ma.space.dim
         cdim = self.ca.mc.space.dim
+        ca_action = self.ca.action
         cols = []
         for a in range(adim):
             m = SparseMatrix.from_columns(
-                [dict(self._act.get((c, a), ())) for c in range(cdim)], adim)
+                [ca_action.value((c, a)) for c in range(cdim)], adim)
             coords = self.conv.coords(m)
             if coords is None:
                 raise ChainMapFailure("evaluation against a basis element is not equivariant")
@@ -296,31 +361,8 @@ class RelativeCupContext:
     def psi_r_matrices(self):
         if self._psi_r is not None:
             return self._psi_r
-        akdim = self.inv_alg.space.dim
-        mats = []
-        for n in range(self.N + 2):
-            alg_b = self.alg.bases[n]
-            quo = self.coalg.quotients[n]
-            mi_amb_c = self.coalg.ambients[n]
-            mi_amb_a = self.alg.ambients[n]
-            mi_t = MultiIndex((akdim,) * (n + 1))
-            cols = []
-            for alpha in range(len(alg_b)):
-                phi = alg_b[alpha]
-                for j in range(quo.dim):
-                    rep = quo.include_vec({j: 1})
-                    col = {}
-                    for at in iproduct(range(akdim), repeat=n + 1):
-                        total = 0
-                        for f, c0 in rep.items():
-                            idx = mi_amb_c.unflat(f)
-                            mindex, ct = idx[0], idx[1:]
-                            slots = [self.class_act_in_A[(ct[k], at[k])] for k in range(n + 1)]
-                            total += c0 * _pair(phi, mi_amb_a, mindex, slots)
-                        if total:
-                            col[mi_t.flat(at)] = scal(total)
-                    cols.append(col)
-            mats.append(SparseMatrix.from_columns(cols, mi_t.size))
+        slot = _slot_table({(j, (a,)): v for (j, a), v in self.class_act_in_A.items()})
+        mats = _quotient_pairing(self.alg, self.coalg, slot, self.inv_alg.space.dim, self.N)
         certify_chain_map(self.diag, self.ak_cx.complex, mats, "relative pairing")
         self._psi_r = mats
         return mats
@@ -359,90 +401,86 @@ class CrossedCupContext:
         self.ab_cx = plain_cyclic_complex(self.ab, N)
         _assert_standard_basis(self.ab_cx)
         self.tabs = HopfTables.of(self.hopf)
-        self._coact = {i: sorted(((divmod(kk, ba.space.dim)), x) for kk, x in
-                                 ba.coaction.value((i,)).items()) for i in range(ba.space.dim)}
-        self._act = {idx: sorted(v.items()) for idx, v in ma.action.entries.items()}
-        self._amul = {idx: sorted(v.items()) for idx, v in ma.alg.mul.entries.items()}
+        self._coact = _coaction_table(ba.coaction, self.hopf.dim)
+        self._coaction_memo = {}
+        self._amul = _action_table(ma.alg.mul)
+        act = _action_table(ma.action)
+        # (h, a) -> S^-1(h).a: the twisted slot; h.a: the plain slot
+        self._twisted = {(h, a): mul_vec(act, self.tabs.Sinv[h], {a: 1})
+                         for h in range(self.hopf.dim) for a in range(ma.space.dim)}
+        self._twisted_slot = _slot_table({(h, (a,)): v for (h, a), v in self._twisted.items()})
+        self._plain_slot = _slot_table({(h, (a,)): v for (h, a), v in ma.action.entries.items()})
         self._psi = None
 
-    def _leg_product(self, legs):
-        """The product legs[0] legs[1] ... in H as a sparse vector."""
-        hv = {legs[0]: 1}
-        for leg in legs[1:]:
-            if not hv:
-                break
-            hv = mul_vec(self.tabs.mul, hv, {leg: 1})
-        return hv
+    def _coaction_legs(self, b, depth):
+        """[(legs, b0, coeff)] of depth iterated coactions of b; legs[0] is
+        the H leg of the first coaction.  Memoized per (b, depth)."""
+        key = (b, depth)
+        if key not in self._coaction_memo:
+            if depth == 0:
+                terms = [((), b, 1)]
+            else:
+                terms = [(legs + (hh,), b0, scal(c * x))
+                         for legs, bb, c in self._coaction_legs(b, depth - 1)
+                         for (hh, b0), x in self._coact.get(bb, ())]
+            self._coaction_memo[key] = terms
+        return self._coaction_memo[key]
 
-    def iterated_coaction(self, b, depth):
-        """[(legs tuple deepest-first, b0, coeff)] for depth applications."""
-        terms = [((), b, 1)]
-        for _ in range(depth):
-            nxt = []
-            for legs, bb, c in terms:
-                for (hh, b0), x in self._coact.get(bb, ()):
-                    nxt.append((legs + (hh,), b0, scal(c * x)))
-            terms = nxt
-        # legs were appended innermost-last; deepest leg is the first produced
-        return terms
+    def coaction_sides(self, depths, slot_legs):
+        """The x side of a crossed pairing before the comodule cochain, per
+        b-tuple: {b tuple: {(b0 tuple, h tuple): coeff}}.
+
+        b_t is expanded by depths[t] iterated coactions; slot s carries the
+        product in H, left to right, of the legs legs_t[i] for (t, i) in
+        slot_legs[s] (the unit when there are none)."""
+        bdim = self.ba.space.dim
+        per_slot = [[(b,) + term for b in range(bdim) for term in self._coaction_legs(b, d)]
+                    for d in depths]
+        unit = dict(self.tabs.unit)
+        sides = {}
+        for combo in iproduct(*per_slot):
+            c = prod(t[3] for t in combo)
+            b0s = tuple(t[2] for t in combo)
+            hvecs = [_mul_all(self.tabs.mul, [{combo[t][1][i]: 1} for t, i in legs], unit)
+                     for legs in slot_legs]
+            side = sides.setdefault(tuple(t[0] for t in combo), {})
+            for hs, y in expand_terms([sorted(v.items()) for v in hvecs]):
+                vec_acc(side, (b0s, hs), c * y)
+        return sides
+
+    def x_side(self, sides, psi, n):
+        """[(b tuple, {(m,) + h keys: coeff})]: the comodule cochain psi
+        (ambient coefficients at degree n) evaluated on the b0 tuples of
+        coaction sides {b tuple: {(b0 tuple, h keys): coeff}}."""
+        mi = self.comod.ambients[n]
+        by_b0 = {}
+        for f, c in psi.items():
+            m, *b0s = mi.unflat(f)
+            by_b0.setdefault(tuple(b0s), []).append((m, c))
+        out = []
+        for bts, terms in sides.items():
+            xvec = {}
+            for (b0s, hs), c in terms.items():
+                for m, y in by_b0.get(b0s, ()):
+                    vec_acc(xvec, (m,) + hs, c * y)
+            if xvec:
+                out.append((bts, xvec))
+        return out
 
     def psi_cross_matrices(self):
         if self._psi is not None:
             return self._psi
-        adim = self.ma.space.dim
-        bdim = self.ba.space.dim
-        mdim = self.sayd.space.dim
+        adim, bdim = self.ma.space.dim, self.ba.space.dim
         mats = []
         for n in range(self.N + 2):
-            alg_b = self.alg.bases[n]
-            com_b = self.comod.bases[n]
-            mi_amb_a = self.alg.ambients[n]
-            mi_amb_b = self.comod.ambients[n]
-            mi_t = MultiIndex((adim * bdim,) * (n + 1))
-            cols = []
-            for alpha in range(len(alg_b)):
-                phi = alg_b[alpha]
-                for beta in range(len(com_b)):
-                    psi = com_b[beta]
-                    col = {}
-                    for abt in iproduct(range(adim * bdim), repeat=n + 1):
-                        ats = tuple(v // bdim for v in abt)
-                        bts = tuple(v % bdim for v in abt)
-                        total = 0
-                        # expand all iterated coactions: slot j needs j+1 legs
-                        expansions = [self.iterated_coaction(bts[j], j + 1) for j in range(n + 1)]
-                        for combo in iproduct(*expansions):
-                            coeff = 1
-                            for _, _, c in combo:
-                                coeff = coeff * c
-                            b0s = tuple(t[1] for t in combo)
-                            # psi value in M
-                            mvals = {}
-                            for mi_ in range(mdim):
-                                c = psi.get(mi_amb_b.flat((mi_,) + b0s))
-                                if c:
-                                    mvals[mi_] = c
-                            if not mvals:
-                                continue
-                            # slot i: Sinv(prod_{j>=i} leg_j at depth i+1) . a_i
-                            slots = []
-                            dead = False
-                            for i in range(n + 1):
-                                # depth -(i+1) legs, deepest first
-                                hv = self._leg_product([combo[j][0][j - i] for j in range(i, n + 1)])
-                                av = mul_vec(self._act, self.hopf.antipode_inv.apply(hv), {ats[i]: 1})
-                                if not av:
-                                    dead = True
-                                    break
-                                slots.append(av)
-                            if dead:
-                                continue
-                            for mi_, mc in mvals.items():
-                                total += coeff * mc * _pair(phi, mi_amb_a, mi_, slots)
-                        if total:
-                            col[mi_t.flat(abt)] = scal(total)
-                    cols.append(col)
-            mats.append(SparseMatrix.from_columns(cols, mi_t.size))
+            # slot i: S^-1 of the product of leg j - i of b_j for j >= i,
+            # where b_j carries j + 1 legs
+            sides = self.coaction_sides([j + 1 for j in range(n + 1)],
+                                        [[(j, j - i) for j in range(i, n + 1)]
+                                         for i in range(n + 1)])
+            xsides = [self.x_side(sides, psi, n) for psi in self.comod.bases[n]]
+            mats.append(_pairing_matrix(self.alg, n, [self._twisted_slot] * (n + 1), xsides,
+                                        adim * bdim, bdim))
         certify_chain_map(self.diag, self.ab_cx.complex, mats, "crossed pairing")
         self._psi = mats
         return mats
@@ -531,52 +569,20 @@ def cup_explicit_coalgebra(ctx, phi, p, x, q):
     acx = ctx.phi_complex()
     n = p + q
     adim = ctx.ca.ma.space.dim
-    mi_t = MultiIndex((adim,) * (n + 1))
-    mi_amb_a = acx.ambients[p]
-    phi_amb = acx.functional(phi, p)
-    quo = ctx.coalg.quotients[q]
-    mi_amb_c = ctx.coalg.ambients[q]
     cdim = ctx.ca.mc.space.dim
     # p+1 fold coproduct legs of the first coalgebra slot
-    legs_tab = {}
     it = iterated_coproduct(ctx.ca.mc.coalg, p + 1)
     mi_l = MultiIndex((cdim,) * (p + 1))
-    for c0 in range(cdim):
-        legs_tab[c0] = sorted((mi_l.unflat(f), v) for f, v in it.value((c0,)).items())
-    rep = quo.include_vec(dict(x))
-    out = {}
-    for at in iproduct(range(adim), repeat=n + 1):
-        total = 0
-        for f, c0coef in rep.items():
-            idx = mi_amb_c.unflat(f)
-            mindex, ct = idx[0], idx[1:]
-            for legs, lcoef in legs_tab[ct[0]]:
-                # first slot: c0^(p+1)(a0) c1(a1) ... cq(aq) multiplied out
-                v = dict(ctx._act.get((legs[p], at[0]), ()))
-                dead = not v
-                for k in range(1, q + 1):
-                    if dead:
-                        break
-                    w = dict(ctx._act.get((ct[k], at[k]), ()))
-                    if not w:
-                        dead = True
-                        break
-                    v = mul_vec(ctx._amul, v, w)
-                    dead = not v
-                if dead:
-                    continue
-                slots = [v]
-                for k in range(1, p + 1):
-                    w = dict(ctx._act.get((legs[k - 1], at[q + k]), ()))
-                    if not w:
-                        dead = True
-                        break
-                    slots.append(w)
-                if dead:
-                    continue
-                total += c0coef * lcoef * _pair(phi_amb, mi_amb_a, mindex, slots)
-        if total:
-            out[mi_t.flat(at)] = scal(total)
+    # phi's first slot: c0^(p+1)(a0) c1(a1) ... cq(aq) multiplied out; slot
+    # k = 1..p: c0^(k)(a_{q+k})
+    xvec = {}
+    for (m, c0, *cs), x0 in _rep(ctx.coalg, q, dict(x)).items():
+        for f, y in it.value((c0,)).items():
+            legs = mi_l.unflat(f)
+            vec_acc(xvec, (m, (legs[p],) + tuple(cs)) + legs[:p], x0 * y)
+    slot0 = _product_table(ctx._amul, ctx.ca.action.entries, {k[1] for k in xvec}, adim)
+    pushed = _push(acx, acx.functional(phi, p), p, [slot0] + [ctx._act_slot] * p)
+    out = _evaluate(pushed, [((0,) * (n + 1), xvec)], MultiIndex((adim,) * (n + 1)))
     composed = aw_cup(ctx, phi, p, x, q)
     diff = vec_sub(out, composed.vector)
     if diff:
@@ -595,94 +601,30 @@ def cup_explicit_crossed(ctx, phi, p, psi, q):
         raise TypeError("explicit crossed cup needs a crossed context")
     normative = aw_cup(ctx, phi, p, psi, q)
     n = p + q
-    adim = ctx.ma.space.dim
-    bdim = ctx.ba.space.dim
-    mdim = ctx.sayd.space.dim
-    mi_t = MultiIndex((adim * bdim,) * (n + 1))
-    mi_amb_a = ctx.alg.ambients[p]
-    mi_amb_b = ctx.comod.ambients[q]
-    phi_amb = ctx.alg.functional(phi, p)
-    psi_amb = ctx.comod.hom_coeffs(psi, q)
-    bmul = {idx: sorted(v.items()) for idx, v in ctx.ba.alg.mul.entries.items()}
-    out = {}
-    for abt in iproduct(range(adim * bdim), repeat=n + 1):
-        ats = tuple(v // bdim for v in abt)
-        bts = tuple(v % bdim for v in abt)
-        total = 0
-        # coaction depths: b^t for t <= q gets t+1 legs; for q+1 <= t <= n-1
-        # it gets n-t legs; b^n none
-        expans = []
-        for t in range(n + 1):
-            if t <= q:
-                depth = t + 1
-            elif t <= n - 1:
-                depth = n - t
-            else:
-                depth = 0
-            expans.append(ctx.iterated_coaction(bts[t], depth))
-        for combo in iproduct(*expans):
-            coeff = 1
-            for _, _, c in combo:
-                coeff = coeff * c
-            b0s = tuple(t[1] for t in combo)
-            # psi argument: (b^{q+1}(0) ... b^{p+q}(0) b^0(0), b^1(0), ..., b^q(0))
-            first = {b0s[0]: 1} if p == 0 else None
-            if p > 0:
-                prodv = {b0s[q + 1]: 1}
-                for t in range(q + 2, n + 1):
-                    prodv = mul_vec(bmul, prodv, {b0s[t]: 1})
-                    if not prodv:
-                        break
-                if not prodv:
-                    continue
-                first = mul_vec(bmul, prodv, {b0s[0]: 1})
-                if not first:
-                    continue
-            mvals = {}
-            for bf, xf in first.items():
-                args = (bf,) + b0s[1:q + 1]
-                for mi_ in range(mdim):
-                    c = psi_amb.get(mi_amb_b.flat((mi_,) + args))
-                    if c:
-                        vec_acc(mvals, mi_, xf * c)
-            if not mvals:
-                continue
-            # first slot: the PRODUCT of the q+1 twisted values; a product,
-            # not a tensor, is what makes the formula well-typed
-            first_slot = None
-            dead = False
-            for i in range(q + 1):
-                hv = ctx._leg_product([combo[j][0][j - i] for j in range(i, q + 1)])
-                av = mul_vec(ctx._act, ctx.hopf.antipode_inv.apply(hv), {ats[i]: 1})
-                if not av:
-                    dead = True
-                    break
-                if first_slot is None:
-                    first_slot = av
-                else:
-                    first_slot = mul_vec(ctx._amul, first_slot, av)
-                    if not first_slot:
-                        dead = True
-                        break
-            if dead:
-                continue
-            slots = [first_slot]
-            # slot q+1 bare; slots s = q+2..n twisted by later-block legs, no antipode
-            if p >= 1:
-                slots.append({ats[q + 1]: 1})
-            for s in range(q + 2, n + 1):
-                hv = ctx._leg_product([combo[t][0][s - t - 1] for t in range(q + 1, s)])
-                av = mul_vec(ctx._act, hv, {ats[s]: 1})
-                if not av:
-                    dead = True
-                    break
-                slots.append(av)
-            if dead:
-                continue
-            for mi_, mc in mvals.items():
-                total += coeff * mc * _pair(phi_amb, mi_amb_a, mi_, slots)
-        if total:
-            out[mi_t.flat(abt)] = scal(total)
+    adim, bdim = ctx.ma.space.dim, ctx.ba.space.dim
+    bmul = _action_table(ctx.ba.alg.mul)
+    # coaction depths: b^t for t <= q gets t+1 legs; for q+1 <= t <= n it
+    # gets n-t legs.  Slot i <= q: S^-1 of the legs j - i of b^j, i <= j <= q;
+    # slot s > q: the legs s - t - 1 of b^t, q < t < s, no antipode (slot
+    # q+1 is bare)
+    sides = ctx.coaction_sides([t + 1 if t <= q else n - t for t in range(n + 1)],
+                               [[(j, j - i) for j in range(i, q + 1)] for i in range(q + 1)]
+                               + [[(t, s - t - 1) for t in range(q + 1, s)]
+                                  for s in range(q + 1, n + 1)])
+    # psi argument: (b^{q+1}(0) ... b^{p+q}(0) b^0(0), b^1(0), ..., b^q(0));
+    # the first q+1 twisted values go into phi's first slot as a PRODUCT --
+    # a product, not a tensor, is what makes the formula well-typed
+    args = {}
+    for bts, terms in sides.items():
+        side = args[bts] = {}
+        for (b0s, hs), c in terms.items():
+            first = _mul_all(bmul, [{b: 1} for b in b0s[q + 1:] + b0s[:1]])
+            for bf, y in first.items():
+                vec_acc(side, ((bf,) + b0s[1:q + 1], (hs[:q + 1],) + hs[q + 1:]), c * y)
+    xside = ctx.x_side(args, ctx.comod.hom_coeffs(psi, q), q)
+    slot0 = _product_table(ctx._amul, ctx._twisted, {k[1] for _, xv in xside for k in xv}, adim)
+    pushed = _push(ctx.alg, ctx.alg.functional(phi, p), p, [slot0] + [ctx._plain_slot] * p)
+    out = _evaluate(pushed, xside, MultiIndex((adim * bdim,) * (n + 1)), bdim)
     match = (vec_sub(out, normative.vector) == {})
     return normative, out, match
 
@@ -733,8 +675,7 @@ def char_map(mp: ModularPair, ma, trace, N=3):
     a_cx = plain_cyclic_complex(ma.alg, N)
     _assert_standard_basis(a_cx)
     adim = ma.space.dim
-    act = {idx: sorted(v.items()) for idx, v in ma.action.entries.items()}
-    amul = {idx: sorted(v.items()) for idx, v in ma.alg.mul.entries.items()}
+    amul = _action_table(ma.alg.mul)
     mats = []
     for n in range(N + 2):
         mi_t = MultiIndex((adim,) * (n + 1))
@@ -742,16 +683,8 @@ def char_map(mp: ModularPair, ma, trace, N=3):
         for ht in iproduct(range(h.dim), repeat=n):
             col = {}
             for at in iproduct(range(adim), repeat=n + 1):
-                v = {at[0]: 1}
-                for k in range(1, n + 1):
-                    w = dict(act.get((ht[k - 1], at[k]), ()))
-                    if not w:
-                        v = {}
-                        break
-                    v = mul_vec(amul, v, w)
-                    if not v:
-                        break
-                total = scal(sum(trace.get(i, 0) * x for i, x in v.items())) if v else 0
+                v = _mul_all(amul, [{at[0]: 1}] + [ma.action.value(ha) for ha in zip(ht, at[1:])])
+                total = scal(sum(trace.get(i, 0) * x for i, x in v.items()))
                 if total:
                     col[mi_t.flat(at)] = total
             cols.append(col)
@@ -787,55 +720,20 @@ def shuffle_cup_traces(ctx: CrossedCupContext, phi, p, psi, q):
     if not is_b_closed(ccx, q, psi):
         raise NotACocycle("comodule-side input is not closed")
     n = p + q
-    adim = ctx.ma.space.dim
     bdim = ctx.ba.space.dim
-    mdim = ctx.sayd.space.dim
-    mi_t = MultiIndex((adim * bdim,) * (n + 1))
-    mi_amb_a = ctx.alg.ambients[n]
-    mi_amb_b = ctx.comod.ambients[n]
+    mi_t = MultiIndex((ctx.ma.space.dim * bdim,) * (n + 1))
+    # b^t emits n-t legs; slot k multiplies the legs k - t - 1 of
+    # b^0..b^{k-1} (no antipode; slot 0 is bare)
+    sides = ctx.coaction_sides([n - t for t in range(n + 1)],
+                               [[(t, k - t - 1) for t in range(k)] for k in range(n + 1)])
     out = {}
     for sig in shuffle_set(q, p):
         # first block raises the algebra cochain, second block the comodule one
         phi_up = _raise_by_faces(acx, phi, p, [v - 1 for v in sig.first_block()])
         psi_up = _raise_by_faces(ccx, psi, q, [v - 1 for v in sig.second_block()])
-        phi_amb = ctx.alg.functional(phi_up, n)
-        psi_amb = ctx.comod.hom_coeffs(psi_up, n)
-        for abt in iproduct(range(adim * bdim), repeat=n + 1):
-            ats = tuple(v // bdim for v in abt)
-            bts = tuple(v % bdim for v in abt)
-            total = 0
-            # b^t emits n-t legs (t < n); b^n none; slot k multiplies the
-            # depth -(n+1-k) legs of b^0..b^{k-1} (no antipode)
-            expans = [ctx.iterated_coaction(bts[t], n - t) for t in range(n)]
-            expans.append([((), bts[n], 1)])
-            for combo in iproduct(*expans):
-                coeff = 1
-                for _, _, c in combo:
-                    coeff = coeff * c
-                b0s = tuple(t[1] for t in combo)
-                args = b0s[:n] + (b0s[n],)
-                mvals = {}
-                for mi_ in range(mdim):
-                    c = psi_amb.get(mi_amb_b.flat((mi_,) + args))
-                    if c:
-                        mvals[mi_] = c
-                if not mvals:
-                    continue
-                slots = [{ats[0]: 1}]
-                dead = False
-                for k in range(1, n + 1):
-                    hv = ctx._leg_product([combo[t][0][k - t - 1] for t in range(k)])
-                    av = mul_vec(ctx._act, hv, {ats[k]: 1})
-                    if not av:
-                        dead = True
-                        break
-                    slots.append(av)
-                if dead:
-                    continue
-                for mi_, mc in mvals.items():
-                    total += coeff * mc * _pair(phi_amb, mi_amb_a, mi_, slots)
-            if total:
-                vec_acc(out, mi_t.flat(abt), sig.sign * total)
+        pushed = _push(ctx.alg, ctx.alg.functional(phi_up, n), n, [ctx._plain_slot] * (n + 1))
+        xside = ctx.x_side(sides, ctx.comod.hom_coeffs(psi_up, n), n)
+        vec_axpy(out, sig.sign, _evaluate(pushed, xside, mi_t, bdim))
     tgt = ctx.target().complex
     return CupResult(out, n, is_b_closed(tgt, n, out), is_cyclic(tgt, n, out))
 
@@ -855,33 +753,13 @@ def cotrace_cup(ctx: CoalgebraCupContext, x, p, phi, q):
     if not is_b_closed(acx, q, phi):
         raise NotACocycle("algebra-side input is not closed")
     n = p + q
-    adim = ctx.ca.ma.space.dim
-    mi_t = MultiIndex((adim,) * (n + 1))
-    mi_amb_a = ctx.alg.ambients[n]
-    mi_amb_c = ctx.coalg.ambients[n]
+    mi_t = MultiIndex((ctx.ca.ma.space.dim,) * (n + 1))
+    zero = (0,) * (n + 1)
     out = {}
     for sig in shuffle_set(p, q):
         phi_up = _raise_by_faces(acx, phi, q, [v - 1 for v in sig.first_block()])
         x_up = _raise_by_faces(ccx, x, p, [v - 1 for v in sig.second_block()])
-        phi_amb = ctx.alg.functional(phi_up, n)
-        rep = ctx.coalg.quotients[n].include_vec(x_up)
-        for at in iproduct(range(adim), repeat=n + 1):
-            total = 0
-            for f, c0 in rep.items():
-                idx = mi_amb_c.unflat(f)
-                mindex, ct = idx[0], idx[1:]
-                slots = []
-                dead = False
-                for k in range(n + 1):
-                    w = dict(ctx._act.get((ct[k], at[k]), ()))
-                    if not w:
-                        dead = True
-                        break
-                    slots.append(w)
-                if dead:
-                    continue
-                total += c0 * _pair(phi_amb, mi_amb_a, mindex, slots)
-            if total:
-                vec_acc(out, mi_t.flat(at), sig.sign * total)
+        pushed = _push(ctx.alg, ctx.alg.functional(phi_up, n), n, [ctx._act_slot] * (n + 1))
+        vec_axpy(out, sig.sign, _evaluate(pushed, [(zero, _rep(ctx.coalg, n, x_up))], mi_t))
     tgt = ctx.target().complex
     return CupResult(out, n, is_b_closed(tgt, n, out), is_cyclic(tgt, n, out))

@@ -104,6 +104,36 @@ def mul_vec(table, u, v):
                 vec_acc(out, k, x * y * z)
     return out
 
+def push_slots(tensor, tables):
+    """Mode-k products of a sparse tensor with one sparse table per slot
+    (Kolda & Bader, SIAM Review 2009), applied slot by slot.
+
+    tensor maps index tuples (i_0, ..., i_n) to scalars; tables[k] maps an
+    index of slot k to terms [(key, target tuple, coeff)].  The result maps
+    (key_0, ..., key_n) to the sparse vector over the concatenated targets
+    target_0 + ... + target_n."""
+    cur = {((), (), idx): c for idx, c in tensor.items()}
+    for table in tables:
+        nxt = {}
+        for (keys, targets, rest), c in cur.items():
+            for key, t, x in table.get(rest[0], ()):
+                vec_acc(nxt, (keys + (key,), targets + t, rest[1:]), c * x)
+        cur = nxt
+    out = {}
+    for (keys, targets, _), c in cur.items():
+        out.setdefault(keys, {})[targets] = c
+    return out
+
+def contract(pushed, xvec):
+    """Sum of xvec[keys] * pushed[keys] over the keys of xvec: the other
+    side of a pairing contracted with the output of push_slots."""
+    out = {}
+    for keys, c in xvec.items():
+        row = pushed.get(keys)
+        if row:
+            vec_axpy(out, c, row)
+    return out
+
 def vec_dot(u, v):
     if len(v) < len(u):
         u, v = v, u

@@ -274,12 +274,22 @@ def parse_spec(text) -> SpecFile:
         indented = line[0] in " \t"
         line = line.strip()
         head = line.split()[0]
-        if head in ("unit", "mul", "counit", "comul", "antipode", "act", "coact",
-                    "cact", "ract", "lcoact") or (indented and block is not None):
+        if head in _LINE_FORMS or (indented and block is not None):
             if block is None:
                 raise ParseError("structure line outside any block", ln)
+            lhs = line.split("=", 1)[0].split()
+            form = _LINE_FORMS.get(lhs[0] if lhs else None, "NAME LABELS = ...")
+            if "=" not in line or not lhs or (lhs[0] in _LINE_FORMS and
+                                              len(lhs) != len(form.split("=")[0].split())):
+                raise ParseError("expected '%s'" % form, ln)
             block[3].append((ln, line))
             continue
+        form = _HEADER_FORMS.get(head)
+        if form:
+            toks = _header_tokens(line)
+            n = len(form.split("=")[0].split())
+            if len(toks) < n or ("=" in form and (len(toks) == n or toks[n] != "=")):
+                raise ParseError("expected '%s'" % form, ln)
         block = (head, line, ln, [])
         blocks.append(block)
     for head, header, ln, lines in blocks:
@@ -287,8 +297,33 @@ def parse_spec(text) -> SpecFile:
     return spec
 
 
+# the leading tokens of each declaration header and structure line: a
+# shorter line, or one without its "=", is an input error at its line
+_HEADER_FORMS = {
+    "algebra": "algebra NAME", "coalgebra": "coalgebra NAME", "hopf": "hopf NAME",
+    "character": "character NAME on HOPF = ...", "grouplike": "grouplike NAME in HOPF = ...",
+    "coefficients": "coefficients NAME = ...", "sayd": "sayd NAME over HOPF space SPACE",
+    "module_algebra": "module_algebra NAME over HOPF",
+    "module_coalgebra": "module_coalgebra NAME over HOPF",
+    "comodule_algebra": "comodule_algebra NAME over HOPF",
+    "action": "action NAME : COALGEBRA on ALGEBRA", "subhopf": "subhopf NAME in HOPF = ...",
+    "trace": "trace NAME on SPACE = ...", "complex": "complex NAME = ...",
+    "context": "context NAME = ...",
+}
+_LINE_FORMS = {
+    "unit": "unit = ...", "mul": "mul L1 L2 = ...", "counit": "counit L = ...",
+    "comul": "comul L = ...", "antipode": "antipode L = ...", "act": "act H L = ...",
+    "coact": "coact L = ...", "cact": "cact C L = ...", "ract": "ract M H = ...",
+    "lcoact": "lcoact M = ...",
+}
+
+
+def _header_tokens(header):
+    return header.replace("=", " = ").replace(":", " : ").split()
+
+
 def _resolve_block(spec, head, header, ln, lines):
-    toks = header.replace("=", " = ").replace(":", " : ").split()
+    toks = _header_tokens(header)
     if head == "space":
         # space NAME = l1 l2 ...
         if len(toks) < 4 or toks[2] != "=":
@@ -310,8 +345,6 @@ def _resolve_block(spec, head, header, ln, lines):
             if lhs[0] == "unit":
                 unit = _parse_vec(parts[1], s, l_no)
             elif lhs[0] == "mul":
-                if len(lhs) != 3:
-                    raise ParseError("mul L1 L2 = vec", l_no)
                 i, j = _label(s, lhs[1], l_no), _label(s, lhs[2], l_no)
                 ent[(i, j)] = _parse_vec(parts[1], s, l_no)
             else:

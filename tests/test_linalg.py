@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +9,8 @@ from hopfcyclic.linalg import (
     SparseMatrix, SubspaceNotContained, ShapeMismatch,
     compose, tensor_kron, kernel_basis, kernel_canonicalize, image_rank,
     quotient_dim, rref, parse_scalar, format_scalar, scal,
-    matrix_to_text, matrix_from_text, vec_acc, vec_axpy, mul_vec,
+    matrix_to_text, matrix_from_text, vec_acc, vec_axpy, mul_vec, push_slots,
+    contract,
 )
 
 
@@ -264,4 +266,35 @@ def test_mul_vec_matches_dense(structure, u, v):
                 ref[k] += x * y * z
     out = mul_vec(table, u, v)
     assert dense(out) == ref
+    assert_normal(out)
+
+
+SLOT = 2
+slot_tables = st.dictionaries(
+    st.integers(0, SLOT - 1),
+    st.lists(st.tuples(st.integers(0, SLOT - 1), st.tuples(st.integers(0, SLOT - 1)),
+                       rationals.filter(bool)), max_size=3))
+
+
+@given(st.integers(1, 3).flatmap(lambda r: st.tuples(
+    st.dictionaries(st.tuples(*[st.integers(0, SLOT - 1)] * r), rationals.filter(bool)),
+    st.lists(slot_tables, min_size=r, max_size=r),
+    st.dictionaries(st.tuples(*[st.integers(0, SLOT - 1)] * r), rationals.filter(bool)))))
+def test_push_slots_contract_match_dense(case):
+    tensor, tables, xvec = case
+    # dense reference: every index tuple, every choice of one term per slot
+    ref = {}
+    for idx in iproduct(range(SLOT), repeat=len(tables)):
+        for terms in iproduct(*[table.get(i, []) for table, i in zip(tables, idx)]):
+            keys = tuple(k for k, _, _ in terms)
+            value = Fraction(tensor.get(idx, 0)) * xvec.get(keys, 0)
+            for _, _, x in terms:
+                value *= x
+            targets = sum((t for _, t, _ in terms), ())
+            ref[targets] = ref.get(targets, 0) + value
+    pushed = push_slots(tensor, tables)
+    for row in pushed.values():
+        assert_normal(row)
+    out = contract(pushed, xvec)
+    assert out == {t: x for t, x in ref.items() if x}
     assert_normal(out)

@@ -20,6 +20,8 @@ JOBS = [
     "cup kz3.hcy --kind coalgebra --p 0 --q 2",
     "cup kz3.hcy --kind coalgebra --p 2 --q 0",
     "cup kz2.hcy --kind traces --p 0 --q 3",
+    "cup kz2.hcy --kind crossed --p 0 --q 3",
+    "cup kz4_relative.hcy --kind relative --p 0 --q 3",
 ]
 
 

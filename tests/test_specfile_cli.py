@@ -123,6 +123,21 @@ def test_cli_bad_scalar_exit_two_with_line(tmp_path, capsys, line, scalar):
     err = capsys.readouterr().err
     assert err == "input error: line %d: bad scalar %r\n" % (line_no, scalar)
 
+@pytest.mark.parametrize("old,new", [("  comul g = 1*g|g", "  comul g"),
+                                     ("  counit e = 1", "  counit = 1"),
+                                     ("context cup_cross = crossed(A, B, triv)",
+                                      "context cup_cross")])
+def test_cli_malformed_line_exit_two_with_line(tmp_path, capsys, old, new):
+    # a structure line or header without its "=" or one of its labels
+    lines = fixture_file_texts()["kz2.hcy"].splitlines()
+    line_no = lines.index(old) + 1
+    lines[line_no - 1] = new
+    p = tmp_path / "bad.hcy"
+    p.write_text("\n".join(lines) + "\n")
+    assert main(["validate", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: line %d: expected '" % line_no)
+
 @pytest.mark.parametrize("old,new", [
     ("grouplike one in H = 1*e", "grouplike one in H = 1*e + 1*g + -1*g"),
     ("  unit = 1*e", "  unit = 1*e + 1*g + -1*g"),
@@ -181,6 +196,33 @@ def test_cache_round_trip_identical(tmp_path, capsys):
         for n in range(1, a.top + 1):
             for j in range(n):
                 assert a.degen(n, j) == b.degen(n, j)
+
+@pytest.mark.parametrize("damage", [
+    lambda text: text[:200],                                 # cut mid-line
+    lambda text: "".join(text.splitlines(True)[:-3]),        # cut at a line boundary
+    lambda text: text.replace(" 1\n", " 2\n", 1),            # one entry edited
+    lambda text: "",
+])
+def test_damaged_cache_entry_is_rebuilt(tmp_path, monkeypatch, capsys, damage):
+    d = write_fixtures(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    args = ["cohomology", d / "kz2.hcy", "--max-degree", "2"]
+    code, cold = run_cli(args, capsys)
+    assert code == 0
+    entries = sorted((tmp_path / ".hopfcyclic-cache").iterdir())
+    assert entries
+    for path in entries:
+        text = path.read_text()
+        assert damage(text) != text
+        path.write_text(damage(text))
+    code, out = run_cli(args, capsys)
+    assert code == 0
+    assert out == cold
+    # the rebuilt entries are whole again and read back as hits
+    assert sorted((tmp_path / ".hopfcyclic-cache").iterdir()) == entries
+    from hopfcyclic.cli import build_declared_complex
+    spec = parse_spec((d / "kz2.hcy").read_text())
+    assert build_declared_complex(spec, spec.to_text(), "hopf_triv", 2)[1] == "cached"
 
 def test_audit_byte_identical(tmp_path, capsys):
     d = write_fixtures(tmp_path)
