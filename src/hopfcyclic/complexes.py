@@ -16,11 +16,12 @@ wherever every composite is defined.
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 from itertools import product as iproduct
 
 from .linalg import (SparseMatrix, SpanSolver, compose, tensor_kron, scal,
-                     invert_matrix, matrix_to_text, matrix_from_text,
-                     vec_acc, vec_axpy, mul_vec)
+                     invert_matrix, kernel_basis, matrix_to_text,
+                     matrix_from_text, vec_acc, vec_axpy, mul_vec)
 from .spaces import BasedSpace, MultiIndex, tensor_power, tensor_space
 from .hopf import iterated_coproduct
 from .actions import QuotientSpace
@@ -242,6 +243,49 @@ class HopfTables:
                         vec_acc(out, keys, c * x * y)
         return out
 
+    def diag_act_degrees(self, base, dim, top):
+        """The diagonal action on V^(x)(n+1) for n = 0..top, on flat indices.
+
+        base[v] maps a basis element v of V to {h: h.v as a sparse vector}.
+        Yields one lookup per degree: t -> {h: h acting on the basis tensor
+        with flat index t}.  Degree n is computed from degree n-1: for
+        t = head*dim + v, h(1) acts on the first n slots through the
+        previous degree and h(2) on the last slot through base."""
+        comul = self.comul
+        hdim = len(comul)
+
+        def step(prev, head, v):
+            left_all, right_all = prev(head), base[v]
+            out = {}
+            for hh in range(hdim):
+                acc = {}
+                for (h1, h2), x in comul[hh]:
+                    left, right = left_all.get(h1), right_all.get(h2)
+                    if left and right:
+                        for a, y in left.items():
+                            shift, xy = a * dim, x * y
+                            for b, z in right.items():
+                                vec_acc(acc, shift + b, xy * z)
+                if acc:
+                    out[hh] = acc
+            return out
+
+        return _by_degree(base.__getitem__, step, dim, top)
+
+
+def _by_degree(first, step, dim, top):
+    """Tables on V^(x)(n+1) for n = 0..top, built degree by degree on flat
+    indices.  Yields one lookup t -> entry per degree: degree 0 is
+    first(v); degree n is step(prev, head, v) for t = head*dim + v, prev
+    being the lookup of degree n-1.  Only the previous degree's table is
+    held, and the top degree is computed on demand, never stored."""
+    lookup = first
+    yield lookup
+    for n in range(1, top + 1):
+        rows = lambda t, prev=lookup: step(prev, *divmod(t, dim))
+        lookup = [rows(t) for t in range(dim ** (n + 1))].__getitem__ if n < top else rows
+        yield lookup
+
 
 def _action_table(action):
     """(i_h, i_x) -> list (j, coeff) for an arity-2 structure tensor."""
@@ -257,6 +301,14 @@ def _by_slot(tensor):
     tab = {x: {} for x in range(tensor.domains[1].dim)}
     for (h, x), vec in tensor.entries.items():
         tab[x][h] = sorted(vec.items())
+    return tab
+
+
+def _acting_on(action):
+    """x -> {h: h.x as a sparse vector} for an action tensor (h, x) -> h.x."""
+    tab = {x: {} for x in range(action.domains[1].dim)}
+    for (h, x), vec in action.entries.items():
+        tab[x][h] = dict(vec)
     return tab
 
 
@@ -315,98 +367,163 @@ def build_coalgebra_complex(mc, sayd, N, name="coalgebra") -> CoalgebraComplexDa
     h = mc.hopf
     tabs = HopfTables.of(h)
     act = _action_table(mc.action)
-    act_on = _by_slot(mc.action)
     ctabs = _coalg_tables(mc.coalg)
+    comul, eps = ctabs["comul"], ctabs["eps"]
     mco = _mcoact_table(sayd)
     mract = _action_table(sayd.raction)
     mdim, cdim = sayd.space.dim, mc.space.dim
     top = N + 1
+    # ambient of degree n: flat index m*size[n] + t, t a flat index of C^(x)(n+1)
+    pw = [cdim ** k for k in range(top + 3)]
+    size = pw[1:]
 
-    ambients, quotients, spaces = [], [], []
-    for n in range(top + 1):
-        mi = MultiIndex((mdim,) + (cdim,) * (n + 1))
-        relations = []
-        for m in range(mdim):
-            for hh in range(h.dim):
-                left = {}
-                for mj, x in mract.get((m, hh), ()):
-                    left[mj] = x
-                for ct in iproduct(range(cdim), repeat=n + 1):
-                    rel = {}
-                    for mj, x in left.items():
-                        rel[mi.flat((mj,) + ct)] = x
-                    moved = tabs.diag_act({hh: 1}, [act_on[c] for c in ct])
-                    for keys, x in moved.items():
-                        vec_acc(rel, mi.flat((m,) + keys), -x)
+    def quotient(n, moved_by):
+        """M (x)_H C^(x)(n+1): relations m.h (x) c~ - m (x) h.c~, added in
+        (m, h, c~) order."""
+        S = size[n]
+        buckets = {}
+        for t in range(S):
+            moved = moved_by(t)
+            for m in range(mdim):
+                for hh in range(h.dim):
+                    rel = {mj * S + t: x for mj, x in mract.get((m, hh), ())}
+                    for k, x in moved.get(hh, {}).items():
+                        vec_acc(rel, m * S + k, -x)
                     if rel:
-                        relations.append(rel)
-        quo = QuotientSpace(mi.size, relations)
-        ambients.append(mi)
-        quotients.append(quo)
-        spaces.append(BasedSpace(tuple("q%d_%d" % (n, i) for i in range(quo.dim))))
+                        buckets.setdefault((m, hh), []).append(rel)
+        return QuotientSpace(mdim * S, [rel for key in sorted(buckets) for rel in buckets[key]])
 
-    def face_col(n, i, m, ct):
-        """Ambient image of the basis column (m, ct) under the i-th coface."""
+    moved_by_degree = tabs.diag_act_degrees(_acting_on(mc.action), cdim, top)
+    quotients = [quotient(n, moved_by) for n, moved_by in enumerate(moved_by_degree)]
+    ambients = [MultiIndex((mdim,) + (cdim,) * (n + 1)) for n in range(top + 1)]
+    spaces = [BasedSpace(tuple("q%d_%d" % (n, i) for i in range(quo.dim)))
+              for n, quo in enumerate(quotients)]
+
+    def face_col(n, i, f):
+        """Ambient image of the ambient basis column f under the i-th coface."""
+        m, t = divmod(f, size[n])
+        base = m * size[n + 1]
         out = {}
-        mi1 = ambients[n + 1]
         if i <= n:
-            for (a, b), x in ctabs["comul"][ct[i]]:
-                out[mi1.flat((m,) + ct[:i] + (a, b) + ct[i + 1:])] = x
+            head, rest = divmod(t, pw[n - i + 1])
+            c, tail = divmod(rest, pw[n - i])
+            for (a, b), x in comul[c]:
+                out[base + ((head * cdim + a) * cdim + b) * pw[n - i] + tail] = x
         else:
             # twisted last coface: m0 (x) c0^(2), c1..cn, m^(-1) c0^(1)
+            c0, rest = divmod(t, pw[n])
             for (hh, mj), x1 in mco[m]:
-                for (a, b), x2 in ctabs["comul"][ct[0]]:
+                for (a, b), x2 in comul[c0]:
                     for cc, x3 in act.get((hh, a), ()):
-                        vec_acc(out, mi1.flat((mj, b) + ct[1:] + (cc,)), x1 * x2 * x3)
+                        vec_acc(out, mj * size[n + 1] + (b * pw[n] + rest) * cdim + cc,
+                                x1 * x2 * x3)
         return out
 
-    def degen_col(n, j, m, ct):
-        e = ctabs["eps"].get(ct[j + 1], 0)
+    def degen_col(n, j, f):
+        m, t = divmod(f, size[n])
+        head, rest = divmod(t, pw[n - j])
+        c, tail = divmod(rest, pw[n - j - 1])
+        e = eps.get(c, 0)
         if not e:
             return {}
-        return {ambients[n - 1].flat((m,) + ct[:j + 1] + ct[j + 2:]): e}
+        return {m * size[n - 1] + head * pw[n - j - 1] + tail: e}
 
-    def tau_col(n, m, ct):
+    def tau_col(n, f):
+        m, t = divmod(f, size[n])
+        c0, rest = divmod(t, pw[n])
         out = {}
-        mi0 = ambients[n]
         for (hh, mj), x1 in mco[m]:
-            for cc, x2 in act.get((hh, ct[0]), ()):
-                vec_acc(out, mi0.flat((mj,) + ct[1:] + (cc,)), x1 * x2)
+            for cc, x2 in act.get((hh, c0), ()):
+                vec_acc(out, mj * size[n] + rest * cdim + cc, x1 * x2)
         return out
 
     def lift(colfn, n, target):
-        """Operator matrix on quotient bases; checks descent on the relation span."""
+        """Operator matrix on quotient bases.  The image of every ambient
+        column is projected once; the quotient columns are the images of
+        the free columns, and descent is checked on every relation row r of
+        the RREF as sum_f r_f image(f) = 0 (the projection is linear)."""
         quo_s, quo_t = quotients[n], quotients[target]
-        cols = []
-        for k in range(quo_s.dim):
-            amb = quo_s.include_vec({k: 1})
-            out = {}
-            for f, c in amb.items():
-                idx = ambients[n].unflat(f)
-                vec_axpy(out, c, colfn(idx[0], idx[1:]))
-            cols.append(quo_t.project_vec(out))
-        # descent: the operator must kill the relation span
+        images = [quo_t.project_vec(colfn(f)) for f in range(quo_s.ambient_dim)]
         for row in quo_s.solver.rref_rows():
             out = {}
             for f, c in row.items():
-                idx = ambients[n].unflat(f)
-                vec_axpy(out, c, colfn(idx[0], idx[1:]))
-            if quo_t.project_vec(out):
+                vec_axpy(out, c, images[f])
+            if out:
                 raise IllDefined("%s operator does not descend at degree %d" % (name, n))
-        return SparseMatrix.from_columns(cols, quo_t.dim)
+        return SparseMatrix.from_columns([images[f] for f in quo_s.free], quo_t.dim)
 
     faces, degens, taus = [], {}, []
     for n in range(top + 1):
         if n <= N:
-            faces.append([lift(lambda m, ct, i=i, n=n: face_col(n, i, m, ct), n, n + 1)
-                          for i in range(n + 2)])
+            faces.append([lift(partial(face_col, n, i), n, n + 1) for i in range(n + 2)])
         if n >= 1:
-            degens[n] = [lift(lambda m, ct, j=j, n=n: degen_col(n, j, m, ct), n, n - 1)
-                         for j in range(n)]
-        taus.append(lift(lambda m, ct, n=n: tau_col(n, m, ct), n, n))
+            degens[n] = [lift(partial(degen_col, n, j), n, n - 1) for j in range(n)]
+        taus.append(lift(partial(tau_col, n), n, n))
 
     cx = CocyclicComplex(N, spaces, faces, degens, taus, name=name)
     return CoalgebraComplexData(cx, quotients, ambients, mc, sayd)
+
+
+def _solvers_and_spaces(bases, prefix):
+    """A tracked SpanSolver and a based space for each degree's basis."""
+    solvers, spaces = [], []
+    for n, basis in enumerate(bases):
+        solver = SpanSolver(track=True)
+        for v in basis:
+            solver.add(v)
+        solvers.append(solver)
+        spaces.append(BasedSpace(tuple("%s%d_%d" % (prefix, n, i) for i in range(len(basis)))))
+    return solvers, spaces
+
+
+# Operators on functionals / maps over M (x) V^(x)(n+1), coordinates flat as
+# m*dim^(n+1) + t.  An operator is given by its ambient table by_source:
+# by_source[w] maps the target coordinates v to the coefficient with which
+# the source coordinate w enters (op psi)(v).
+
+def _restrict(by_source, basis, solver, message):
+    """Matrix of an ambient operator on subspace coordinates.  Every basis
+    vector's image must lie in the target subspace spanned by solver's
+    vectors; otherwise IllDefined(message)."""
+    cols = []
+    for vec in basis:
+        img = {}
+        for w, c in vec.items():
+            vec_axpy(img, c, by_source[w])
+        coords = solver.solve(img)
+        if coords is None:
+            raise IllDefined(message)
+        cols.append(coords)
+    return SparseMatrix.from_columns(cols, solver.rank())
+
+
+def _product_face(mul, dim, mdim, n, i):
+    """(d_i psi)(m (x) v~) = psi(m (x) v_0..v_i v_{i+1}..v_{n+1}), i <= n."""
+    S, T = dim ** (n + 1), dim ** (n + 2)
+    low = dim ** (n - i)
+    by_source = [{} for _ in range(mdim * S)]
+    for t in range(T):
+        head, rest = divmod(t, low * dim * dim)
+        pair, tail = divmod(rest, low)
+        for k, x in mul.get(divmod(pair, dim), ()):
+            w = (head * dim + k) * low + tail
+            for m in range(mdim):
+                vec_acc(by_source[m * S + w], m * T + t, x)
+    return by_source
+
+
+def _unit_degen(unit, dim, mdim, n, j):
+    """(s_j psi)(m (x) v~) = psi(m (x) v_0..v_j, 1, v_{j+1}..v_{n-1})."""
+    S, T = dim ** (n + 1), dim ** n
+    low = dim ** (n - 1 - j)
+    by_source = [{} for _ in range(mdim * S)]
+    for t in range(T):
+        head, tail = divmod(t, low)
+        for k, x in unit:
+            w = (head * dim + k) * low + tail
+            for m in range(mdim):
+                vec_acc(by_source[m * S + w], m * T + t, x)
+    return by_source
 
 
 def _coalg_tables(coalg):
@@ -446,7 +563,6 @@ def build_algebra_complex(ma, sayd, N, name="algebra") -> AlgebraComplexData:
     h = ma.hopf
     tabs = HopfTables.of(h)
     act = _action_table(ma.action)
-    act_on = _by_slot(ma.action)
     mul = _action_table(ma.alg.mul)
     mco = _mcoact_table(sayd)
     mract = _action_table(sayd.raction)
@@ -455,110 +571,92 @@ def build_algebra_complex(ma, sayd, N, name="algebra") -> AlgebraComplexData:
     top = N + 1
 
     ambients = [MultiIndex((mdim,) + (adim,) * (n + 1)) for n in range(top + 2)]
+    # ambient of degree n: flat index m*size[n] + t, t a flat index of A^(x)(n+1)
+    pw = [adim ** k for k in range(top + 3)]
+    size = pw[1:]
 
-    # equivariance: phi(m.h1 (x) S(h2).a~) = eps(h) phi(m (x) a~) for all basis h
-    bases, solvers, spaces = [], [], []
-    for n in range(top + 1):
-        mi = ambients[n]
+    def equivariant(n, moved_by):
+        """Basis of the functionals phi with phi(m.h1 (x) S(h2).a~) =
+        eps(h) phi(m (x) a~) for every basis h, m and a~."""
+        S = size[n]
         rows = {}
-        nrows = 0
-        for hh in range(h.dim):
-            eps_h = tabs.eps.get(hh, 0)
-            for m in range(mdim):
-                for at in iproduct(range(adim), repeat=n + 1):
+        for t in range(S):
+            moved = moved_by(t)
+            twisted = {}        # h2 -> S(h2) acting diagonally on a~
+            for hh in range(h.dim):
+                eps_h = tabs.eps.get(hh, 0)
+                for m in range(mdim):
                     row = {}
-                    col0 = mi.flat((m,) + at)
                     if eps_h:
-                        row[col0] = -eps_h
-                    slots = [act_on[a] for a in at]
+                        row[m * S + t] = -eps_h
                     for (h1, h2), x in tabs.comul[hh]:
                         macts = mract.get((m, h1))
                         if not macts:
                             continue
-                        moved = tabs.diag_act(tabs.S[h2], slots)
+                        tw = twisted.get(h2)
+                        if tw is None:
+                            tw = twisted[h2] = {}
+                            for u, c in tabs.S[h2].items():
+                                if u in moved:
+                                    vec_axpy(tw, c, moved[u])
                         for mj, x1 in macts:
-                            for keys, x2 in moved.items():
-                                vec_acc(row, mi.flat((mj,) + keys), x * x1 * x2)
+                            for k, x2 in tw.items():
+                                vec_acc(row, mj * S + k, x * x1 * x2)
                     # condition on phi: phi(E_h v) - eps(h) phi(v) = 0; as a row
-                    # over the dual coordinates this IS the column expansion
+                    # over the dual coordinates this IS the column expansion;
+                    # rows are numbered in (h, m, a~) order
+                    r = (hh * mdim + m) * S + t
                     for f, c in row.items():
-                        rows[(nrows, f)] = c
-                    nrows += 1
-        system = SparseMatrix(nrows, mi.size, rows)
-        from .linalg import kernel_basis
-        basis = kernel_basis(system)
-        solver = SpanSolver(track=True)
-        for v in basis:
-            solver.add(v)
-        bases.append(basis)
-        solvers.append(solver)
-        spaces.append(BasedSpace(tuple("e%d_%d" % (n, i) for i in range(len(basis)))))
+                        rows[(r, f)] = c
+        return kernel_basis(SparseMatrix(h.dim * mdim * S, ambients[n].size, rows))
 
-    # predual maps D: ambient(n_tgt) -> ambient(n_src); cochains compose with D
-    def dual_restrict(Dcolfn, n_src, n_tgt, opname):
-        mi_t = ambients[n_tgt]
-        Dent = {}
-        for v in range(mi_t.size):
-            idx = mi_t.unflat(v)
-            for w, c in Dcolfn(idx[0], idx[1:]).items():
-                Dent[(w, v)] = c
-        D = SparseMatrix(ambients[n_src].size, mi_t.size, Dent)
-        Drows = D.row_vectors()
-        cols = []
-        for phi in bases[n_src]:
-            out = {}
-            for w, c in phi.items():
-                vec_axpy(out, c, Drows[w])
-            coords = solvers[n_tgt].solve(out)
-            if coords is None:
-                raise IllDefined("%s %s does not preserve equivariance (deg %d)"
-                                 % (name, opname, n_src))
-            cols.append(coords)
-        return SparseMatrix.from_columns(cols, len(bases[n_tgt]))
+    moved_by_degree = tabs.diag_act_degrees(_acting_on(ma.action), adim, top)
+    bases = [equivariant(n, moved_by) for n, moved_by in enumerate(moved_by_degree)]
+    solvers, spaces = _solvers_and_spaces(bases, "e")
 
-    def Dface(n, i, m, at):
-        """Predual of the i-th coface: ambient_{n+1} -> ambient_n columns."""
-        out = {}
-        mi0 = ambients[n]
-        if i <= n:
-            for k, x in mul.get((at[i], at[i + 1]), ()):
-                out[mi0.flat((m,) + at[:i] + (k,) + at[i + 2:])] = x
-        else:
-            # m (x) a~  ->  m0 (x) (Sinv(m-1) a_{n+1}) a0 (x) a1..an
+    def restrict(by_source, n_src, n_tgt, opname):
+        return _restrict(by_source, bases[n_src], solvers[n_tgt],
+                         "%s %s does not preserve equivariance (deg %d)" % (name, opname, n_src))
+
+    def last_face(n):
+        """(d_{n+1} phi)(m (x) a~) = phi(m0 (x) (Sinv(m-1) a_{n+1}) a0 (x) a1..an)."""
+        S, T = size[n], size[n + 1]
+        by_source = [{} for _ in range(mdim * S)]
+        for v in range(mdim * T):
+            m, t = divmod(v, T)
+            a0, rest = divmod(t, pw[n + 1])
+            mid, last = divmod(rest, adim)
             for (hh, mj), x1 in mco[m]:
                 for u, x2 in tabs.Sinv[hh].items():
-                    for b, x3 in act.get((u, at[n + 1]), ()):
-                        for k, x4 in mul.get((b, at[0]), ()):
-                            vec_acc(out, mi0.flat((mj, k) + at[1:n + 1]), x1 * x2 * x3 * x4)
-        return out
+                    for b, x3 in act.get((u, last), ()):
+                        for k, x4 in mul.get((b, a0), ()):
+                            vec_acc(by_source[mj * S + k * pw[n] + mid], v, x1 * x2 * x3 * x4)
+        return by_source
 
-    def Ddegen(n, j, m, at):
-        # insert the algebra unit after slot j: ambient_{n-1} -> ambient_n
-        out = {}
-        mi0 = ambients[n]
-        for k, x in unit:
-            out[mi0.flat((m,) + at[:j + 1] + (k,) + at[j + 1:])] = x
-        return out
-
-    def Dtau(n, m, at):
-        # m (x) a~ -> m0 (x) Sinv(m-1) a_n (x) a0..a_{n-1}
-        out = {}
-        mi0 = ambients[n]
-        for (hh, mj), x1 in mco[m]:
-            for u, x2 in tabs.Sinv[hh].items():
-                for b, x3 in act.get((u, at[n]), ()):
-                    vec_acc(out, mi0.flat((mj, b) + at[:n]), x1 * x2 * x3)
-        return out
+    def tau(n):
+        """(t phi)(m (x) a~) = phi(m0 (x) Sinv(m-1) a_n (x) a0..a_{n-1})."""
+        S = size[n]
+        by_source = [{} for _ in range(mdim * S)]
+        for v in range(mdim * S):
+            m, t = divmod(v, S)
+            rest, last = divmod(t, adim)
+            for (hh, mj), x1 in mco[m]:
+                for u, x2 in tabs.Sinv[hh].items():
+                    for b, x3 in act.get((u, last), ()):
+                        vec_acc(by_source[mj * S + b * pw[n] + rest], v, x1 * x2 * x3)
+        return by_source
 
     faces, degens, taus = [], {}, []
     for n in range(top + 1):
         if n <= N:
-            faces.append([dual_restrict(lambda m, at, i=i, n=n: Dface(n, i, m, at), n, n + 1, "face")
-                          for i in range(n + 2)])
+            fam = [restrict(_product_face(mul, adim, mdim, n, i), n, n + 1, "face")
+                   for i in range(n + 1)]
+            fam.append(restrict(last_face(n), n, n + 1, "face"))
+            faces.append(fam)
         if n >= 1:
-            degens[n] = [dual_restrict(lambda m, at, j=j, n=n: Ddegen(n, j, m, at), n, n - 1, "degeneracy")
+            degens[n] = [restrict(_unit_degen(unit, adim, mdim, n, j), n, n - 1, "degeneracy")
                          for j in range(n)]
-        taus.append(dual_restrict(lambda m, at, n=n: Dtau(n, m, at), n, n, "cyclic"))
+        taus.append(restrict(tau(n), n, n, "cyclic"))
 
     cx = CocyclicComplex(N, spaces, faces, degens, taus, name=name)
     return AlgebraComplexData(cx, bases, solvers, ambients, ma, sayd)
@@ -594,139 +692,87 @@ def build_comodule_algebra_complex(ba, sayd, N, name="comodule-algebra") -> Como
     mract = _action_table(sayd.raction)
     mdim, bdim = sayd.space.dim, ba.space.dim
     top = N + 1
-    # hom coordinates: (m, b-tuple), m major
+    # hom coordinates: (m, b-tuple), m major; flat index m*size[n] + t
     ambients = [MultiIndex((mdim,) + (bdim,) * (n + 1)) for n in range(top + 2)]
+    pw = [bdim ** k for k in range(top + 3)]
+    size = pw[1:]
 
-    def diag_coact(bt):
-        """[(h, b-out-tuple, coeff)] for the diagonal coaction of a B-tuple,
-        expanded slot by slot with the H legs multiplied in order."""
-        out = []
-        def rec(k, bouts, hvec, coeff):
-            if k == len(bt):
-                for hh, x in hvec.items():
-                    out.append((hh, bouts, scal(coeff * x)))
-                return
-            for (hh, b0), x in coact.get(bt[k], ()):
-                if k == 0:
-                    rec(1, (b0,), {hh: 1}, coeff * x)
-                else:
-                    nh = mul_vec(tabs.mul, hvec, {hh: 1})
-                    if nh:
-                        rec(k + 1, bouts + (b0,), nh, coeff * x)
-        rec(0, (), {}, 1)
+    def coact_step(prev, head, v):
+        """Diagonal coaction of (b~, v) from that of b~: the H legs are
+        multiplied in slot order.  Keys are (h, flat index of the b-out
+        tuple)."""
+        out = {}
+        for (hp, bp), x in prev(head).items():
+            for (hh, b0), y in coact.get(v, ()):
+                for k, z in tabs.mul.get((hp, hh), ()):
+                    vec_acc(out, (k, bp * bdim + b0), x * y * z)
         return out
 
-    bases, solvers, spaces = [], [], []
-    for n in range(top + 1):
-        mi = ambients[n]
-        # colinearity: coact_M(psi(w)) = w^(-1) (x) psi(w^(0))
+    def colinear(n, coact_of):
+        """Basis of the maps psi with coact_M(psi(w)) = w^(-1) (x) psi(w^(0))."""
+        S = size[n]
         rows = {}
-        nrows = 0
         rowindex = {}
         def rowkey(w, hh, mj):
-            nonlocal nrows
-            k = (w, hh, mj)
-            if k not in rowindex:
-                rowindex[k] = nrows
-                nrows += 1
-            return rowindex[k]
-        for w in iproduct(range(bdim), repeat=n + 1):
-            wf = MultiIndex((bdim,) * (n + 1)).flat(w)
+            return rowindex.setdefault((w, hh, mj), len(rowindex))
+        for w in range(S):
             for m in range(mdim):
-                col = mi.flat((m,) + w)
+                col = m * S + w
                 for (hh, mj), x in mco[m]:
-                    vec_acc(rows, (rowkey(wf, hh, mj), col), x)
-            for hh, bouts, x in diag_coact(w):
+                    vec_acc(rows, (rowkey(w, hh, mj), col), x)
+            for (hh, bouts), x in coact_of(w).items():
                 for mj in range(mdim):
-                    vec_acc(rows, (rowkey(wf, hh, mj), mi.flat((mj,) + bouts)), -x)
-        system = SparseMatrix(nrows, mi.size, rows)
-        from .linalg import kernel_basis
-        basis = kernel_basis(system)
-        solver = SpanSolver(track=True)
-        for v in basis:
-            solver.add(v)
-        bases.append(basis)
-        solvers.append(solver)
-        spaces.append(BasedSpace(tuple("c%d_%d" % (n, i) for i in range(len(basis)))))
+                    vec_acc(rows, (rowkey(w, hh, mj), mj * S + bouts), -x)
+        return kernel_basis(SparseMatrix(len(rowindex), ambients[n].size, rows))
 
-    def op_matrix(entries_fn, n_src, n_tgt, opname):
-        """Build the ambient Hom-space operator once, then restrict it."""
-        amb = entries_fn()
-        acols = [dict() for _ in range(ambients[n_src].size)]
-        for (r, c), x in amb.items():
-            acols[c][r] = x
-        cols = []
-        for psi in bases[n_src]:
-            img = {}
-            for c, x in psi.items():
-                vec_axpy(img, x, acols[c])
-            coords = solvers[n_tgt].solve(img)
-            if coords is None:
-                raise IllDefined("%s %s does not preserve colinearity (deg %d)" % (name, opname, n_src))
-            cols.append(coords)
-        return SparseMatrix.from_columns(cols, len(bases[n_tgt]))
+    first = [{key: x for key, x in coact.get(v, ())} for v in range(bdim)]
+    coact_by_degree = _by_degree(first.__getitem__, coact_step, bdim, top)
+    bases = [colinear(n, coact_of) for n, coact_of in enumerate(coact_by_degree)]
+    solvers, spaces = _solvers_and_spaces(bases, "c")
 
-    def face_entries(n, i):
-        """(d_i psi)(v~) = psi(.. v_i v_{i+1} ..) for i <= n, on Hom coordinates."""
-        mi_t = ambients[n + 1]
-        mi_s = ambients[n]
-        ent = {}
-        for vt in iproduct(range(bdim), repeat=n + 2):
-            for k, x in mul.get((vt[i], vt[i + 1]), ()):
-                w = vt[:i] + (k,) + vt[i + 2:]
-                for m in range(mdim):
-                    vec_acc(ent, (mi_t.flat((m,) + vt), mi_s.flat((m,) + w)), x)
-        return ent
+    def restrict(by_source, n_src, n_tgt, opname):
+        return _restrict(by_source, bases[n_src], solvers[n_tgt],
+                         "%s %s does not preserve colinearity (deg %d)" % (name, opname, n_src))
 
-    def last_face_entries(n):
+    def last_face(n):
         """(d_{n+1} psi)(v~) = psi(v_{n+1}^(0) v_0, v_1..v_n) . v_{n+1}^(-1)."""
-        mi_t = ambients[n + 1]
-        mi_s = ambients[n]
-        ent = {}
-        for vt in iproduct(range(bdim), repeat=n + 2):
-            for (hh, b0), x1 in coact.get(vt[n + 1], ()):
-                for k, x2 in mul.get((b0, vt[0]), ()):
-                    w = (k,) + vt[1:n + 1]
+        S, T = size[n], size[n + 1]
+        by_source = [{} for _ in range(mdim * S)]
+        for t in range(T):
+            v0, rest = divmod(t, pw[n + 1])
+            mid, last = divmod(rest, bdim)
+            for (hh, b0), x1 in coact.get(last, ()):
+                for k, x2 in mul.get((b0, v0), ()):
+                    w = k * pw[n] + mid
                     for m in range(mdim):
                         for mj, x3 in mract.get((m, hh), ()):
-                            vec_acc(ent, (mi_t.flat((mj,) + vt), mi_s.flat((m,) + w)),
-                                    x1 * x2 * x3)
-        return ent
+                            vec_acc(by_source[m * S + w], mj * T + t, x1 * x2 * x3)
+        return by_source
 
-    def degen_entries(n, j):
-        mi_t = ambients[n - 1]
-        mi_s = ambients[n]
-        ent = {}
-        for vt in iproduct(range(bdim), repeat=n):
-            for k, x in unit:
-                w = vt[:j + 1] + (k,) + vt[j + 1:]
-                for m in range(mdim):
-                    vec_acc(ent, (mi_t.flat((m,) + vt), mi_s.flat((m,) + w)), x)
-        return ent
-
-    def tau_entries(n):
+    def tau(n):
         """(t psi)(v_0..v_n) = psi(v_n^(0), v_0..v_{n-1}) . v_n^(-1)."""
-        mi = ambients[n]
-        ent = {}
-        for vt in iproduct(range(bdim), repeat=n + 1):
-            for (hh, b0), x1 in coact.get(vt[n], ()):
-                w = (b0,) + vt[:n]
+        S = size[n]
+        by_source = [{} for _ in range(mdim * S)]
+        for t in range(S):
+            rest, last = divmod(t, bdim)
+            for (hh, b0), x1 in coact.get(last, ()):
+                w = b0 * pw[n] + rest
                 for m in range(mdim):
                     for mj, x2 in mract.get((m, hh), ()):
-                        vec_acc(ent, (mi.flat((mj,) + vt), mi.flat((m,) + w)), x1 * x2)
-        return ent
+                        vec_acc(by_source[m * S + w], mj * S + t, x1 * x2)
+        return by_source
 
     faces, degens, taus = [], {}, []
     for n in range(top + 1):
         if n <= N:
-            fam = [op_matrix(lambda i=i, n=n: face_entries(n, i), n, n + 1, "face")
+            fam = [restrict(_product_face(mul, bdim, mdim, n, i), n, n + 1, "face")
                    for i in range(n + 1)]
-            fam.append(op_matrix(lambda n=n: last_face_entries(n), n, n + 1, "face"))
+            fam.append(restrict(last_face(n), n, n + 1, "face"))
             faces.append(fam)
         if n >= 1:
-            degens[n] = [op_matrix(lambda j=j, n=n: degen_entries(n, j), n, n - 1, "degeneracy")
+            degens[n] = [restrict(_unit_degen(unit, bdim, mdim, n, j), n, n - 1, "degeneracy")
                          for j in range(n)]
-        taus.append(op_matrix(lambda n=n: tau_entries(n), n, n, "cyclic"))
+        taus.append(restrict(tau(n), n, n, "cyclic"))
 
     cx = CocyclicComplex(N, spaces, faces, degens, taus, name=name)
     return ComoduleComplexData(cx, bases, solvers, ambients, ba, sayd)

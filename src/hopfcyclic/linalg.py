@@ -13,6 +13,7 @@ and re-runs are byte-for-byte reproducible.
 
 from __future__ import annotations
 
+import bisect
 from fractions import Fraction
 from math import gcd
 
@@ -401,7 +402,6 @@ class SpanSolver:
                 self._colidx.setdefault(c, set()).add(p)
         if self.track:
             self.coeffs[p] = coeff
-        import bisect
         bisect.insort(self.pivots, p)
         return True
 
@@ -458,21 +458,18 @@ def kernel_basis(matrix):
     """Canonical kernel basis of {v : matrix . v = 0}.
 
     One vector per free column f (in increasing order), with entry 1 at f
-    and the pivot coordinates filled from the unique RREF.
+    and the pivot coordinates filled from the unique RREF: each RREF row
+    scatters its free entries into the vectors of those columns, so the
+    work is proportional to the nnz of the RREF.
     """
     pivots, rows = rref(matrix)
     pivot_set = set(pivots)
-    basis = []
-    for f in range(matrix.cols):
-        if f in pivot_set:
-            continue
-        v = {f: 1}
-        for p, row in zip(pivots, rows):
-            x = row.get(f)
-            if x:
-                v[p] = scal(-x)
-        basis.append(v)
-    return basis
+    vecs = {f: {f: 1} for f in range(matrix.cols) if f not in pivot_set}
+    for p, row in zip(pivots, rows):
+        for f, x in row.items():
+            if f != p:
+                vecs[f][p] = scal(-x)
+    return list(vecs.values())
 
 
 def kernel_canonicalize(vectors, dim):

@@ -406,9 +406,10 @@ def _resolve_block(spec, head, header, ln, lines):
         # coefficients NAME = mpi(CHAR, GRP)
         name = toks[1]
         rest = header.split("=", 1)[1].strip()
-        if not (rest.startswith("mpi(") and rest.endswith(")")):
-            raise ParseError("coefficients NAME = mpi(character, grouplike)", ln)
-        cname, gname = [t.strip() for t in rest[4:-1].split(",")]
+        args = [t.strip() for t in rest[4:-1].split(",")]
+        if not (rest.startswith("mpi(") and rest.endswith(")")) or len(args) != 2:
+            raise ParseError("expected 'coefficients NAME = mpi(CHARACTER, GROUPLIKE)'", ln)
+        cname, gname = args
         if cname not in spec.characters:
             raise UnresolvedName("unknown character %r" % cname, ln)
         if gname not in spec.grouplikes:

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hopfcyclic.linalg import SparseMatrix, compose, invert_matrix
+from hopfcyclic.linalg import SparseMatrix, compose, invert_matrix, vec_axpy
 from hopfcyclic.complexes import (build_coalgebra_complex, build_algebra_complex,
                                   build_comodule_algebra_complex, build_hopf_complex,
                                   check_cocyclic, tensor_bicocyclic, check_bicocyclic,
@@ -223,6 +224,55 @@ def test_hopf_tables_built_once_with_legs_of_the_iterated_coproduct():
                                                  for f, x in ref.value((i,)).items())
 
 
+# the diagonal action on flat indices, degree by degree, for the regular and
+# the adjoint action of kZ3 and H4; lookups[n] covers V^(x)(n+1), n <= 4
+_DEGREE_TABLES = {}
+
+def _degree_tables(name, kind):
+    from hopfcyclic.complexes import HopfTables, _acting_on, _by_slot
+    from hopfcyclic.fixtures import adjoint_module_algebra
+    key = (name, kind)
+    if key not in _DEGREE_TABLES:
+        h = {"kZ3": group_algebra(3), "H4": sweedler_h4()}[name]
+        action = h.alg.mul if kind == "regular" else adjoint_module_algebra(h).action
+        tabs = HopfTables.of(h)
+        lookups = list(tabs.diag_act_degrees(_acting_on(action), h.dim, 4))
+        _DEGREE_TABLES[key] = (h, tabs, _by_slot(action), lookups)
+    return _DEGREE_TABLES[key]
+
+@given(st.sampled_from(["kZ3", "H4"]), st.sampled_from(["regular", "adjoint"]),
+       st.integers(0, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_degree_by_degree_action_matches_diag_act(name, kind, n, data):
+    from hopfcyclic.spaces import MultiIndex
+    h, tabs, slot_of, lookups = _degree_tables(name, kind)
+    mi = MultiIndex((h.dim,) * (n + 1))
+    t = data.draw(st.integers(0, mi.size - 1))
+    hvec = data.draw(st.dictionaries(st.integers(0, h.dim - 1), st.integers(-3, 3)))
+    hvec = {u: c for u, c in hvec.items() if c}
+    row = lookups[n](t)
+    expected = {}
+    for u, c in hvec.items():
+        vec_axpy(expected, c, row.get(u, {}))
+    slots = [slot_of[c] for c in mi.unflat(t)]
+    assert {mi.flat(keys): x for keys, x in tabs.diag_act(hvec, slots).items()} == expected
+
+@pytest.mark.parametrize("name", ["kZ3", "H4"])
+@pytest.mark.parametrize("kind", ["regular", "adjoint"])
+def test_degree_by_degree_action_every_row(name, kind):
+    from hopfcyclic.spaces import MultiIndex
+    h, tabs, slot_of, lookups = _degree_tables(name, kind)
+    for n, lookup in enumerate(lookups):
+        mi = MultiIndex((h.dim,) * (n + 1))
+        for t in range(mi.size):
+            slots = [slot_of[c] for c in mi.unflat(t)]
+            row = lookup(t)
+            assert sorted(row) == sorted(u for u in range(h.dim) if row.get(u))
+            for u in range(h.dim):
+                ref = tabs.diag_act({u: 1}, slots)
+                assert {mi.flat(keys): x for keys, x in ref.items()} == row.get(u, {})
+
+
 # -- failure paths and realization invariants -----------------------------------
 
 def test_ill_defined_raised_for_broken_action():
@@ -250,6 +300,18 @@ def test_ill_defined_raised_for_broken_module_algebra():
     broken = ModuleAlgebra(ma.hopf, ma.alg, StructureTensor(ma.action.domains, ma.action.codomain, ent))
     with _pytest.raises(IllDefined):
         build_algebra_complex(broken, trivial_sayd(ma.hopf), 2)
+
+def test_ill_defined_raised_for_broken_coaction():
+    from hopfcyclic.complexes import IllDefined
+    from hopfcyclic.actions import ComoduleAlgebra, trivial_sayd
+    from hopfcyclic.spaces import StructureTensor
+    h = group_algebra(2)
+    ba = self_comodule_algebra(h)
+    ent = dict(ba.coaction.entries)
+    ent[(1,)] = {3: 1, 0: 1}        # g -> g|g + e|e: not an algebra map
+    broken = ComoduleAlgebra(h, ba.alg, StructureTensor(ba.coaction.domains, ba.coaction.codomain, ent))
+    with pytest.raises(IllDefined, match="colinearity"):
+        build_comodule_algebra_complex(broken, trivial_sayd(h), 2)
 
 def test_quotient_projection_section_identity():
     from hopfcyclic.linalg import compose, SparseMatrix

@@ -298,3 +298,40 @@ def test_push_slots_contract_match_dense(case):
     out = contract(pushed, xvec)
     assert out == {t: x for t, x in ref.items() if x}
     assert_normal(out)
+
+
+def kernel_basis_oracle(matrix):
+    """The kernel as kernel_basis built it before scattering RREF rows: a
+    loop over every free column and every pivot row."""
+    pivots, rows = rref(matrix)
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(matrix.cols):
+        if f in pivot_set:
+            continue
+        v = {f: 1}
+        for p, row in zip(pivots, rows):
+            x = row.get(f)
+            if x:
+                v[p] = scal(-x)
+        basis.append(v)
+    return basis
+
+
+@st.composite
+def sparse_matrices(draw):
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 8))
+    cell = st.one_of(st.just(0), rationals)
+    values = draw(st.lists(cell, min_size=rows * cols, max_size=rows * cols))
+    return SparseMatrix(rows, cols, {divmod(k, cols): x for k, x in enumerate(values)})
+
+
+@given(sparse_matrices())
+def test_kernel_basis_matches_free_pivot_loop(m):
+    ker = kernel_basis(m)
+    ref = kernel_basis_oracle(m)
+    # same vectors in the same order, each with the same key order
+    assert [list(v.items()) for v in ker] == [list(v.items()) for v in ref]
+    for v in ker:
+        assert m.apply(v) == {}
+        assert_normal(v)

@@ -15,6 +15,7 @@ REFERENCES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file
                           "perfbench", "references.json")
 
 JOBS = [
+    "audit h4.hcy --max-degree 4",
     "audit kz2.hcy --max-degree 4",
     "audit kz4_relative.hcy --max-degree 4",
     "cup kz3.hcy --kind coalgebra --p 0 --q 2",

@@ -126,7 +126,11 @@ def test_cli_bad_scalar_exit_two_with_line(tmp_path, capsys, line, scalar):
 @pytest.mark.parametrize("old,new", [("  comul g = 1*g|g", "  comul g"),
                                      ("  counit e = 1", "  counit = 1"),
                                      ("context cup_cross = crossed(A, B, triv)",
-                                      "context cup_cross")])
+                                      "context cup_cross"),
+                                     ("coefficients triv = mpi(eps, one)",
+                                      "coefficients triv = mpi(eps)"),
+                                     ("coefficients triv = mpi(eps, one)",
+                                      "coefficients triv = mpi(eps, one, one)")])
 def test_cli_malformed_line_exit_two_with_line(tmp_path, capsys, old, new):
     # a structure line or header without its "=" or one of its labels
     lines = fixture_file_texts()["kz2.hcy"].splitlines()
