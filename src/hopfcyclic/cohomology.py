@@ -10,7 +10,7 @@ one of the truncation are flagged untrusted in reports.
 
 from __future__ import annotations
 
-from .linalg import SparseMatrix, SpanSolver, compose, kernel_basis
+from .linalg import SparseMatrix, SpanSolver, compose, image_rank, kernel_basis
 from .complexes import CocyclicComplex
 
 
@@ -26,11 +26,12 @@ def lam(cx, n):
 
 def norm_operator(cx, n):
     """1 + lam + ... + lam^n."""
-    I = SparseMatrix.identity(cx.dim(n))
-    total = I
-    power = I
-    for _ in range(n):
-        power = compose(lam(cx, n), power)
+    l = lam(cx, n)
+    total = SparseMatrix.identity(cx.dim(n))
+    power = l
+    for k in range(n):
+        if k:
+            power = compose(l, power)
         total = total + power
     return total
 
@@ -197,7 +198,6 @@ def compute_cohomology(cx: CocyclicComplex) -> CohomologyReport:
             rank_img = 0
         else:
             Dprev = total_differential(cx, bs, Bs, n - 1)
-            from .linalg import image_rank
             rank_img = image_rank(Dprev)
         dim = len(ker) - rank_img
         trusted = n <= N - 2

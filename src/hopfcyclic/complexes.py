@@ -21,7 +21,7 @@ from itertools import product as iproduct
 
 from .linalg import (SparseMatrix, SpanSolver, compose, tensor_kron, scal,
                      invert_matrix, kernel_basis, matrix_to_text,
-                     matrix_from_text, vec_acc, vec_axpy, mul_vec)
+                     parse_scalar, vec_acc, vec_axpy, mul_vec)
 from .spaces import BasedSpace, MultiIndex, tensor_power, tensor_space
 from .hopf import iterated_coproduct
 from .actions import QuotientSpace
@@ -163,8 +163,8 @@ def check_cocyclic(cx: CocyclicComplex):
     # cyclic-order:  t_n^{n+1} = id
     for n in range(top + 1):
         t = cx.tau(n)
-        power = SparseMatrix.identity(cx.dim(n))
-        for _ in range(n + 1):
+        power = t
+        for _ in range(n):
             power = compose(t, power)
         if power != SparseMatrix.identity(cx.dim(n)):
             bad.append(CocyclicViolation("cyclic-order", n, ()))
@@ -1055,64 +1055,62 @@ def complex_to_text(cx: CocyclicComplex, content_hash=""):
 
 def complex_from_text(text):
     """Inverse of complex_to_text.  Raises ValueError for a dump of another
-    version or one whose body does not match its digest (cut short or
-    edited)."""
+    version, one whose body does not match its digest (cut short or
+    edited), and one whose body is not the layout complex_to_text writes:
+    a block missing or out of order, a ``rows cols`` header that does not
+    match the degree dims, or a line inside a block that is not an
+    in-range ``r c p/q`` triplet."""
     head, _, body = text.partition("\n")
     if not head.startswith(DUMP_VERSION):
         raise ValueError("unrecognized complex dump")
     content_hash, _, digest = head[len(DUMP_VERSION):].strip().rpartition(" ")
     if digest != hashlib.sha256(body.encode()).hexdigest():
         raise ValueError("complex dump does not match its digest")
-    lines = text.splitlines()
-    head = lines[1].split()
-    N, top = int(head[1]), int(head[3])
-    dims = {}
-    pos = 2
-    while pos < len(lines) and lines[pos].startswith("degree"):
-        parts = lines[pos].split()
-        dims[int(parts[1])] = int(parts[3])
-        pos += 1
+    lines = body.splitlines()
+    words = lines[0].split() if lines else ()
+    if len(words) != 4 or words[0] != "N" or words[2] != "top":
+        raise ValueError("complex dump lacks its N/top line")
+    N, top = int(words[1]), int(words[3])
+    if not 0 <= N < top or len(lines) < top + 2:
+        raise ValueError("complex dump has N %d and top %d" % (N, top))
+    dims = []
+    for n in range(top + 1):
+        words = lines[n + 1].split()
+        if len(words) != 4 or words[:3] != ["degree", str(n), "dim"] or not words[3].isdigit():
+            raise ValueError("complex dump lacks the dim of degree %d" % n)
+        dims.append(int(words[3]))
     spaces = [BasedSpace(tuple("b%d_%d" % (n, i) for i in range(dims[n]))) for n in range(top + 1)]
 
-    def read_matrix(pos):
-        header = lines[pos].split()
-        rows, cols = int(header[0]), int(header[1])
-        pos += 1
+    # (label, target degree, source degree) of every block, in dump order
+    blocks = ([("face %d %d" % (n, i), n + 1, n) for n in range(N + 1) for i in range(n + 2)]
+              + [("degen %d %d" % (n, j), n - 1, n) for n in range(1, top + 1) for j in range(n)]
+              + [("tau %d" % n, n, n) for n in range(top + 1)])
+    mats = []
+    pos = top + 2
+    for b, (label, tgt, src) in enumerate(blocks):
+        rows, cols = dims[tgt], dims[src]
+        if lines[pos:pos + 2] != [label, "%d %d" % (rows, cols)]:
+            raise ValueError("complex dump lacks block %r of shape %dx%d" % (label, rows, cols))
+        pos += 2
+        end = lines.index(blocks[b + 1][0], pos) if b + 1 < len(blocks) else len(lines)
         ent = {}
-        while pos < len(lines):
-            parts = lines[pos].split()
-            if len(parts) != 3 or not (parts[0].isdigit() or parts[0].lstrip("-").isdigit()):
-                break
-            r, c, x = parts
-            from .linalg import parse_scalar
-            ent[(int(r), int(c))] = parse_scalar(x)
-            pos += 1
-        return SparseMatrix(rows, cols, ent), pos
-
-    faces = [[None] * (n + 2) for n in range(N + 1)]
-    degens = {n: [None] * n for n in range(1, top + 1)}
-    taus = [None] * (top + 1)
-    while pos < len(lines):
-        line = lines[pos].strip()
-        if not line:
-            pos += 1
-            continue
-        parts = line.split()
-        if parts[0] == "face":
-            n, i = int(parts[1]), int(parts[2])
-            m, pos = read_matrix(pos + 1)
-            faces[n][i] = m
-        elif parts[0] == "degen":
-            n, j = int(parts[1]), int(parts[2])
-            m, pos = read_matrix(pos + 1)
-            degens[n][j] = m
-        elif parts[0] == "tau":
-            n = int(parts[1])
-            m, pos = read_matrix(pos + 1)
-            taus[n] = m
-        else:
-            pos += 1
-    cx = CocyclicComplex(N, spaces, faces, degens, taus)
+        for line in lines[pos:end]:
+            r, c, x = line.split()
+            r, c = int(r), int(c)
+            x = int(x) if "/" not in x else parse_scalar(x)
+            if not (x and 0 <= r < rows and 0 <= c < cols):
+                raise ValueError("complex dump block %r has entry %r" % (label, line))
+            ent[(r, c)] = x
+        if len(ent) != end - pos:
+            raise ValueError("complex dump block %r repeats an entry" % label)
+        m = SparseMatrix(rows, cols)
+        m.entries = ent
+        mats.append(m)
+        pos = end
+    it = iter(mats)
+    faces = [[next(it) for _ in range(n + 2)] for n in range(N + 1)]
+    degens = {n: [next(it) for _ in range(n)] for n in range(1, top + 1)}
+    cx = CocyclicComplex(N, spaces, faces, degens, list(it))
     cx.content_hash = content_hash
     return cx
 

@@ -16,6 +16,10 @@ from __future__ import annotations
 import bisect
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
+
+
+_second = itemgetter(1)
 
 
 class ShapeMismatch(Exception):
@@ -43,10 +47,14 @@ def scal(x):
 
 
 def parse_scalar(text):
+    """An int or p/q; ValueError for anything else, a zero q included."""
     text = text.strip()
     if "/" in text:
         num, den = text.split("/")
-        return scal(Fraction(int(num), int(den)))
+        num, den = int(num), int(den)
+        if not den:
+            raise ValueError("zero denominator in %r" % text)
+        return scal(Fraction(num, den))
     return int(text)
 
 
@@ -300,18 +308,43 @@ class SparseMatrix:
 
 
 def compose(a, b):
-    """Matrix product a @ b (a after b)."""
+    """Matrix product a @ b (a after b).
+
+    A scatter over the stored entries of b, taken column by column
+    (Gustavson, ACM TOMS 1978): each (k, j) -> x adds x*y into the
+    accumulator of column j for every (i, y) in column k of a.  When the
+    column ends, its nonzero sums go to the result, integral Fractions as
+    int.  Beyond sorting the keys of b by column, the work is proportional
+    to the number of terms.  Only one column of sums is held at a time, so
+    a product that cancels, such as a b.b = 0 certificate, never holds all
+    its zero sums at once."""
     if a.cols != b.rows:
         raise ShapeMismatch("compose %dx%d with %dx%d" % (a.rows, a.cols, b.rows, b.cols))
-    acols = a.columns()
+    acols = {}
+    for (i, k), y in a.entries.items():
+        col = acols.get(k)
+        if col is None:
+            acols[k] = [(i, y)]
+        else:
+            col.append((i, y))
+    bent = b.entries
     ent = {}
-    bcols = b.columns()
-    for j, bcol in enumerate(bcols):
-        out = {}
-        for k, x in bcol.items():
-            vec_axpy(out, x, acols[k])
-        for i, x in out.items():
-            ent[(i, j)] = x
+    acc = {}
+    get = acc.get
+    j = None
+    # the sentinel key after the last column flushes that column
+    for key in sorted(bent, key=_second) + [(None, None)]:
+        if key[1] != j:
+            for i, v in acc.items():
+                if v:
+                    ent[(i, j)] = v if type(v) is int else scal(v)
+            acc.clear()
+            j = key[1]
+        col = acols.get(key[0])
+        if col:
+            x = bent[key]
+            for i, y in col:
+                acc[i] = get(i, 0) + x * y
     m = SparseMatrix(a.rows, b.cols)
     m.entries = ent
     return m

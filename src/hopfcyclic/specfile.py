@@ -221,7 +221,7 @@ def _fmt_pvec(vec, s1, s2):
 def _scalar(text, line_no):
     try:
         return parse_scalar(text)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise ParseError("bad scalar %r" % text.strip(), line_no)
 
 

@@ -269,6 +269,42 @@ def test_mul_vec_matches_dense(structure, u, v):
     assert_normal(out)
 
 
+@st.composite
+def compose_pairs(draw):
+    """(a, b) with a.cols == b.rows.  Half of them put a beside itself and s*b
+    under b, so every term of a.b meets s times itself: all cancel at s = -1."""
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    cell = st.one_of(st.just(0), rationals)
+
+    def entries(rows, cols):
+        values = draw(st.lists(cell, min_size=rows * cols, max_size=rows * cols))
+        return {divmod(n, cols): x for n, x in enumerate(values)}
+
+    a, b = entries(r, k), entries(k, c)
+    if draw(st.booleans()):
+        s = draw(st.one_of(st.just(-1), rationals))
+        a.update({(i, k + j): x for (i, j), x in list(a.items())})
+        b.update({(k + i, j): s * x for (i, j), x in list(b.items())})
+        k *= 2
+    return SparseMatrix(r, k, a), SparseMatrix(k, c, b)
+
+
+@given(compose_pairs())
+def test_compose_matches_dense(pair):
+    a, b = pair
+    ref = {}
+    for i in range(a.rows):
+        for j in range(b.cols):
+            ref[(i, j)] = sum(Fraction(a.entries.get((i, k), 0)) * b.entries.get((k, j), 0)
+                              for k in range(a.cols))
+    out = compose(a, b)
+    assert (out.rows, out.cols) == (a.rows, b.cols)
+    assert out.entries == {key: x for key, x in ref.items() if x}
+    assert_normal(out.entries)
+    with pytest.raises(ShapeMismatch):
+        compose(a, SparseMatrix(b.rows + 1, b.cols))
+
+
 SLOT = 2
 slot_tables = st.dictionaries(
     st.integers(0, SLOT - 1),

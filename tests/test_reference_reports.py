@@ -1,6 +1,7 @@
 """The quick benchmark jobs, run in-process, print exactly the reports whose
 sha256 digests perfbench/references.json recorded from the first version of
-the engine."""
+the engine.  Each audit runs twice in one directory: the second report is
+read from the cache the first one wrote, and must match as well."""
 
 import hashlib
 import json
@@ -36,3 +37,11 @@ def test_report_matches_reference(job, tmp_path, monkeypatch, capsys):
     assert main(job.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == expected
+    if job.startswith("audit"):
+        cache = tmp_path / ".hopfcyclic-cache"
+        written = {p.name: p.read_bytes() for p in cache.iterdir()}
+        assert written
+        assert main(job.split()) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
+        assert {p.name: p.read_bytes() for p in cache.iterdir()} == written

@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -224,6 +225,47 @@ def test_damaged_cache_entry_is_rebuilt(tmp_path, monkeypatch, capsys, damage):
     assert out == cold
     # the rebuilt entries are whole again and read back as hits
     assert sorted((tmp_path / ".hopfcyclic-cache").iterdir()) == entries
+    from hopfcyclic.cli import build_declared_complex
+    spec = parse_spec((d / "kz2.hcy").read_text())
+    assert build_declared_complex(spec, spec.to_text(), "hopf_triv", 2)[1] == "cached"
+
+def _drop_block(label):
+    def edit(lines):
+        i = lines.index(label)
+        j = i + 1
+        while j < len(lines) and lines[j][:1].isdigit():
+            j += 1
+        return lines[:i] + lines[j:]
+    return edit
+
+def _widen_header(lines):
+    i = lines.index("face 0 0") + 1
+    rows, cols = map(int, lines[i].split())
+    return lines[:i] + ["%d %d" % (rows, cols + 1)] + lines[i + 1:]
+
+@pytest.mark.parametrize("edit", [
+    _drop_block("tau 0"),
+    _drop_block("face 0 0"),
+    _drop_block("degen 1 0"),
+    _widen_header,                                              # shape off the dims
+    lambda lines: lines[:-1] + ["junk"] + lines[-1:],           # non-triplet in a block
+    lambda lines: lines[:-1] + ["0 0"] + lines[-1:],
+], ids=["no-tau", "no-face", "no-degen", "header", "junk-line", "short-line"])
+def test_resigned_malformed_cache_entry_is_rebuilt(tmp_path, monkeypatch, capsys, edit):
+    # the digest matches the edited body, so only the layout check can catch it
+    d = write_fixtures(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    args = ["cohomology", d / "kz2.hcy", "--max-degree", "2"]
+    code, cold = run_cli(args, capsys)
+    assert code == 0
+    for path in (tmp_path / ".hopfcyclic-cache").iterdir():
+        head, _, body = path.read_text().partition("\n")
+        body = "\n".join(edit(body.splitlines())) + "\n"
+        head = "%s %s" % (head.rpartition(" ")[0], hashlib.sha256(body.encode()).hexdigest())
+        path.write_text(head + "\n" + body)
+    code, out = run_cli(args, capsys)
+    assert code == 0
+    assert out == cold
     from hopfcyclic.cli import build_declared_complex
     spec = parse_spec((d / "kz2.hcy").read_text())
     assert build_declared_complex(spec, spec.to_text(), "hopf_triv", 2)[1] == "cached"
