@@ -21,12 +21,13 @@ from .specfile import parse_spec, ParseError, UnresolvedName, DimensionMismatch
 from .hopf import validate_hopf, validate_modular_pair, involution_flags
 from .actions import (validate_module_algebra, validate_module_coalgebra,
                       validate_comodule_algebra, validate_sayd,
-                      validate_coalgebra_action, validate_subhopf)
+                      validate_coalgebra_action, validate_subhopf,
+                      mpi_coefficients)
 from .complexes import (build_coalgebra_complex, build_algebra_complex,
                         build_comodule_algebra_complex, build_hopf_complex,
                         check_cocyclic, complex_to_text, complex_from_text,
                         content_hash, IllDefined, ConjugationFailure)
-from .cohomology import (hochschild_b, connes_B, compute_cohomology,
+from .cohomology import (BBData, hochschild_b, compute_cohomology,
                          cyclic_cocycles, NotAComplex)
 from .cup import (CoalgebraCupContext, CrossedCupContext, RelativeCupContext,
                   aw_cup, cup_explicit_coalgebra, cup_explicit_crossed,
@@ -41,10 +42,17 @@ class Failure(Exception):
     pass
 
 
+class CacheReadBackMismatch(Exception):
+    """A cache entry just written does not read back as the complex built."""
+
+
 class Report:
-    def __init__(self, input_text):
-        self.lines = ["hopfcyclic %s" % __version__,
-                      "input %s" % content_hash(input_text)]
+    """Report lines and the failed flag; without input text, a headless
+    buffer of sections to be merged into a report later."""
+
+    def __init__(self, input_text=None):
+        self.lines = [] if input_text is None else [
+            "hopfcyclic %s" % __version__, "input %s" % content_hash(input_text)]
         self.failed = False
 
     def section(self, title):
@@ -56,6 +64,10 @@ class Report:
     def fail(self, line):
         self.failed = True
         self.lines.append(line)
+
+    def merge(self, part):
+        self.lines.extend(part.lines)
+        self.failed = self.failed or part.failed
 
     def text(self):
         return "\n".join(self.lines) + "\n"
@@ -83,7 +95,11 @@ def _complex_key(spec_text, name, kind, args, N):
     return content_hash(spec_text + "::" + repr((name, kind, args, N, __version__)))
 
 
-def build_declared_complex(spec, spec_text, name, N, no_cache=False, cache_dir=CACHE_DIR):
+def build_declared_complex(spec, spec_text, name, N, no_cache=False, cache_dir=CACHE_DIR,
+                           quotients=None):
+    """(complex, "cached" or "built").  quotients, when given, is the run's
+    QuotientSlot: a hopf build leaves its coinvariant quotient there and a
+    coalgebra build of the same structure takes it instead of rebuilding."""
     kind, args = spec.complexes[name]
     key = _complex_key(spec_text, name, kind, args, N)
     path = os.path.join(cache_dir, key + ".cx")
@@ -94,9 +110,16 @@ def build_declared_complex(spec, spec_text, name, N, no_cache=False, cache_dir=C
     sayd = spec.coefficients[args[-1]]
     if kind == "hopf":
         mp = spec.modular_pair(args[-1])
-        cx = build_hopf_complex(mp, N).power
+        hd = build_hopf_complex(mp, N)
+        cx = hd.power
+        if quotients is not None:
+            quotients.keep(mp, hd.quot.complex)
+        del hd      # the quotient spaces and the isomorphism are not needed
     elif kind == "coalgebra":
-        cx = build_coalgebra_complex(spec.module_coalgebras[args[0]], sayd, N).complex
+        mc = spec.module_coalgebras[args[0]]
+        cx = quotients.take(mc, sayd, N) if quotients is not None else None
+        if cx is None:
+            cx = build_coalgebra_complex(mc, sayd, N).complex
     elif kind == "algebra":
         cx = build_algebra_complex(spec.module_algebras[args[0]], sayd, N).complex
     else:
@@ -125,6 +148,72 @@ def _read_cache_entry(path, key):
     except (OSError, ValueError):
         return None
     return cx if cx.content_hash == key else None
+
+
+def _tables(t):
+    """A StructureTensor's shape and structure constants."""
+    return tuple(s.dim for s in t.domains), t.codomain.dim, t.entries
+
+
+def _same_hopf(a, b):
+    return (_tables(a.alg.mul) == _tables(b.alg.mul) and a.alg.unit == b.alg.unit
+            and _tables(a.coalg.comul) == _tables(b.coalg.comul)
+            and a.coalg.counit == b.coalg.counit and a.antipode == b.antipode)
+
+
+class QuotientSlot:
+    """At most one coinvariant-quotient complex of H over itself, left by a
+    hopf(H, M) build for a later coalgebra(H, M) of the same run.  A take
+    releases it and a later keep replaces it."""
+
+    def __init__(self):
+        self.mp = self.complex = None
+
+    def keep(self, mp, complex):
+        self.mp, self.complex = mp, complex
+
+    def take(self, mc, sayd, N):
+        """The held complex when coalgebra(mc, sayd) at degree N is it, by
+        structure tables: H acting on itself by left multiplication over
+        its own coalgebra, with the coefficients mpi(mp); else None."""
+        mp, cx = self.mp, self.complex
+        if cx is None or cx.N != N:
+            return None
+        h = mp.hopf
+        coeff = mpi_coefficients(mp)
+        if not (_same_hopf(mc.hopf, h)
+                and _tables(mc.coalg.comul) == _tables(h.coalg.comul)
+                and mc.coalg.counit == h.coalg.counit
+                and _tables(mc.action) == _tables(h.alg.mul)
+                and _tables(sayd.raction) == _tables(coeff.raction)
+                and _tables(sayd.lcoaction) == _tables(coeff.lcoaction)):
+            return None
+        self.mp = self.complex = None
+        return cx
+
+
+def _same_complex(a, b):
+    """Same N, dims, faces, degeneracies and cyclic operators."""
+    if a.N != b.N or a.dims() != b.dims():
+        return False
+    return (all(a.face(n, i) == b.face(n, i) for n in range(a.N + 1) for i in range(n + 2))
+            and all(a.degen(n, j) == b.degen(n, j) for n in range(1, a.top + 1) for j in range(n))
+            and all(a.tau(n) == b.tau(n) for n in range(a.top + 1)))
+
+
+def _get_declared_complex(spec, spec_text, name, flags, quotients):
+    """The declared complex, got once: read from the cache, or built.  A
+    complex built in cached mode is read back from the entry just written
+    and must equal it; the parsed complex is the one returned."""
+    args = (spec, spec_text, name, flags.max_degree)
+    cx, how = build_declared_complex(*args, no_cache=flags.no_cache, quotients=quotients)
+    if how == "built" and not flags.no_cache:
+        parsed, how = build_declared_complex(*args, quotients=quotients)
+        if how != "cached" or not _same_complex(cx, parsed):
+            raise CacheReadBackMismatch(
+                "the cache entry written for %s does not read back as the built complex" % name)
+        cx = parsed
+    return cx
 
 
 # ---------------------------------------------------------------------------
@@ -185,39 +274,51 @@ def cmd_validate(spec, spec_text, rep, flags):
 
 
 def cmd_identities(spec, spec_text, rep, flags):
-    for name in spec.complexes:
-        rep.section("identities %s" % name)
-        try:
-            cx, _ = build_declared_complex(spec, spec_text, name, flags.max_degree,
-                                           no_cache=flags.no_cache)
-        except (IllDefined, ConjugationFailure, ValueError) as e:
-            rep.fail("build failed: %s" % e)
-            continue
-        rep.add("dims %s" % " ".join(str(d) for d in cx.dims()))
-        bad = check_cocyclic(cx)
-        if bad:
-            for v in bad:
-                rep.fail("violated %s at degree %d indices %s" % (v.family, v.degree, v.indices))
-        else:
-            rep.add("cocyclic identities: ok")
-        try:
-            _, variant = connes_B(cx)
-            rep.add("coboundary certificates: ok (boundary reading: %s)" % variant)
-        except NotAComplex as e:
-            rep.fail("coboundary certificates FAILED: %s" % e)
+    _complex_sections(spec, spec_text, rep, flags, identities=True, cohomology=False)
 
 
 def cmd_cohomology(spec, spec_text, rep, flags):
+    _complex_sections(spec, spec_text, rep, flags, identities=False, cohomology=True)
+
+
+def _complex_sections(spec, spec_text, rep, flags, identities, cohomology):
+    """The identities sections, then the cohomology sections, of every
+    declared complex, in one pass: each complex is got once, certified once
+    and dropped before the next.  The sections are buffered so that each
+    kind keeps its place in the report; a kind not asked for is not
+    computed beyond the shared certificates, and its buffer is dropped."""
+    ident, cohom = Report(), Report()
+    quotients = QuotientSlot()
     for name in spec.complexes:
-        rep.section("cohomology %s" % name)
+        ident.section("identities %s" % name)
+        cohom.section("cohomology %s" % name)
         try:
-            cx, _ = build_declared_complex(spec, spec_text, name, flags.max_degree,
-                                           no_cache=flags.no_cache)
-            r = compute_cohomology(cx)
-        except (IllDefined, ConjugationFailure, NotAComplex, ValueError) as e:
-            rep.fail("failed: %s" % e)
+            cx = _get_declared_complex(spec, spec_text, name, flags, quotients)
+        except (IllDefined, ConjugationFailure, ValueError, CacheReadBackMismatch) as e:
+            ident.fail("build failed: %s" % e)
+            cohom.fail("failed: %s" % e)
             continue
-        rep.add(*r.lines())
+        ident.add("dims %s" % " ".join(str(d) for d in cx.dims()))
+        if identities:
+            bad = check_cocyclic(cx)
+            for v in bad:
+                ident.fail("violated %s at degree %d indices %s" % (v.family, v.degree, v.indices))
+            if not bad:
+                ident.add("cocyclic identities: ok")
+        try:
+            bb = BBData(cx)
+        except NotAComplex as e:
+            ident.fail("coboundary certificates FAILED: %s" % e)
+            cohom.fail("failed: %s" % e)
+            continue
+        ident.add("coboundary certificates: ok (boundary reading: %s)" % bb.variant)
+        if cohomology:
+            cohom.add(*compute_cohomology(cx, bb).lines())
+        del cx, bb      # dropped before the next complex is got
+    if identities:
+        rep.merge(ident)
+    if cohomology:
+        rep.merge(cohom)
 
 
 def _contexts_for(spec, kind, N):
@@ -326,8 +427,7 @@ def cmd_fixtures(rep, flags):
 
 def cmd_audit(spec, spec_text, rep, flags):
     cmd_validate(spec, spec_text, rep, flags)
-    cmd_identities(spec, spec_text, rep, flags)
-    cmd_cohomology(spec, spec_text, rep, flags)
+    _complex_sections(spec, spec_text, rep, flags, identities=True, cohomology=True)
     # context certificates and a small cup sweep
     for kind in ("coalgebra", "crossed", "relative"):
         for name, ctx in _contexts_for(spec, kind, 2):

@@ -10,7 +10,7 @@ one of the truncation are flagged untrusted in reports.
 
 from __future__ import annotations
 
-from .linalg import SparseMatrix, SpanSolver, compose, image_rank, kernel_basis
+from .linalg import SparseMatrix, compose, image_rank, kernel_basis
 from .complexes import CocyclicComplex
 
 
@@ -92,20 +92,12 @@ class BBData:
 class CohomologyReport:
     """Per-degree dimensions with trust flags and a truncated periodic summary."""
 
-    def __init__(self, hh, hc, hp_even, hp_odd, hh_reps, cyclic_reps, b_variant):
+    def __init__(self, hh, hc, hp_even, hp_odd, b_variant):
         self.hh = hh                  # list of (degree, dim)
         self.hc = hc                  # list of (degree, dim, trusted)
         self.hp_even = hp_even        # (value, stable) or None
         self.hp_odd = hp_odd
-        self.hh_reps = hh_reps        # degree -> list of representative cochains
-        self.cyclic_reps = cyclic_reps
         self.b_variant = b_variant
-
-    def hh_dims(self):
-        return [d for _, d in self.hh]
-
-    def hc_dims(self, trusted_only=False):
-        return [d for _, d, t in self.hc if t or not trusted_only]
 
     def lines(self):
         out = []
@@ -169,40 +161,29 @@ def cyclic_cocycles(cx, n, bs=None):
     return kernel_basis(SparseMatrix(b.rows + cyc.rows, cx.dim(n), ent))
 
 
-def compute_cohomology(cx: CocyclicComplex) -> CohomologyReport:
-    bs = hochschild_b(cx)
-    Bs, variant = connes_B(cx, bs)
+def compute_cohomology(cx: CocyclicComplex, bb: BBData = None) -> CohomologyReport:
+    """Dimension tables of cx from ranks alone.
+
+    bb is the complex's BBData (b, B and their certificates), built here
+    when not given.  With r_n the rank of b_n, dim HH^n = dim C^n - r_n -
+    r_{n-1}; with R_n the rank of the total differential D_n, dim HC^n =
+    dim Tot^n - R_n - R_{n-1}.  Each operator is reduced once."""
+    if bb is None:
+        bb = BBData(cx)
+    bs, Bs = bb.b, bb.B
     N = cx.N
-    hh, hh_reps = [], {}
+    hh, hc = [], []
+    rank_prev = 0
     for n in range(N):
-        ker = kernel_basis(bs[n])
-        if n == 0:
-            img = []
-        else:
-            img = [c for c in bs[n - 1].columns() if c]
-        solver = SpanSolver()
-        for v in img:
-            solver.add(v)
-        reps = []
-        for v in ker:
-            red = solver.reduce(v)
-            if red and solver.add(red):
-                reps.append(red)
-        hh.append((n, len(reps)))
-        hh_reps[n] = reps
-    hc = []
+        rank = image_rank(bs[n])
+        hh.append((n, cx.dim(n) - rank - rank_prev))
+        rank_prev = rank
+    rank_prev = 0
     for n in range(N):
         Dn = total_differential(cx, bs, Bs, n)
-        ker = kernel_basis(Dn)
-        if n == 0:
-            rank_img = 0
-        else:
-            Dprev = total_differential(cx, bs, Bs, n - 1)
-            rank_img = image_rank(Dprev)
-        dim = len(ker) - rank_img
-        trusted = n <= N - 2
-        hc.append((n, dim, trusted))
-    cyc_reps = {n: cyclic_cocycles(cx, n, bs) for n in range(N + 1)}
+        rank = image_rank(Dn)
+        hc.append((n, Dn.cols - rank - rank_prev, n <= N - 2))
+        rank_prev = rank
     # truncated periodic summary: the last two trusted values of each parity
     def hp(parity):
         vals = [d for n, d, t in hc if t and n % 2 == parity]
@@ -211,4 +192,4 @@ def compute_cohomology(cx: CocyclicComplex) -> CohomologyReport:
         if vals:
             return (vals[-1], False)
         return None
-    return CohomologyReport(hh, hc, hp(0), hp(1), hh_reps, cyc_reps, variant)
+    return CohomologyReport(hh, hc, hp(0), hp(1), bb.variant)

@@ -86,11 +86,6 @@ def vec_add(u, v):
 def vec_sub(u, v):
     return vec_axpy(dict(u), -1, v)
 
-def vec_scale(u, c):
-    if not c:
-        return {}
-    return {i: scal(c * x) for i, x in u.items()}
-
 def vec_axpy(out, c, v):
     """In-place out += c*v on a mutable dict (vec_acc inlined: hot loop)."""
     if not c:
@@ -142,16 +137,6 @@ def contract(pushed, xvec):
         if row:
             vec_axpy(out, c, row)
     return out
-
-def vec_dot(u, v):
-    if len(v) < len(u):
-        u, v = v, u
-    s = 0
-    for i, x in u.items():
-        y = v.get(i)
-        if y is not None:
-            s += x * y
-    return scal(s)
 
 
 def vec_primitive(u):
@@ -286,9 +271,6 @@ class SparseMatrix:
 
     def __sub__(self, other):
         return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
 
     def scale(self, c):
         m = SparseMatrix(self.rows, self.cols)
@@ -537,13 +519,6 @@ def invert_matrix(m):
     return SparseMatrix(n, n, ent)
 
 
-def span_rank(vectors):
-    solver = SpanSolver()
-    for v in vectors:
-        solver.add(v)
-    return solver.rank()
-
-
 def quotient_dim(big, small):
     """dim span(big) - dim span(small); requires span(small) within span(big)."""
     solver = SpanSolver()
@@ -565,17 +540,6 @@ def matrix_to_text(m):
     for (r, c) in sorted(m.entries):
         lines.append("%d %d %s" % (r, c, format_scalar(m.entries[(r, c)])))
     return "\n".join(lines)
-
-
-def matrix_from_text(text):
-    lines = [l for l in text.strip().splitlines() if l.strip()]
-    head = lines[0].split()
-    rows, cols = int(head[0]), int(head[1])
-    ent = {}
-    for l in lines[1:]:
-        r, c, x = l.split()
-        ent[(int(r), int(c))] = parse_scalar(x)
-    return SparseMatrix(rows, cols, ent)
 
 
 def vector_to_text(v):

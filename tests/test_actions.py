@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from hopfcyclic.linalg import SparseMatrix, compose, tensor_kron, span_rank
+from hopfcyclic.linalg import SparseMatrix, compose, tensor_kron
 from hopfcyclic.spaces import BasedSpace, StructureTensor, tensor_space
 from hopfcyclic.hopf import ModularPair, validate_algebra
 from hopfcyclic.actions import (ModuleAlgebra, SubHopf, NotClosed,

@@ -9,7 +9,7 @@ from hopfcyclic.linalg import (
     SparseMatrix, SubspaceNotContained, ShapeMismatch,
     compose, tensor_kron, kernel_basis, kernel_canonicalize, image_rank,
     quotient_dim, rref, parse_scalar, format_scalar, scal,
-    matrix_to_text, matrix_from_text, vec_acc, vec_axpy, mul_vec, push_slots,
+    vec_acc, vec_axpy, mul_vec, push_slots,
     contract,
 )
 
@@ -138,9 +138,17 @@ def test_scalar_round_trip():
         assert parse_scalar(format_scalar(x)) == x
 
 def test_matrix_text_round_trip():
+    # every operator block of the cache dump reads back as the matrix written
+    from hopfcyclic.complexes import CocyclicComplex, complex_from_text, complex_to_text
+    from hopfcyclic.spaces import BasedSpace
     rng = random.Random(29)
-    m = random_matrix(rng, 4, 6)
-    assert matrix_from_text(matrix_to_text(m)) == m
+    d0, d1 = 4, 6
+    spaces = [BasedSpace(tuple("v%d" % i for i in range(d))) for d in (d0, d1)]
+    faces = [[random_matrix(rng, d1, d0) for _ in range(2)]]
+    degens = {1: [random_matrix(rng, d0, d1)]}
+    taus = [random_matrix(rng, d0, d0), random_matrix(rng, d1, d1)]
+    back = complex_from_text(complex_to_text(CocyclicComplex(0, spaces, faces, degens, taus)))
+    assert back.faces == faces and back.degens == degens and back.taus == taus
 
 def test_rref_is_canonical():
     # same row space, different presentations -> identical RREF
