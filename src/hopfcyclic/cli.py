@@ -26,7 +26,7 @@ from .actions import (validate_module_algebra, validate_module_coalgebra,
 from .complexes import (build_coalgebra_complex, build_algebra_complex,
                         build_comodule_algebra_complex, build_hopf_complex,
                         check_cocyclic, complex_to_text, complex_from_text,
-                        content_hash, IllDefined, ConjugationFailure)
+                        content_hash, same_complex, IllDefined, ConjugationFailure)
 from .cohomology import (BBData, hochschild_b, compute_cohomology,
                          cyclic_cocycles, NotAComplex)
 from .cup import (CoalgebraCupContext, CrossedCupContext, RelativeCupContext,
@@ -192,15 +192,6 @@ class QuotientSlot:
         return cx
 
 
-def _same_complex(a, b):
-    """Same N, dims, faces, degeneracies and cyclic operators."""
-    if a.N != b.N or a.dims() != b.dims():
-        return False
-    return (all(a.face(n, i) == b.face(n, i) for n in range(a.N + 1) for i in range(n + 2))
-            and all(a.degen(n, j) == b.degen(n, j) for n in range(1, a.top + 1) for j in range(n))
-            and all(a.tau(n) == b.tau(n) for n in range(a.top + 1)))
-
-
 def _get_declared_complex(spec, spec_text, name, flags, quotients):
     """The declared complex, got once: read from the cache, or built.  A
     complex built in cached mode is read back from the entry just written
@@ -209,7 +200,7 @@ def _get_declared_complex(spec, spec_text, name, flags, quotients):
     cx, how = build_declared_complex(*args, no_cache=flags.no_cache, quotients=quotients)
     if how == "built" and not flags.no_cache:
         parsed, how = build_declared_complex(*args, quotients=quotients)
-        if how != "cached" or not _same_complex(cx, parsed):
+        if how != "cached" or not same_complex(cx, parsed):
             raise CacheReadBackMismatch(
                 "the cache entry written for %s does not read back as the built complex" % name)
         cx = parsed
@@ -347,15 +338,20 @@ def _report_cup_result(rep, label, res, extra=""):
         rep.failed = True
 
 
-def _class_info(tgt_cx, n, vec):
+def _coboundaries(tgt_cx, n):
+    """A solver over the coboundaries of degree n of tgt_cx, None at n = 0."""
     if n == 0:
-        return "b-nontrivial" if vec else "zero"
-    bs = hochschild_b(tgt_cx)
+        return None
     sol = SpanSolver()
-    for col in bs[n - 1].columns():
+    for col in hochschild_b(tgt_cx)[n - 1].columns():
         sol.add(col)
-    red = sol.reduce(vec)
-    return "b-coboundary" if red == {} else "b-nontrivial"
+    return sol
+
+
+def _class_info(coboundaries, vec):
+    if coboundaries is None:
+        return "b-nontrivial" if vec else "zero"
+    return "b-coboundary" if coboundaries.reduce(vec) == {} else "b-nontrivial"
 
 
 def cmd_cup(spec, spec_text, rep, flags):
@@ -380,7 +376,7 @@ def cmd_cup(spec, spec_text, rep, flags):
                 rep.add("no cyclic cocycle pair at (p,q)=(%d,%d); counts %d,%d"
                         % (p, q, len(phis), len(xs)))
                 continue
-            tgt = ctx.target().complex
+            coboundaries = _coboundaries(ctx.target().complex, p + q)
             for i, phi in enumerate(phis):
                 for j, x in enumerate(xs):
                     try:
@@ -390,10 +386,10 @@ def cmd_cup(spec, spec_text, rep, flags):
                             else:
                                 res = cotrace_cup(ctx, x, q, phi, p)
                             _report_cup_result(rep, "pair (%d,%d) shuffle" % (i, j), res,
-                                               " class=" + _class_info(tgt, res.degree, res.vector))
+                                               " class=" + _class_info(coboundaries, res.vector))
                         else:
                             res = aw_cup(ctx, phi, p, x, q)
-                            extra = " class=" + _class_info(tgt, res.degree, res.vector)
+                            extra = " class=" + _class_info(coboundaries, res.vector)
                             if kind == "coalgebra":
                                 try:
                                     cup_explicit_coalgebra(ctx, phi, p, x, q)
@@ -444,12 +440,14 @@ def cmd_audit(spec, spec_text, rep, flags):
                     rep.fail("diagonal violated %s at degree %d %s" % (v.family, v.degree, v.indices))
             else:
                 rep.add("diagonal cocyclic identities: ok")
+            acx, xcx = ctx.phi_complex().complex, ctx.x_complex()
+            a_bs, x_bs = hochschild_b(acx), hochschild_b(xcx)
+            phis = [cyclic_cocycles(acx, p, a_bs) for p in range(3)]
+            xs = [cyclic_cocycles(xcx, q, x_bs) for q in range(3)]
             for p in range(3):
                 for q in range(3 - p):
-                    phis = cyclic_cocycles(ctx.phi_complex().complex, p)
-                    xs = cyclic_cocycles(ctx.x_complex(), q)
-                    for i, phi in enumerate(phis):
-                        for j, x in enumerate(xs):
+                    for i, phi in enumerate(phis[p]):
+                        for j, x in enumerate(xs[q]):
                             res = aw_cup(ctx, phi, p, x, q)
                             status = "ok" if res.b_closed else "NOT CLOSED"
                             if not res.b_closed:

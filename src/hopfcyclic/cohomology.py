@@ -92,12 +92,11 @@ class BBData:
 class CohomologyReport:
     """Per-degree dimensions with trust flags and a truncated periodic summary."""
 
-    def __init__(self, hh, hc, hp_even, hp_odd, b_variant):
+    def __init__(self, hh, hc, hp_even, hp_odd):
         self.hh = hh                  # list of (degree, dim)
         self.hc = hc                  # list of (degree, dim, trusted)
         self.hp_even = hp_even        # (value, stable) or None
         self.hp_odd = hp_odd
-        self.b_variant = b_variant
 
     def lines(self):
         out = []
@@ -192,4 +191,4 @@ def compute_cohomology(cx: CocyclicComplex, bb: BBData = None) -> CohomologyRepo
         if vals:
             return (vals[-1], False)
         return None
-    return CohomologyReport(hh, hc, hp(0), hp(1), bb.variant)
+    return CohomologyReport(hh, hc, hp(0), hp(1))

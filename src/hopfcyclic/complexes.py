@@ -8,9 +8,12 @@ Tensor products of complexes, their diagonals and the degreewise product are
 built from the same matrices.
 
 A complex built with truncation N carries spaces 0..N+1 so that faces, and
-hence the Hochschild coboundary, exist at degree N.  check_cocyclic verifies
-the seven cosimplicial/cyclic identity families as exact matrix equalities
-wherever every composite is defined.
+hence the Hochschild coboundary, exist at degree N.  Its structure maps are
+walked in one order (structure_maps): every complex is assembled along it,
+a degreewise map is certified along it (intertwines), and two complexes are
+compared and dumped along it.  check_cocyclic verifies the seven
+cosimplicial/cyclic identity families as exact matrix equalities wherever
+every composite is defined.
 """
 
 from __future__ import annotations
@@ -66,6 +69,71 @@ class CocyclicComplex:
 
     def dims(self):
         return [s.dim for s in self.spaces]
+
+    def op(self, kind, n, i):
+        """The structure map of key (kind, n, i); i is 0 for tau."""
+        if kind == "face":
+            return self.faces[n][i]
+        if kind == "degen":
+            return self.degens[n][i]
+        return self.taus[n]
+
+    @classmethod
+    def assemble(cls, N, spaces, make, name=""):
+        """The complex whose map of key (kind, n, i) is make(kind, n, i),
+        evaluated in the order of structure_maps."""
+        faces, degens, taus = [[] for _ in range(N + 1)], {}, []
+        for kind, n, i in structure_maps(N, len(spaces) - 1):
+            m = make(kind, n, i)
+            if kind == "face":
+                faces[n].append(m)
+            elif kind == "degen":
+                degens.setdefault(n, []).append(m)
+            else:
+                taus.append(m)
+        return cls(N, spaces, faces, degens, taus, name=name)
+
+
+# degree shift of each kind of structure map: faces raise it, degeneracies
+# lower it, tau keeps it
+_SHIFT = {"face": 1, "degen": -1, "tau": 0}
+
+
+def structure_maps(N, top):
+    """The keys (kind, n, i) of a complex with truncation N and spaces
+    0..top, degree by degree: the faces of n when n <= N, then its
+    degeneracies, then tau_n (i = 0)."""
+    for n in range(top + 1):
+        if n <= N:
+            for i in range(n + 2):
+                yield "face", n, i
+        for j in range(n):
+            yield "degen", n, j
+        yield "tau", n, 0
+
+
+def describe_map(kind, n, i):
+    if kind == "face":
+        return "face %d at degree %d" % (i, n)
+    if kind == "degen":
+        return "degeneracy %d at degree %d" % (i, n)
+    return "cyclic operator at degree %d" % n
+
+
+def intertwines(src, tgt, mats):
+    """The first key of src's structure maps where the degreewise map
+    mats[n]: src degree n -> tgt degree n fails to commute, or None."""
+    for kind, n, i in structure_maps(src.N, src.top):
+        if (compose(mats[n + _SHIFT[kind]], src.op(kind, n, i))
+                != compose(tgt.op(kind, n, i), mats[n])):
+            return kind, n, i
+    return None
+
+
+def same_complex(a, b):
+    """Same N, dims, faces, degeneracies and cyclic operators."""
+    return (a.N == b.N and a.dims() == b.dims()
+            and all(a.op(*key) == b.op(*key) for key in structure_maps(a.N, a.top)))
 
 
 class Cochain:
@@ -348,19 +416,10 @@ def expand_terms(parts):
 
 class CoalgebraComplexData:
 
-    def __init__(self, complex, quotients, ambients, mc, sayd):
+    def __init__(self, complex, quotients, ambients):
         self.complex = complex
         self.quotients = quotients      # per-degree QuotientSpace on the ambient
         self.ambients = ambients        # per-degree MultiIndex (m, c, ..., c)
-        self.mc = mc
-        self.sayd = sayd
-
-    def class_of(self, mdecomp_vec, n):
-        """Quotient coordinates of an ambient vector at degree n."""
-        return self.quotients[n].project_vec(mdecomp_vec)
-
-    def representative(self, qvec, n):
-        return self.quotients[n].include_vec(qvec)
 
 
 def build_coalgebra_complex(mc, sayd, N, name="coalgebra") -> CoalgebraComplexData:
@@ -428,7 +487,7 @@ def build_coalgebra_complex(mc, sayd, N, name="coalgebra") -> CoalgebraComplexDa
             return {}
         return {m * size[n - 1] + head * pw[n - j - 1] + tail: e}
 
-    def tau_col(n, f):
+    def tau_col(n, _, f):
         m, t = divmod(f, size[n])
         c0, rest = divmod(t, pw[n])
         out = {}
@@ -437,12 +496,15 @@ def build_coalgebra_complex(mc, sayd, N, name="coalgebra") -> CoalgebraComplexDa
                 vec_acc(out, mj * size[n] + rest * cdim + cc, x1 * x2)
         return out
 
-    def lift(colfn, n, target):
+    col_fns = {"face": face_col, "degen": degen_col, "tau": tau_col}
+
+    def lift(kind, n, i):
         """Operator matrix on quotient bases.  The image of every ambient
         column is projected once; the quotient columns are the images of
         the free columns, and descent is checked on every relation row r of
         the RREF as sum_f r_f image(f) = 0 (the projection is linear)."""
-        quo_s, quo_t = quotients[n], quotients[target]
+        colfn = partial(col_fns[kind], n, i)
+        quo_s, quo_t = quotients[n], quotients[n + _SHIFT[kind]]
         images = [quo_t.project_vec(colfn(f)) for f in range(quo_s.ambient_dim)]
         for row in quo_s.solver.rref_rows():
             out = {}
@@ -452,28 +514,26 @@ def build_coalgebra_complex(mc, sayd, N, name="coalgebra") -> CoalgebraComplexDa
                 raise IllDefined("%s operator does not descend at degree %d" % (name, n))
         return SparseMatrix.from_columns([images[f] for f in quo_s.free], quo_t.dim)
 
-    faces, degens, taus = [], {}, []
-    for n in range(top + 1):
-        if n <= N:
-            faces.append([lift(partial(face_col, n, i), n, n + 1) for i in range(n + 2)])
-        if n >= 1:
-            degens[n] = [lift(partial(degen_col, n, j), n, n - 1) for j in range(n)]
-        taus.append(lift(partial(tau_col, n), n, n))
-
-    cx = CocyclicComplex(N, spaces, faces, degens, taus, name=name)
-    return CoalgebraComplexData(cx, quotients, ambients, mc, sayd)
+    cx = CocyclicComplex.assemble(N, spaces, lift, name)
+    return CoalgebraComplexData(cx, quotients, ambients)
 
 
-def _solvers_and_spaces(bases, prefix):
-    """A tracked SpanSolver and a based space for each degree's basis."""
-    solvers, spaces = [], []
-    for n, basis in enumerate(bases):
-        solver = SpanSolver(track=True)
-        for v in basis:
-            solver.add(v)
-        solvers.append(solver)
-        spaces.append(BasedSpace(tuple("%s%d_%d" % (prefix, n, i) for i in range(len(basis)))))
-    return solvers, spaces
+class SubspaceComplexData:
+    """An algebra or comodule-algebra complex with its realization: degree
+    n is the span of bases[n] in the ambient M (x) V^(x)(n+1)."""
+
+    def __init__(self, complex, bases, solvers, ambients):
+        self.complex = complex
+        self.bases = bases          # per-degree list of ambient vectors
+        self.solvers = solvers      # per-degree SpanSolver over those vectors
+        self.ambients = ambients    # per-degree MultiIndex (m, v, ..., v)
+
+    def functional(self, coords, n):
+        """Ambient coefficients of a subspace cochain."""
+        out = {}
+        for k, c in coords.items():
+            vec_axpy(out, c, self.bases[n][k])
+        return out
 
 
 # Operators on functionals / maps over M (x) V^(x)(n+1), coordinates flat as
@@ -526,6 +586,37 @@ def _unit_degen(unit, dim, mdim, n, j):
     return by_source
 
 
+_OP_NAMES = {"face": "face", "degen": "degeneracy", "tau": "cyclic"}
+
+
+def _subspace_complex(N, name, prefix, preserves, bases, ambients, mul, unit, last_face, tau):
+    """The complex on the spans of bases: the product faces, the builder's
+    last face, the unit degeneracies and the builder's tau, each restricted
+    to the subspaces.  IllDefined("... does not preserve <preserves>") when
+    an image leaves them."""
+    mdim, dim = ambients[0].dims
+    solvers, spaces = [], []
+    for n, basis in enumerate(bases):
+        solver = SpanSolver(track=True)
+        for v in basis:
+            solver.add(v)
+        solvers.append(solver)
+        spaces.append(BasedSpace(tuple("%s%d_%d" % (prefix, n, i) for i in range(len(basis)))))
+
+    def make(kind, n, i):
+        if kind == "face":
+            by_source = last_face(n) if i == n + 1 else _product_face(mul, dim, mdim, n, i)
+        elif kind == "degen":
+            by_source = _unit_degen(unit, dim, mdim, n, i)
+        else:
+            by_source = tau(n)
+        message = "%s %s does not preserve %s (deg %d)" % (name, _OP_NAMES[kind], preserves, n)
+        return _restrict(by_source, bases[n], solvers[n + _SHIFT[kind]], message)
+
+    cx = CocyclicComplex.assemble(N, spaces, make, name)
+    return SubspaceComplexData(cx, bases, solvers, ambients)
+
+
 def _coalg_tables(coalg):
     d = coalg.space.dim
     comul = {}
@@ -538,28 +629,7 @@ def _coalg_tables(coalg):
 # ---------------------------------------------------------------------------
 # algebra complex: equivariant functionals on M (x) A^(x)(n+1)
 
-class AlgebraComplexData:
-
-    def __init__(self, complex, bases, solvers, ambients, ma, sayd):
-        self.complex = complex
-        self.bases = bases          # per-degree list of ambient functional vectors
-        self.solvers = solvers      # per-degree SpanSolver over those vectors
-        self.ambients = ambients
-        self.ma = ma
-        self.sayd = sayd
-
-    def functional(self, coords, n):
-        """Ambient coefficients of a subspace cochain."""
-        out = {}
-        for k, c in coords.items():
-            vec_axpy(out, c, self.bases[n][k])
-        return out
-
-    def coords_of(self, functional_vec, n):
-        return self.solvers[n].solve(functional_vec)
-
-
-def build_algebra_complex(ma, sayd, N, name="algebra") -> AlgebraComplexData:
+def build_algebra_complex(ma, sayd, N, name="algebra") -> SubspaceComplexData:
     h = ma.hopf
     tabs = HopfTables.of(h)
     act = _action_table(ma.action)
@@ -612,11 +682,6 @@ def build_algebra_complex(ma, sayd, N, name="algebra") -> AlgebraComplexData:
 
     moved_by_degree = tabs.diag_act_degrees(_acting_on(ma.action), adim, top)
     bases = [equivariant(n, moved_by) for n, moved_by in enumerate(moved_by_degree)]
-    solvers, spaces = _solvers_and_spaces(bases, "e")
-
-    def restrict(by_source, n_src, n_tgt, opname):
-        return _restrict(by_source, bases[n_src], solvers[n_tgt],
-                         "%s %s does not preserve equivariance (deg %d)" % (name, opname, n_src))
 
     def last_face(n):
         """(d_{n+1} phi)(m (x) a~) = phi(m0 (x) (Sinv(m-1) a_{n+1}) a0 (x) a1..an)."""
@@ -646,43 +711,14 @@ def build_algebra_complex(ma, sayd, N, name="algebra") -> AlgebraComplexData:
                         vec_acc(by_source[mj * S + b * pw[n] + rest], v, x1 * x2 * x3)
         return by_source
 
-    faces, degens, taus = [], {}, []
-    for n in range(top + 1):
-        if n <= N:
-            fam = [restrict(_product_face(mul, adim, mdim, n, i), n, n + 1, "face")
-                   for i in range(n + 1)]
-            fam.append(restrict(last_face(n), n, n + 1, "face"))
-            faces.append(fam)
-        if n >= 1:
-            degens[n] = [restrict(_unit_degen(unit, adim, mdim, n, j), n, n - 1, "degeneracy")
-                         for j in range(n)]
-        taus.append(restrict(tau(n), n, n, "cyclic"))
-
-    cx = CocyclicComplex(N, spaces, faces, degens, taus, name=name)
-    return AlgebraComplexData(cx, bases, solvers, ambients, ma, sayd)
+    return _subspace_complex(N, name, "e", "equivariance", bases, ambients, mul, unit,
+                             last_face, tau)
 
 
 # ---------------------------------------------------------------------------
 # comodule algebra complex: colinear maps B^(x)(n+1) -> M
 
-class ComoduleComplexData:
-
-    def __init__(self, complex, bases, solvers, ambients, ba, sayd):
-        self.complex = complex
-        self.bases = bases
-        self.solvers = solvers
-        self.ambients = ambients    # per degree MultiIndex (m, b, ..., b)
-        self.ba = ba
-        self.sayd = sayd
-
-    def hom_coeffs(self, coords, n):
-        out = {}
-        for k, c in coords.items():
-            vec_axpy(out, c, self.bases[n][k])
-        return out
-
-
-def build_comodule_algebra_complex(ba, sayd, N, name="comodule-algebra") -> ComoduleComplexData:
+def build_comodule_algebra_complex(ba, sayd, N, name="comodule-algebra") -> SubspaceComplexData:
     h = ba.hopf
     tabs = HopfTables.of(h)
     coact = _coaction_table(ba.coaction, h.dim)
@@ -728,11 +764,6 @@ def build_comodule_algebra_complex(ba, sayd, N, name="comodule-algebra") -> Como
     first = [{key: x for key, x in coact.get(v, ())} for v in range(bdim)]
     coact_by_degree = _by_degree(first.__getitem__, coact_step, bdim, top)
     bases = [colinear(n, coact_of) for n, coact_of in enumerate(coact_by_degree)]
-    solvers, spaces = _solvers_and_spaces(bases, "c")
-
-    def restrict(by_source, n_src, n_tgt, opname):
-        return _restrict(by_source, bases[n_src], solvers[n_tgt],
-                         "%s %s does not preserve colinearity (deg %d)" % (name, opname, n_src))
 
     def last_face(n):
         """(d_{n+1} psi)(v~) = psi(v_{n+1}^(0) v_0, v_1..v_n) . v_{n+1}^(-1)."""
@@ -762,36 +793,19 @@ def build_comodule_algebra_complex(ba, sayd, N, name="comodule-algebra") -> Como
                         vec_acc(by_source[m * S + w], mj * S + t, x1 * x2)
         return by_source
 
-    faces, degens, taus = [], {}, []
-    for n in range(top + 1):
-        if n <= N:
-            fam = [restrict(_product_face(mul, bdim, mdim, n, i), n, n + 1, "face")
-                   for i in range(n + 1)]
-            fam.append(restrict(last_face(n), n, n + 1, "face"))
-            faces.append(fam)
-        if n >= 1:
-            degens[n] = [restrict(_unit_degen(unit, bdim, mdim, n, j), n, n - 1, "degeneracy")
-                         for j in range(n)]
-        taus.append(restrict(tau(n), n, n, "cyclic"))
+    return _subspace_complex(N, name, "c", "colinearity", bases, ambients, mul, unit,
+                             last_face, tau)
 
-    cx = CocyclicComplex(N, spaces, faces, degens, taus, name=name)
-    return ComoduleComplexData(cx, bases, solvers, ambients, ba, sayd)
 
 # ---------------------------------------------------------------------------
 # the normalized Hopf complex on tensor powers, with certified isomorphism
 
 class HopfComplexData:
 
-    def __init__(self, quot, power, iso, iso_inv, mp):
+    def __init__(self, quot, power, iso):
         self.quot = quot        # coinvariant-quotient side (H over itself)
         self.power = power      # simplified side on tensor powers H^(x)n
         self.iso = iso          # per-degree matrices: quotient side -> power side
-        self.iso_inv = iso_inv
-        self.mp = mp
-
-    @property
-    def complex(self):
-        return self.power
 
 
 def build_hopf_complex(mp, N) -> HopfComplexData:
@@ -808,7 +822,7 @@ def build_hopf_complex(mp, N) -> HopfComplexData:
     mc = self_module_coalgebra(h)
     quot = build_coalgebra_complex(mc, sayd, N, name="hopf-quotient")
     power = _build_power_complex(mp, N)
-    iso, iso_inv = [], []
+    iso = []
     tabs = HopfTables.of(h)
     delta = dict(mp.delta)
     top = N + 1
@@ -832,25 +846,14 @@ def build_hopf_complex(mp, N) -> HopfComplexData:
                     vec_acc(out, mi_t.flat(keys), x)
             cols.append(out)
         I_n = SparseMatrix.from_columns(cols, mi_t.size)
-        inv = invert_matrix(I_n)
-        if inv is None:
+        if invert_matrix(I_n) is None:
             raise ConjugationFailure("normalization map is not invertible at degree %d" % n)
         iso.append(I_n)
-        iso_inv.append(inv)
     # certify conjugation of every operator
-    ccx = quot.complex
-    for n in range(top + 1):
-        if n <= N:
-            for i in range(n + 2):
-                if compose(iso[n + 1], ccx.face(n, i)) != compose(power.face(n, i), iso[n]):
-                    raise ConjugationFailure("face %d at degree %d" % (i, n))
-        if n >= 1:
-            for j in range(n):
-                if compose(iso[n - 1], ccx.degen(n, j)) != compose(power.degen(n, j), iso[n]):
-                    raise ConjugationFailure("degeneracy %d at degree %d" % (j, n))
-        if compose(iso[n], ccx.tau(n)) != compose(power.tau(n), iso[n]):
-            raise ConjugationFailure("cyclic operator at degree %d" % n)
-    return HopfComplexData(quot, power, iso, iso_inv, mp)
+    bad = intertwines(quot.complex, power, iso)
+    if bad is not None:
+        raise ConjugationFailure(describe_map(*bad))
+    return HopfComplexData(quot, power, iso)
 
 
 def _build_power_complex(mp, N) -> CocyclicComplex:
@@ -892,7 +895,7 @@ def _build_power_complex(mp, N) -> CocyclicComplex:
             return {}
         return {mis[n - 1].flat(ht[:j] + ht[j + 1:]): e}
 
-    def tau_col(n, ht):
+    def tau_col(n, _, ht):
         # (iterated coproduct of the twisted antipode of h1) . (h2..hn, sigma)
         if n == 0:
             return {0: 1}
@@ -900,22 +903,13 @@ def _build_power_complex(mp, N) -> CocyclicComplex:
         slots = [tabs.right_mul[t] for t in ht[1:]] + [sigma_slot]
         return {mis[n].flat(keys): x for keys, x in tabs.diag_act(St[ht[0]], slots).items()}
 
-    def materialize(colfn, n_src, rows_dim):
-        cols = []
-        for ht in iproduct(range(d), repeat=n_src):
-            cols.append(colfn(ht))
-        return SparseMatrix.from_columns(cols, rows_dim)
+    col_fns = {"face": face_col, "degen": degen_col, "tau": tau_col}
 
-    faces, degens, taus = [], {}, []
-    for n in range(top + 1):
-        if n <= N:
-            faces.append([materialize(lambda ht, i=i, n=n: face_col(n, i, ht), n, mis[n + 1].size)
-                          for i in range(n + 2)])
-        if n >= 1:
-            degens[n] = [materialize(lambda ht, j=j, n=n: degen_col(n, j, ht), n, mis[n - 1].size)
-                         for j in range(n)]
-        taus.append(materialize(lambda ht, n=n: tau_col(n, ht), n, mis[n].size))
-    return CocyclicComplex(N, spaces, faces, degens, taus, name="hopf-power")
+    def materialize(kind, n, i):
+        cols = [col_fns[kind](n, i, ht) for ht in iproduct(range(d), repeat=n)]
+        return SparseMatrix.from_columns(cols, mis[n + _SHIFT[kind]].size)
+
+    return CocyclicComplex.assemble(N, spaces, materialize, "hopf-power")
 
 
 # ---------------------------------------------------------------------------
@@ -981,34 +975,23 @@ def check_bicocyclic(b: BicocyclicComplex):
 def diagonal(b: BicocyclicComplex) -> CocyclicComplex:
     """Diagonal complex: degree n space is the (n,n) spot; each structure map
     is the composite of the matching horizontal and vertical maps."""
-    N, top = b.N, b.top
-    spaces = [b.space(n, n) for n in range(top + 1)]
-    faces, degens, taus = [], {}, []
-    for n in range(top + 1):
-        if n <= N:
-            fam = []
-            for i in range(n + 2):
-                fam.append(compose(b.hface(n, n + 1, i), b.vface(n, n, i)))
-            faces.append(fam)
-        if n >= 1:
-            degens[n] = [compose(b.hdegen(n, n - 1, j), b.vdegen(n, n, j)) for j in range(n)]
-        taus.append(compose(b.htau(n, n), b.vtau(n, n)))
-    return CocyclicComplex(N, spaces, faces, degens, taus, name="diagonal")
+    def composite(kind, n, i):
+        if kind == "face":
+            return compose(b.hface(n, n + 1, i), b.vface(n, n, i))
+        if kind == "degen":
+            return compose(b.hdegen(n, n - 1, i), b.vdegen(n, n, i))
+        return compose(b.htau(n, n), b.vtau(n, n))
+
+    spaces = [b.space(n, n) for n in range(b.top + 1)]
+    return CocyclicComplex.assemble(b.N, spaces, composite, "diagonal")
 
 
 def product_complex(c1, c2) -> CocyclicComplex:
     """Degreewise tensor product with operators d_i (x) d_i, s_j (x) s_j, t (x) t."""
-    N = min(c1.N, c2.N)
-    top = min(c1.top, c2.top)
-    spaces = [tensor_space(c1.spaces[n], c2.spaces[n]) for n in range(top + 1)]
-    faces, degens, taus = [], {}, []
-    for n in range(top + 1):
-        if n <= N:
-            faces.append([tensor_kron(c1.face(n, i), c2.face(n, i)) for i in range(n + 2)])
-        if n >= 1:
-            degens[n] = [tensor_kron(c1.degen(n, j), c2.degen(n, j)) for j in range(n)]
-        taus.append(tensor_kron(c1.tau(n), c2.tau(n)))
-    return CocyclicComplex(N, spaces, faces, degens, taus, name="product")
+    spaces = [tensor_space(c1.spaces[n], c2.spaces[n]) for n in range(min(c1.top, c2.top) + 1)]
+    return CocyclicComplex.assemble(
+        min(c1.N, c2.N), spaces,
+        lambda *key: tensor_kron(c1.op(*key), c2.op(*key)), "product")
 
 
 # ---------------------------------------------------------------------------
@@ -1031,23 +1014,26 @@ def plain_cyclic_complex(alg, N, name="cyclic"):
 DUMP_VERSION = "hopfcyclic-complex v2"
 
 
+def _dump_order(N, top):
+    """The keys of structure_maps in dump order: all faces, then all
+    degeneracies, then all taus (a stable sort by kind)."""
+    kinds = ("face", "degen", "tau")
+    return sorted(structure_maps(N, top), key=lambda key: kinds.index(key[0]))
+
+
+def _dump_label(kind, n, i):
+    return "tau %d" % n if kind == "tau" else "%s %d %d" % (kind, n, i)
+
+
 def complex_to_text(cx: CocyclicComplex, content_hash=""):
     """The dump of a complex; its first line carries the version, the
     caller's content hash and the sha256 digest of the rest of the text."""
     out = ["N %d top %d" % (cx.N, cx.top)]
     for n in range(cx.top + 1):
         out.append("degree %d dim %d" % (n, cx.dim(n)))
-    for n in range(cx.N + 1):
-        for i in range(n + 2):
-            out.append("face %d %d" % (n, i))
-            out.append(matrix_to_text(cx.face(n, i)))
-    for n in range(1, cx.top + 1):
-        for j in range(n):
-            out.append("degen %d %d" % (n, j))
-            out.append(matrix_to_text(cx.degen(n, j)))
-    for n in range(cx.top + 1):
-        out.append("tau %d" % n)
-        out.append(matrix_to_text(cx.tau(n)))
+    for key in _dump_order(cx.N, cx.top):
+        out.append(_dump_label(*key))
+        out.append(matrix_to_text(cx.op(*key)))
     body = "\n".join(out) + "\n"
     return "%s %s %s\n%s" % (DUMP_VERSION, content_hash,
                              hashlib.sha256(body.encode()).hexdigest(), body)
@@ -1081,18 +1067,17 @@ def complex_from_text(text):
         dims.append(int(words[3]))
     spaces = [BasedSpace(tuple("b%d_%d" % (n, i) for i in range(dims[n]))) for n in range(top + 1)]
 
-    # (label, target degree, source degree) of every block, in dump order
-    blocks = ([("face %d %d" % (n, i), n + 1, n) for n in range(N + 1) for i in range(n + 2)]
-              + [("degen %d %d" % (n, j), n - 1, n) for n in range(1, top + 1) for j in range(n)]
-              + [("tau %d" % n, n, n) for n in range(top + 1)])
-    mats = []
+    keys = _dump_order(N, top)
+    labels = [_dump_label(*key) for key in keys]
+    mats = {}
     pos = top + 2
-    for b, (label, tgt, src) in enumerate(blocks):
-        rows, cols = dims[tgt], dims[src]
+    for b, (kind, n, i) in enumerate(keys):
+        label = labels[b]
+        rows, cols = dims[n + _SHIFT[kind]], dims[n]
         if lines[pos:pos + 2] != [label, "%d %d" % (rows, cols)]:
             raise ValueError("complex dump lacks block %r of shape %dx%d" % (label, rows, cols))
         pos += 2
-        end = lines.index(blocks[b + 1][0], pos) if b + 1 < len(blocks) else len(lines)
+        end = lines.index(labels[b + 1], pos) if b + 1 < len(keys) else len(lines)
         ent = {}
         for line in lines[pos:end]:
             r, c, x = line.split()
@@ -1105,12 +1090,9 @@ def complex_from_text(text):
             raise ValueError("complex dump block %r repeats an entry" % label)
         m = SparseMatrix(rows, cols)
         m.entries = ent
-        mats.append(m)
+        mats[kind, n, i] = m
         pos = end
-    it = iter(mats)
-    faces = [[next(it) for _ in range(n + 2)] for n in range(N + 1)]
-    degens = {n: [next(it) for _ in range(n)] for n in range(1, top + 1)}
-    cx = CocyclicComplex(N, spaces, faces, degens, list(it))
+    cx = CocyclicComplex.assemble(N, spaces, lambda *key: mats[key])
     cx.content_hash = content_hash
     return cx
 

@@ -40,8 +40,8 @@ from .actions import (CoalgebraAction, SAYDModule, convolution_algebra,
                       ActionNotDescended)
 from .complexes import (build_algebra_complex, build_coalgebra_complex,
                         build_comodule_algebra_complex, plain_cyclic_complex,
-                        product_complex, HopfTables, expand_terms,
-                        _action_table, _coaction_table)
+                        product_complex, HopfTables, expand_terms, intertwines,
+                        describe_map, _action_table, _coaction_table)
 from .cohomology import hochschild_b, lam
 
 
@@ -73,18 +73,9 @@ def _require_valid(reports):
 
 def certify_chain_map(src, tgt, mats, what):
     """mats[n]: src degree n -> tgt degree n must intertwine all operators."""
-    N, top = src.N, src.top
-    for n in range(N + 1):
-        for i in range(n + 2):
-            if compose(mats[n + 1], src.face(n, i)) != compose(tgt.face(n, i), mats[n]):
-                raise ChainMapFailure("%s: face %d at degree %d" % (what, i, n))
-    for n in range(1, top + 1):
-        for j in range(n):
-            if compose(mats[n - 1], src.degen(n, j)) != compose(tgt.degen(n, j), mats[n]):
-                raise ChainMapFailure("%s: degeneracy %d at degree %d" % (what, j, n))
-    for n in range(top + 1):
-        if compose(mats[n], src.tau(n)) != compose(tgt.tau(n), mats[n]):
-            raise ChainMapFailure("%s: cyclic operator at degree %d" % (what, n))
+    bad = intertwines(src, tgt, mats)
+    if bad is not None:
+        raise ChainMapFailure("%s: %s" % (what, describe_map(*bad)))
 
 
 def _assert_standard_basis(data):
@@ -621,7 +612,7 @@ def cup_explicit_crossed(ctx, phi, p, psi, q):
             first = _mul_all(bmul, [{b: 1} for b in b0s[q + 1:] + b0s[:1]])
             for bf, y in first.items():
                 vec_acc(side, ((bf,) + b0s[1:q + 1], (hs[:q + 1],) + hs[q + 1:]), c * y)
-    xside = ctx.x_side(args, ctx.comod.hom_coeffs(psi, q), q)
+    xside = ctx.x_side(args, ctx.comod.functional(psi, q), q)
     slot0 = _product_table(ctx._amul, ctx._twisted, {k[1] for _, xv in xside for k in xv}, adim)
     pushed = _push(ctx.alg, ctx.alg.functional(phi, p), p, [slot0] + [ctx._plain_slot] * p)
     out = _evaluate(pushed, xside, MultiIndex((adim * bdim,) * (n + 1)), bdim)
@@ -732,7 +723,7 @@ def shuffle_cup_traces(ctx: CrossedCupContext, phi, p, psi, q):
         phi_up = _raise_by_faces(acx, phi, p, [v - 1 for v in sig.first_block()])
         psi_up = _raise_by_faces(ccx, psi, q, [v - 1 for v in sig.second_block()])
         pushed = _push(ctx.alg, ctx.alg.functional(phi_up, n), n, [ctx._plain_slot] * (n + 1))
-        xside = ctx.x_side(sides, ctx.comod.hom_coeffs(psi_up, n), n)
+        xside = ctx.x_side(sides, ctx.comod.functional(psi_up, n), n)
         vec_axpy(out, sig.sign, _evaluate(pushed, xside, mi_t, bdim))
     tgt = ctx.target().complex
     return CupResult(out, n, is_b_closed(tgt, n, out), is_cyclic(tgt, n, out))

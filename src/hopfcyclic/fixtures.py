@@ -198,18 +198,6 @@ def sum_trace(n: int):
     return {i: 1 for i in range(n)}
 
 
-# -- fixture registry ---------------------------------------------------------
-
-def standard_hopf_fixtures():
-    return {
-        "trivial": trivial_hopf(),
-        "kZ2": group_algebra(2),
-        "kZ3": group_algebra(3),
-        "kZ4": group_algebra(4),
-        "H4": sweedler_h4(),
-    }
-
-
 # -- shipped fixture files -----------------------------------------------------
 
 def _alg_lines(name, alg):

@@ -6,7 +6,7 @@ every violating basis tuple with its residual vector, never just the first.
 
 from __future__ import annotations
 
-from .linalg import SparseMatrix, compose, tensor_kron, vector_to_text, scal
+from .linalg import SparseMatrix, compose, tensor_kron, vector_to_text
 from .spaces import GROUND, MultiIndex, StructureTensor
 
 
@@ -244,9 +244,6 @@ class ModularPair:
 
     def sigma_matrix(self):
         return SparseMatrix(self.hopf.dim, 1, {(i, 0): x for i, x in self.sigma.items()})
-
-    def delta_of(self, vec):
-        return scal(sum(self.delta.get(i, 0) * x for i, x in vec.items()))
 
 
 def validate_modular_pair(mp: ModularPair) -> ValidationReport:

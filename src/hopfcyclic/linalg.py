@@ -234,9 +234,6 @@ class SparseMatrix:
         return (isinstance(other, SparseMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(sorted(self.entries.items()))))
-
     def is_zero(self):
         return not self.entries
 

@@ -37,9 +37,6 @@ class BasedSpace:
     def index(self, label):
         return self.labels.index(label)
 
-    def basis_vector(self, i):
-        return {i: 1}
-
 
 GROUND = BasedSpace(("1",))   # the ground field Q as a based space
 

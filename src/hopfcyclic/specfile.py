@@ -77,12 +77,6 @@ class SpecFile:
         self.contexts = {}          # name -> (kind, args tuple)
         self.order = []             # declaration order of (category, name)
 
-    def sayd(self, name):
-        entry = self.coefficients.get(name)
-        if entry is None:
-            raise UnresolvedName("unknown coefficients %r" % name)
-        return entry
-
     def modular_pair(self, name):
         return self._pairs[name]
 
@@ -495,6 +489,9 @@ def _resolve_block(spec, head, header, ln, lines):
             raise UnresolvedName("unknown module algebra %r" % aname, ln)
         mc = spec.module_coalgebras[cname]
         ma = spec.module_algebras[aname]
+        if mc.hopf is not ma.hopf:
+            raise UnresolvedName("module coalgebra %r and module algebra %r live on different "
+                                 "Hopf algebras" % (cname, aname), ln)
         ent = {}
         for l_no, line in lines:
             parts = line.split("=", 1)
@@ -546,36 +543,40 @@ def _parse_call(text, ln):
     return kind.strip(), args
 
 
+# the SpecFile pools of the entities each declaration kind names before its
+# coefficients, with the word for an unknown name
+_REFS = {
+    "complex": {kind: [(pool, "%s entity" % kind)] for kind, pool in (
+        ("hopf", "hopfs"), ("coalgebra", "module_coalgebras"),
+        ("algebra", "module_algebras"), ("comodule", "comodule_algebras"))},
+    "context": {"coalgebra": [("actions", "action")],
+                "crossed": [("module_algebras", "module algebra"),
+                            ("comodule_algebras", "comodule algebra")],
+                "relative": [("module_algebras", "module algebra"), ("subhopfs", "subhopf")]},
+}
+
+
 def _check_refs(spec, head, kind, args, ln):
-    ok_kinds = {"complex": {"hopf": 2, "coalgebra": 2, "algebra": 2, "comodule": 2},
-                "context": {"coalgebra": 2, "crossed": 3, "relative": 3}}
-    if kind not in ok_kinds[head]:
+    """Every name resolves, and every entity is over the Hopf algebra of the
+    coefficients; hopf(H, M) takes coefficients declared as mpi(...)."""
+    refs = _REFS[head].get(kind)
+    if refs is None:
         raise ParseError("unknown %s kind %r" % (head, kind), ln)
-    if len(args) != ok_kinds[head][kind]:
-        raise ParseError("%s(%s) takes %d arguments" % (kind, ",".join(args), ok_kinds[head][kind]), ln)
+    if len(args) != len(refs) + 1:
+        raise ParseError("%s(%s) takes %d arguments" % (kind, ",".join(args), len(refs) + 1), ln)
     coef = args[-1]
     if coef not in spec.coefficients:
         raise UnresolvedName("unknown coefficients %r" % coef, ln)
-    first = args[0]
-    if head == "complex":
-        pools = {"hopf": spec.hopfs, "coalgebra": spec.module_coalgebras,
-                 "algebra": spec.module_algebras, "comodule": spec.comodule_algebras}
-        if first not in pools[kind]:
-            raise UnresolvedName("unknown %s entity %r" % (kind, first), ln)
-    else:
-        if kind == "coalgebra":
-            if first not in spec.actions:
-                raise UnresolvedName("unknown action %r" % first, ln)
-        elif kind == "crossed":
-            if first not in spec.module_algebras:
-                raise UnresolvedName("unknown module algebra %r" % first, ln)
-            if args[1] not in spec.comodule_algebras:
-                raise UnresolvedName("unknown comodule algebra %r" % args[1], ln)
-        elif kind == "relative":
-            if first not in spec.module_algebras:
-                raise UnresolvedName("unknown module algebra %r" % first, ln)
-            if args[1] not in spec.subhopfs:
-                raise UnresolvedName("unknown subhopf %r" % args[1], ln)
+    for name, (pool, word) in zip(args, refs):
+        if name not in getattr(spec, pool):
+            raise UnresolvedName("unknown %s %r" % (word, name), ln)
+    if kind == "hopf" and coef not in spec._pairs:
+        raise UnresolvedName("hopf(%s, %s) needs coefficients declared as mpi(...)" % args, ln)
+    for name, (pool, _) in zip(args, refs):
+        entity = getattr(spec, pool)[name]
+        if (entity if pool == "hopfs" else entity.hopf) is not spec.coefficients[coef].hopf:
+            raise UnresolvedName("%r and coefficients %r live on different Hopf algebras"
+                                 % (name, coef), ln)
 
 
 def _space(spec, name, ln):

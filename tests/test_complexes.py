@@ -7,7 +7,8 @@ from hopfcyclic.complexes import (build_coalgebra_complex, build_algebra_complex
                                   check_cocyclic, tensor_bicocyclic, check_bicocyclic,
                                   diagonal, product_complex, plain_cyclic_complex,
                                   CocyclicComplex, complex_to_text, complex_from_text,
-                                  content_hash)
+                                  content_hash, structure_maps, same_complex,
+                                  ConjugationFailure)
 from hopfcyclic.actions import trivial_sayd, mpi_coefficients
 from hopfcyclic.fixtures import (trivial_hopf, group_algebra, sweedler_h4,
                                  self_module_coalgebra, swap_module_algebra,
@@ -152,6 +153,62 @@ def test_hopf_complex_h4():
 def test_hopf_complex_rejects_non_sayd_pair():
     with pytest.raises(ValueError):
         build_hopf_complex(mpi_trivial(sweedler_h4()), 2)
+
+
+@pytest.mark.parametrize("key,message", [(("face", 1, 2), "face 2 at degree 1"),
+                                         (("degen", 2, 1), "degeneracy 1 at degree 2"),
+                                         (("tau", 2, 0), "cyclic operator at degree 2")])
+def test_conjugation_certificate_names_the_broken_operator(monkeypatch, key, message):
+    import hopfcyclic.complexes as complexes
+    build_power = complexes._build_power_complex
+
+    def flipped(mp, N):
+        cx = build_power(mp, N)
+        return CocyclicComplex.assemble(
+            cx.N, cx.spaces, lambda *k: cx.op(*k).scale(-1) if k == key else cx.op(*k))
+
+    monkeypatch.setattr(complexes, "_build_power_complex", flipped)
+    with pytest.raises(ConjugationFailure) as e:
+        build_hopf_complex(mpi_kz2_sigma_g(), 2)
+    assert str(e.value) == message
+
+
+# -- the structure-map walk ------------------------------------------------------------
+
+@pytest.mark.parametrize("N", [0, 1, 3])
+def test_structure_maps_list_every_map_once_degree_by_degree(N):
+    top = N + 1
+    keys = list(structure_maps(N, top))
+    assert len(keys) == len(set(keys))
+    assert set(keys) == ({("face", n, i) for n in range(N + 1) for i in range(n + 2)}
+                         | {("degen", n, j) for n in range(1, top + 1) for j in range(n)}
+                         | {("tau", n, 0) for n in range(top + 1)})
+    kinds = ("face", "degen", "tau")
+    assert keys == sorted(keys, key=lambda k: (k[1], kinds.index(k[0]), k[2]))
+
+def test_assemble_gives_back_a_built_complex():
+    alg, coalg = _kz2_pair()
+    for cx in (alg, coalg, build_hopf_complex(mpi_h4(), 2).power):
+        back = CocyclicComplex.assemble(cx.N, cx.spaces, cx.op)
+        assert (back.N, back.top, back.dims()) == (cx.N, cx.top, cx.dims())
+        assert [len(fam) for fam in back.faces] == [n + 2 for n in range(cx.N + 1)]
+        assert {n: len(fam) for n, fam in back.degens.items()} == {
+            n: n for n in range(1, cx.top + 1)}
+        assert len(back.taus) == cx.top + 1
+        assert back.faces == cx.faces and back.degens == cx.degens and back.taus == cx.taus
+        assert same_complex(back, cx)
+
+@pytest.mark.parametrize("key", [("face", 1, 2), ("degen", 2, 1), ("tau", 2, 0)])
+def test_same_complex_rejects_one_changed_entry(key):
+    alg, _ = _kz2_pair()
+    m = alg.op(*key)
+    ent = dict(m.entries)
+    ent[0, 0] = ent.get((0, 0), 0) + 1 or 2     # changed, and never a stored zero
+    changed = SparseMatrix(m.rows, m.cols, ent)
+    copy = CocyclicComplex.assemble(alg.N, alg.spaces,
+                                    lambda *k: changed if k == key else alg.op(*k))
+    assert not same_complex(alg, copy)
+    assert not same_complex(copy, alg)
 
 
 # -- tensor products ----------------------------------------------------------------------

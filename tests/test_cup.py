@@ -1,14 +1,14 @@
 import pytest
 
 from hopfcyclic.linalg import vec_sub, SpanSolver
-from hopfcyclic.complexes import build_hopf_complex
+from hopfcyclic.complexes import build_hopf_complex, CocyclicComplex
 from hopfcyclic.cohomology import cyclic_cocycles, hochschild_b
 from hopfcyclic.actions import trivial_sayd, mpi_coefficients
 from hopfcyclic.cup import (CoalgebraCupContext, RelativeCupContext, CrossedCupContext,
                             aw_cup, cup_explicit_coalgebra, cup_explicit_crossed,
                             char_map, cotrace_cup, shuffle_cup_traces,
                             validate_trace, MismatchWithAW, NotACocycle,
-                            NotInvariantTrace, ChainMapFailure)
+                            NotInvariantTrace, ChainMapFailure, certify_chain_map)
 from hopfcyclic.fixtures import (trivial_hopf, group_algebra, swap_module_algebra,
                                  self_module_coalgebra, self_comodule_algebra,
                                  trivial_module_algebra, trivial_comodule_algebra,
@@ -94,6 +94,23 @@ def test_psi_r_unit_subhopf_equals_psi():
 
 
 # -- natural embedding ----------------------------------------------------------------
+
+@pytest.mark.parametrize("key,message", [
+    (("face", 0, 1), "convolution pairing: face 1 at degree 0"),
+    (("degen", 1, 0), "convolution pairing: degeneracy 0 at degree 1"),
+    (("tau", 1, 0), "convolution pairing: cyclic operator at degree 1"),
+])
+def test_chain_map_certificate_names_the_failing_operator(key, message):
+    # the real pairing, certified against a target with one map's sign flipped
+    ctx = kz2_coalgebra_ctx()
+    mats = ctx.psi_c_matrices()
+    tgt = ctx.conv_cx.complex
+    broken = CocyclicComplex.assemble(
+        tgt.N, tgt.spaces, lambda *k: tgt.op(*k).scale(-1) if k == key else tgt.op(*k))
+    certify_chain_map(ctx.diag, tgt, mats, "convolution pairing")
+    with pytest.raises(ChainMapFailure) as e:
+        certify_chain_map(ctx.diag, broken, mats, "convolution pairing")
+    assert str(e.value) == message
 
 def test_natural_map_unital_multiplicative():
     ctx = kz2_coalgebra_ctx()

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 
 import pytest
 
@@ -142,6 +143,40 @@ def test_cli_malformed_line_exit_two_with_line(tmp_path, capsys, old, new):
     assert main(["validate", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: line %d: expected '" % line_no)
+
+
+def _kz3_renamed_k():
+    """The kZ3 Hopf algebra of its fixture, renamed K, with its coefficients
+    trivK and K acting on itself: a second Hopf algebra for a kz2 file."""
+    text = fixture_file_texts()["kz3.hcy"]
+    block = text[text.index("space H"):text.index("space A")]
+    for old, new in (("H", "K"), ("eps", "epsK"), ("one", "oneK"), ("triv", "trivK")):
+        block = re.sub(r"\b%s\b" % old, new, block)
+    return block.splitlines()
+
+_SAYD_S = ["space Msp = m", "sayd S over H space Msp", "  ract m e = 1*m", "  ract m g = 1*m",
+           "  lcoact m = 1*e|m"]
+
+@pytest.mark.parametrize("extra,line", [
+    (_SAYD_S, "complex X = hopf(H, S)"),
+    (_kz3_renamed_k(), "complex bad = coalgebra(K, triv)"),
+    (_kz3_renamed_k(), "complex bad = hopf(K, triv)"),
+    (_kz3_renamed_k(), "context bad = coalgebra(ca, trivK)"),
+    (_kz3_renamed_k(), "context bad = crossed(A, B, trivK)"),
+    (_kz3_renamed_k(), "action bad : K on A"),
+], ids=["hopf-of-sayd", "coalgebra-other-hopf", "hopf-other-hopf", "context-coalgebra",
+        "context-crossed", "action"])
+def test_cli_mixed_hopf_algebras_exit_two_with_line(tmp_path, capsys, extra, line):
+    # every entity a declaration names is over the Hopf algebra of its
+    # coefficients, and hopf(H, M) takes mpi(...) coefficients over H
+    lines = fixture_file_texts()["kz2.hcy"].splitlines() + extra + [line]
+    p = tmp_path / "bad.hcy"
+    p.write_text("\n".join(lines) + "\n")
+    assert main(["audit", str(p), "--max-degree", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: line %d: " % len(lines))
+    assert "Traceback" not in captured.err
 
 @pytest.mark.parametrize("old,new", [
     ("grouplike one in H = 1*e", "grouplike one in H = 1*e + 1*g + -1*g"),
