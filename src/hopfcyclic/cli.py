@@ -27,8 +27,7 @@ from .complexes import (build_coalgebra_complex, build_algebra_complex,
                         build_comodule_algebra_complex, build_hopf_complex,
                         check_cocyclic, complex_to_text, complex_from_text,
                         content_hash, same_complex, IllDefined, ConjugationFailure)
-from .cohomology import (BBData, hochschild_b, compute_cohomology,
-                         cyclic_cocycles, NotAComplex)
+from .cohomology import BBData, compute_cohomology, cyclic_cocycles, NotAComplex
 from .cup import (CoalgebraCupContext, CrossedCupContext, RelativeCupContext,
                   aw_cup, cup_explicit_coalgebra, cup_explicit_crossed,
                   shuffle_cup_traces, cotrace_cup, char_map, validate_trace,
@@ -338,12 +337,13 @@ def _report_cup_result(rep, label, res, extra=""):
         rep.failed = True
 
 
-def _coboundaries(tgt_cx, n):
-    """A solver over the coboundaries of degree n of tgt_cx, None at n = 0."""
+def _coboundaries(bs, n):
+    """A solver over the coboundaries of degree n of the complex whose
+    hochschild_b family is bs, None at n = 0."""
     if n == 0:
         return None
     sol = SpanSolver()
-    for col in hochschild_b(tgt_cx)[n - 1].columns():
+    for col in bs[n - 1].columns():
         sol.add(col)
     return sol
 
@@ -367,8 +367,8 @@ def cmd_cup(spec, spec_text, rep, flags):
             any_ctx = True
             rep.section("cup %s kind=%s p=%d q=%d" % (name, flags.kind, p, q))
             try:
-                phis = cyclic_cocycles(ctx.phi_complex().complex, p)
-                xs = cyclic_cocycles(ctx.x_complex(), q)
+                phis = cyclic_cocycles(ctx.phi_complex().complex, p, ctx.phi_b)
+                xs = cyclic_cocycles(ctx.x_complex(), q, ctx.x_b)
             except NotAComplex as e:
                 rep.fail("cocycle search failed: %s" % e)
                 continue
@@ -376,7 +376,7 @@ def cmd_cup(spec, spec_text, rep, flags):
                 rep.add("no cyclic cocycle pair at (p,q)=(%d,%d); counts %d,%d"
                         % (p, q, len(phis), len(xs)))
                 continue
-            coboundaries = _coboundaries(ctx.target().complex, p + q)
+            coboundaries = _coboundaries(ctx.target_b, p + q)
             for i, phi in enumerate(phis):
                 for j, x in enumerate(xs):
                     try:
@@ -441,9 +441,8 @@ def cmd_audit(spec, spec_text, rep, flags):
             else:
                 rep.add("diagonal cocyclic identities: ok")
             acx, xcx = ctx.phi_complex().complex, ctx.x_complex()
-            a_bs, x_bs = hochschild_b(acx), hochschild_b(xcx)
-            phis = [cyclic_cocycles(acx, p, a_bs) for p in range(3)]
-            xs = [cyclic_cocycles(xcx, q, x_bs) for q in range(3)]
+            phis = [cyclic_cocycles(acx, p, ctx.phi_b) for p in range(3)]
+            xs = [cyclic_cocycles(xcx, q, ctx.x_b) for q in range(3)]
             for p in range(3):
                 for q in range(3 - p):
                     for i, phi in enumerate(phis[p]):

@@ -10,12 +10,22 @@ one of the truncation are flagged untrusted in reports.
 
 from __future__ import annotations
 
-from .linalg import SparseMatrix, compose, image_rank, kernel_basis
-from .complexes import CocyclicComplex
+from .linalg import (SparseMatrix, compose, image_rank, kernel_basis, column_plan,
+                     first_residual)
+from .complexes import CocyclicComplex, CertificateFailure
 
 
-class NotAComplex(Exception):
-    """A square or anticommutator failed to vanish."""
+class NotAComplex(CertificateFailure):
+    """A square or anticommutator failed to vanish; the degree, column and
+    residual attributes carry the first failing column."""
+
+
+def _certify_zero(message, n, terms, ncols):
+    """Raise NotAComplex(message % n) at the first column where
+    sum(sign * A @ B) does not vanish."""
+    hit = first_residual(terms, ncols)
+    if hit is not None:
+        raise NotAComplex(message % n, n, *hit)
 
 
 def lam(cx, n):
@@ -45,9 +55,9 @@ def hochschild_b(cx: CocyclicComplex):
             f = cx.face(n, i)
             m = m + (f if i % 2 == 0 else f.scale(-1))
         bs.append(m)
+    plans = [column_plan(b) for b in bs]
     for n in range(cx.N):
-        if not compose(bs[n + 1], bs[n]).is_zero():
-            raise NotAComplex("b.b != 0 at degree %d" % n)
+        _certify_zero("b.b != 0 at degree %d", n, [(1, plans[n + 1], plans[n])], cx.dim(n))
     return bs
 
 
@@ -68,12 +78,14 @@ def connes_B(cx: CocyclicComplex, bs=None):
         I = SparseMatrix.identity(cx.dim(n))
         b0 = compose(cx.degen(n, n - 1), compose(cx.tau(n), I - lam(cx, n)))
         Bs.append(compose(norm_operator(cx, n - 1), b0))
+    B_plans = [column_plan(B) for B in Bs]
     for n in range(2, cx.top + 1):
-        if not compose(Bs[n - 1], Bs[n]).is_zero():
-            raise NotAComplex("B.B != 0 at degree %d" % n)
+        _certify_zero("B.B != 0 at degree %d", n, [(1, B_plans[n - 1], B_plans[n])], cx.dim(n))
+    b_plans = [column_plan(b) for b in bs]
     for n in range(1, cx.N + 1):
-        if not (compose(bs[n - 1], Bs[n]) + compose(Bs[n + 1], bs[n])).is_zero():
-            raise NotAComplex("bB + Bb != 0 at degree %d" % n)
+        _certify_zero("bB + Bb != 0 at degree %d", n,
+                      [(1, b_plans[n - 1], B_plans[n]), (1, B_plans[n + 1], b_plans[n])],
+                      cx.dim(n))
     return Bs, _B_VARIANTS[0]
 
 

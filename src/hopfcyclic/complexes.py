@@ -11,20 +11,31 @@ A complex built with truncation N carries spaces 0..N+1 so that faces, and
 hence the Hochschild coboundary, exist at degree N.  Its structure maps are
 walked in one order (structure_maps): every complex is assembled along it,
 a degreewise map is certified along it (intertwines), and two complexes are
-compared and dumped along it.  check_cocyclic verifies the seven
-cosimplicial/cyclic identity families as exact matrix equalities wherever
-every composite is defined.
+compared and dumped along it.  check_cocyclic verifies the six
+cosimplicial/cyclic identity families exactly, on every basis column,
+wherever every composite is defined; a violation carries its first failing
+column and the residual there.
 """
 
 from __future__ import annotations
 
-import hashlib
 from functools import partial
 from itertools import product as iproduct
 
+# sha256 from the interpreter's built-in module: hashlib would load OpenSSL's
+# libcrypto, several MB of resident memory for the one digest used here
+try:
+    from _sha2 import sha256            # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256      # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
+
 from .linalg import (SparseMatrix, SpanSolver, compose, tensor_kron, scal,
                      invert_matrix, kernel_basis, matrix_to_text,
-                     parse_scalar, vec_acc, vec_axpy, mul_vec)
+                     parse_scalar, vec_acc, vec_axpy, mul_vec,
+                     column_plan, first_residual)
 from .spaces import BasedSpace, MultiIndex, tensor_power, tensor_space
 from .hopf import iterated_coproduct
 from .actions import QuotientSpace
@@ -34,7 +45,19 @@ class IllDefined(Exception):
     """An operator does not descend to / preserve the realized space."""
 
 
-class ConjugationFailure(Exception):
+class CertificateFailure(Exception):
+    """A failed certificate with its witness: the degree, and for an
+    operator identity the first failing basis column and the sparse
+    residual there (both None for a failure of another kind)."""
+
+    def __init__(self, message, degree=None, column=None, residual=None):
+        super().__init__(message)
+        self.degree = degree
+        self.column = column
+        self.residual = residual
+
+
+class ConjugationFailure(CertificateFailure):
     """The normalization isomorphism fails to intertwine an operator."""
 
 
@@ -122,11 +145,16 @@ def describe_map(kind, n, i):
 
 def intertwines(src, tgt, mats):
     """The first key of src's structure maps where the degreewise map
-    mats[n]: src degree n -> tgt degree n fails to commute, or None."""
-    for kind, n, i in structure_maps(src.N, src.top):
-        if (compose(mats[n + _SHIFT[kind]], src.op(kind, n, i))
-                != compose(tgt.op(kind, n, i), mats[n])):
-            return kind, n, i
+    mats[n]: src degree n -> tgt degree n fails to commute, as (key,
+    column, residual) with the first failing source column and the residual
+    mats . op - op . mats there; None when every map commutes."""
+    plans = [column_plan(m) for m in mats]
+    for key in structure_maps(src.N, src.top):
+        n = key[1]
+        hit = first_residual([(1, plans[n + _SHIFT[key[0]]], column_plan(src.op(*key))),
+                              (-1, column_plan(tgt.op(*key)), plans[n])], src.dim(n))
+        if hit is not None:
+            return (key,) + hit
     return None
 
 
@@ -161,82 +189,98 @@ class Cochain:
 
 
 class CocyclicViolation:
-    __slots__ = ("family", "degree", "indices")
+    """One failed identity of check_cocyclic with its witness: the first
+    source column where lhs and rhs differ and the residual lhs - rhs there
+    as a sparse column."""
 
-    def __init__(self, family, degree, indices):
+    __slots__ = ("family", "degree", "indices", "column", "residual")
+
+    def __init__(self, family, degree, indices, column, residual):
         self.family = family
         self.degree = degree
         self.indices = tuple(indices)
+        self.column = column
+        self.residual = residual
 
     def __repr__(self):
         return "CocyclicViolation(%s, n=%d, %s)" % (self.family, self.degree, self.indices)
 
 
 def check_cocyclic(cx: CocyclicComplex):
-    """Exhaustive identity check; returns the (possibly empty) violation list."""
+    """Exhaustive identity check; returns the (possibly empty) violation list.
+
+    Each identity lhs = rhs is one first_residual call over the column
+    plans of the structure maps, built once here: every column of every
+    identity is checked, and a violation carries its first failing column
+    and the residual lhs - rhs there."""
     bad = []
     N, top = cx.N, cx.top
+    plans = {key: column_plan(cx.op(*key)) for key in structure_maps(N, top)}
+    F = lambda n, i: plans["face", n, i]
+    S = lambda n, j: plans["degen", n, j]
+    T = lambda n: plans["tau", n, 0]
+
+    def check(family, n, indices, src, *terms, into=bad):
+        hit = first_residual(terms, cx.dim(src))
+        if hit is not None:
+            into.append(CocyclicViolation(family, n, indices, *hit))
+
     # face-face:  d_j d_i = d_i d_{j-1},  i < j
     for n in range(N):
         for i in range(n + 2):
             for j in range(i + 1, n + 3):
-                lhs = compose(cx.face(n + 1, j), cx.face(n, i))
-                rhs = compose(cx.face(n + 1, i), cx.face(n, j - 1))
-                if lhs != rhs:
-                    bad.append(CocyclicViolation("face-face", n, (i, j)))
+                check("face-face", n, (i, j), n,
+                      (1, F(n + 1, j), F(n, i)), (-1, F(n + 1, i), F(n, j - 1)))
     # degen-degen:  s_j s_i = s_i s_{j+1},  i <= j
     for n in range(2, top + 1):
         for i in range(n - 1):
             for j in range(i, n - 1):
-                lhs = compose(cx.degen(n - 1, j), cx.degen(n, i))
-                rhs = compose(cx.degen(n - 1, i), cx.degen(n, j + 1))
-                if lhs != rhs:
-                    bad.append(CocyclicViolation("degen-degen", n, (i, j)))
-    # degen-face
+                check("degen-degen", n, (i, j), n,
+                      (1, S(n - 1, j), S(n, i)), (-1, S(n - 1, i), S(n, j + 1)))
+    # degen-face:  s_j d_i = d_i s_{j-1} (i < j), id (i = j, j+1),
+    # d_{i-1} s_j (i > j+1)
     for n in range(N + 1):
         for i in range(n + 2):
             for j in range(n + 1):
-                lhs = compose(cx.degen(n + 1, j), cx.face(n, i))
                 if i < j:
                     if n == 0:
                         continue
-                    rhs = compose(cx.face(n - 1, i), cx.degen(n, j - 1))
+                    rhs = (-1, F(n - 1, i), S(n, j - 1))
                 elif i in (j, j + 1):
-                    rhs = SparseMatrix.identity(cx.dim(n))
+                    rhs = (-1, None, None)
                 else:
                     if n == 0:
                         continue
-                    rhs = compose(cx.face(n - 1, i - 1), cx.degen(n, j))
-                if lhs != rhs:
-                    bad.append(CocyclicViolation("degen-face", n, (i, j)))
+                    rhs = (-1, F(n - 1, i - 1), S(n, j))
+                check("degen-face", n, (i, j), n, (1, S(n + 1, j), F(n, i)), rhs)
     # cyclic-face:  t_n d_i = d_{i-1} t_{n-1} (1<=i<=n),  t_n d_0 = d_n
     for n in range(1, top + 1):
         for i in range(1, n + 1):
-            lhs = compose(cx.tau(n), cx.face(n - 1, i))
-            rhs = compose(cx.face(n - 1, i - 1), cx.tau(n - 1))
-            if lhs != rhs:
-                bad.append(CocyclicViolation("cyclic-face", n, (i,)))
-        if compose(cx.tau(n), cx.face(n - 1, 0)) != cx.face(n - 1, n):
-            bad.append(CocyclicViolation("cyclic-face", n, (0,)))
+            check("cyclic-face", n, (i,), n - 1,
+                  (1, T(n), F(n - 1, i)), (-1, F(n - 1, i - 1), T(n - 1)))
+        check("cyclic-face", n, (0,), n - 1, (1, T(n), F(n - 1, 0)), (-1, F(n - 1, n), None))
     # cyclic-degen:  t_n s_i = s_{i-1} t_{n+1} (1<=i<=n),  t_n s_0 = s_n t_{n+1}^2
-    for n in range(N + 1):
-        for i in range(1, n + 1):
-            lhs = compose(cx.tau(n), cx.degen(n + 1, i))
-            rhs = compose(cx.degen(n + 1, i - 1), cx.tau(n + 1))
-            if lhs != rhs:
-                bad.append(CocyclicViolation("cyclic-degen", n, (i,)))
-        t2 = compose(cx.tau(n + 1), cx.tau(n + 1))
-        if compose(cx.tau(n), cx.degen(n + 1, 0)) != compose(cx.degen(n + 1, n), t2):
-            bad.append(CocyclicViolation("cyclic-degen", n, (0,)))
-    # cyclic-order:  t_n^{n+1} = id
-    for n in range(top + 1):
-        t = cx.tau(n)
-        power = t
-        for _ in range(n):
-            power = compose(t, power)
-        if power != SparseMatrix.identity(cx.dim(n)):
-            bad.append(CocyclicViolation("cyclic-order", n, ()))
-    return bad
+    # cyclic-order:  t_m^{m+1} = id, checked as t_m^h t_m^(m+1-h) - id, h = (m+1)//2
+    # Both run in one pass over m = n+1, so each power of t_m is composed once
+    # (t_m^2 serves both); the cyclic-order violations follow all others.
+    order = []
+    for m in range(top + 1):
+        h = (m + 1) // 2
+        highest = max(2, m + 1 - h) if m else 1
+        powers = [None, T(m)]                   # plans of t_m^0 = id, t_m^1, ...
+        t = tm = cx.tau(m)
+        while len(powers) <= highest:
+            tm = compose(t, tm)
+            powers.append(column_plan(tm))
+        n = m - 1
+        if m:
+            for i in range(1, n + 1):
+                check("cyclic-degen", n, (i,), m,
+                      (1, T(n), S(m, i)), (-1, S(m, i - 1), T(m)))
+            check("cyclic-degen", n, (0,), m, (1, T(n), S(m, 0)), (-1, S(m, n), powers[2]))
+        check("cyclic-order", m, (), m, (1, powers[h], powers[m + 1 - h]), (-1, None, None),
+              into=order)
+    return bad + order
 
 
 # ---------------------------------------------------------------------------
@@ -847,12 +891,13 @@ def build_hopf_complex(mp, N) -> HopfComplexData:
             cols.append(out)
         I_n = SparseMatrix.from_columns(cols, mi_t.size)
         if invert_matrix(I_n) is None:
-            raise ConjugationFailure("normalization map is not invertible at degree %d" % n)
+            raise ConjugationFailure("normalization map is not invertible at degree %d" % n, n)
         iso.append(I_n)
     # certify conjugation of every operator
     bad = intertwines(quot.complex, power, iso)
     if bad is not None:
-        raise ConjugationFailure(describe_map(*bad))
+        key, column, residual = bad
+        raise ConjugationFailure(describe_map(*key), key[1], column, residual)
     return HopfComplexData(quot, power, iso)
 
 
@@ -956,19 +1001,23 @@ def check_bicocyclic(b: BicocyclicComplex):
     """Rows/columns are cocyclic (delegated) plus pairwise commutation."""
     bad = []
     N = b.N
+
+    def commute(family, p, indices, f, g, f2, g2):
+        """f . g = f2 . g2, checked over the columns of g."""
+        hit = first_residual([(1, column_plan(f), column_plan(g)),
+                              (-1, column_plan(f2), column_plan(g2))], g.cols)
+        if hit is not None:
+            bad.append(CocyclicViolation(family, p, indices, *hit))
+
     for p in range(N + 1):
         for q in range(N + 1):
             if p <= N - 1 and q <= N - 1:
                 for i in range(p + 2):
                     for j in range(q + 2):
-                        lhs = compose(b.hface(p, q + 1, i), b.vface(p, q, j))
-                        rhs = compose(b.vface(p + 1, q, j), b.hface(p, q, i))
-                        if lhs != rhs:
-                            bad.append(CocyclicViolation("h-v-face", p, (q, i, j)))
-            lhs = compose(b.htau(p, q), b.vtau(p, q))
-            rhs = compose(b.vtau(p, q), b.htau(p, q))
-            if lhs != rhs:
-                bad.append(CocyclicViolation("h-v-cyclic", p, (q,)))
+                        commute("h-v-face", p, (q, i, j), b.hface(p, q + 1, i), b.vface(p, q, j),
+                                b.vface(p + 1, q, j), b.hface(p, q, i))
+            commute("h-v-cyclic", p, (q,), b.htau(p, q), b.vtau(p, q),
+                    b.vtau(p, q), b.htau(p, q))
     return bad
 
 
@@ -1036,7 +1085,7 @@ def complex_to_text(cx: CocyclicComplex, content_hash=""):
         out.append(matrix_to_text(cx.op(*key)))
     body = "\n".join(out) + "\n"
     return "%s %s %s\n%s" % (DUMP_VERSION, content_hash,
-                             hashlib.sha256(body.encode()).hexdigest(), body)
+                             sha256(body.encode()).hexdigest(), body)
 
 
 def complex_from_text(text):
@@ -1050,7 +1099,7 @@ def complex_from_text(text):
     if not head.startswith(DUMP_VERSION):
         raise ValueError("unrecognized complex dump")
     content_hash, _, digest = head[len(DUMP_VERSION):].strip().rpartition(" ")
-    if digest != hashlib.sha256(body.encode()).hexdigest():
+    if digest != sha256(body.encode()).hexdigest():
         raise ValueError("complex dump does not match its digest")
     lines = body.splitlines()
     words = lines[0].split() if lines else ()
@@ -1098,4 +1147,4 @@ def complex_from_text(text):
 
 
 def content_hash(text):
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    return sha256(text.encode()).hexdigest()[:16]

@@ -24,6 +24,7 @@ is reproduced entrywise for trivially-coacting coefficients.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product as iproduct
 from math import prod
 
@@ -41,12 +42,14 @@ from .actions import (CoalgebraAction, SAYDModule, convolution_algebra,
 from .complexes import (build_algebra_complex, build_coalgebra_complex,
                         build_comodule_algebra_complex, plain_cyclic_complex,
                         product_complex, HopfTables, expand_terms, intertwines,
-                        describe_map, _action_table, _coaction_table)
+                        describe_map, CertificateFailure, _action_table, _coaction_table)
 from .cohomology import hochschild_b, lam
 
 
-class ChainMapFailure(Exception):
-    pass
+class ChainMapFailure(CertificateFailure):
+    """A pairing or characteristic map fails to intertwine an operator (the
+    witness is the first failing column), or the natural embedding fails
+    (no witness)."""
 
 
 class NotACocycle(Exception):
@@ -75,7 +78,8 @@ def certify_chain_map(src, tgt, mats, what):
     """mats[n]: src degree n -> tgt degree n must intertwine all operators."""
     bad = intertwines(src, tgt, mats)
     if bad is not None:
-        raise ChainMapFailure("%s: %s" % (what, describe_map(*bad)))
+        key, column, residual = bad
+        raise ChainMapFailure("%s: %s" % (what, describe_map(*key)), key[1], column, residual)
 
 
 def _assert_standard_basis(data):
@@ -173,7 +177,25 @@ def _quotient_pairing(adata, cdata, slot, tdim, N):
 # ---------------------------------------------------------------------------
 # contexts
 
-class CoalgebraCupContext:
+class _CupContext:
+    """The Hochschild coboundary families of a context's phi, x and target
+    complexes, each built (and certified) on first use and kept, so that
+    every cup of the context shares them."""
+
+    @cached_property
+    def phi_b(self):
+        return hochschild_b(self.phi_complex().complex)
+
+    @cached_property
+    def x_b(self):
+        return hochschild_b(self.x_complex())
+
+    @cached_property
+    def target_b(self):
+        return hochschild_b(self.target().complex)
+
+
+class CoalgebraCupContext(_CupContext):
     """Module coalgebra acting on a module algebra, plus coefficients."""
 
     kind = "coalgebra"
@@ -276,7 +298,7 @@ class CoalgebraCupContext:
         return self.a_cx
 
 
-class RelativeCupContext:
+class RelativeCupContext(_CupContext):
     """Module algebra with a sub-Hopf algebra: relative coalgebra acting on
     the invariant subalgebra."""
 
@@ -371,7 +393,7 @@ class RelativeCupContext:
         return self.ak_cx
 
 
-class CrossedCupContext:
+class CrossedCupContext(_CupContext):
     """Module algebra paired with a comodule algebra over one Hopf algebra."""
 
     kind = "crossed"
@@ -524,9 +546,9 @@ def aw_cup(ctx, phi, p, x, q):
     phi, x = _vec(phi), _vec(x)
     acx = ctx.phi_complex().complex
     xcx = ctx.x_complex()
-    if not is_b_closed(acx, p, phi):
+    if not is_b_closed(acx, p, phi, ctx.phi_b):
         raise NotACocycle("algebra-side input is not closed")
-    if not is_b_closed(xcx, q, x):
+    if not is_b_closed(xcx, q, x, ctx.x_b):
         raise NotACocycle("second input is not closed")
     cyc_in = is_cyclic(acx, p, phi) and is_cyclic(xcx, q, x)
     n = p + q
@@ -545,7 +567,8 @@ def aw_cup(ctx, phi, p, x, q):
     mats = ctx.pairing()
     out = mats[n].apply(vec)
     tgt = ctx.target().complex
-    return CupResult(out, n, is_b_closed(tgt, n, out), cyc_in and is_cyclic(tgt, n, out))
+    return CupResult(out, n, is_b_closed(tgt, n, out, ctx.target_b),
+                     cyc_in and is_cyclic(tgt, n, out))
 
 
 # ---------------------------------------------------------------------------
@@ -706,9 +729,9 @@ def shuffle_cup_traces(ctx: CrossedCupContext, phi, p, psi, q):
     phi, psi = _vec(phi), _vec(psi)
     acx = ctx.alg.complex
     ccx = ctx.comod.complex
-    if not is_b_closed(acx, p, phi):
+    if not is_b_closed(acx, p, phi, ctx.phi_b):
         raise NotACocycle("algebra-side input is not closed")
-    if not is_b_closed(ccx, q, psi):
+    if not is_b_closed(ccx, q, psi, ctx.x_b):
         raise NotACocycle("comodule-side input is not closed")
     n = p + q
     bdim = ctx.ba.space.dim
@@ -726,7 +749,7 @@ def shuffle_cup_traces(ctx: CrossedCupContext, phi, p, psi, q):
         xside = ctx.x_side(sides, ctx.comod.functional(psi_up, n), n)
         vec_axpy(out, sig.sign, _evaluate(pushed, xside, mi_t, bdim))
     tgt = ctx.target().complex
-    return CupResult(out, n, is_b_closed(tgt, n, out), is_cyclic(tgt, n, out))
+    return CupResult(out, n, is_b_closed(tgt, n, out, ctx.target_b), is_cyclic(tgt, n, out))
 
 
 def cotrace_cup(ctx: CoalgebraCupContext, x, p, phi, q):
@@ -739,9 +762,9 @@ def cotrace_cup(ctx: CoalgebraCupContext, x, p, phi, q):
     x, phi = _vec(x), _vec(phi)
     acx = ctx.alg.complex
     ccx = ctx.coalg.complex
-    if not is_b_closed(ccx, p, x):
+    if not is_b_closed(ccx, p, x, ctx.x_b):
         raise NotACocycle("coalgebra-side input is not closed")
-    if not is_b_closed(acx, q, phi):
+    if not is_b_closed(acx, q, phi, ctx.phi_b):
         raise NotACocycle("algebra-side input is not closed")
     n = p + q
     mi_t = MultiIndex((ctx.ca.ma.space.dim,) * (n + 1))
@@ -753,4 +776,4 @@ def cotrace_cup(ctx: CoalgebraCupContext, x, p, phi, q):
         pushed = _push(ctx.alg, ctx.alg.functional(phi_up, n), n, [ctx._act_slot] * (n + 1))
         vec_axpy(out, sig.sign, _evaluate(pushed, [(zero, _rep(ctx.coalg, n, x_up))], mi_t))
     tgt = ctx.target().complex
-    return CupResult(out, n, is_b_closed(tgt, n, out), is_cyclic(tgt, n, out))
+    return CupResult(out, n, is_b_closed(tgt, n, out, ctx.target_b), is_cyclic(tgt, n, out))

@@ -294,9 +294,9 @@ def compose(a, b):
     accumulator of column j for every (i, y) in column k of a.  When the
     column ends, its nonzero sums go to the result, integral Fractions as
     int.  Beyond sorting the keys of b by column, the work is proportional
-    to the number of terms.  Only one column of sums is held at a time, so
-    a product that cancels, such as a b.b = 0 certificate, never holds all
-    its zero sums at once."""
+    to the number of terms.  Only one column of sums is held at a time.
+    An identity between products is checked with first_residual, which
+    never builds them."""
     if a.cols != b.rows:
         raise ShapeMismatch("compose %dx%d with %dx%d" % (a.rows, a.cols, b.rows, b.cols))
     acols = {}
@@ -327,6 +327,61 @@ def compose(a, b):
     m = SparseMatrix(a.rows, b.cols)
     m.entries = ent
     return m
+
+
+def column_plan(m):
+    """The columns of m as a list of sparse columns, each a list of (row,
+    x) pairs, every empty column being one shared empty tuple: the operand
+    form of first_residual.  A plan is read, never written."""
+    empty = ()
+    cols = [empty] * m.cols
+    for (r, c), x in m.entries.items():
+        col = cols[c]
+        if col is empty:
+            cols[c] = [(r, x)]
+        else:
+            col.append((r, x))
+    return cols
+
+
+def first_residual(terms, ncols):
+    """The first column at which an operator identity sum(sign * A @ B) = 0
+    fails, as (column, residual), or None when it holds on all ncols source
+    columns.
+
+    Each term is (sign, A, B) with A and B column plans (column_plan); None
+    stands for the identity.  For each source column c in order, the terms'
+    contributions A[:, k] * B[k, c] are scattered into one accumulator, as
+    compose does (Gustavson, ACM TOMS 1978), but the sums are the residual
+    of the identity: no product and no difference matrix is ever built.  A
+    sum that cancels leaves the accumulator, so it is empty after every
+    column that holds.  The residual is the sparse column {row: nonzero
+    sum}, rows ascending."""
+    acc = {}
+    get = acc.get
+    for c in range(ncols):
+        for sign, a, b in terms:
+            if a is not None and b is not None:
+                for k, x in b[c]:
+                    x = sign * x
+                    for i, y in a[k]:
+                        v = get(i, 0) + x * y
+                        if v:
+                            acc[i] = v
+                        else:
+                            del acc[i]
+                continue
+            # one factor is the identity: the term is one column, or e_c
+            one = b if a is None else a
+            for i, y in ((c, 1),) if one is None else one[c]:
+                v = get(i, 0) + sign * y
+                if v:
+                    acc[i] = v
+                else:
+                    del acc[i]
+        if acc:
+            return c, {i: scal(v) for i, v in sorted(acc.items())}
+    return None
 
 
 def tensor_kron(a, b):

@@ -1,0 +1,358 @@
+"""The streamed certificates: first_residual against the product matrices
+it never builds, check_cocyclic against the compose-based check it
+replaced, the witness every certificate failure carries, and what the job
+process does not load or rebuild."""
+
+import functools
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import hopfcyclic
+import hopfcyclic.cup as cup
+from hopfcyclic.linalg import (SparseMatrix, column_plan, compose, first_residual, vec_add,
+                               vec_sub)
+from hopfcyclic.complexes import (CocyclicComplex, build_coalgebra_complex, build_hopf_complex,
+                                  check_cocyclic, ConjugationFailure)
+from hopfcyclic.cohomology import (hochschild_b, connes_B, cyclic_cocycles, lam, norm_operator,
+                                   NotAComplex)
+from hopfcyclic.cup import (CoalgebraCupContext, ChainMapFailure, aw_cup, certify_chain_map)
+from hopfcyclic.actions import trivial_sayd
+from hopfcyclic.fixtures import (trivial_hopf, group_algebra, self_module_coalgebra,
+                                 swap_module_algebra, module_action_as_coalgebra_action,
+                                 mpi_kz2_sigma_g, fixture_file_texts)
+from hopfcyclic.specfile import parse_spec
+from hopfcyclic.cli import build_declared_complex
+
+
+def first_nonzero_column(m):
+    """(column, sparse column) of the first nonzero column of m, or None."""
+    if m.is_zero():
+        return None
+    c = min(col for _, col in m.entries)
+    return c, {r: x for (r, k), x in sorted(m.entries.items()) if k == c}
+
+
+def apply_chain(vec, *ops):
+    """ops[-1] applied first."""
+    for op in reversed(ops):
+        vec = op.apply(vec)
+    return vec
+
+
+# -- the kernel ------------------------------------------------------------------------
+
+def test_column_plan_lists_each_column_and_shares_one_empty_column():
+    m = SparseMatrix(3, 4, {(0, 1): 2, (2, 1): Fraction(1, 2), (1, 3): -1})
+    plan = column_plan(m)
+    assert plan == [(), [(0, 2), (2, Fraction(1, 2))], (), [(1, -1)]]
+    assert plan[0] is plan[2]
+
+
+SCALARS = st.sampled_from([1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 3)])
+
+
+@st.composite
+def identity_terms(draw):
+    """(terms, rows, cols): terms (sign, A, B) of a signed sum of products
+    A @ B of random small rational matrices with rows x cols values; None is
+    the identity, and some terms repeat an earlier one negated or regrouped
+    so that the sum cancels."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def matrix(r, c):
+        cells = draw(st.lists(st.tuples(st.integers(0, r - 1), st.integers(0, c - 1), SCALARS),
+                              max_size=r * c))
+        return SparseMatrix(r, c, {(i, j): x for i, j, x in cells})
+
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        shape = draw(st.sampled_from(["AB", "A", "B", "I"] if rows == cols else ["AB", "A", "B"]))
+        inner = draw(st.integers(1, 4))
+        if shape == "AB":
+            term = (matrix(rows, inner), matrix(inner, cols))
+        elif shape == "A":
+            term = (matrix(rows, cols), None)
+        elif shape == "B":
+            term = (None, matrix(rows, cols))
+        else:
+            term = (None, None)
+        sign = draw(st.sampled_from([1, -1]))
+        terms.append((sign,) + term)
+        # forced cancellation: the same product again, negated, possibly
+        # regrouped as one factor times the identity
+        how = draw(st.sampled_from(["none", "negate", "regroup"]))
+        if how == "negate":
+            terms.append((-sign,) + term)
+        elif how == "regroup":
+            whole = product(*term, rows)
+            terms.append((-sign, whole, None) if draw(st.booleans()) else (-sign, None, whole))
+    return terms, rows, cols
+
+
+def product(a, b, rows):
+    """a @ b, None being the identity."""
+    a = SparseMatrix.identity(rows) if a is None else a
+    b = SparseMatrix.identity(a.cols) if b is None else b
+    return compose(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(identity_terms())
+def test_first_residual_is_the_first_nonzero_column_of_the_sum(case):
+    terms, rows, cols = case
+    total = SparseMatrix.zeros(rows, cols)
+    for sign, a, b in terms:
+        total = total + product(a, b, rows).scale(sign)
+    plans = [(s, None if a is None else column_plan(a), None if b is None else column_plan(b))
+             for s, a, b in terms]
+    assert first_residual(plans, cols) == first_nonzero_column(total)
+
+
+def test_first_residual_keeps_integral_fractions_as_int():
+    half = column_plan(SparseMatrix(1, 1, {(0, 0): Fraction(1, 2)}))
+    two = column_plan(SparseMatrix(1, 1, {(0, 0): 4}))
+    c, residual = first_residual([(1, half, two)], 1)
+    assert (c, residual) == (0, {0: 2}) and type(residual[0]) is int
+
+
+# -- check_cocyclic against the compose-based check it replaced -------------------------
+
+def compose_check_cocyclic(cx):
+    """The check as it was: both sides of every identity built with compose
+    and compared.  Each violation is (family, degree, indices, first
+    nonzero column of lhs - rhs)."""
+    bad = []
+    N, top = cx.N, cx.top
+
+    def compare(family, n, indices, lhs, rhs):
+        diff = lhs - rhs
+        if not diff.is_zero():
+            bad.append((family, n, tuple(indices), first_nonzero_column(diff)))
+
+    for n in range(N):
+        for i in range(n + 2):
+            for j in range(i + 1, n + 3):
+                compare("face-face", n, (i, j), compose(cx.face(n + 1, j), cx.face(n, i)),
+                        compose(cx.face(n + 1, i), cx.face(n, j - 1)))
+    for n in range(2, top + 1):
+        for i in range(n - 1):
+            for j in range(i, n - 1):
+                compare("degen-degen", n, (i, j), compose(cx.degen(n - 1, j), cx.degen(n, i)),
+                        compose(cx.degen(n - 1, i), cx.degen(n, j + 1)))
+    for n in range(N + 1):
+        for i in range(n + 2):
+            for j in range(n + 1):
+                lhs = compose(cx.degen(n + 1, j), cx.face(n, i))
+                if i < j:
+                    if n == 0:
+                        continue
+                    rhs = compose(cx.face(n - 1, i), cx.degen(n, j - 1))
+                elif i in (j, j + 1):
+                    rhs = SparseMatrix.identity(cx.dim(n))
+                else:
+                    if n == 0:
+                        continue
+                    rhs = compose(cx.face(n - 1, i - 1), cx.degen(n, j))
+                compare("degen-face", n, (i, j), lhs, rhs)
+    for n in range(1, top + 1):
+        for i in range(1, n + 1):
+            compare("cyclic-face", n, (i,), compose(cx.tau(n), cx.face(n - 1, i)),
+                    compose(cx.face(n - 1, i - 1), cx.tau(n - 1)))
+        compare("cyclic-face", n, (0,), compose(cx.tau(n), cx.face(n - 1, 0)), cx.face(n - 1, n))
+    for n in range(N + 1):
+        for i in range(1, n + 1):
+            compare("cyclic-degen", n, (i,), compose(cx.tau(n), cx.degen(n + 1, i)),
+                    compose(cx.degen(n + 1, i - 1), cx.tau(n + 1)))
+        t2 = compose(cx.tau(n + 1), cx.tau(n + 1))
+        compare("cyclic-degen", n, (0,), compose(cx.tau(n), cx.degen(n + 1, 0)),
+                compose(cx.degen(n + 1, n), t2))
+    for n in range(top + 1):
+        t = cx.tau(n)
+        power = t
+        for _ in range(n):
+            power = compose(t, power)
+        compare("cyclic-order", n, (), power, SparseMatrix.identity(cx.dim(n)))
+    return bad
+
+
+def streamed(cx):
+    return [(v.family, v.degree, v.indices, (v.column, v.residual)) for v in check_cocyclic(cx)]
+
+
+@functools.lru_cache(maxsize=None)
+def declared_complexes(fixture, N=3):
+    spec = parse_spec(fixture_file_texts()[fixture])
+    return [(name, build_declared_complex(spec, spec.to_text(), name, N, no_cache=True)[0])
+            for name in spec.complexes]
+
+
+def flipped(cx, key):
+    """cx with the middle stored entry of the map key negated (a zero map
+    gains the entry 1 at (0, 0))."""
+    m = cx.op(*key)
+    ent = dict(m.entries)
+    if ent:
+        at = sorted(ent)[len(ent) // 2]
+        ent[at] = -ent[at]
+    else:
+        ent[0, 0] = 1
+    broken = SparseMatrix(m.rows, m.cols, ent)
+    return CocyclicComplex.assemble(cx.N, cx.spaces,
+                                    lambda *k: broken if k == key else cx.op(*k))
+
+
+@pytest.mark.parametrize("fixture", sorted(fixture_file_texts()))
+def test_streamed_check_agrees_with_the_compose_check_on_flipped_maps(fixture):
+    for name, cx in declared_complexes(fixture):
+        assert streamed(cx) == compose_check_cocyclic(cx) == [], (fixture, name)
+        for key in (("face", 1, 1), ("degen", 2, 1), ("tau", 2, 0)):
+            broken = flipped(cx, key)
+            expected = compose_check_cocyclic(broken)
+            assert expected, (fixture, name, key)
+            assert streamed(broken) == expected, (fixture, name, key)
+
+
+# -- witnesses -----------------------------------------------------------------------------
+
+def point_complex(N):
+    h = trivial_hopf()
+    return build_coalgebra_complex(self_module_coalgebra(h), trivial_sayd(h), N).complex
+
+
+def test_cocyclic_violation_witness_is_the_residual_of_its_column():
+    h = group_algebra(2)
+    cx = build_coalgebra_complex(self_module_coalgebra(h), trivial_sayd(h), 2).complex
+    cx.taus[2] = cx.taus[2].scale(-1)
+    v = next(v for v in check_cocyclic(cx) if v.family == "cyclic-order")
+    assert v.degree == 2
+    t = cx.tau(2)
+    residuals = [vec_sub(apply_chain({c: 1}, t, t, t), {c: 1}) for c in range(cx.dim(2))]
+    assert v.column == next(c for c, r in enumerate(residuals) if r)
+    assert v.residual == residuals[v.column]
+
+
+def test_not_a_complex_witness_is_the_residual_of_its_column():
+    cx = point_complex(3)
+    cx.faces[0][0] = cx.faces[0][0].scale(2)
+    with pytest.raises(NotAComplex) as e:
+        hochschild_b(cx)
+    err = e.value
+    assert str(err) == "b.b != 0 at degree 0" and err.degree == 0
+    b = [sum((cx.face(n, i).scale((-1) ** i) for i in range(n + 2)),
+             SparseMatrix.zeros(cx.dim(n + 1), cx.dim(n))) for n in range(2)]
+    assert err.column == 0 and err.residual == apply_chain({0: 1}, b[1], b[0]) == {0: 1}
+
+
+@pytest.mark.parametrize("degree,message", [(2, "bB + Bb != 0 at degree 2"),
+                                            (3, "B.B != 0 at degree 4")])
+def test_not_a_complex_witness_of_the_boundary(degree, message):
+    # a doubled tau keeps every face, hence b, but breaks the B certificates
+    h = group_algebra(2)
+    cx = build_coalgebra_complex(self_module_coalgebra(h), trivial_sayd(h), 3).complex
+    cx.taus[degree] = cx.taus[degree].scale(2)
+    bs = hochschild_b(cx)
+    with pytest.raises(NotAComplex) as e:
+        connes_B(cx, bs)
+    err = e.value
+    assert str(err) == message
+
+    def B(n, v):
+        # norm_{n-1} . s_{n-1} . tau_n . (1 - lam_n)
+        v = vec_sub(v, lam(cx, n).apply(v))
+        return apply_chain(v, norm_operator(cx, n - 1), cx.degen(n, n - 1), cx.tau(n))
+
+    n = err.degree
+    if message.startswith("B.B"):
+        residual = lambda c: B(n - 1, B(n, {c: 1}))
+    else:
+        residual = lambda c: vec_add(bs[n - 1].apply(B(n, {c: 1})), B(n + 1, bs[n].apply({c: 1})))
+    residuals = [residual(c) for c in range(cx.dim(n))]
+    assert err.column == next(c for c, r in enumerate(residuals) if r)
+    assert err.residual == residuals[err.column]
+
+
+def kz2_ctx():
+    h = group_algebra(2)
+    ca = module_action_as_coalgebra_action(self_module_coalgebra(h), swap_module_algebra())
+    return CoalgebraCupContext(ca, trivial_sayd(h), N=2)
+
+
+def test_chain_map_failure_witness_is_the_residual_of_its_column():
+    ctx = kz2_ctx()
+    mats = ctx.psi_c_matrices()
+    tgt = ctx.conv_cx.complex
+    key = ("face", 1, 2)
+    broken = flipped(tgt, key)
+    with pytest.raises(ChainMapFailure) as e:
+        certify_chain_map(ctx.diag, broken, mats, "convolution pairing")
+    err = e.value
+    assert str(err) == "convolution pairing: face 2 at degree 1" and err.degree == 1
+    assert err.column > 0       # the flipped entry is not met by the first column
+    residuals = [vec_sub(apply_chain({c: 1}, mats[2], ctx.diag.op(*key)),
+                            apply_chain({c: 1}, broken.op(*key), mats[1]))
+                 for c in range(ctx.diag.dim(1))]
+    assert err.column == next(c for c, r in enumerate(residuals) if r)
+    assert err.residual == residuals[err.column]
+
+
+def test_conjugation_failure_witness_is_the_residual_of_its_column(monkeypatch):
+    import hopfcyclic.complexes as complexes
+    hd = build_hopf_complex(mpi_kz2_sigma_g(), 2)
+    key = ("tau", 2, 0)
+    build_power = complexes._build_power_complex
+
+    broken = flipped(build_power(mpi_kz2_sigma_g(), 2), key)
+    monkeypatch.setattr(complexes, "_build_power_complex", lambda mp, N: broken)
+    with pytest.raises(ConjugationFailure) as e:
+        build_hopf_complex(mpi_kz2_sigma_g(), 2)
+    err = e.value
+    assert str(err) == "cyclic operator at degree 2" and err.degree == 2
+    assert err.column > 0       # the flipped entry is not met by the first column
+    quot, iso = hd.quot.complex, hd.iso
+    residuals = [vec_sub(apply_chain({c: 1}, iso[2], quot.tau(2)),
+                            apply_chain({c: 1}, broken.tau(2), iso[2]))
+                 for c in range(quot.dim(2))]
+    assert err.column == next(c for c, r in enumerate(residuals) if r)
+    assert err.residual == residuals[err.column]
+
+
+# -- what the job process does not load or rebuild -------------------------------------
+
+def test_audit_runs_without_openssl(tmp_path):
+    (tmp_path / "kz2.hcy").write_text(fixture_file_texts()["kz2.hcy"])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfcyclic.__file__)))
+    script = ("import sys\n"
+              "from hopfcyclic.cli import main\n"
+              "code = main(['audit', 'kz2.hcy', '--max-degree', '2'])\n"
+              "assert '_hashlib' not in sys.modules, 'hashlib loaded OpenSSL'\n"
+              "sys.exit(code)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    p = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                       capture_output=True, text=True)
+    assert p.returncode == 0, p.stderr
+
+
+def test_cups_of_one_context_build_each_b_family_once(monkeypatch):
+    ctx = kz2_ctx()
+    calls = []
+
+    def counting(cx):
+        calls.append(cx)
+        return hochschild_b(cx)
+
+    monkeypatch.setattr(cup, "hochschild_b", counting)
+    acx, xcx = ctx.phi_complex().complex, ctx.x_complex()
+    pairs = 0
+    for p in range(3):
+        for q in range(3 - p):
+            for phi in cyclic_cocycles(acx, p, ctx.phi_b):
+                for x in cyclic_cocycles(xcx, q, ctx.x_b):
+                    assert aw_cup(ctx, phi, p, x, q).b_closed
+                    pairs += 1
+    assert pairs > 1
+    assert calls == [acx, xcx, ctx.target().complex]
