@@ -9,7 +9,7 @@ exact matrix identity; validators return exhaustive reports.
 from __future__ import annotations
 
 from .linalg import (SparseMatrix, SpanSolver, compose, tensor_kron,
-                     kernel_basis, scal, vec_acc, vec_axpy)
+                     kernel_of_rows, scal, vec_acc, vec_axpy)
 from .spaces import BasedSpace, GROUND, MultiIndex, StructureTensor, tensor_space
 from .hopf import (AlgebraData, CoalgebraData, HopfData, ModularPair,
                    ValidationReport, Violation, swap_matrix, validate_algebra,
@@ -330,23 +330,17 @@ def invariant_subalgebra(ma: ModuleAlgebra, k: SubHopf):
     a = A.space.dim
     I_A = SparseMatrix.identity(a)
     eps = ma.hopf.coalg.counit
-    rows = []
-    for kv in k.spanning:
-        # act(kv (x) -) - eps(kv) id, stacked
-        cols = []
-        for j in range(a):
-            cols.append(ma.action.apply(kv, {j: 1}))
-        m = SparseMatrix.from_columns(cols, a)
-        epsk = scal(sum(eps.get(i, 0) * x for i, x in kv.items()))
-        rows.append(m - I_A.scale(epsk))
-    stacked_entries = {}
-    off = 0
-    for m in rows:
-        for (r, c), x in m.entries.items():
-            stacked_entries[(r + off, c)] = x
-        off += a
-    stacked = SparseMatrix(off, a, stacked_entries) if rows else SparseMatrix.zeros(0, a)
-    basis = kernel_basis(stacked)
+
+    def rows():
+        for kv in k.spanning:
+            # the rows of act(kv (x) -) - eps(kv) id
+            cols = []
+            for j in range(a):
+                cols.append(ma.action.apply(kv, {j: 1}))
+            m = SparseMatrix.from_columns(cols, a)
+            epsk = scal(sum(eps.get(i, 0) * x for i, x in kv.items()))
+            yield from (m - I_A.scale(epsk)).row_vectors()
+    basis = kernel_of_rows(rows(), a)
     solver = SpanSolver(track=True)
     for v in basis:
         solver.add(v)
@@ -512,26 +506,21 @@ def convolution_algebra(ca: CoalgebraAction) -> ConvolutionAlgebra:
     C, A = ca.mc.coalg, ca.ma.alg
     c, a, d = C.space.dim, A.space.dim, h.dim
     # kernel of the equivariance system  f(h.c) = h.f(c)
-    nvars = a * c
-    rows_entries = {}
-    nrows = 0
-    for ih in range(d):
-        for ic in range(c):
-            moved = ca.mc.action.value((ih, ic))      # h . c in C
-            for ia in range(a):
-                row = {}
-                for jc, x in moved.items():
-                    vec_acc(row, ia * c + jc, x)
-                # minus h . f(c): f(c) = sum_ja f[ja,ic] e_ja
-                for ja in range(a):
-                    x = ca.ma.action.value((ih, ja)).get(ia)
-                    if x:
-                        vec_acc(row, ja * c + ic, -x)
-                for k, x in row.items():
-                    rows_entries[(nrows, k)] = x
-                nrows += 1
-    system = SparseMatrix(nrows, nvars, rows_entries)
-    basis = kernel_basis(system)
+    def rows():
+        for ih in range(d):
+            for ic in range(c):
+                moved = ca.mc.action.value((ih, ic))      # h . c in C
+                for ia in range(a):
+                    row = {}
+                    for jc, x in moved.items():
+                        vec_acc(row, ia * c + jc, x)
+                    # minus h . f(c): f(c) = sum_ja f[ja,ic] e_ja
+                    for ja in range(a):
+                        x = ca.ma.action.value((ih, ja)).get(ia)
+                        if x:
+                            vec_acc(row, ja * c + ic, -x)
+                    yield row
+    basis = kernel_of_rows(rows(), a * c)
     maps = []
     for v in basis:
         ent = {}

@@ -10,7 +10,9 @@ one of the truncation are flagged untrusted in reports.
 
 from __future__ import annotations
 
-from .linalg import (SparseMatrix, compose, image_rank, kernel_basis, column_plan,
+from itertools import chain
+
+from .linalg import (SparseMatrix, compose, image_rank, kernel_of_rows, column_plan,
                      first_residual)
 from .complexes import CocyclicComplex, CertificateFailure
 
@@ -160,16 +162,8 @@ def cyclic_cocycles(cx, n, bs=None):
     """Basis of cochains with b phi = 0 and (1 - lam) phi = 0."""
     if bs is None:
         bs = hochschild_b(cx)
-    b = bs[n]
-    I = SparseMatrix.identity(cx.dim(n))
-    cyc = I - lam(cx, n)
-    ent = {}
-    for (r, c), x in b.entries.items():
-        ent[(r, c)] = x
-    off = b.rows
-    for (r, c), x in cyc.entries.items():
-        ent[(off + r, c)] = x
-    return kernel_basis(SparseMatrix(b.rows + cyc.rows, cx.dim(n), ent))
+    cyc = SparseMatrix.identity(cx.dim(n)) - lam(cx, n)
+    return kernel_of_rows(chain(bs[n].row_vectors(), cyc.row_vectors()), cx.dim(n))
 
 
 def compute_cohomology(cx: CocyclicComplex, bb: BBData = None) -> CohomologyReport:

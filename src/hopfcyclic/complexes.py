@@ -19,7 +19,7 @@ column and the residual there.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cached_property, partial
 from itertools import product as iproduct
 
 # sha256 from the interpreter's built-in module: hashlib would load OpenSSL's
@@ -33,7 +33,7 @@ except ImportError:
         from hashlib import sha256
 
 from .linalg import (SparseMatrix, SpanSolver, compose, tensor_kron, scal,
-                     invert_matrix, kernel_basis, matrix_to_text,
+                     image_rank, kernel_of_rows, matrix_to_text,
                      parse_scalar, vec_acc, vec_axpy, mul_vec,
                      column_plan, first_residual)
 from .spaces import BasedSpace, MultiIndex, tensor_power, tensor_space
@@ -480,11 +480,10 @@ def build_coalgebra_complex(mc, sayd, N, name="coalgebra") -> CoalgebraComplexDa
     pw = [cdim ** k for k in range(top + 3)]
     size = pw[1:]
 
-    def quotient(n, moved_by):
-        """M (x)_H C^(x)(n+1): relations m.h (x) c~ - m (x) h.c~, added in
-        (m, h, c~) order."""
+    def relations(n, moved_by):
+        """The relations m.h (x) c~ - m (x) h.c~ of M (x)_H C^(x)(n+1), made
+        c~ by c~ as the quotient eliminates them."""
         S = size[n]
-        buckets = {}
         for t in range(S):
             moved = moved_by(t)
             for m in range(mdim):
@@ -493,11 +492,11 @@ def build_coalgebra_complex(mc, sayd, N, name="coalgebra") -> CoalgebraComplexDa
                     for k, x in moved.get(hh, {}).items():
                         vec_acc(rel, m * S + k, -x)
                     if rel:
-                        buckets.setdefault((m, hh), []).append(rel)
-        return QuotientSpace(mdim * S, [rel for key in sorted(buckets) for rel in buckets[key]])
+                        yield rel
 
     moved_by_degree = tabs.diag_act_degrees(_acting_on(mc.action), cdim, top)
-    quotients = [quotient(n, moved_by) for n, moved_by in enumerate(moved_by_degree)]
+    quotients = [QuotientSpace(mdim * size[n], relations(n, moved_by))
+                 for n, moved_by in enumerate(moved_by_degree)]
     ambients = [MultiIndex((mdim,) + (cdim,) * (n + 1)) for n in range(top + 1)]
     spaces = [BasedSpace(tuple("q%d_%d" % (n, i) for i in range(quo.dim)))
               for n, quo in enumerate(quotients)]
@@ -550,9 +549,10 @@ def build_coalgebra_complex(mc, sayd, N, name="coalgebra") -> CoalgebraComplexDa
         colfn = partial(col_fns[kind], n, i)
         quo_s, quo_t = quotients[n], quotients[n + _SHIFT[kind]]
         images = [quo_t.project_vec(colfn(f)) for f in range(quo_s.ambient_dim)]
-        for row in quo_s.solver.rref_rows():
+        solver = quo_s.solver
+        for p in solver.pivots:
             out = {}
-            for f, c in row.items():
+            for f, c in solver.rows[p].items():
                 vec_axpy(out, c, images[f])
             if out:
                 raise IllDefined("%s operator does not descend at degree %d" % (name, n))
@@ -566,11 +566,18 @@ class SubspaceComplexData:
     """An algebra or comodule-algebra complex with its realization: degree
     n is the span of bases[n] in the ambient M (x) V^(x)(n+1)."""
 
-    def __init__(self, complex, bases, solvers, ambients):
+    def __init__(self, complex, bases, ambients, solvers=None):
         self.complex = complex
         self.bases = bases          # per-degree list of ambient vectors
-        self.solvers = solvers      # per-degree SpanSolver over those vectors
         self.ambients = ambients    # per-degree MultiIndex (m, v, ..., v)
+        if solvers is not None:
+            self.solvers = solvers
+
+    @cached_property
+    def solvers(self):
+        """Per-degree tracked SpanSolver over the basis vectors; built on
+        first use when the restriction did not need them."""
+        return [_span_solver(basis) for basis in self.bases]
 
     def functional(self, coords, n):
         """Ambient coefficients of a subspace cochain."""
@@ -639,13 +646,13 @@ def _subspace_complex(N, name, prefix, preserves, bases, ambients, mul, unit, la
     to the subspaces.  IllDefined("... does not preserve <preserves>") when
     an image leaves them."""
     mdim, dim = ambients[0].dims
-    solvers, spaces = [], []
-    for n, basis in enumerate(bases):
-        solver = SpanSolver(track=True)
-        for v in basis:
-            solver.add(v)
-        solvers.append(solver)
-        spaces.append(BasedSpace(tuple("%s%d_%d" % (prefix, n, i) for i in range(len(basis)))))
+    spaces = [BasedSpace(tuple("%s%d_%d" % (prefix, n, i) for i in range(len(basis))))
+              for n, basis in enumerate(bases)]
+    # every basis standard: the subspaces are the ambients, and each
+    # operator is its ambient table (the plain cyclic complexes)
+    full = all(len(basis) == amb.size and all(v == {k: 1} for k, v in enumerate(basis))
+               for basis, amb in zip(bases, ambients))
+    solvers = None if full else [_span_solver(basis) for basis in bases]
 
     def make(kind, n, i):
         if kind == "face":
@@ -654,11 +661,21 @@ def _subspace_complex(N, name, prefix, preserves, bases, ambients, mul, unit, la
             by_source = _unit_degen(unit, dim, mdim, n, i)
         else:
             by_source = tau(n)
+        target = n + _SHIFT[kind]
+        if full:
+            return SparseMatrix.from_columns(by_source, len(bases[target]))
         message = "%s %s does not preserve %s (deg %d)" % (name, _OP_NAMES[kind], preserves, n)
-        return _restrict(by_source, bases[n], solvers[n + _SHIFT[kind]], message)
+        return _restrict(by_source, bases[n], solvers[target], message)
 
     cx = CocyclicComplex.assemble(N, spaces, make, name)
-    return SubspaceComplexData(cx, bases, solvers, ambients)
+    return SubspaceComplexData(cx, bases, ambients, solvers)
+
+
+def _span_solver(basis):
+    solver = SpanSolver(track=True)
+    for v in basis:
+        solver.add(v)
+    return solver
 
 
 def _coalg_tables(coalg):
@@ -690,10 +707,9 @@ def build_algebra_complex(ma, sayd, N, name="algebra") -> SubspaceComplexData:
     size = pw[1:]
 
     def equivariant(n, moved_by):
-        """Basis of the functionals phi with phi(m.h1 (x) S(h2).a~) =
-        eps(h) phi(m (x) a~) for every basis h, m and a~."""
+        """The conditions phi(m.h1 (x) S(h2).a~) = eps(h) phi(m (x) a~), one
+        row per basis a~, h and m, made as the kernel eliminates them."""
         S = size[n]
-        rows = {}
         for t in range(S):
             moved = moved_by(t)
             twisted = {}        # h2 -> S(h2) acting diagonally on a~
@@ -717,15 +733,12 @@ def build_algebra_complex(ma, sayd, N, name="algebra") -> SubspaceComplexData:
                             for k, x2 in tw.items():
                                 vec_acc(row, mj * S + k, x * x1 * x2)
                     # condition on phi: phi(E_h v) - eps(h) phi(v) = 0; as a row
-                    # over the dual coordinates this IS the column expansion;
-                    # rows are numbered in (h, m, a~) order
-                    r = (hh * mdim + m) * S + t
-                    for f, c in row.items():
-                        rows[(r, f)] = c
-        return kernel_basis(SparseMatrix(h.dim * mdim * S, ambients[n].size, rows))
+                    # over the dual coordinates this IS the column expansion
+                    yield row
 
     moved_by_degree = tabs.diag_act_degrees(_acting_on(ma.action), adim, top)
-    bases = [equivariant(n, moved_by) for n, moved_by in enumerate(moved_by_degree)]
+    bases = [kernel_of_rows(equivariant(n, moved_by), ambients[n].size)
+             for n, moved_by in enumerate(moved_by_degree)]
 
     def last_face(n):
         """(d_{n+1} phi)(m (x) a~) = phi(m0 (x) (Sinv(m-1) a_{n+1}) a0 (x) a1..an)."""
@@ -789,25 +802,24 @@ def build_comodule_algebra_complex(ba, sayd, N, name="comodule-algebra") -> Subs
         return out
 
     def colinear(n, coact_of):
-        """Basis of the maps psi with coact_M(psi(w)) = w^(-1) (x) psi(w^(0))."""
+        """The conditions coact_M(psi(w)) = w^(-1) (x) psi(w^(0)), one row per
+        basis w, h and m'; the rows of one w are complete once w is done."""
         S = size[n]
-        rows = {}
-        rowindex = {}
-        def rowkey(w, hh, mj):
-            return rowindex.setdefault((w, hh, mj), len(rowindex))
         for w in range(S):
+            rows = {}
             for m in range(mdim):
                 col = m * S + w
                 for (hh, mj), x in mco[m]:
-                    vec_acc(rows, (rowkey(w, hh, mj), col), x)
+                    vec_acc(rows.setdefault((hh, mj), {}), col, x)
             for (hh, bouts), x in coact_of(w).items():
                 for mj in range(mdim):
-                    vec_acc(rows, (rowkey(w, hh, mj), mj * S + bouts), -x)
-        return kernel_basis(SparseMatrix(len(rowindex), ambients[n].size, rows))
+                    vec_acc(rows.setdefault((hh, mj), {}), mj * S + bouts, -x)
+            yield from rows.values()
 
     first = [{key: x for key, x in coact.get(v, ())} for v in range(bdim)]
     coact_by_degree = _by_degree(first.__getitem__, coact_step, bdim, top)
-    bases = [colinear(n, coact_of) for n, coact_of in enumerate(coact_by_degree)]
+    bases = [kernel_of_rows(colinear(n, coact_of), ambients[n].size)
+             for n, coact_of in enumerate(coact_by_degree)]
 
     def last_face(n):
         """(d_{n+1} psi)(v~) = psi(v_{n+1}^(0) v_0, v_1..v_n) . v_{n+1}^(-1)."""
@@ -867,30 +879,9 @@ def build_hopf_complex(mp, N) -> HopfComplexData:
     quot = build_coalgebra_complex(mc, sayd, N, name="hopf-quotient")
     power = _build_power_complex(mp, N)
     iso = []
-    tabs = HopfTables.of(h)
-    delta = dict(mp.delta)
-    top = N + 1
-    for n in range(top + 1):
-        mi = quot.ambients[n]
-        quo = quot.quotients[n]
-        mi_t = MultiIndex((h.dim,) * n)
-        cols = []
-        for k in range(quo.dim):
-            amb = quo.include_vec({k: 1})
-            out = {}
-            for f, c0 in amb.items():
-                idx = mi.unflat(f)
-                h0, rest = idx[1], idx[2:]
-                # m h0^(1) (x) S(h0^(2)) . (h1 .. hn)
-                hvec = {}
-                for (a, b), x1 in tabs.comul[h0]:
-                    vec_axpy(hvec, c0 * x1 * delta.get(a, 0), tabs.S[b])
-                moved = tabs.diag_act(hvec, [tabs.right_mul[hi] for hi in rest])
-                for keys, x in moved.items():
-                    vec_acc(out, mi_t.flat(keys), x)
-            cols.append(out)
-        I_n = SparseMatrix.from_columns(cols, mi_t.size)
-        if invert_matrix(I_n) is None:
+    for n in range(N + 2):
+        I_n = _normalization_map(quot, mp, n)
+        if I_n.rows != I_n.cols or image_rank(I_n) != I_n.cols:
             raise ConjugationFailure("normalization map is not invertible at degree %d" % n, n)
         iso.append(I_n)
     # certify conjugation of every operator
@@ -899,6 +890,33 @@ def build_hopf_complex(mp, N) -> HopfComplexData:
         key, column, residual = bad
         raise ConjugationFailure(describe_map(*key), key[1], column, residual)
     return HopfComplexData(quot, power, iso)
+
+
+def _normalization_map(quot, mp, n):
+    """Degree-n matrix of the map from the quotient side to H^(x)n:
+    the class of m (x) h0 (x) h~ goes to delta(h0^(1)) S(h0^(2)) . h~."""
+    h = mp.hopf
+    tabs = HopfTables.of(h)
+    delta = dict(mp.delta)
+    mi = quot.ambients[n]
+    quo = quot.quotients[n]
+    mi_t = MultiIndex((h.dim,) * n)
+    cols = []
+    for k in range(quo.dim):
+        amb = quo.include_vec({k: 1})
+        out = {}
+        for f, c0 in amb.items():
+            idx = mi.unflat(f)
+            h0, rest = idx[1], idx[2:]
+            # m h0^(1) (x) S(h0^(2)) . (h1 .. hn)
+            hvec = {}
+            for (a, b), x1 in tabs.comul[h0]:
+                vec_axpy(hvec, c0 * x1 * delta.get(a, 0), tabs.S[b])
+            moved = tabs.diag_act(hvec, [tabs.right_mul[hi] for hi in rest])
+            for keys, x in moved.items():
+                vec_acc(out, mi_t.flat(keys), x)
+        cols.append(out)
+    return SparseMatrix.from_columns(cols, mi_t.size)
 
 
 def _build_power_complex(mp, N) -> CocyclicComplex:

@@ -521,22 +521,33 @@ def image_rank(matrix):
     return len(rref(matrix)[0])
 
 
-def kernel_basis(matrix):
-    """Canonical kernel basis of {v : matrix . v = 0}.
+def kernel_of_rows(rows, ncols):
+    """Canonical kernel basis of the matrix with the given sparse rows over
+    ncols columns.
 
-    One vector per free column f (in increasing order), with entry 1 at f
-    and the pivot coordinates filled from the unique RREF: each RREF row
-    scatters its free entries into the vectors of those columns, so the
-    work is proportional to the nnz of the RREF.
+    rows is any iterable, a generator included: each row goes into one
+    SpanSolver as it arrives, so no condition matrix is ever held.  The
+    RREF is unique, so the row order does not matter.  One vector per free
+    column f (in increasing order), with entry 1 at f and the pivot
+    coordinates filled from the RREF: each RREF row scatters its free
+    entries into the vectors of those columns, so the work is proportional
+    to the nnz of the RREF.
     """
-    pivots, rows = rref(matrix)
-    pivot_set = set(pivots)
-    vecs = {f: {f: 1} for f in range(matrix.cols) if f not in pivot_set}
-    for p, row in zip(pivots, rows):
-        for f, x in row.items():
+    solver = SpanSolver()
+    for row in rows:
+        if row:
+            solver.add(row)
+    vecs = {f: {f: 1} for f in range(ncols) if f not in solver.rows}
+    for p in solver.pivots:
+        for f, x in solver.rows[p].items():
             if f != p:
                 vecs[f][p] = scal(-x)
     return list(vecs.values())
+
+
+def kernel_basis(matrix):
+    """Canonical kernel basis of {v : matrix . v = 0} (kernel_of_rows)."""
+    return kernel_of_rows(matrix.row_vectors(), matrix.cols)
 
 
 def kernel_canonicalize(vectors, dim):

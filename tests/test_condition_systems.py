@@ -1,0 +1,239 @@
+"""The builders eliminate their condition systems row by row.
+
+The equivariant, colinear and coinvariant-quotient conditions are fed
+straight into the echelon solver.  The stacked condition matrices the
+builders used to assemble are kept here as oracles: the RREF is unique, so
+every basis must come out the same, in the same order and key order."""
+
+import functools
+import tracemalloc
+from itertools import product as iproduct
+
+import pytest
+
+from hopfcyclic.linalg import SparseMatrix, kernel_basis, vec_acc, vec_axpy
+from hopfcyclic.actions import QuotientSpace
+from hopfcyclic.complexes import (HopfTables, _acting_on, _action_table, _by_degree,
+                                  _coaction_table, _mcoact_table, build_algebra_complex,
+                                  build_coalgebra_complex, build_comodule_algebra_complex,
+                                  build_hopf_complex, plain_cyclic_complex,
+                                  ConjugationFailure)
+from hopfcyclic.fixtures import fixture_file_texts, mpi_kz2_sigma_g, swap_module_algebra
+from hopfcyclic.specfile import parse_spec
+
+
+# -- the stacked-matrix oracles ------------------------------------------------------------
+
+def equivariant_oracle(ma, sayd, N):
+    """Per degree, the kernel of the whole (h, m, a~) condition matrix."""
+    h = ma.hopf
+    tabs = HopfTables.of(h)
+    mract = _action_table(sayd.raction)
+    mdim, adim = sayd.space.dim, ma.space.dim
+    bases = []
+    for n, moved_by in enumerate(tabs.diag_act_degrees(_acting_on(ma.action), adim, N + 1)):
+        S = adim ** (n + 1)
+        rows = {}
+        for t in range(S):
+            moved = moved_by(t)
+            for hh in range(h.dim):
+                for m in range(mdim):
+                    row = {}
+                    if tabs.eps.get(hh, 0):
+                        row[m * S + t] = -tabs.eps[hh]
+                    for (h1, h2), x in tabs.comul[hh]:
+                        tw = {}
+                        for u, c in tabs.S[h2].items():
+                            if u in moved:
+                                vec_axpy(tw, c, moved[u])
+                        for mj, x1 in mract.get((m, h1), ()):
+                            for k, x2 in tw.items():
+                                vec_acc(row, mj * S + k, x * x1 * x2)
+                    r = (hh * mdim + m) * S + t
+                    for f, c in row.items():
+                        rows[(r, f)] = c
+        bases.append(kernel_basis(SparseMatrix(h.dim * mdim * S, mdim * S, rows)))
+    return bases
+
+
+def colinear_oracle(ba, sayd, N):
+    """Per degree, the kernel of the whole (w, h, m') condition matrix."""
+    h = ba.hopf
+    tabs = HopfTables.of(h)
+    coact = _coaction_table(ba.coaction, h.dim)
+    mco = _mcoact_table(sayd)
+    mdim, bdim = sayd.space.dim, ba.space.dim
+
+    def step(prev, head, v):
+        out = {}
+        for (hp, bp), x in prev(head).items():
+            for (hh, b0), y in coact.get(v, ()):
+                for k, z in tabs.mul.get((hp, hh), ()):
+                    vec_acc(out, (k, bp * bdim + b0), x * y * z)
+        return out
+
+    first = [{key: x for key, x in coact.get(v, ())} for v in range(bdim)]
+    bases = []
+    for n, coact_of in enumerate(_by_degree(first.__getitem__, step, bdim, N + 1)):
+        S = bdim ** (n + 1)
+        rows, rowindex = {}, {}
+        for w in range(S):
+            for m in range(mdim):
+                for (hh, mj), x in mco[m]:
+                    r = rowindex.setdefault((w, hh, mj), len(rowindex))
+                    vec_acc(rows, (r, m * S + w), x)
+            for (hh, bouts), x in coact_of(w).items():
+                for mj in range(mdim):
+                    r = rowindex.setdefault((w, hh, mj), len(rowindex))
+                    vec_acc(rows, (r, mj * S + bouts), -x)
+        bases.append(kernel_basis(SparseMatrix(len(rowindex), mdim * S, rows)))
+    return bases
+
+
+def quotient_oracle(mc, sayd, N):
+    """Per degree, the quotient of the full sorted relation list."""
+    h = mc.hopf
+    tabs = HopfTables.of(h)
+    mract = _action_table(sayd.raction)
+    mdim, cdim = sayd.space.dim, mc.space.dim
+    quotients = []
+    for n, moved_by in enumerate(tabs.diag_act_degrees(_acting_on(mc.action), cdim, N + 1)):
+        S = cdim ** (n + 1)
+        buckets = {}
+        for t in range(S):
+            moved = moved_by(t)
+            for m in range(mdim):
+                for hh in range(h.dim):
+                    rel = {mj * S + t: x for mj, x in mract.get((m, hh), ())}
+                    for k, x in moved.get(hh, {}).items():
+                        vec_acc(rel, m * S + k, -x)
+                    if rel:
+                        buckets.setdefault((m, hh), []).append(rel)
+        quotients.append(QuotientSpace(mdim * S, [rel for key in sorted(buckets)
+                                                  for rel in buckets[key]]))
+    return quotients
+
+
+def items(basis):
+    return [list(v.items()) for v in basis]
+
+
+@pytest.mark.parametrize("fixture", sorted(fixture_file_texts()))
+def test_streamed_conditions_match_the_stacked_matrix_oracle(fixture):
+    spec = parse_spec(fixture_file_texts()[fixture])
+    N = 3
+    checked = 0
+    for name, (kind, args) in spec.complexes.items():
+        sayd = spec.coefficients[args[-1]]
+        if kind == "algebra":
+            ma = spec.module_algebras[args[0]]
+            got = build_algebra_complex(ma, sayd, N).bases
+            assert list(map(items, got)) == list(map(items, equivariant_oracle(ma, sayd, N)))
+        elif kind == "comodule":
+            ba = spec.comodule_algebras[args[0]]
+            got = build_comodule_algebra_complex(ba, sayd, N).bases
+            assert list(map(items, got)) == list(map(items, colinear_oracle(ba, sayd, N)))
+        elif kind == "coalgebra":
+            mc = spec.module_coalgebras[args[0]]
+            got = build_coalgebra_complex(mc, sayd, N).quotients
+            ref = quotient_oracle(mc, sayd, N)
+            assert [q.free for q in got] == [q.free for q in ref]
+            assert [q.solver.rref_rows() for q in got] == [q.solver.rref_rows() for q in ref]
+        else:
+            continue
+        checked += 1
+    assert checked == sum(kind != "hopf" for kind, _ in spec.complexes.values())
+
+
+# -- memory: no condition matrix is held ---------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def h4_spec():
+    spec = parse_spec(fixture_file_texts()["h4.hcy"])
+    HopfTables.of(spec.module_algebras["H"].hopf)      # built once per Hopf algebra
+    return spec
+
+
+def traced_peak_mb(build):
+    tracemalloc.start()
+    try:
+        data = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del data
+    return peak / 1e6
+
+
+@pytest.mark.parametrize("kind", ["algebra", "comodule"])
+def test_subspace_builders_hold_no_condition_matrix(kind):
+    # h4 at N=3: about 1.9 MB when the whole condition matrix was stacked
+    # before elimination, about 0.9 MB when its rows are eliminated as made
+    spec = h4_spec()
+    sayd = spec.coefficients["taft"]
+    if kind == "algebra":
+        peak = traced_peak_mb(lambda: build_algebra_complex(spec.module_algebras["H"], sayd, 3))
+    else:
+        peak = traced_peak_mb(
+            lambda: build_comodule_algebra_complex(spec.comodule_algebras["B"], sayd, 3))
+    assert peak < 1.3, peak
+
+
+# -- the Hopf normalization map ------------------------------------------------------------
+
+def test_singular_normalization_map_fails_with_its_degree(monkeypatch):
+    import hopfcyclic.complexes as complexes
+    normalization_map = complexes._normalization_map
+
+    def singular_at_two(quot, mp, n):
+        m = normalization_map(quot, mp, n)
+        if n != 2:
+            return m
+        # the last column becomes the first: rank drops by one
+        ent = {(r, c): x for (r, c), x in m.entries.items() if c != m.cols - 1}
+        ent.update({(r, m.cols - 1): x for (r, c), x in m.entries.items() if c == 0})
+        return SparseMatrix(m.rows, m.cols, ent)
+
+    monkeypatch.setattr(complexes, "_normalization_map", singular_at_two)
+    with pytest.raises(ConjugationFailure) as e:
+        build_hopf_complex(mpi_kz2_sigma_g(), 2)
+    assert str(e.value) == "normalization map is not invertible at degree 2"
+    assert e.value.degree == 2
+    assert e.value.column is None and e.value.residual is None
+
+
+# -- the plain cyclic complex: the full ambient, no restriction ----------------------------
+
+def test_plain_cyclic_complex_is_the_ambient_cyclic_module():
+    alg = swap_module_algebra().alg
+    d = alg.space.dim
+    data = plain_cyclic_complex(alg, 2)
+    cx = data.complex
+
+    def matrix(n_src, n_tgt, image):
+        """(op psi)(v) = psi(image(v)) for v a basis tuple of degree n_tgt."""
+        ent = {}
+        src = list(iproduct(range(d), repeat=n_src + 1))
+        for r, v in enumerate(iproduct(range(d), repeat=n_tgt + 1)):
+            for w, x in image(v).items():
+                vec_acc(ent, (r, src.index(w)), x)
+        return SparseMatrix(d ** (n_tgt + 1), d ** (n_src + 1), ent)
+
+    def times(a, b):
+        return alg.mul.value((a, b))
+
+    for n in range(cx.N + 1):
+        for i in range(n + 1):
+            assert cx.face(n, i) == matrix(n, n + 1, lambda v: {
+                v[:i] + (k,) + v[i + 2:]: x for k, x in times(v[i], v[i + 1]).items()})
+        assert cx.face(n, n + 1) == matrix(n, n + 1, lambda v: {
+            (k,) + v[1:-1]: x for k, x in times(v[-1], v[0]).items()})
+    for n in range(1, cx.top + 1):
+        for j in range(n):
+            assert cx.degen(n, j) == matrix(n, n - 1, lambda v: {
+                v[:j + 1] + (k,) + v[j + 1:]: x for k, x in alg.unit.items()})
+    for n in range(cx.top + 1):
+        assert cx.tau(n) == matrix(n, n, lambda v: {v[-1:] + v[:-1]: 1})
+    # no solver was needed to build it; one is made when asked for
+    assert "solvers" not in vars(data)
+    assert data.solvers[1].solve({3: 2}) == {3: 2}

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from hopfcyclic.linalg import (
     SparseMatrix, SubspaceNotContained, ShapeMismatch,
-    compose, tensor_kron, kernel_basis, kernel_canonicalize, image_rank,
+    compose, tensor_kron, kernel_basis, kernel_of_rows, kernel_canonicalize, image_rank,
     quotient_dim, rref, parse_scalar, format_scalar, scal,
     vec_acc, vec_axpy, mul_vec, push_slots,
     contract,
@@ -376,6 +376,32 @@ def test_kernel_basis_matches_free_pivot_loop(m):
     ref = kernel_basis_oracle(m)
     # same vectors in the same order, each with the same key order
     assert [list(v.items()) for v in ker] == [list(v.items()) for v in ref]
+    for v in ker:
+        assert m.apply(v) == {}
+        assert_normal(v)
+
+
+nonzero_rationals = rationals.filter(bool)
+
+
+@given(sparse_matrices(), st.data())
+def test_kernel_of_rows_is_the_kernel_of_the_stacked_matrix(m, data):
+    rows = m.row_vectors()
+    # fed as a generator, in another order, each row scaled, some repeated,
+    # and with zero rows mixed in: the span is the same, so the basis is
+    fed = []
+    for row in data.draw(st.permutations(rows)):
+        c = data.draw(nonzero_rationals)
+        fed.append({i: scal(c * x) for i, x in row.items()})
+        if data.draw(st.booleans()):
+            fed.append(dict(row))
+        if data.draw(st.booleans()):
+            fed.append({})
+    ker = kernel_of_rows((row for row in fed), m.cols)
+    # same vectors in the same order, each with the same key order
+    assert [list(v.items()) for v in ker] == [list(v.items()) for v in kernel_basis(m)]
+    assert [list(v.items()) for v in ker] == [list(v.items()) for v in kernel_basis_oracle(m)]
+    assert image_rank(m) + len(ker) == m.cols
     for v in ker:
         assert m.apply(v) == {}
         assert_normal(v)
