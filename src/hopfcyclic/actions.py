@@ -8,7 +8,7 @@ exact matrix identity; validators return exhaustive reports.
 
 from __future__ import annotations
 
-from .linalg import (SparseMatrix, SpanSolver, compose, tensor_kron,
+from .linalg import (SparseMatrix, SpanSolver, KernelCoords, compose, tensor_kron,
                      kernel_of_rows, scal, vec_acc, vec_axpy)
 from .spaces import BasedSpace, GROUND, MultiIndex, StructureTensor, tensor_space
 from .hopf import (AlgebraData, CoalgebraData, HopfData, ModularPair,
@@ -341,20 +341,18 @@ def invariant_subalgebra(ma: ModuleAlgebra, k: SubHopf):
             epsk = scal(sum(eps.get(i, 0) * x for i, x in kv.items()))
             yield from (m - I_A.scale(epsk)).row_vectors()
     basis = kernel_of_rows(rows(), a)
-    solver = SpanSolver(track=True)
-    for v in basis:
-        solver.add(v)
+    reader = KernelCoords(basis)
     space = BasedSpace(tuple("inv%d" % i for i in range(len(basis))))
     ent = {}
     for i, u in enumerate(basis):
         for j, v in enumerate(basis):
             w = A.mul.apply(u, v)
-            coeff = solver.solve(w)
+            coeff = reader.solve(w)
             if coeff is None:
                 raise NotClosed("product of invariants %d,%d leaves the invariant span" % (i, j))
             if coeff:
                 ent[(i, j)] = coeff
-    unit = solver.solve(dict(A.unit))
+    unit = reader.solve(dict(A.unit))
     if unit is None:
         raise NotClosed("unit is not invariant; module-algebra axioms are broken upstream")
     mul = StructureTensor((space, space), space, ent)
@@ -482,14 +480,14 @@ class ConvolutionAlgebra:
     """Hom_H(C, A) with the convolution product.
 
     maps[i] is the i-th basis element as a matrix C -> A; flat coordinates
-    are (a-index major, c-index minor); solver expresses arbitrary H-linear
-    maps over the basis.
+    are (a-index major, c-index minor); reader (KernelCoords on the flat
+    basis) expresses arbitrary H-linear maps over the basis.
     """
 
-    def __init__(self, algebra, maps, solver, cdim, adim):
+    def __init__(self, algebra, maps, reader, cdim, adim):
         self.algebra = algebra
         self.maps = maps
-        self.solver = solver
+        self.reader = reader
         self.cdim = cdim
         self.adim = adim
 
@@ -497,7 +495,7 @@ class ConvolutionAlgebra:
         return {ia * self.cdim + ic: x for (ia, ic), x in matrix.entries.items()}
 
     def coords(self, matrix):
-        return self.solver.solve(self.flatten(matrix))
+        return self.reader.solve(self.flatten(matrix))
 
 
 def convolution_algebra(ca: CoalgebraAction) -> ConvolutionAlgebra:
@@ -528,9 +526,7 @@ def convolution_algebra(ca: CoalgebraAction) -> ConvolutionAlgebra:
             ia, ic = divmod(flat, c)
             ent[(ia, ic)] = x
         maps.append(SparseMatrix(a, c, ent))
-    solver = SpanSolver(track=True)
-    for v in basis:
-        solver.add(v)
+    reader = KernelCoords(basis)
     space = BasedSpace(tuple("f%d" % i for i in range(len(basis))))
     mulA = A.mul_matrix()
     comC = C.comul_matrix()
@@ -538,15 +534,15 @@ def convolution_algebra(ca: CoalgebraAction) -> ConvolutionAlgebra:
     for i, fi in enumerate(maps):
         for j, fj in enumerate(maps):
             prod = compose(mulA, compose(tensor_kron(fi, fj), comC))
-            coeff = solver.solve({ia * c + ic: x for (ia, ic), x in prod.entries.items()})
+            coeff = reader.solve({ia * c + ic: x for (ia, ic), x in prod.entries.items()})
             if coeff is None:
                 raise NotClosed("convolution product left the equivariant span")
             if coeff:
                 ent[(i, j)] = coeff
     unit_map = compose(A.unit_matrix(), C.counit_matrix())
-    unit = solver.solve({ia * c + ic: x for (ia, ic), x in unit_map.entries.items()})
+    unit = reader.solve({ia * c + ic: x for (ia, ic), x in unit_map.entries.items()})
     if unit is None:
         raise NotClosed("unit eta.eps is not equivariant; inputs are inconsistent")
     mul = StructureTensor((space, space), space, ent)
     alg = AlgebraData(space, mul, unit)
-    return ConvolutionAlgebra(alg, maps, solver, c, a)
+    return ConvolutionAlgebra(alg, maps, reader, c, a)

@@ -26,7 +26,8 @@ from .actions import (validate_module_algebra, validate_module_coalgebra,
 from .complexes import (build_coalgebra_complex, build_algebra_complex,
                         build_comodule_algebra_complex, build_hopf_complex,
                         check_cocyclic, complex_to_text, complex_from_text,
-                        content_hash, same_complex, IllDefined, ConjugationFailure)
+                        content_hash, same_complex, CertificateFailure, IllDefined,
+                        ConjugationFailure)
 from .cohomology import BBData, compute_cohomology, cyclic_cocycles, NotAComplex
 from .cup import (CoalgebraCupContext, CrossedCupContext, RelativeCupContext,
                   aw_cup, cup_explicit_coalgebra, cup_explicit_crossed,
@@ -553,7 +554,7 @@ def run(spec, command, flags):
                 "cohomology": cmd_cohomology, "cup": cmd_cup, "audit": cmd_audit}
     try:
         handlers[command](spec, spec_text, rep, flags)
-    except (ChainMapFailure, NotAComplex, IllDefined, ConjugationFailure) as e:
+    except CertificateFailure as e:
         rep.fail("fatal certificate failure: %s" % e)
     return rep
 

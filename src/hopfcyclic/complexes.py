@@ -19,7 +19,7 @@ column and the residual there.
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import partial
 from itertools import product as iproduct
 
 # sha256 from the interpreter's built-in module: hashlib would load OpenSSL's
@@ -32,17 +32,13 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .linalg import (SparseMatrix, SpanSolver, compose, tensor_kron, scal,
+from .linalg import (SparseMatrix, KernelCoords, compose, tensor_kron, scal,
                      image_rank, kernel_of_rows, matrix_to_text,
                      parse_scalar, vec_acc, vec_axpy, mul_vec,
                      column_plan, first_residual)
 from .spaces import BasedSpace, MultiIndex, tensor_power, tensor_space
 from .hopf import iterated_coproduct
 from .actions import QuotientSpace
-
-
-class IllDefined(Exception):
-    """An operator does not descend to / preserve the realized space."""
 
 
 class CertificateFailure(Exception):
@@ -55,6 +51,13 @@ class CertificateFailure(Exception):
         self.degree = degree
         self.column = column
         self.residual = residual
+
+
+class IllDefined(CertificateFailure):
+    """An operator does not descend to / preserve the realized space.  The
+    column is the source basis index whose image leaves the target
+    subspace, or the relation pivot whose image does not vanish in the
+    quotient; the residual is what is left there."""
 
 
 class ConjugationFailure(CertificateFailure):
@@ -242,15 +245,12 @@ def check_cocyclic(cx: CocyclicComplex):
     for n in range(N + 1):
         for i in range(n + 2):
             for j in range(n + 1):
+                # at n = 0, j = 0 and i <= 1: only the identity case
                 if i < j:
-                    if n == 0:
-                        continue
                     rhs = (-1, F(n - 1, i), S(n, j - 1))
                 elif i in (j, j + 1):
                     rhs = (-1, None, None)
                 else:
-                    if n == 0:
-                        continue
                     rhs = (-1, F(n - 1, i - 1), S(n, j))
                 check("degen-face", n, (i, j), n, (1, S(n + 1, j), F(n, i)), rhs)
     # cyclic-face:  t_n d_i = d_{i-1} t_{n-1} (1<=i<=n),  t_n d_0 = d_n
@@ -555,7 +555,8 @@ def build_coalgebra_complex(mc, sayd, N, name="coalgebra") -> CoalgebraComplexDa
             for f, c in solver.rows[p].items():
                 vec_axpy(out, c, images[f])
             if out:
-                raise IllDefined("%s operator does not descend at degree %d" % (name, n))
+                raise IllDefined("%s operator does not descend at degree %d" % (name, n),
+                                 n, p, dict(sorted(out.items())))
         return SparseMatrix.from_columns([images[f] for f in quo_s.free], quo_t.dim)
 
     cx = CocyclicComplex.assemble(N, spaces, lift, name)
@@ -566,18 +567,10 @@ class SubspaceComplexData:
     """An algebra or comodule-algebra complex with its realization: degree
     n is the span of bases[n] in the ambient M (x) V^(x)(n+1)."""
 
-    def __init__(self, complex, bases, ambients, solvers=None):
+    def __init__(self, complex, bases, ambients):
         self.complex = complex
-        self.bases = bases          # per-degree list of ambient vectors
+        self.bases = bases          # per-degree kernel_of_rows basis of ambient vectors
         self.ambients = ambients    # per-degree MultiIndex (m, v, ..., v)
-        if solvers is not None:
-            self.solvers = solvers
-
-    @cached_property
-    def solvers(self):
-        """Per-degree tracked SpanSolver over the basis vectors; built on
-        first use when the restriction did not need them."""
-        return [_span_solver(basis) for basis in self.bases]
 
     def functional(self, coords, n):
         """Ambient coefficients of a subspace cochain."""
@@ -592,20 +585,21 @@ class SubspaceComplexData:
 # by_source[w] maps the target coordinates v to the coefficient with which
 # the source coordinate w enters (op psi)(v).
 
-def _restrict(by_source, basis, solver, message):
-    """Matrix of an ambient operator on subspace coordinates.  Every basis
-    vector's image must lie in the target subspace spanned by solver's
-    vectors; otherwise IllDefined(message)."""
+def _restrict(by_source, basis, target, message, n):
+    """Matrix of an ambient operator on subspace coordinates.  The image of
+    every basis vector is read on the target subspace's KernelCoords; one
+    that leaves it raises IllDefined(message) at degree n with the basis
+    index and the reader's residual."""
     cols = []
-    for vec in basis:
+    for k, vec in enumerate(basis):
         img = {}
         for w, c in vec.items():
             vec_axpy(img, c, by_source[w])
-        coords = solver.solve(img)
-        if coords is None:
-            raise IllDefined(message)
+        coords, residual = target.read(img)
+        if residual:
+            raise IllDefined(message, n, k, dict(sorted(residual.items())))
         cols.append(coords)
-    return SparseMatrix.from_columns(cols, solver.rank())
+    return SparseMatrix.from_columns(cols, len(target.basis))
 
 
 def _product_face(mul, dim, mdim, n, i):
@@ -652,7 +646,7 @@ def _subspace_complex(N, name, prefix, preserves, bases, ambients, mul, unit, la
     # operator is its ambient table (the plain cyclic complexes)
     full = all(len(basis) == amb.size and all(v == {k: 1} for k, v in enumerate(basis))
                for basis, amb in zip(bases, ambients))
-    solvers = None if full else [_span_solver(basis) for basis in bases]
+    readers = None if full else [KernelCoords(basis) for basis in bases]
 
     def make(kind, n, i):
         if kind == "face":
@@ -665,17 +659,10 @@ def _subspace_complex(N, name, prefix, preserves, bases, ambients, mul, unit, la
         if full:
             return SparseMatrix.from_columns(by_source, len(bases[target]))
         message = "%s %s does not preserve %s (deg %d)" % (name, _OP_NAMES[kind], preserves, n)
-        return _restrict(by_source, bases[n], solvers[target], message)
+        return _restrict(by_source, bases[n], readers[target], message, n)
 
     cx = CocyclicComplex.assemble(N, spaces, make, name)
-    return SubspaceComplexData(cx, bases, ambients, solvers)
-
-
-def _span_solver(basis):
-    solver = SpanSolver(track=True)
-    for v in basis:
-        solver.add(v)
-    return solver
+    return SubspaceComplexData(cx, bases, ambients)
 
 
 def _coalg_tables(coalg):
@@ -1072,7 +1059,12 @@ def plain_cyclic_complex(alg, N, name="cyclic"):
     from .actions import trivial_sayd
     h = trivial_hopf()
     ma = trivial_module_algebra(h, alg)
-    return build_algebra_complex(ma, trivial_sayd(h), N, name=name)
+    data = build_algebra_complex(ma, trivial_sayd(h), N, name=name)
+    # the full dual, realized with the identity basis
+    for n, basis in enumerate(data.bases):
+        if any(v != {k: 1} for k, v in enumerate(basis)):
+            raise AssertionError("plain complex basis is not standard at degree %d" % n)
+    return data
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ every violating basis tuple with its residual vector, never just the first.
 
 from __future__ import annotations
 
-from .linalg import SparseMatrix, compose, tensor_kron, vector_to_text
+from .linalg import SparseMatrix, compose, invert_matrix, tensor_kron, vector_to_text
 from .spaces import GROUND, MultiIndex, StructureTensor
 
 
@@ -114,18 +114,13 @@ class HopfData:
         self.space = alg.space
         self.antipode = antipode
         if antipode_inv is None:
-            antipode_inv = _invert(antipode)
+            antipode_inv = invert_matrix(antipode)
         self.antipode_inv = antipode_inv
         self.tables = None      # complexes.HopfTables, built on first use
 
     @property
     def dim(self):
         return self.space.dim
-
-
-def _invert(m):
-    from .linalg import invert_matrix
-    return invert_matrix(m)
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +287,13 @@ def involution_flags(mp: ModularPair):
 
 
 def _grouplike_inverse(h, sigma):
-    """Inverse of a group-like element, if it exists in the span."""
+    """Inverse of a group-like element, if it exists in the span.
+
+    In finite dimension sigma * y = 1 has a solution exactly when left
+    multiplication by sigma is invertible, and the solution is unique."""
     d = h.dim
     mul = h.alg.mul_matrix()
-    sm = {i: x for i, x in sigma.items()}
-    # solve sigma * y = 1
-    left = compose(mul, tensor_kron(SparseMatrix(d, 1, {(i, 0): x for i, x in sm.items()}),
+    left = compose(mul, tensor_kron(SparseMatrix(d, 1, {(i, 0): x for i, x in sigma.items()}),
                                     SparseMatrix.identity(d)))
-    from .linalg import SpanSolver
-    solver = SpanSolver(track=True)
-    for col in left.columns():
-        solver.add(col)
-    coeff = solver.solve(dict(h.alg.unit))
-    return coeff
+    inv = invert_matrix(left)
+    return None if inv is None else inv.apply(dict(h.alg.unit))

@@ -26,10 +26,6 @@ class ShapeMismatch(Exception):
     pass
 
 
-class SubspaceNotContained(Exception):
-    """A vector claimed to lie in a span does not; usually means d*d != 0 upstream."""
-
-
 # ---------------------------------------------------------------------------
 # scalars
 
@@ -140,20 +136,12 @@ def contract(pushed, xvec):
 
 
 def vec_primitive(u):
-    """Rescale to a primitive integer vector (positive leading entry kept as-is).
+    """Rescale a nonzero vector to a primitive integer vector (positive
+    leading entry kept as-is).
 
     Used between elimination steps to stop denominator growth; the final
     RREF normalization restores leading ones.
     """
-    if not u:
-        return u
-    if all(isinstance(x, int) for x in u.values()):
-        g = 0
-        for x in u.values():
-            g = gcd(g, x)
-        if g in (0, 1):
-            return u
-        return {i: x // g for i, x in u.items()}
     lcm = 1
     for x in u.values():
         if isinstance(x, Fraction):
@@ -496,7 +484,7 @@ class SpanSolver:
     def solve(self, v):
         """Coefficients over the original vectors, or None if not in span."""
         if not self.track:
-            raise ValueError("solver built without track=True")
+            raise ValueError("solve needs a solver that tracks its rows")
         coeff = {}
         v = self._reduce(v, coeff, sign=1)
         if v:
@@ -513,7 +501,7 @@ def rref(matrix):
     for row in matrix.row_vectors():
         if row:
             solver.add(row)
-    return list(solver.pivots), solver.rref_rows()
+    return solver.pivots, [solver.rows[p] for p in solver.pivots]
 
 
 def image_rank(matrix):
@@ -550,16 +538,38 @@ def kernel_basis(matrix):
     return kernel_of_rows(matrix.row_vectors(), matrix.cols)
 
 
-def kernel_canonicalize(vectors, dim):
-    """Re-echelonize a list of kernel-style vectors to the canonical form.
+class KernelCoords:
+    """Coordinates on a basis from kernel_of_rows, read off without
+    elimination.
 
-    Reverse-column-order RREF of the span; idempotent on kernel_basis output.
-    """
-    rev = lambda v: {dim - 1 - i: x for i, x in v.items()}
-    solver = SpanSolver()
-    for v in vectors:
-        solver.add(rev(v))
-    return [rev(r) for r in reversed(solver.rref_rows())]
+    Vector k is 1 at its free column f_k = max(v_k), and its other entries
+    sit at pivot columns, where no basis vector has a free entry.  So w
+    lies in the span exactly when w - sum_k w[f_k] v_k = 0, and then its
+    coordinates are its own entries at the free columns.  The residual
+    check certifies the reading: coordinates are returned only when they
+    rebuild w exactly."""
+
+    __slots__ = ("basis", "lead")
+
+    def __init__(self, basis):
+        self.basis = basis
+        self.lead = {max(v): k for k, v in enumerate(basis)}
+
+    def read(self, w):
+        """(coordinates, residual) of w: the coordinates {k: w[f_k]} with
+        zeros dropped, and the residual w - sum_k w[f_k] v_k, empty exactly
+        when w lies in the span."""
+        lead = self.lead
+        coords = {lead[f]: w[f] for f in sorted(w.keys() & lead.keys())}
+        res = dict(w)
+        for k, c in coords.items():
+            vec_axpy(res, -c, self.basis[k])
+        return coords, res
+
+    def solve(self, w):
+        """The coordinates of w, or None when it is not in the span."""
+        coords, res = self.read(w)
+        return None if res else coords
 
 
 def invert_matrix(m):
@@ -580,19 +590,6 @@ def invert_matrix(m):
         for i, x in coeff.items():
             ent[(i, j)] = x
     return SparseMatrix(n, n, ent)
-
-
-def quotient_dim(big, small):
-    """dim span(big) - dim span(small); requires span(small) within span(big)."""
-    solver = SpanSolver()
-    for v in big:
-        solver.add(v)
-    small_rank = SpanSolver()
-    for v in small:
-        if not solver.contains(v):
-            raise SubspaceNotContained("vector outside the larger span")
-        small_rank.add(v)
-    return solver.rank() - small_rank.rank()
 
 
 # ---------------------------------------------------------------------------

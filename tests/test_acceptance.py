@@ -10,7 +10,7 @@ from math import comb
 
 import pytest
 
-from hopfcyclic.linalg import SparseMatrix, SpanSolver, compose, image_rank, kernel_basis, vec_sub
+from hopfcyclic.linalg import SparseMatrix, SpanSolver, KernelCoords, compose, image_rank, kernel_basis, vec_sub
 from hopfcyclic.complexes import (build_coalgebra_complex, build_algebra_complex,
                                   build_comodule_algebra_complex, build_hopf_complex,
                                   check_cocyclic, tensor_bicocyclic, diagonal,
@@ -308,7 +308,7 @@ def test_criterion_8_characteristic_map_agreement():
     ctx = cup_contexts()["coalgebra/kZ2"]
     hd = build_hopf_complex(mp, 3)
     mats, _, _ = char_map(mp, swap_module_algebra(), sum_trace(2), N=3)
-    tr = ctx.alg.solvers[0].solve(dict(sum_trace(2)))
+    tr = KernelCoords(ctx.alg.bases[0]).solve(dict(sum_trace(2)))
     pairs = 0
     for q in range(4):
         for x in cyclic_cocycles(ctx.coalg.complex, q):

@@ -343,8 +343,12 @@ def test_ill_defined_raised_for_broken_action():
     ent = dict(mc.action.entries)
     ent[(1, 1)] = {0: 1, 1: 1}      # g.g corrupted
     broken = ModuleCoalgebra(h, mc.coalg, StructureTensor(mc.action.domains, mc.action.codomain, ent))
-    with _pytest.raises(IllDefined):
+    with _pytest.raises(IllDefined) as info:
         build_coalgebra_complex(broken, trivial_sayd(h), 2)
+    # the witness: the relation pivot whose image is left in the quotient
+    err = info.value
+    assert str(err) == "coalgebra operator does not descend at degree 2"
+    assert (err.degree, err.column, err.residual) == (2, 0, {5: 1})
 
 def test_ill_defined_raised_for_broken_module_algebra():
     from hopfcyclic.complexes import IllDefined
@@ -355,8 +359,12 @@ def test_ill_defined_raised_for_broken_module_algebra():
     ent = dict(ma.action.entries)
     ent[(1, 0)] = {0: 1, 1: -1}     # g.p0 corrupted
     broken = ModuleAlgebra(ma.hopf, ma.alg, StructureTensor(ma.action.domains, ma.action.codomain, ent))
-    with _pytest.raises(IllDefined):
+    with _pytest.raises(IllDefined) as info:
         build_algebra_complex(broken, trivial_sayd(ma.hopf), 2)
+    # the witness: the basis index whose image the target reader leaves over
+    err = info.value
+    assert str(err) == "algebra face does not preserve equivariance (deg 1)"
+    assert (err.degree, err.column, err.residual) == (1, 0, {1: -1, 6: 1})
 
 def test_ill_defined_raised_for_broken_coaction():
     from hopfcyclic.complexes import IllDefined
@@ -367,8 +375,11 @@ def test_ill_defined_raised_for_broken_coaction():
     ent = dict(ba.coaction.entries)
     ent[(1,)] = {3: 1, 0: 1}        # g -> g|g + e|e: not an algebra map
     broken = ComoduleAlgebra(h, ba.alg, StructureTensor(ba.coaction.domains, ba.coaction.codomain, ent))
-    with pytest.raises(IllDefined, match="colinearity"):
+    with pytest.raises(IllDefined, match="colinearity") as info:
         build_comodule_algebra_complex(broken, trivial_sayd(h), 2)
+    err = info.value
+    assert str(err) == "comodule-algebra face does not preserve colinearity (deg 1)"
+    assert (err.degree, err.column, err.residual) == (1, 0, {3: 2})
 
 def test_quotient_projection_section_identity():
     from hopfcyclic.linalg import compose, SparseMatrix

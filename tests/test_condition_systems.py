@@ -11,7 +11,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from hopfcyclic.linalg import SparseMatrix, kernel_basis, vec_acc, vec_axpy
+from hopfcyclic.linalg import SparseMatrix, KernelCoords, kernel_basis, vec_acc, vec_axpy
 from hopfcyclic.actions import QuotientSpace
 from hopfcyclic.complexes import (HopfTables, _acting_on, _action_table, _by_degree,
                                   _coaction_table, _mcoact_table, build_algebra_complex,
@@ -234,6 +234,5 @@ def test_plain_cyclic_complex_is_the_ambient_cyclic_module():
                 v[:j + 1] + (k,) + v[j + 1:]: x for k, x in alg.unit.items()})
     for n in range(cx.top + 1):
         assert cx.tau(n) == matrix(n, n, lambda v: {v[-1:] + v[:-1]: 1})
-    # no solver was needed to build it; one is made when asked for
-    assert "solvers" not in vars(data)
-    assert data.solvers[1].solve({3: 2}) == {3: 2}
+    # the standard basis is a kernel basis too: coordinates are the entries
+    assert KernelCoords(data.bases[1]).solve({3: 2}) == {3: 2}

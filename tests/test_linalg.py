@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopfcyclic.linalg import (
-    SparseMatrix, SubspaceNotContained, ShapeMismatch,
-    compose, tensor_kron, kernel_basis, kernel_of_rows, kernel_canonicalize, image_rank,
-    quotient_dim, rref, parse_scalar, format_scalar, scal,
+    SparseMatrix, ShapeMismatch, KernelCoords,
+    compose, tensor_kron, kernel_basis, kernel_of_rows, image_rank,
+    rref, parse_scalar, format_scalar, scal,
     vec_acc, vec_axpy, mul_vec, push_slots,
     contract,
 )
@@ -55,32 +55,12 @@ def test_rank_nullity_random():
         m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
         assert image_rank(m) + len(kernel_basis(m)) == m.cols
 
-def test_kernel_canonical_idempotent():
-    rng = random.Random(11)
-    for _ in range(20):
-        m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 6))
-        ker = kernel_basis(m)
-        assert kernel_canonicalize(ker, m.cols) == ker
-
 def test_kernel_vectors_annihilated():
     rng = random.Random(13)
     for _ in range(20):
         m = random_matrix(rng, 4, 5)
         for v in kernel_basis(m):
             assert m.apply(v) == {}
-
-
-# -- quotients ---------------------------------------------------------------
-
-def test_quotient_dim_basic():
-    e1, e2 = {0: 1}, {1: 1}
-    assert quotient_dim([e1, e2], [e1]) == 1
-    assert quotient_dim([e1, e2], [e1, e2]) == 0
-    assert quotient_dim([e1, e2], [{0: 1, 1: 1}]) == 1
-
-def test_quotient_dim_not_contained():
-    with pytest.raises(SubspaceNotContained):
-        quotient_dim([{0: 1}], [{1: 1}])
 
 
 # -- products ----------------------------------------------------------------
@@ -405,3 +385,32 @@ def test_kernel_of_rows_is_the_kernel_of_the_stacked_matrix(m, data):
     for v in ker:
         assert m.apply(v) == {}
         assert_normal(v)
+
+
+@given(sparse_matrices(), st.data())
+def test_kernel_coords_read_the_free_entries(m, data):
+    basis = kernel_of_rows(m.row_vectors(), m.cols)
+    pivots = set(rref(m)[0])
+    # the canonical form: each vector's last column is its free column,
+    # in increasing order, with entry 1 there
+    assert [max(v) for v in basis] == [f for f in range(m.cols) if f not in pivots]
+    assert all(v[max(v)] == 1 for v in basis)
+    reader = KernelCoords(basis)
+    # a combination of the basis is read back as its coefficients
+    coeffs = data.draw(st.lists(st.one_of(st.just(0), rationals),
+                                min_size=len(basis), max_size=len(basis)))
+    w = {}
+    for c, v in zip(coeffs, basis):
+        vec_axpy(w, c, v)
+    assert reader.solve(w) == {k: c for k, c in enumerate(coeffs) if c}
+    # any vector: in the span exactly when the matrix annihilates it
+    w = data.draw(st.dictionaries(st.integers(0, m.cols - 1), nonzero_rationals))
+    coords, residual = reader.read(w)
+    if m.apply(w):
+        assert reader.solve(w) is None and residual
+    else:
+        assert reader.solve(w) == coords and not residual
+        rebuilt = {}
+        for k, c in coords.items():
+            vec_axpy(rebuilt, c, basis[k])
+        assert rebuilt == w

@@ -1,0 +1,143 @@
+"""Mutation check: named source edits that the test suite must catch.
+
+Usage (from anywhere; the repository is this file's parent directory):
+
+    python3 tools/mutants.py            # every mutant
+    python3 tools/mutants.py NAME ...   # the named mutants only
+
+Each mutant is a file (relative to the repository root), the exact old
+text, the new text, and the test ids that must fail with the edit in place.
+For each mutant the sources, the tests and the benchmark directory are
+copied to a temporary directory, the edit is applied to the copy, and only
+the named tests run there (``python3 -m pytest``).  The mutant is killed
+when every named test fails and survives otherwise.  It is an error when
+the old text is missing from the file or found more than once, or when a
+named test already fails on an unmutated copy, which runs first.  The
+working tree is never written.  Exit status 0 when every mutant is killed,
+else 1.
+"""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from collections import namedtuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+
+Mutant = namedtuple("Mutant", "name path old new tests")
+
+LINALG = "src/hopfcyclic/linalg.py"
+COMPLEXES = "src/hopfcyclic/complexes.py"
+
+MUTANTS = [
+    Mutant("lead-at-min", LINALG,
+           "self.lead = {max(v): k for k, v in enumerate(basis)}",
+           "self.lead = {min(v): k for k, v in enumerate(basis)}",
+           ["tests/test_linalg.py::test_kernel_coords_read_the_free_entries",
+            "tests/test_complexes.py::test_algebra_complex_h4_passes",
+            "tests/test_complexes.py::test_ill_defined_raised_for_broken_coaction"]),
+    Mutant("residual-check-dropped", LINALG,
+           "        return coords, res\n",
+           "        return coords, {}\n",
+           ["tests/test_linalg.py::test_kernel_coords_read_the_free_entries",
+            "tests/test_actions.py::test_not_closed_for_inconsistent_action",
+            "tests/test_complexes.py::test_ill_defined_raised_for_broken_module_algebra",
+            "tests/test_complexes.py::test_ill_defined_raised_for_broken_coaction"]),
+    Mutant("restrict-reads-source-degree", COMPLEXES,
+           "_restrict(by_source, bases[n], readers[target], message, n)",
+           "_restrict(by_source, bases[n], readers[n], message, n)",
+           ["tests/test_complexes.py::test_algebra_complex_h4_passes",
+            "tests/test_complexes.py::test_comodule_complex_kz2",
+            "tests/test_acceptance.py::test_criterion_8_characteristic_map_agreement"]),
+    Mutant("restrict-witness-residual-none", COMPLEXES,
+           "raise IllDefined(message, n, k, dict(sorted(residual.items())))",
+           "raise IllDefined(message, n, k, None)",
+           ["tests/test_complexes.py::test_ill_defined_raised_for_broken_module_algebra",
+            "tests/test_complexes.py::test_ill_defined_raised_for_broken_coaction"]),
+    Mutant("lift-witness-residual-none", COMPLEXES,
+           "n, p, dict(sorted(out.items())))",
+           "n, p, None)",
+           ["tests/test_complexes.py::test_ill_defined_raised_for_broken_action"]),
+]
+
+# "FAILED <id> - <reason>" / "ERROR <id>" lines of pytest's short summary
+# (-rfE); a parametrized id may hold spaces
+_FAILED = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", re.M)
+
+
+def _copy_tree(dest):
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc", ".hypothesis")
+    for name in COPIED:
+        src = os.path.join(ROOT, name)
+        if os.path.isdir(src):
+            shutil.copytree(src, os.path.join(dest, name), ignore=ignore)
+        else:
+            shutil.copy2(src, os.path.join(dest, name))
+
+
+def _failing(tree, tests):
+    """The ids among tests that fail when run in tree; None when pytest
+    itself fails (an unknown id, a collection error)."""
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider"] + list(tests),
+        cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    if proc.returncode not in (0, 1):
+        sys.stderr.write(proc.stdout[-2000:])
+        return None
+    return set(_FAILED.findall(proc.stdout))
+
+
+def run_mutant(m, already_failing):
+    """(verdict, detail) for one mutant: verdict is killed, survived or error."""
+    broken = [t for t in m.tests if t in already_failing]
+    if broken:
+        return "error", "fails unmutated: " + ", ".join(broken)
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        _copy_tree(tmp)
+        path = os.path.join(tmp, m.path)
+        with open(path) as f:
+            text = f.read()
+        count = text.count(m.old)
+        if count != 1:
+            return "error", "old text found %d times in %s" % (count, m.path)
+        with open(path, "w") as f:
+            f.write(text.replace(m.old, m.new))
+        failed = _failing(tmp, m.tests)
+    if failed is None:
+        return "error", "pytest could not run the named tests"
+    passed = [t for t in m.tests if t not in failed]
+    if passed:
+        return "survived", "passed: " + ", ".join(passed)
+    return "killed", "%d/%d named tests failed" % (len(m.tests), len(m.tests))
+
+
+def main(argv=None):
+    names = sys.argv[1:] if argv is None else argv
+    known = {m.name: m for m in MUTANTS}
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        print("unknown mutant: %s" % ", ".join(unknown), file=sys.stderr)
+        return 2
+    chosen = [known[n] for n in names] if names else MUTANTS
+    with tempfile.TemporaryDirectory(prefix="unmutated-") as tmp:
+        _copy_tree(tmp)
+        already_failing = _failing(tmp, sorted({t for m in chosen for t in m.tests}))
+    if already_failing is None:
+        print("pytest could not run the named tests on an unmutated copy", file=sys.stderr)
+        return 2
+    ok = True
+    for m in chosen:
+        verdict, detail = run_mutant(m, already_failing)
+        ok = ok and verdict == "killed"
+        print("%-8s %-32s %s" % (verdict, m.name, detail))
+    print("%d mutants, %s" % (len(chosen), "all killed" if ok else "NOT all killed"))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
