@@ -12,8 +12,7 @@ from .linalg import (SparseMatrix, SpanSolver, KernelCoords, compose, tensor_kro
                      kernel_of_rows, scal, vec_acc, vec_axpy)
 from .spaces import BasedSpace, GROUND, MultiIndex, StructureTensor, tensor_space
 from .hopf import (AlgebraData, CoalgebraData, HopfData, ModularPair,
-                   ValidationReport, Violation, swap_matrix, validate_algebra,
-                   iterated_coproduct)
+                   ValidationReport, Violation, swap_matrix, validate_algebra)
 
 
 class NotClosed(Exception):
@@ -211,7 +210,7 @@ def validate_sayd(m: SAYDModule) -> ValidationReport:
     rep.extend_from_matrix("stability", stab, (m.space,))
     # anti-Yetter-Drinfeld: coact(m h) = S(h3) m^(-1) h1 (x) m^(0) h2
     lhs = compose(coact, ract)          # M (x) H -> H (x) M
-    com2 = iterated_coproduct(h.coalg, 3).as_matrix()   # H -> H^3
+    com2 = compose(tensor_kron(comH, I_H), comH)         # H -> H^3
     step = compose(tensor_kron(coact, SparseMatrix.identity(d ** 3)),
                    tensor_kron(I_M, com2))               # M(x)H -> H(x)M(x)H^3
     # slots (m-1, m0, h1, h2, h3) -> (h3, m-1, h1, m0, h2)
@@ -415,6 +414,7 @@ class QuotientSpace:
         self.solver = SpanSolver()
         for v in relation_vectors:
             self.solver.add(v)
+        self.solver.freeze()
         pivot_set = set(self.solver.pivots)
         self.free = [i for i in range(ambient_dim) if i not in pivot_set]
         self.pos = {f: i for i, f in enumerate(self.free)}

@@ -313,21 +313,26 @@ def _complex_sections(spec, spec_text, rep, flags, identities, cohomology):
 
 
 def _contexts_for(spec, kind, N):
-    out = []
+    """(name, context, None) for each declared context of this kind, built
+    one at a time; (name, None, error) for one whose components fail
+    validation or whose complexes cannot be built."""
     for name, (k, args) in spec.contexts.items():
         if k != kind:
             continue
         sayd = spec.coefficients[args[-1]]
-        if k == "coalgebra":
-            ctx = CoalgebraCupContext(spec.actions[args[0]], sayd, N=N)
-        elif k == "crossed":
-            ctx = CrossedCupContext(spec.module_algebras[args[0]],
-                                    spec.comodule_algebras[args[1]], sayd, N=N)
-        else:
-            ctx = RelativeCupContext(spec.module_algebras[args[0]],
-                                     spec.subhopfs[args[1]], sayd, N=N)
-        out.append((name, ctx))
-    return out
+        try:
+            if k == "coalgebra":
+                ctx = CoalgebraCupContext(spec.actions[args[0]], sayd, N=N)
+            elif k == "crossed":
+                ctx = CrossedCupContext(spec.module_algebras[args[0]],
+                                        spec.comodule_algebras[args[1]], sayd, N=N)
+            else:
+                ctx = RelativeCupContext(spec.module_algebras[args[0]],
+                                         spec.subhopfs[args[1]], sayd, N=N)
+        except ValueError as e:
+            yield name, None, e
+            continue
+        yield name, ctx, None
 
 
 def _report_cup_result(rep, label, res, extra=""):
@@ -364,9 +369,12 @@ def cmd_cup(spec, spec_text, rep, flags):
         pairs_kinds = ["crossed", "coalgebra"]   # trace-formula kinds
     any_ctx = False
     for kind in pairs_kinds:
-        for name, ctx in _contexts_for(spec, kind, N):
+        for name, ctx, error in _contexts_for(spec, kind, N):
             any_ctx = True
             rep.section("cup %s kind=%s p=%d q=%d" % (name, flags.kind, p, q))
+            if error is not None:
+                rep.fail("context build failed: %s" % error)
+                continue
             try:
                 phis = cyclic_cocycles(ctx.phi_complex().complex, p, ctx.phi_b)
                 xs = cyclic_cocycles(ctx.x_complex(), q, ctx.x_b)
@@ -427,8 +435,11 @@ def cmd_audit(spec, spec_text, rep, flags):
     _complex_sections(spec, spec_text, rep, flags, identities=True, cohomology=True)
     # context certificates and a small cup sweep
     for kind in ("coalgebra", "crossed", "relative"):
-        for name, ctx in _contexts_for(spec, kind, 2):
+        for name, ctx, error in _contexts_for(spec, kind, 2):
             rep.section("audit context %s (%s)" % (name, kind))
+            if error is not None:
+                rep.fail("context build failed: %s" % error)
+                continue
             try:
                 ctx.pairing()
                 rep.add("chain-map certificate: ok")
@@ -470,6 +481,8 @@ def cmd_audit(spec, spec_text, rep, flags):
                     rep.add("cocyclic-map certificate: ok")
                 except ChainMapFailure as e:
                     rep.fail("cocyclic-map certificate FAILED: %s" % e)
+                except ValueError as e:
+                    rep.fail("build failed: %s" % e)
     rep.section("audit shuffle sets")
     for total in range(7):
         counts = [len(shuffle_set(qq, total - qq)) for qq in range(total + 1)]

@@ -9,7 +9,8 @@ from .linalg import SparseMatrix, vec_acc
 from .spaces import BasedSpace, StructureTensor, tensor_space
 from .hopf import AlgebraData, CoalgebraData, HopfData, ModularPair
 from .actions import (ModuleAlgebra, ModuleCoalgebra, ComoduleAlgebra,
-                      CoalgebraAction, SubHopf, mpi_coefficients)
+                      CoalgebraAction, SubHopf)
+from .specfile import structure_lines
 
 
 def trivial_hopf() -> HopfData:
@@ -200,85 +201,46 @@ def sum_trace(n: int):
 
 # -- shipped fixture files -----------------------------------------------------
 
-def _alg_lines(name, alg):
-    from .specfile import _fmt_vec
-    s = alg.space
-    L = ["algebra %s" % name, "  unit = %s" % _fmt_vec(alg.unit, s)]
-    for (i, j) in sorted(alg.mul.entries):
-        L.append("  mul %s %s = %s" % (s.labels[i], s.labels[j],
-                                       _fmt_vec(alg.mul.entries[(i, j)], s)))
-    return L
+def _block(header, kind, obj, **roles):
+    """A fixture block: its header, then the structure lines of obj naming
+    the spaces of roles."""
+    return [header] + structure_lines(kind, roles, obj)
 
 
-def _coalg_lines(name, coalg):
-    from .specfile import _fmt_vec, _fmt_pvec
-    s = coalg.space
-    L = ["coalgebra %s" % name]
-    for i in sorted(coalg.counit):
-        from .linalg import format_scalar
-        L.append("  counit %s = %s" % (s.labels[i], format_scalar(coalg.counit[i])))
-    for (i,) in sorted(coalg.comul.entries):
-        L.append("  comul %s = %s" % (s.labels[i], _fmt_pvec(coalg.comul.entries[(i,)], s, s)))
-    return L
+def _hopf_blocks(h):
+    """The algebra, coalgebra and hopf blocks of h as the Hopf algebra H."""
+    return (_block("algebra H", "algebra", h.alg, S=h.space)
+            + _block("coalgebra H", "coalgebra", h.coalg, S=h.space)
+            + _block("hopf H", "hopf", h, S=h.space))
 
 
-def _hopf_lines(name, h):
-    from .specfile import _fmt_vec
-    s = h.space
-    L = ["hopf %s" % name]
-    for i in range(s.dim):
-        L.append("  antipode %s = %s" % (s.labels[i], _fmt_vec(h.antipode.column(i), s)))
-    return L
-
-
-def _act_lines(keyword, st, s1, s2):
-    from .specfile import _fmt_vec
-    L = []
-    for (i, j) in sorted(st.entries):
-        L.append("  %s %s %s = %s" % (keyword, s1.labels[i], s2.labels[j],
-                                      _fmt_vec(st.entries[(i, j)], st.codomain)))
-    return L
-
-
-def _coact_lines(st, hs, bs):
-    from .specfile import _fmt_pvec
-    L = []
-    for (i,) in sorted(st.entries):
-        L.append("  coact %s = %s" % (bs.labels[i], _fmt_pvec(st.entries[(i,)], hs, bs)))
-    return L
+def _self_comodule_blocks(h, labels):
+    """H coacting on a copy B of itself by its comultiplication, B's basis
+    relabelled."""
+    ba = self_comodule_algebra(h)
+    bspace = BasedSpace(labels)
+    return (["space B = %s" % " ".join(labels)]
+            + _block("algebra B", "algebra", ba.alg, S=bspace)
+            + _block("comodule_algebra B over H", "comodule_algebra", ba, S=bspace, H=h.space))
 
 
 def _group_fixture_text(n, extras=True):
     h = group_algebra(n)
     L = ["# group algebra of Z/%d with its standard Hopf structure" % n]
     L.append("space H = %s" % " ".join(h.space.labels))
-    L += _alg_lines("H", h.alg) + _coalg_lines("H", h.coalg) + _hopf_lines("H", h)
+    L += _hopf_blocks(h)
     L.append("character eps on H = %s" % " ".join(["1"] * n))
     L.append("grouplike one in H = 1*e")
     L.append("coefficients triv = mpi(eps, one)")
     mc = self_module_coalgebra(h)
-    L.append("module_coalgebra H over H")
-    L += _act_lines("act", mc.action, h.space, h.space)
+    L += _block("module_coalgebra H over H", "module_coalgebra", mc, S=h.space, H=h.space)
     ma = permutation_module_algebra(n)
     L.append("space A = %s" % " ".join(ma.space.labels))
-    L += _alg_lines("A", ma.alg)
-    L.append("module_algebra A over H")
-    L += _act_lines("act", ma.action, h.space, ma.space)
-    ba = self_comodule_algebra(h)
-    L.append("space B = %s" % " ".join("b%d" % i for i in range(n)))
-    from .spaces import BasedSpace, StructureTensor, tensor_space
-    bspace = BasedSpace(tuple("b%d" % i for i in range(n)))
-    balg = AlgebraData(bspace,
-                       StructureTensor((bspace, bspace), bspace,
-                                       {k: dict(v) for k, v in ba.alg.mul.entries.items()}),
-                       dict(ba.alg.unit))
-    L += _alg_lines("B", balg)
-    L.append("comodule_algebra B over H")
-    bcoact = StructureTensor((bspace,), tensor_space(h.space, bspace),
-                             {k: dict(v) for k, v in ba.coaction.entries.items()})
-    L += _coact_lines(bcoact, h.space, bspace)
-    L.append("action ca : H on A")
-    L += _act_lines("cact", ma.action, h.space, ma.space)
+    L += _block("algebra A", "algebra", ma.alg, S=ma.space)
+    L += _block("module_algebra A over H", "module_algebra", ma, S=ma.space, H=h.space)
+    L += _self_comodule_blocks(h, tuple("b%d" % i for i in range(n)))
+    L += _block("action ca : H on A", "action", module_action_as_coalgebra_action(mc, ma),
+                C=h.space, A=ma.space)
     L.append("trace tr on A = %s" % " ".join(["1"] * n))
     if n == 2 and extras:
         L.append("grouplike gg in H = 1*g")
@@ -300,17 +262,15 @@ def _kz4_relative_text():
     ma = permutation_module_algebra(4)
     L = ["# Z/4 with the Z/2 sub-Hopf-algebra and the translation module algebra"]
     L.append("space H = %s" % " ".join(h.space.labels))
-    L += _alg_lines("H", h.alg) + _coalg_lines("H", h.coalg) + _hopf_lines("H", h)
+    L += _hopf_blocks(h)
     L.append("character eps on H = 1 1 1 1")
     L.append("grouplike one in H = 1*e")
     L.append("coefficients triv = mpi(eps, one)")
-    mc = self_module_coalgebra(h)
-    L.append("module_coalgebra H over H")
-    L += _act_lines("act", mc.action, h.space, h.space)
+    L += _block("module_coalgebra H over H", "module_coalgebra", self_module_coalgebra(h),
+                S=h.space, H=h.space)
     L.append("space A = %s" % " ".join(ma.space.labels))
-    L += _alg_lines("A", ma.alg)
-    L.append("module_algebra A over H")
-    L += _act_lines("act", ma.action, h.space, ma.space)
+    L += _block("algebra A", "algebra", ma.alg, S=ma.space)
+    L += _block("module_algebra A over H", "module_algebra", ma, S=ma.space, H=h.space)
     L.append("subhopf K of H = 1*e ; 1*g2")
     L.append("complex coalg_triv = coalgebra(H, triv)")
     L.append("context cup_rel = relative(A, K, triv)")
@@ -321,30 +281,16 @@ def _h4_text():
     h = sweedler_h4()
     L = ["# the 4-dimensional Taft algebra"]
     L.append("space H = %s" % " ".join(h.space.labels))
-    L += _alg_lines("H", h.alg) + _coalg_lines("H", h.coalg) + _hopf_lines("H", h)
+    L += _hopf_blocks(h)
     L.append("character eps on H = 1 1 0 0")
     L.append("character delta on H = 1 -1 0 0")
     L.append("grouplike one in H = 1*1")
     L.append("coefficients taft = mpi(delta, one)")
-    mc = self_module_coalgebra(h)
-    L.append("module_coalgebra H over H")
-    L += _act_lines("act", mc.action, h.space, h.space)
-    ma = adjoint_module_algebra(h)
-    L.append("module_algebra H over H")
-    L += _act_lines("act", ma.action, h.space, h.space)
-    ba = self_comodule_algebra(h)
-    from .spaces import BasedSpace, StructureTensor, tensor_space
-    bspace = BasedSpace(("c1", "cg", "cx", "cgx"))
-    balg = AlgebraData(bspace,
-                       StructureTensor((bspace, bspace), bspace,
-                                       {k: dict(v) for k, v in ba.alg.mul.entries.items()}),
-                       dict(ba.alg.unit))
-    L.append("space B = c1 cg cx cgx")
-    L += _alg_lines("B", balg)
-    L.append("comodule_algebra B over H")
-    bcoact = StructureTensor((bspace,), tensor_space(h.space, bspace),
-                             {k: dict(v) for k, v in ba.coaction.entries.items()})
-    L += _coact_lines(bcoact, h.space, bspace)
+    L += _block("module_coalgebra H over H", "module_coalgebra", self_module_coalgebra(h),
+                S=h.space, H=h.space)
+    L += _block("module_algebra H over H", "module_algebra", adjoint_module_algebra(h),
+                S=h.space, H=h.space)
+    L += _self_comodule_blocks(h, ("c1", "cg", "cx", "cgx"))
     L.append("complex hopf_taft = hopf(H, taft)")
     L.append("complex coalg_taft = coalgebra(H, taft)")
     L.append("complex alg_taft = algebra(H, taft)")
@@ -354,19 +300,18 @@ def _h4_text():
 
 def _trivial_text():
     h = trivial_hopf()
+    # H acts on itself by left multiplication, as a module (co)algebra and
+    # as the action of its coalgebra on its algebra
+    mc = self_module_coalgebra(h)
     L = ["# the one-dimensional Hopf algebra"]
     L.append("space H = 1")
-    L += _alg_lines("H", h.alg) + _coalg_lines("H", h.coalg) + _hopf_lines("H", h)
+    L += _hopf_blocks(h)
     L.append("character eps on H = 1")
     L.append("grouplike one in H = 1*1")
     L.append("coefficients triv = mpi(eps, one)")
-    mc = self_module_coalgebra(h)
-    L.append("module_coalgebra H over H")
-    L += _act_lines("act", mc.action, h.space, h.space)
-    L.append("module_algebra H over H")
-    L += _act_lines("act", mc.action, h.space, h.space)
-    L.append("action ca : H on H")
-    L += _act_lines("cact", mc.action, h.space, h.space)
+    L += _block("module_coalgebra H over H", "module_coalgebra", mc, S=h.space, H=h.space)
+    L += _block("module_algebra H over H", "module_algebra", mc, S=h.space, H=h.space)
+    L += _block("action ca : H on H", "action", mc, C=h.space, A=h.space)
     L.append("trace tr on H = 1")
     L.append("complex hopf_triv = hopf(H, triv)")
     L.append("complex coalg_triv = coalgebra(H, triv)")

@@ -10,7 +10,7 @@ from .linalg import SparseMatrix, compose, invert_matrix, tensor_kron, vector_to
 from .spaces import GROUND, MultiIndex, StructureTensor
 
 
-class BracketingMismatch(Exception):
+class BracketingMismatch(ValueError):
     """Iterated coproduct differs between bracketings; coassociativity is broken."""
 
 

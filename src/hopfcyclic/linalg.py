@@ -460,6 +460,11 @@ class SpanSolver:
         bisect.insort(self.pivots, p)
         return True
 
+    def freeze(self):
+        """Drop the column index, which only add needs; no vector can be
+        added afterwards."""
+        self._colidx = None
+
     def _row_axpy(self, q, row, c, v, newpivot):
         """row += c*v for the stored row with pivot q, maintaining the column index."""
         for i, x in v.items():

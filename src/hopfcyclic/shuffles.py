@@ -91,9 +91,8 @@ def _mul_words(w1, c1, w2, c2):
 
 def expand_theta(n):
     """theta^n as a dict {word: coeff}."""
-    terms = {((((0, False, ()),)), ((0, False),)): 1}
-    # generator factors: d(a_i >< b_i) = (da_i >< b_i) + (a_i >< d b_i)
     terms = {(((0, False, ()),), ((0, False),)): 1}
+    # generator factors: d(a_i >< b_i) = (da_i >< b_i) + (a_i >< d b_i)
     for i in range(1, n + 1):
         factor = [((((i, True, ()),), ((i, False),)), 1),
                   ((((i, False, ()),), ((i, True),)), 1)]

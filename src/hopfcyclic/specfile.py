@@ -25,12 +25,15 @@ c*label|label, scalars as integers or fractions p/q.
     complex main = hopf(H, M)
     context cup1 = coalgebra(ca, M)
 
-parse_spec returns a SpecFile whose canonical to_text() round-trips.
+The structure lines of every block kind are described once, in LINES: the
+reader (_read_lines), the writer (structure_lines) and the shipped fixture
+files all follow it.  parse_spec returns a SpecFile whose canonical
+to_text() round-trips.
 """
 
 from __future__ import annotations
 
-from .linalg import parse_scalar, format_scalar, vec_acc
+from .linalg import SparseMatrix, parse_scalar, format_scalar, vec_acc
 from .spaces import BasedSpace, StructureTensor, tensor_space
 from .hopf import AlgebraData, CoalgebraData, HopfData, ModularPair
 from .actions import (ModuleAlgebra, ModuleCoalgebra, ComoduleAlgebra, SAYDModule,
@@ -55,6 +58,24 @@ class DimensionMismatch(Exception):
         self.line_no = line_no
 
 
+# The structure lines of each block kind, in the order they are written:
+# keyword -> (roles of its labels, roles of its value).  A role names a
+# space: S the block's own, H its Hopf algebra's, C and A the coalgebra and
+# the algebra of an action.  A value with no role is a scalar, with one a
+# vector (coef*label terms), with two a vector on their tensor product
+# (coef*label|label terms).
+LINES = {
+    "algebra": {"unit": ("", "S"), "mul": ("SS", "S")},
+    "coalgebra": {"counit": ("S", ""), "comul": ("S", "SS")},
+    "hopf": {"antipode": ("S", "S")},
+    "sayd": {"ract": ("SH", "S"), "lcoact": ("S", "HS")},
+    "module_algebra": {"act": ("HS", "S")},
+    "module_coalgebra": {"act": ("HS", "S")},
+    "comodule_algebra": {"coact": ("S", "HS")},
+    "action": {"cact": ("CA", "A")},
+}
+
+
 class SpecFile:
     """Parsed declarations, resolution results and canonical serialization."""
 
@@ -76,122 +97,88 @@ class SpecFile:
         self.complexes = {}         # name -> (kind, args tuple)
         self.contexts = {}          # name -> (kind, args tuple)
         self.order = []             # declaration order of (category, name)
+        # (category, name) -> canonical header line of its latest declaration,
+        # in the order of the first one
+        self.headers = {}
+        self._pairs = {}            # mpi coefficients name -> ModularPair
 
     def modular_pair(self, name):
         return self._pairs[name]
 
     def to_text(self):
         out = []
-        seen_blocks = set()
-        for cat, name in self.order:
-            if (cat, name) in seen_blocks:
-                continue
-            seen_blocks.add((cat, name))
-            out.extend(self._emit(cat, name))
+        for (cat, name), header in self.headers.items():
+            out.append(header)
+            if cat in LINES:
+                obj = getattr(self, cat + "s")[name]
+                out.extend(structure_lines(cat, _roles(obj), obj))
         return "\n".join(out) + "\n"
 
-    def _emit(self, cat, name):
-        L = []
-        if cat == "space":
-            s = self.spaces[name]
-            L.append("space %s = %s" % (name, " ".join(s.labels)))
-        elif cat == "algebra":
-            a = self.algebras[name]
-            s = a.space
-            L.append("algebra %s" % name)
-            L.append("  unit = %s" % _fmt_vec(a.unit, s))
-            for (i, j) in sorted(a.mul.entries):
-                L.append("  mul %s %s = %s" % (s.labels[i], s.labels[j],
-                                               _fmt_vec(a.mul.entries[(i, j)], s)))
-        elif cat == "coalgebra":
-            c = self.coalgebras[name]
-            s = c.space
-            L.append("coalgebra %s" % name)
-            for i in sorted(c.counit):
-                L.append("  counit %s = %s" % (s.labels[i], format_scalar(c.counit[i])))
-            for (i,) in sorted(c.comul.entries):
-                L.append("  comul %s = %s" % (s.labels[i], _fmt_pvec(c.comul.entries[(i,)], s, s)))
-        elif cat == "hopf":
-            h = self.hopfs[name]
-            s = h.space
-            L.append("hopf %s" % name)
-            for i in range(s.dim):
-                L.append("  antipode %s = %s" % (s.labels[i], _fmt_vec(h.antipode.column(i), s)))
-        elif cat == "character":
-            hname, vals = self.characters[name]
-            s = self.hopfs[hname].space
-            L.append("character %s on %s = %s" % (name, hname,
-                     " ".join(format_scalar(vals.get(i, 0)) for i in range(s.dim))))
-        elif cat == "grouplike":
-            hname, vec = self.grouplikes[name]
-            s = self.hopfs[hname].space
-            L.append("grouplike %s in %s = %s" % (name, hname, _fmt_vec(vec, s)))
-        elif cat == "coefficients":
-            kind, c, g = self._coef_decl[name]
-            L.append("coefficients %s = mpi(%s, %s)" % (name, c, g))
-        elif cat == "sayd":
-            m = self.sayds[name]
-            hname = self._sayd_decl[name][0]
-            sname = self._sayd_decl[name][1]
-            ms = m.space
-            hs = m.hopf.space
-            L.append("sayd %s over %s space %s" % (name, hname, sname))
-            for (i, j) in sorted(m.raction.entries):
-                L.append("  ract %s %s = %s" % (ms.labels[i], hs.labels[j],
-                                                _fmt_vec(m.raction.entries[(i, j)], ms)))
-            for (i,) in sorted(m.lcoaction.entries):
-                L.append("  lcoact %s = %s" % (ms.labels[i],
-                                               _fmt_pvec(m.lcoaction.entries[(i,)], hs, ms)))
-        elif cat == "module_algebra":
-            ma = self.module_algebras[name]
-            hname = self._mod_decl[("module_algebra", name)]
-            L.append("module_algebra %s over %s" % (name, hname))
-            L.extend(_emit_action_lines("act", ma.action, ma.hopf.space, ma.space))
-        elif cat == "module_coalgebra":
-            mc = self.module_coalgebras[name]
-            hname = self._mod_decl[("module_coalgebra", name)]
-            L.append("module_coalgebra %s over %s" % (name, hname))
-            L.extend(_emit_action_lines("act", mc.action, mc.hopf.space, mc.space))
-        elif cat == "comodule_algebra":
-            ba = self.comodule_algebras[name]
-            hname = self._mod_decl[("comodule_algebra", name)]
-            s = ba.space
-            L.append("comodule_algebra %s over %s" % (name, hname))
-            for (i,) in sorted(ba.coaction.entries):
-                L.append("  coact %s = %s" % (s.labels[i],
-                                              _fmt_pvec(ba.coaction.entries[(i,)], ba.hopf.space, s)))
-        elif cat == "action":
-            ca = self.actions[name]
-            cs, as_ = ca.mc.space, ca.ma.space
-            cname, aname = self._action_decl[name]
-            L.append("action %s : %s on %s" % (name, cname, aname))
-            L.extend(_emit_action_lines("cact", ca.action, cs, as_))
-        elif cat == "subhopf":
-            k = self.subhopfs[name]
-            hname = self._subhopf_decl[name]
-            s = k.hopf.space
-            L.append("subhopf %s of %s = %s" % (name, hname,
-                     " ; ".join(_fmt_vec(v, s) for v in k.spanning)))
-        elif cat == "trace":
-            sname, vals = self.traces[name]
-            s = self.spaces[sname]
-            L.append("trace %s on %s = %s" % (name, sname,
-                     " ".join(format_scalar(vals.get(i, 0)) for i in range(s.dim))))
-        elif cat == "complex":
-            kind, args = self.complexes[name]
-            L.append("complex %s = %s(%s)" % (name, kind, ", ".join(args)))
-        elif cat == "context":
-            kind, args = self.contexts[name]
-            L.append("context %s = %s(%s)" % (name, kind, ", ".join(args)))
-        return L
+
+def _roles(obj):
+    """The spaces a declared object's structure lines name, by role."""
+    if isinstance(obj, CoalgebraAction):
+        return {"C": obj.mc.space, "A": obj.ma.space}
+    if hasattr(obj, "hopf"):
+        return {"S": obj.space, "H": obj.hopf.space}
+    return {"S": obj.space}
 
 
-def _emit_action_lines(keyword, tensor, s1, s2):
-    L = []
-    for (i, j) in sorted(tensor.entries):
-        L.append("  %s %s %s = %s" % (keyword, s1.labels[i], s2.labels[j],
-                                      _fmt_vec(tensor.entries[(i, j)], tensor.codomain)))
-    return L
+def _entries(kind, obj):
+    """{keyword: {label indices: value}} of an object declared by a block of
+    this kind: what _read_lines reads back from its structure lines."""
+    if kind == "algebra":
+        return {"unit": {(): obj.unit}, "mul": obj.mul.entries}
+    if kind == "coalgebra":
+        return {"counit": {(i,): x for i, x in obj.counit.items()},
+                "comul": obj.comul.entries}
+    if kind == "hopf":
+        return {"antipode": {(i,): obj.antipode.column(i) for i in range(obj.dim)}}
+    if kind == "sayd":
+        return {"ract": obj.raction.entries, "lcoact": obj.lcoaction.entries}
+    if kind == "comodule_algebra":
+        return {"coact": obj.coaction.entries}
+    return {keyword: obj.action.entries for keyword in LINES[kind]}     # act, cact
+
+
+def structure_lines(kind, roles, obj):
+    """The structure lines of obj, declared by a block of this kind: each
+    keyword in table order, its entries sorted by label indices.  roles maps
+    each role of the kind to the space whose labels are written."""
+    out = []
+    entries = _entries(kind, obj)
+    for keyword, (lab, val) in LINES[kind].items():
+        target = tensor_space(*(roles[r] for r in val))
+        got = entries[keyword]
+        for idx in sorted(got):
+            labels = "".join(" " + roles[r].labels[i] for r, i in zip(lab, idx))
+            value = _fmt_vec(got[idx], target) if val else format_scalar(got[idx])
+            out.append("  %s%s = %s" % (keyword, labels, value))
+    return out
+
+
+def _read_lines(kind, lines, roles):
+    """{keyword: {label indices: value}} of a block's structure lines; a
+    later line for the same labels replaces an earlier one."""
+    table = LINES[kind]
+    got = {keyword: {} for keyword in table}
+    for ln, line in lines:
+        lhs, rhs = line.split("=", 1)
+        keyword, *labels = lhs.split()
+        if keyword not in table:
+            raise ParseError("unexpected %r in %s block" % (keyword, kind), ln)
+        lab, val = table[keyword]
+        idx = tuple(_label(roles[r], label, ln) for r, label in zip(lab, labels))
+        got[keyword][idx] = _parse_value(rhs, [roles[r] for r in val], ln)
+    return got
+
+
+def _tensor(kind, keyword, roles, got):
+    """The StructureTensor of a keyword's lines: its labels index the
+    domains, its values the tensor product of the codomain spaces."""
+    lab, val = LINES[kind][keyword]
+    return StructureTensor([roles[r] for r in lab], tensor_space(*(roles[r] for r in val)),
+                           got[keyword])
 
 
 def _fmt_vec(vec, space):
@@ -201,17 +188,6 @@ def _fmt_vec(vec, space):
                       for i, x in sorted(vec.items()))
 
 
-def _fmt_pvec(vec, s1, s2):
-    if not vec:
-        return "0"
-    d2 = s2.dim
-    terms = []
-    for f, x in sorted(vec.items()):
-        i, j = divmod(f, d2)
-        terms.append("%s*%s|%s" % (format_scalar(x), s1.labels[i], s2.labels[j]))
-    return " + ".join(terms)
-
-
 def _scalar(text, line_no):
     try:
         return parse_scalar(text)
@@ -219,45 +195,40 @@ def _scalar(text, line_no):
         raise ParseError("bad scalar %r" % text.strip(), line_no)
 
 
-def _parse_terms(text, line_no, form, key):
-    """Sum of the terms coef*rest of text, keyed by key(rest); terms that
-    cancel leave no entry."""
+def _scalars(text, dim, word, line_no):
+    """The dim whitespace-separated scalars of text."""
+    vals = text.split()
+    if len(vals) != dim:
+        raise DimensionMismatch("%s needs %d values" % (word, dim), line_no)
+    return [_scalar(v, line_no) for v in vals]
+
+
+def _parse_value(text, spaces, line_no):
+    """A scalar when spaces is empty, else the sum of the terms
+    coef*label|...|label of text on the tensor product of spaces; terms
+    that cancel leave no entry."""
+    if not spaces:
+        return _scalar(text, line_no)
     text = text.strip()
     out = {}
     if text == "0":
         return out
     for term in text.split("+"):
         term = term.strip()
-        if "*" not in term:
-            raise ParseError("expected %s, got %r" % (form, term), line_no)
-        coef, rest = term.split("*", 1)
-        k = key(rest.strip())
-        vec_acc(out, k, _scalar(coef, line_no))
+        coef, star, rest = term.partition("*")
+        labels = rest.split("|", len(spaces) - 1)
+        if not star or len(labels) != len(spaces):
+            raise ParseError("expected coef*%s, got %r"
+                             % ("|".join(["label"] * len(spaces)), term), line_no)
+        f = 0
+        for space, label in zip(spaces, labels):
+            f = f * space.dim + _label(space, label.strip(), line_no)
+        vec_acc(out, f, _scalar(coef, line_no))
     return out
-
-
-def _parse_vec(text, space, line_no):
-    return _parse_terms(text, line_no, "coef*label",
-                        lambda label: _label(space, label, line_no))
-
-
-def _parse_pvec(text, s1, s2, line_no):
-    def key(pair):
-        if "|" not in pair:
-            raise ParseError("expected coef*label|label, got %r" % pair, line_no)
-        l1, l2 = pair.split("|", 1)
-        return _label(s1, l1.strip(), line_no) * s2.dim + _label(s2, l2.strip(), line_no)
-    return _parse_terms(text, line_no, "coef*label|label", key)
 
 
 def parse_spec(text) -> SpecFile:
     spec = SpecFile()
-    spec._pairs = {}
-    spec._coef_decl = {}
-    spec._sayd_decl = {}
-    spec._mod_decl = {}
-    spec._action_decl = {}
-    spec._subhopf_decl = {}
     # raw block collection first, then resolution in declaration order
     block = None                # (kind, header fields, line_no, lines)
     blocks = []
@@ -300,7 +271,7 @@ _HEADER_FORMS = {
     "module_algebra": "module_algebra NAME over HOPF",
     "module_coalgebra": "module_coalgebra NAME over HOPF",
     "comodule_algebra": "comodule_algebra NAME over HOPF",
-    "action": "action NAME : COALGEBRA on ALGEBRA", "subhopf": "subhopf NAME in HOPF = ...",
+    "action": "action NAME : COALGEBRA on ALGEBRA", "subhopf": "subhopf NAME of HOPF = ...",
     "trace": "trace NAME on SPACE = ...", "complex": "complex NAME = ...",
     "context": "context NAME = ...",
 }
@@ -317,222 +288,131 @@ def _header_tokens(header):
 
 
 def _resolve_block(spec, head, header, ln, lines):
+    """Resolve one declaration into its SpecFile pool and record its
+    canonical header."""
     toks = _header_tokens(header)
+    rest = header.split("=", 1)[1] if "=" in header else ""
     if head == "space":
         # space NAME = l1 l2 ...
         if len(toks) < 4 or toks[2] != "=":
             raise ParseError("space NAME = labels...", ln)
-        name = toks[1]
         labels = toks[3:]
         if len(set(labels)) != len(labels):
             raise ParseError("duplicate basis labels", ln)
-        spec.spaces[name] = BasedSpace(tuple(labels))
-        spec.order.append(("space", name))
-    elif head == "algebra":
-        name = toks[1]
-        s = _space(spec, name, ln)
-        unit = {}
-        ent = {}
-        for l_no, line in lines:
-            parts = line.split("=", 1)
-            lhs = parts[0].split()
-            if lhs[0] == "unit":
-                unit = _parse_vec(parts[1], s, l_no)
-            elif lhs[0] == "mul":
-                i, j = _label(s, lhs[1], l_no), _label(s, lhs[2], l_no)
-                ent[(i, j)] = _parse_vec(parts[1], s, l_no)
-            else:
-                raise ParseError("unexpected %r in algebra block" % lhs[0], l_no)
-        spec.algebras[name] = AlgebraData(s, StructureTensor((s, s), s, ent), unit)
-        spec.order.append(("algebra", name))
-    elif head == "coalgebra":
-        name = toks[1]
-        s = _space(spec, name, ln)
-        counit = {}
-        ent = {}
-        for l_no, line in lines:
-            parts = line.split("=", 1)
-            lhs = parts[0].split()
-            if lhs[0] == "counit":
-                counit[_label(s, lhs[1], l_no)] = _scalar(parts[1], l_no)
-            elif lhs[0] == "comul":
-                ent[(_label(s, lhs[1], l_no),)] = _parse_pvec(parts[1], s, s, l_no)
-            else:
-                raise ParseError("unexpected %r in coalgebra block" % lhs[0], l_no)
-        spec.coalgebras[name] = CoalgebraData(
-            s, StructureTensor((s,), tensor_space(s, s), ent), counit)
-        spec.order.append(("coalgebra", name))
-    elif head == "hopf":
-        name = toks[1]
-        s = _space(spec, name, ln)
-        if name not in spec.algebras or name not in spec.coalgebras:
-            raise UnresolvedName("hopf %r needs algebra and coalgebra blocks first" % name, ln)
-        from .linalg import SparseMatrix
-        ent = {}
-        for l_no, line in lines:
-            parts = line.split("=", 1)
-            lhs = parts[0].split()
-            if lhs[0] != "antipode":
-                raise ParseError("unexpected %r in hopf block" % lhs[0], l_no)
-            j = _label(s, lhs[1], l_no)
-            for i, x in _parse_vec(parts[1], s, l_no).items():
-                ent[(i, j)] = x
-        S = SparseMatrix(s.dim, s.dim, ent)
-        spec.hopfs[name] = HopfData(spec.algebras[name], spec.coalgebras[name], S)
-        spec.order.append(("hopf", name))
+        spec.spaces[toks[1]] = BasedSpace(tuple(labels))
+        header = "space %s = %s" % (toks[1], " ".join(labels))
+    elif head in LINES:
+        obj, header = _structure_block(spec, head, toks, ln, lines)
+        getattr(spec, head + "s")[toks[1]] = obj
+        if head == "sayd":
+            spec.coefficients[toks[1]] = obj
     elif head == "character":
         # character NAME on HOPF = s1 ... sd
-        name, hname = toks[1], toks[3]
-        h = _hopf(spec, hname, ln)
-        vals = toks[5:]
-        if len(vals) != h.dim:
-            raise DimensionMismatch("character needs %d values" % h.dim, ln)
-        vals = [_scalar(v, ln) for v in vals]
-        spec.characters[name] = (hname, {i: x for i, x in enumerate(vals) if x})
-        spec.order.append(("character", name))
+        hname = toks[3]
+        vals = _scalars(rest, _need(spec.hopfs, hname, "unknown hopf algebra %r", ln).dim,
+                        "character", ln)
+        spec.characters[toks[1]] = (hname, {i: x for i, x in enumerate(vals) if x})
+        header = "character %s on %s = %s" % (toks[1], hname, " ".join(map(format_scalar, vals)))
     elif head == "grouplike":
-        name, hname = toks[1], toks[3]
-        h = _hopf(spec, hname, ln)
-        vec = _parse_vec(header.split("=", 1)[1], h.space, ln)
-        spec.grouplikes[name] = (hname, vec)
-        spec.order.append(("grouplike", name))
+        hname = toks[3]
+        h = _need(spec.hopfs, hname, "unknown hopf algebra %r", ln)
+        vec = _parse_value(rest, [h.space], ln)
+        spec.grouplikes[toks[1]] = (hname, vec)
+        header = "grouplike %s in %s = %s" % (toks[1], hname, _fmt_vec(vec, h.space))
     elif head == "coefficients":
         # coefficients NAME = mpi(CHAR, GRP)
         name = toks[1]
-        rest = header.split("=", 1)[1].strip()
+        rest = rest.strip()
         args = [t.strip() for t in rest[4:-1].split(",")]
         if not (rest.startswith("mpi(") and rest.endswith(")")) or len(args) != 2:
             raise ParseError("expected 'coefficients NAME = mpi(CHARACTER, GROUPLIKE)'", ln)
         cname, gname = args
-        if cname not in spec.characters:
-            raise UnresolvedName("unknown character %r" % cname, ln)
-        if gname not in spec.grouplikes:
-            raise UnresolvedName("unknown grouplike %r" % gname, ln)
-        hname, delta = spec.characters[cname]
-        hname2, sigma = spec.grouplikes[gname]
+        hname, delta = _need(spec.characters, cname, "unknown character %r", ln)
+        hname2, sigma = _need(spec.grouplikes, gname, "unknown grouplike %r", ln)
         if hname != hname2:
             raise UnresolvedName("character and grouplike live on different Hopf algebras", ln)
         mp = ModularPair(spec.hopfs[hname], delta, sigma)
         spec._pairs[name] = mp
         spec.coefficients[name] = mpi_coefficients(mp)
-        spec._coef_decl[name] = ("mpi", cname, gname)
-        spec.order.append(("coefficients", name))
-    elif head == "sayd":
-        # sayd NAME over HOPF space SPACE
-        name, hname, sname = toks[1], toks[3], toks[5]
-        h = _hopf(spec, hname, ln)
-        s = _space(spec, sname, ln)
-        ract, lco = {}, {}
-        for l_no, line in lines:
-            parts = line.split("=", 1)
-            lhs = parts[0].split()
-            if lhs[0] == "ract":
-                i, j = _label(s, lhs[1], l_no), _label(h.space, lhs[2], l_no)
-                ract[(i, j)] = _parse_vec(parts[1], s, l_no)
-            elif lhs[0] == "lcoact":
-                lco[(_label(s, lhs[1], l_no),)] = _parse_pvec(parts[1], h.space, s, l_no)
-            else:
-                raise ParseError("unexpected %r in sayd block" % lhs[0], l_no)
-        m = SAYDModule(h, s,
-                       StructureTensor((s, h.space), s, ract),
-                       StructureTensor((s,), tensor_space(h.space, s), lco))
-        spec.sayds[name] = m
-        spec.coefficients[name] = m
-        spec._sayd_decl[name] = (hname, sname)
-        spec.order.append(("sayd", name))
-    elif head in ("module_algebra", "module_coalgebra"):
-        name, hname = toks[1], toks[3]
-        h = _hopf(spec, hname, ln)
-        s = _space(spec, name, ln)
-        ent = {}
-        for l_no, line in lines:
-            parts = line.split("=", 1)
-            lhs = parts[0].split()
-            if lhs[0] != "act":
-                raise ParseError("expected act lines", l_no)
-            i, j = _label(h.space, lhs[1], l_no), _label(s, lhs[2], l_no)
-            ent[(i, j)] = _parse_vec(parts[1], s, l_no)
-        action = StructureTensor((h.space, s), s, ent)
-        if head == "module_algebra":
-            if name not in spec.algebras:
-                raise UnresolvedName("module_algebra %r needs its algebra block" % name, ln)
-            spec.module_algebras[name] = ModuleAlgebra(h, spec.algebras[name], action)
-        else:
-            if name not in spec.coalgebras:
-                raise UnresolvedName("module_coalgebra %r needs its coalgebra block" % name, ln)
-            spec.module_coalgebras[name] = ModuleCoalgebra(h, spec.coalgebras[name], action)
-        spec._mod_decl[(head, name)] = hname
-        spec.order.append((head, name))
-    elif head == "comodule_algebra":
-        name, hname = toks[1], toks[3]
-        h = _hopf(spec, hname, ln)
-        s = _space(spec, name, ln)
-        if name not in spec.algebras:
-            raise UnresolvedName("comodule_algebra %r needs its algebra block" % name, ln)
-        ent = {}
-        for l_no, line in lines:
-            parts = line.split("=", 1)
-            lhs = parts[0].split()
-            if lhs[0] != "coact":
-                raise ParseError("expected coact lines", l_no)
-            ent[(_label(s, lhs[1], l_no),)] = _parse_pvec(parts[1], h.space, s, l_no)
-        spec.comodule_algebras[name] = ComoduleAlgebra(
-            h, spec.algebras[name], StructureTensor((s,), tensor_space(h.space, s), ent))
-        spec._mod_decl[(head, name)] = hname
-        spec.order.append((head, name))
-    elif head == "action":
+        header = "coefficients %s = mpi(%s, %s)" % (name, cname, gname)
+    elif head == "subhopf":
+        hname = toks[3]
+        h = _need(spec.hopfs, hname, "unknown hopf algebra %r", ln)
+        k = SubHopf(h, [_parse_value(v, [h.space], ln) for v in rest.split(";")])
+        spec.subhopfs[toks[1]] = k
+        header = "subhopf %s of %s = %s" % (toks[1], hname,
+                                            " ; ".join(_fmt_vec(v, h.space) for v in k.spanning))
+    elif head == "trace":
+        sname = toks[3]
+        vals = _scalars(rest, _need(spec.spaces, sname, "unknown space %r", ln).dim, "trace", ln)
+        spec.traces[toks[1]] = (sname, {i: x for i, x in enumerate(vals) if x})
+        header = "trace %s on %s = %s" % (toks[1], sname, " ".join(map(format_scalar, vals)))
+    elif head in ("complex", "context"):
+        kind, args = _parse_call(rest.strip(), ln)
+        _check_refs(spec, head, kind, args, ln)
+        getattr(spec, "complexes" if head == "complex" else "contexts")[toks[1]] = (kind, args)
+        header = "%s %s = %s(%s)" % (head, toks[1], kind, ", ".join(args))
+    else:
+        raise ParseError("unknown declaration %r" % head, ln)
+    spec.order.append((head, toks[1]))
+    spec.headers[(head, toks[1])] = header
+
+
+def _structure_block(spec, head, toks, ln, lines):
+    """The object a block with structure lines declares, and its canonical
+    header.  Names in the header are resolved before the lines are read,
+    except that a module (co)algebra finds its (co)algebra block after."""
+    name = toks[1]
+    if head == "action":
         # action NAME : C on A
-        name, cname, aname = toks[1], toks[3], toks[5]
-        if cname not in spec.module_coalgebras:
-            raise UnresolvedName("unknown module coalgebra %r" % cname, ln)
-        if aname not in spec.module_algebras:
-            raise UnresolvedName("unknown module algebra %r" % aname, ln)
-        mc = spec.module_coalgebras[cname]
-        ma = spec.module_algebras[aname]
+        cname, aname = toks[3], toks[5]
+        mc = _need(spec.module_coalgebras, cname, "unknown module coalgebra %r", ln)
+        ma = _need(spec.module_algebras, aname, "unknown module algebra %r", ln)
         if mc.hopf is not ma.hopf:
             raise UnresolvedName("module coalgebra %r and module algebra %r live on different "
                                  "Hopf algebras" % (cname, aname), ln)
-        ent = {}
-        for l_no, line in lines:
-            parts = line.split("=", 1)
-            lhs = parts[0].split()
-            if lhs[0] != "cact":
-                raise ParseError("expected cact lines", l_no)
-            i, j = _label(mc.space, lhs[1], l_no), _label(ma.space, lhs[2], l_no)
-            ent[(i, j)] = _parse_vec(parts[1], ma.space, l_no)
-        spec.actions[name] = CoalgebraAction(
-            mc, ma, StructureTensor((mc.space, ma.space), ma.space, ent))
-        spec._action_decl[name] = (cname, aname)
-        spec.order.append(("action", name))
-    elif head == "subhopf":
-        name, hname = toks[1], toks[3]
-        h = _hopf(spec, hname, ln)
-        vecs = [_parse_vec(v, h.space, ln)
-                for v in header.split("=", 1)[1].split(";")]
-        spec.subhopfs[name] = SubHopf(h, vecs)
-        spec._subhopf_decl[name] = hname
-        spec.order.append(("subhopf", name))
-    elif head == "trace":
-        name, sname = toks[1], toks[3]
-        s = _space(spec, sname, ln)
-        vals = header.split("=", 1)[1].split()
-        if len(vals) != s.dim:
-            raise DimensionMismatch("trace needs %d values" % s.dim, ln)
-        vals = [_scalar(v, ln) for v in vals]
-        spec.traces[name] = (sname, {i: x for i, x in enumerate(vals) if x})
-        spec.order.append(("trace", name))
-    elif head in ("complex", "context"):
-        name = toks[1]
-        rest = header.split("=", 1)[1].strip()
-        kind, args = _parse_call(rest, ln)
-        _check_refs(spec, head, kind, args, ln)
-        if head == "complex":
-            spec.complexes[name] = (kind, args)
-        else:
-            spec.contexts[name] = (kind, args)
-        spec.order.append((head, name))
+        roles = {"C": mc.space, "A": ma.space}
+        got = _read_lines(head, lines, roles)
+        return (CoalgebraAction(mc, ma, _tensor(head, "cact", roles, got)),
+                "action %s : %s on %s" % (name, cname, aname))
+    if head in ("algebra", "coalgebra", "hopf"):
+        s = _need(spec.spaces, name, "unknown space %r", ln)
+        roles = {"S": s}
+        if head == "hopf":
+            needs = "hopf %r needs algebra and coalgebra blocks first"
+            alg = _need(spec.algebras, name, needs, ln)
+            coalg = _need(spec.coalgebras, name, needs, ln)
     else:
-        raise ParseError("unknown declaration %r" % head, ln)
+        # sayd NAME over HOPF space SPACE, or KIND NAME over HOPF
+        h = _need(spec.hopfs, toks[3], "unknown hopf algebra %r", ln)
+        s = _need(spec.spaces, toks[5] if head == "sayd" else name, "unknown space %r", ln)
+        roles = {"S": s, "H": h.space}
+        if head == "comodule_algebra":
+            alg = _need(spec.algebras, name, "comodule_algebra %r needs its algebra block", ln)
+    got = _read_lines(head, lines, roles)
+    if head == "algebra":
+        unit = got["unit"].get((), {})
+        return AlgebraData(s, _tensor(head, "mul", roles, got), unit), "algebra %s" % name
+    if head == "coalgebra":
+        counit = {i: x for (i,), x in got["counit"].items()}
+        return CoalgebraData(s, _tensor(head, "comul", roles, got), counit), "coalgebra %s" % name
+    if head == "hopf":
+        antipode = SparseMatrix(s.dim, s.dim, {(i, j): x for (j,), col in got["antipode"].items()
+                                               for i, x in col.items()})
+        return HopfData(alg, coalg, antipode), "hopf %s" % name
+    if head == "sayd":
+        return (SAYDModule(h, s, _tensor(head, "ract", roles, got),
+                           _tensor(head, "lcoact", roles, got)),
+                "sayd %s over %s space %s" % (name, toks[3], toks[5]))
+    header = "%s %s over %s" % (head, name, toks[3])
+    if head == "comodule_algebra":
+        return ComoduleAlgebra(h, alg, _tensor(head, "coact", roles, got)), header
+    action = _tensor(head, "act", roles, got)
+    if head == "module_algebra":
+        alg = _need(spec.algebras, name, "module_algebra %r needs its algebra block", ln)
+        return ModuleAlgebra(h, alg, action), header
+    coalg = _need(spec.coalgebras, name, "module_coalgebra %r needs its coalgebra block", ln)
+    return ModuleCoalgebra(h, coalg, action), header
 
 
 def _parse_call(text, ln):
@@ -565,30 +445,22 @@ def _check_refs(spec, head, kind, args, ln):
     if len(args) != len(refs) + 1:
         raise ParseError("%s(%s) takes %d arguments" % (kind, ",".join(args), len(refs) + 1), ln)
     coef = args[-1]
-    if coef not in spec.coefficients:
-        raise UnresolvedName("unknown coefficients %r" % coef, ln)
-    for name, (pool, word) in zip(args, refs):
-        if name not in getattr(spec, pool):
-            raise UnresolvedName("unknown %s %r" % (word, name), ln)
+    hopf = _need(spec.coefficients, coef, "unknown coefficients %r", ln).hopf
+    entities = [_need(getattr(spec, pool), name, "unknown %s %%r" % word, ln)
+                for name, (pool, word) in zip(args, refs)]
     if kind == "hopf" and coef not in spec._pairs:
         raise UnresolvedName("hopf(%s, %s) needs coefficients declared as mpi(...)" % args, ln)
-    for name, (pool, _) in zip(args, refs):
-        entity = getattr(spec, pool)[name]
-        if (entity if pool == "hopfs" else entity.hopf) is not spec.coefficients[coef].hopf:
+    for name, (pool, _), entity in zip(args, refs, entities):
+        if (entity if pool == "hopfs" else entity.hopf) is not hopf:
             raise UnresolvedName("%r and coefficients %r live on different Hopf algebras"
                                  % (name, coef), ln)
 
 
-def _space(spec, name, ln):
-    if name not in spec.spaces:
-        raise UnresolvedName("unknown space %r" % name, ln)
-    return spec.spaces[name]
-
-
-def _hopf(spec, name, ln):
-    if name not in spec.hopfs:
-        raise UnresolvedName("unknown hopf algebra %r" % name, ln)
-    return spec.hopfs[name]
+def _need(pool, name, message, ln):
+    """pool[name]; an unknown name is an UnresolvedName with message % name."""
+    if name not in pool:
+        raise UnresolvedName(message % (name,), ln)
+    return pool[name]
 
 
 def _label(space, label, ln):

@@ -179,6 +179,21 @@ def test_subspace_builders_hold_no_condition_matrix(kind):
     assert peak < 1.3, peak
 
 
+def test_built_quotients_hold_no_column_index():
+    # h4 coalgebra complex at N=4: about 4.2 MB stays allocated once built
+    # while every quotient keeps its solver's column index, which only
+    # adding a relation reads; about 3.3 MB once the index is dropped
+    spec = h4_spec()
+    tracemalloc.start()
+    try:
+        cx = build_coalgebra_complex(spec.module_coalgebras["H"], spec.coefficients["taft"], 4)
+        held = tracemalloc.get_traced_memory()[0] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert cx.complex.dims()[:3] == [1, 4, 16]
+    assert held < 3.75, held
+
+
 # -- the Hopf normalization map ------------------------------------------------------------
 
 def test_singular_normalization_map_fails_with_its_degree(monkeypatch):

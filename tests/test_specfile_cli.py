@@ -164,8 +164,9 @@ _SAYD_S = ["space Msp = m", "sayd S over H space Msp", "  ract m e = 1*m", "  ra
     (_kz3_renamed_k(), "context bad = coalgebra(ca, trivK)"),
     (_kz3_renamed_k(), "context bad = crossed(A, B, trivK)"),
     (_kz3_renamed_k(), "action bad : K on A"),
+    (_kz3_renamed_k(), "coefficients bad = mpi(eps, oneK)"),
 ], ids=["hopf-of-sayd", "coalgebra-other-hopf", "hopf-other-hopf", "context-coalgebra",
-        "context-crossed", "action"])
+        "context-crossed", "action", "coefficients"])
 def test_cli_mixed_hopf_algebras_exit_two_with_line(tmp_path, capsys, extra, line):
     # every entity a declaration names is over the Hopf algebra of its
     # coefficients, and hopf(H, M) takes mpi(...) coefficients over H
@@ -177,6 +178,45 @@ def test_cli_mixed_hopf_algebras_exit_two_with_line(tmp_path, capsys, extra, lin
     assert captured.out == ""
     assert captured.err.startswith("input error: line %d: " % len(lines))
     assert "Traceback" not in captured.err
+
+# a coalgebra that is not coassociative, and an antipode that is not one
+_BROKEN = {"h4.hcy": ("  comul g = 1*g|g\n", ""),
+           "kz2.hcy": ("  antipode g = 1*g\n", "  antipode g = 1*e\n")}
+
+@pytest.mark.parametrize("fixture,command,failure", [
+    ("h4.hcy", ["validate"], "sayd: VIOLATIONS (2):"),
+    ("h4.hcy", ["identities"], "build failed: iterated coproduct depends on bracketing"),
+    ("h4.hcy", ["cohomology"], "failed: iterated coproduct depends on bracketing"),
+    ("h4.hcy", ["audit"], "build failed: iterated coproduct depends on bracketing"),
+    ("kz2.hcy", ["audit"], "context build failed: cup context components failed validation"),
+    ("kz2.hcy", ["cup", "--kind", "coalgebra", "--p", "0", "--q", "2"],
+     "context build failed: cup context components failed validation"),
+    ("kz2.hcy", ["cup", "--kind", "crossed", "--p", "0", "--q", "2"],
+     "context build failed: cup context components failed validation"),
+], ids=["h4-validate", "h4-identities", "h4-cohomology", "h4-audit", "kz2-audit",
+        "kz2-cup-coalgebra", "kz2-cup-crossed"])
+def test_invalid_structure_data_ends_in_a_report(tmp_path, capsys, fixture, command, failure):
+    old, new = _BROKEN[fixture]
+    text = fixture_file_texts()[fixture]
+    assert text.count(old) == 1
+    p = tmp_path / "broken.hcy"
+    p.write_text(text.replace(old, new))
+    code = main([command[0], str(p)] + command[1:] + ["--max-degree", "2", "--no-cache"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert any(line.startswith(failure) for line in captured.out.splitlines()), captured.out
+
+def test_involution_flags_of_a_pair_without_inverse(tmp_path, capsys):
+    # sigma = 0 has no inverse, so neither involution identity can hold
+    text = fixture_file_texts()["kz2.hcy"].replace("grouplike one in H = 1*e\n",
+                                                  "grouplike one in H = 0\n")
+    p = tmp_path / "sigma0.hcy"
+    p.write_text(text)
+    code, out = run_cli(["validate", p], capsys)
+    assert code == 1
+    section = out.split("== validate coefficients triv\n")[1].split("==")[0]
+    assert "involution identity literal=False squared=False (reported, not enforced)" in section
 
 @pytest.mark.parametrize("old,new", [
     ("grouplike one in H = 1*e", "grouplike one in H = 1*e + 1*g + -1*g"),

@@ -32,6 +32,8 @@ Mutant = namedtuple("Mutant", "name path old new tests")
 
 LINALG = "src/hopfcyclic/linalg.py"
 COMPLEXES = "src/hopfcyclic/complexes.py"
+SPECFILE = "src/hopfcyclic/specfile.py"
+GRAMMAR = "tests/test_specfile_grammar.py::"
 
 MUTANTS = [
     Mutant("lead-at-min", LINALG,
@@ -62,6 +64,28 @@ MUTANTS = [
            "n, p, dict(sorted(out.items())))",
            "n, p, None)",
            ["tests/test_complexes.py::test_ill_defined_raised_for_broken_action"]),
+    Mutant("writer-unsorted", SPECFILE,
+           "        for idx in sorted(got):",
+           "        for idx in got:",
+           [GRAMMAR + "test_structure_lines_are_written_sorted_by_labels"]),
+    Mutant("reader-keeps-first", SPECFILE,
+           "        got[keyword][idx] = _parse_value(rhs, [roles[r] for r in val], ln)",
+           "        got[keyword].setdefault(idx, _parse_value(rhs, [roles[r] for r in val], ln))",
+           [GRAMMAR + "test_a_repeated_structure_line_replaces_the_earlier_one[mul]",
+            GRAMMAR + "test_a_repeated_structure_line_replaces_the_earlier_one[antipode]",
+            GRAMMAR + "test_a_repeated_structure_line_replaces_the_earlier_one[coact]"]),
+    Mutant("comul-before-counit", SPECFILE,
+           '"coalgebra": {"counit": ("S", ""), "comul": ("S", "SS")},',
+           '"coalgebra": {"comul": ("S", "SS"), "counit": ("S", "")},',
+           [GRAMMAR + "test_fixture_files_are_pinned",
+            "tests/test_reference_reports.py::test_report_matches_reference"
+            "[audit kz2.hcy --max-degree 4]"]),
+    Mutant("lcoact-value-roles-swapped", SPECFILE,
+           '"lcoact": ("S", "HS")',
+           '"lcoact": ("S", "SH")',
+           [GRAMMAR + "test_sayd_block_round_trips",
+            "tests/test_specfile_cli.py::test_cli_mixed_hopf_algebras_exit_two_with_line"
+            "[hopf-of-sayd]"]),
 ]
 
 # "FAILED <id> - <reason>" / "ERROR <id>" lines of pytest's short summary
