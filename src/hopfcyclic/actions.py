@@ -8,8 +8,8 @@ exact matrix identity; validators return exhaustive reports.
 
 from __future__ import annotations
 
-from .linalg import (SparseMatrix, SpanSolver, KernelCoords, compose, tensor_kron,
-                     kernel_of_rows, scal, vec_acc, vec_axpy)
+from .linalg import (SparseMatrix, SpanSolver, KernelCoords, compose, first_residual,
+                     matrix_terms, tensor_kron, kernel_of_rows, scal, vec_acc, vec_axpy)
 from .spaces import BasedSpace, GROUND, MultiIndex, StructureTensor, tensor_space
 from .hopf import (AlgebraData, CoalgebraData, HopfData, ModularPair,
                    ValidationReport, Violation, swap_matrix, validate_algebra)
@@ -95,14 +95,13 @@ class SubHopf:
 # validators
 
 def _module_law(rep, hopf, space, act_m, prefix):
-    d, a = hopf.dim, space.dim
-    I_A = SparseMatrix.identity(a)
+    I_A = SparseMatrix.identity(space.dim)
     mul = hopf.alg.mul_matrix()
     eta = hopf.alg.unit_matrix()
-    lhs = compose(act_m, tensor_kron(mul, I_A))
-    rhs = compose(act_m, tensor_kron(SparseMatrix.identity(d), act_m))
-    rep.extend_from_matrix(prefix + "-action-associative", lhs - rhs, (hopf.space, hopf.space, space))
-    rep.extend_from_matrix(prefix + "-action-unital", compose(act_m, tensor_kron(eta, I_A)) - I_A, (space,))
+    rep.law(prefix + "-action-associative", (hopf.space, hopf.space, space),
+            (1, act_m, tensor_kron(mul, I_A)),
+            (-1, act_m, tensor_kron(SparseMatrix.identity(hopf.dim), act_m)))
+    rep.law(prefix + "-action-unital", (space,), (1, act_m, tensor_kron(eta, I_A)), (-1, None, None))
 
 
 def validate_module_algebra(ma: ModuleAlgebra) -> ValidationReport:
@@ -117,15 +116,15 @@ def validate_module_algebra(ma: ModuleAlgebra) -> ValidationReport:
     mulA = A.mul_matrix()
     com = h.coalg.comul_matrix()
     # h(xy) = (h1 x)(h2 y)
-    lhs = compose(act, tensor_kron(I_H, mulA))
-    rhs = compose(mulA, compose(tensor_kron(act, act),
-                                compose(tensor_kron(I_H, tensor_kron(swap_matrix(d, a), I_A)),
-                                        tensor_kron(com, tensor_kron(I_A, I_A)))))
-    rep.extend_from_matrix("action-multiplicative", lhs - rhs, (h.space, A.space, A.space))
+    rep.law("action-multiplicative", (h.space, A.space, A.space),
+            (1, act, tensor_kron(I_H, mulA)),
+            (-1, mulA, compose(tensor_kron(act, act),
+                               compose(tensor_kron(I_H, tensor_kron(swap_matrix(d, a), I_A)),
+                                       tensor_kron(com, tensor_kron(I_A, I_A))))))
     # h(1) = eps(h) 1
     etaA = A.unit_matrix()
     eps = h.coalg.counit_matrix()
-    rep.extend_from_matrix("action-on-unit", compose(act, tensor_kron(I_H, etaA)) - compose(etaA, eps), (h.space,))
+    rep.law("action-on-unit", (h.space,), (1, act, tensor_kron(I_H, etaA)), (-1, etaA, eps))
     return rep.sort()
 
 
@@ -141,15 +140,15 @@ def validate_module_coalgebra(mc: ModuleCoalgebra) -> ValidationReport:
     comC = C.comul_matrix()
     comH = h.coalg.comul_matrix()
     # Delta(hc) = h1 c1 (x) h2 c2
-    lhs = compose(comC, act)
-    rhs = compose(tensor_kron(act, act),
-                  compose(tensor_kron(I_H, tensor_kron(swap_matrix(d, c), SparseMatrix.identity(c))),
-                          tensor_kron(comH, comC)))
-    rep.extend_from_matrix("comul-equivariant", lhs - rhs, (h.space, C.space))
+    rep.law("comul-equivariant", (h.space, C.space), (1, comC, act),
+            (-1, tensor_kron(act, act),
+             compose(tensor_kron(I_H, tensor_kron(swap_matrix(d, c), SparseMatrix.identity(c))),
+                     tensor_kron(comH, comC))))
     # eps(hc) = eps(h) eps(c)
     epsC = C.counit_matrix()
     epsH = h.coalg.counit_matrix()
-    rep.extend_from_matrix("counit-equivariant", compose(epsC, act) - tensor_kron(epsH, epsC), (h.space, C.space))
+    rep.law("counit-equivariant", (h.space, C.space),
+            (1, epsC, act), (-1, tensor_kron(epsH, epsC), None))
     return rep.sort()
 
 
@@ -164,21 +163,18 @@ def validate_comodule_algebra(ba: ComoduleAlgebra) -> ValidationReport:
     comH = h.coalg.comul_matrix()
     epsH = h.coalg.counit_matrix()
     # comodule laws
-    lhs = compose(tensor_kron(I_H, co), co)
-    rhs = compose(tensor_kron(comH, I_B), co)
-    rep.extend_from_matrix("coaction-coassociative", lhs - rhs, (B.space,))
-    rep.extend_from_matrix("coaction-counital", compose(tensor_kron(epsH, I_B), co) - I_B, (B.space,))
+    rep.law("coaction-coassociative", (B.space,),
+            (1, tensor_kron(I_H, co), co), (-1, tensor_kron(comH, I_B), co))
+    rep.law("coaction-counital", (B.space,), (1, tensor_kron(epsH, I_B), co), (-1, None, None))
     # coaction is an algebra map
     mulB = B.mul_matrix()
     mulH = h.alg.mul_matrix()
-    lhs = compose(co, mulB)
-    rhs = compose(tensor_kron(mulH, mulB),
-                  compose(tensor_kron(I_H, tensor_kron(swap_matrix(b, d), I_B)),
-                          tensor_kron(co, co)))
-    rep.extend_from_matrix("coaction-multiplicative", lhs - rhs, (B.space, B.space))
+    rep.law("coaction-multiplicative", (B.space, B.space), (1, co, mulB),
+            (-1, tensor_kron(mulH, mulB),
+             compose(tensor_kron(I_H, tensor_kron(swap_matrix(b, d), I_B)), tensor_kron(co, co))))
     etaB = B.unit_matrix()
     etaH = h.alg.unit_matrix()
-    rep.extend_from_matrix("coaction-unital", compose(co, etaB) - tensor_kron(etaH, etaB), (GROUND,))
+    rep.law("coaction-unital", (GROUND,), (1, co, etaB), (-1, tensor_kron(etaH, etaB), None))
     return rep.sort()
 
 
@@ -196,20 +192,19 @@ def validate_sayd(m: SAYDModule) -> ValidationReport:
     comH = h.coalg.comul_matrix()
     epsH = h.coalg.counit_matrix()
     # right module laws
-    lhs = compose(ract, tensor_kron(ract, I_H))
-    rhs = compose(ract, tensor_kron(I_M, mul))
-    rep.extend_from_matrix("module-associative", lhs - rhs, (m.space, h.space, h.space))
-    rep.extend_from_matrix("module-unital", compose(ract, tensor_kron(I_M, eta)) - I_M, (m.space,))
+    rep.law("module-associative", (m.space, h.space, h.space),
+            (1, ract, tensor_kron(ract, I_H)), (-1, ract, tensor_kron(I_M, mul)))
+    rep.law("module-unital", (m.space,), (1, ract, tensor_kron(I_M, eta)), (-1, None, None))
     # left comodule laws
-    lhs = compose(tensor_kron(I_H, coact), coact)
-    rhs = compose(tensor_kron(comH, I_M), coact)
-    rep.extend_from_matrix("comodule-coassociative", lhs - rhs, (m.space,))
-    rep.extend_from_matrix("comodule-counital", compose(tensor_kron(epsH, I_M), coact) - I_M, (m.space,))
+    rep.law("comodule-coassociative", (m.space,),
+            (1, tensor_kron(I_H, coact), coact), (-1, tensor_kron(comH, I_M), coact))
+    rep.law("comodule-counital", (m.space,),
+            (1, tensor_kron(epsH, I_M), coact), (-1, None, None))
     # stability m^(0) . m^(-1) = m
-    stab = compose(ract, compose(swap_matrix(d, mm), coact)) - I_M
-    rep.extend_from_matrix("stability", stab, (m.space,))
-    # anti-Yetter-Drinfeld: coact(m h) = S(h3) m^(-1) h1 (x) m^(0) h2
-    lhs = compose(coact, ract)          # M (x) H -> H (x) M
+    rep.law("stability", (m.space,),
+            (1, ract, compose(swap_matrix(d, mm), coact)), (-1, None, None))
+    # anti-Yetter-Drinfeld: coact(m h) = S(h3) m^(-1) h1 (x) m^(0) h2,
+    # both sides M (x) H -> H (x) M
     com2 = compose(tensor_kron(comH, I_H), comH)         # H -> H^3
     step = compose(tensor_kron(coact, SparseMatrix.identity(d ** 3)),
                    tensor_kron(I_M, com2))               # M(x)H -> H(x)M(x)H^3
@@ -218,8 +213,8 @@ def validate_sayd(m: SAYDModule) -> ValidationReport:
     S = h.antipode
     mu3 = compose(mul, tensor_kron(mul, I_H))            # H^3 -> H
     mu3S = compose(mu3, tensor_kron(S, SparseMatrix.identity(d * d)))
-    rhs = compose(tensor_kron(mu3S, ract), compose(P, step))
-    rep.extend_from_matrix("anti-yetter-drinfeld", lhs - rhs, (m.space, h.space))
+    rep.law("anti-yetter-drinfeld", (m.space, h.space),
+            (1, coact, ract), (-1, tensor_kron(mu3S, ract), compose(P, step)))
     return rep.sort()
 
 
@@ -246,21 +241,20 @@ def validate_coalgebra_action(ca: CoalgebraAction) -> ValidationReport:
     actA = ca.ma.action.as_matrix()     # H (x) A -> A
     I_H, I_C, I_A = (SparseMatrix.identity(n) for n in (d, c, a))
     # (hc)a = h(ca)
-    lhs = compose(act, tensor_kron(actC, I_A))
-    rhs = compose(actA, tensor_kron(I_H, act))
-    rep.extend_from_matrix("h-linearity", lhs - rhs, (h.space, C.space, A.space))
+    rep.law("h-linearity", (h.space, C.space, A.space),
+            (1, act, tensor_kron(actC, I_A)), (-1, actA, tensor_kron(I_H, act)))
     # c(xy) = (c1 x)(c2 y)
     mulA = A.mul_matrix()
     comC = C.comul_matrix()
-    lhs = compose(act, tensor_kron(I_C, mulA))
-    rhs = compose(mulA, compose(tensor_kron(act, act),
-                                compose(tensor_kron(I_C, tensor_kron(swap_matrix(c, a), I_A)),
-                                        tensor_kron(comC, tensor_kron(I_A, I_A)))))
-    rep.extend_from_matrix("action-multiplicative", lhs - rhs, (C.space, A.space, A.space))
+    rep.law("action-multiplicative", (C.space, A.space, A.space),
+            (1, act, tensor_kron(I_C, mulA)),
+            (-1, mulA, compose(tensor_kron(act, act),
+                               compose(tensor_kron(I_C, tensor_kron(swap_matrix(c, a), I_A)),
+                                       tensor_kron(comC, tensor_kron(I_A, I_A))))))
     # c(1) = eps(c) 1
     etaA = A.unit_matrix()
     epsC = C.counit_matrix()
-    rep.extend_from_matrix("action-on-unit", compose(act, tensor_kron(I_C, etaA)) - compose(etaA, epsC), (C.space,))
+    rep.law("action-on-unit", (C.space,), (1, act, tensor_kron(I_C, etaA)), (-1, etaA, epsC))
     return rep.sort()
 
 
@@ -377,31 +371,29 @@ def relative_coalgebra(h: HopfData, k: SubHopf):
     quo = QuotientSpace(d, rel)
     proj = quo.projection_matrix()
     sect = quo.inclusion_matrix()
+    R = SparseMatrix.from_columns(rel, d)       # the relations as columns
     # counit must kill the ideal
     epsM = h.coalg.counit_matrix()
-    for r in rel:
-        if scal(sum(eps.get(i, 0) * x for i, x in r.items())):
-            raise CoalgebraNotInduced("counit does not vanish on the ideal")
+    if first_residual(matrix_terms([(1, epsM, R)]), len(rel)) is not None:
+        raise CoalgebraNotInduced("counit does not vanish on the ideal")
     # comultiplication must descend: (pi (x) pi) Delta (ideal) = 0
     pp = tensor_kron(proj, proj)
     com = h.coalg.comul_matrix()
-    for r in rel:
-        if pp.apply(com.apply(r)):
-            raise CoalgebraNotInduced("comultiplication does not descend to the quotient")
+    if first_residual(matrix_terms([(1, pp, compose(com, R))]), len(rel)) is not None:
+        raise CoalgebraNotInduced("comultiplication does not descend to the quotient")
     # left action must descend: pi(mul(H (x) ideal)) = 0
-    for bi in range(d):
-        for r in rel:
-            w = h.alg.mul.apply({bi: 1}, r)
-            if proj.apply(w):
-                raise ActionNotDescended("left action does not descend to the quotient")
+    mul = h.alg.mul_matrix()
+    I_H = SparseMatrix.identity(d)
+    if first_residual(matrix_terms([(1, proj, compose(mul, tensor_kron(I_H, R)))]),
+                      d * len(rel)) is not None:
+        raise ActionNotDescended("left action does not descend to the quotient")
     labels = tuple("[%s]" % h.space.labels[f] for f in quo.free)
     C = BasedSpace(labels)
     comul_q = compose(pp, compose(com, sect))
     counit_q = compose(epsM, sect)
     coalg = CoalgebraData(C, StructureTensor.from_matrix(comul_q, (C,), tensor_space(C, C)),
                           {i: x for (r0, i), x in counit_q.entries.items()})
-    mul = h.alg.mul_matrix()
-    act_q = compose(proj, compose(mul, tensor_kron(SparseMatrix.identity(d), sect)))
+    act_q = compose(proj, compose(mul, tensor_kron(I_H, sect)))
     action = StructureTensor.from_matrix(act_q, (h.space, C), C)
     return ModuleCoalgebra(h, coalg, action), proj
 

@@ -524,7 +524,6 @@ def main(argv=None):
         p.add_argument("--max-degree", type=int, default=5)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--no-cache", action="store_true")
-        p.add_argument("--format", choices=["text"], default="text")
         p.add_argument("--out", default=None)
 
     common(sub.add_parser("validate", help="run every axiom validator"))

@@ -35,7 +35,7 @@ except ImportError:
 from .linalg import (SparseMatrix, KernelCoords, compose, tensor_kron, scal,
                      image_rank, kernel_of_rows, matrix_to_text,
                      parse_scalar, vec_acc, vec_axpy, mul_vec,
-                     column_plan, first_residual)
+                     column_plan, first_residual, matrix_terms)
 from .spaces import BasedSpace, MultiIndex, tensor_power, tensor_space
 from .hopf import iterated_coproduct
 from .actions import QuotientSpace
@@ -165,30 +165,6 @@ def same_complex(a, b):
     """Same N, dims, faces, degeneracies and cyclic operators."""
     return (a.N == b.N and a.dims() == b.dims()
             and all(a.op(*key) == b.op(*key) for key in structure_maps(a.N, a.top)))
-
-
-class Cochain:
-    """A coefficient vector in one degree of a complex."""
-
-    __slots__ = ("complex", "degree", "vector")
-
-    def __init__(self, complex, degree, vector):
-        if not (0 <= degree <= complex.top):
-            raise ValueError("degree %d outside 0..%d" % (degree, complex.top))
-        for i in vector:
-            if not (0 <= i < complex.dim(degree)):
-                raise ValueError("coefficient index out of range")
-        self.complex = complex
-        self.degree = degree
-        self.vector = dict(vector)
-
-    def __eq__(self, other):
-        return (isinstance(other, Cochain) and self.degree == other.degree
-                and self.vector == other.vector)
-
-    def __repr__(self):
-        from .linalg import vector_to_text
-        return "Cochain(deg %d: %s)" % (self.degree, vector_to_text(self.vector))
 
 
 class CocyclicViolation:
@@ -545,18 +521,18 @@ def build_coalgebra_complex(mc, sayd, N, name="coalgebra") -> CoalgebraComplexDa
         """Operator matrix on quotient bases.  The image of every ambient
         column is projected once; the quotient columns are the images of
         the free columns, and descent is checked on every relation row r of
-        the RREF as sum_f r_f image(f) = 0 (the projection is linear)."""
+        the RREF as sum_f r_f image(f) = 0 (the projection is linear): one
+        residuals column per row, the images and the rows as column plans."""
         colfn = partial(col_fns[kind], n, i)
         quo_s, quo_t = quotients[n], quotients[n + _SHIFT[kind]]
         images = [quo_t.project_vec(colfn(f)) for f in range(quo_s.ambient_dim)]
         solver = quo_s.solver
-        for p in solver.pivots:
-            out = {}
-            for f, c in solver.rows[p].items():
-                vec_axpy(out, c, images[f])
-            if out:
-                raise IllDefined("%s operator does not descend at degree %d" % (name, n),
-                                 n, p, dict(sorted(out.items())))
+        rows = [solver.rows[p].items() for p in solver.pivots]
+        hit = first_residual([(1, [img.items() for img in images], rows)], len(rows))
+        if hit is not None:
+            k, residual = hit
+            raise IllDefined("%s operator does not descend at degree %d" % (name, n),
+                             n, solver.pivots[k], residual)
         return SparseMatrix.from_columns([images[f] for f in quo_s.free], quo_t.dim)
 
     cx = CocyclicComplex.assemble(N, spaces, lift, name)
@@ -1009,8 +985,7 @@ def check_bicocyclic(b: BicocyclicComplex):
 
     def commute(family, p, indices, f, g, f2, g2):
         """f . g = f2 . g2, checked over the columns of g."""
-        hit = first_residual([(1, column_plan(f), column_plan(g)),
-                              (-1, column_plan(f2), column_plan(g2))], g.cols)
+        hit = first_residual(matrix_terms([(1, f, g), (-1, f2, g2)]), g.cols)
         if hit is not None:
             bad.append(CocyclicViolation(family, p, indices, *hit))
 

@@ -28,8 +28,8 @@ from functools import cached_property
 from itertools import product as iproduct
 from math import prod
 
-from .linalg import (SparseMatrix, KernelCoords, compose, tensor_kron, scal,
-                     vec_acc, vec_axpy, vec_sub, mul_vec, kernel_basis,
+from .linalg import (SparseMatrix, KernelCoords, compose, first_residual, matrix_terms,
+                     tensor_kron, scal, vec_acc, vec_axpy, vec_sub, mul_vec, kernel_basis,
                      push_slots, contract)
 from .spaces import MultiIndex
 from .hopf import ModularPair, iterated_coproduct
@@ -47,9 +47,10 @@ from .cohomology import hochschild_b, lam
 
 
 class ChainMapFailure(CertificateFailure):
-    """A pairing or characteristic map fails to intertwine an operator (the
-    witness is the first failing column), or the natural embedding fails
-    (no witness)."""
+    """A pairing or characteristic map fails to intertwine an operator, or
+    the natural embedding fails to be unital or multiplicative; the witness
+    is the first failing column and the residual there (no witness when a
+    basis element's evaluation map is not equivariant)."""
 
 
 class NotACocycle(Exception):
@@ -244,19 +245,19 @@ class CoalgebraCupContext(_CupContext):
                 raise ChainMapFailure("evaluation against a basis element is not equivariant")
             cols.append(coords)
         nat = SparseMatrix.from_columns(cols, self.conv.algebra.space.dim)
-        # unital
-        unit_a = dict(self.ca.ma.alg.unit)
-        if nat.apply(unit_a) != dict(self.conv.algebra.unit):
-            raise ChainMapFailure("natural embedding is not unital")
-        # multiplicative
-        conv_mul = self.conv.algebra.mul
-        amul = self.ca.ma.alg.mul
-        for i in range(adim):
-            for j in range(adim):
-                lhs = nat.apply(amul.apply({i: 1}, {j: 1}))
-                rhs = conv_mul.apply(nat.column(i), nat.column(j))
-                if lhs != rhs:
-                    raise ChainMapFailure("natural embedding is not multiplicative at (%d,%d)" % (i, j))
+        alg, conv = self.ca.ma.alg, self.conv.algebra
+        # unital: nat(1) = 1
+        hit = first_residual(matrix_terms([(1, nat, alg.unit_matrix()),
+                                           (-1, conv.unit_matrix(), None)]), 1)
+        if hit is not None:
+            raise ChainMapFailure("natural embedding is not unital", None, *hit)
+        # multiplicative: nat(xy) = nat(x) nat(y), column i*adim + j at (x, y) = (e_i, e_j)
+        hit = first_residual(matrix_terms([(1, nat, alg.mul_matrix()),
+                                           (-1, conv.mul_matrix(), tensor_kron(nat, nat))]),
+                             adim * adim)
+        if hit is not None:
+            raise ChainMapFailure("natural embedding is not multiplicative at (%d,%d)"
+                                  % divmod(hit[0], adim), None, *hit)
         self._nat = nat
         return nat
 
@@ -501,19 +502,12 @@ class CrossedCupContext(_CupContext):
 # ---------------------------------------------------------------------------
 # cocycle bookkeeping and the composed cup
 
-def _vec(x):
-    """Accept a plain coefficient dict or a Cochain."""
-    from .complexes import Cochain
-    return x.vector if isinstance(x, Cochain) else x
-
-
 def is_b_closed(cx, n, vec, bs=None):
     bs = hochschild_b(cx) if bs is None else bs
     return bs[n].apply(vec) == {}
 
 def is_cyclic(cx, n, vec):
-    I = SparseMatrix.identity(cx.dim(n))
-    return (I - lam(cx, n)).apply(vec) == {}
+    return not vec_sub(lam(cx, n).apply(vec), vec)
 
 
 class CupResult:
@@ -527,10 +521,7 @@ class CupResult:
 def aw_cup(ctx, phi, p, x, q):
     """Composed cup: raise phi with zeroth faces, x with twisted last faces,
     pair on the diagonal.  Inputs must be Hochschild-closed in their own
-    complexes; the output closure flags are verified, not assumed.
-
-    Cochain inputs are accepted alongside plain coefficient dicts."""
-    phi, x = _vec(phi), _vec(x)
+    complexes; the output closure flags are verified, not assumed."""
     acx = ctx.phi_complex().complex
     xcx = ctx.x_complex()
     if not is_b_closed(acx, p, phi, ctx.phi_b):
@@ -564,7 +555,6 @@ def aw_cup(ctx, phi, p, x, q):
 def cup_explicit_coalgebra(ctx, phi, p, x, q):
     """The closed evaluation formula; must agree with the composed cup
     entrywise, otherwise the difference is raised, not suppressed."""
-    phi, x = _vec(phi), _vec(x)
     if not isinstance(ctx, (CoalgebraCupContext,)):
         raise TypeError("explicit coalgebra cup needs a coalgebra-action context")
     acx = ctx.phi_complex()
@@ -597,7 +587,6 @@ def cup_explicit_crossed(ctx, phi, p, psi, q):
     The closed candidate formula is implemented under a fixed literal reading
     (see the repo notes) and reported as data; the composed cup is the
     normative value."""
-    phi, psi = _vec(phi), _vec(psi)
     if not isinstance(ctx, CrossedCupContext):
         raise TypeError("explicit crossed cup needs a crossed context")
     normative = aw_cup(ctx, phi, p, psi, q)
@@ -712,7 +701,6 @@ def _raise_by_faces(cx, vec, start_deg, indices):
 def shuffle_cup_traces(ctx: CrossedCupContext, phi, p, psi, q):
     """Signed shuffle-sum cup of a module-algebra cocycle with a
     comodule-algebra cocycle, valued on the crossed product."""
-    phi, psi = _vec(phi), _vec(psi)
     acx = ctx.alg.complex
     ccx = ctx.comod.complex
     if not is_b_closed(acx, p, phi, ctx.phi_b):
@@ -745,7 +733,6 @@ def cotrace_cup(ctx: CoalgebraCupContext, x, p, phi, q):
     Degree-correct block sizes: the algebra cochain (degree q) is raised by p
     faces indexed by the first block of Sh(p,q), the coalgebra class by q
     faces from the second block; both block choices agree when p = q."""
-    x, phi = _vec(x), _vec(phi)
     acx = ctx.alg.complex
     ccx = ctx.coalg.complex
     if not is_b_closed(ccx, p, x, ctx.x_b):

@@ -1,12 +1,15 @@
 """Finite-dimensional (co)algebra and Hopf algebra data with machine-checked axioms.
 
-All axioms are checked as exact matrix identities; a validation report lists
-every violating basis tuple with its residual vector, never just the first.
+Every axiom is an exact identity sum(sign * A @ B) = 0 between structure
+maps, checked column by column by linalg.residuals without building either
+side (ValidationReport.law); a validation report lists every violating basis
+tuple with its residual vector, never just the first.
 """
 
 from __future__ import annotations
 
-from .linalg import SparseMatrix, compose, invert_matrix, tensor_kron, vector_to_text
+from .linalg import (SparseMatrix, compose, first_residual, invert_matrix, matrix_terms,
+                     residuals, tensor_kron, vector_to_text)
 from .spaces import GROUND, MultiIndex, StructureTensor
 
 
@@ -37,18 +40,15 @@ class ValidationReport:
     def ok(self):
         return not self.violations
 
-    def extend_from_matrix(self, law, diff, domains):
-        """Record one violation per nonzero column of an identity residual."""
-        if diff.is_zero():
-            return
+    def law(self, name, domains, *terms):
+        """Record one violation per basis tuple of domains at which the
+        identity sum(sign * A @ B) = 0 fails, with the residual there.  Each
+        term is (sign, A, B) with matrices, None standing for the identity;
+        the source columns are the flat basis tuples of domains."""
         mi = MultiIndex(tuple(s.dim for s in domains))
-        bad = {}
-        for (r, c), x in diff.entries.items():
-            bad.setdefault(c, {})[r] = x
-        for c in sorted(bad):
-            idx = mi.unflat(c)
-            labels = tuple(s.labels[i] for s, i in zip(domains, idx))
-            self.violations.append(Violation(law, labels, bad[c]))
+        for c, residual in residuals(matrix_terms(terms), mi.size):
+            labels = tuple(s.labels[i] for s, i in zip(domains, mi.unflat(c)))
+            self.violations.append(Violation(name, labels, residual))
 
     def merge(self, other):
         self.violations.extend(other.violations)
@@ -128,29 +128,27 @@ class HopfData:
 
 def validate_algebra(a: AlgebraData) -> ValidationReport:
     rep = ValidationReport("algebra")
-    d = a.space.dim
-    I = SparseMatrix.identity(d)
+    I = SparseMatrix.identity(a.space.dim)
     mul = a.mul_matrix()
     eta = a.unit_matrix()
     # (xy)z = x(yz)
-    assoc = compose(mul, tensor_kron(mul, I)) - compose(mul, tensor_kron(I, mul))
-    rep.extend_from_matrix("associativity", assoc, (a.space,) * 3)
+    rep.law("associativity", (a.space,) * 3,
+            (1, mul, tensor_kron(mul, I)), (-1, mul, tensor_kron(I, mul)))
     # 1x = x and x1 = x
-    rep.extend_from_matrix("left-unit", compose(mul, tensor_kron(eta, I)) - I, (a.space,))
-    rep.extend_from_matrix("right-unit", compose(mul, tensor_kron(I, eta)) - I, (a.space,))
+    rep.law("left-unit", (a.space,), (1, mul, tensor_kron(eta, I)), (-1, None, None))
+    rep.law("right-unit", (a.space,), (1, mul, tensor_kron(I, eta)), (-1, None, None))
     return rep.sort()
 
 
 def validate_coalgebra(c: CoalgebraData) -> ValidationReport:
     rep = ValidationReport("coalgebra")
-    d = c.space.dim
-    I = SparseMatrix.identity(d)
+    I = SparseMatrix.identity(c.space.dim)
     com = c.comul_matrix()
     eps = c.counit_matrix()
-    coassoc = compose(tensor_kron(com, I), com) - compose(tensor_kron(I, com), com)
-    rep.extend_from_matrix("coassociativity", coassoc, (c.space,))
-    rep.extend_from_matrix("left-counit", compose(tensor_kron(eps, I), com) - I, (c.space,))
-    rep.extend_from_matrix("right-counit", compose(tensor_kron(I, eps), com) - I, (c.space,))
+    rep.law("coassociativity", (c.space,),
+            (1, tensor_kron(com, I), com), (-1, tensor_kron(I, com), com))
+    rep.law("left-counit", (c.space,), (1, tensor_kron(eps, I), com), (-1, None, None))
+    rep.law("right-counit", (c.space,), (1, tensor_kron(I, eps), com), (-1, None, None))
     return rep.sort()
 
 
@@ -173,24 +171,25 @@ def validate_hopf(h: HopfData) -> ValidationReport:
     com, eps = h.coalg.comul_matrix(), h.coalg.counit_matrix()
     sw = swap_matrix(d, d)
     # comultiplication and counit are algebra maps
-    lhs = compose(com, mul)
-    rhs = compose(tensor_kron(mul, mul), compose(tensor_kron(I, tensor_kron(sw, I)), tensor_kron(com, com)))
-    rep.extend_from_matrix("comul-multiplicative", lhs - rhs, (h.space, h.space))
-    rep.extend_from_matrix("comul-unital", compose(com, eta) - tensor_kron(eta, eta), (GROUND,))
-    rep.extend_from_matrix("counit-multiplicative", compose(eps, mul) - tensor_kron(eps, eps), (h.space, h.space))
-    one = compose(eps, eta)
-    rep.extend_from_matrix("counit-unital", one - SparseMatrix.identity(1), (GROUND,))
+    rep.law("comul-multiplicative", (h.space, h.space), (1, com, mul),
+            (-1, tensor_kron(mul, mul),
+             compose(tensor_kron(I, tensor_kron(sw, I)), tensor_kron(com, com))))
+    rep.law("comul-unital", (GROUND,), (1, com, eta), (-1, tensor_kron(eta, eta), None))
+    rep.law("counit-multiplicative", (h.space, h.space),
+            (1, eps, mul), (-1, tensor_kron(eps, eps), None))
+    rep.law("counit-unital", (GROUND,), (1, eps, eta), (-1, None, None))
     # antipode: S(h1)h2 = eps(h)1 = h1 S(h2)
     S = h.antipode
-    eta_eps = compose(eta, eps)
-    rep.extend_from_matrix("antipode-left", compose(mul, compose(tensor_kron(S, I), com)) - eta_eps, (h.space,))
-    rep.extend_from_matrix("antipode-right", compose(mul, compose(tensor_kron(I, S), com)) - eta_eps, (h.space,))
+    rep.law("antipode-left", (h.space,),
+            (1, mul, compose(tensor_kron(S, I), com)), (-1, eta, eps))
+    rep.law("antipode-right", (h.space,),
+            (1, mul, compose(tensor_kron(I, S), com)), (-1, eta, eps))
     Sinv = h.antipode_inv
     if Sinv is None:
         rep.violations.append(Violation("antipode-invertible", ("*",), {}))
     else:
-        rep.extend_from_matrix("antipode-inverse", compose(Sinv, S) - I, (h.space,))
-        rep.extend_from_matrix("inverse-antipode", compose(S, Sinv) - I, (h.space,))
+        rep.law("antipode-inverse", (h.space,), (1, Sinv, S), (-1, None, None))
+        rep.law("inverse-antipode", (h.space,), (1, S, Sinv), (-1, None, None))
     return rep.sort()
 
 
@@ -248,11 +247,12 @@ def validate_modular_pair(mp: ModularPair) -> ValidationReport:
     sm = mp.sigma_matrix()
     mul, eta = h.alg.mul_matrix(), h.alg.unit_matrix()
     com, eps = h.coalg.comul_matrix(), h.coalg.counit_matrix()
-    rep.extend_from_matrix("character-multiplicative", compose(dm, mul) - tensor_kron(dm, dm), (h.space, h.space))
-    rep.extend_from_matrix("character-unital", compose(dm, eta) - SparseMatrix.identity(1), (GROUND,))
-    rep.extend_from_matrix("grouplike-comul", compose(com, sm) - tensor_kron(sm, sm), (GROUND,))
-    rep.extend_from_matrix("grouplike-counit", compose(eps, sm) - SparseMatrix.identity(1), (GROUND,))
-    rep.extend_from_matrix("delta-of-sigma", compose(dm, sm) - SparseMatrix.identity(1), (GROUND,))
+    rep.law("character-multiplicative", (h.space, h.space),
+            (1, dm, mul), (-1, tensor_kron(dm, dm), None))
+    rep.law("character-unital", (GROUND,), (1, dm, eta), (-1, None, None))
+    rep.law("grouplike-comul", (GROUND,), (1, com, sm), (-1, tensor_kron(sm, sm), None))
+    rep.law("grouplike-counit", (GROUND,), (1, eps, sm), (-1, None, None))
+    rep.law("delta-of-sigma", (GROUND,), (1, dm, sm), (-1, None, None))
     return rep.sort()
 
 
@@ -279,11 +279,12 @@ def involution_flags(mp: ModularPair):
     if sinv is None:
         return (False, False)
     sinv_m = SparseMatrix(d, 1, {(i, 0): x for i, x in sinv.items()})
-    I = SparseMatrix.identity(d)
     # Ad_sigma(x) = sigma x sigma^{-1}
-    left = compose(mul, tensor_kron(sm, I))          # d x d
-    ad = compose(mul, tensor_kron(left, sinv_m))
-    return (St == ad, compose(St, St) == ad)
+    left = compose(mul, tensor_kron(sm, SparseMatrix.identity(d)))      # d x d
+    minus_ad = (-1, mul, tensor_kron(left, sinv_m))
+    literal = first_residual(matrix_terms([(1, St, None), minus_ad]), d) is None
+    squared = first_residual(matrix_terms([(1, St, St), minus_ad]), d) is None
+    return (literal, squared)
 
 
 def _grouplike_inverse(h, sigma):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import bisect
 from fractions import Fraction
-from math import gcd
 from operator import itemgetter
 
 
@@ -132,27 +131,6 @@ def contract(pushed, xvec):
         row = pushed.get(keys)
         if row:
             vec_axpy(out, c, row)
-    return out
-
-
-def vec_primitive(u):
-    """Rescale a nonzero vector to a primitive integer vector (positive
-    leading entry kept as-is).
-
-    Used between elimination steps to stop denominator growth; the final
-    RREF normalization restores leading ones.
-    """
-    lcm = 1
-    for x in u.values():
-        if isinstance(x, Fraction):
-            d = x.denominator
-            lcm = lcm // gcd(lcm, d) * d
-    out = {i: int(x * lcm) for i, x in u.items()}
-    g = 0
-    for x in out.values():
-        g = gcd(g, x)
-    if g > 1:
-        out = {i: x // g for i, x in out.items()}
     return out
 
 
@@ -283,8 +261,8 @@ def compose(a, b):
     column ends, its nonzero sums go to the result, integral Fractions as
     int.  Beyond sorting the keys of b by column, the work is proportional
     to the number of terms.  Only one column of sums is held at a time.
-    An identity between products is checked with first_residual, which
-    never builds them."""
+    An identity between products is checked with residuals, which never
+    builds them."""
     if a.cols != b.rows:
         raise ShapeMismatch("compose %dx%d with %dx%d" % (a.rows, a.cols, b.rows, b.cols))
     acols = {}
@@ -320,7 +298,7 @@ def compose(a, b):
 def column_plan(m):
     """The columns of m as a list of sparse columns, each a list of (row,
     x) pairs, every empty column being one shared empty tuple: the operand
-    form of first_residual.  A plan is read, never written."""
+    form of residuals.  A plan is read, never written."""
     empty = ()
     cols = [empty] * m.cols
     for (r, c), x in m.entries.items():
@@ -332,10 +310,9 @@ def column_plan(m):
     return cols
 
 
-def first_residual(terms, ncols):
-    """The first column at which an operator identity sum(sign * A @ B) = 0
-    fails, as (column, residual), or None when it holds on all ncols source
-    columns.
+def residuals(terms, ncols):
+    """Every column at which an operator identity sum(sign * A @ B) = 0
+    fails, as (column, residual) pairs in column order.
 
     Each term is (sign, A, B) with A and B column plans (column_plan); None
     stands for the identity.  For each source column c in order, the terms'
@@ -343,8 +320,8 @@ def first_residual(terms, ncols):
     compose does (Gustavson, ACM TOMS 1978), but the sums are the residual
     of the identity: no product and no difference matrix is ever built.  A
     sum that cancels leaves the accumulator, so it is empty after every
-    column that holds.  The residual is the sparse column {row: nonzero
-    sum}, rows ascending."""
+    column that holds, and it is cleared after every column that fails.
+    The residual is the sparse column {row: nonzero sum}, rows ascending."""
     acc = {}
     get = acc.get
     for c in range(ncols):
@@ -368,8 +345,21 @@ def first_residual(terms, ncols):
                 else:
                     del acc[i]
         if acc:
-            return c, {i: scal(v) for i, v in sorted(acc.items())}
-    return None
+            yield c, {i: scal(v) for i, v in sorted(acc.items())}
+            acc.clear()
+
+
+def first_residual(terms, ncols):
+    """The first item of residuals(terms, ncols), or None when the identity
+    holds on all ncols source columns."""
+    return next(residuals(terms, ncols), None)
+
+
+def matrix_terms(terms):
+    """Terms (sign, A, B) of matrices, None for the identity, as the terms
+    of column plans that residuals reads."""
+    return [(sign, None if a is None else column_plan(a), None if b is None else column_plan(b))
+            for sign, a, b in terms]
 
 
 def tensor_kron(a, b):
@@ -431,10 +421,6 @@ class SpanSolver:
         v = self._reduce(v, coeff)
         if not v:
             return False
-        if coeff is None and any(isinstance(x, Fraction) for x in v.values()):
-            # fraction-free between steps: rescale to a primitive integer row
-            # (scale is irrelevant to the span; pivots are normalized below)
-            v = vec_primitive(v)
         p = min(v)
         lead = v[p]
         if lead != 1:
@@ -589,10 +575,7 @@ def invert_matrix(m):
         return None
     ent = {}
     for j in range(n):
-        coeff = solver.solve({j: 1})
-        if coeff is None:
-            return None
-        for i, x in coeff.items():
+        for i, x in solver.solve({j: 1}).items():
             ent[(i, j)] = x
     return SparseMatrix(n, n, ent)
 

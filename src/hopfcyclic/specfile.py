@@ -159,8 +159,9 @@ def structure_lines(kind, roles, obj):
 
 def _read_lines(kind, lines, roles):
     """{keyword: {label indices: value}} of a block's structure lines; a
-    later line for the same labels replaces an earlier one."""
-    table = LINES[kind]
+    later line for the same labels replaces an earlier one.  A kind not in
+    LINES takes no structure line."""
+    table = LINES.get(kind, {})
     got = {keyword: {} for keyword in table}
     for ln, line in lines:
         lhs, rhs = line.split("=", 1)
@@ -354,6 +355,8 @@ def _resolve_block(spec, head, header, ln, lines):
         header = "%s %s = %s(%s)" % (head, toks[1], kind, ", ".join(args))
     else:
         raise ParseError("unknown declaration %r" % head, ln)
+    if head not in LINES:
+        _read_lines(head, lines, {})        # no structure line is expected
     spec.order.append((head, toks[1]))
     spec.headers[(head, toks[1])] = header
 

@@ -273,6 +273,24 @@ def test_not_closed_for_inconsistent_action():
     with pytest.raises(NotClosed):
         invariant_subalgebra(ma, SubHopf(h, [{0: 1}, {1: 1}]))
 
+def test_action_not_descended():
+    # a non-associative product on span{e, g, x}: with K = span{g} the
+    # relations b.g - eps(g) b span e - g and x, the counit kills them and
+    # the comultiplication descends, but g.x = e is not a relation
+    from hopfcyclic.actions import ActionNotDescended
+    from hopfcyclic.hopf import AlgebraData, CoalgebraData, HopfData
+    s = BasedSpace(("e", "g", "x"))
+    mul = StructureTensor((s, s), s, {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1},
+                                      (1, 0): {1: 1}, (1, 1): {0: 1}, (1, 2): {0: 1},
+                                      (2, 0): {2: 1}})
+    # Delta(e) = e(x)e, Delta(g) = g(x)g, Delta(x) = e(x)x + x(x)e
+    comul = StructureTensor((s,), tensor_space(s, s), {(0,): {0: 1}, (1,): {4: 1},
+                                                        (2,): {2: 1, 6: 1}})
+    h = HopfData(AlgebraData(s, mul, {0: 1}), CoalgebraData(s, comul, {0: 1, 1: 1}),
+                 SparseMatrix.identity(3))
+    with pytest.raises(ActionNotDescended, match="left action does not descend"):
+        relative_coalgebra(h, SubHopf(h, [{1: 1}]))
+
 def test_coalgebra_not_induced():
     # span{1, x + gx} in the Taft algebra: the right ideal it generates is
     # not a coideal (Delta(x+gx) = x(x)1 + g(x)x + gx(x)g + 1(x)gx has legs

@@ -1,5 +1,5 @@
-"""The streamed certificates: first_residual against the product matrices
-it never builds, check_cocyclic against the compose-based check it
+"""The streamed certificates: residuals against the product matrices it
+never builds, check_cocyclic against the compose-based check it
 replaced, the witness every certificate failure carries, and what the job
 process does not load or rebuild."""
 
@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import hopfcyclic
 import hopfcyclic.cup as cup
-from hopfcyclic.linalg import (SparseMatrix, column_plan, compose, first_residual, vec_add,
-                               vec_sub)
+from hopfcyclic.linalg import (SparseMatrix, column_plan, compose, first_residual, matrix_terms,
+                               residuals, vec_add, vec_sub)
 from hopfcyclic.complexes import (CocyclicComplex, build_coalgebra_complex, build_hopf_complex,
                                   check_cocyclic, ConjugationFailure)
 from hopfcyclic.cohomology import (hochschild_b, connes_B, cyclic_cocycles, lam, norm_operator,
@@ -25,16 +25,22 @@ from hopfcyclic.actions import trivial_sayd
 from hopfcyclic.fixtures import (trivial_hopf, group_algebra, self_module_coalgebra,
                                  swap_module_algebra, module_action_as_coalgebra_action,
                                  mpi_kz2_sigma_g, fixture_file_texts)
+from hopfcyclic.spaces import StructureTensor
 from hopfcyclic.specfile import parse_spec
 from hopfcyclic.cli import build_declared_complex
 
 
+def nonzero_columns(m):
+    """(column, sparse column) of every nonzero column of m, in column order."""
+    cols = {}
+    for (r, c), x in sorted(m.entries.items()):
+        cols.setdefault(c, {})[r] = x
+    return sorted(cols.items())
+
+
 def first_nonzero_column(m):
     """(column, sparse column) of the first nonzero column of m, or None."""
-    if m.is_zero():
-        return None
-    c = min(col for _, col in m.entries)
-    return c, {r: x for (r, k), x in sorted(m.entries.items()) if k == c}
+    return next(iter(nonzero_columns(m)), None)
 
 
 def apply_chain(vec, *ops):
@@ -101,16 +107,28 @@ def product(a, b, rows):
     return compose(a, b)
 
 
+def signed_sum(terms, rows, cols):
+    """The materialized sum(sign * A @ B)."""
+    total = SparseMatrix.zeros(rows, cols)
+    for sign, a, b in terms:
+        total = total + product(a, b, rows).scale(sign)
+    return total
+
+
 @settings(max_examples=200, deadline=None)
 @given(identity_terms())
 def test_first_residual_is_the_first_nonzero_column_of_the_sum(case):
     terms, rows, cols = case
-    total = SparseMatrix.zeros(rows, cols)
-    for sign, a, b in terms:
-        total = total + product(a, b, rows).scale(sign)
     plans = [(s, None if a is None else column_plan(a), None if b is None else column_plan(b))
              for s, a, b in terms]
-    assert first_residual(plans, cols) == first_nonzero_column(total)
+    assert first_residual(plans, cols) == first_nonzero_column(signed_sum(terms, rows, cols))
+
+
+@settings(max_examples=200, deadline=None)
+@given(identity_terms())
+def test_residuals_are_every_nonzero_column_of_the_sum(case):
+    terms, rows, cols = case
+    assert list(residuals(matrix_terms(terms), cols)) == nonzero_columns(signed_sum(terms, rows, cols))
 
 
 def test_first_residual_keeps_integral_fractions_as_int():
@@ -298,6 +316,40 @@ def test_chain_map_failure_witness_is_the_residual_of_its_column():
                  for c in range(ctx.diag.dim(1))]
     assert err.column == next(c for c, r in enumerate(residuals) if r)
     assert err.residual == residuals[err.column]
+
+
+def tampered(tensor, key, value):
+    """tensor with the entry at key replaced by value."""
+    return StructureTensor(tensor.domains, tensor.codomain, {**tensor.entries, key: value})
+
+
+@pytest.mark.parametrize("broken", ["unit", "product"])
+def test_natural_map_failure_witness_is_the_residual_of_its_column(broken):
+    # the convolution algebra's unit or product is tampered with after the
+    # context validated: the natural embedding of the algebra is then not
+    # unital, or not multiplicative at its first failing pair (i, j)
+    ctx = kz2_ctx()
+    nat = ctx.natural_map()
+    alg, conv = ctx.ca.ma.alg, ctx.conv.algebra
+    ctx._nat = None
+    adim = alg.space.dim
+    if broken == "unit":
+        conv.unit = vec_add(conv.unit, {0: 1})
+        expected = ("natural embedding is not unital", 0,
+                    vec_sub(nat.apply(alg.unit), conv.unit))
+    else:
+        key = sorted(conv.mul.entries)[0]
+        conv.mul = tampered(conv.mul, key, vec_add(conv.mul.entries[key], {0: 1}))
+        diffs = [vec_sub(nat.apply(alg.mul.apply({i: 1}, {j: 1})),
+                         conv.mul.apply(nat.column(i), nat.column(j)))
+                 for i in range(adim) for j in range(adim)]
+        c = next(c for c, r in enumerate(diffs) if r)
+        expected = ("natural embedding is not multiplicative at (%d,%d)" % divmod(c, adim),
+                    c, diffs[c])
+    with pytest.raises(ChainMapFailure) as e:
+        ctx.natural_map()
+    assert (str(e.value), e.value.column, e.value.residual) == expected
+    assert e.value.residual and e.value.column == {"unit": 0, "product": 3}[broken]
 
 
 def test_conjugation_failure_witness_is_the_residual_of_its_column(monkeypatch):

@@ -176,33 +176,6 @@ def test_bbdata_bundle():
     for n in bb.checkable_degrees():
         assert (compose(bb.b[n - 1], bb.B[n]) + compose(bb.B[n + 1], bb.b[n])).is_zero()
 
-def test_cochain_type_checks():
-    from hopfcyclic.complexes import Cochain
-    import pytest as _pytest
-    hd = build_hopf_complex(mpi_trivial(group_algebra(2)), 2)
-    c = Cochain(hd.power, 1, {0: 1, 1: -1})
-    assert c.degree == 1
-    with _pytest.raises(ValueError):
-        Cochain(hd.power, 9, {0: 1})
-    with _pytest.raises(ValueError):
-        Cochain(hd.power, 1, {5: 1})
-
-def test_cup_accepts_cochain_inputs():
-    from hopfcyclic.complexes import Cochain
-    from hopfcyclic.cup import CoalgebraCupContext, aw_cup
-    from hopfcyclic.fixtures import (swap_module_algebra, self_module_coalgebra,
-                                     module_action_as_coalgebra_action)
-    h = group_algebra(2)
-    ctx = CoalgebraCupContext(
-        module_action_as_coalgebra_action(self_module_coalgebra(h), swap_module_algebra()),
-        trivial_sayd(h), N=2)
-    phi = cyclic_cocycles(ctx.alg.complex, 0)[0]
-    x = cyclic_cocycles(ctx.coalg.complex, 0)[0]
-    r1 = aw_cup(ctx, phi, 0, x, 0)
-    r2 = aw_cup(ctx, Cochain(ctx.alg.complex, 0, phi), 0,
-                Cochain(ctx.coalg.complex, 0, x), 0)
-    assert r1.vector == r2.vector
-
 
 # -- exactness under a fractional change of basis ---------------------------------
 

@@ -350,6 +350,28 @@ def test_ill_defined_raised_for_broken_action():
     assert str(err) == "coalgebra operator does not descend at degree 2"
     assert (err.degree, err.column, err.residual) == (2, 0, {5: 1})
 
+def test_ill_defined_at_the_last_relation_row():
+    # Delta(g) = g (x) e breaks the coalgebra but not the relations, so at
+    # degree 0 the one relation row e - g (its RREF's first and last row)
+    # has the image [e(x)e] - [g(x)e] under the zeroth coface
+    from hopfcyclic.complexes import IllDefined
+    from hopfcyclic.actions import ModuleCoalgebra, trivial_sayd
+    from hopfcyclic.hopf import CoalgebraData
+    from hopfcyclic.spaces import StructureTensor
+    import pytest as _pytest
+    h = group_algebra(2)
+    mc = self_module_coalgebra(h)
+    com = mc.coalg.comul
+    ent = dict(com.entries)
+    ent[(1,)] = {2: 1}              # Delta(g) = g (x) e
+    coalg = CoalgebraData(mc.coalg.space, StructureTensor(com.domains, com.codomain, ent),
+                          mc.coalg.counit)
+    with _pytest.raises(IllDefined) as info:
+        build_coalgebra_complex(ModuleCoalgebra(h, coalg, mc.action), trivial_sayd(h), 2)
+    err = info.value
+    assert str(err) == "coalgebra operator does not descend at degree 0"
+    assert (err.degree, err.column, err.residual) == (0, 0, {0: -1, 1: 1})
+
 def test_ill_defined_raised_for_broken_module_algebra():
     from hopfcyclic.complexes import IllDefined
     from hopfcyclic.actions import ModuleAlgebra, trivial_sayd

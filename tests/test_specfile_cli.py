@@ -207,6 +207,80 @@ def test_invalid_structure_data_ends_in_a_report(tmp_path, capsys, fixture, comm
     assert captured.err == ""
     assert any(line.startswith(failure) for line in captured.out.splitlines()), captured.out
 
+# (fixture, edited line, its replacement or None to append the lines after
+# it, the VIOLATIONS blocks of `validate`): every violating basis tuple of
+# every law, with its residual, in (law, tuple) order
+_VIOLATIONS = {
+    "h4-comul": ("h4.hcy", "  comul x = 1*g|x + 1*x|1", "  comul x = 1*g|x + 1*x|g", [
+        "VIOLATIONS (9):\n"
+        "  antipode-left at (x): 1*2 + 1*3\n"
+        "  antipode-right at (x): -1*2 + -1*3\n"
+        "  comul-multiplicative at (g,gx): -1*8 + 1*9\n"
+        "  comul-multiplicative at (g,x): -1*12 + 1*13\n"
+        "  comul-multiplicative at (gx,g): 1*8 + -1*9\n"
+        "  comul-multiplicative at (gx,x): 1*10 + 1*11\n"
+        "  comul-multiplicative at (x,g): 1*12 + -1*13\n"
+        "  comul-multiplicative at (x,gx): -1*10 + 1*11\n"
+        "  comul-multiplicative at (x,x): 2*15",
+        "sayd: VIOLATIONS (1):;   anti-yetter-drinfeld at (m,x): 1*2 + 1*3",
+        "VIOLATIONS (7):\n"
+        "  comul-equivariant at (g,gx): -1*8 + 1*9\n"
+        "  comul-equivariant at (g,x): -1*12 + 1*13\n"
+        "  comul-equivariant at (gx,g): 1*8 + -1*9\n"
+        "  comul-equivariant at (gx,x): 1*10 + 1*11\n"
+        "  comul-equivariant at (x,g): 1*12 + -1*13\n"
+        "  comul-equivariant at (x,gx): -1*10 + 1*11\n"
+        "  comul-equivariant at (x,x): 2*15",
+        "VIOLATIONS (1):\n"
+        "  coaction-coassociative at (cx): 1*32 + -1*36"]),
+    "kz2-act": ("kz2.hcy", "  act g p0 = 1*p1", "  act g p0 = 1*p0 + 1*p1", [
+        "VIOLATIONS (5):\n"
+        "  action-multiplicative at (g,p0,p1): -1*0\n"
+        "  action-multiplicative at (g,p1,p0): -1*0\n"
+        "  action-on-unit at (g): 1*0\n"
+        "  module-action-associative at (g,g,p0): -1*0 + -1*1\n"
+        "  module-action-associative at (g,g,p1): -1*0",
+        "VIOLATIONS (2):\n"
+        "  h-linearity at (g,e,p0): -1*0\n"
+        "  h-linearity at (g,g,p1): -1*0"]),
+    "kz2-sayd-stability": ("kz2.hcy", "context cup_cross = crossed(A, B, triv)", None, [
+        "VIOLATIONS (1):\n"
+        "  stability at (m): -2*0"]),
+}
+_UNSTABLE_SAYD = ["space Msp = m", "sayd S over H space Msp", "  ract m e = 1*m",
+                  "  ract m g = -1*m", "  lcoact m = 1*g|m"]
+
+
+def violation_blocks(out):
+    """Each line of a report that holds VIOLATIONS, joined with the indented
+    lines right after it."""
+    blocks, block = [], None
+    for line in out.splitlines():
+        if "VIOLATIONS" in line:
+            block = [line]
+            blocks.append(block)
+        elif block is not None and line.startswith("  "):
+            block.append(line)
+        else:
+            block = None
+    return ["\n".join(b) for b in blocks]
+
+
+@pytest.mark.parametrize("case", sorted(_VIOLATIONS))
+def test_validate_lists_every_violation_of_broken_input(tmp_path, capsys, case):
+    fixture, old, new, blocks = _VIOLATIONS[case]
+    lines = fixture_file_texts()[fixture].splitlines()
+    i = lines.index(old)
+    if new is None:
+        lines[i + 1:i + 1] = _UNSTABLE_SAYD
+    else:
+        lines[i] = new
+    p = tmp_path / "broken.hcy"
+    p.write_text("\n".join(lines) + "\n")
+    code, out = run_cli(["validate", p], capsys)
+    assert code == 1
+    assert violation_blocks(out) == blocks
+
 def test_involution_flags_of_a_pair_without_inverse(tmp_path, capsys):
     # sigma = 0 has no inverse, so neither involution identity can hold
     text = fixture_file_texts()["kz2.hcy"].replace("grouplike one in H = 1*e\n",

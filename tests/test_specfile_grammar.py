@@ -105,11 +105,15 @@ def test_sayd_block_round_trips():
 # -- every input error, at its line ----------------------------------------------------------
 
 # (fixture, line, its replacement, the line reported when not the edited
-# one, the message): one case for every raise in specfile, and for every
-# message of its name lookup
+# one, the message): one case for every raise in specfile, for every
+# message of its name lookup, and for a structure line under each header
+# kind that takes none.  A replacement may span lines; None deletes the
+# line's whole block, its header and its structure lines.
 ERRORS = {
     "unexpected-keyword": ("kz2.hcy", "  act e p0 = 1*p0", "  unit = 1*p0", None,
                            "unexpected 'unit' in module_algebra block"),
+    "orphaned-lines": ("kz2.hcy", "algebra H", "", "  unit = 1*e",
+                       "unexpected 'unit' in space block"),
     "bad-scalar": ("kz2.hcy", "  counit g = 1", "  counit g = x", None, "bad scalar 'x'"),
     "character-values": ("kz2.hcy", "character eps on H = 1 1", "character eps on H = 1 1 1",
                          None, "character needs 2 values"),
@@ -156,14 +160,14 @@ ERRORS = {
                                  "unknown module coalgebra 'A'"),
     "unknown-module-algebra": ("kz2.hcy", "action ca : H on A", "action ca : H on B", None,
                                "unknown module algebra 'B'"),
-    "hopf-needs-algebra": ("kz2.hcy", "algebra H", "", "hopf H",
+    "hopf-needs-algebra": ("kz2.hcy", "algebra H", None, "hopf H",
                            "hopf 'H' needs algebra and coalgebra blocks first"),
-    "module-algebra-needs-algebra": ("kz2.hcy", "algebra A", "", "module_algebra A over H",
+    "module-algebra-needs-algebra": ("kz2.hcy", "algebra A", None, "module_algebra A over H",
                                      "module_algebra 'A' needs its algebra block"),
     "module-coalgebra-needs-coalgebra": ("kz2.hcy", "module_algebra A over H",
                                          "module_coalgebra A over H", None,
                                          "module_coalgebra 'A' needs its coalgebra block"),
-    "comodule-algebra-needs-algebra": ("kz2.hcy", "algebra B", "", "comodule_algebra B over H",
+    "comodule-algebra-needs-algebra": ("kz2.hcy", "algebra B", None, "comodule_algebra B over H",
                                        "comodule_algebra 'B' needs its algebra block"),
     "unknown-coefficients": ("kz2.hcy", "complex alg_triv = algebra(A, triv)",
                              "complex alg_triv = algebra(A, trivial)", None,
@@ -178,13 +182,33 @@ ERRORS = {
 }
 
 
+for kind, (fixture, header) in {
+        "space": ("kz2.hcy", "space A = p0 p1"),
+        "character": ("kz2.hcy", "character eps on H = 1 1"),
+        "grouplike": ("kz2.hcy", "grouplike one in H = 1*e"),
+        "coefficients": ("kz2.hcy", "coefficients triv = mpi(eps, one)"),
+        "subhopf": ("kz4_relative.hcy", "subhopf K of H = 1*e ; 1*g2"),
+        "trace": ("kz2.hcy", "trace tr on A = 1 1"),
+        "complex": ("kz2.hcy", "complex alg_triv = algebra(A, triv)"),
+        "context": ("kz2.hcy", "context cup_cross = crossed(A, B, triv)")}.items():
+    assert kind not in LINES
+    ERRORS["stray-under-" + kind] = (fixture, header, header + "\n  mul e e = 1*g",
+                                     "  mul e e = 1*g", "unexpected 'mul' in %s block" % kind)
+
+
 @pytest.mark.parametrize("case", sorted(ERRORS))
 def test_input_error_exits_two_at_its_line(tmp_path, capsys, case):
     fixture, old, new, at, message = ERRORS[case]
     lines = fixture_file_texts()[fixture].splitlines()
     assert lines.count(old) == 1
     line_no = lines.index(old) + 1
-    lines[line_no - 1] = new
+    if new is None:
+        end = line_no
+        while end < len(lines) and lines[end].startswith("  "):
+            end += 1
+        del lines[line_no - 1:end]
+    else:
+        lines[line_no - 1:line_no] = new.split("\n")
     if at is not None:
         line_no = lines.index(at) + 1
     p = tmp_path / "bad.hcy"

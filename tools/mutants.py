@@ -33,7 +33,9 @@ Mutant = namedtuple("Mutant", "name path old new tests")
 LINALG = "src/hopfcyclic/linalg.py"
 COMPLEXES = "src/hopfcyclic/complexes.py"
 SPECFILE = "src/hopfcyclic/specfile.py"
+HOPF = "src/hopfcyclic/hopf.py"
 GRAMMAR = "tests/test_specfile_grammar.py::"
+PINNED = "tests/test_specfile_cli.py::test_validate_lists_every_violation_of_broken_input"
 
 MUTANTS = [
     Mutant("lead-at-min", LINALG,
@@ -61,9 +63,30 @@ MUTANTS = [
            ["tests/test_complexes.py::test_ill_defined_raised_for_broken_module_algebra",
             "tests/test_complexes.py::test_ill_defined_raised_for_broken_coaction"]),
     Mutant("lift-witness-residual-none", COMPLEXES,
-           "n, p, dict(sorted(out.items())))",
-           "n, p, None)",
-           ["tests/test_complexes.py::test_ill_defined_raised_for_broken_action"]),
+           "n, solver.pivots[k], residual)",
+           "n, solver.pivots[k], None)",
+           ["tests/test_complexes.py::test_ill_defined_raised_for_broken_action",
+            "tests/test_complexes.py::test_ill_defined_at_the_last_relation_row"]),
+    Mutant("lift-descent-skips-last-row", COMPLEXES,
+           "rows)], len(rows))",
+           "rows)], len(rows) - 1)",
+           ["tests/test_complexes.py::test_ill_defined_at_the_last_relation_row"]),
+    Mutant("residuals-stops-at-first", LINALG,
+           "sorted(acc.items())}\n            acc.clear()\n",
+           "sorted(acc.items())}\n            return\n",
+           ["tests/test_certificates.py::test_residuals_are_every_nonzero_column_of_the_sum",
+            PINNED + "[h4-comul]", PINNED + "[kz2-act]"]),
+    Mutant("law-drops-sign", HOPF,
+           "residuals(matrix_terms(terms), mi.size)",
+           "residuals(matrix_terms((1, a, b) for _, a, b in terms), mi.size)",
+           ["tests/test_hopf.py::test_group_algebra_kz2_valid",
+            "tests/test_hopf.py::test_sweedler_h4_valid",
+            PINNED + "[kz2-sayd-stability]"]),
+    Mutant("law-skips-identity-term", HOPF,
+           "residuals(matrix_terms(terms), mi.size)",
+           "residuals(matrix_terms(t for t in terms if t[1:] != (None, None)), mi.size)",
+           ["tests/test_hopf.py::test_group_algebra_kz2_valid",
+            PINNED + "[kz2-sayd-stability]"]),
     Mutant("writer-unsorted", SPECFILE,
            "        for idx in sorted(got):",
            "        for idx in got:",
@@ -86,6 +109,12 @@ MUTANTS = [
            [GRAMMAR + "test_sayd_block_round_trips",
             "tests/test_specfile_cli.py::test_cli_mixed_hopf_algebras_exit_two_with_line"
             "[hopf-of-sayd]"]),
+    Mutant("stray-line-dropped", SPECFILE,
+           "        _read_lines(head, lines, {})",
+           "        pass",
+           [GRAMMAR + "test_input_error_exits_two_at_its_line[stray-under-trace]",
+            GRAMMAR + "test_input_error_exits_two_at_its_line[stray-under-space]",
+            GRAMMAR + "test_input_error_exits_two_at_its_line[orphaned-lines]"]),
 ]
 
 # "FAILED <id> - <reason>" / "ERROR <id>" lines of pytest's short summary
