@@ -222,7 +222,10 @@ _VALIDATORS = {
 }
 
 
-def cmd_validate(spec, spec_text, rep, flags):
+def cmd_validate(spec, spec_text, rep, flags, witnesses=True):
+    """Validate every declaration.  A trace that is not invariant under a
+    coefficient pair is reported with its count of violations and, when
+    witnesses is set, the first of them."""
     for cat, name in spec.order:
         if cat in _VALIDATORS:
             validator, pool = _VALIDATORS[cat]
@@ -254,8 +257,10 @@ def cmd_validate(spec, spec_text, rep, flags):
                     if cname in spec._pairs and spec._pairs[cname].hopf is ma.hopf:
                         bad = validate_trace(spec._pairs[cname], ma, tr)
                         outcomes.append(not bad)
-                        rep.add("against %s: %s" % (cname, "invariant" if not bad
-                                                    else "not invariant (%d instances)" % len(bad)))
+                        status = "not invariant (%d instances)" % len(bad) if bad else "invariant"
+                        if bad and witnesses:
+                            status += ", first %s" % bad[0]
+                        rep.add("against %s: %s" % (cname, status))
                 if outcomes and not any(outcomes):
                     rep.fail("trace is invariant for no declared coefficient pair")
                 if not outcomes:
@@ -431,7 +436,9 @@ def cmd_fixtures(rep, flags):
 
 
 def cmd_audit(spec, spec_text, rep, flags):
-    cmd_validate(spec, spec_text, rep, flags)
+    # the audit report is pinned byte for byte by perfbench/references.json,
+    # which predates the trace witness
+    cmd_validate(spec, spec_text, rep, flags, witnesses=False)
     _complex_sections(spec, spec_text, rep, flags, identities=True, cohomology=True)
     # context certificates and a small cup sweep
     for kind in ("coalgebra", "crossed", "relative"):

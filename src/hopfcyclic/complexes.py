@@ -4,8 +4,9 @@ Four builders: the coalgebra complex (coinvariant-quotient realization), the
 algebra complex (equivariant-functional realization), the comodule-algebra
 complex (colinear-map realization) and the normalized Hopf complex on tensor
 powers together with its certified isomorphism to the coalgebra complex.
-Tensor products of complexes, their diagonals and the degreewise product are
-built from the same matrices.
+The degreewise product of two complexes, which is also the diagonal of their
+tensor product, is a view on its two factors (ProductComplex): it stores no
+operator, and the certificates read its column plans from the factors'.
 
 A complex built with truncation N carries spaces 0..N+1 so that faces, and
 hence the Hochschild coboundary, exist at degree N.  Its structure maps are
@@ -35,7 +36,7 @@ except ImportError:
 from .linalg import (SparseMatrix, KernelCoords, compose, tensor_kron, scal,
                      image_rank, kernel_of_rows, matrix_to_text,
                      parse_scalar, vec_acc, vec_axpy, mul_vec,
-                     column_plan, first_residual, matrix_terms)
+                     column_plan, kron_plan, first_residual, matrix_terms)
 from .spaces import BasedSpace, MultiIndex, tensor_power, tensor_space
 from .hopf import iterated_coproduct
 from .actions import QuotientSpace
@@ -85,16 +86,16 @@ class CocyclicComplex:
         return self.spaces[n].dim
 
     def face(self, n, i):
-        return self.faces[n][i]
+        return self.op("face", n, i)
 
     def degen(self, n, j):
-        return self.degens[n][j]
+        return self.op("degen", n, j)
 
     def tau(self, n):
-        return self.taus[n]
+        return self.op("tau", n, 0)
 
     def dims(self):
-        return [s.dim for s in self.spaces]
+        return [self.dim(n) for n in range(self.top + 1)]
 
     def op(self, kind, n, i):
         """The structure map of key (kind, n, i); i is 0 for tau."""
@@ -103,6 +104,11 @@ class CocyclicComplex:
         if kind == "degen":
             return self.degens[n][i]
         return self.taus[n]
+
+    def plan(self, kind, n, i):
+        """The column plan of op(kind, n, i), the operand form the
+        certificates read (linalg.residuals)."""
+        return column_plan(self.op(kind, n, i))
 
     @classmethod
     def assemble(cls, N, spaces, make, name=""):
@@ -154,8 +160,8 @@ def intertwines(src, tgt, mats):
     plans = [column_plan(m) for m in mats]
     for key in structure_maps(src.N, src.top):
         n = key[1]
-        hit = first_residual([(1, plans[n + _SHIFT[key[0]]], column_plan(src.op(*key))),
-                              (-1, column_plan(tgt.op(*key)), plans[n])], src.dim(n))
+        hit = first_residual([(1, plans[n + _SHIFT[key[0]]], src.plan(*key)),
+                              (-1, tgt.plan(*key), plans[n])], src.dim(n))
         if hit is not None:
             return (key,) + hit
     return None
@@ -194,7 +200,7 @@ def check_cocyclic(cx: CocyclicComplex):
     and the residual lhs - rhs there."""
     bad = []
     N, top = cx.N, cx.top
-    plans = {key: column_plan(cx.op(*key)) for key in structure_maps(N, top)}
+    plans = {key: cx.plan(*key) for key in structure_maps(N, top)}
     F = lambda n, i: plans["face", n, i]
     S = lambda n, j: plans["degen", n, j]
     T = lambda n: plans["tau", n, 0]
@@ -952,9 +958,6 @@ class BicocyclicComplex:
         self.N = min(c1.N, c2.N)
         self.top = min(c1.top, c2.top)
 
-    def space(self, p, q):
-        return tensor_space(self.c1.spaces[p], self.c2.spaces[q])
-
     def hface(self, p, q, i):
         return tensor_kron(self.c1.face(p, i), SparseMatrix.identity(self.c2.dim(q)))
 
@@ -1001,26 +1004,47 @@ def check_bicocyclic(b: BicocyclicComplex):
     return bad
 
 
-def diagonal(b: BicocyclicComplex) -> CocyclicComplex:
-    """Diagonal complex: degree n space is the (n,n) spot; each structure map
-    is the composite of the matching horizontal and vertical maps."""
-    def composite(kind, n, i):
-        if kind == "face":
-            return compose(b.hface(n, n + 1, i), b.vface(n, n, i))
-        if kind == "degen":
-            return compose(b.hdegen(n, n - 1, i), b.vdegen(n, n, i))
-        return compose(b.htau(n, n), b.vtau(n, n))
+class ProductComplex(CocyclicComplex):
+    """Degreewise tensor product with operators d_i (x) d_i, s_j (x) s_j,
+    t (x) t, on flat indices with the first factor major.
 
-    spaces = [b.space(n, n) for n in range(b.top + 1)]
-    return CocyclicComplex.assemble(b.N, spaces, composite, "diagonal")
+    It holds its two factors and no operator.  op forms the Kronecker
+    product of the factors' maps when a matrix is asked for; plan reads the
+    Kronecker column plan straight from the factors' plans, so the
+    certificates never build an operator of the product."""
+
+    def __init__(self, c1, c2):
+        self.c1 = c1
+        self.c2 = c2
+        self.N = min(c1.N, c2.N)
+        self.top = min(c1.top, c2.top)
+        self.name = "product"
+
+    @property
+    def spaces(self):
+        return [tensor_space(self.c1.spaces[n], self.c2.spaces[n]) for n in range(self.top + 1)]
+
+    def dim(self, n):
+        return self.c1.dim(n) * self.c2.dim(n)
+
+    def op(self, kind, n, i):
+        return tensor_kron(self.c1.op(kind, n, i), self.c2.op(kind, n, i))
+
+    def plan(self, kind, n, i):
+        return kron_plan(self.c1.plan(kind, n, i), self.c2.plan(kind, n, i),
+                         self.c2.dim(n + _SHIFT[kind]))
 
 
-def product_complex(c1, c2) -> CocyclicComplex:
+def diagonal(b: BicocyclicComplex) -> ProductComplex:
+    """Diagonal complex: degree n is the (n,n) spot, and each structure map
+    is the composite of the matching horizontal and vertical maps.  As
+    (d_i (x) 1)(1 (x) d_i) = d_i (x) d_i, that is the degreewise product."""
+    return product_complex(b.c1, b.c2)
+
+
+def product_complex(c1, c2) -> ProductComplex:
     """Degreewise tensor product with operators d_i (x) d_i, s_j (x) s_j, t (x) t."""
-    spaces = [tensor_space(c1.spaces[n], c2.spaces[n]) for n in range(min(c1.top, c2.top) + 1)]
-    return CocyclicComplex.assemble(
-        min(c1.N, c2.N), spaces,
-        lambda *key: tensor_kron(c1.op(*key), c2.op(*key)), "product")
+    return ProductComplex(c1, c2)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .linalg import (SparseMatrix, KernelCoords, compose, first_residual, matrix
                      tensor_kron, scal, vec_acc, vec_axpy, vec_sub, mul_vec, kernel_basis,
                      push_slots, contract)
 from .spaces import MultiIndex
-from .hopf import ModularPair, iterated_coproduct
+from .hopf import ModularPair, ValidationReport, iterated_coproduct, swap_matrix
 from .actions import (CoalgebraAction, SAYDModule, convolution_algebra,
                       invariant_subalgebra, relative_coalgebra, crossed_product,
                       validate_module_algebra, validate_module_coalgebra,
@@ -623,29 +623,22 @@ def cup_explicit_crossed(ctx, phi, p, psi, q):
 # the characteristic map of an invariant trace
 
 def validate_trace(mp: ModularPair, ma, trace):
-    """delta-invariance and the sigma-twisted trace condition, exhaustively."""
-    violations = []
-    adim = ma.space.dim
-    act = ma.action
-    mul = ma.alg.mul
-    delta = dict(mp.delta)
-    sigma = dict(mp.sigma)
-    tr = lambda v: scal(sum(trace.get(i, 0) * x for i, x in v.items()))
-    for hh in range(ma.hopf.dim):
-        dh = delta.get(hh, 0)
-        for a in range(adim):
-            lhs = tr(act.value((hh, a)))
-            rhs = scal(dh * trace.get(a, 0))
-            if lhs != rhs:
-                violations.append(("delta-invariance", (hh, a), lhs - rhs))
-    for a in range(adim):
-        sa = act.apply(sigma, {a: 1})
-        for b in range(adim):
-            lhs = tr(mul.apply({a: 1}, {b: 1}))
-            rhs = tr(mul.apply({b: 1}, sa))
-            if lhs != rhs:
-                violations.append(("sigma-trace", (a, b), lhs - rhs))
-    return violations
+    """delta-invariance, tr(h.a) = delta(h) tr(a), and the sigma-twisted
+    trace condition, tr(ab) = tr(b (sigma.a)), on every pair of basis
+    elements: the list of violations (hopf.Violation), with the labels of
+    each failing pair and the residual lhs - rhs there."""
+    rep = ValidationReport("trace")
+    A = ma.space
+    tr = SparseMatrix(1, A.dim, {(0, i): x for i, x in trace.items()})
+    act = ma.action.as_matrix()
+    rep.law("delta-invariance", (ma.hopf.space, A),
+            (1, tr, act), (-1, tensor_kron(mp.delta_matrix(), tr), None))
+    # a (x) b -> b (x) sigma.a
+    sigma_act = compose(act, tensor_kron(mp.sigma_matrix(), SparseMatrix.identity(A.dim)))
+    moved = compose(tensor_kron(SparseMatrix.identity(A.dim), sigma_act), swap_matrix(A.dim, A.dim))
+    tr_mul = compose(tr, ma.alg.mul_matrix())
+    rep.law("sigma-trace", (A, A), (1, tr_mul, None), (-1, tr_mul, moved))
+    return rep.violations
 
 
 def char_map(mp: ModularPair, ma, trace, N=3):

@@ -14,7 +14,14 @@ from .spaces import GROUND, MultiIndex, StructureTensor
 
 
 class BracketingMismatch(ValueError):
-    """Iterated coproduct differs between bracketings; coassociativity is broken."""
+    """Iterated coproduct differs between bracketings; coassociativity is
+    broken.  The witness is the first basis column where the two differ and
+    the residual leftmost - rightmost there."""
+
+    def __init__(self, message, column=None, residual=None):
+        super().__init__(message)
+        self.column = column
+        self.residual = residual
 
 
 class Violation:
@@ -27,6 +34,9 @@ class Violation:
 
     def __repr__(self):
         return "Violation(%s at %s: %s)" % (self.law, self.where, vector_to_text(self.residual))
+
+    def __str__(self):
+        return "%s at (%s): %s" % (self.law, ",".join(self.where), vector_to_text(self.residual))
 
 
 class ValidationReport:
@@ -63,7 +73,7 @@ class ValidationReport:
             return ["ok"]
         out = ["VIOLATIONS (%d):" % len(self.violations)]
         for v in self.violations:
-            out.append("  %s at (%s): %s" % (v.law, ",".join(v.where), vector_to_text(v.residual)))
+            out.append("  %s" % v)
         return out
 
     def __repr__(self):
@@ -199,8 +209,8 @@ def validate_hopf(h: HopfData) -> ValidationReport:
 def iterated_coproduct(c: CoalgebraData, n: int) -> StructureTensor:
     """Map space -> space^(x n): identity for n=1, comul for n=2, etc.
 
-    Asserts the leftmost bracketing equals one alternative bracketing so
-    broken coassociativity cannot silently propagate.
+    Checks the leftmost bracketing against the rightmost one, column by
+    column, so broken coassociativity cannot silently propagate.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -213,11 +223,16 @@ def iterated_coproduct(c: CoalgebraData, n: int) -> StructureTensor:
     for k in range(2, n):
         left = compose(tensor_kron(com, SparseMatrix.identity(d ** (k - 1))), left)
     if n > 2:
+        # the rightmost bracketing up to n - 1 legs; its last comultiplication
+        # is the left factor of the residual term, so that product is not built
         alt = com
-        for k in range(2, n):
+        for k in range(2, n - 1):
             alt = compose(tensor_kron(SparseMatrix.identity(d ** (k - 1)), com), alt)
-        if alt != left:
-            raise BracketingMismatch("iterated coproduct depends on bracketing")
+        hit = first_residual(matrix_terms([(1, left, None),
+                                           (-1, tensor_kron(SparseMatrix.identity(d ** (n - 2)), com),
+                                            alt)]), d)
+        if hit is not None:
+            raise BracketingMismatch("iterated coproduct depends on bracketing", *hit)
     from .spaces import tensor_power
     return StructureTensor.from_matrix(left, (c.space,), tensor_power(c.space, n))
 

@@ -374,6 +374,29 @@ def tensor_kron(a, b):
     return m
 
 
+def kron_plan(a, b, brows):
+    """The column plan of tensor_kron(A, B), read from the plans a of A and
+    b of B, where B has brows rows: column (j, l) holds (i*brows + k, x*y)
+    for each (i, x) of a[j] and (k, y) of b[l].  Built as a list on each
+    call; no matrix is formed.  Plain loops, not a comprehension per
+    column: most columns hold one entry, and the comprehension's call
+    dominated the cost."""
+    plan = []
+    append = plan.append
+    for aj in a:
+        for bl in b:
+            if not (aj and bl):
+                append(())
+                continue
+            col = []
+            for i, x in aj:
+                i *= brows
+                for k, y in bl:
+                    col.append((i + k, x * y))
+            append(col)
+    return plan
+
+
 # ---------------------------------------------------------------------------
 # canonical echelon machinery
 

@@ -4,9 +4,11 @@ replaced, the witness every certificate failure carries, and what the job
 process does not load or rebuild."""
 
 import functools
+import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,20 +16,21 @@ from hypothesis import given, settings, strategies as st
 
 import hopfcyclic
 import hopfcyclic.cup as cup
-from hopfcyclic.linalg import (SparseMatrix, column_plan, compose, first_residual, matrix_terms,
-                               residuals, vec_add, vec_sub)
+from hopfcyclic.linalg import (SparseMatrix, column_plan, compose, first_residual, kron_plan,
+                               matrix_terms, residuals, tensor_kron, vec_add, vec_sub)
 from hopfcyclic.complexes import (CocyclicComplex, build_coalgebra_complex, build_hopf_complex,
-                                  check_cocyclic, ConjugationFailure)
+                                  check_cocyclic, structure_maps, ConjugationFailure)
 from hopfcyclic.cohomology import (hochschild_b, connes_B, cyclic_cocycles, lam, norm_operator,
                                    NotAComplex)
-from hopfcyclic.cup import (CoalgebraCupContext, ChainMapFailure, aw_cup, certify_chain_map)
+from hopfcyclic.cup import (CoalgebraCupContext, RelativeCupContext, ChainMapFailure, aw_cup,
+                            certify_chain_map)
 from hopfcyclic.actions import trivial_sayd
 from hopfcyclic.fixtures import (trivial_hopf, group_algebra, self_module_coalgebra,
                                  swap_module_algebra, module_action_as_coalgebra_action,
                                  mpi_kz2_sigma_g, fixture_file_texts)
 from hopfcyclic.spaces import StructureTensor
 from hopfcyclic.specfile import parse_spec
-from hopfcyclic.cli import build_declared_complex
+from hopfcyclic.cli import build_declared_complex, _contexts_for
 
 
 def nonzero_columns(m):
@@ -136,6 +139,62 @@ def test_first_residual_keeps_integral_fractions_as_int():
     two = column_plan(SparseMatrix(1, 1, {(0, 0): 4}))
     c, residual = first_residual([(1, half, two)], 1)
     assert (c, residual) == (0, {0: 2}) and type(residual[0]) is int
+
+
+# -- the product complex: Kronecker plans read from its two factors ----------------------
+
+@st.composite
+def small_matrices(draw):
+    """A random small rational matrix; 0 rows or columns and empty columns
+    included."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    cells = draw(st.lists(st.tuples(st.integers(0, max(rows - 1, 0)),
+                                    st.integers(0, max(cols - 1, 0)), SCALARS),
+                          max_size=rows * cols))
+    return SparseMatrix(rows, cols, {(i, j): x for i, j, x in cells})
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices(), small_matrices())
+def test_kron_plan_is_the_plan_of_the_kronecker_product(a, b):
+    plan = kron_plan(column_plan(a), column_plan(b), b.rows)
+    expected = column_plan(tensor_kron(a, b))
+    assert len(plan) == len(expected) == a.cols * b.cols
+    for c, (col, want) in enumerate(zip(plan, expected)):
+        assert col == want, c
+
+
+def test_product_plans_are_the_plans_of_its_operators():
+    # every key of the product of every fixture context at N=3
+    kinds = set()
+    for fixture, text in sorted(fixture_file_texts().items()):
+        spec = parse_spec(text)
+        for kind in ("coalgebra", "crossed", "relative"):
+            for name, ctx, error in _contexts_for(spec, kind, 3):
+                assert error is None, (fixture, name)
+                kinds.add(kind)
+                d = ctx.diag
+                for key in structure_maps(d.N, d.top):
+                    assert d.plan(*key) == column_plan(d.op(*key)), (fixture, name, key)
+    assert kinds == {"coalgebra", "crossed", "relative"}
+
+
+def test_relative_context_holds_no_product_operator():
+    # with its product materialized, this context held 4.1 MB
+    spec = parse_spec(fixture_file_texts()["kz4_relative.hcy"])
+    (args,) = [args for kind, args in spec.contexts.values() if kind == "relative"]
+    parts = (spec.module_algebras[args[0]], spec.subhopfs[args[1]], spec.coefficients[args[-1]])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ctx = RelativeCupContext(*parts, N=3)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert set(vars(ctx.diag)) == {"c1", "c2", "N", "top", "name"}
+    assert held <= 1.0e6
 
 
 # -- check_cocyclic against the compose-based check it replaced -------------------------
@@ -316,6 +375,26 @@ def test_chain_map_failure_witness_is_the_residual_of_its_column():
                  for c in range(ctx.diag.dim(1))]
     assert err.column == next(c for c, r in enumerate(residuals) if r)
     assert err.residual == residuals[err.column]
+
+
+def test_chain_map_failure_on_the_product_view_is_that_of_the_built_product():
+    # a pairing with one entry of degree 2 negated, certified on the product
+    # view and on the same product with every operator built
+    ctx = kz2_ctx()
+    mats = list(ctx.psi_c_matrices())
+    ent = dict(mats[2].entries)
+    at = sorted(ent)[len(ent) // 2]
+    ent[at] = -ent[at]
+    mats[2] = SparseMatrix(mats[2].rows, mats[2].cols, ent)
+    view = ctx.diag
+    built = CocyclicComplex.assemble(view.N, view.spaces, view.op)
+    failures = []
+    for src in (view, built):
+        with pytest.raises(ChainMapFailure) as e:
+            certify_chain_map(src, ctx.conv_cx.complex, mats, "convolution pairing")
+        failures.append((str(e.value), e.value.degree, e.value.column, e.value.residual))
+    assert failures[0] == failures[1]
+    assert failures[0][2] is not None and failures[0][3]
 
 
 def tampered(tensor, key, value):

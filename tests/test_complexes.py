@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfcyclic.linalg import SparseMatrix, compose, invert_matrix, vec_axpy
+from hopfcyclic.linalg import SparseMatrix, column_plan, compose, invert_matrix, vec_axpy
 from hopfcyclic.complexes import (build_coalgebra_complex, build_algebra_complex,
                                   build_comodule_algebra_complex, build_hopf_complex,
                                   check_cocyclic, tensor_bicocyclic, check_bicocyclic,
@@ -236,12 +236,36 @@ def test_diagonal_with_point_complex_is_original():
     d = diagonal(tensor_bicocyclic(alg, point))
     assert complexes_equal(d, alg)
 
+def composite(b, kind, n, i):
+    """The diagonal's map of key (kind, n, i) composed from the horizontal
+    and vertical maps of the bicocyclic complex b: the oracle for every
+    operator of the product."""
+    if kind == "face":
+        return compose(b.hface(n, n + 1, i), b.vface(n, n, i))
+    if kind == "degen":
+        return compose(b.hdegen(n, n - 1, i), b.vdegen(n, n, i))
+    return compose(b.htau(n, n), b.vtau(n, n))
+
+def sorted_plan(plan):
+    return [sorted(col) for col in plan]
+
 def test_diagonal_equals_product():
-    alg, coalg = _kz2_pair()
-    d = diagonal(tensor_bicocyclic(alg, coalg))
-    p = product_complex(alg, coalg)
-    assert complexes_equal(d, p)
-    assert check_cocyclic(p) == []
+    h = group_algebra(2)
+    twisted = mpi_coefficients(mpi_kz2_sigma_g())
+    pairs = [_kz2_pair(),
+             (build_algebra_complex(swap_module_algebra(), twisted, 2).complex,
+              build_comodule_algebra_complex(self_comodule_algebra(h), twisted, 3).complex)]
+    for alg, other in pairs:
+        b = tensor_bicocyclic(alg, other)
+        d = diagonal(b)
+        p = product_complex(alg, other)
+        assert complexes_equal(d, p)
+        assert (p.N, p.dims()) == (2, [alg.dim(n) * other.dim(n) for n in range(4)])
+        for key in structure_maps(p.N, p.top):
+            m = composite(b, *key)
+            assert p.op(*key) == m, key
+            assert sorted_plan(p.plan(*key)) == sorted_plan(column_plan(m)), key
+        assert check_cocyclic(p) == []
 
 
 # -- plain cyclic complex of an algebra ---------------------------------------------------

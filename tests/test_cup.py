@@ -230,6 +230,18 @@ def test_char_map_rejects_bad_trace():
 def test_trace_is_invariant():
     assert validate_trace(mpi_trivial(group_algebra(2)), swap_module_algebra(), sum_trace(2)) == []
 
+@pytest.mark.parametrize("mp,trace,expected", [
+    # tr(g.a) - eps(g) tr(a) with tr = (1, 0) and g swapping p0, p1
+    (mpi_trivial(group_algebra(2)), {0: 1},
+     ["delta-invariance at (g,p0): -1*0", "delta-invariance at (g,p1): 1*0"]),
+    # tr(ab) - tr(b (g.a)) with tr = (1, 1): the twist by sigma = g breaks every pair
+    (mpi_kz2_sigma_g(), sum_trace(2),
+     ["sigma-trace at (p0,p0): 1*0", "sigma-trace at (p0,p1): -1*0",
+      "sigma-trace at (p1,p0): -1*0", "sigma-trace at (p1,p1): 1*0"]),
+], ids=["delta-invariance", "sigma-trace"])
+def test_trace_violations_carry_their_pair_and_residual(mp, trace, expected):
+    assert [str(v) for v in validate_trace(mp, swap_module_algebra(), trace)] == expected
+
 
 def test_degenerate_cup_equals_char_map():
     # the trace, seen as the degree-0 algebra cochain, cups with any class of

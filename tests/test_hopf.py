@@ -164,8 +164,11 @@ def test_bracketing_mismatch_on_broken_coalgebra():
                             {(0,): {0: 1}, (1,): {1 * 2 + 0: 1, 1 * 2 + 1: 1}})
     c = CoalgebraData(s, comul, {0: 1, 1: 1})
     assert not validate_coalgebra(c).ok
-    with pytest.raises(BracketingMismatch):
+    with pytest.raises(BracketingMismatch) as e:
         iterated_coproduct(c, 3)
+    # the first failing column is g, and g|e|g is flat index 1*4 + 0*2 + 1
+    assert str(e.value) == "iterated coproduct depends on bracketing"
+    assert (e.value.column, e.value.residual) == (1, {5: 1})
 
 
 # -- twisted antipode ------------------------------------------------------------

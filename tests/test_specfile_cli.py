@@ -281,6 +281,21 @@ def test_validate_lists_every_violation_of_broken_input(tmp_path, capsys, case):
     assert code == 1
     assert violation_blocks(out) == blocks
 
+def test_validate_names_the_first_trace_violation(tmp_path, capsys):
+    # tr = (1, 2): tr(g.p0) - eps(g) tr(p0) = 2 - 1 under both pairs; the
+    # twist by sigma = g also breaks tr(ab) = tr(b (g.a)) on all four pairs
+    text = fixture_file_texts()["kz2.hcy"].replace("trace tr on A = 1 1\n",
+                                                  "trace tr on A = 1 2\n")
+    p = tmp_path / "trace.hcy"
+    p.write_text(text)
+    code, out = run_cli(["validate", p], capsys)
+    assert code == 1
+    section = out.split("== validate trace tr\n")[1].split("==")[0]
+    assert section == (
+        "against triv: not invariant (2 instances), first delta-invariance at (g,p0): 1*0\n"
+        "against twist: not invariant (6 instances), first delta-invariance at (g,p0): 1*0\n"
+        "trace is invariant for no declared coefficient pair\n")
+
 def test_involution_flags_of_a_pair_without_inverse(tmp_path, capsys):
     # sigma = 0 has no inverse, so neither involution identity can hold
     text = fixture_file_texts()["kz2.hcy"].replace("grouplike one in H = 1*e\n",

@@ -87,6 +87,23 @@ MUTANTS = [
            "residuals(matrix_terms(t for t in terms if t[1:] != (None, None)), mi.size)",
            ["tests/test_hopf.py::test_group_algebra_kz2_valid",
             PINNED + "[kz2-sayd-stability]"]),
+    Mutant("product-plan-factors-swapped", COMPLEXES,
+           "kron_plan(self.c1.plan(kind, n, i), self.c2.plan(kind, n, i),",
+           "kron_plan(self.c2.plan(kind, n, i), self.c1.plan(kind, n, i),",
+           ["tests/test_certificates.py::test_product_plans_are_the_plans_of_its_operators",
+            "tests/test_complexes.py::test_diagonal_equals_product"]),
+    Mutant("product-plan-rows-from-source", COMPLEXES,
+           "self.c2.dim(n + _SHIFT[kind]))",
+           "self.c2.dim(n))",
+           ["tests/test_certificates.py::test_product_plans_are_the_plans_of_its_operators",
+            "tests/test_complexes.py::test_diagonal_equals_product"]),
+    Mutant("intertwines-src-plan-of-tgt", COMPLEXES,
+           "(1, plans[n + _SHIFT[key[0]]], src.plan(*key))",
+           "(1, plans[n + _SHIFT[key[0]]], tgt.plan(*key))",
+           ["tests/test_cup.py::test_psi_c_and_psi_certificates_kz2",
+            "tests/test_cup.py::test_psi_r_certificate_kz4",
+            "tests/test_certificates.py::"
+            "test_chain_map_failure_on_the_product_view_is_that_of_the_built_product"]),
     Mutant("writer-unsorted", SPECFILE,
            "        for idx in sorted(got):",
            "        for idx in got:",
