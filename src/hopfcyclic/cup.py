@@ -1,10 +1,11 @@
 """Cup products on Hopf-cyclic cohomology.
 
-Three pairing maps from diagonal complexes into the cyclic complex of a
-target algebra (convolution algebra, base algebra and invariant subalgebra),
-the crossed-product pairing, their chain-map certificates, the composed
-front/back-face cup, the explicit closed formulas with mismatch surfacing,
-the characteristic map of an invariant trace and the shuffle-sum cups.
+The evaluation pairings from diagonal complexes into the cyclic complex of
+a target algebra (the base algebra, the invariant subalgebra and, as a
+reference, the convolution algebra), the crossed-product pairing, their
+chain-map certificates, the composed front/back-face cup, the explicit
+closed formulas with mismatch surfacing, the characteristic map of an
+invariant trace and the shuffle-sum cups.
 
 Every pairing is one factored contraction.  The algebra-side functional phi
 on M (x) A^(x)(n+1) is pushed slot by slot through per-slot tables, built
@@ -29,9 +30,9 @@ from itertools import product as iproduct
 from math import prod
 
 from .linalg import (SparseMatrix, KernelCoords, compose, first_residual, matrix_terms,
-                     tensor_kron, scal, vec_acc, vec_axpy, vec_sub, mul_vec, kernel_basis,
-                     push_slots, contract)
-from .spaces import MultiIndex
+                     tensor_kron, scal, vec_acc, vec_axpy, vec_sub, mul_vec, push_slots,
+                     contract)
+from .spaces import MultiIndex, StructureTensor
 from .hopf import ModularPair, ValidationReport, iterated_coproduct, swap_matrix
 from .actions import (CoalgebraAction, SAYDModule, convolution_algebra,
                       invariant_subalgebra, relative_coalgebra, crossed_product,
@@ -70,9 +71,10 @@ class MismatchWithAW(Exception):
 
 
 def _require_valid(reports):
-    bad = [r for r in reports if not r.ok]
+    bad = ["%s (%s)" % (r.subject, ", ".join(sorted({v.law for v in r.violations})))
+           for r in reports if not r.ok]
     if bad:
-        raise ValueError("cup context components failed validation: %r" % bad)
+        raise ValueError("cup context components failed validation: %s" % "; ".join(bad))
 
 
 def certify_chain_map(src, tgt, mats, what):
@@ -171,9 +173,39 @@ def _quotient_pairing(adata, cdata, slot, tdim, N):
 # contexts
 
 class _CupContext:
-    """The Hochschild coboundary families of a context's phi, x and target
-    complexes, each built (and certified) on first use and kept, so that
-    every cup of the context shares them."""
+    """What every context shares.  A context holds its algebra complex
+    alg, the product diag of alg's complex with its x-side complex, and its
+    target cyclic complex in the attribute named TARGET.  Its pairing is the
+    method named PAIRING, looked up at call time.  Pairing matrices are
+    kept only once certified, so a failed certificate is raised again on the
+    next call.  The Hochschild coboundary families of the phi, x and target
+    complexes are built (and certified) on first use and kept, so that every
+    cup of the context shares them."""
+
+    def phi_complex(self):
+        return self.alg
+
+    def x_complex(self):
+        return self.diag.c2
+
+    def target(self):
+        return getattr(self, self.TARGET)
+
+    def pairing(self):
+        return getattr(self, self.PAIRING)()
+
+    @cached_property
+    def _certified(self):
+        return {}
+
+    def _certify_once(self, what, tgt, build):
+        """The matrices build() gives, certified to be a chain map from the
+        diagonal to tgt and kept under what."""
+        if what not in self._certified:
+            mats = build()
+            certify_chain_map(self.diag, tgt.complex, mats, what)
+            self._certified[what] = mats
+        return self._certified[what]
 
     @cached_property
     def phi_b(self):
@@ -192,6 +224,8 @@ class CoalgebraCupContext(_CupContext):
     """Module coalgebra acting on a module algebra, plus coefficients."""
 
     kind = "coalgebra"
+    TARGET = "a_cx"
+    PAIRING = "psi_matrices"
 
     def __init__(self, ca: CoalgebraAction, sayd: SAYDModule, N=3):
         _require_valid([validate_module_algebra(ca.ma),
@@ -205,30 +239,36 @@ class CoalgebraCupContext(_CupContext):
         self.alg = build_algebra_complex(ca.ma, sayd, N)
         self.coalg = build_coalgebra_complex(ca.mc, sayd, N)
         self.diag = product_complex(self.alg.complex, self.coalg.complex)
-        self.conv = convolution_algebra(ca)
-        self.conv_cx = plain_cyclic_complex(self.conv.algebra, N)
         self.a_cx = plain_cyclic_complex(ca.ma.alg, N)
         self._amul = _action_table(ca.ma.alg.mul)
-        # the slot c (x) a -> c.a of the trace and explicit formulas
+        # the slot c (x) a -> c.a of the pairing, the trace and explicit formulas
         self._act_slot = _slot_table({(c, (a,)): v for (c, a), v in ca.action.entries.items()})
-        self._psi_c = None
-        self._psi = None
         self._nat = None
 
-    # -- the evaluation pairing into the convolution algebra
+    # -- the evaluation pairing into the algebra
+
+    def psi_matrices(self):
+        return self._certify_once("algebra pairing", self.a_cx, lambda: _quotient_pairing(
+            self.alg, self.coalg, self._act_slot, self.ca.ma.space.dim, self.N))
+
+    # -- the convolution algebra: the evaluation pairing into it and the
+    # natural embedding of A, which pulls it back to psi_matrices
+
+    @cached_property
+    def conv(self):
+        return convolution_algebra(self.ca)
+
+    @cached_property
+    def conv_cx(self):
+        return plain_cyclic_complex(self.conv.algebra, self.N)
 
     def psi_c_matrices(self):
-        if self._psi_c is not None:
-            return self._psi_c
         # slot c -> the value of each convolution basis map at c
-        slot = _slot_table({(c, (b,)): v for b, m in enumerate(self.conv.maps)
-                            for c, v in enumerate(m.columns())})
-        mats = _quotient_pairing(self.alg, self.coalg, slot, self.conv.algebra.space.dim, self.N)
-        certify_chain_map(self.diag, self.conv_cx.complex, mats, "convolution pairing")
-        self._psi_c = mats
-        return mats
-
-    # -- natural embedding of A into the convolution algebra
+        return self._certify_once("convolution pairing", self.conv_cx, lambda: _quotient_pairing(
+            self.alg, self.coalg,
+            _slot_table({(c, (b,)): v for b, m in enumerate(self.conv.maps)
+                         for c, v in enumerate(m.columns())}),
+            self.conv.algebra.space.dim, self.N))
 
     def natural_map(self):
         if self._nat is not None:
@@ -261,39 +301,14 @@ class CoalgebraCupContext(_CupContext):
         self._nat = nat
         return nat
 
-    def psi_matrices(self):
-        if self._psi is not None:
-            return self._psi
-        nat = self.natural_map()
-        mats = []
-        for n, m in enumerate(self.psi_c_matrices()):
-            pull = nat
-            for _ in range(n):
-                pull = tensor_kron(pull, nat)
-            mats.append(compose(pull.transpose(), m))
-        certify_chain_map(self.diag, self.a_cx.complex, mats, "algebra pairing")
-        self._psi = mats
-        return mats
-
-    # cochain sides used by the generic cup driver
-    def phi_complex(self):
-        return self.alg
-
-    def x_complex(self):
-        return self.coalg.complex
-
-    def pairing(self):
-        return self.psi_matrices()
-
-    def target(self):
-        return self.a_cx
-
 
 class RelativeCupContext(_CupContext):
     """Module algebra with a sub-Hopf algebra: relative coalgebra acting on
     the invariant subalgebra."""
 
     kind = "relative"
+    TARGET = "ak_cx"
+    PAIRING = "psi_r_matrices"
 
     def __init__(self, ma, k, sayd, N=3):
         _require_valid([validate_module_algebra(ma), validate_sayd(sayd),
@@ -311,81 +326,51 @@ class RelativeCupContext(_CupContext):
         self.coalg = build_coalgebra_complex(self.relc, sayd, N)
         self.diag = product_complex(self.alg.complex, self.coalg.complex)
         self.ak_cx = plain_cyclic_complex(self.inv_alg, N)
-        self._psi_r = None
 
     def _build_class_action(self):
         """Representative action of the relative coalgebra on the invariants.
 
-        Checks that it factors through the quotient and lands in the
-        invariant span; the in-A values are kept for the pairing."""
-        h = self.hopf
+        Checks that it lands in the invariant span; the in-A values are kept
+        for the pairing.  It factors through the quotient unchecked: for an
+        invariant a, (hk - eps(k)h).a = h.(k.a - eps(k)a) = 0 by the
+        module-algebra associativity validated in __init__."""
         akdim = self.inv_alg.space.dim
-        cdim = self.relc.space.dim
         inc_cols = self.inclusion.columns()
-        quoS = self.proj
-        # recover coset representatives: solve proj(e_h) = e_class
-        reps = []
-        for j in range(cdim):
-            # the projection's free coordinate j corresponds to an H basis vector
-            found = None
-            for hh in range(h.dim):
-                if quoS.column(hh) == {j: 1}:
-                    found = hh
-                    break
-            if found is None:
-                raise ActionNotDescended("no monomial representative for class %d" % j)
-            reps.append(found)
-        self.class_reps = reps
-        # factoring through the quotient: the ideal must kill every invariant
-        ker = kernel_basis(self.proj)
-        for r in ker:
-            for a in range(akdim):
-                if self.ma.action.apply(r, inc_cols[a]):
-                    raise ActionNotDescended("relative action does not factor through the quotient")
+        # coset representatives: the quotient's free column of class j
+        # projects to e_j
+        self.class_reps = [next(hh for hh in range(self.hopf.dim) if self.proj.column(hh) == {j: 1})
+                           for j in range(self.relc.space.dim)]
         # values on representatives, read back on the invariant basis, which
         # invariant_subalgebra took from kernel_of_rows
         inv_coords = KernelCoords(inc_cols)
         self.class_act_in_A = {}    # (class, invariant) -> sparse A vector
         ent = {}
-        for j, hh in enumerate(reps):
+        for j, hh in enumerate(self.class_reps):
             for a in range(akdim):
                 out = self.ma.action.apply({hh: 1}, inc_cols[a])
                 self.class_act_in_A[(j, a)] = out
                 coords = inv_coords.solve(out)
                 if coords is None:
-                    raise ActionNotDescended("relative action leaves the invariant subalgebra")
+                    raise ActionNotDescended("relative action leaves the invariant subalgebra: "
+                                             "class %d on invariant %d" % (j, a))
                 if coords:
                     ent[(j, a)] = coords
-        from .spaces import StructureTensor
         self.class_action = StructureTensor((self.relc.space, self.inv_alg.space),
                                             self.inv_alg.space, ent)
 
     def psi_r_matrices(self):
-        if self._psi_r is not None:
-            return self._psi_r
-        slot = _slot_table({(j, (a,)): v for (j, a), v in self.class_act_in_A.items()})
-        mats = _quotient_pairing(self.alg, self.coalg, slot, self.inv_alg.space.dim, self.N)
-        certify_chain_map(self.diag, self.ak_cx.complex, mats, "relative pairing")
-        self._psi_r = mats
-        return mats
-
-    def phi_complex(self):
-        return self.alg
-
-    def x_complex(self):
-        return self.coalg.complex
-
-    def pairing(self):
-        return self.psi_r_matrices()
-
-    def target(self):
-        return self.ak_cx
+        return self._certify_once("relative pairing", self.ak_cx, lambda: _quotient_pairing(
+            self.alg, self.coalg,
+            _slot_table({(j, (a,)): v for (j, a), v in self.class_act_in_A.items()}),
+            self.inv_alg.space.dim, self.N))
 
 
 class CrossedCupContext(_CupContext):
     """Module algebra paired with a comodule algebra over one Hopf algebra."""
 
     kind = "crossed"
+    TARGET = "ab_cx"
+    PAIRING = "psi_cross_matrices"
 
     def __init__(self, ma, ba, sayd, N=3):
         _require_valid([validate_module_algebra(ma),
@@ -411,7 +396,6 @@ class CrossedCupContext(_CupContext):
                          for h in range(self.hopf.dim) for a in range(ma.space.dim)}
         self._twisted_slot = _slot_table({(h, (a,)): v for (h, a), v in self._twisted.items()})
         self._plain_slot = _slot_table({(h, (a,)): v for (h, a), v in ma.action.entries.items()})
-        self._psi = None
 
     def _coaction_legs(self, b, depth):
         """[(legs, b0, coeff)] of depth iterated coactions of b; legs[0] is
@@ -469,8 +453,9 @@ class CrossedCupContext(_CupContext):
         return out
 
     def psi_cross_matrices(self):
-        if self._psi is not None:
-            return self._psi
+        return self._certify_once("crossed pairing", self.ab_cx, self._crossed_pairing)
+
+    def _crossed_pairing(self):
         adim, bdim = self.ma.space.dim, self.ba.space.dim
         mats = []
         for n in range(self.N + 2):
@@ -482,21 +467,7 @@ class CrossedCupContext(_CupContext):
             xsides = [self.x_side(sides, psi, n) for psi in self.comod.bases[n]]
             mats.append(_pairing_matrix(self.alg, n, [self._twisted_slot] * (n + 1), xsides,
                                         adim * bdim, bdim))
-        certify_chain_map(self.diag, self.ab_cx.complex, mats, "crossed pairing")
-        self._psi = mats
         return mats
-
-    def phi_complex(self):
-        return self.alg
-
-    def x_complex(self):
-        return self.comod.complex
-
-    def pairing(self):
-        return self.psi_cross_matrices()
-
-    def target(self):
-        return self.ab_cx
 
 
 # ---------------------------------------------------------------------------

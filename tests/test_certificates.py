@@ -431,6 +431,18 @@ def test_natural_map_failure_witness_is_the_residual_of_its_column(broken):
     assert e.value.residual and e.value.column == {"unit": 0, "product": 3}[broken]
 
 
+def test_natural_map_refuses_an_evaluation_that_is_not_equivariant():
+    # the action is replaced by the counit action after the context
+    # validated: c -> c.a = a then fails f(g.c) = g.f(c) against the swap
+    ctx = kz2_ctx()
+    C, A = ctx.ca.mc.space, ctx.ca.ma.space
+    ctx.ca.action = StructureTensor((C, A), A, {(c, a): {a: 1} for c in range(C.dim)
+                                                for a in range(A.dim)})
+    with pytest.raises(ChainMapFailure) as e:
+        ctx.natural_map()
+    assert str(e.value) == "evaluation against a basis element is not equivariant"
+
+
 def test_conjugation_failure_witness_is_the_residual_of_its_column(monkeypatch):
     import hopfcyclic.complexes as complexes
     hd = build_hopf_complex(mpi_kz2_sigma_g(), 2)

@@ -1,9 +1,14 @@
+from types import SimpleNamespace
+
 import pytest
 
-from hopfcyclic.linalg import vec_sub, SpanSolver, KernelCoords
+import hopfcyclic.cup as cup_module
+from hopfcyclic.linalg import vec_sub, SpanSolver, KernelCoords, compose, tensor_kron
+from hopfcyclic.spaces import StructureTensor
 from hopfcyclic.complexes import build_hopf_complex, CocyclicComplex
 from hopfcyclic.cohomology import cyclic_cocycles, hochschild_b
-from hopfcyclic.actions import trivial_sayd, mpi_coefficients
+from hopfcyclic.actions import (trivial_sayd, mpi_coefficients, CoalgebraAction, SubHopf,
+                                ActionNotDescended)
 from hopfcyclic.cup import (CoalgebraCupContext, RelativeCupContext, CrossedCupContext,
                             aw_cup, cup_explicit_coalgebra, cup_explicit_crossed,
                             char_map, cotrace_cup, shuffle_cup_traces,
@@ -15,18 +20,22 @@ from hopfcyclic.fixtures import (trivial_hopf, group_algebra, swap_module_algebr
                                  trivial_module_coalgebra, counit_coalgebra_action,
                                  module_action_as_coalgebra_action, mpi_trivial,
                                  mpi_kz2_sigma_g, kz4_with_kz2, unit_subhopf,
-                                 permutation_module_algebra, sum_trace)
+                                 permutation_module_algebra, sum_trace, sweedler_h4,
+                                 adjoint_module_algebra, mpi_h4)
 
 N = 3
 
 
 import functools
 
-@functools.lru_cache(maxsize=None)
-def kz2_coalgebra_ctx():
+def kz2_coalgebra(n=N):
     h = group_algebra(2)
     ca = module_action_as_coalgebra_action(self_module_coalgebra(h), swap_module_algebra())
-    return CoalgebraCupContext(ca, trivial_sayd(h), N=N)
+    return CoalgebraCupContext(ca, trivial_sayd(h), N=n)
+
+@functools.lru_cache(maxsize=None)
+def kz2_coalgebra_ctx():
+    return kz2_coalgebra()
 
 @functools.lru_cache(maxsize=None)
 def kz2_crossed_ctx():
@@ -41,11 +50,18 @@ def kz2_sigma_g_ctx():
     return CoalgebraCupContext(ca, mpi_coefficients(mpi_kz2_sigma_g()), N=N)
 
 @functools.lru_cache(maxsize=None)
-def trivial_ctx():
+def trivial_ctx(n=2):
     h = trivial_hopf()
     ca = counit_coalgebra_action(trivial_module_coalgebra(h),
                                  trivial_module_algebra(h, h.alg))
-    return CoalgebraCupContext(ca, trivial_sayd(h), N=2)
+    return CoalgebraCupContext(ca, trivial_sayd(h), N=n)
+
+@functools.lru_cache(maxsize=None)
+def kz3_coalgebra_ctx():
+    h = group_algebra(3)
+    ca = module_action_as_coalgebra_action(self_module_coalgebra(h),
+                                           permutation_module_algebra(3))
+    return CoalgebraCupContext(ca, trivial_sayd(h), N=N)
 
 
 def cocycle_pairs(ctx, max_total=3):
@@ -122,6 +138,114 @@ def test_natural_map_trivial_context():
     nat = ctx.natural_map()
     assert nat.rows == nat.cols == 1
 
+def pulled_back(ctx):
+    """The convolution pairing pulled back through nat^(x)(n+1) at every
+    degree: the algebra pairing by way of the convolution algebra."""
+    nat = ctx.natural_map()
+    mats = []
+    for n, m in enumerate(ctx.psi_c_matrices()):
+        pull = nat
+        for _ in range(n):
+            pull = tensor_kron(pull, nat)
+        mats.append(compose(pull.transpose(), m))
+    return mats
+
+def kz2_counit_on_q3():
+    # C = kZ2 acting by its counit on Q^3: the one context where the
+    # coalgebra and the algebra differ in dimension
+    h = group_algebra(2)
+    ca = counit_coalgebra_action(self_module_coalgebra(h),
+                                 trivial_module_algebra(h, permutation_module_algebra(3).alg))
+    return CoalgebraCupContext(ca, trivial_sayd(h), N=N)
+
+@pytest.mark.parametrize("make", [kz2_coalgebra_ctx, kz2_sigma_g_ctx, kz3_coalgebra_ctx,
+                                  lambda: trivial_ctx(3), kz2_counit_on_q3],
+                         ids=["kz2", "kz2-sigma-g", "kz3", "trivial", "kz2-counit-on-q3"])
+def test_algebra_pairing_is_the_pulled_back_convolution_pairing(make):
+    ctx = make()
+    assert ctx.N == 3
+    assert ctx.psi_matrices() == pulled_back(ctx)
+
+
+# -- what the cup path builds --------------------------------------------------------------
+
+def test_coalgebra_cup_path_builds_no_convolution_algebra(monkeypatch):
+    def refuse(ca):
+        raise AssertionError("convolution algebra built")
+    monkeypatch.setattr(cup_module, "convolution_algebra", refuse)
+    ctx = kz2_coalgebra(2)
+    ctx.pairing()
+    fa = cyclic_cocycles(ctx.alg.complex, 0, ctx.phi_b)[0]
+    fx = cyclic_cocycles(ctx.x_complex(), 2, ctx.x_b)[0]
+    assert aw_cup(ctx, fa, 0, fx, 2).b_closed
+    assert "conv" not in vars(ctx) and "conv_cx" not in vars(ctx) and ctx._nat is None
+
+def test_coalgebra_pairing_is_certified_in_one_walk(monkeypatch):
+    targets = []
+    intertwines = cup_module.intertwines
+    def counted(src, tgt, mats):
+        targets.append(tgt)
+        return intertwines(src, tgt, mats)
+    monkeypatch.setattr(cup_module, "intertwines", counted)
+    ctx = kz2_coalgebra(2)
+    ctx.pairing()
+    ctx.pairing()
+    assert targets == [ctx.a_cx.complex]
+
+@pytest.mark.parametrize("make,method,target", [
+    (lambda: kz2_coalgebra(2), "psi_matrices", "a_cx"),
+    (lambda: kz2_coalgebra(2), "psi_c_matrices", "conv_cx"),
+    (lambda: CrossedCupContext(swap_module_algebra(), self_comodule_algebra(group_algebra(2)),
+                               trivial_sayd(group_algebra(2)), N=2),
+     "psi_cross_matrices", "ab_cx"),
+    (lambda: RelativeCupContext(permutation_module_algebra(4), kz4_with_kz2()[1],
+                                trivial_sayd(kz4_with_kz2()[0]), N=2),
+     "psi_r_matrices", "ak_cx"),
+], ids=["algebra", "convolution", "crossed", "relative"])
+def test_a_failed_pairing_certificate_is_not_kept(make, method, target):
+    # the pairing against its target with the face 0 at degree 1 negated
+    ctx = make()
+    tgt = getattr(ctx, target).complex
+    key = ("face", 1, 0)
+    broken = CocyclicComplex.assemble(
+        tgt.N, tgt.spaces, lambda *k: tgt.op(*k).scale(-1) if k == key else tgt.op(*k))
+    setattr(ctx, target, SimpleNamespace(complex=broken))
+    for _ in range(2):
+        with pytest.raises(ChainMapFailure):
+            getattr(ctx, method)()
+
+
+# -- what validation refuses in place of the natural embedding's checks ---------------------
+
+# kZ2 acting on Q^2 through C = kZ2 by an action that breaks one law alone:
+# c.a = eps(c) a against the swap (not h-linear, where nat would not be
+# equivariant); both group-likes acting as the projection onto p0 (not
+# unital); both acting by p0 -> 2p0 + p1, p1 -> -p0 (unital, not
+# multiplicative)
+@pytest.mark.parametrize("law,swap,values", [
+    ("h-linearity", True, [{0: 1}, {1: 1}]),
+    ("action-on-unit", False, [{0: 1}, {}]),
+    ("action-multiplicative", False, [{0: 2, 1: 1}, {0: -1}]),
+], ids=["h-linearity", "action-on-unit", "action-multiplicative"])
+def test_context_refuses_an_action_that_breaks_a_natural_map_law(law, swap, values):
+    h = group_algebra(2)
+    ma = swap_module_algebra() if swap else trivial_module_algebra(h, swap_module_algebra().alg)
+    act = StructureTensor((h.space, ma.space), ma.space,
+                          {(c, a): v for c in range(2) for a, v in enumerate(values) if v})
+    with pytest.raises(ValueError) as e:
+        CoalgebraCupContext(CoalgebraAction(self_module_coalgebra(h), ma, act),
+                            trivial_sayd(h), N=1)
+    assert str(e.value) == "cup context components failed validation: coalgebra-action (%s)" % law
+
+
+def test_relative_action_leaving_the_invariants_is_refused():
+    # Sweedler's H4 acting adjointly on itself, relative to K = span{1, g}
+    h = sweedler_h4()
+    with pytest.raises(ActionNotDescended) as e:
+        RelativeCupContext(adjoint_module_algebra(h), SubHopf(h, [{0: 1}, {1: 1}]),
+                           mpi_coefficients(mpi_h4()), N=1)
+    assert str(e.value) == "relative action leaves the invariant subalgebra: class 1 on invariant 1"
+
 
 # -- composed cup ------------------------------------------------------------------------
 
@@ -148,6 +272,32 @@ def test_aw_cup_rejects_non_cocycle():
     assert bad is not None
     with pytest.raises(NotACocycle):
         aw_cup(ctx, bad, deg, cyclic_cocycles(ctx.x_complex(), 0)[0], 0)
+
+def non_closed(cx, bs):
+    """The first basis vector of cx that b does not kill, with its degree."""
+    return next(({k: 1}, p) for p in range(cx.N + 1) for k in range(cx.dim(p))
+                if bs[p].apply({k: 1}))
+
+# each cup's inputs, as (phi or x side) pairs, and the one left open
+@pytest.mark.parametrize("cup,make,sides,open_side,error", [
+    (aw_cup, kz2_coalgebra_ctx, "phi x", 1, NotACocycle),
+    (shuffle_cup_traces, kz2_crossed_ctx, "phi x", 0, NotACocycle),
+    (shuffle_cup_traces, kz2_crossed_ctx, "phi x", 1, NotACocycle),
+    (cotrace_cup, kz2_coalgebra_ctx, "x phi", 0, NotACocycle),
+    (cotrace_cup, kz2_coalgebra_ctx, "x phi", 1, NotACocycle),
+    (cup_explicit_coalgebra, kz2_crossed_ctx, "phi x", None, TypeError),
+    (cup_explicit_crossed, kz2_coalgebra_ctx, "phi x", None, TypeError),
+], ids=["aw-second", "shuffle-first", "shuffle-second", "cotrace-first", "cotrace-second",
+        "explicit-coalgebra-on-crossed", "explicit-crossed-on-coalgebra"])
+def test_cups_reject_an_open_input_or_the_wrong_context(cup, make, sides, open_side, error):
+    ctx = make()
+    cxs = {"phi": (ctx.phi_complex().complex, ctx.phi_b), "x": (ctx.x_complex(), ctx.x_b)}
+    args = []
+    for k, side in enumerate(sides.split()):
+        cx, bs = cxs[side]
+        args += non_closed(cx, bs) if k == open_side else (cyclic_cocycles(cx, 0, bs)[0], 0)
+    with pytest.raises(error):
+        cup(ctx, *args)
 
 def test_aw_cup_sigma_g_closed_but_not_cyclic_at_1_1():
     # twisted coefficients expose that the front/back-face cup is a chain map

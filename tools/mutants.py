@@ -34,6 +34,9 @@ LINALG = "src/hopfcyclic/linalg.py"
 COMPLEXES = "src/hopfcyclic/complexes.py"
 SPECFILE = "src/hopfcyclic/specfile.py"
 HOPF = "src/hopfcyclic/hopf.py"
+CUP = "src/hopfcyclic/cup.py"
+ORACLE = "tests/test_cup.py::test_algebra_pairing_is_the_pulled_back_convolution_pairing"
+NOT_KEPT = "tests/test_cup.py::test_a_failed_pairing_certificate_is_not_kept"
 GRAMMAR = "tests/test_specfile_grammar.py::"
 PINNED = "tests/test_specfile_cli.py::test_validate_lists_every_violation_of_broken_input"
 
@@ -132,6 +135,34 @@ MUTANTS = [
            [GRAMMAR + "test_input_error_exits_two_at_its_line[stray-under-trace]",
             GRAMMAR + "test_input_error_exits_two_at_its_line[stray-under-space]",
             GRAMMAR + "test_input_error_exits_two_at_its_line[orphaned-lines]"]),
+    Mutant("pairing-slot-ignores-action", CUP,
+           "_slot_table({(c, (a,)): v for (c, a), v in ca.action.entries.items()})",
+           "_slot_table({(c, (a,)): {a: 1} for (c, a), v in ca.action.entries.items()})",
+           [ORACLE + "[kz2]", ORACLE + "[kz3]", ORACLE + "[kz2-sigma-g]",
+            "tests/test_cup.py::test_psi_certificates_sigma_g",
+            "tests/test_cup.py::test_psi_r_unit_subhopf_equals_psi"]),
+    Mutant("pairing-tdim-of-coalgebra", CUP,
+           "self.alg, self.coalg, self._act_slot, self.ca.ma.space.dim, self.N))",
+           "self.alg, self.coalg, self._act_slot, self.ca.mc.space.dim, self.N))",
+           [ORACLE + "[kz2-counit-on-q3]"]),
+    Mutant("memo-before-certificate", CUP,
+           "            certify_chain_map(self.diag, tgt.complex, mats, what)\n"
+           "            self._certified[what] = mats\n",
+           "            self._certified[what] = mats\n"
+           "            certify_chain_map(self.diag, tgt.complex, mats, what)\n",
+           [NOT_KEPT + "[algebra]", NOT_KEPT + "[convolution]", NOT_KEPT + "[crossed]",
+            NOT_KEPT + "[relative]"]),
+    Mutant("conv-cx-one-degree-short", CUP,
+           "plain_cyclic_complex(self.conv.algebra, self.N)",
+           "plain_cyclic_complex(self.conv.algebra, self.N - 1)",
+           ["tests/test_cup.py::test_psi_c_certificate_trivial",
+            "tests/test_cup.py::test_psi_c_and_psi_certificates_kz2", ORACLE + "[kz3]"]),
+    Mutant("class-rep-of-class-0", CUP,
+           "if self.proj.column(hh) == {j: 1})",
+           "if self.proj.column(hh) == {0: 1})",
+           ["tests/test_cup.py::test_psi_r_unit_subhopf_equals_psi",
+            "tests/test_reference_reports.py::test_report_matches_reference"
+            "[cup kz4_relative.hcy --kind relative --p 0 --q 3]"]),
 ]
 
 # "FAILED <id> - <reason>" / "ERROR <id>" lines of pytest's short summary
