@@ -264,7 +264,7 @@ def validate_subhopf(k: SubHopf) -> ValidationReport:
     solver = SpanSolver()
     for v in k.spanning:
         solver.add(v)
-    if not solver.contains(dict(h.alg.unit)):
+    if solver.reduce(dict(h.alg.unit)):
         rep.violations.append(Violation("contains-unit", ("1",), dict(h.alg.unit)))
     basis = solver.rref_rows()
     mul = h.alg.mul

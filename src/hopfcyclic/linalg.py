@@ -401,12 +401,13 @@ def kron_plan(a, b, brows):
 # canonical echelon machinery
 
 class SpanSolver:
-    """Incremental row space with canonical RREF and membership solving.
+    """Incremental row space with canonical RREF.
 
     add(vector) reduces against current pivots, inserts a new normalized
     pivot row if independent and back-substitutes, so the stored rows are
-    always the unique RREF of the span.  solve() expresses a vector over the
-    ORIGINAL inserted vectors via tracked coefficients.
+    always the unique RREF of the span.  reduce() gives the canonical coset
+    representative of a vector modulo the span, and solve() its coordinates
+    over the RREF rows.
 
     In full RREF every row is supported on its pivot column plus free
     columns only, so reduction touches just the pivots in the input's own
@@ -414,34 +415,23 @@ class SpanSolver:
     rows actually containing the new pivot column.
     """
 
-    def __init__(self, track=False):
+    def __init__(self):
         self.pivots = []        # sorted pivot column list
         self.rows = {}          # pivot col -> row dict (RREF)
-        self.track = track
-        self.coeffs = {}        # pivot col -> dict {original index: coeff}
-        self.n_added = 0
         self._colidx = {}       # free col -> set of pivots whose row touches it
 
-    def rank(self):
-        return len(self.pivots)
-
-    def _reduce(self, v, coeff=None, sign=-1):
+    def _reduce(self, v):
         v = dict(v)
         # rows only ever add support at free columns, one pass suffices
         for p in sorted(k for k in v if k in self.rows):
             x = v.get(p)
             if x:
                 vec_axpy(v, -x, self.rows[p])
-                if coeff is not None:
-                    vec_axpy(coeff, sign * x, self.coeffs[p])
         return v
 
     def add(self, v):
         """Insert a vector; returns True if it enlarged the span."""
-        idx = self.n_added
-        self.n_added += 1
-        coeff = {idx: 1} if self.track else None
-        v = self._reduce(v, coeff)
+        v = self._reduce(v)
         if not v:
             return False
         p = min(v)
@@ -449,23 +439,17 @@ class SpanSolver:
         if lead != 1:
             inv = Fraction(1, 1) / Fraction(lead)
             v = {i: scal(inv * x) for i, x in v.items()}
-            if coeff is not None:
-                coeff = {i: scal(inv * x) for i, x in coeff.items()}
         # back-substitute into the rows that actually contain column p
         for q in list(self._colidx.get(p, ())):
             row = self.rows[q]
             x = row.get(p)
             if x:
-                self._row_axpy(q, row, -x, v, p)
-                if self.track:
-                    vec_axpy(self.coeffs[q], -x, coeff)
+                self._row_axpy(q, row, -x, v)
         self._colidx.pop(p, None)
         self.rows[p] = v
         for c in v:
             if c != p:
                 self._colidx.setdefault(c, set()).add(p)
-        if self.track:
-            self.coeffs[p] = coeff
         bisect.insort(self.pivots, p)
         return True
 
@@ -474,7 +458,7 @@ class SpanSolver:
         added afterwards."""
         self._colidx = None
 
-    def _row_axpy(self, q, row, c, v, newpivot):
+    def _row_axpy(self, q, row, c, v):
         """row += c*v for the stored row with pivot q, maintaining the column index."""
         for i, x in v.items():
             y = row.get(i, 0) + c * x
@@ -488,22 +472,17 @@ class SpanSolver:
                     if s is not None:
                         s.discard(q)
 
-    def contains(self, v):
-        return not self._reduce(v)
-
     def reduce(self, v):
         """Canonical coset representative of v modulo the span."""
         return self._reduce(v)
 
     def solve(self, v):
-        """Coefficients over the original vectors, or None if not in span."""
-        if not self.track:
-            raise ValueError("solve needs a solver that tracks its rows")
-        coeff = {}
-        v = self._reduce(v, coeff, sign=1)
-        if v:
+        """Coordinates of v over the RREF rows, {pivot p: v[p]}, or None
+        when v is not in the span: row p is 1 at p and 0 at every other
+        pivot."""
+        if self._reduce(v):
             return None
-        return coeff
+        return {p: v[p] for p in self.pivots if p in v}
 
     def rref_rows(self):
         return [dict(self.rows[p]) for p in self.pivots]
@@ -587,20 +566,24 @@ class KernelCoords:
 
 
 def invert_matrix(m):
-    """Exact inverse of a square SparseMatrix, or None if singular."""
+    """Exact inverse of a square SparseMatrix, or None if it is singular or
+    not square.
+
+    Gauss-Jordan: the RREF of [A | I] is [I | A^-1] exactly when A is
+    invertible.  [A | I] always has rank n, so A is invertible exactly when
+    the pivots are 0..n-1, and then the RREF row i holds A^-1[i, j] at
+    column n + j."""
     n = m.rows
     if m.cols != n:
         return None
-    solver = SpanSolver(track=True)
-    for col in m.columns():
-        solver.add(col)
-    if solver.rank() != n:
+    solver = SpanSolver()
+    for i, row in enumerate(m.row_vectors()):
+        row[n + i] = 1
+        solver.add(row)
+    if solver.pivots != list(range(n)):
         return None
-    ent = {}
-    for j in range(n):
-        for i, x in solver.solve({j: 1}).items():
-            ent[(i, j)] = x
-    return SparseMatrix(n, n, ent)
+    return SparseMatrix(n, n, {(i, j - n): x for i in range(n)
+                               for j, x in solver.rows[i].items() if j >= n})
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
-import pytest
+from fractions import Fraction
 
-from hopfcyclic.linalg import SparseMatrix, SpanSolver, compose, image_rank, kernel_basis
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hopfcyclic.linalg import SparseMatrix, SpanSolver, compose, image_rank, kernel_basis, vec_acc
 from hopfcyclic.complexes import (build_coalgebra_complex, build_hopf_complex,
                                   plain_cyclic_complex, CocyclicComplex)
 from hopfcyclic.cohomology import (hochschild_b, connes_B, compute_cohomology,
                                    cyclic_cocycles, total_differential, NotAComplex, lam)
 from hopfcyclic.actions import trivial_sayd
-from hopfcyclic.fixtures import (trivial_hopf, group_algebra, mpi_trivial,
+from hopfcyclic.fixtures import (trivial_hopf, group_algebra, mpi_trivial, mpi_h4,
                                  self_module_coalgebra, swap_module_algebra,
                                  fixture_file_texts)
 from hopfcyclic.specfile import parse_spec
@@ -219,3 +222,49 @@ def test_fractional_basis_change_preserves_dimension_tables():
     assert [x[1] for x in rep.hh] == [x[1] for x in ref.hh]
     assert [x[1] for x in rep.hc] == [x[1] for x in ref.hc]
     assert (rep.hh, rep.hc) == kernel_oracle(hd.power)
+
+
+@st.composite
+def sparse_basis_changes(draw, d):
+    """An invertible, non-monomial T: a diagonal of small nonzero rationals
+    plus one nonzero off-diagonal entry, so det T is the diagonal's product.
+    A dense rational T makes the complexes far slower to build."""
+    nonzero = st.builds(Fraction, st.integers(-2, 2).filter(bool), st.integers(1, 2))
+    ent = {(i, i): draw(nonzero) for i in range(d)}
+    i, j = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+    ent[(i, j)] = draw(nonzero)
+    return SparseMatrix(d, d, ent)
+
+
+# name -> (modular pair, examples): few examples, since a transformed
+# complex carries Fractions everywhere and builds far slower
+BASIS_CHANGE_PAIRS = {
+    "kz2": (lambda: mpi_trivial(group_algebra(2)), 3),
+    "kz3": (lambda: mpi_trivial(group_algebra(3)), 2),
+    "h4": (mpi_h4, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASIS_CHANGE_PAIRS))
+def test_random_basis_change_preserves_cohomology(name):
+    # HH and HC of the Hopf complex do not depend on the basis: transport
+    # the algebra through T, delta to delta o T and sigma to T^-1 sigma
+    from hopfcyclic.hopf import validate_hopf, validate_modular_pair, ModularPair
+    from hopfcyclic.linalg import invert_matrix
+    make, examples = BASIS_CHANGE_PAIRS[name]
+    mp = make()
+    h = mp.hopf
+    want = compute_cohomology(build_hopf_complex(mp, 3).power).lines()
+
+    @settings(max_examples=examples, deadline=None)
+    @given(sparse_basis_changes(h.dim))
+    def check(T):
+        h2 = change_basis_hopf(h, T)
+        delta = {}
+        for (i, j), x in T.entries.items():
+            vec_acc(delta, j, mp.delta.get(i, 0) * x)
+        mp2 = ModularPair(h2, delta, invert_matrix(T).apply(mp.sigma))
+        assert validate_hopf(h2).ok and validate_modular_pair(mp2).ok
+        assert compute_cohomology(build_hopf_complex(mp2, 3).power).lines() == want
+
+    check()

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from hopfcyclic.linalg import (
     SparseMatrix, ShapeMismatch, KernelCoords,
     compose, tensor_kron, kernel_basis, kernel_of_rows, image_rank,
-    rref, parse_scalar, format_scalar, scal,
+    rref, invert_matrix, parse_scalar, format_scalar, scal,
     vec_acc, vec_axpy, mul_vec, push_slots,
     contract,
 )
@@ -180,7 +180,8 @@ def test_rref_matches_dense_oracle():
         assert got_rows == exp_rows, trial
 
 def test_solver_reconstruction_random():
-    # solve() coefficients must reconstruct the vector over the inserted basis
+    # solve() reads a vector of the span as coordinates over the RREF rows,
+    # which rebuild it exactly; a vector off the span gives None
     from hopfcyclic.linalg import SpanSolver, vec_axpy
     rng = random.Random(202)
     for trial in range(25):
@@ -190,7 +191,7 @@ def test_solver_reconstruction_random():
             v = {i: scal(Fraction(rng.randint(-4, 4), rng.choice([1, 2])))
                  for i in range(dim) if rng.random() < 0.5}
             vecs.append({i: x for i, x in v.items() if x})
-        solver = SpanSolver(track=True)
+        solver = SpanSolver()
         for v in vecs:
             solver.add(v)
         # random combination of the inserted vectors must solve exactly
@@ -200,10 +201,15 @@ def test_solver_reconstruction_random():
             vec_axpy(target, c, v)
         sol = solver.solve(target)
         assert sol is not None
+        assert set(sol) <= set(solver.pivots)
         recon = {}
-        for k, c in sol.items():
-            vec_axpy(recon, c, vecs[k])
+        for p, c in sol.items():
+            vec_axpy(recon, c, solver.rows[p])
         assert recon == target, trial
+        # e_f at a free column is never in the span
+        free = [f for f in range(dim) if f not in solver.rows]
+        if free:
+            assert solver.solve({free[0]: 1}) is None, trial
 
 
 # -- sparse accumulation against a dense Fraction reference -----------------
@@ -414,3 +420,53 @@ def test_kernel_coords_read_the_free_entries(m, data):
         for k, c in coords.items():
             vec_axpy(rebuilt, c, basis[k])
         assert rebuilt == w
+
+
+@st.composite
+def square_matrices(draw):
+    """Square rational matrices, half of them with the last row a rational
+    combination of the others (a zero row when n = 1): singular."""
+    n = draw(st.integers(0, 5))
+    cell = st.one_of(st.just(0), rationals)
+    rows = [draw(st.lists(cell, min_size=n, max_size=n)) for _ in range(n)]
+    if n and draw(st.booleans()):
+        last = [Fraction(0)] * n
+        for row in rows[:-1]:
+            c = draw(rationals)
+            last = [x + c * y for x, y in zip(last, row)]
+        rows[-1] = last
+    return SparseMatrix(n, n, {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row)})
+
+
+@given(square_matrices())
+def test_invert_matrix_is_a_two_sided_inverse_or_none(m):
+    n = m.rows
+    dense = [[m.entries.get((i, j), 0) for j in range(n)] for i in range(n)]
+    rank = len(dense_rref_oracle(dense, n)[0])
+    inv = invert_matrix(m)
+    if rank < n:
+        assert inv is None
+        return
+    assert (inv.rows, inv.cols) == (n, n)
+    assert compose(m, inv) == SparseMatrix.identity(n)
+    assert compose(inv, m) == SparseMatrix.identity(n)
+    assert_normal(inv.entries)
+
+
+@pytest.mark.parametrize("rows,cols", [(2, 3), (3, 2), (0, 1), (1, 0)])
+def test_invert_matrix_of_a_non_square_matrix_is_none(rows, cols):
+    m = SparseMatrix(rows, cols, {(i, j): i + j + 1 for i in range(rows) for j in range(cols)})
+    assert invert_matrix(m) is None
+
+
+@pytest.mark.parametrize("call,exc,message", [
+    (lambda: scal(0.5), TypeError, "exact scalar expected, got 0.5"),
+    (lambda: SparseMatrix(-1, 2), ShapeMismatch, "negative dimensions"),
+    (lambda: SparseMatrix(2, 2, {(2, 0): 1}), ShapeMismatch, "index (2,0) out of range 2x2"),
+    (lambda: M([[1, 2], [3]]), ShapeMismatch, "ragged rows"),
+    (lambda: SparseMatrix.identity(2) + SparseMatrix(2, 3), ShapeMismatch, "add 2x2 + 2x3"),
+], ids=["scal-float", "negative-dimensions", "index-out-of-range", "ragged-rows", "add-shapes"])
+def test_malformed_input_raises_with_its_message(call, exc, message):
+    with pytest.raises(exc) as e:
+        call()
+    assert str(e.value) == message

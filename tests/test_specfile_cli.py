@@ -335,6 +335,27 @@ def test_cli_cup_command(tmp_path, capsys):
     assert code == 0
     assert "shuffle" in out
 
+@pytest.mark.parametrize("kind,report", [
+    ("coalgebra", ["== cup cup_coalg kind=coalgebra p=0 q=0",
+                   "pair (0,0): b-closed=True cyclic=True class=b-nontrivial explicit-match=True",
+                   "  cochain: 1*0 + 1*1"]),
+    ("crossed", ["== cup cup_cross kind=crossed p=0 q=0",
+                 "pair (0,0): b-closed=True cyclic=True class=b-nontrivial"
+                 " closed-formula-match=True",
+                 "  cochain: 1*0 + 1*2"]),
+])
+def test_cli_cup_in_degree_zero_has_no_coboundaries(tmp_path, capsys, kind, report):
+    d = write_fixtures(tmp_path)
+    os.chdir(tmp_path)
+    code, out = run_cli(["cup", d / "kz2.hcy", "--kind", kind, "--p", "0", "--q", "0"], capsys)
+    assert code == 0
+    assert out.splitlines()[2:] == report
+
+def test_class_info_of_a_zero_cochain_in_degree_zero():
+    from hopfcyclic.cli import _class_info
+    assert _class_info(None, {}) == "zero"
+    assert _class_info(None, {0: 1}) == "b-nontrivial"
+
 def test_cli_fixtures_command(tmp_path, capsys):
     os.chdir(tmp_path)
     code, out = run_cli(["fixtures", "--out", str(tmp_path / "fx2")], capsys)

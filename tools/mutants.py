@@ -39,6 +39,8 @@ ORACLE = "tests/test_cup.py::test_algebra_pairing_is_the_pulled_back_convolution
 NOT_KEPT = "tests/test_cup.py::test_a_failed_pairing_certificate_is_not_kept"
 GRAMMAR = "tests/test_specfile_grammar.py::"
 PINNED = "tests/test_specfile_cli.py::test_validate_lists_every_violation_of_broken_input"
+INVERSE = "tests/test_linalg.py::test_invert_matrix_is_a_two_sided_inverse_or_none"
+STREAMED = "tests/test_condition_systems.py::test_streamed_conditions_match_the_stacked_matrix_oracle"
 
 MUTANTS = [
     Mutant("lead-at-min", LINALG,
@@ -54,6 +56,38 @@ MUTANTS = [
             "tests/test_actions.py::test_not_closed_for_inconsistent_action",
             "tests/test_complexes.py::test_ill_defined_raised_for_broken_module_algebra",
             "tests/test_complexes.py::test_ill_defined_raised_for_broken_coaction"]),
+    Mutant("inverse-pivot-count-only", LINALG,
+           "    if solver.pivots != list(range(n)):",
+           "    if len(solver.pivots) != n:",
+           [INVERSE]),
+    Mutant("inverse-read-transposed", LINALG,
+           "{(i, j - n): x for i in range(n)",
+           "{(j - n, i): x for i in range(n)",
+           [INVERSE]),
+    Mutant("kernel-of-rows-drops-first-row", LINALG,
+           "    solver = SpanSolver()\n    for row in rows:\n",
+           "    solver = SpanSolver()\n    rows = iter(rows)\n    next(rows, None)\n"
+           "    for row in rows:\n",
+           ["tests/test_linalg.py::test_kernel_of_rows_is_the_kernel_of_the_stacked_matrix",
+            "tests/test_linalg.py::test_kernel_basis_matches_free_pivot_loop",
+            "tests/test_linalg.py::test_kernel_vectors_annihilated"]),
+    Mutant("normalization-rank-check-dropped", COMPLEXES,
+           "if I_n.rows != I_n.cols or image_rank(I_n) != I_n.cols:",
+           "if I_n.rows != I_n.cols:",
+           ["tests/test_condition_systems.py::test_singular_normalization_map_fails_with_its_degree"]),
+    Mutant("colinear-one-condition-per-w", COMPLEXES,
+           "            yield from rows.values()\n",
+           "            yield next(iter(rows.values()))\n",
+           [STREAMED + "[h4.hcy]",
+            "tests/test_reference_reports.py::test_report_matches_reference"
+            "[audit h4.hcy --max-degree 4]"]),
+    Mutant("full-ambient-tau-transposed", COMPLEXES,
+           "        if full:\n"
+           "            return SparseMatrix.from_columns(by_source, len(bases[target]))\n",
+           "        if full:\n"
+           "            m = SparseMatrix.from_columns(by_source, len(bases[target]))\n"
+           "            return m.transpose() if kind == \"tau\" else m\n",
+           ["tests/test_condition_systems.py::test_plain_cyclic_complex_is_the_ambient_cyclic_module"]),
     Mutant("restrict-reads-source-degree", COMPLEXES,
            "_restrict(by_source, bases[n], readers[target], message, n)",
            "_restrict(by_source, bases[n], readers[n], message, n)",
