@@ -28,7 +28,7 @@ from .complexes import (build_coalgebra_complex, build_algebra_complex,
                         check_cocyclic, complex_to_text, complex_from_text,
                         content_hash, same_complex, CertificateFailure, IllDefined,
                         ConjugationFailure)
-from .cohomology import BBData, compute_cohomology, cyclic_cocycles, NotAComplex
+from .cohomology import compute_cohomology, cyclic_cocycles, NotAComplex
 from .cup import (CoalgebraCupContext, CrossedCupContext, RelativeCupContext,
                   aw_cup, cup_explicit_coalgebra, cup_explicit_crossed,
                   shuffle_cup_traces, cotrace_cup, char_map, validate_trace,
@@ -253,14 +253,13 @@ def cmd_validate(spec, spec_text, rep, flags, witnesses=True):
             if sname in spec.module_algebras:
                 ma = spec.module_algebras[sname]
                 outcomes = []
-                for cname in sorted(spec.coefficients):
-                    if cname in spec._pairs and spec._pairs[cname].hopf is ma.hopf:
-                        bad = validate_trace(spec._pairs[cname], ma, tr)
-                        outcomes.append(not bad)
-                        status = "not invariant (%d instances)" % len(bad) if bad else "invariant"
-                        if bad and witnesses:
-                            status += ", first %s" % bad[0]
-                        rep.add("against %s: %s" % (cname, status))
+                for cname, mp in spec.pairs_on(ma.hopf):
+                    bad = validate_trace(mp, ma, tr)
+                    outcomes.append(not bad)
+                    status = "not invariant (%d instances)" % len(bad) if bad else "invariant"
+                    if bad and witnesses:
+                        status += ", first %s" % bad[0]
+                    rep.add("against %s: %s" % (cname, status))
                 if outcomes and not any(outcomes):
                     rep.fail("trace is invariant for no declared coefficient pair")
                 if not outcomes:
@@ -302,15 +301,15 @@ def _complex_sections(spec, spec_text, rep, flags, identities, cohomology):
             if not bad:
                 ident.add("cocyclic identities: ok")
         try:
-            bb = BBData(cx)
+            cx.B        # b and B built and certified here, kept on cx
         except NotAComplex as e:
             ident.fail("coboundary certificates FAILED: %s" % e)
             cohom.fail("failed: %s" % e)
             continue
-        ident.add("coboundary certificates: ok (boundary reading: %s)" % bb.variant)
+        ident.add("coboundary certificates: ok (boundary reading: %s)" % cx.boundary_reading)
         if cohomology:
-            cohom.add(*compute_cohomology(cx, bb).lines())
-        del cx, bb      # dropped before the next complex is got
+            cohom.add(*compute_cohomology(cx).lines())
+        del cx          # dropped before the next complex is got
     if identities:
         rep.merge(ident)
     if cohomology:
@@ -348,13 +347,12 @@ def _report_cup_result(rep, label, res, extra=""):
         rep.failed = True
 
 
-def _coboundaries(bs, n):
-    """A solver over the coboundaries of degree n of the complex whose
-    hochschild_b family is bs, None at n = 0."""
+def _coboundaries(cx, n):
+    """A solver over the coboundaries of degree n of cx, None at n = 0."""
     if n == 0:
         return None
     sol = SpanSolver()
-    for col in bs[n - 1].columns():
+    for col in cx.b[n - 1].columns():
         sol.add(col)
     return sol
 
@@ -381,8 +379,8 @@ def cmd_cup(spec, spec_text, rep, flags):
                 rep.fail("context build failed: %s" % error)
                 continue
             try:
-                phis = cyclic_cocycles(ctx.phi_complex().complex, p, ctx.phi_b)
-                xs = cyclic_cocycles(ctx.x_complex(), q, ctx.x_b)
+                phis = cyclic_cocycles(ctx.phi_complex().complex, p)
+                xs = cyclic_cocycles(ctx.x_complex(), q)
             except NotAComplex as e:
                 rep.fail("cocycle search failed: %s" % e)
                 continue
@@ -390,7 +388,7 @@ def cmd_cup(spec, spec_text, rep, flags):
                 rep.add("no cyclic cocycle pair at (p,q)=(%d,%d); counts %d,%d"
                         % (p, q, len(phis), len(xs)))
                 continue
-            coboundaries = _coboundaries(ctx.target_b, p + q)
+            coboundaries = _coboundaries(ctx.target().complex, p + q)
             for i, phi in enumerate(phis):
                 for j, x in enumerate(xs):
                     try:
@@ -460,8 +458,8 @@ def cmd_audit(spec, spec_text, rep, flags):
             else:
                 rep.add("diagonal cocyclic identities: ok")
             acx, xcx = ctx.phi_complex().complex, ctx.x_complex()
-            phis = [cyclic_cocycles(acx, p, ctx.phi_b) for p in range(3)]
-            xs = [cyclic_cocycles(xcx, q, ctx.x_b) for q in range(3)]
+            phis = [cyclic_cocycles(acx, p) for p in range(3)]
+            xs = [cyclic_cocycles(xcx, q) for q in range(3)]
             for p in range(3):
                 for q in range(3 - p):
                     for i, phi in enumerate(phis[p]):
@@ -477,19 +475,17 @@ def cmd_audit(spec, spec_text, rep, flags):
         if sname not in spec.module_algebras:
             continue
         ma = spec.module_algebras[sname]
-        for cname in sorted(spec.coefficients):
-            if cname in spec._pairs and spec._pairs[cname].hopf is ma.hopf:
-                mp = spec._pairs[cname]
-                if validate_trace(mp, ma, tr):
-                    continue
-                rep.section("audit characteristic map %s against %s" % (tname, cname))
-                try:
-                    char_map(mp, ma, tr, N=2)
-                    rep.add("cocyclic-map certificate: ok")
-                except ChainMapFailure as e:
-                    rep.fail("cocyclic-map certificate FAILED: %s" % e)
-                except ValueError as e:
-                    rep.fail("build failed: %s" % e)
+        for cname, mp in spec.pairs_on(ma.hopf):
+            if validate_trace(mp, ma, tr):
+                continue
+            rep.section("audit characteristic map %s against %s" % (tname, cname))
+            try:
+                char_map(mp, ma, tr, N=2)
+                rep.add("cocyclic-map certificate: ok")
+            except ChainMapFailure as e:
+                rep.fail("cocyclic-map certificate FAILED: %s" % e)
+            except ValueError as e:
+                rep.fail("build failed: %s" % e)
     rep.section("audit shuffle sets")
     for total in range(7):
         counts = [len(shuffle_set(qq, total - qq)) for qq in range(total + 1)]

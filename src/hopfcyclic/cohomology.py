@@ -4,7 +4,9 @@ cohomology.
 
 The degree-lowering operator is assembled as norm . extra-degeneracy .
 (1 - signed cyclic operator); its square and its anticommutator with b are
-certified to vanish, and the reading is recorded in reports.  Degrees within
+certified to vanish, and the reading is recorded in reports.  A complex
+builds its two families here on first read of CocyclicComplex.b and .B and
+keeps them; everything below reads them from the complex.  Degrees within
 one of the truncation are flagged untrusted in reports.
 """
 
@@ -66,15 +68,13 @@ def hochschild_b(cx: CocyclicComplex):
 _B_VARIANTS = ("norm.degen.tau.(1-lam)",)
 
 
-def connes_B(cx: CocyclicComplex, bs=None):
+def connes_B(cx: CocyclicComplex):
     """(per-degree matrices B_n: n -> n-1, reading name).
 
-    Certifies B.B = 0 and bB + Bb = 0 on the checkable window and raises
-    NotAComplex otherwise.  bs is the complex's hochschild_b family, built
-    here when not given.
+    Certifies B.B = 0 and bB + Bb = 0, the latter against cx.b on degrees
+    1..N, and raises NotAComplex otherwise.
     """
-    if bs is None:
-        bs = hochschild_b(cx)
+    bs = cx.b
     Bs = [SparseMatrix.zeros(0, cx.dim(0))]   # degree 0 -> nothing, by convention
     for n in range(1, cx.top + 1):
         I = SparseMatrix.identity(cx.dim(n))
@@ -89,18 +89,6 @@ def connes_B(cx: CocyclicComplex, bs=None):
                       [(1, b_plans[n - 1], B_plans[n]), (1, B_plans[n + 1], b_plans[n])],
                       cx.dim(n))
     return Bs, _B_VARIANTS[0]
-
-
-class BBData:
-    """A complex with its coboundary and boundary families, certificates run."""
-
-    def __init__(self, complex):
-        self.complex = complex
-        self.b = hochschild_b(complex)
-        self.B, self.variant = connes_B(complex, self.b)
-
-    def checkable_degrees(self):
-        return range(1, self.complex.N + 1)
 
 
 class CohomologyReport:
@@ -126,7 +114,7 @@ class CohomologyReport:
         return out
 
 
-def total_differential(cx, bs, Bs, n):
+def total_differential(cx, n):
     """(b+B) from total degree n to n+1 of the first-quadrant bicomplex.
 
     Total degree n holds the column pieces C^{n-2k}; the block entering
@@ -147,6 +135,7 @@ def total_differential(cx, bs, Bs, n):
         off += cx.dim(d)
     tgt_total = off
     ent = {}
+    bs, Bs = cx.b, cx.B
     for k, d in enumerate(src):
         # b: stays in column k
         for (r, c), x in bs[d].entries.items():
@@ -158,34 +147,28 @@ def total_differential(cx, bs, Bs, n):
     return SparseMatrix(tgt_total, src_total, ent)
 
 
-def cyclic_cocycles(cx, n, bs=None):
+def cyclic_cocycles(cx, n):
     """Basis of cochains with b phi = 0 and (1 - lam) phi = 0."""
-    if bs is None:
-        bs = hochschild_b(cx)
     cyc = SparseMatrix.identity(cx.dim(n)) - lam(cx, n)
-    return kernel_of_rows(chain(bs[n].row_vectors(), cyc.row_vectors()), cx.dim(n))
+    return kernel_of_rows(chain(cx.b[n].row_vectors(), cyc.row_vectors()), cx.dim(n))
 
 
-def compute_cohomology(cx: CocyclicComplex, bb: BBData = None) -> CohomologyReport:
+def compute_cohomology(cx: CocyclicComplex) -> CohomologyReport:
     """Dimension tables of cx from ranks alone.
 
-    bb is the complex's BBData (b, B and their certificates), built here
-    when not given.  With r_n the rank of b_n, dim HH^n = dim C^n - r_n -
-    r_{n-1}; with R_n the rank of the total differential D_n, dim HC^n =
-    dim Tot^n - R_n - R_{n-1}.  Each operator is reduced once."""
-    if bb is None:
-        bb = BBData(cx)
-    bs, Bs = bb.b, bb.B
+    With r_n the rank of b_n, dim HH^n = dim C^n - r_n - r_{n-1}; with R_n
+    the rank of the total differential D_n, dim HC^n = dim Tot^n - R_n -
+    R_{n-1}.  Each operator is reduced once."""
     N = cx.N
     hh, hc = [], []
     rank_prev = 0
     for n in range(N):
-        rank = image_rank(bs[n])
+        rank = image_rank(cx.b[n])
         hh.append((n, cx.dim(n) - rank - rank_prev))
         rank_prev = rank
     rank_prev = 0
     for n in range(N):
-        Dn = total_differential(cx, bs, Bs, n)
+        Dn = total_differential(cx, n)
         rank = image_rank(Dn)
         hc.append((n, Dn.cols - rank - rank_prev, n <= N - 2))
         rank_prev = rank

@@ -20,7 +20,7 @@ column and the residual there.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cached_property, partial
 from itertools import product as iproduct
 
 # sha256 from the interpreter's built-in module: hashlib would load OpenSSL's
@@ -71,6 +71,9 @@ class CocyclicComplex:
     faces[n][i] : space_n -> space_{n+1}   for 0 <= n <= N,   0 <= i <= n+1
     degens[n][j]: space_n -> space_{n-1}   for 1 <= n <= top, 0 <= j <= n-1
     taus[n]     : space_n -> space_n       for 0 <= n <= top
+
+    Its mixed complex (b, B) is read off the operators on first use of b or
+    B and kept, so the operators must not change after that.
     """
 
     def __init__(self, N, spaces, faces, degens, taus, name=""):
@@ -109,6 +112,22 @@ class CocyclicComplex:
         """The column plan of op(kind, n, i), the operand form the
         certificates read (linalg.residuals)."""
         return column_plan(self.op(kind, n, i))
+
+    @cached_property
+    def b(self):
+        """The Hochschild coboundaries b_n, n <= N, certified by
+        cohomology.hochschild_b.  A failed certificate keeps nothing, so
+        every read raises it again."""
+        from . import cohomology
+        return cohomology.hochschild_b(self)
+
+    @cached_property
+    def B(self):
+        """The boundaries B_n, certified against b by cohomology.connes_B,
+        which also sets boundary_reading; kept as b is."""
+        from . import cohomology
+        Bs, self.boundary_reading = cohomology.connes_B(self)
+        return Bs
 
     @classmethod
     def assemble(cls, N, spaces, make, name=""):
@@ -282,12 +301,11 @@ class HopfTables:
         # coassociativity makes every bracketing of every iterated coproduct
         # agree, so checking the triple one suffices (BracketingMismatch)
         iterated_coproduct(hopf.coalg, 3)
-        self.mul = _action_table(hopf.alg.mul)          # (i,j) -> list (k, coeff)
+        self.mul = action_table(hopf.alg.mul)           # (i,j) -> list (k, coeff)
         self.right_mul = _by_slot(hopf.alg.mul)         # j -> {i: terms of i*j}
         self.unit = sorted(hopf.alg.unit.items())
-        ctabs = _coalg_tables(hopf.coalg)
-        self.eps = ctabs["eps"]
-        self.comul = ctabs["comul"]                     # i -> list ((a,b), coeff)
+        self.eps = dict(hopf.coalg.counit)
+        self.comul = split_table(hopf.coalg.comul)      # i -> list ((a,b), coeff)
         self.S = hopf.antipode.columns()                # i -> sparse vector S(i)
         self.Sinv = hopf.antipode_inv.columns()
         # legs[k][i] = sorted list of (k-tuple, coeff); k = 0 is the counit
@@ -381,7 +399,7 @@ def _by_degree(first, step, dim, top):
         yield lookup
 
 
-def _action_table(action):
+def action_table(action):
     """(i_h, i_x) -> list (j, coeff) for an arity-2 structure tensor."""
     tab = {}
     for idx, vec in action.entries.items():
@@ -406,23 +424,13 @@ def _acting_on(action):
     return tab
 
 
-def _coaction_table(coaction, hdim):
-    """i_b -> list ((i_h, j_b), coeff)."""
-    tab = {}
-    cdim = coaction.codomain.dim // hdim
-    for (i,), vec in coaction.entries.items():
-        tab[i] = sorted((divmod(k, cdim), x) for k, x in vec.items())
-    return tab
-
-
-def _mcoact_table(sayd):
-    """m -> list ((h, m'), coeff)."""
-    mdim = sayd.space.dim
-    tab = {}
-    for i in range(mdim):
-        vec = sayd.lcoaction.value((i,))
-        tab[i] = sorted((divmod(k, mdim), x) for k, x in vec.items())
-    return tab
+def split_table(tensor):
+    """i -> sorted list ((x, v), coeff), for every basis element i of V, of
+    an arity-1 structure tensor V -> X (x) V: a comultiplication, a
+    coaction or a left coaction of coefficients."""
+    vdim = tensor.domains[0].dim
+    return {i: sorted((divmod(k, vdim), x) for k, x in tensor.value((i,)).items())
+            for i in range(vdim)}
 
 
 def expand_terms(parts):
@@ -451,11 +459,10 @@ class CoalgebraComplexData:
 def build_coalgebra_complex(mc, sayd, N, name="coalgebra") -> CoalgebraComplexData:
     h = mc.hopf
     tabs = HopfTables.of(h)
-    act = _action_table(mc.action)
-    ctabs = _coalg_tables(mc.coalg)
-    comul, eps = ctabs["comul"], ctabs["eps"]
-    mco = _mcoact_table(sayd)
-    mract = _action_table(sayd.raction)
+    act = action_table(mc.action)
+    comul, eps = split_table(mc.coalg.comul), dict(mc.coalg.counit)
+    mco = split_table(sayd.lcoaction)
+    mract = action_table(sayd.raction)
     mdim, cdim = sayd.space.dim, mc.space.dim
     top = N + 1
     # ambient of degree n: flat index m*size[n] + t, t a flat index of C^(x)(n+1)
@@ -647,25 +654,16 @@ def _subspace_complex(N, name, prefix, preserves, bases, ambients, mul, unit, la
     return SubspaceComplexData(cx, bases, ambients)
 
 
-def _coalg_tables(coalg):
-    d = coalg.space.dim
-    comul = {}
-    for i in range(d):
-        v = coalg.comul.value((i,))
-        comul[i] = sorted((divmod(k, d), x) for k, x in v.items())
-    return {"comul": comul, "eps": dict(coalg.counit)}
-
-
 # ---------------------------------------------------------------------------
 # algebra complex: equivariant functionals on M (x) A^(x)(n+1)
 
 def build_algebra_complex(ma, sayd, N, name="algebra") -> SubspaceComplexData:
     h = ma.hopf
     tabs = HopfTables.of(h)
-    act = _action_table(ma.action)
-    mul = _action_table(ma.alg.mul)
-    mco = _mcoact_table(sayd)
-    mract = _action_table(sayd.raction)
+    act = action_table(ma.action)
+    mul = action_table(ma.alg.mul)
+    mco = split_table(sayd.lcoaction)
+    mract = action_table(sayd.raction)
     unit = sorted(ma.alg.unit.items())
     mdim, adim = sayd.space.dim, ma.space.dim
     top = N + 1
@@ -747,11 +745,11 @@ def build_algebra_complex(ma, sayd, N, name="algebra") -> SubspaceComplexData:
 def build_comodule_algebra_complex(ba, sayd, N, name="comodule-algebra") -> SubspaceComplexData:
     h = ba.hopf
     tabs = HopfTables.of(h)
-    coact = _coaction_table(ba.coaction, h.dim)
-    mul = _action_table(ba.alg.mul)
+    coact = split_table(ba.coaction)
+    mul = action_table(ba.alg.mul)
     unit = sorted(ba.alg.unit.items())
-    mco = _mcoact_table(sayd)
-    mract = _action_table(sayd.raction)
+    mco = split_table(sayd.lcoaction)
+    mract = action_table(sayd.raction)
     mdim, bdim = sayd.space.dim, ba.space.dim
     top = N + 1
     # hom coordinates: (m, b-tuple), m major; flat index m*size[n] + t
@@ -846,7 +844,7 @@ def build_hopf_complex(mp, N) -> HopfComplexData:
         raise ValueError("coefficient pair is not stable anti-Yetter-Drinfeld: %r" % rep)
     mc = self_module_coalgebra(h)
     quot = build_coalgebra_complex(mc, sayd, N, name="hopf-quotient")
-    power = _build_power_complex(mp, N)
+    power = build_power_complex(mp, N)
     iso = []
     for n in range(N + 2):
         I_n = _normalization_map(quot, mp, n)
@@ -888,7 +886,7 @@ def _normalization_map(quot, mp, n):
     return SparseMatrix.from_columns(cols, mi_t.size)
 
 
-def _build_power_complex(mp, N) -> CocyclicComplex:
+def build_power_complex(mp, N) -> CocyclicComplex:
     """The simplified complex: degree n space is H^(x) n."""
     h = mp.hopf
     d = h.dim

@@ -43,8 +43,9 @@ from .actions import (CoalgebraAction, SAYDModule, convolution_algebra,
 from .complexes import (build_algebra_complex, build_coalgebra_complex,
                         build_comodule_algebra_complex, plain_cyclic_complex,
                         product_complex, HopfTables, expand_terms, intertwines,
-                        describe_map, CertificateFailure, _action_table, _coaction_table)
-from .cohomology import hochschild_b, lam
+                        describe_map, CertificateFailure, action_table, split_table,
+                        build_power_complex)
+from .cohomology import lam
 
 
 class ChainMapFailure(CertificateFailure):
@@ -178,9 +179,9 @@ class _CupContext:
     target cyclic complex in the attribute named TARGET.  Its pairing is the
     method named PAIRING, looked up at call time.  Pairing matrices are
     kept only once certified, so a failed certificate is raised again on the
-    next call.  The Hochschild coboundary families of the phi, x and target
-    complexes are built (and certified) on first use and kept, so that every
-    cup of the context shares them."""
+    next call.  The phi, x and target complexes each hold their own
+    certified Hochschild coboundaries (CocyclicComplex.b), which every cup
+    of the context shares."""
 
     def phi_complex(self):
         return self.alg
@@ -207,18 +208,6 @@ class _CupContext:
             self._certified[what] = mats
         return self._certified[what]
 
-    @cached_property
-    def phi_b(self):
-        return hochschild_b(self.phi_complex().complex)
-
-    @cached_property
-    def x_b(self):
-        return hochschild_b(self.x_complex())
-
-    @cached_property
-    def target_b(self):
-        return hochschild_b(self.target().complex)
-
 
 class CoalgebraCupContext(_CupContext):
     """Module coalgebra acting on a module algebra, plus coefficients."""
@@ -240,7 +229,7 @@ class CoalgebraCupContext(_CupContext):
         self.coalg = build_coalgebra_complex(ca.mc, sayd, N)
         self.diag = product_complex(self.alg.complex, self.coalg.complex)
         self.a_cx = plain_cyclic_complex(ca.ma.alg, N)
-        self._amul = _action_table(ca.ma.alg.mul)
+        self._amul = action_table(ca.ma.alg.mul)
         # the slot c (x) a -> c.a of the pairing, the trace and explicit formulas
         self._act_slot = _slot_table({(c, (a,)): v for (c, a), v in ca.action.entries.items()})
         self._nat = None
@@ -387,10 +376,10 @@ class CrossedCupContext(_CupContext):
         self.ab = crossed_product(ma, ba)
         self.ab_cx = plain_cyclic_complex(self.ab, N)
         self.tabs = HopfTables.of(self.hopf)
-        self._coact = _coaction_table(ba.coaction, self.hopf.dim)
+        self._coact = split_table(ba.coaction)
         self._coaction_memo = {}
-        self._amul = _action_table(ma.alg.mul)
-        act = _action_table(ma.action)
+        self._amul = action_table(ma.alg.mul)
+        act = action_table(ma.action)
         # (h, a) -> S^-1(h).a: the twisted slot; h.a: the plain slot
         self._twisted = {(h, a): mul_vec(act, self.tabs.Sinv[h], {a: 1})
                          for h in range(self.hopf.dim) for a in range(ma.space.dim)}
@@ -473,9 +462,18 @@ class CrossedCupContext(_CupContext):
 # ---------------------------------------------------------------------------
 # cocycle bookkeeping and the composed cup
 
-def is_b_closed(cx, n, vec, bs=None):
-    bs = hochschild_b(cx) if bs is None else bs
-    return bs[n].apply(vec) == {}
+def _raise_by_faces(cx, vec, start_deg, indices):
+    """Apply cx.face(d, i) successively; indices paired with ascending degrees."""
+    v = dict(vec)
+    d = start_deg
+    for i in indices:
+        v = cx.face(d, i).apply(v)
+        d += 1
+    return v
+
+
+def is_b_closed(cx, n, vec):
+    return cx.b[n].apply(vec) == {}
 
 def is_cyclic(cx, n, vec):
     return not vec_sub(lam(cx, n).apply(vec), vec)
@@ -495,18 +493,14 @@ def aw_cup(ctx, phi, p, x, q):
     complexes; the output closure flags are verified, not assumed."""
     acx = ctx.phi_complex().complex
     xcx = ctx.x_complex()
-    if not is_b_closed(acx, p, phi, ctx.phi_b):
+    if not is_b_closed(acx, p, phi):
         raise NotACocycle("algebra-side input is not closed")
-    if not is_b_closed(xcx, q, x, ctx.x_b):
+    if not is_b_closed(xcx, q, x):
         raise NotACocycle("second input is not closed")
     cyc_in = is_cyclic(acx, p, phi) and is_cyclic(xcx, q, x)
     n = p + q
-    phi2 = dict(phi)
-    for k in range(q):
-        phi2 = acx.face(p + k, 0).apply(phi2)
-    x2 = dict(x)
-    for k in range(p):
-        x2 = xcx.face(q + k, q + k + 1).apply(x2)
+    phi2 = _raise_by_faces(acx, phi, p, [0] * q)
+    x2 = _raise_by_faces(xcx, x, q, [q + k + 1 for k in range(p)])
     # diagonal coordinates: algebra index major
     xdim = xcx.dim(n)
     vec = {}
@@ -516,7 +510,7 @@ def aw_cup(ctx, phi, p, x, q):
     mats = ctx.pairing()
     out = mats[n].apply(vec)
     tgt = ctx.target().complex
-    return CupResult(out, n, is_b_closed(tgt, n, out, ctx.target_b),
+    return CupResult(out, n, is_b_closed(tgt, n, out),
                      cyc_in and is_cyclic(tgt, n, out))
 
 
@@ -563,7 +557,7 @@ def cup_explicit_crossed(ctx, phi, p, psi, q):
     normative = aw_cup(ctx, phi, p, psi, q)
     n = p + q
     adim, bdim = ctx.ma.space.dim, ctx.ba.space.dim
-    bmul = _action_table(ctx.ba.alg.mul)
+    bmul = action_table(ctx.ba.alg.mul)
     # coaction depths: b^t for t <= q gets t+1 legs; for q+1 <= t <= n it
     # gets n-t legs.  Slot i <= q: S^-1 of the legs j - i of b^j, i <= j <= q;
     # slot s > q: the legs s - t - 1 of b^t, q < t < s, no antipode (slot
@@ -620,15 +614,14 @@ def char_map(mp: ModularPair, ma, trace, N=3):
 
     Certified to commute with every cocyclic operator.  Raises
     NotInvariantTrace when the trace conditions fail."""
-    from .complexes import _build_power_complex
     bad = validate_trace(mp, ma, trace)
     if bad:
         raise NotInvariantTrace("trace conditions violated: %r" % bad[:5])
     h = mp.hopf
-    power = _build_power_complex(mp, N)
+    power = build_power_complex(mp, N)
     a_cx = plain_cyclic_complex(ma.alg, N)
     adim = ma.space.dim
-    amul = _action_table(ma.alg.mul)
+    amul = action_table(ma.alg.mul)
     mats = []
     for n in range(N + 2):
         mi_t = MultiIndex((adim,) * (n + 1))
@@ -652,24 +645,14 @@ def char_map(mp: ModularPair, ma, trace, N=3):
 from .shuffles import shuffle_set, dg_expand_oracle   # re-exported operations
 
 
-def _raise_by_faces(cx, vec, start_deg, indices):
-    """Apply cx.face(d, i) successively; indices paired with ascending degrees."""
-    v = dict(vec)
-    d = start_deg
-    for i in indices:
-        v = cx.face(d, i).apply(v)
-        d += 1
-    return v
-
-
 def shuffle_cup_traces(ctx: CrossedCupContext, phi, p, psi, q):
     """Signed shuffle-sum cup of a module-algebra cocycle with a
     comodule-algebra cocycle, valued on the crossed product."""
     acx = ctx.alg.complex
     ccx = ctx.comod.complex
-    if not is_b_closed(acx, p, phi, ctx.phi_b):
+    if not is_b_closed(acx, p, phi):
         raise NotACocycle("algebra-side input is not closed")
-    if not is_b_closed(ccx, q, psi, ctx.x_b):
+    if not is_b_closed(ccx, q, psi):
         raise NotACocycle("comodule-side input is not closed")
     n = p + q
     bdim = ctx.ba.space.dim
@@ -687,7 +670,7 @@ def shuffle_cup_traces(ctx: CrossedCupContext, phi, p, psi, q):
         xside = ctx.x_side(sides, ctx.comod.functional(psi_up, n), n)
         vec_axpy(out, sig.sign, _evaluate(pushed, xside, mi_t, bdim))
     tgt = ctx.target().complex
-    return CupResult(out, n, is_b_closed(tgt, n, out, ctx.target_b), is_cyclic(tgt, n, out))
+    return CupResult(out, n, is_b_closed(tgt, n, out), is_cyclic(tgt, n, out))
 
 
 def cotrace_cup(ctx: CoalgebraCupContext, x, p, phi, q):
@@ -699,9 +682,9 @@ def cotrace_cup(ctx: CoalgebraCupContext, x, p, phi, q):
     faces from the second block; both block choices agree when p = q."""
     acx = ctx.alg.complex
     ccx = ctx.coalg.complex
-    if not is_b_closed(ccx, p, x, ctx.x_b):
+    if not is_b_closed(ccx, p, x):
         raise NotACocycle("coalgebra-side input is not closed")
-    if not is_b_closed(acx, q, phi, ctx.phi_b):
+    if not is_b_closed(acx, q, phi):
         raise NotACocycle("algebra-side input is not closed")
     n = p + q
     mi_t = MultiIndex((ctx.ca.ma.space.dim,) * (n + 1))
@@ -713,4 +696,4 @@ def cotrace_cup(ctx: CoalgebraCupContext, x, p, phi, q):
         pushed = _push(ctx.alg, ctx.alg.functional(phi_up, n), n, [ctx._act_slot] * (n + 1))
         vec_axpy(out, sig.sign, _evaluate(pushed, [(zero, _rep(ctx.coalg, n, x_up))], mi_t))
     tgt = ctx.target().complex
-    return CupResult(out, n, is_b_closed(tgt, n, out, ctx.target_b), is_cyclic(tgt, n, out))
+    return CupResult(out, n, is_b_closed(tgt, n, out), is_cyclic(tgt, n, out))

@@ -105,6 +105,11 @@ class SpecFile:
     def modular_pair(self, name):
         return self._pairs[name]
 
+    def pairs_on(self, hopf):
+        """(name, ModularPair) of every coefficient pair declared on hopf,
+        in name order."""
+        return [(name, mp) for name, mp in sorted(self._pairs.items()) if mp.hopf is hopf]
+
     def to_text(self):
         out = []
         for (cat, name), header in self.headers.items():

@@ -1,8 +1,9 @@
 """audit takes each declared complex once: one get (a build, a cache read,
 or a build read back from the entry it wrote), one set of certificates and
-one BBData shared by the identities and cohomology sections.  The failure
-paths keep the reports the engine printed before it streamed the
-complexes; their digests were recorded from that version."""
+one b and B, kept on the complex, that the identities and cohomology
+sections share.  The failure paths keep the reports the engine printed
+before it streamed the complexes; their digests were recorded from that
+version."""
 
 import hashlib
 

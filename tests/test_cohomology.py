@@ -117,8 +117,7 @@ def kernel_oracle(cx):
     """(hh, hc) by the loops compute_cohomology ran before it took ranks
     only: HH^n counts the kernel vectors of b_n that stay independent
     modulo the image of b_{n-1}; HC^n is nullity(D_n) - rank(D_{n-1})."""
-    bs = hochschild_b(cx)
-    Bs, _ = connes_B(cx, bs)
+    bs, Bs = cx.b, cx.B
     N = cx.N
     hh = []
     for n in range(N):
@@ -135,8 +134,8 @@ def kernel_oracle(cx):
         hh.append((n, count))
     hc = []
     for n in range(N):
-        rank_img = image_rank(total_differential(cx, bs, Bs, n - 1)) if n else 0
-        nullity = len(kernel_basis(total_differential(cx, bs, Bs, n)))
+        rank_img = image_rank(total_differential(cx, n - 1)) if n else 0
+        nullity = len(kernel_basis(total_differential(cx, n)))
         hc.append((n, nullity - rank_img, n <= N - 2))
     return hh, hc
 
@@ -157,7 +156,7 @@ def test_cyclic_cocycles_are_closed_and_invariant():
     cx = plain_cyclic_complex(swap_module_algebra().alg, 3).complex
     bs = hochschild_b(cx)
     for n in range(3):
-        for v in cyclic_cocycles(cx, n, bs):
+        for v in cyclic_cocycles(cx, n):
             assert bs[n].apply(v) == {}
             diff = (SparseMatrix.identity(cx.dim(n)) - lam(cx, n)).apply(v)
             assert diff == {}
@@ -169,15 +168,24 @@ def test_degree_zero_cyclic_cocycles_of_commutative_algebra():
     assert len(cyclic_cocycles(cx, 0)) == 2
 
 
-# -- bundle types ---------------------------------------------------------------
+# -- the families a complex owns ----------------------------------------------------
 
-def test_bbdata_bundle():
-    from hopfcyclic.cohomology import BBData
-    hd = build_hopf_complex(mpi_trivial(group_algebra(2)), 3)
-    bb = BBData(hd.power)
-    assert bb.variant == "norm.degen.tau.(1-lam)"
-    for n in bb.checkable_degrees():
-        assert (compose(bb.b[n - 1], bb.B[n]) + compose(bb.B[n + 1], bb.b[n])).is_zero()
+def test_a_complex_owns_its_certified_families():
+    cx = build_hopf_complex(mpi_trivial(group_algebra(2)), 3).power
+    bs, Bs = cx.b, cx.B
+    assert cx.b is bs and cx.B is Bs
+    assert cx.boundary_reading == "norm.degen.tau.(1-lam)"
+    for n in range(1, cx.N + 1):
+        assert (compose(bs[n - 1], Bs[n]) + compose(Bs[n + 1], bs[n])).is_zero()
+    # a doubled tau keeps b but breaks bB + Bb = 0: nothing is kept, and
+    # every read raises
+    h = group_algebra(2)
+    cx = build_coalgebra_complex(self_module_coalgebra(h), trivial_sayd(h), 3).complex
+    cx.taus[2] = cx.taus[2].scale(2)
+    for _ in range(2):
+        with pytest.raises(NotAComplex, match=r"bB \+ Bb != 0 at degree 2"):
+            cx.B
+    assert "B" not in vars(cx)
 
 
 # -- exactness under a fractional change of basis ---------------------------------

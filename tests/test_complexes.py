@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -160,14 +162,14 @@ def test_hopf_complex_rejects_non_sayd_pair():
                                          (("tau", 2, 0), "cyclic operator at degree 2")])
 def test_conjugation_certificate_names_the_broken_operator(monkeypatch, key, message):
     import hopfcyclic.complexes as complexes
-    build_power = complexes._build_power_complex
+    build_power = complexes.build_power_complex
 
     def flipped(mp, N):
         cx = build_power(mp, N)
         return CocyclicComplex.assemble(
             cx.N, cx.spaces, lambda *k: cx.op(*k).scale(-1) if k == key else cx.op(*k))
 
-    monkeypatch.setattr(complexes, "_build_power_complex", flipped)
+    monkeypatch.setattr(complexes, "build_power_complex", flipped)
     with pytest.raises(ConjugationFailure) as e:
         build_hopf_complex(mpi_kz2_sigma_g(), 2)
     assert str(e.value) == message
@@ -286,6 +288,35 @@ def test_complex_dump_round_trip():
     back = complex_from_text(text)
     assert complexes_equal(alg, back)
     assert back.content_hash == content_hash("fixture")
+
+
+def _resigned(text, edit):
+    """text with its body's lines edited by edit and its digest re-signed,
+    so that only the layout checks of complex_from_text can refuse it."""
+    head, _, body = text.partition("\n")
+    body = "\n".join(edit(body.splitlines())) + "\n"
+    return "%s %s\n%s" % (head.rpartition(" ")[0], hashlib.sha256(body.encode()).hexdigest(), body)
+
+def _set_line(k, new):
+    return lambda lines: lines[:k] + [new] + lines[k + 1:]
+
+@pytest.mark.parametrize("edit,message", [
+    (_set_line(0, "N 2"), "complex dump lacks its N/top line"),
+    (_set_line(0, "N 3 top 3"), "complex dump has N 3 and top 3"),
+    (_set_line(2, "degree 1 dim two"), "complex dump lacks the dim of degree 1"),
+    (_set_line(7, "2 0 1"), "complex dump block 'face 0 0' has entry '2 0 1'"),
+    (lambda lines: lines[:8] + lines[7:], "complex dump block 'face 0 0' repeats an entry"),
+], ids=["no-N-top", "N-not-below-top", "no-dim", "entry-out-of-range", "repeated-entry"])
+def test_resigned_dump_with_a_bad_layout_names_its_fault(edit, message):
+    text = complex_to_text(_kz2_pair()[0], content_hash("fixture"))
+    lines = text.splitlines()[1:]
+    # the edits address these lines: N/top, the dim of degree 1, and the
+    # block face 0 0 (2 x 1) with its one entry
+    assert lines[0] == "N 2 top 3" and lines[2] == "degree 1 dim 2"
+    assert lines[5:8] == ["face 0 0", "2 1", "1 0 1"]
+    with pytest.raises(ValueError) as e:
+        complex_from_text(_resigned(text, edit))
+    assert str(e.value) == message
 
 
 # -- shared Hopf tables ------------------------------------------------------------

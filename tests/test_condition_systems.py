@@ -13,8 +13,8 @@ import pytest
 
 from hopfcyclic.linalg import SparseMatrix, KernelCoords, kernel_basis, vec_acc, vec_axpy
 from hopfcyclic.actions import QuotientSpace
-from hopfcyclic.complexes import (HopfTables, _acting_on, _action_table, _by_degree,
-                                  _coaction_table, _mcoact_table, build_algebra_complex,
+from hopfcyclic.complexes import (HopfTables, _acting_on, action_table, _by_degree,
+                                  split_table, build_algebra_complex,
                                   build_coalgebra_complex, build_comodule_algebra_complex,
                                   build_hopf_complex, plain_cyclic_complex,
                                   ConjugationFailure)
@@ -28,7 +28,7 @@ def equivariant_oracle(ma, sayd, N):
     """Per degree, the kernel of the whole (h, m, a~) condition matrix."""
     h = ma.hopf
     tabs = HopfTables.of(h)
-    mract = _action_table(sayd.raction)
+    mract = action_table(sayd.raction)
     mdim, adim = sayd.space.dim, ma.space.dim
     bases = []
     for n, moved_by in enumerate(tabs.diag_act_degrees(_acting_on(ma.action), adim, N + 1)):
@@ -60,8 +60,8 @@ def colinear_oracle(ba, sayd, N):
     """Per degree, the kernel of the whole (w, h, m') condition matrix."""
     h = ba.hopf
     tabs = HopfTables.of(h)
-    coact = _coaction_table(ba.coaction, h.dim)
-    mco = _mcoact_table(sayd)
+    coact = split_table(ba.coaction)
+    mco = split_table(sayd.lcoaction)
     mdim, bdim = sayd.space.dim, ba.space.dim
 
     def step(prev, head, v):
@@ -94,7 +94,7 @@ def quotient_oracle(mc, sayd, N):
     """Per degree, the quotient of the full sorted relation list."""
     h = mc.hopf
     tabs = HopfTables.of(h)
-    mract = _action_table(sayd.raction)
+    mract = action_table(sayd.raction)
     mdim, cdim = sayd.space.dim, mc.space.dim
     quotients = []
     for n, moved_by in enumerate(tabs.diag_act_degrees(_acting_on(mc.action), cdim, N + 1)):

@@ -175,8 +175,8 @@ def test_coalgebra_cup_path_builds_no_convolution_algebra(monkeypatch):
     monkeypatch.setattr(cup_module, "convolution_algebra", refuse)
     ctx = kz2_coalgebra(2)
     ctx.pairing()
-    fa = cyclic_cocycles(ctx.alg.complex, 0, ctx.phi_b)[0]
-    fx = cyclic_cocycles(ctx.x_complex(), 2, ctx.x_b)[0]
+    fa = cyclic_cocycles(ctx.alg.complex, 0)[0]
+    fx = cyclic_cocycles(ctx.x_complex(), 2)[0]
     assert aw_cup(ctx, fa, 0, fx, 2).b_closed
     assert "conv" not in vars(ctx) and "conv_cx" not in vars(ctx) and ctx._nat is None
 
@@ -273,10 +273,10 @@ def test_aw_cup_rejects_non_cocycle():
     with pytest.raises(NotACocycle):
         aw_cup(ctx, bad, deg, cyclic_cocycles(ctx.x_complex(), 0)[0], 0)
 
-def non_closed(cx, bs):
+def non_closed(cx):
     """The first basis vector of cx that b does not kill, with its degree."""
     return next(({k: 1}, p) for p in range(cx.N + 1) for k in range(cx.dim(p))
-                if bs[p].apply({k: 1}))
+                if cx.b[p].apply({k: 1}))
 
 # each cup's inputs, as (phi or x side) pairs, and the one left open
 @pytest.mark.parametrize("cup,make,sides,open_side,error", [
@@ -291,11 +291,11 @@ def non_closed(cx, bs):
         "explicit-coalgebra-on-crossed", "explicit-crossed-on-coalgebra"])
 def test_cups_reject_an_open_input_or_the_wrong_context(cup, make, sides, open_side, error):
     ctx = make()
-    cxs = {"phi": (ctx.phi_complex().complex, ctx.phi_b), "x": (ctx.x_complex(), ctx.x_b)}
+    cxs = {"phi": ctx.phi_complex().complex, "x": ctx.x_complex()}
     args = []
     for k, side in enumerate(sides.split()):
-        cx, bs = cxs[side]
-        args += non_closed(cx, bs) if k == open_side else (cyclic_cocycles(cx, 0, bs)[0], 0)
+        cx = cxs[side]
+        args += non_closed(cx) if k == open_side else (cyclic_cocycles(cx, 0)[0], 0)
     with pytest.raises(error):
         cup(ctx, *args)
 

@@ -179,6 +179,14 @@ def test_cli_mixed_hopf_algebras_exit_two_with_line(tmp_path, capsys, extra, lin
     assert captured.err.startswith("input error: line %d: " % len(lines))
     assert "Traceback" not in captured.err
 
+def test_pairs_on_lists_the_coefficient_pairs_of_one_hopf_algebra():
+    lines = fixture_file_texts()["kz2.hcy"].splitlines() + _kz3_renamed_k()
+    spec = parse_spec("\n".join(lines) + "\n")
+    on_h, on_k = spec.pairs_on(spec.hopfs["H"]), spec.pairs_on(spec.hopfs["K"])
+    assert [name for name, _ in on_h] == ["triv", "twist"]
+    assert [name for name, _ in on_k] == ["trivK"]
+    assert all(mp is spec.modular_pair(name) for name, mp in on_h + on_k)
+
 # a coalgebra that is not coassociative, and an antipode that is not one
 _BROKEN = {"h4.hcy": ("  comul g = 1*g|g\n", ""),
            "kz2.hcy": ("  antipode g = 1*g\n", "  antipode g = 1*e\n")}
@@ -435,7 +443,8 @@ def _widen_header(lines):
     _widen_header,                                              # shape off the dims
     lambda lines: lines[:-1] + ["junk"] + lines[-1:],           # non-triplet in a block
     lambda lines: lines[:-1] + ["0 0"] + lines[-1:],
-], ids=["no-tau", "no-face", "no-degen", "header", "junk-line", "short-line"])
+    lambda lines: lines + lines[-1:],                           # the last entry twice
+], ids=["no-tau", "no-face", "no-degen", "header", "junk-line", "short-line", "repeated-entry"])
 def test_resigned_malformed_cache_entry_is_rebuilt(tmp_path, monkeypatch, capsys, edit):
     # the digest matches the edited body, so only the layout check can catch it
     d = write_fixtures(tmp_path)
@@ -443,14 +452,17 @@ def test_resigned_malformed_cache_entry_is_rebuilt(tmp_path, monkeypatch, capsys
     args = ["cohomology", d / "kz2.hcy", "--max-degree", "2"]
     code, cold = run_cli(args, capsys)
     assert code == 0
-    for path in (tmp_path / ".hopfcyclic-cache").iterdir():
-        head, _, body = path.read_text().partition("\n")
+    entries = {path: path.read_text() for path in (tmp_path / ".hopfcyclic-cache").iterdir()}
+    for path, text in entries.items():
+        head, _, body = text.partition("\n")
         body = "\n".join(edit(body.splitlines())) + "\n"
         head = "%s %s" % (head.rpartition(" ")[0], hashlib.sha256(body.encode()).hexdigest())
         path.write_text(head + "\n" + body)
     code, out = run_cli(args, capsys)
     assert code == 0
     assert out == cold
+    # each entry was a miss: rebuilt and written again as the cold run wrote it
+    assert {path: path.read_text() for path in entries} == entries
     from hopfcyclic.cli import build_declared_complex
     spec = parse_spec((d / "kz2.hcy").read_text())
     assert build_declared_complex(spec, spec.to_text(), "hopf_triv", 2)[1] == "cached"

@@ -41,6 +41,8 @@ GRAMMAR = "tests/test_specfile_grammar.py::"
 PINNED = "tests/test_specfile_cli.py::test_validate_lists_every_violation_of_broken_input"
 INVERSE = "tests/test_linalg.py::test_invert_matrix_is_a_two_sided_inverse_or_none"
 STREAMED = "tests/test_condition_systems.py::test_streamed_conditions_match_the_stacked_matrix_oracle"
+CONJUGATION = "tests/test_complexes.py::test_conjugation_certificate_names_the_broken_operator"
+CHAIN_MAP = "tests/test_cup.py::test_chain_map_certificate_names_the_failing_operator"
 
 MUTANTS = [
     Mutant("lead-at-min", LINALG,
@@ -141,6 +143,32 @@ MUTANTS = [
             "tests/test_cup.py::test_psi_r_certificate_kz4",
             "tests/test_certificates.py::"
             "test_chain_map_failure_on_the_product_view_is_that_of_the_built_product"]),
+    Mutant("walk-drops-last-face", COMPLEXES,
+           "            for i in range(n + 2):\n                yield \"face\", n, i\n",
+           "            for i in range(n + 1):\n                yield \"face\", n, i\n",
+           ["tests/test_complexes.py::test_structure_maps_list_every_map_once_degree_by_degree[1]",
+            "tests/test_complexes.py::test_assemble_gives_back_a_built_complex",
+            "tests/test_complexes.py::test_complex_dump_round_trip"]),
+    Mutant("intertwines-skips-tau", COMPLEXES,
+           "    for key in structure_maps(src.N, src.top):\n        n = key[1]\n",
+           "    for key in structure_maps(src.N, src.top):\n        n = key[1]\n"
+           "        if key[0] == \"tau\":\n            continue\n",
+           [CONJUGATION + "[key2-cyclic operator at degree 2]",
+            CHAIN_MAP + "[key2-convolution pairing: cyclic operator at degree 1]",
+            "tests/test_certificates.py::test_conjugation_failure_witness_is_the_residual_of_its_column"]),
+    Mutant("intertwines-skips-degeneracies", COMPLEXES,
+           "    for key in structure_maps(src.N, src.top):\n        n = key[1]\n",
+           "    for key in structure_maps(src.N, src.top):\n        n = key[1]\n"
+           "        if key[0] == \"degen\":\n            continue\n",
+           [CONJUGATION + "[key1-degeneracy 1 at degree 2]",
+            CHAIN_MAP + "[key1-convolution pairing: degeneracy 0 at degree 1]"]),
+    Mutant("is-b-closed-reads-lower-b", CUP,
+           "    return cx.b[n].apply(vec) == {}",
+           "    return cx.b[n - 1].apply(vec) == {}",
+           ["tests/test_certificates.py::test_cups_of_one_context_build_each_b_family_once",
+            "tests/test_cup.py::test_aw_cup_sigma_g_closed_but_not_cyclic_at_1_1",
+            "tests/test_cup.py::test_shuffle_cup_traces_closed_cyclic",
+            "tests/test_cup.py::test_cotrace_cup_general_pairs_closed"]),
     Mutant("writer-unsorted", SPECFILE,
            "        for idx in sorted(got):",
            "        for idx in got:",
