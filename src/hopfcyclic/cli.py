@@ -95,14 +95,20 @@ def _complex_key(spec_text, name, kind, args, N):
     return content_hash(spec_text + "::" + repr((name, kind, args, N, __version__)))
 
 
+def _cache_entry(spec, spec_text, name, N, cache_dir=CACHE_DIR):
+    """The key of a declared complex and the path of its cache entry."""
+    kind, args = spec.complexes[name]
+    key = _complex_key(spec_text, name, kind, args, N)
+    return key, os.path.join(cache_dir, key + ".cx")
+
+
 def build_declared_complex(spec, spec_text, name, N, no_cache=False, cache_dir=CACHE_DIR,
                            quotients=None):
     """(complex, "cached" or "built").  quotients, when given, is the run's
     QuotientSlot: a hopf build leaves its coinvariant quotient there and a
     coalgebra build of the same structure takes it instead of rebuilding."""
     kind, args = spec.complexes[name]
-    key = _complex_key(spec_text, name, kind, args, N)
-    path = os.path.join(cache_dir, key + ".cx")
+    key, path = _cache_entry(spec, spec_text, name, N, cache_dir)
     if not no_cache:
         cx = _read_cache_entry(path, key)
         if cx is not None:
@@ -173,23 +179,28 @@ class QuotientSlot:
         self.mp, self.complex = mp, complex
 
     def take(self, mc, sayd, N):
-        """The held complex when coalgebra(mc, sayd) at degree N is it, by
-        structure tables: H acting on itself by left multiplication over
-        its own coalgebra, with the coefficients mpi(mp); else None."""
-        mp, cx = self.mp, self.complex
-        if cx is None or cx.N != N:
+        """The held complex when coalgebra(mc, sayd) at degree N is it;
+        else None."""
+        cx = self.complex
+        if cx is None or cx.N != N or not self.fits(self.mp, mc, sayd):
             return None
+        self.mp = self.complex = None
+        return cx
+
+    @staticmethod
+    def fits(mp, mc, sayd):
+        """Whether coalgebra(mc, sayd) is the coinvariant quotient of
+        hopf(H, mp), by structure tables: H acting on itself by left
+        multiplication over its own coalgebra, with the coefficients
+        mpi(mp)."""
         h = mp.hopf
         coeff = mpi_coefficients(mp)
-        if not (_same_hopf(mc.hopf, h)
+        return (_same_hopf(mc.hopf, h)
                 and _tables(mc.coalg.comul) == _tables(h.coalg.comul)
                 and mc.coalg.counit == h.coalg.counit
                 and _tables(mc.action) == _tables(h.alg.mul)
                 and _tables(sayd.raction) == _tables(coeff.raction)
-                and _tables(sayd.lcoaction) == _tables(coeff.lcoaction)):
-            return None
-        self.mp = self.complex = None
-        return cx
+                and _tables(sayd.lcoaction) == _tables(coeff.lcoaction))
 
 
 def _get_declared_complex(spec, spec_text, name, flags, quotients):
@@ -278,42 +289,236 @@ def cmd_cohomology(spec, spec_text, rep, flags):
 
 def _complex_sections(spec, spec_text, rep, flags, identities, cohomology):
     """The identities sections, then the cohomology sections, of every
-    declared complex, in one pass: each complex is got once, certified once
-    and dropped before the next.  The sections are buffered so that each
-    kind keeps its place in the report; a kind not asked for is not
-    computed beyond the shared certificates, and its buffer is dropped."""
+    declared complex: each complex is got once, certified once and dropped
+    before the next.  A complex's sections are buffered in its two parts,
+    merged in declaration order, so that each kind keeps its place in the
+    report; a kind not asked for is not computed beyond the shared
+    certificates, and its buffer is dropped.  On two or more CPUs a cold
+    run may share the complexes with a worker process
+    (_parts_on_two_processes); the report is the same."""
+    parts = _parts_on_two_processes(spec, spec_text, flags, identities, cohomology)
+    if parts is None:
+        quotients = QuotientSlot()
+        parts = {name: _complex_part(spec, spec_text, name, flags, quotients,
+                                     identities, cohomology)
+                 for name in spec.complexes}
     ident, cohom = Report(), Report()
-    quotients = QuotientSlot()
     for name in spec.complexes:
-        ident.section("identities %s" % name)
-        cohom.section("cohomology %s" % name)
-        try:
-            cx = _get_declared_complex(spec, spec_text, name, flags, quotients)
-        except (IllDefined, ConjugationFailure, ValueError, CacheReadBackMismatch) as e:
-            ident.fail("build failed: %s" % e)
-            cohom.fail("failed: %s" % e)
-            continue
-        ident.add("dims %s" % " ".join(str(d) for d in cx.dims()))
-        if identities:
-            bad = check_cocyclic(cx)
-            for v in bad:
-                ident.fail("violated %s at degree %d indices %s" % (v.family, v.degree, v.indices))
-            if not bad:
-                ident.add("cocyclic identities: ok")
-        try:
-            cx.B        # b and B built and certified here, kept on cx
-        except NotAComplex as e:
-            ident.fail("coboundary certificates FAILED: %s" % e)
-            cohom.fail("failed: %s" % e)
-            continue
-        ident.add("coboundary certificates: ok (boundary reading: %s)" % cx.boundary_reading)
-        if cohomology:
-            cohom.add(*compute_cohomology(cx).lines())
-        del cx          # dropped before the next complex is got
+        ident.merge(parts[name][0])
+        cohom.merge(parts[name][1])
     if identities:
         rep.merge(ident)
     if cohomology:
         rep.merge(cohom)
+
+
+def _complex_part(spec, spec_text, name, flags, quotients, identities, cohomology):
+    """The identities and the cohomology section of one declared complex,
+    as two headless Reports."""
+    ident, cohom = Report(), Report()
+    ident.section("identities %s" % name)
+    cohom.section("cohomology %s" % name)
+    try:
+        cx = _get_declared_complex(spec, spec_text, name, flags, quotients)
+    except (IllDefined, ConjugationFailure, ValueError, CacheReadBackMismatch) as e:
+        ident.fail("build failed: %s" % e)
+        cohom.fail("failed: %s" % e)
+        return ident, cohom
+    ident.add("dims %s" % " ".join(str(d) for d in cx.dims()))
+    if identities:
+        bad = check_cocyclic(cx)
+        for v in bad:
+            ident.fail("violated %s at degree %d indices %s" % (v.family, v.degree, v.indices))
+        if not bad:
+            ident.add("cocyclic identities: ok")
+    try:
+        cx.B        # b and B built and certified here, kept on cx
+    except NotAComplex as e:
+        ident.fail("coboundary certificates FAILED: %s" % e)
+        cohom.fail("failed: %s" % e)
+        return ident, cohom
+    ident.add("coboundary certificates: ok (boundary reading: %s)" % cx.boundary_reading)
+    if cohomology:
+        cohom.add(*compute_cohomology(cx).lines())
+    return ident, cohom
+
+
+# ---------------------------------------------------------------------------
+# the declared complexes on two processes
+
+# The least share (SpecFile.top_ambient summed over the worker's groups)
+# that pays for a worker process.  Measured on a 2-core VM with Python 3.11:
+# the worker takes 0.10 s to start, and an h4 complex takes 0.06-0.14 s to
+# build at N=3, where its top ambient is 4^5 = 1,024, and 0.29-0.71 s at N=4
+# (4,096).  The worker's share of kz2 at N=4 (192) and of h4 at N=2 (512)
+# stays below it.
+WORKER_MIN_AMBIENT = 1024
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _groups(spec):
+    """The declared complexes in groups that can run apart, each in
+    declaration order.  A coalgebra complex joins the group of the hopf
+    complex whose coinvariant quotient QuotientSlot would hand it in a
+    serial run (the last hopf complex before it, if not taken and if it
+    fits); every other complex is a group of its own."""
+    groups, held = [], None        # held: (pair, group) of the slot's hopf complex
+    for name, (kind, args) in spec.complexes.items():
+        if (kind == "coalgebra" and held is not None
+                and QuotientSlot.fits(held[0], spec.module_coalgebras[args[0]],
+                                      spec.coefficients[args[-1]])):
+            held[1].append(name)
+            held = None
+            continue
+        groups.append([name])
+        if kind == "hopf":
+            held = spec.modular_pair(args[-1]), groups[-1]
+    return groups
+
+
+def _deal(groups, weights):
+    """(this process's groups, the worker's groups, the worker's load) by
+    Graham's LPT rule: heaviest first, each to the less-loaded side, this
+    process on a tie, so that it takes the heaviest group.  Each side keeps
+    declaration order."""
+    load, side = [0, 0], {}
+    for k in sorted(range(len(groups)), key=lambda k: -weights[k]):
+        side[k] = 0 if load[0] <= load[1] else 1
+        load[side[k]] += weights[k]
+    return ([g for k, g in enumerate(groups) if side[k] == 0],
+            [g for k, g in enumerate(groups) if side[k] == 1], load[1])
+
+
+def _run_group(spec, spec_text, group, flags, identities, cohomology, parts, raised):
+    """Add the parts of a group's complexes to parts, in order, sharing one
+    QuotientSlot.  An exception that escapes a complex ends its group and
+    is appended to raised with the complex's name."""
+    quotients = QuotientSlot()
+    for name in group:
+        try:
+            parts[name] = _complex_part(spec, spec_text, name, flags, quotients,
+                                        identities, cohomology)
+        except Exception as e:
+            raised.append((name, e))
+            return
+
+
+def _worker_argv():
+    """The worker process: this interpreter on this copy of the package,
+    isolated from the environment and without site, which the package does
+    not need (about 30 ms less to start)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    return [sys.executable, "-I", "-S", "-c",
+            "import sys; sys.path.insert(0, %r); import hopfcyclic.cli as cli; cli._serve()" % src]
+
+
+def _serve():
+    """The worker's side: one JSON request on stdin (the spec text, the
+    groups, the degree bound, --no-cache and the kinds of section wanted),
+    one JSON reply on stdout: [identities lines, failed, cohomology lines,
+    failed] per complex.  A complex that raises is missing from the reply,
+    and the parent runs its group again."""
+    import json
+    request = json.load(sys.stdin)
+    spec_text = request["spec_text"]
+    flags = argparse.Namespace(max_degree=request["max_degree"], no_cache=request["no_cache"])
+    spec, parts = parse_spec(spec_text), {}
+    for group in request["groups"]:
+        _run_group(spec, spec_text, group, flags, request["identities"], request["cohomology"],
+                   parts, [])
+    json.dump({name: [i.lines, i.failed, c.lines, c.failed] for name, (i, c) in parts.items()},
+              sys.stdout)
+
+
+def _headless(lines, failed):
+    """A headless Report read from a worker's reply."""
+    if not (isinstance(lines, list) and all(isinstance(x, str) for x in lines)
+            and isinstance(failed, bool)):
+        raise ValueError("not a report part")
+    part = Report()
+    part.lines, part.failed = lines, failed
+    return part
+
+
+def _worker_failed(reason):
+    sys.stderr.write("hopfcyclic: the worker process failed (%s); "
+                     "its complexes were computed here\n" % reason)
+
+
+def _parts_on_two_processes(spec, spec_text, flags, identities, cohomology):
+    """The parts of every declared complex, computed here and on one worker
+    process, or None when a worker would not pay: fewer than two usable
+    CPUs, fewer than two groups to build (an entry is absent, or
+    --no-cache), or a worker share below WORKER_MIN_AMBIENT.
+
+    A worker that cannot start, fails, dies or sends a reply that does not
+    parse costs one line on stderr: its groups are run here.  An exception
+    that escapes a complex on either side escapes here, that of the first
+    such complex in declaration order; if this process raises otherwise,
+    the worker is killed and reaped."""
+    if _usable_cpus() < 2:
+        return None
+    N = flags.max_degree
+    groups = _groups(spec)
+    to_build = [g for g in groups if flags.no_cache or not all(
+        os.path.exists(_cache_entry(spec, spec_text, name, N)[1]) for name in g)]
+    if len(to_build) < 2:
+        return None
+    weights = [sum(spec.top_ambient(name, N) for name in g) for g in groups]
+    mine, theirs, their_load = _deal(groups, weights)
+    if their_load < WORKER_MIN_AMBIENT:
+        return None
+    import contextlib
+    import json
+    import subprocess
+    request = json.dumps({"spec_text": spec_text, "groups": theirs, "max_degree": N,
+                          "no_cache": flags.no_cache, "identities": identities,
+                          "cohomology": cohomology})
+    parts, raised = {}, []
+    try:
+        worker = subprocess.Popen(_worker_argv(), stdin=subprocess.PIPE,
+                                  stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    except OSError as e:
+        _worker_failed(e)
+        return None
+    try:
+        # a worker that is gone already leaves no reply, which is handled below
+        with contextlib.suppress(BrokenPipeError):
+            worker.stdin.write(request.encode())
+        with contextlib.suppress(BrokenPipeError):
+            worker.stdin.close()
+        for group in mine:
+            _run_group(spec, spec_text, group, flags, identities, cohomology, parts, raised)
+        reply = worker.stdout.read()
+        worker.wait()
+    finally:
+        if worker.returncode is None:
+            worker.kill()
+            worker.wait()
+        worker.stdout.close()
+    try:
+        if worker.returncode != 0:
+            raise ValueError("exit status %d" % worker.returncode)
+        got = json.loads(reply)
+        theirs_done = {name: (_headless(*got[name][:2]), _headless(*got[name][2:]))
+                       for g in theirs for name in g if name in got}
+    except (ValueError, TypeError) as e:
+        _worker_failed(e)
+        theirs_done = {}
+    parts.update(theirs_done)
+    for group in theirs:
+        if not all(name in theirs_done for name in group):
+            _run_group(spec, spec_text, group, flags, identities, cohomology, parts, raised)
+    if raised:
+        order = list(spec.complexes)
+        raise min(raised, key=lambda r: order.index(r[0]))[1]
+    return parts
 
 
 def _contexts_for(spec, kind, N):

@@ -1122,28 +1122,33 @@ def complex_from_text(text):
 
     keys = _dump_order(N, top)
     labels = [_dump_label(*key) for key in keys]
+    shapes = [(dims[n + _SHIFT[kind]], dims[n]) for kind, n, _ in keys]
     mats = {}
     pos = top + 2
-    for b, (kind, n, i) in enumerate(keys):
-        label = labels[b]
-        rows, cols = dims[n + _SHIFT[kind]], dims[n]
+    for b, key in enumerate(keys):
+        label, (rows, cols) = labels[b], shapes[b]
         if lines[pos:pos + 2] != [label, "%d %d" % (rows, cols)]:
             raise ValueError("complex dump lacks block %r of shape %dx%d" % (label, rows, cols))
         pos += 2
-        end = lines.index(labels[b + 1], pos) if b + 1 < len(keys) else len(lines)
+        try:
+            end = lines.index(labels[b + 1], pos) if b + 1 < len(keys) else len(lines)
+        except ValueError:
+            raise ValueError("complex dump lacks block %r of shape %dx%d"
+                             % ((labels[b + 1],) + shapes[b + 1])) from None
         ent = {}
         for line in lines[pos:end]:
-            r, c, x = line.split()
-            r, c = int(r), int(c)
-            x = int(x) if "/" not in x else parse_scalar(x)
-            if not (x and 0 <= r < rows and 0 <= c < cols):
+            words = line.split()
+            if len(words) == 3:
+                r, c, x = int(words[0]), int(words[1]), words[2]
+                x = int(x) if "/" not in x else parse_scalar(x)
+            if len(words) != 3 or not (x and 0 <= r < rows and 0 <= c < cols):
                 raise ValueError("complex dump block %r has entry %r" % (label, line))
             ent[(r, c)] = x
         if len(ent) != end - pos:
             raise ValueError("complex dump block %r repeats an entry" % label)
         m = SparseMatrix(rows, cols)
         m.entries = ent
-        mats[kind, n, i] = m
+        mats[key] = m
         pos = end
     cx = CocyclicComplex.assemble(N, spaces, lambda *key: mats[key])
     cx.content_hash = content_hash

@@ -110,6 +110,17 @@ class SpecFile:
         in name order."""
         return [(name, mp) for name, mp in sorted(self._pairs.items()) if mp.hopf is hopf]
 
+    def top_ambient(self, name, N):
+        """mdim · dim^(N+2), the ambient size of the top degree of the
+        declared complex name at degree bound N, read from the declarations
+        alone: dim is that of the entity it is built on (H, C, A or B) and
+        mdim that of its coefficients, 1 for a hopf complex."""
+        kind, args = self.complexes[name]
+        (pool, _), = _REFS["complex"][kind]
+        dim = getattr(self, pool)[args[0]].space.dim
+        mdim = 1 if kind == "hopf" else self.coefficients[args[-1]].space.dim
+        return mdim * dim ** (N + 2)
+
     def to_text(self):
         out = []
         for (cat, name), header in self.headers.items():

@@ -250,11 +250,10 @@ def test_convolution_dual_algebra():
 
 # -- error paths for derived constructions --------------------------------------
 
-def test_not_closed_for_inconsistent_action():
-    # a non-multiplicative "action" on Q[x]/x^3 whose fixed space is not a
-    # subalgebra: g swaps x and x^2, fixing 1 and x + x^2, but
-    # (x + x^2)^2 = x^2 is not in span{1, x + x^2}
-    from hopfcyclic.spaces import BasedSpace, StructureTensor
+def _swapping_x_and_x2():
+    """A non-multiplicative "action" of Z/2 on Q[x]/x^3 whose fixed space is
+    not a subalgebra: g swaps x and x^2, fixing 1 and x + x^2, but
+    (x + x^2)^2 = x^2 is not in span{1, x + x^2}."""
     from hopfcyclic.hopf import AlgebraData
     h = group_algebra(2)
     s = BasedSpace(("1", "x", "x2"))
@@ -268,10 +267,57 @@ def test_not_closed_for_inconsistent_action():
         (0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1},
         (1, 0): {0: 1}, (1, 1): {2: 1}, (1, 2): {1: 1},
     })
-    ma = ModuleAlgebra(h, alg, act)
+    return ModuleAlgebra(h, alg, act)
+
+def test_not_closed_for_inconsistent_action():
+    ma = _swapping_x_and_x2()
+    h = ma.hopf
     assert not validate_module_algebra(ma).ok   # not an automorphism action
     with pytest.raises(NotClosed):
         invariant_subalgebra(ma, SubHopf(h, [{0: 1}, {1: 1}]))
+
+def test_convolution_of_invariants_that_are_no_subalgebra_is_not_closed():
+    # C = ground field: the convolution algebra is the fixed space of A
+    ma = _swapping_x_and_x2()
+    ca = counit_coalgebra_action(trivial_module_coalgebra(ma.hopf), ma)
+    with pytest.raises(NotClosed) as e:
+        convolution_algebra(ca)
+    assert str(e.value) == "convolution product left the equivariant span"
+
+def test_convolution_with_a_non_invariant_unit_is_not_closed():
+    # Z/2 acting on Q x Q by g(e1) = e1, g(e2) = -e2: the fixed space
+    # span{e1} is closed under the product, but the unit e1 + e2 is not in it
+    from hopfcyclic.hopf import AlgebraData
+    h = group_algebra(2)
+    s = BasedSpace(("e1", "e2"))
+    alg = AlgebraData(s, StructureTensor((s, s), s, {(0, 0): {0: 1}, (1, 1): {1: 1}}),
+                      {0: 1, 1: 1})
+    act = StructureTensor((h.space, s), s, {(0, 0): {0: 1}, (0, 1): {1: 1},
+                                            (1, 0): {0: 1}, (1, 1): {1: -1}})
+    ma = ModuleAlgebra(h, alg, act)
+    assert validate_algebra(alg).ok and not validate_module_algebra(ma).ok
+    ca = counit_coalgebra_action(trivial_module_coalgebra(h), ma)
+    with pytest.raises(NotClosed) as e:
+        convolution_algebra(ca)
+    assert str(e.value) == "unit eta.eps is not equivariant; inputs are inconsistent"
+
+def test_crossed_product_over_two_hopf_algebras_is_refused():
+    with pytest.raises(ValueError) as e:
+        crossed_product(swap_module_algebra(), self_comodule_algebra(sweedler_h4()))
+    assert str(e.value) == "crossed product requires one Hopf algebra on both sides"
+
+def test_crossed_product_of_a_non_action_is_refused():
+    # g acting on the swap algebra by doubling is no action (g.g.a = 4a, not
+    # a); with B = Q[Z/2] coacting by its coproduct, (1 >< g)(1 >< g)(a >< 1)
+    # = a >< 1 but (1 >< g)((1 >< g)(a >< 1)) = 4a >< 1
+    good = swap_module_algebra()
+    h, s = good.hopf, good.alg.space
+    double = StructureTensor((h.space, s), s, {(0, i): {i: 1} for i in range(s.dim)}
+                             | {(1, i): {i: 2} for i in range(s.dim)})
+    with pytest.raises(ValueError) as e:
+        crossed_product(ModuleAlgebra(h, good.alg, double), self_comodule_algebra(h))
+    assert str(e.value).startswith(
+        "crossed product failed to be associative/unital; inputs are inconsistent: ")
 
 def test_action_not_descended():
     # a non-associative product on span{e, g, x}: with K = span{g} the

@@ -306,14 +306,18 @@ def _set_line(k, new):
     (_set_line(2, "degree 1 dim two"), "complex dump lacks the dim of degree 1"),
     (_set_line(7, "2 0 1"), "complex dump block 'face 0 0' has entry '2 0 1'"),
     (lambda lines: lines[:8] + lines[7:], "complex dump block 'face 0 0' repeats an entry"),
-], ids=["no-N-top", "N-not-below-top", "no-dim", "entry-out-of-range", "repeated-entry"])
+    (lambda lines: lines[:8] + lines[9:], "complex dump lacks block 'face 0 1' of shape 2x1"),
+    (_set_line(7, "1 0"), "complex dump block 'face 0 0' has entry '1 0'"),
+    (_set_line(7, "1"), "complex dump block 'face 0 0' has entry '1'"),
+], ids=["no-N-top", "N-not-below-top", "no-dim", "entry-out-of-range", "repeated-entry",
+        "no-later-label", "two-fields", "one-field"])
 def test_resigned_dump_with_a_bad_layout_names_its_fault(edit, message):
     text = complex_to_text(_kz2_pair()[0], content_hash("fixture"))
     lines = text.splitlines()[1:]
-    # the edits address these lines: N/top, the dim of degree 1, and the
-    # block face 0 0 (2 x 1) with its one entry
+    # the edits address these lines: N/top, the dim of degree 1, the block
+    # face 0 0 (2 x 1) with its one entry, and the label of the next block
     assert lines[0] == "N 2 top 3" and lines[2] == "degree 1 dim 2"
-    assert lines[5:8] == ["face 0 0", "2 1", "1 0 1"]
+    assert lines[5:10] == ["face 0 0", "2 1", "1 0 1", "face 0 1", "2 1"]
     with pytest.raises(ValueError) as e:
         complex_from_text(_resigned(text, edit))
     assert str(e.value) == message

@@ -270,8 +270,11 @@ def test_aw_cup_rejects_non_cocycle():
         if bad:
             break
     assert bad is not None
+    x = cyclic_cocycles(ctx.x_complex(), 0)[0]
     with pytest.raises(NotACocycle):
-        aw_cup(ctx, bad, deg, cyclic_cocycles(ctx.x_complex(), 0)[0], 0)
+        aw_cup(ctx, bad, deg, x, 0)
+    # the same cup with both inputs closed goes through
+    assert aw_cup(ctx, cyclic_cocycles(ctx.alg.complex, 0)[0], 0, x, 0).b_closed
 
 def non_closed(cx):
     """The first basis vector of cx that b does not kill, with its degree."""
@@ -292,12 +295,16 @@ def non_closed(cx):
 def test_cups_reject_an_open_input_or_the_wrong_context(cup, make, sides, open_side, error):
     ctx = make()
     cxs = {"phi": ctx.phi_complex().complex, "x": ctx.x_complex()}
-    args = []
+    args, closed = [], []
     for k, side in enumerate(sides.split()):
         cx = cxs[side]
-        args += non_closed(cx) if k == open_side else (cyclic_cocycles(cx, 0)[0], 0)
+        closed += (cyclic_cocycles(cx, 0)[0], 0)
+        args += non_closed(cx) if k == open_side else closed[-2:]
     with pytest.raises(error):
         cup(ctx, *args)
+    if open_side is not None:
+        # the same cup with both inputs closed goes through
+        cup(ctx, *closed)
 
 def test_aw_cup_sigma_g_closed_but_not_cyclic_at_1_1():
     # twisted coefficients expose that the front/back-face cup is a chain map

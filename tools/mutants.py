@@ -43,6 +43,9 @@ INVERSE = "tests/test_linalg.py::test_invert_matrix_is_a_two_sided_inverse_or_no
 STREAMED = "tests/test_condition_systems.py::test_streamed_conditions_match_the_stacked_matrix_oracle"
 CONJUGATION = "tests/test_complexes.py::test_conjugation_certificate_names_the_broken_operator"
 CHAIN_MAP = "tests/test_cup.py::test_chain_map_certificate_names_the_failing_operator"
+CLI = "src/hopfcyclic/cli.py"
+TWO = "tests/test_two_processes.py::"
+OPEN_INPUT = "tests/test_cup.py::test_cups_reject_an_open_input_or_the_wrong_context"
 
 MUTANTS = [
     Mutant("lead-at-min", LINALG,
@@ -168,7 +171,11 @@ MUTANTS = [
            ["tests/test_certificates.py::test_cups_of_one_context_build_each_b_family_once",
             "tests/test_cup.py::test_aw_cup_sigma_g_closed_but_not_cyclic_at_1_1",
             "tests/test_cup.py::test_shuffle_cup_traces_closed_cyclic",
-            "tests/test_cup.py::test_cotrace_cup_general_pairs_closed"]),
+            "tests/test_cup.py::test_cotrace_cup_general_pairs_closed",
+            "tests/test_cup.py::test_aw_cup_rejects_non_cocycle",
+            OPEN_INPUT + "[aw-second]", OPEN_INPUT + "[shuffle-first]",
+            OPEN_INPUT + "[shuffle-second]", OPEN_INPUT + "[cotrace-first]",
+            OPEN_INPUT + "[cotrace-second]"]),
     Mutant("writer-unsorted", SPECFILE,
            "        for idx in sorted(got):",
            "        for idx in got:",
@@ -225,6 +232,21 @@ MUTANTS = [
            ["tests/test_cup.py::test_psi_r_unit_subhopf_equals_psi",
             "tests/test_reference_reports.py::test_report_matches_reference"
             "[cup kz4_relative.hcy --kind relative --p 0 --q 3]"]),
+    Mutant("merge-worker-after-parent", CLI,
+           "    for name in spec.complexes:\n        ident.merge(parts[name][0])\n",
+           "    for name in parts:\n        ident.merge(parts[name][0])\n",
+           [TWO + "test_the_merge_keeps_declaration_order_when_the_sides_interleave"]),
+    Mutant("failed-worker-groups-dropped", CLI,
+           "        if not all(name in theirs_done for name in group):\n",
+           "        if False:\n",
+           [TWO + "test_a_failing_worker_gives_the_serial_report[%s]" % how
+            for how in ("exits-non-zero", "garbage-reply", "killed", "raises-in-a-group",
+                        "wrong-shape")]),
+    Mutant("coalgebra-split-from-hopf", CLI,
+           "            held[1].append(name)\n            held = None\n            continue\n",
+           "            held = None\n",
+           [TWO + "test_a_coalgebra_complex_stays_with_the_hopf_complex_that_feeds_it[%s]" % k
+            for k in ("h4", "kz2", "kz2-quotient-replaced")]),
 ]
 
 # "FAILED <id> - <reason>" / "ERROR <id>" lines of pytest's short summary
