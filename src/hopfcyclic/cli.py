@@ -10,6 +10,7 @@ certificate or validation failed, 2 input error.
 from __future__ import annotations
 
 import argparse
+import marshal
 import os
 import random
 import sys
@@ -348,10 +349,13 @@ def _complex_part(spec, spec_text, name, flags, quotients, identities, cohomolog
 
 # The least share (SpecFile.top_ambient summed over the worker's groups)
 # that pays for a worker process.  Measured on a 2-core VM with Python 3.11:
-# the worker takes 0.10 s to start, and an h4 complex takes 0.06-0.14 s to
-# build at N=3, where its top ambient is 4^5 = 1,024, and 0.29-0.71 s at N=4
-# (4,096).  The worker's share of kz2 at N=4 (192) and of h4 at N=2 (512)
-# stays below it.
+# forking, replying and reaping take 3 ms, and an h4 complex takes 0.07-0.15 s
+# to build and certify at N=3, where its top ambient is 4^5 = 1,024, and
+# 0.3-0.7 s at N=4 (4,096).  Below it the worker saves at most 20 ms a run
+# (h4 at N=2, share 512: 0.151 -> 0.131 s; kz2 at N=4, share 192: 0.167 ->
+# 0.154 s), while the two processes together hold more memory than one
+# (h4 at N=4: 21 MB resident for one, 38 MB for both), so such runs keep
+# one process.
 WORKER_MIN_AMBIENT = 1024
 
 
@@ -409,31 +413,60 @@ def _run_group(spec, spec_text, group, flags, identities, cohomology, parts, rai
             return
 
 
-def _worker_argv():
-    """The worker process: this interpreter on this copy of the package,
-    isolated from the environment and without site, which the package does
-    not need (about 30 ms less to start)."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    return [sys.executable, "-I", "-S", "-c",
-            "import sys; sys.path.insert(0, %r); import hopfcyclic.cli as cli; cli._serve()" % src]
+def _worker_reply(spec, spec_text, groups, flags, identities, cohomology):
+    """The worker's share, run in the forked child: the parts of its groups'
+    complexes, marshalled as {name: [identities lines, failed, cohomology
+    lines, failed]}.  A complex whose group raised is missing, and the
+    parent runs that group again."""
+    parts = {}
+    for group in groups:
+        _run_group(spec, spec_text, group, flags, identities, cohomology, parts, [])
+    return marshal.dumps({name: [i.lines, i.failed, c.lines, c.failed]
+                          for name, (i, c) in parts.items()})
 
 
-def _serve():
-    """The worker's side: one JSON request on stdin (the spec text, the
-    groups, the degree bound, --no-cache and the kinds of section wanted),
-    one JSON reply on stdout: [identities lines, failed, cohomology lines,
-    failed] per complex.  A complex that raises is missing from the reply,
-    and the parent runs its group again."""
-    import json
-    request = json.load(sys.stdin)
-    spec_text = request["spec_text"]
-    flags = argparse.Namespace(max_degree=request["max_degree"], no_cache=request["no_cache"])
-    spec, parts = parse_spec(spec_text), {}
-    for group in request["groups"]:
-        _run_group(spec, spec_text, group, flags, request["identities"], request["cohomology"],
-                   parts, [])
-    json.dump({name: [i.lines, i.failed, c.lines, c.failed] for name, (i, c) in parts.items()},
-              sys.stdout)
+def _terminated(signum, frame):
+    raise SystemExit(1)     # so that a cache write in progress removes its temporary file
+
+
+def _fork_worker(work):
+    """(pid, read end of its pipe) of a forked child that writes the bytes
+    of work() to the pipe and leaves by os._exit: status 0 when it wrote
+    them, 1 when work raised or SIGTERM stopped it.  The child ignores
+    SIGINT (the parent stops it) and never returns from here, so nothing of
+    the parent's runs twice."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, r
+    status = 1
+    try:
+        import signal
+        os.close(r)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, _terminated)
+        reply = work()
+        # from here a SIGTERM ends the child at once; a pending one is dropped
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        with open(w, "wb") as out:
+            out.write(reply)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _stop(pid):
+    """Stop the worker by SIGTERM, after which a cache write in progress
+    removes its temporary file, and reap it."""
+    import signal
+    os.kill(pid, signal.SIGTERM)
+    os.waitpid(pid, 0)
 
 
 def _headless(lines, failed):
@@ -452,17 +485,17 @@ def _worker_failed(reason):
 
 
 def _parts_on_two_processes(spec, spec_text, flags, identities, cohomology):
-    """The parts of every declared complex, computed here and on one worker
-    process, or None when a worker would not pay: fewer than two usable
-    CPUs, fewer than two groups to build (an entry is absent, or
-    --no-cache), or a worker share below WORKER_MIN_AMBIENT.
+    """The parts of every declared complex, computed here and in one forked
+    worker process, or None when a worker would not pay: fewer than two
+    usable CPUs or no os.fork, fewer than two groups to build (an entry is
+    absent, or --no-cache), or a worker share below WORKER_MIN_AMBIENT.
 
     A worker that cannot start, fails, dies or sends a reply that does not
     parse costs one line on stderr: its groups are run here.  An exception
     that escapes a complex on either side escapes here, that of the first
     such complex in declaration order; if this process raises otherwise,
-    the worker is killed and reaped."""
-    if _usable_cpus() < 2:
+    the worker is stopped and reaped."""
+    if _usable_cpus() < 2 or not hasattr(os, "fork"):
         return None
     N = flags.max_degree
     groups = _groups(spec)
@@ -474,41 +507,30 @@ def _parts_on_two_processes(spec, spec_text, flags, identities, cohomology):
     mine, theirs, their_load = _deal(groups, weights)
     if their_load < WORKER_MIN_AMBIENT:
         return None
-    import contextlib
-    import json
-    import subprocess
-    request = json.dumps({"spec_text": spec_text, "groups": theirs, "max_degree": N,
-                          "no_cache": flags.no_cache, "identities": identities,
-                          "cohomology": cohomology})
     parts, raised = {}, []
     try:
-        worker = subprocess.Popen(_worker_argv(), stdin=subprocess.PIPE,
-                                  stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+        pid, fd = _fork_worker(lambda: _worker_reply(spec, spec_text, theirs, flags,
+                                                    identities, cohomology))
     except OSError as e:
         _worker_failed(e)
         return None
+    status = None
     try:
-        # a worker that is gone already leaves no reply, which is handled below
-        with contextlib.suppress(BrokenPipeError):
-            worker.stdin.write(request.encode())
-        with contextlib.suppress(BrokenPipeError):
-            worker.stdin.close()
-        for group in mine:
-            _run_group(spec, spec_text, group, flags, identities, cohomology, parts, raised)
-        reply = worker.stdout.read()
-        worker.wait()
+        with open(fd, "rb") as reader:
+            for group in mine:
+                _run_group(spec, spec_text, group, flags, identities, cohomology, parts, raised)
+            reply = reader.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     finally:
-        if worker.returncode is None:
-            worker.kill()
-            worker.wait()
-        worker.stdout.close()
+        if status is None:
+            _stop(pid)
     try:
-        if worker.returncode != 0:
-            raise ValueError("exit status %d" % worker.returncode)
-        got = json.loads(reply)
+        if status != 0:
+            raise ValueError("exit status %d" % status)
+        got = marshal.loads(reply)
         theirs_done = {name: (_headless(*got[name][:2]), _headless(*got[name][2:]))
                        for g in theirs for name in g if name in got}
-    except (ValueError, TypeError) as e:
+    except (ValueError, TypeError, EOFError) as e:
         _worker_failed(e)
         theirs_done = {}
     parts.update(theirs_done)

@@ -3,20 +3,18 @@ deal, and a report, exit code and cache that are those of the serial run,
 also when the worker fails or either side raises.  The path is chosen by
 patching the usable CPU count in-process; no option selects it."""
 
+import marshal
 import os
 import signal
-import subprocess
-import sys
+import time
 
 import pytest
 
-import hopfcyclic
 import hopfcyclic.cli as cli
 from hopfcyclic.cli import main
 from hopfcyclic.fixtures import fixture_file_texts
 from hopfcyclic.specfile import parse_spec
 
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(hopfcyclic.__file__)))
 H4_COMPLEXES = ("complex hopf_taft = hopf(H, taft)\ncomplex coalg_taft = coalgebra(H, taft)\n"
                 "complex alg_taft = algebra(H, taft)\ncomplex comod_taft = comodule(B, taft)\n")
 
@@ -61,18 +59,18 @@ class Side:
         self.cpus = cpus
         self.monkeypatch = monkeypatch
         self.workers = 0
-        real = cli._worker_argv
+        real = cli._fork_worker
 
-        def counted():
+        def counted(work):
             self.workers += 1
-            return real()
-        self.argv = counted
+            return real(work)
+        self.fork = counted
 
     def run(self, capsys, *argv):
         with self.monkeypatch.context() as m:
             m.chdir(self.dir)
             m.setattr(cli, "_usable_cpus", lambda: self.cpus)
-            m.setattr(cli, "_worker_argv", self.argv)
+            m.setattr(cli, "_fork_worker", self.fork)
             code = main([argv[0], "in.hcy"] + list(argv[1:]))
         out, err = capsys.readouterr()
         return code, out, err, cache_bytes(self.dir)
@@ -153,9 +151,9 @@ def test_a_worker_is_started_only_where_it_pays(tmp_path, monkeypatch, capsys,
     if warm:
         assert side.run(capsys, *args)[0] == 0
 
-    def refuse():
+    def refuse(work):
         raise Started()
-    side.argv, side.cpus = refuse, 2
+    side.fork, side.cpus = refuse, 2
     if started:
         with pytest.raises(Started):
             side.run(capsys, *args)
@@ -212,44 +210,67 @@ def test_the_merge_keeps_declaration_order_when_the_sides_interleave(
 
 # -- failures ----------------------------------------------------------------------
 
-def worker_code(prelude):
-    return ("import sys\nsys.path.insert(0, %r)\nimport hopfcyclic.cli as cli\n%s\ncli._serve()\n"
-            % (SRC, prelude))
+def raising(names, only_in=None):
+    """A _complex_part that raises for the named complexes, in the process
+    only_in if given (a forked worker inherits the patch)."""
+    real = cli._complex_part
+
+    def part(spec, spec_text, name, *rest):
+        if name in names and only_in in (None, os.getpid()):
+            raise RuntimeError("boom " + name)
+        return real(spec, spec_text, name, *rest)
+    return part
 
 
-def raising(names):
-    """Code that makes _complex_part raise for the named complexes."""
-    return ("real = cli._complex_part\n"
-            "def part(spec, spec_text, name, *rest):\n"
-            "    if name in %r:\n"
-            "        raise RuntimeError('boom ' + name)\n"
-            "    return real(spec, spec_text, name, *rest)\n"
-            "cli._complex_part = part\n" % (set(names),))
+def raises_in_a_group(*args):
+    cli._complex_part = raising({"comod_taft"})      # in the worker only
+    return REAL_REPLY(*args)
 
 
-def python(code):
-    return [sys.executable, "-c", code]
+def killed(*args):
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
+def exits(*args):
+    raise SystemExit(3)
+
+
+REAL_REPLY = cli._worker_reply
 FAILING_WORKERS = {
-    "cannot-start": [os.path.join(SRC, "no-such-interpreter")],
-    "exits-non-zero": python("import sys; sys.exit(3)"),
-    "killed": python("import os, signal; os.kill(os.getpid(), signal.SIGKILL)"),
-    "garbage-reply": python("import sys; sys.stdin.read(); sys.stdout.write('{\"alg_taft\": [')"),
-    "wrong-shape": python("import sys; sys.stdin.read(); sys.stdout.write('{\"alg_taft\": [1, 2]}')"),
-    "raises-in-a-group": python(worker_code(raising(["comod_taft"]))),
+    "exits-non-zero": exits,
+    "killed": killed,
+    "garbage-reply": lambda *args: b"\x00 not marshal data",
+    "truncated-reply": lambda *args: REAL_REPLY(*args)[:-20],
+    "wrong-shape": lambda *args: marshal.dumps({"alg_taft": [1, 2]}),
+    "raises-in-a-group": raises_in_a_group,
 }
 
 
-@pytest.mark.parametrize("how", sorted(FAILING_WORKERS))
+def no_fork():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.mark.parametrize("how", sorted(FAILING_WORKERS) + ["cannot-start"])
 def test_a_failing_worker_gives_the_serial_report(tmp_path, monkeypatch, capsys, how):
     text = h4_text()
     serial = Side(tmp_path, "serial", text, 1, monkeypatch)
     split = Side(tmp_path, "split", text, 2, monkeypatch)
-    split.argv = lambda: FAILING_WORKERS[how]
     expected = serial.run(capsys, "audit", "--max-degree", "3")
-    code, out, err, cache = split.run(capsys, "audit", "--max-degree", "3")
+    fds = open_fds()
+    with monkeypatch.context() as m:
+        if how == "cannot-start":
+            m.setattr(os, "fork", no_fork)
+        else:
+            m.setattr(cli, "_worker_reply", FAILING_WORKERS[how])
+        code, out, err, cache = split.run(capsys, "audit", "--max-degree", "3")
     assert (code, out, cache) == expected[:2] + expected[3:]
+    assert split.workers == 1
+    assert open_fds() == fds
+    assert no_child_left()
     if how == "raises-in-a-group":
         # the group is run again here, and raises nothing here
         assert err == ""
@@ -265,28 +286,23 @@ def no_child_left():
     return True
 
 
-@pytest.mark.parametrize("order,parent_raises,worker_raises,first", [
-    (None, ["hopf_taft"], [], "hopf_taft"),
-    # the worker's alg_taft is declared before this process's hopf_taft
-    (["alg_taft", "comod_taft", "hopf_taft", "coalg_taft"], ["alg_taft", "hopf_taft"],
-     ["alg_taft"], "alg_taft"),
+@pytest.mark.parametrize("order,raises,first", [
+    (None, {"hopf_taft"}, "hopf_taft"),
+    # the worker's alg_taft is declared before this process's hopf_taft; the
+    # worker leaves it out of its reply and this process runs it again
+    (["alg_taft", "comod_taft", "hopf_taft", "coalg_taft"], {"alg_taft", "hopf_taft"},
+     "alg_taft"),
 ], ids=["this-process", "worker-first"])
 def test_an_escaping_exception_is_that_of_the_first_complex(
-        tmp_path, monkeypatch, capsys, order, parent_raises, worker_raises, first):
+        tmp_path, monkeypatch, capsys, order, raises, first):
     text = h4_text(order)
-    real = cli._complex_part
-
-    def part(spec, spec_text, name, *rest):
-        if name in parent_raises:
-            raise RuntimeError("boom " + name)
-        return real(spec, spec_text, name, *rest)
-    monkeypatch.setattr(cli, "_complex_part", part)
+    monkeypatch.setattr(cli, "_complex_part", raising(raises))
     for cpus in (1, 2):
         side = Side(tmp_path, "cpus-%d" % cpus, text, cpus, monkeypatch)
-        side.argv = lambda: python(worker_code(raising(worker_raises)))
         with pytest.raises(RuntimeError) as e:
             side.run(capsys, "audit", "--max-degree", "3")
         assert str(e.value) == "boom " + first
+        assert side.workers == cpus - 1
         assert no_child_left()
 
 
@@ -294,22 +310,38 @@ class Interrupt(BaseException):
     pass
 
 
-def test_a_parent_that_raises_kills_and_reaps_its_worker(tmp_path, monkeypatch, capsys):
-    started = []
-    real_popen = subprocess.Popen
+def test_a_parent_that_raises_stops_and_reaps_its_worker(tmp_path, monkeypatch, capsys):
+    side = Side(tmp_path, "split", h4_text(), 2, monkeypatch)
+    parent, writing = os.getpid(), tmp_path / "writing"
+    real_text, real_part, real_waitpid = cli.complex_to_text, cli._complex_part, os.waitpid
+    statuses = []
 
-    def popen(*args, **kwargs):
-        started.append(real_popen(*args, **kwargs))
-        return started[-1]
+    def slow_text(cx, key):
+        if os.getpid() != parent:      # the worker stops inside its first cache write
+            writing.touch()
+            time.sleep(60)
+        return real_text(cx, key)
 
     def interrupted(*args):
+        if os.getpid() != parent:
+            return real_part(*args)
+        while not writing.exists():
+            time.sleep(0.01)
         raise Interrupt()
-    monkeypatch.setattr(subprocess, "Popen", popen)
+
+    def waitpid(pid, options):
+        got = real_waitpid(pid, options)
+        if got[0]:
+            statuses.append(os.waitstatus_to_exitcode(got[1]))
+        return got
+    monkeypatch.setattr(cli, "complex_to_text", slow_text)
     monkeypatch.setattr(cli, "_complex_part", interrupted)
-    side = Side(tmp_path, "split", h4_text(), 2, monkeypatch)
+    monkeypatch.setattr(os, "waitpid", waitpid)
     with pytest.raises(Interrupt):
         side.run(capsys, "audit", "--max-degree", "4")
-    assert len(started) == 1
-    # killed while it worked on its share, and reaped
-    assert started[0].returncode == -signal.SIGKILL
+    assert side.workers == 1
+    # SIGTERM stopped it with status 1 (not SIGKILL), and reaped
+    assert statuses == [1]
     assert no_child_left()
+    # its cache write removed its temporary file on the way out
+    assert [p.name for p in (side.dir / cli.CACHE_DIR).iterdir()] == []

@@ -241,12 +241,16 @@ MUTANTS = [
            "        if False:\n",
            [TWO + "test_a_failing_worker_gives_the_serial_report[%s]" % how
             for how in ("exits-non-zero", "garbage-reply", "killed", "raises-in-a-group",
-                        "wrong-shape")]),
+                        "truncated-reply", "wrong-shape")]),
     Mutant("coalgebra-split-from-hopf", CLI,
            "            held[1].append(name)\n            held = None\n            continue\n",
            "            held = None\n",
            [TWO + "test_a_coalgebra_complex_stays_with_the_hopf_complex_that_feeds_it[%s]" % k
             for k in ("h4", "kz2", "kz2-quotient-replaced")]),
+    Mutant("worker-stopped-without-clean-up", CLI,
+           "    os.kill(pid, signal.SIGTERM)\n",
+           "    os.kill(pid, signal.SIGKILL)\n",
+           [TWO + "test_a_parent_that_raises_stops_and_reaps_its_worker"]),
 ]
 
 # "FAILED <id> - <reason>" / "ERROR <id>" lines of pytest's short summary
