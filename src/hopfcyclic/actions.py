@@ -476,12 +476,11 @@ class ConvolutionAlgebra:
     basis) expresses arbitrary H-linear maps over the basis.
     """
 
-    def __init__(self, algebra, maps, reader, cdim, adim):
+    def __init__(self, algebra, maps, reader, cdim):
         self.algebra = algebra
         self.maps = maps
         self.reader = reader
         self.cdim = cdim
-        self.adim = adim
 
     def flatten(self, matrix):
         return {ia * self.cdim + ic: x for (ia, ic), x in matrix.entries.items()}
@@ -537,4 +536,4 @@ def convolution_algebra(ca: CoalgebraAction) -> ConvolutionAlgebra:
         raise NotClosed("unit eta.eps is not equivariant; inputs are inconsistent")
     mul = StructureTensor((space, space), space, ent)
     alg = AlgebraData(space, mul, unit)
-    return ConvolutionAlgebra(alg, maps, reader, c, a)
+    return ConvolutionAlgebra(alg, maps, reader, c)

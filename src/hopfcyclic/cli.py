@@ -18,7 +18,7 @@ import tempfile
 
 from . import __version__
 from .linalg import SparseMatrix, SpanSolver, image_rank, kernel_basis, vector_to_text
-from .specfile import parse_spec, ParseError, UnresolvedName, DimensionMismatch
+from .specfile import parse_spec, InputError
 from .hopf import validate_hopf, validate_modular_pair, involution_flags
 from .actions import (validate_module_algebra, validate_module_coalgebra,
                       validate_comodule_algebra, validate_sayd,
@@ -105,9 +105,10 @@ def _cache_entry(spec, spec_text, name, N, cache_dir=CACHE_DIR):
 
 def build_declared_complex(spec, spec_text, name, N, no_cache=False, cache_dir=CACHE_DIR,
                            quotients=None):
-    """(complex, "cached" or "built").  quotients, when given, is the run's
-    QuotientSlot: a hopf build leaves its coinvariant quotient there and a
-    coalgebra build of the same structure takes it instead of rebuilding."""
+    """(complex, "cached" or "built").  quotients, when given, is a list
+    that a group of _groups passes along: a hopf build appends its
+    coinvariant quotient, and the coalgebra build after it takes that in
+    place of building it."""
     kind, args = spec.complexes[name]
     key, path = _cache_entry(spec, spec_text, name, N, cache_dir)
     if not no_cache:
@@ -120,13 +121,13 @@ def build_declared_complex(spec, spec_text, name, N, no_cache=False, cache_dir=C
         hd = build_hopf_complex(mp, N)
         cx = hd.power
         if quotients is not None:
-            quotients.keep(mp, hd.quot.complex)
+            quotients.append(hd.quot.complex)
         del hd      # the quotient spaces and the isomorphism are not needed
     elif kind == "coalgebra":
-        mc = spec.module_coalgebras[args[0]]
-        cx = quotients.take(mc, sayd, N) if quotients is not None else None
-        if cx is None:
-            cx = build_coalgebra_complex(mc, sayd, N).complex
+        if quotients:
+            cx = quotients.pop()
+        else:
+            cx = build_coalgebra_complex(spec.module_coalgebras[args[0]], sayd, N).complex
     elif kind == "algebra":
         cx = build_algebra_complex(spec.module_algebras[args[0]], sayd, N).complex
     else:
@@ -168,40 +169,18 @@ def _same_hopf(a, b):
             and a.coalg.counit == b.coalg.counit and a.antipode == b.antipode)
 
 
-class QuotientSlot:
-    """At most one coinvariant-quotient complex of H over itself, left by a
-    hopf(H, M) build for a later coalgebra(H, M) of the same run.  A take
-    releases it and a later keep replaces it."""
-
-    def __init__(self):
-        self.mp = self.complex = None
-
-    def keep(self, mp, complex):
-        self.mp, self.complex = mp, complex
-
-    def take(self, mc, sayd, N):
-        """The held complex when coalgebra(mc, sayd) at degree N is it;
-        else None."""
-        cx = self.complex
-        if cx is None or cx.N != N or not self.fits(self.mp, mc, sayd):
-            return None
-        self.mp = self.complex = None
-        return cx
-
-    @staticmethod
-    def fits(mp, mc, sayd):
-        """Whether coalgebra(mc, sayd) is the coinvariant quotient of
-        hopf(H, mp), by structure tables: H acting on itself by left
-        multiplication over its own coalgebra, with the coefficients
-        mpi(mp)."""
-        h = mp.hopf
-        coeff = mpi_coefficients(mp)
-        return (_same_hopf(mc.hopf, h)
-                and _tables(mc.coalg.comul) == _tables(h.coalg.comul)
-                and mc.coalg.counit == h.coalg.counit
-                and _tables(mc.action) == _tables(h.alg.mul)
-                and _tables(sayd.raction) == _tables(coeff.raction)
-                and _tables(sayd.lcoaction) == _tables(coeff.lcoaction))
+def _is_hopf_quotient(mp, mc, sayd):
+    """Whether coalgebra(mc, sayd) is the coinvariant quotient of hopf(H, mp),
+    by structure tables: H acting on itself by left multiplication over its
+    own coalgebra, with the coefficients mpi(mp)."""
+    h = mp.hopf
+    coeff = mpi_coefficients(mp)
+    return (_same_hopf(mc.hopf, h)
+            and _tables(mc.coalg.comul) == _tables(h.coalg.comul)
+            and mc.coalg.counit == h.coalg.counit
+            and _tables(mc.action) == _tables(h.alg.mul)
+            and _tables(sayd.raction) == _tables(coeff.raction)
+            and _tables(sayd.lcoaction) == _tables(coeff.lcoaction))
 
 
 def _get_declared_complex(spec, spec_text, name, flags, quotients):
@@ -291,18 +270,11 @@ def cmd_cohomology(spec, spec_text, rep, flags):
 def _complex_sections(spec, spec_text, rep, flags, identities, cohomology):
     """The identities sections, then the cohomology sections, of every
     declared complex: each complex is got once, certified once and dropped
-    before the next.  A complex's sections are buffered in its two parts,
-    merged in declaration order, so that each kind keeps its place in the
-    report; a kind not asked for is not computed beyond the shared
-    certificates, and its buffer is dropped.  On two or more CPUs a cold
-    run may share the complexes with a worker process
-    (_parts_on_two_processes); the report is the same."""
-    parts = _parts_on_two_processes(spec, spec_text, flags, identities, cohomology)
-    if parts is None:
-        quotients = QuotientSlot()
-        parts = {name: _complex_part(spec, spec_text, name, flags, quotients,
-                                     identities, cohomology)
-                 for name in spec.complexes}
+    before the next.  A complex's sections are buffered in its two parts
+    (_run_groups), merged in declaration order, so that each kind keeps its
+    place in the report; a kind not asked for is not computed beyond the
+    shared certificates, and its buffer is dropped."""
+    parts = _run_groups(spec, spec_text, flags, identities, cohomology)
     ident, cohom = Report(), Report()
     for name in spec.complexes:
         ident.merge(parts[name][0])
@@ -345,7 +317,7 @@ def _complex_part(spec, spec_text, name, flags, quotients, identities, cohomolog
 
 
 # ---------------------------------------------------------------------------
-# the declared complexes on two processes
+# the declared complexes in groups, some of them on a worker process
 
 # The least share (SpecFile.top_ambient summed over the worker's groups)
 # that pays for a worker process.  Measured on a 2-core VM with Python 3.11:
@@ -367,15 +339,16 @@ def _usable_cpus():
 
 
 def _groups(spec):
-    """The declared complexes in groups that can run apart, each in
-    declaration order.  A coalgebra complex joins the group of the hopf
-    complex whose coinvariant quotient QuotientSlot would hand it in a
-    serial run (the last hopf complex before it, if not taken and if it
-    fits); every other complex is a group of its own."""
-    groups, held = [], None        # held: (pair, group) of the slot's hopf complex
+    """The declared complexes in groups that run apart, each in declaration
+    order.  A coalgebra complex joins the group of the last hopf complex
+    before it when it is that complex's coinvariant quotient
+    (_is_hopf_quotient) and no coalgebra complex joined it first: the group
+    hands it the quotient that the hopf build left.  Every other complex is
+    a group of its own."""
+    groups, held = [], None        # held: (pair, group) of a hopf complex no coalgebra joined
     for name, (kind, args) in spec.complexes.items():
         if (kind == "coalgebra" and held is not None
-                and QuotientSlot.fits(held[0], spec.module_coalgebras[args[0]],
+                and _is_hopf_quotient(held[0], spec.module_coalgebras[args[0]],
                                       spec.coefficients[args[-1]])):
             held[1].append(name)
             held = None
@@ -399,11 +372,30 @@ def _deal(groups, weights):
             [g for k, g in enumerate(groups) if side[k] == 1], load[1])
 
 
+def _worker_share(spec, spec_text, flags, groups):
+    """(this process's groups, the worker's groups).  The worker's share is
+    empty, and no worker is forked, on fewer than two usable CPUs or without
+    os.fork, when fewer than two groups are to be built (an entry is absent,
+    or --no-cache), or when the share dealt to it is below
+    WORKER_MIN_AMBIENT."""
+    if _usable_cpus() < 2 or not hasattr(os, "fork"):
+        return groups, []
+    N = flags.max_degree
+    to_build = [g for g in groups if flags.no_cache or not all(
+        os.path.exists(_cache_entry(spec, spec_text, name, N)[1]) for name in g)]
+    if len(to_build) < 2:
+        return groups, []
+    weights = [sum(spec.top_ambient(name, N) for name in g) for g in groups]
+    mine, theirs, their_load = _deal(groups, weights)
+    return (mine, theirs) if their_load >= WORKER_MIN_AMBIENT else (groups, [])
+
+
 def _run_group(spec, spec_text, group, flags, identities, cohomology, parts, raised):
-    """Add the parts of a group's complexes to parts, in order, sharing one
-    QuotientSlot.  An exception that escapes a complex ends its group and
-    is appended to raised with the complex's name."""
-    quotients = QuotientSlot()
+    """Add the parts of a group's complexes to parts, in order; a hopf build
+    hands its coinvariant quotient to the coalgebra complex after it.  An
+    exception that escapes a complex ends its group and is appended to
+    raised with the complex's name."""
+    quotients = []
     for name in group:
         try:
             parts[name] = _complex_part(spec, spec_text, name, flags, quotients,
@@ -484,41 +476,22 @@ def _worker_failed(reason):
                      "its complexes were computed here\n" % reason)
 
 
-def _parts_on_two_processes(spec, spec_text, flags, identities, cohomology):
-    """The parts of every declared complex, computed here and in one forked
-    worker process, or None when a worker would not pay: fewer than two
-    usable CPUs or no os.fork, fewer than two groups to build (an entry is
-    absent, or --no-cache), or a worker share below WORKER_MIN_AMBIENT.
-
-    A worker that cannot start, fails, dies or sends a reply that does not
-    parse costs one line on stderr: its groups are run here.  An exception
-    that escapes a complex on either side escapes here, that of the first
-    such complex in declaration order; if this process raises otherwise,
-    the worker is stopped and reaped."""
-    if _usable_cpus() < 2 or not hasattr(os, "fork"):
-        return None
-    N = flags.max_degree
-    groups = _groups(spec)
-    to_build = [g for g in groups if flags.no_cache or not all(
-        os.path.exists(_cache_entry(spec, spec_text, name, N)[1]) for name in g)]
-    if len(to_build) < 2:
-        return None
-    weights = [sum(spec.top_ambient(name, N) for name in g) for g in groups]
-    mine, theirs, their_load = _deal(groups, weights)
-    if their_load < WORKER_MIN_AMBIENT:
-        return None
-    parts, raised = {}, []
+def _beside_worker(here, work, groups):
+    """Run here() in this process beside a forked worker that computes
+    work(), and return the parts that the worker sent for the complexes of
+    groups.  A worker that cannot start, fails, dies or sends a reply that
+    does not parse costs one line on stderr and gives no parts.  If here()
+    raises, the worker is stopped and reaped."""
     try:
-        pid, fd = _fork_worker(lambda: _worker_reply(spec, spec_text, theirs, flags,
-                                                    identities, cohomology))
+        pid, fd = _fork_worker(work)
     except OSError as e:
         _worker_failed(e)
-        return None
+        here()
+        return {}
     status = None
     try:
         with open(fd, "rb") as reader:
-            for group in mine:
-                _run_group(spec, spec_text, group, flags, identities, cohomology, parts, raised)
+            here()
             reply = reader.read()
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     finally:
@@ -528,15 +501,37 @@ def _parts_on_two_processes(spec, spec_text, flags, identities, cohomology):
         if status != 0:
             raise ValueError("exit status %d" % status)
         got = marshal.loads(reply)
-        theirs_done = {name: (_headless(*got[name][:2]), _headless(*got[name][2:]))
-                       for g in theirs for name in g if name in got}
+        return {name: (_headless(*got[name][:2]), _headless(*got[name][2:]))
+                for g in groups for name in g if name in got}
     except (ValueError, TypeError, EOFError) as e:
         _worker_failed(e)
-        theirs_done = {}
+        return {}
+
+
+def _run_groups(spec, spec_text, flags, identities, cohomology):
+    """{name: (identities part, cohomology part)} of every declared complex,
+    run group by group (_groups): the worker's share (_worker_share) in a
+    forked worker process, the rest here, and whatever the worker did not
+    send here after it.  An exception that escapes a complex ends its group,
+    and the other groups still run; then the exception of the first such
+    complex in declaration order escapes."""
+    parts, raised = {}, []
+
+    def run(groups):
+        for group in groups:
+            _run_group(spec, spec_text, group, flags, identities, cohomology, parts, raised)
+
+    mine, theirs = _worker_share(spec, spec_text, flags, _groups(spec))
+    theirs_done = {}
+    if theirs:
+        theirs_done = _beside_worker(lambda: run(mine), lambda: _worker_reply(
+            spec, spec_text, theirs, flags, identities, cohomology), theirs)
+    else:
+        run(mine)
     parts.update(theirs_done)
     for group in theirs:
         if not all(name in theirs_done for name in group):
-            _run_group(spec, spec_text, group, flags, identities, cohomology, parts, raised)
+            run([group])
     if raised:
         order = list(spec.complexes)
         raise min(raised, key=lambda r: order.index(r[0]))[1]
@@ -779,7 +774,7 @@ def main(argv=None):
     try:
         spec_text_raw = _load(flags.file)
         spec = parse_spec(spec_text_raw)
-    except (ParseError, UnresolvedName, DimensionMismatch, Failure) as e:
+    except (InputError, Failure) as e:
         sys.stderr.write("input error: %s\n" % e)
         return 2
 

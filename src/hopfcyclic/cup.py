@@ -32,7 +32,7 @@ from math import prod
 from .linalg import (SparseMatrix, KernelCoords, compose, first_residual, matrix_terms,
                      tensor_kron, scal, vec_acc, vec_axpy, vec_sub, mul_vec, push_slots,
                      contract)
-from .spaces import MultiIndex, StructureTensor
+from .spaces import MultiIndex
 from .hopf import ModularPair, ValidationReport, iterated_coproduct, swap_matrix
 from .actions import (CoalgebraAction, SAYDModule, convolution_algebra,
                       invariant_subalgebra, relative_coalgebra, crossed_product,
@@ -222,7 +222,6 @@ class CoalgebraCupContext(_CupContext):
                         validate_coalgebra_action(ca),
                         validate_sayd(sayd)])
         self.ca = ca
-        self.sayd = sayd
         self.N = N
         self.hopf = ca.hopf
         self.alg = build_algebra_complex(ca.ma, sayd, N)
@@ -304,7 +303,6 @@ class RelativeCupContext(_CupContext):
                         validate_subhopf(k)])
         self.ma = ma
         self.k = k
-        self.sayd = sayd
         self.N = N
         self.hopf = ma.hopf
         self.inv_alg, self.inclusion = invariant_subalgebra(ma, k)
@@ -333,19 +331,13 @@ class RelativeCupContext(_CupContext):
         # invariant_subalgebra took from kernel_of_rows
         inv_coords = KernelCoords(inc_cols)
         self.class_act_in_A = {}    # (class, invariant) -> sparse A vector
-        ent = {}
         for j, hh in enumerate(self.class_reps):
             for a in range(akdim):
                 out = self.ma.action.apply({hh: 1}, inc_cols[a])
                 self.class_act_in_A[(j, a)] = out
-                coords = inv_coords.solve(out)
-                if coords is None:
+                if inv_coords.solve(out) is None:
                     raise ActionNotDescended("relative action leaves the invariant subalgebra: "
                                              "class %d on invariant %d" % (j, a))
-                if coords:
-                    ent[(j, a)] = coords
-        self.class_action = StructureTensor((self.relc.space, self.inv_alg.space),
-                                            self.inv_alg.space, ent)
 
     def psi_r_matrices(self):
         return self._certify_once("relative pairing", self.ak_cx, lambda: _quotient_pairing(
@@ -367,7 +359,6 @@ class CrossedCupContext(_CupContext):
                         validate_sayd(sayd)])
         self.ma = ma
         self.ba = ba
-        self.sayd = sayd
         self.N = N
         self.hopf = ma.hopf
         self.alg = build_algebra_complex(ma, sayd, N)

@@ -42,9 +42,6 @@ class ShufflePermutation:
                     inv += 1
         self.sign = -1 if inv % 2 else 1
 
-    def __call__(self, i):
-        return self.values[i - 1]
-
     def first_block(self):
         return self.values[:self.q]
 

@@ -40,22 +40,24 @@ from .actions import (ModuleAlgebra, ModuleCoalgebra, ComoduleAlgebra, SAYDModul
                       CoalgebraAction, SubHopf, mpi_coefficients)
 
 
-class ParseError(Exception):
+class InputError(Exception):
+    """An input that cannot be read, with the line at fault when known."""
+
     def __init__(self, msg, line_no=None):
         super().__init__("line %s: %s" % (line_no, msg) if line_no else msg)
         self.line_no = line_no
 
 
-class UnresolvedName(Exception):
-    def __init__(self, msg, line_no=None):
-        super().__init__("line %s: %s" % (line_no, msg) if line_no else msg)
-        self.line_no = line_no
+class ParseError(InputError):
+    pass
 
 
-class DimensionMismatch(Exception):
-    def __init__(self, msg, line_no=None):
-        super().__init__("line %s: %s" % (line_no, msg) if line_no else msg)
-        self.line_no = line_no
+class UnresolvedName(InputError):
+    pass
+
+
+class DimensionMismatch(InputError):
+    pass
 
 
 # The structure lines of each block kind, in the order they are written:

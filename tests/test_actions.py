@@ -4,8 +4,9 @@ import pytest
 
 from hopfcyclic.linalg import SparseMatrix, compose, tensor_kron
 from hopfcyclic.spaces import BasedSpace, StructureTensor, tensor_space
-from hopfcyclic.hopf import ModularPair, validate_algebra
-from hopfcyclic.actions import (ModuleAlgebra, SubHopf, NotClosed,
+from hopfcyclic.hopf import CoalgebraData, HopfData, ModularPair, validate_algebra
+from hopfcyclic.actions import (ModuleAlgebra, SubHopf, NotClosed, CoalgebraAction,
+                                CoalgebraNotInduced,
                                 validate_module_algebra, validate_module_coalgebra,
                                 validate_comodule_algebra, validate_sayd,
                                 validate_coalgebra_action, validate_subhopf,
@@ -346,3 +347,51 @@ def test_coalgebra_not_induced():
     h4 = sweedler_h4()
     with pytest.raises(CoalgebraNotInduced):
         relative_coalgebra(h4, SubHopf(h4, [{0: 1}, {2: 1, 3: 1}]))
+
+
+# -- guards against inconsistent structures ---------------------------------------------
+
+def test_coalgebra_action_refuses_two_hopf_symmetries():
+    with pytest.raises(ValueError) as e:
+        CoalgebraAction(self_module_coalgebra(group_algebra(2)), permutation_module_algebra(3), None)
+    assert str(e.value) == "coalgebra and algebra carry different Hopf symmetries"
+
+
+def test_module_action_as_coalgebra_action_needs_h_itself():
+    h = group_algebra(2)
+    with pytest.raises(ValueError) as e:
+        module_action_as_coalgebra_action(trivial_module_coalgebra(h), swap_module_algebra())
+    assert str(e.value) == "expected the Hopf algebra itself as the coalgebra"
+
+
+def test_invariants_without_the_unit_are_not_closed():
+    # g fixes p0 and sends p1 to p0: the invariants p0 are closed under the
+    # product, but the unit p0 + p1 is not invariant
+    swap = swap_module_algebra()
+    h, s = swap.hopf, swap.alg.space
+    act = StructureTensor((h.space, s), s, {(0, 0): {0: 1}, (0, 1): {1: 1},
+                                             (1, 0): {0: 1}, (1, 1): {0: 1}})
+    with pytest.raises(NotClosed) as e:
+        invariant_subalgebra(ModuleAlgebra(h, swap.alg, act), SubHopf(h, [{0: 1}, {1: 1}]))
+    assert str(e.value) == "unit is not invariant; module-algebra axioms are broken upstream"
+
+
+def test_relative_coalgebra_needs_a_multiplicative_counit():
+    # eps(g) = 2 on Q[Z/2]: eps(g.g - eps(g) g) = 1 - 4 on the ideal of K = <g>
+    h = group_algebra(2)
+    bad = HopfData(h.alg, CoalgebraData(h.space, h.coalg.comul, {0: 1, 1: 2}), h.antipode)
+    with pytest.raises(CoalgebraNotInduced) as e:
+        relative_coalgebra(bad, SubHopf(bad, [{1: 1}]))
+    assert str(e.value) == "counit does not vanish on the ideal"
+
+
+def test_subhopf_violations_name_the_unit_and_the_coproduct():
+    # <g> in Q[Z/2] holds no unit
+    rep = validate_subhopf(SubHopf(group_algebra(2), [{1: 1}]))
+    assert [(v.where, v.residual) for v in rep.violations if v.law == "contains-unit"] == \
+        [(("1",), {0: 1})]
+    # <1, x> in H4 is a subalgebra, but Delta x = x (x) 1 + g (x) x leaves it by g (x) x
+    rep = validate_subhopf(SubHopf(sweedler_h4(), [{0: 1}, {2: 1}]))
+    assert not any(v.law == "contains-unit" for v in rep.violations)
+    assert [(v.where, v.residual) for v in rep.violations if v.law == "closed-under-comul"] == \
+        [(("1",), {1 * 4 + 2: 1})]

@@ -184,22 +184,18 @@ def test_no_cache_audit_builds_each_complex_once(tmp_path, monkeypatch, capsys):
 
 
 def test_quotient_reused_only_for_the_same_structure():
+    # the one predicate by which _groups puts a coalgebra complex with the
+    # hopf complex whose coinvariant quotient it takes
     spec = parse_spec(fixture_file_texts()["kz2.hcy"])
-    slot = cli.QuotientSlot()
-    held = object.__new__(complexes.CocyclicComplex)
-    held.N = 2
-    mc = spec.module_coalgebras["H"]
+    mp, mc = spec.modular_pair("triv"), spec.module_coalgebras["H"]
     # twisted coefficients are another structure than mpi(eps, one)
-    slot.keep(spec.modular_pair("triv"), held)
-    assert slot.take(mc, spec.coefficients["twist"], 2) is None
+    assert not cli._is_hopf_quotient(mp, mc, spec.coefficients["twist"])
     # so is H acting on its own coalgebra through the counit
     h = mc.hopf
     by_counit = StructureTensor((h.space, h.space), h.space,
                                 {(i, j): {j: x} for i, x in h.coalg.counit.items()
                                  for j in range(h.dim)})
-    assert slot.take(ModuleCoalgebra(h, h.coalg, by_counit), spec.coefficients["triv"], 2) is None
-    assert slot.take(mc, spec.coefficients["triv"], 3) is None
-    assert slot.take(mc, spec.coefficients["triv"], 2) is held
-    # taken means released
-    assert slot.complex is None
-    assert slot.take(mc, spec.coefficients["triv"], 2) is None
+    assert not cli._is_hopf_quotient(mp, ModuleCoalgebra(h, h.coalg, by_counit),
+                                     spec.coefficients["triv"])
+    assert cli._is_hopf_quotient(mp, mc, spec.coefficients["triv"])
+    assert cli._is_hopf_quotient(spec.modular_pair("twist"), mc, spec.coefficients["twist"])

@@ -199,3 +199,15 @@ def test_involution_flags_h4():
     lit, sq = involution_flags(mpi_h4())
     assert sq is True
     assert lit is False
+
+
+def test_hopf_data_needs_one_space():
+    with pytest.raises(ValueError) as e:
+        HopfData(group_algebra(2).alg, group_algebra(3).coalg, SparseMatrix.identity(2))
+    assert str(e.value) == "algebra and coalgebra live on different spaces"
+
+
+def test_iterated_coproduct_needs_a_positive_arity():
+    with pytest.raises(ValueError) as e:
+        iterated_coproduct(group_algebra(2).coalg, 0)
+    assert str(e.value) == "n must be positive"

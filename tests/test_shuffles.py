@@ -88,3 +88,10 @@ def test_theta_trivial_component():
     assert coeff == 1
     om, ga = word
     assert om == ((0, False, ()),) and ga == ((0, False),)
+
+
+@pytest.mark.parametrize("q,p", [(-1, 2), (2, -1)])
+def test_shuffle_set_refuses_a_negative_block(q, p):
+    with pytest.raises(ValueError) as e:
+        shuffle_set(q, p)
+    assert str(e.value) == "block sizes must be nonnegative"

@@ -1,7 +1,8 @@
 """The declared complexes of a cold run on two processes: the groups, the
-deal, and a report, exit code and cache that are those of the serial run,
-also when the worker fails or either side raises.  The path is chosen by
-patching the usable CPU count in-process; no option selects it."""
+deal, and a report, exit code and cache that are those of the run on one
+process (the same groups with no worker), also when the worker fails or
+either side raises.  The path is chosen by patching the usable CPU count
+in-process; no option selects it."""
 
 import marshal
 import os
@@ -11,6 +12,7 @@ import time
 import pytest
 
 import hopfcyclic.cli as cli
+import hopfcyclic.complexes as complexes
 from hopfcyclic.cli import main
 from hopfcyclic.fixtures import fixture_file_texts
 from hopfcyclic.specfile import parse_spec
@@ -49,8 +51,8 @@ def cache_bytes(directory):
 
 
 class Side:
-    """One working directory holding the input, run on one path: cpus=1 is
-    the serial loop, cpus=2 lets the worker take its share."""
+    """One working directory holding the input, run on one path: cpus=1 runs
+    every group here, cpus=2 lets the worker take its share."""
 
     def __init__(self, tmp_path, name, text, cpus, monkeypatch):
         self.dir = tmp_path / name
@@ -86,22 +88,6 @@ def test_top_ambient_is_read_from_the_declarations():
     assert max(kz2.top_ambient(name, 4) for name in kz2.complexes) <= 128
 
 
-def slot_feeds(text):
-    """{coalgebra complex: hopf complex whose quotient it took} in a serial
-    --no-cache run of every declared complex."""
-    spec = parse_spec(text)
-    spec_text = spec.to_text()
-    slot, fed, last_hopf = cli.QuotientSlot(), {}, None
-    for name, (kind, args) in spec.complexes.items():
-        held = slot.complex
-        cli.build_declared_complex(spec, spec_text, name, 2, no_cache=True, quotients=slot)
-        if kind == "hopf":
-            last_hopf = name
-        elif kind == "coalgebra" and held is not None and slot.complex is None:
-            fed[name] = last_hopf
-    return fed
-
-
 KZ2 = fixture_file_texts()["kz2.hcy"]
 KZ2_REORDERED = KZ2.replace("complex coalg_triv = coalgebra(H, triv)\n", "").replace(
     "complex coalg_twist = coalgebra(H, twist)\n",
@@ -117,11 +103,35 @@ KZ2_REORDERED = KZ2.replace("complex coalg_triv = coalgebra(H, triv)\n", "").rep
                      ["hopf_twist", "coalg_twist"], ["coalg_triv"]]),
 ], ids=["h4", "kz2", "kz2-quotient-replaced"])
 def test_a_coalgebra_complex_stays_with_the_hopf_complex_that_feeds_it(text, groups):
-    got = cli._groups(parse_spec(text))
-    assert got == groups
-    # the groups are those of the serial run's QuotientSlot
-    together = {g[1]: g[0] for g in got if len(g) == 2}
-    assert slot_feeds(text) == together
+    assert cli._groups(parse_spec(text)) == groups
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("text,builds", [(KZ2, 2), (KZ2_REORDERED, 3)],
+                         ids=["kz2", "kz2-quotient-replaced"])
+def test_a_coalgebra_complex_in_a_hopf_group_takes_its_quotient(
+        tmp_path, monkeypatch, capsys, text, builds, cpus):
+    # each build_coalgebra_complex call, also the one inside a hopf build,
+    # appends a line to a file, so that the worker's builds are counted too;
+    # each hopf complex builds its quotient, and only the coalgebra complex
+    # of its group takes it
+    log = tmp_path / "builds"
+    real = complexes.build_coalgebra_complex
+
+    def counted(*args, **kwargs):
+        with open(log, "a") as f:
+            f.write("%d\n" % os.getpid())
+        return real(*args, **kwargs)
+    for mod in (cli, complexes):
+        monkeypatch.setattr(mod, "build_coalgebra_complex", counted)
+    # with no least share, a worker takes some of the groups on two CPUs
+    monkeypatch.setattr(cli, "WORKER_MIN_AMBIENT", 0)
+    side = Side(tmp_path, "run", text, cpus, monkeypatch)
+    assert side.run(capsys, "cohomology", "--no-cache", "--max-degree", "2")[0] == 0
+    pids = log.read_text().split()
+    assert len(pids) == builds
+    assert side.workers == cpus - 1
+    assert len(set(pids)) == cpus
 
 
 def test_groups_are_dealt_heaviest_first_to_the_less_loaded_side():

@@ -46,6 +46,8 @@ CHAIN_MAP = "tests/test_cup.py::test_chain_map_certificate_names_the_failing_ope
 CLI = "src/hopfcyclic/cli.py"
 TWO = "tests/test_two_processes.py::"
 OPEN_INPUT = "tests/test_cup.py::test_cups_reject_an_open_input_or_the_wrong_context"
+QUOTIENT_TAKEN = [TWO + "test_a_coalgebra_complex_in_a_hopf_group_takes_its_quotient[%s-%d]"
+                  % (k, cpus) for k in ("kz2", "kz2-quotient-replaced") for cpus in (1, 2)]
 
 MUTANTS = [
     Mutant("lead-at-min", LINALG,
@@ -246,7 +248,17 @@ MUTANTS = [
            "            held[1].append(name)\n            held = None\n            continue\n",
            "            held = None\n",
            [TWO + "test_a_coalgebra_complex_stays_with_the_hopf_complex_that_feeds_it[%s]" % k
-            for k in ("h4", "kz2", "kz2-quotient-replaced")]),
+            for k in ("h4", "kz2", "kz2-quotient-replaced")] + QUOTIENT_TAKEN),
+    Mutant("any-coalgebra-is-a-hopf-quotient", CLI,
+           "    return (_same_hopf(mc.hopf, h)\n",
+           "    return True or (_same_hopf(mc.hopf, h)\n",
+           [TWO + "test_a_coalgebra_complex_stays_with_the_hopf_complex_that_feeds_it"
+            "[kz2-quotient-replaced]",
+            "tests/test_audit_pass.py::test_quotient_reused_only_for_the_same_structure"]),
+    Mutant("group-drops-quotient", CLI,
+           "parts[name] = _complex_part(spec, spec_text, name, flags, quotients,",
+           "parts[name] = _complex_part(spec, spec_text, name, flags, [],",
+           QUOTIENT_TAKEN + ["tests/test_audit_pass.py::test_no_cache_audit_builds_each_complex_once"]),
     Mutant("worker-stopped-without-clean-up", CLI,
            "    os.kill(pid, signal.SIGTERM)\n",
            "    os.kill(pid, signal.SIGKILL)\n",
