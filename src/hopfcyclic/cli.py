@@ -96,13 +96,6 @@ def _complex_key(spec_text, name, kind, args, N):
     return content_hash(spec_text + "::" + repr((name, kind, args, N, __version__)))
 
 
-def _cache_entry(spec, spec_text, name, N, cache_dir=CACHE_DIR):
-    """The key of a declared complex and the path of its cache entry."""
-    kind, args = spec.complexes[name]
-    key = _complex_key(spec_text, name, kind, args, N)
-    return key, os.path.join(cache_dir, key + ".cx")
-
-
 def build_declared_complex(spec, spec_text, name, N, no_cache=False, cache_dir=CACHE_DIR,
                            quotients=None):
     """(complex, "cached" or "built").  quotients, when given, is a list
@@ -110,7 +103,8 @@ def build_declared_complex(spec, spec_text, name, N, no_cache=False, cache_dir=C
     coinvariant quotient, and the coalgebra build after it takes that in
     place of building it."""
     kind, args = spec.complexes[name]
-    key, path = _cache_entry(spec, spec_text, name, N, cache_dir)
+    key = _complex_key(spec_text, name, kind, args, N)
+    path = os.path.join(cache_dir, key + ".cx")
     if not no_cache:
         cx = _read_cache_entry(path, key)
         if cx is not None:
@@ -267,14 +261,17 @@ def cmd_cohomology(spec, spec_text, rep, flags):
     _complex_sections(spec, spec_text, rep, flags, identities=False, cohomology=True)
 
 
-def _complex_sections(spec, spec_text, rep, flags, identities, cohomology):
+def _complex_sections(spec, spec_text, rep, flags, identities, cohomology, tail=None):
     """The identities sections, then the cohomology sections, of every
-    declared complex: each complex is got once, certified once and dropped
-    before the next.  A complex's sections are buffered in its two parts
-    (_run_groups), merged in declaration order, so that each kind keeps its
-    place in the report; a kind not asked for is not computed beyond the
-    shared certificates, and its buffer is dropped."""
-    parts = _run_groups(spec, spec_text, flags, identities, cohomology)
+    declared complex, then the sections of tail when given: each complex is
+    got once, certified once and dropped before the next.  A complex's
+    sections are buffered in its two parts (_run_groups), merged in
+    declaration order, so that each kind keeps its place in the report; a
+    kind not asked for is not computed beyond the shared certificates, and
+    its buffer is dropped.  tail adds its sections to the Report it is
+    given; unless the worker sent them, it runs here, into rep, so that an
+    exception it raises escapes after the lines it added."""
+    parts, tail_part = _run_groups(spec, spec_text, flags, identities, cohomology, tail)
     ident, cohom = Report(), Report()
     for name in spec.complexes:
         ident.merge(parts[name][0])
@@ -283,6 +280,10 @@ def _complex_sections(spec, spec_text, rep, flags, identities, cohomology):
         rep.merge(ident)
     if cohomology:
         rep.merge(cohom)
+    if tail_part is not None:
+        rep.merge(tail_part)
+    elif tail is not None:
+        tail(rep)
 
 
 def _complex_part(spec, spec_text, name, flags, quotients, identities, cohomology):
@@ -317,19 +318,8 @@ def _complex_part(spec, spec_text, name, flags, quotients, identities, cohomolog
 
 
 # ---------------------------------------------------------------------------
-# the declared complexes in groups, some of them on a worker process
-
-# The least share (SpecFile.top_ambient summed over the worker's groups)
-# that pays for a worker process.  Measured on a 2-core VM with Python 3.11:
-# forking, replying and reaping take 3 ms, and an h4 complex takes 0.07-0.15 s
-# to build and certify at N=3, where its top ambient is 4^5 = 1,024, and
-# 0.3-0.7 s at N=4 (4,096).  Below it the worker saves at most 20 ms a run
-# (h4 at N=2, share 512: 0.151 -> 0.131 s; kz2 at N=4, share 192: 0.167 ->
-# 0.154 s), while the two processes together hold more memory than one
-# (h4 at N=4: 21 MB resident for one, 38 MB for both), so such runs keep
-# one process.
-WORKER_MIN_AMBIENT = 1024
-
+# the declared complexes in groups, and audit's tail, some of them on a
+# worker process
 
 def _usable_cpus():
     try:
@@ -360,34 +350,34 @@ def _groups(spec):
 
 
 def _deal(groups, weights):
-    """(this process's groups, the worker's groups, the worker's load) by
-    Graham's LPT rule: heaviest first, each to the less-loaded side, this
-    process on a tie, so that it takes the heaviest group.  Each side keeps
-    declaration order."""
+    """(this process's groups, the worker's groups) by Graham's LPT rule:
+    heaviest first, each to the less-loaded side, this process on a tie, so
+    that it takes the heaviest group.  Each side keeps declaration order."""
     load, side = [0, 0], {}
     for k in sorted(range(len(groups)), key=lambda k: -weights[k]):
         side[k] = 0 if load[0] <= load[1] else 1
         load[side[k]] += weights[k]
     return ([g for k, g in enumerate(groups) if side[k] == 0],
-            [g for k, g in enumerate(groups) if side[k] == 1], load[1])
+            [g for k, g in enumerate(groups) if side[k] == 1])
 
 
-def _worker_share(spec, spec_text, flags, groups):
-    """(this process's groups, the worker's groups).  The worker's share is
-    empty, and no worker is forked, on fewer than two usable CPUs or without
-    os.fork, when fewer than two groups are to be built (an entry is absent,
-    or --no-cache), or when the share dealt to it is below
-    WORKER_MIN_AMBIENT."""
-    if _usable_cpus() < 2 or not hasattr(os, "fork"):
-        return groups, []
+def _worker_share(spec, flags, groups, tail):
+    """(this process's groups, the worker's groups, or None when no worker
+    is forked).  The units of work are the groups and, for audit, its tail;
+    a worker is forked when there are two usable CPUs, os.fork and at least
+    two units, warm or cold.  It takes the tail, and _deal gives it a share
+    of the groups, weighed by the top ambient dimensions of their complexes.
+    No least share is asked of the worker.  Per warm audit at N=4 on a
+    2-core VM with Python 3.11 (medians of 12 runs), it took h4 from 0.42
+    to 0.30 s and kz4_relative, one group beside the tail, from 0.21 to
+    0.18 s; kz2 went from 0.13 to 0.14 s, as the deal does not count the
+    tail's load, which there equals that of all the groups.  Both processes
+    together hold more memory than one: 36 MB resident against 20 MB for
+    the warm h4 audit, 38 against 21 MB cold."""
+    if _usable_cpus() < 2 or not hasattr(os, "fork") or len(groups) + (tail is not None) < 2:
+        return groups, None
     N = flags.max_degree
-    to_build = [g for g in groups if flags.no_cache or not all(
-        os.path.exists(_cache_entry(spec, spec_text, name, N)[1]) for name in g)]
-    if len(to_build) < 2:
-        return groups, []
-    weights = [sum(spec.top_ambient(name, N) for name in g) for g in groups]
-    mine, theirs, their_load = _deal(groups, weights)
-    return (mine, theirs) if their_load >= WORKER_MIN_AMBIENT else (groups, [])
+    return _deal(groups, [sum(spec.top_ambient(name, N) for name in g) for g in groups])
 
 
 def _run_group(spec, spec_text, group, flags, identities, cohomology, parts, raised):
@@ -405,16 +395,26 @@ def _run_group(spec, spec_text, group, flags, identities, cohomology, parts, rai
             return
 
 
-def _worker_reply(spec, spec_text, groups, flags, identities, cohomology):
-    """The worker's share, run in the forked child: the parts of its groups'
-    complexes, marshalled as {name: [identities lines, failed, cohomology
-    lines, failed]}.  A complex whose group raised is missing, and the
-    parent runs that group again."""
+def _worker_reply(spec, spec_text, groups, tail, flags, identities, cohomology):
+    """The worker's share, run in the forked child, marshalled as [parts,
+    closing]: parts is {name: [identities lines, failed, cohomology lines,
+    failed]} of its groups' complexes, and closing is [lines, failed] of the
+    tail's sections.  A complex whose group raised is missing from parts,
+    and closing is None when there is no tail or it raised; the parent runs
+    what is missing again."""
     parts = {}
     for group in groups:
         _run_group(spec, spec_text, group, flags, identities, cohomology, parts, [])
-    return marshal.dumps({name: [i.lines, i.failed, c.lines, c.failed]
-                          for name, (i, c) in parts.items()})
+    closing = None
+    if tail is not None:
+        part = Report()
+        try:
+            tail(part)
+            closing = [part.lines, part.failed]
+        except Exception:
+            pass
+    return marshal.dumps([{name: [i.lines, i.failed, c.lines, c.failed]
+                           for name, (i, c) in parts.items()}, closing])
 
 
 def _terminated(signum, frame):
@@ -479,15 +479,16 @@ def _worker_failed(reason):
 def _beside_worker(here, work, groups):
     """Run here() in this process beside a forked worker that computes
     work(), and return the parts that the worker sent for the complexes of
-    groups.  A worker that cannot start, fails, dies or sends a reply that
-    does not parse costs one line on stderr and gives no parts.  If here()
-    raises, the worker is stopped and reaped."""
+    groups and its tail part, None if it sent none.  A worker that cannot
+    start, fails, dies or sends a reply that does not parse costs one line
+    on stderr and gives no parts.  If here() raises, the worker is stopped
+    and reaped."""
     try:
         pid, fd = _fork_worker(work)
     except OSError as e:
         _worker_failed(e)
         here()
-        return {}
+        return {}, None
     status = None
     try:
         with open(fd, "rb") as reader:
@@ -500,42 +501,45 @@ def _beside_worker(here, work, groups):
     try:
         if status != 0:
             raise ValueError("exit status %d" % status)
-        got = marshal.loads(reply)
-        return {name: (_headless(*got[name][:2]), _headless(*got[name][2:]))
-                for g in groups for name in g if name in got}
+        got, closing = marshal.loads(reply)
+        parts = {name: (_headless(*got[name][:2]), _headless(*got[name][2:]))
+                 for g in groups for name in g if name in got}
+        return parts, None if closing is None else _headless(*closing)
     except (ValueError, TypeError, EOFError) as e:
         _worker_failed(e)
-        return {}
+        return {}, None
 
 
-def _run_groups(spec, spec_text, flags, identities, cohomology):
-    """{name: (identities part, cohomology part)} of every declared complex,
-    run group by group (_groups): the worker's share (_worker_share) in a
-    forked worker process, the rest here, and whatever the worker did not
-    send here after it.  An exception that escapes a complex ends its group,
-    and the other groups still run; then the exception of the first such
-    complex in declaration order escapes."""
+def _run_groups(spec, spec_text, flags, identities, cohomology, tail):
+    """({name: (identities part, cohomology part)} of every declared complex,
+    the tail's part or None), run group by group (_groups): the worker's
+    share (_worker_share) in a forked worker process, the rest here, and
+    whatever groups the worker did not send here after it.  The tail's part
+    is the one the worker sent; None tells the caller to run the tail.  An
+    exception that escapes a complex ends its group, and the other groups
+    still run; then the exception of the first such complex in declaration
+    order escapes, and no tail part is returned."""
     parts, raised = {}, []
 
     def run(groups):
         for group in groups:
             _run_group(spec, spec_text, group, flags, identities, cohomology, parts, raised)
 
-    mine, theirs = _worker_share(spec, spec_text, flags, _groups(spec))
-    theirs_done = {}
-    if theirs:
-        theirs_done = _beside_worker(lambda: run(mine), lambda: _worker_reply(
-            spec, spec_text, theirs, flags, identities, cohomology), theirs)
-    else:
+    mine, theirs = _worker_share(spec, flags, _groups(spec), tail)
+    tail_part = None
+    if theirs is None:
         run(mine)
-    parts.update(theirs_done)
-    for group in theirs:
-        if not all(name in theirs_done for name in group):
-            run([group])
+    else:
+        done, tail_part = _beside_worker(lambda: run(mine), lambda: _worker_reply(
+            spec, spec_text, theirs, tail, flags, identities, cohomology), theirs)
+        parts.update(done)
+        for group in theirs:
+            if not all(name in parts for name in group):
+                run([group])
     if raised:
         order = list(spec.complexes)
         raise min(raised, key=lambda r: order.index(r[0]))[1]
-    return parts
+    return parts, tail_part
 
 
 def _contexts_for(spec, kind, N):
@@ -659,7 +663,15 @@ def cmd_audit(spec, spec_text, rep, flags):
     # the audit report is pinned byte for byte by perfbench/references.json,
     # which predates the trace witness
     cmd_validate(spec, spec_text, rep, flags, witnesses=False)
-    _complex_sections(spec, spec_text, rep, flags, identities=True, cohomology=True)
+    _complex_sections(spec, spec_text, rep, flags, identities=True, cohomology=True,
+                      tail=lambda part: _audit_tail(spec, flags, part))
+
+
+def _audit_tail(spec, flags, rep):
+    """The closing sections of an audit, added to rep: the context
+    certificates and a small cup sweep, the characteristic maps of the
+    invariant traces, the shuffle sets, the expansion oracle and the exact
+    kernel self-check."""
     # context certificates and a small cup sweep
     for kind in ("coalgebra", "crossed", "relative"):
         for name, ctx, error in _contexts_for(spec, kind, 2):

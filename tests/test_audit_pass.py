@@ -6,6 +6,7 @@ before it streamed the complexes; their digests were recorded from that
 version."""
 
 import hashlib
+import os
 
 import pytest
 
@@ -41,6 +42,17 @@ def cache_entry(tmp_path, text, name, N):
     kind, args = spec.complexes[name]
     key = cli._complex_key(spec.to_text(), name, kind, args, N)
     return tmp_path / cli.CACHE_DIR / (key + ".cx")
+
+
+def on_cpus(tmp_path, monkeypatch, cpus, fixture):
+    """A working directory of its own holding the fixture, for runs on cpus
+    usable CPUs; on two, a forked worker takes a share."""
+    directory = tmp_path / ("cpus-%d" % cpus)
+    directory.mkdir()
+    monkeypatch.chdir(directory)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    write_fixture(directory, fixture)
+    return directory
 
 
 # -- failure paths ----------------------------------------------------------------
@@ -90,31 +102,31 @@ def test_resigned_tampered_cache_entry_fails_its_certificates(tmp_path, monkeypa
 
 
 def test_read_back_catches_a_faulty_cache_writer(tmp_path, monkeypatch, capsys):
-    # the first entry written, hopf_triv's, loses the first stored entry of
-    # face 1 0 and is signed as written: it verifies, and the dropped entry
-    # leaves b.b = 0 and the B certificates intact but changes HH and HC
+    # hopf_triv's entry loses the first stored entry of face 1 0 and is
+    # signed as written: it verifies, and the dropped entry leaves b.b = 0
+    # and the B certificates intact but changes HH and HC; on one CPU and
+    # on two, where the worker writes some of the other entries
     real = cli.complex_to_text
-    written = []
+    faulty = cache_entry(tmp_path, fixture_file_texts()["kz2.hcy"], "hopf_triv", 2).stem
 
     def lossy(cx, key=""):
-        if not written:
+        if key == faulty:
             faces = [list(row) for row in cx.faces]
             m = faces[1][0]
             faces[1][0] = complexes.SparseMatrix(m.rows, m.cols,
                                                  dict(sorted(m.entries.items())[1:]))
             cx = complexes.CocyclicComplex(cx.N, cx.spaces, faces, cx.degens, cx.taus)
-        written.append(key)
         return real(cx, key)
 
     monkeypatch.setattr(cli, "complex_to_text", lossy)
-    monkeypatch.chdir(tmp_path)
-    write_fixture(tmp_path, "kz2.hcy")
-    code, out = run_cli(["audit", "kz2.hcy", "--max-degree", "2"], capsys)
-    assert code == 1
     message = "the cache entry written for hopf_triv does not read back as the built complex"
-    assert "== identities hopf_triv\nbuild failed: %s\n== identities coalg_triv\n" % message in out
-    assert "== cohomology hopf_triv\nfailed: %s\n== cohomology coalg_triv\n" % message in out
-    assert out.count("failed") == 2
+    for cpus in (1, 2):
+        on_cpus(tmp_path, monkeypatch, cpus, "kz2.hcy")
+        code, out = run_cli(["audit", "kz2.hcy", "--max-degree", "2"], capsys)
+        assert code == 1
+        assert "== identities hopf_triv\nbuild failed: %s\n== identities coalg_triv\n" % message in out
+        assert "== cohomology hopf_triv\nfailed: %s\n== cohomology coalg_triv\n" % message in out
+        assert out.count("failed") == 2
 
 
 # -- one pass per complex ---------------------------------------------------------------
@@ -123,25 +135,27 @@ H4_COMPLEXES = 4
 
 
 class Counts:
-    def __init__(self, monkeypatch):
-        self.gets = []
-        self.connes_B = 0
-        self.coalgebra_builds = 0
+    """The gets ("built" or "cached"), connes_B calls and coalgebra builds
+    of a run, in this process and in a forked worker: each call appends a
+    line with its process id to the file log."""
+
+    def __init__(self, monkeypatch, log):
+        self.log = log
         real_get = cli.build_declared_complex
         real_B = cohomology.connes_B
         real_coalg = complexes.build_coalgebra_complex
 
         def get(*args, **kwargs):
             out = real_get(*args, **kwargs)
-            self.gets.append(out[1])
+            self.note(out[1])
             return out
 
         def connes_B(*args, **kwargs):
-            self.connes_B += 1
+            self.note("connes_B")
             return real_B(*args, **kwargs)
 
         def build_coalgebra_complex(*args, **kwargs):
-            self.coalgebra_builds += 1
+            self.note("coalgebra")
             return real_coalg(*args, **kwargs)
 
         monkeypatch.setattr(cli, "build_declared_complex", get)
@@ -151,36 +165,64 @@ class Counts:
             if hasattr(mod, "build_coalgebra_complex"):
                 monkeypatch.setattr(mod, "build_coalgebra_complex", build_coalgebra_complex)
 
+    def note(self, event):
+        with open(self.log, "a") as f:
+            f.write("%s %d\n" % (event, os.getpid()))
+
+    def events(self):
+        return [line.split() for line in self.log.read_text().splitlines()] \
+            if self.log.exists() else []
+
+    @property
+    def gets(self):
+        return [e for e, _ in self.events() if e in ("built", "cached")]
+
+    @property
+    def connes_B(self):
+        return [e for e, _ in self.events()].count("connes_B")
+
+    @property
+    def coalgebra_builds(self):
+        return [e for e, _ in self.events()].count("coalgebra")
+
+    @property
+    def processes(self):
+        return len({pid for _, pid in self.events()})
+
 
 def test_audit_gets_and_certifies_each_complex_once(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    write_fixture(tmp_path, "h4.hcy")
     args = ["audit", "h4.hcy", "--max-degree", "2"]
-    counts = Counts(monkeypatch)
-    code, cold = run_cli(args, capsys)
-    assert code == 0
-    # cold: each complex is built, then read back from the entry it wrote
-    assert counts.gets.count("built") == counts.gets.count("cached") == H4_COMPLEXES
-    assert counts.connes_B == H4_COMPLEXES
-    counts = Counts(monkeypatch)
-    code, warm = run_cli(args, capsys)
-    assert code == 0 and warm == cold
-    assert counts.gets == ["cached"] * H4_COMPLEXES
-    assert counts.connes_B == H4_COMPLEXES
-    assert counts.coalgebra_builds == 0
+    for cpus in (1, 2):
+        directory = on_cpus(tmp_path, monkeypatch, cpus, "h4.hcy")
+        counts = Counts(monkeypatch, directory / "cold.log")
+        code, cold = run_cli(args, capsys)
+        assert code == 0
+        # cold: each complex is built, then read back from the entry it wrote
+        assert counts.gets.count("built") == counts.gets.count("cached") == H4_COMPLEXES
+        assert counts.connes_B == H4_COMPLEXES
+        assert counts.processes == cpus
+        counts = Counts(monkeypatch, directory / "warm.log")
+        code, warm = run_cli(args, capsys)
+        assert code == 0 and warm == cold
+        assert counts.gets == ["cached"] * H4_COMPLEXES
+        assert counts.connes_B == H4_COMPLEXES
+        assert counts.coalgebra_builds == 0
+        # a warm run shares its complexes with the worker too
+        assert counts.processes == cpus
 
 
 def test_no_cache_audit_builds_each_complex_once(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    write_fixture(tmp_path, "h4.hcy")
-    counts = Counts(monkeypatch)
-    code, _ = run_cli(["audit", "h4.hcy", "--max-degree", "2", "--no-cache"], capsys)
-    assert code == 0
-    assert counts.gets == ["built"] * H4_COMPLEXES
-    assert counts.connes_B == H4_COMPLEXES
-    # hopf_taft's coinvariant quotient is coalg_taft: built once for both
-    assert counts.coalgebra_builds == 1
-    assert not (tmp_path / cli.CACHE_DIR).exists()
+    for cpus in (1, 2):
+        directory = on_cpus(tmp_path, monkeypatch, cpus, "h4.hcy")
+        counts = Counts(monkeypatch, directory / "no-cache.log")
+        code, _ = run_cli(["audit", "h4.hcy", "--max-degree", "2", "--no-cache"], capsys)
+        assert code == 0
+        assert counts.gets == ["built"] * H4_COMPLEXES
+        assert counts.connes_B == H4_COMPLEXES
+        # hopf_taft's coinvariant quotient is coalg_taft: built once for both
+        assert counts.coalgebra_builds == 1
+        assert counts.processes == cpus
+        assert not (directory / cli.CACHE_DIR).exists()
 
 
 def test_quotient_reused_only_for_the_same_structure():

@@ -226,6 +226,23 @@ def test_bicocyclic_commutation():
     alg, coalg = _kz2_pair()
     assert check_bicocyclic(tensor_bicocyclic(alg, coalg)) == []
 
+def test_bicocyclic_commutation_names_the_failing_pair():
+    # a vertical face replaced by zero: h-v-face commutation fails where it
+    # is the inner map, at p=0, q=0, j=0 for both horizontal faces i, with
+    # the witness column and residual -(vface . hface) there
+    alg, coalg = _kz2_pair()
+    b = tensor_bicocyclic(alg, coalg)
+    real = b.vface
+    zero = SparseMatrix(real(0, 0, 0).rows, real(0, 0, 0).cols, {})
+    b.vface = lambda p, q, i: zero if (p, q, i) == (0, 0, 0) else real(p, q, i)
+    expected = compose(real(1, 0, 0), b.hface(0, 0, 0))
+    column = min(c for _, c in expected.entries)
+    bad = check_bicocyclic(b)
+    assert [(v.family, v.degree, v.indices) for v in bad] == \
+        [("h-v-face", 0, (0, 0, 0)), ("h-v-face", 0, (0, 1, 0))]
+    assert bad[0].column == column
+    assert bad[0].residual == {r: -x for (r, c), x in sorted(expected.entries.items()) if c == column}
+
 def test_diagonal_passes_cocyclic():
     alg, coalg = _kz2_pair()
     d = diagonal(tensor_bicocyclic(alg, coalg))

@@ -2,7 +2,9 @@
 each pinned with its exit code.  A line that a broken input reaches is run
 on one; a line that no valid input can reach (every context validates its
 components, so its complexes are complexes) is reached by a monkeypatch of
-the name the command line calls."""
+the name the command line calls, which a forked worker inherits.  Every
+audit runs on one CPU and on two, cold and warm: on two, its closing
+sections come from the worker."""
 
 import os
 
@@ -19,15 +21,37 @@ from hopfcyclic.fixtures import fixture_file_texts
 
 @pytest.fixture
 def run(tmp_path, monkeypatch, capsys):
-    """run(text, *argv): (exit code, report lines) of the command on text."""
-    monkeypatch.chdir(tmp_path)
-
-    def run(text, command, *argv):
-        (tmp_path / "in.hcy").write_text(text)
-        code = main([command, "in.hcy"] + list(argv))
+    """run(text, *argv): (exit code, report lines) of the command on text.
+    An audit runs four times, each in a directory of its own: on one usable
+    CPU and on two, where a worker is forked, each cold and then warm.  All
+    four must print the same."""
+    def once(directory, text, argv):
+        monkeypatch.chdir(directory)
+        (directory / "in.hcy").write_text(text)
+        code = main([argv[0], "in.hcy"] + list(argv[1:]))
         out, err = capsys.readouterr()
         assert err == ""
         return code, out.splitlines()
+
+    def run(text, *argv):
+        if argv[0] != "audit":
+            return once(tmp_path, text, argv)
+        results, real_fork = [], cli._fork_worker
+        for cpus in (1, 2):
+            directory = tmp_path / ("cpus-%d" % cpus)
+            directory.mkdir()
+            forks = []
+
+            def fork(work):
+                forks.append(work)
+                return real_fork(work)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_usable_cpus", lambda: cpus)
+                m.setattr(cli, "_fork_worker", fork)
+                results += [once(directory, text, argv) for _ in ("cold", "warm")]
+            assert len(forks) == 2 * (cpus - 1)
+        assert all(result == results[0] for result in results)
+        return results[0]
     return run
 
 
@@ -164,6 +188,14 @@ def test_audit_of_an_expansion_that_differs_from_its_oracle(run, monkeypatch):
     assert code == 1
     oracle = section(lines, "audit expansion oracle")
     assert oracle[4:6] == ["(p,q)=(1,0): match", "(p,q)=(1,1): MISMATCH {'w': 1}"]
+
+
+def test_audit_skips_a_trace_on_no_module_algebra(run):
+    code, lines = run(KZ2 + "trace trb on B = 1 1\n", *AUDIT)
+    assert code == 0
+    assert section(lines, "validate trace trb") == ["no module algebra on B; skipped"]
+    assert "== audit characteristic map tr against triv" in lines
+    assert not [line for line in lines if line.startswith("== audit characteristic map trb")]
 
 
 def test_audit_of_a_kernel_self_check_that_fails(run, monkeypatch):

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+import hopfcyclic.shuffles as shuffles
 from hopfcyclic.shuffles import (ShufflePermutation, shuffle_set, dg_expand_oracle,
                                  expand_theta, component, DegreeCapExceeded)
 
@@ -68,6 +69,22 @@ def test_oracle_confirms_all_bounded_degrees():
         for q in range(4 - p):
             ok, diff = dg_expand_oracle(p, q)
             assert ok, (p, q, diff)
+
+def test_oracle_names_the_first_word_that_differs(monkeypatch):
+    # the shuffle-sum prediction with one coefficient moved: the oracle
+    # returns the first word in order where the two sides differ
+    real = shuffles.shuffle_component_words
+    word = min(real(2, 1, 1))
+    coeff = real(2, 1, 1)[word]
+
+    def perturbed(n, q, p):
+        out = real(n, q, p)
+        if (n, q, p) == (2, 1, 1):
+            out[word] += 1
+        return out
+    monkeypatch.setattr(shuffles, "shuffle_component_words", perturbed)
+    assert dg_expand_oracle(1, 1) == (False, (word, coeff, coeff + 1))
+    assert dg_expand_oracle(2, 1) == (True, None)
 
 def test_oracle_degree_cap():
     with pytest.raises(DegreeCapExceeded):

@@ -1,7 +1,8 @@
-"""The declared complexes of a cold run on two processes: the groups, the
-deal, and a report, exit code and cache that are those of the run on one
-process (the same groups with no worker), also when the worker fails or
-either side raises.  The path is chosen by patching the usable CPU count
+"""The declared complexes, and audit's closing sections (its tail), on two
+processes: the groups, the deal, when a worker is forked, and a report,
+exit code and cache that are those of the run on one process (the same
+groups with no worker), warm or cold, also when the worker fails or either
+side raises.  The path is chosen by patching the usable CPU count
 in-process; no option selects it."""
 
 import marshal
@@ -124,8 +125,6 @@ def test_a_coalgebra_complex_in_a_hopf_group_takes_its_quotient(
         return real(*args, **kwargs)
     for mod in (cli, complexes):
         monkeypatch.setattr(mod, "build_coalgebra_complex", counted)
-    # with no least share, a worker takes some of the groups on two CPUs
-    monkeypatch.setattr(cli, "WORKER_MIN_AMBIENT", 0)
     side = Side(tmp_path, "run", text, cpus, monkeypatch)
     assert side.run(capsys, "cohomology", "--no-cache", "--max-degree", "2")[0] == 0
     pids = log.read_text().split()
@@ -136,28 +135,38 @@ def test_a_coalgebra_complex_in_a_hopf_group_takes_its_quotient(
 
 def test_groups_are_dealt_heaviest_first_to_the_less_loaded_side():
     groups = [["a"], ["b"], ["c"], ["d"]]
-    mine, theirs, load = cli._deal(groups, [2, 5, 3, 3])
+    mine, theirs = cli._deal(groups, [2, 5, 3, 3])
     # b to this process, c and d to the worker, a back here (5 + 2 against 6)
-    assert (mine, theirs, load) == ([["a"], ["b"]], [["c"], ["d"]], 6)
+    assert (mine, theirs) == ([["a"], ["b"]], [["c"], ["d"]])
     # on a tie this process takes the group declared first
-    assert cli._deal([["a"], ["b"]], [1, 1]) == ([["a"]], [["b"]], 1)
+    assert cli._deal([["a"], ["b"]], [1, 1]) == ([["a"]], [["b"]])
+    # a single group stays here, beside a worker that takes only the tail
+    assert cli._deal([["a"]], [1]) == ([["a"]], [])
 
 
 class Started(Exception):
     pass
 
 
-@pytest.mark.parametrize("text,N,warm,started", [
-    (h4_text(), 3, False, True),
-    (h4_text(), 3, True, False),
-    (h4_text(), 2, False, False),
-    (KZ2, 4, False, False),
-    (fixture_file_texts()["kz4_relative.hcy"], 4, False, False),
-], ids=["h4", "h4-warm", "h4-degree-2", "kz2", "kz4_relative-one-group"])
+KZ4_RELATIVE = fixture_file_texts()["kz4_relative.hcy"]
+
+
+@pytest.mark.parametrize("text,command,N,warm,started", [
+    (h4_text(), "cohomology", 3, False, True),
+    (h4_text(), "cohomology", 3, True, True),
+    (h4_text(), "cohomology", 2, False, True),
+    (KZ2, "cohomology", 4, False, True),
+    # one group, and audit's tail beside it
+    (KZ4_RELATIVE, "audit", 4, True, True),
+    (KZ4_RELATIVE, "cohomology", 4, False, False),
+], ids=["h4", "h4-warm", "h4-degree-2", "kz2", "kz4_relative-audit", "kz4_relative-one-group"])
 def test_a_worker_is_started_only_where_it_pays(tmp_path, monkeypatch, capsys,
-                                                text, N, warm, started):
+                                                text, command, N, warm, started):
+    # a worker is forked for two units of work (groups, and audit's tail) on
+    # two CPUs, warm or cold, whatever their size
+    assert len(cli._groups(parse_spec(KZ4_RELATIVE))) == 1
     side = Side(tmp_path, "run", text, 1, monkeypatch)
-    args = ["cohomology", "--max-degree", str(N)]
+    args = [command, "--max-degree", str(N)]
     if warm:
         assert side.run(capsys, *args)[0] == 0
 
@@ -197,25 +206,44 @@ def test_two_processes_give_the_serial_report_and_cache(tmp_path, monkeypatch, c
     assert code == 0 and err == "" and out.count("== ") >= 4
     assert (cache is None) == (mode == "no-cache")
     assert serial.workers == 0
-    assert split.workers == (0 if mode == "warm" else 1)
+    assert split.workers == 1
+
+
+def tails_run_in(log, monkeypatch):
+    """Patch audit's tail to append the id of the process that runs it to
+    log; a forked worker inherits the patch."""
+    real = cli._audit_tail
+
+    def tail(*args):
+        with open(log, "a") as f:
+            f.write("%d\n" % os.getpid())
+        return real(*args)
+    monkeypatch.setattr(cli, "_audit_tail", tail)
 
 
 def test_the_merge_keeps_declaration_order_when_the_sides_interleave(
         tmp_path, monkeypatch, capsys):
     # this process takes hopf_taft and coalg_taft, declared last; the worker
-    # takes alg_taft and comod_taft, declared first
+    # takes alg_taft and comod_taft, declared first, and the tail
     text = h4_text(["alg_taft", "comod_taft", "hopf_taft", "coalg_taft"])
     spec = parse_spec(text)
     groups = cli._groups(spec)
-    mine, theirs, _ = cli._deal(groups, [sum(spec.top_ambient(n, 3) for n in g) for g in groups])
+    mine, theirs = cli._deal(groups, [sum(spec.top_ambient(n, 3) for n in g) for g in groups])
     assert (mine, theirs) == ([["hopf_taft", "coalg_taft"]], [["alg_taft"], ["comod_taft"]])
     serial = Side(tmp_path, "serial", text, 1, monkeypatch)
     split = Side(tmp_path, "split", text, 2, monkeypatch)
     expected = serial.run(capsys, "audit", "--max-degree", "3")
-    assert expected[1].index("== identities alg_taft") < expected[1].index(
-        "== identities hopf_taft")
+    out = expected[1]
+    assert out.index("== identities alg_taft") < out.index("== identities hopf_taft")
+    # the tail's sections follow the last complex's
+    assert out.index("== cohomology coalg_taft") < out.index("== audit shuffle sets")
+    log = tmp_path / "tails"
+    tails_run_in(log, monkeypatch)
     assert split.run(capsys, "audit", "--max-degree", "3") == expected
     assert split.workers == 1
+    # the worker ran the tail, and this process did not
+    ran = log.read_text().split()
+    assert len(ran) == 1 and ran != [str(os.getpid())]
 
 
 # -- failures ----------------------------------------------------------------------
@@ -237,6 +265,16 @@ def raises_in_a_group(*args):
     return REAL_REPLY(*args)
 
 
+def raise_tail(spec, flags, rep):
+    rep.add("tail started")
+    raise RuntimeError("boom tail")
+
+
+def raises_in_the_tail(*args):
+    cli._audit_tail = raise_tail                       # in the worker only
+    return REAL_REPLY(*args)
+
+
 def killed(*args):
     os.kill(os.getpid(), signal.SIGKILL)
 
@@ -252,7 +290,9 @@ FAILING_WORKERS = {
     "garbage-reply": lambda *args: b"\x00 not marshal data",
     "truncated-reply": lambda *args: REAL_REPLY(*args)[:-20],
     "wrong-shape": lambda *args: marshal.dumps({"alg_taft": [1, 2]}),
+    "wrong-tail-shape": lambda *args: marshal.dumps([{}, [1, 2]]),
     "raises-in-a-group": raises_in_a_group,
+    "raises-in-the-tail": raises_in_the_tail,
 }
 
 
@@ -281,8 +321,8 @@ def test_a_failing_worker_gives_the_serial_report(tmp_path, monkeypatch, capsys,
     assert split.workers == 1
     assert open_fds() == fds
     assert no_child_left()
-    if how == "raises-in-a-group":
-        # the group is run again here, and raises nothing here
+    if how.startswith("raises-in-"):
+        # the group, or the tail, is run again here, and raises nothing here
         assert err == ""
     else:
         assert err.startswith("hopfcyclic: the worker process failed (")
@@ -307,6 +347,8 @@ def test_an_escaping_exception_is_that_of_the_first_complex(
         tmp_path, monkeypatch, capsys, order, raises, first):
     text = h4_text(order)
     monkeypatch.setattr(cli, "_complex_part", raising(raises))
+    log = tmp_path / "tails"
+    tails_run_in(log, monkeypatch)
     for cpus in (1, 2):
         side = Side(tmp_path, "cpus-%d" % cpus, text, cpus, monkeypatch)
         with pytest.raises(RuntimeError) as e:
@@ -314,6 +356,35 @@ def test_an_escaping_exception_is_that_of_the_first_complex(
         assert str(e.value) == "boom " + first
         assert side.workers == cpus - 1
         assert no_child_left()
+        # it escapes before any tail: this process never ran one, and the
+        # worker's is dropped
+        assert str(os.getpid()) not in (log.read_text().split() if log.exists() else [])
+
+
+def test_a_tail_that_raises_raises_here_after_the_complexes(tmp_path, monkeypatch, capsys):
+    # the worker's tail raises and is left out of its reply; this process
+    # merges the complexes, runs the tail again, and its exception escapes as
+    # on one process, after the lines the tail added
+    monkeypatch.setattr(cli, "_audit_tail", raise_tail)
+    reports = []
+    real = cli._complex_sections
+
+    def sections(spec, spec_text, rep, *args, **kwargs):
+        reports.append(rep)
+        return real(spec, spec_text, rep, *args, **kwargs)
+    monkeypatch.setattr(cli, "_complex_sections", sections)
+    lines = []
+    for cpus in (1, 2):
+        side = Side(tmp_path, "cpus-%d" % cpus, h4_text(), cpus, monkeypatch)
+        with pytest.raises(RuntimeError) as e:
+            side.run(capsys, "audit", "--max-degree", "3")
+        assert str(e.value) == "boom tail"
+        assert side.workers == cpus - 1
+        assert no_child_left()
+        lines.append(reports[-1].lines)
+    assert lines[0] == lines[1]
+    assert lines[1][-1] == "tail started"
+    assert [line for line in lines[1] if line.startswith("== ")][-1] == "== cohomology comod_taft"
 
 
 class Interrupt(BaseException):

@@ -239,11 +239,29 @@ MUTANTS = [
            "    for name in parts:\n        ident.merge(parts[name][0])\n",
            [TWO + "test_the_merge_keeps_declaration_order_when_the_sides_interleave"]),
     Mutant("failed-worker-groups-dropped", CLI,
-           "        if not all(name in theirs_done for name in group):\n",
-           "        if False:\n",
+           "            if not all(name in parts for name in group):\n",
+           "            if False:\n",
            [TWO + "test_a_failing_worker_gives_the_serial_report[%s]" % how
-            for how in ("exits-non-zero", "garbage-reply", "killed", "raises-in-a-group",
-                        "truncated-reply", "wrong-shape")]),
+            for how in ("cannot-start", "exits-non-zero", "garbage-reply", "killed",
+                        "raises-in-a-group", "truncated-reply", "wrong-shape",
+                        "wrong-tail-shape")]),
+    Mutant("audit-tail-merged-first", CLI,
+           "    ident, cohom = Report(), Report()\n    for name in spec.complexes:\n",
+           "    ident, cohom = Report(), Report()\n    if tail_part is not None:\n"
+           "        rep.merge(tail_part)\n        tail = tail_part = None\n"
+           "    for name in spec.complexes:\n",
+           [TWO + "test_the_merge_keeps_declaration_order_when_the_sides_interleave",
+            TWO + "test_two_processes_give_the_serial_report_and_cache[audit-warm]",
+            "tests/test_reference_reports.py::test_report_matches_reference"
+            "[audit kz4_relative.hcy --max-degree 4]",
+            "tests/test_failure_reports.py::test_audit_of_a_kernel_self_check_that_fails"]),
+    Mutant("worker-tail-not-rerun", CLI,
+           "return parts, None if closing is None else _headless(*closing)",
+           "return parts, Report() if closing is None else _headless(*closing)",
+           [TWO + "test_a_failing_worker_gives_the_serial_report[raises-in-the-tail]",
+            TWO + "test_a_tail_that_raises_raises_here_after_the_complexes",
+            "tests/test_failure_reports.py::"
+            "test_a_certificate_failure_that_escapes_a_command_is_fatal"]),
     Mutant("coalgebra-split-from-hopf", CLI,
            "            held[1].append(name)\n            held = None\n            continue\n",
            "            held = None\n",
