@@ -28,7 +28,7 @@ from .complexes import (build_coalgebra_complex, build_algebra_complex,
                         build_comodule_algebra_complex, build_hopf_complex,
                         check_cocyclic, complex_to_text, complex_from_text,
                         content_hash, same_complex, CertificateFailure, IllDefined,
-                        ConjugationFailure)
+                        ConjugationFailure, acts_on_itself, structure_tables)
 from .cohomology import compute_cohomology, cyclic_cocycles, NotAComplex
 from .cup import (CoalgebraCupContext, CrossedCupContext, RelativeCupContext,
                   aw_cup, cup_explicit_coalgebra, cup_explicit_crossed,
@@ -152,29 +152,14 @@ def _read_cache_entry(path, key):
     return cx if cx.content_hash == key else None
 
 
-def _tables(t):
-    """A StructureTensor's shape and structure constants."""
-    return tuple(s.dim for s in t.domains), t.codomain.dim, t.entries
-
-
-def _same_hopf(a, b):
-    return (_tables(a.alg.mul) == _tables(b.alg.mul) and a.alg.unit == b.alg.unit
-            and _tables(a.coalg.comul) == _tables(b.coalg.comul)
-            and a.coalg.counit == b.coalg.counit and a.antipode == b.antipode)
-
-
 def _is_hopf_quotient(mp, mc, sayd):
     """Whether coalgebra(mc, sayd) is the coinvariant quotient of hopf(H, mp),
     by structure tables: H acting on itself by left multiplication over its
-    own coalgebra, with the coefficients mpi(mp)."""
-    h = mp.hopf
+    own coalgebra (acts_on_itself), with the coefficients mpi(mp)."""
     coeff = mpi_coefficients(mp)
-    return (_same_hopf(mc.hopf, h)
-            and _tables(mc.coalg.comul) == _tables(h.coalg.comul)
-            and mc.coalg.counit == h.coalg.counit
-            and _tables(mc.action) == _tables(h.alg.mul)
-            and _tables(sayd.raction) == _tables(coeff.raction)
-            and _tables(sayd.lcoaction) == _tables(coeff.lcoaction))
+    return (acts_on_itself(mc, mp.hopf)
+            and structure_tables(sayd.raction) == structure_tables(coeff.raction)
+            and structure_tables(sayd.lcoaction) == structure_tables(coeff.lcoaction))
 
 
 def _get_declared_complex(spec, spec_text, name, flags, quotients):
@@ -471,22 +456,25 @@ def _headless(lines, failed):
     return part
 
 
-def _worker_failed(reason):
+def _worker_failed(reason, rerun):
     sys.stderr.write("hopfcyclic: the worker process failed (%s); "
-                     "its complexes were computed here\n" % reason)
+                     "%s were computed here\n" % (reason, rerun))
 
 
-def _beside_worker(here, work, groups):
+def _beside_worker(here, work, groups, tail):
     """Run here() in this process beside a forked worker that computes
     work(), and return the parts that the worker sent for the complexes of
     groups and its tail part, None if it sent none.  A worker that cannot
     start, fails, dies or sends a reply that does not parse costs one line
-    on stderr and gives no parts.  If here() raises, the worker is stopped
-    and reaped."""
+    on stderr, which names what is computed here again: the complexes of
+    groups, and audit's closing sections when the worker had the tail.  It
+    gives no parts.  If here() raises, the worker is stopped and reaped."""
+    rerun = " and ".join(what for what, has in (("its complexes", groups),
+                                                ("audit's closing sections", tail)) if has)
     try:
         pid, fd = _fork_worker(work)
     except OSError as e:
-        _worker_failed(e)
+        _worker_failed(e, rerun)
         here()
         return {}, None
     status = None
@@ -506,7 +494,7 @@ def _beside_worker(here, work, groups):
                  for g in groups for name in g if name in got}
         return parts, None if closing is None else _headless(*closing)
     except (ValueError, TypeError, EOFError) as e:
-        _worker_failed(e)
+        _worker_failed(e, rerun)
         return {}, None
 
 
@@ -531,7 +519,7 @@ def _run_groups(spec, spec_text, flags, identities, cohomology, tail):
         run(mine)
     else:
         done, tail_part = _beside_worker(lambda: run(mine), lambda: _worker_reply(
-            spec, spec_text, theirs, tail, flags, identities, cohomology), theirs)
+            spec, spec_text, theirs, tail, flags, identities, cohomology), theirs, tail is not None)
         parts.update(done)
         for group in theirs:
             if not all(name in parts for name in group):

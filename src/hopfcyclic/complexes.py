@@ -4,6 +4,15 @@ Four builders: the coalgebra complex (coinvariant-quotient realization), the
 algebra complex (equivariant-functional realization), the comodule-algebra
 complex (colinear-map realization) and the normalized Hopf complex on tensor
 powers together with its certified isomorphism to the coalgebra complex.
+When the module coalgebra is H acting on itself (acts_on_itself), the
+quotient (M (x) H^(x)(n+1))_H is read through Phi(m (x) h0 (x) h~) =
+m.h0(1) (x) S(h0(2)).h~ onto M (x) H^(x)n (Connes-Moscovici 1998;
+Hajac-Khalkhali-Rangipour-Sommerhaeuser 2004), with no elimination of the
+relations: three identities, each checked on every column, certify that the
+kernel of Phi is the span of the relations and that every operator
+descends (phi_degrees).  Every other module coalgebra is a QuotientSpace of
+its relations.
+
 The degreewise product of two complexes, which is also the diagonal of their
 tensor product, is a view on its two factors (ProductComplex): it stores no
 operator, and the certificates read its column plans from the factors'.
@@ -20,7 +29,7 @@ column and the residual there.
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import product as iproduct
 
 # sha256 from the interpreter's built-in module: hashlib would load OpenSSL's
@@ -33,8 +42,8 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .linalg import (SparseMatrix, KernelCoords, compose, tensor_kron, scal,
-                     image_rank, kernel_of_rows, matrix_to_text,
+from .linalg import (SparseMatrix, KernelCoords, SpanSolver, compose, tensor_kron, scal,
+                     invert_matrix, kernel_of_rows, matrix_to_text,
                      parse_scalar, vec_acc, vec_axpy, mul_vec,
                      column_plan, kron_plan, first_residual, matrix_terms)
 from .spaces import BasedSpace, MultiIndex, tensor_power, tensor_space
@@ -58,7 +67,10 @@ class IllDefined(CertificateFailure):
     """An operator does not descend to / preserve the realized space.  The
     column is the source basis index whose image leaves the target
     subspace, or the relation pivot whose image does not vanish in the
-    quotient; the residual is what is left there."""
+    quotient; the residual is what is left there.  Through Phi
+    (phi_degrees) it is the ambient column where an operator does not
+    commute with Phi or the kernel identity fails, or the relation
+    generator that Phi does not kill, with the residual there."""
 
 
 class ConjugationFailure(CertificateFailure):
@@ -370,14 +382,28 @@ class HopfTables:
             left_all, right_all = prev(head), base[v]
             out = {}
             for hh in range(hdim):
+                if len(comul[hh]) == 1:
+                    # one term: no two products meet, so none cancels
+                    ((h1, h2), x), = comul[hh]
+                    left, right = left_all.get(h1), right_all.get(h2)
+                    if left and right:
+                        out[hh] = {a * dim + b: scal(x * y * z)
+                                   for a, y in left.items() for b, z in right.items()}
+                    continue
                 acc = {}
+                get = acc.get
                 for (h1, h2), x in comul[hh]:
                     left, right = left_all.get(h1), right_all.get(h2)
                     if left and right:
                         for a, y in left.items():
                             shift, xy = a * dim, x * y
                             for b, z in right.items():
-                                vec_acc(acc, shift + b, xy * z)
+                                k = shift + b
+                                w = get(k, 0) + xy * z      # vec_acc, inlined
+                                if w:
+                                    acc[k] = w if type(w) is int else scal(w)
+                                else:
+                                    del acc[k]
                 if acc:
                     out[hh] = acc
             return out
@@ -450,24 +476,116 @@ def expand_terms(parts):
 
 class CoalgebraComplexData:
 
-    def __init__(self, complex, quotients, ambients):
+    def __init__(self, complex, quotients, ambients, iso=None):
         self.complex = complex
-        self.quotients = quotients      # per-degree QuotientSpace on the ambient
+        self.quotients = quotients      # per degree: the free ambient columns (QuotientSpace, FreeColumns)
         self.ambients = ambients        # per-degree MultiIndex (m, c, ..., c)
+        self.iso = iso                  # through Phi: per-degree Phi_F, quotient -> M (x) H^(x)n
+
+
+def structure_tables(t):
+    """A StructureTensor's shape and structure constants."""
+    return tuple(s.dim for s in t.domains), t.codomain.dim, t.entries
+
+
+def same_hopf(a, b):
+    """Whether two Hopf algebras have the same structure tables."""
+    return (structure_tables(a.alg.mul) == structure_tables(b.alg.mul)
+            and a.alg.unit == b.alg.unit
+            and structure_tables(a.coalg.comul) == structure_tables(b.coalg.comul)
+            and a.coalg.counit == b.coalg.counit and a.antipode == b.antipode)
+
+
+def acts_on_itself(mc, h):
+    """Whether the module coalgebra mc is the Hopf algebra h over itself by
+    left multiplication, by structure tables: mc's Hopf algebra is h, and
+    mc's comultiplication, counit and action are h's comultiplication,
+    counit and multiplication.  build_coalgebra_complex builds such a
+    coalgebra's complex through Phi."""
+    return (same_hopf(mc.hopf, h)
+            and structure_tables(mc.coalg.comul) == structure_tables(h.coalg.comul)
+            and mc.coalg.counit == h.coalg.counit
+            and structure_tables(mc.action) == structure_tables(h.alg.mul))
 
 
 def build_coalgebra_complex(mc, sayd, N, name="coalgebra") -> CoalgebraComplexData:
-    h = mc.hopf
-    tabs = HopfTables.of(h)
+    """The complex M (x)_H C^(x)(n+1): through Phi when C is H over itself
+    (acts_on_itself), else as a QuotientSpace of the relations."""
+    if acts_on_itself(mc, mc.hopf):
+        return _coalgebra_through_phi(mc, sayd, N, name)
+    return _coalgebra_by_relations(mc, sayd, N, name)
+
+
+def _ambient_maps(mc, sayd, top):
+    """kind -> cols(n, i): the images of the basis columns f = 0, 1, ... of
+    the ambient M (x) C^(x)(n+1), flat index m*cdim^(n+1) + t, under the
+    structure map (kind, n, i), in order, each as a list of (row, x)."""
     act = action_table(mc.action)
     comul, eps = split_table(mc.coalg.comul), dict(mc.coalg.counit)
     mco = split_table(sayd.lcoaction)
+    mdim, cdim = sayd.space.dim, mc.space.dim
+    pw = [cdim ** k for k in range(top + 3)]
+    size = pw[1:]
+
+    def face_cols(n, i):
+        if i <= n:
+            # m (x) head (x) c (x) tail -> m (x) head (x) c(1) (x) c(2) (x) tail
+            low = pw[n - i]
+            for m in range(mdim):
+                for head in range(pw[i]):
+                    for c in range(cdim):
+                        pre = [(m * size[n + 1] + ((head * cdim + a) * cdim + b) * low, x)
+                               for (a, b), x in comul[c]]
+                        for tail in range(low):
+                            yield [(k + tail, x) for k, x in pre]
+            return
+        # twisted last coface: m0 (x) c0^(2), c1..cn, m^(-1) c0^(1)
+        for m in range(mdim):
+            for c0 in range(cdim):
+                pre = {}
+                for (hh, mj), x1 in mco[m]:
+                    for (a, b), x2 in comul[c0]:
+                        for cc, x3 in act.get((hh, a), ()):
+                            vec_acc(pre, mj * size[n + 1] + b * pw[n] * cdim + cc, x1 * x2 * x3)
+                pre = list(pre.items())
+                for rest in range(pw[n]):
+                    yield [(k + rest * cdim, x) for k, x in pre]
+
+    def degen_cols(n, j):
+        # m (x) head (x) c (x) tail -> eps(c) m (x) head (x) tail
+        low = pw[n - j - 1]
+        for m in range(mdim):
+            for head in range(pw[j + 1]):
+                base = m * size[n - 1] + head * low
+                for c in range(cdim):
+                    e = eps.get(c, 0)
+                    for tail in range(low):
+                        yield [(base + tail, e)] if e else []
+
+    def tau_cols(n, _):
+        # m (x) c0 (x) rest -> m0 (x) rest (x) m^(-1) c0
+        for m in range(mdim):
+            for c0 in range(cdim):
+                pre = {}
+                for (hh, mj), x1 in mco[m]:
+                    for cc, x2 in act.get((hh, c0), ()):
+                        vec_acc(pre, mj * size[n] + cc, x1 * x2)
+                pre = list(pre.items())
+                for rest in range(pw[n]):
+                    yield [(k + rest * cdim, x) for k, x in pre]
+
+    return {"face": face_cols, "degen": degen_cols, "tau": tau_cols}
+
+
+def _coalgebra_by_relations(mc, sayd, N, name):
+    """The quotient of every degree's ambient by the span of its relations
+    (QuotientSpace), each operator lifted to the quotient bases."""
+    h = mc.hopf
+    tabs = HopfTables.of(h)
     mract = action_table(sayd.raction)
     mdim, cdim = sayd.space.dim, mc.space.dim
     top = N + 1
-    # ambient of degree n: flat index m*size[n] + t, t a flat index of C^(x)(n+1)
-    pw = [cdim ** k for k in range(top + 3)]
-    size = pw[1:]
+    size = [cdim ** (n + 1) for n in range(top + 1)]
 
     def relations(n, moved_by):
         """The relations m.h (x) c~ - m (x) h.c~ of M (x)_H C^(x)(n+1), made
@@ -486,49 +604,7 @@ def build_coalgebra_complex(mc, sayd, N, name="coalgebra") -> CoalgebraComplexDa
     moved_by_degree = tabs.diag_act_degrees(_acting_on(mc.action), cdim, top)
     quotients = [QuotientSpace(mdim * size[n], relations(n, moved_by))
                  for n, moved_by in enumerate(moved_by_degree)]
-    ambients = [MultiIndex((mdim,) + (cdim,) * (n + 1)) for n in range(top + 1)]
-    spaces = [BasedSpace(tuple("q%d_%d" % (n, i) for i in range(quo.dim)))
-              for n, quo in enumerate(quotients)]
-
-    def face_col(n, i, f):
-        """Ambient image of the ambient basis column f under the i-th coface."""
-        m, t = divmod(f, size[n])
-        base = m * size[n + 1]
-        out = {}
-        if i <= n:
-            head, rest = divmod(t, pw[n - i + 1])
-            c, tail = divmod(rest, pw[n - i])
-            for (a, b), x in comul[c]:
-                out[base + ((head * cdim + a) * cdim + b) * pw[n - i] + tail] = x
-        else:
-            # twisted last coface: m0 (x) c0^(2), c1..cn, m^(-1) c0^(1)
-            c0, rest = divmod(t, pw[n])
-            for (hh, mj), x1 in mco[m]:
-                for (a, b), x2 in comul[c0]:
-                    for cc, x3 in act.get((hh, a), ()):
-                        vec_acc(out, mj * size[n + 1] + (b * pw[n] + rest) * cdim + cc,
-                                x1 * x2 * x3)
-        return out
-
-    def degen_col(n, j, f):
-        m, t = divmod(f, size[n])
-        head, rest = divmod(t, pw[n - j])
-        c, tail = divmod(rest, pw[n - j - 1])
-        e = eps.get(c, 0)
-        if not e:
-            return {}
-        return {m * size[n - 1] + head * pw[n - j - 1] + tail: e}
-
-    def tau_col(n, _, f):
-        m, t = divmod(f, size[n])
-        c0, rest = divmod(t, pw[n])
-        out = {}
-        for (hh, mj), x1 in mco[m]:
-            for cc, x2 in act.get((hh, c0), ()):
-                vec_acc(out, mj * size[n] + rest * cdim + cc, x1 * x2)
-        return out
-
-    col_fns = {"face": face_col, "degen": degen_col, "tau": tau_col}
+    col_fns = _ambient_maps(mc, sayd, top)
 
     def lift(kind, n, i):
         """Operator matrix on quotient bases.  The image of every ambient
@@ -536,9 +612,8 @@ def build_coalgebra_complex(mc, sayd, N, name="coalgebra") -> CoalgebraComplexDa
         the free columns, and descent is checked on every relation row r of
         the RREF as sum_f r_f image(f) = 0 (the projection is linear): one
         residuals column per row, the images and the rows as column plans."""
-        colfn = partial(col_fns[kind], n, i)
         quo_s, quo_t = quotients[n], quotients[n + _SHIFT[kind]]
-        images = [quo_t.project_vec(colfn(f)) for f in range(quo_s.ambient_dim)]
+        images = [quo_t.project_vec(col) for col in col_fns[kind](n, i)]
         solver = quo_s.solver
         rows = [solver.rows[p].items() for p in solver.pivots]
         hit = first_residual([(1, [img.items() for img in images], rows)], len(rows))
@@ -548,8 +623,268 @@ def build_coalgebra_complex(mc, sayd, N, name="coalgebra") -> CoalgebraComplexDa
                              n, solver.pivots[k], residual)
         return SparseMatrix.from_columns([images[f] for f in quo_s.free], quo_t.dim)
 
-    cx = CocyclicComplex.assemble(N, spaces, lift, name)
-    return CoalgebraComplexData(cx, quotients, ambients)
+    cx = CocyclicComplex.assemble(N, _quotient_spaces(q.dim for q in quotients), lift, name)
+    return CoalgebraComplexData(cx, quotients, _coalgebra_ambients(mdim, cdim, top))
+
+
+def _quotient_spaces(dims):
+    return [BasedSpace(tuple("q%d_%d" % (n, i) for i in range(dim)))
+            for n, dim in enumerate(dims)]
+
+
+def _coalgebra_ambients(mdim, cdim, top):
+    return [MultiIndex((mdim,) + (cdim,) * (n + 1)) for n in range(top + 1)]
+
+
+class FreeColumns:
+    """One degree of a coinvariant quotient built through Phi, as cup reads
+    it: the classes of the free ambient columns are its basis."""
+
+    __slots__ = ("free", "pos")
+
+    def __init__(self, free):
+        self.free = free
+        self.pos = {f: i for i, f in enumerate(free)}
+
+    @property
+    def dim(self):
+        return len(self.free)
+
+    def include_vec(self, qvec):
+        return {self.free[i]: x for i, x in qvec.items()}
+
+
+class PhiDegree:
+    """Degree n of (M (x) H^(x)(n+1))_H while it is built through Phi: the
+    column plan phi of Phi on the whole ambient, the free columns, iso =
+    Phi_F (quotient -> M (x) H^(x)n) and inv, its inverse."""
+
+    __slots__ = ("n", "phi", "free", "iso", "inv")
+
+    def __init__(self, n, phi, free, iso, inv):
+        self.n, self.phi, self.free, self.iso, self.inv = n, phi, free, iso, inv
+
+    def projection_matrix(self):
+        """Phi_F^-1 Phi: the quotient coordinates of every ambient column."""
+        return compose(self.inv, SparseMatrix.from_columns(
+            [dict(col) for col in self.phi], self.iso.rows))
+
+
+class _Columns:
+    """A column plan whose column c is made by fn(c) when it is read."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __getitem__(self, c):
+        return self.fn(c)
+
+
+def _apply_plan(plan, terms):
+    """The map with column plan plan applied to a vector given by its
+    (index, x) terms."""
+    out = {}
+    get = out.get
+    for k, x in terms:
+        for r, y in plan[k]:
+            w = get(r, 0) + x * y       # vec_acc, inlined
+            if w:
+                out[r] = w if type(w) is int else scal(w)
+            else:
+                del out[r]
+    return out
+
+
+def _normalization_map(n, psi, mract, mdim, S, W):
+    """The column plan of Phi at degree n on the ambient M (x) H^(x)(n+1),
+    flat index m*S + t: Phi(m (x) h0 (x) h~) = m.h0(1) (x) S(h0(2)).h~
+    lands at m'*W + w in M (x) H^(x)n, W = dim H^(x)n.  psi(t) gives the
+    terms (a*W + w, x) of h0(1) (x) S(h0(2)).h~ for t = (h0, h~)."""
+    plan = [()] * (mdim * S)
+    for t in range(S):
+        terms = psi(t)
+        for m in range(mdim):
+            col = {}
+            for aw, x in terms:
+                a, w = divmod(aw, W)
+                for mj, y in mract.get((m, a), ()):
+                    vec_acc(col, mj * W + w, x * y)
+            if col:
+                plan[m * S + t] = list(col.items())
+    return plan
+
+
+def phi_degrees(mc, sayd, top, name="coalgebra"):
+    """Degrees 0..top of the coinvariant quotient of M (x) H^(x)(n+1), for
+    mc the Hopf algebra H over itself (acts_on_itself), one PhiDegree each.
+
+    Phi(m (x) h0 (x) h~) = m.h0(1) (x) S(h0(2)).h~ kills every relation
+    r(m, h, c~) = m.h (x) c~ - m (x) h.c~, and every ambient column is
+    x = sum m (x) h0(1).(1 (x) S(h0(2)).h~); as m (x) h.(1 (x) y) is
+    m.h (x) 1 (x) y modulo r(m, h, 1 (x) y), the second identity puts
+    x - s(Phi(x)) in the span of the relations, s(m (x) w~) = m (x) 1 (x)
+    w~.  Both are checked on every column, so the kernel of Phi is the
+    span of the relations (the relations read h.c~ as the diagonal action
+    table moved does, and the second identity reads a.(1 (x) w~) as
+    a(1).1 (x) a(2).w~, the same action by coassociativity, which
+    HopfTables checks), and an ambient column is free in the echelon
+    form of the relations exactly when its image is independent of the
+    images of the columns after it: the free columns are found by a greedy
+    scan from the right that stops at full rank.  A failed identity raises
+    IllDefined with its degree, its first failing column (the ambient
+    column, or the relation generator (t*mdim + m)*hdim + h) and the
+    residual there; Phi_F singular raises ConjugationFailure."""
+    h = mc.hopf
+    tabs = HopfTables.of(h)
+    d, mdim = h.dim, sayd.space.dim
+    mract = action_table(sayd.raction)
+    unit = tabs.unit
+    # h0 -> terms (a, u, x) of h0(1) (x) S(h0(2)), u a basis element of H
+    twist = {c: [(a, u, x * y) for (a, b), x in tabs.comul[c] for u, y in tabs.S[b].items()]
+             for c in range(d)}
+    prev = [{u: {0: e} for u, e in tabs.eps.items()}].__getitem__     # u.() = eps(u)
+    base = _acting_on(mc.action)
+    for n, moved in enumerate(tabs.diag_act_degrees(base, d, top)):
+        W, S = d ** n, d ** (n + 1)
+        adim, wdim = mdim * S, mdim * W
+
+        def psi(t):
+            """h0(1) (x) S(h0(2)).h~ for t = (h0, h~), on flat indices a*W + w."""
+            h0, rest = divmod(t, W)
+            moved_rest, col = prev(rest), {}
+            get = col.get
+            for a, u, x in twist[h0]:
+                for w, y in moved_rest.get(u, {}).items():
+                    k = a * W + w
+                    v = get(k, 0) + x * y       # vec_acc, inlined
+                    if v:
+                        col[k] = v if type(v) is int else scal(v)
+                    else:
+                        del col[k]
+            return col.items()
+
+        def rebuilt(c):
+            """sum m (x) a.(1 (x) w~) over the terms a (x) w~ of psi(t): a.1
+            at degree 0, and a(1).1 (x) a(2).w~ above it, which is h.c~ of
+            the relations by coassociativity (HopfTables checks it)."""
+            m, t = divmod(c, S)
+            out = []
+            for aw, x in psi(t):
+                a, w = divmod(aw, W)
+                if n == 0:
+                    for k, u in unit:
+                        out.extend((m * S + i, x * u * y) for i, y in base[k].get(a, {}).items())
+                    continue
+                moved_w = prev(w)
+                for (a1, a2), z in tabs.comul[a]:
+                    right = moved_w.get(a2)
+                    if right:
+                        for k, u in unit:
+                            for c1, y in base[k].get(a1, {}).items():
+                                shift, xy = m * S + c1 * W, x * z * u * y
+                                out.extend((shift + i, xy * v) for i, v in right.items())
+            return out
+
+        # x = sum m (x) h0(1).(1 (x) S(h0(2)).h~ on every ambient column
+        hit = first_residual([(1, None, _Columns(rebuilt)), (-1, None, None)], adim)
+        if hit is not None:
+            raise IllDefined("%s relations do not span the kernel of the normalization map "
+                             "at degree %d" % (name, n), n, *hit)
+        phi = _normalization_map(n, psi, mract, mdim, S, W)
+        blocks = mdim * d
+
+        def generators(t):
+            """Phi of the generators r(m, h, t~) of one t, (m*hdim + h)*wdim
+            + r holding the term at row r of the generator's image."""
+            row, out = moved(t), []
+            append = out.append
+            for m in range(mdim):
+                for hh in range(d):
+                    shift = (m * d + hh) * wdim
+                    for mj, x in mract.get((m, hh), ()):
+                        for r, y in phi[mj * S + t]:
+                            append((shift + r, x * y))
+                    for k, x in row.get(hh, {}).items():
+                        for r, y in phi[m * S + k]:
+                            append((shift + r, -x * y))
+            return out
+
+        # Phi(m.h (x) c~) = Phi(m (x) h.c~): the images of the generators of t
+        # are checked in one column, each in rows of its own
+        hit = first_residual([(1, None, _Columns(generators))], S)
+        if hit is not None:
+            t, residual = hit
+            block = min(residual) // wdim
+            raise IllDefined("%s normalization map does not kill the relations at degree %d"
+                             % (name, n), n, t * blocks + block,
+                             {r - block * wdim: x for r, x in residual.items()
+                              if r // wdim == block})
+
+        solver, free = SpanSolver(), []
+        for f in reversed(range(adim)):
+            if solver.add(phi[f]):
+                free.append(f)
+                if len(free) == wdim:
+                    break
+        if len(free) != wdim:
+            raise ConjugationFailure("normalization map is not invertible at degree %d" % n, n)
+        del solver
+        free.sort()
+        iso = SparseMatrix.from_columns([dict(phi[f]) for f in free], wdim)
+        prev = moved
+        yield PhiDegree(n, phi, free, iso, invert_matrix(iso))
+
+
+def _coalgebra_through_phi(mc, sayd, N, name):
+    """The complex of H over itself through Phi (phi_degrees).  With op_W =
+    Phi' . op . s on M (x) H^(x)n, each structure map is T' . op_W . Phi_F,
+    T' = Phi'_F^-1, once Phi' . op = op_W . Phi is checked on every ambient
+    column: then op descends, and its quotient is that map.  Phi is held
+    for degrees n-1..n+1 only, while the maps of degree n are made."""
+    unit = HopfTables.of(mc.hopf).unit
+    mdim, d = sayd.space.dim, mc.space.dim
+    top = N + 1
+    col_fns = _ambient_maps(mc, sayd, top)
+    degrees = phi_degrees(mc, sayd, top, name)
+    window, quotients, iso = {}, [], []
+
+    def degree(n):
+        while n not in window:
+            deg = next(degrees)
+            window[deg.n] = deg
+            quotients.append(FreeColumns(deg.free))
+            iso.append(deg.iso)
+            if deg.n == top:
+                degrees.close()     # the action tables go
+        return window[n]
+
+    def make(kind, n, i):
+        window.pop(n - 2, None)
+        src, tgt = degree(n), degree(n + _SHIFT[kind])
+        S, W = d ** (n + 1), d ** n
+        phi_t = tgt.phi
+        # Phi' . op on every ambient column; most columns of op hold one term
+        image = []
+        for terms in col_fns[kind](n, i):
+            if len(terms) == 1:
+                (k, x), = terms
+                image.append(phi_t[k] if x == 1 else [(r, x * y) for r, y in phi_t[k]])
+            else:
+                image.append(_apply_plan(phi_t, terms).items())
+        # op_W = Phi' . op . s reads the section columns m (x) 1 (x) w~
+        op_w = [_apply_plan(image, [(m * S + k * W + w, x) for k, x in unit]).items()
+                for m in range(mdim) for w in range(W)]
+        hit = first_residual([(1, None, image), (-1, op_w, src.phi)], len(src.phi))
+        if hit is not None:
+            raise IllDefined("%s operator does not descend at degree %d" % (name, n), n, *hit)
+        return compose(tgt.inv, SparseMatrix.from_columns([dict(image[f]) for f in src.free],
+                                                         tgt.iso.rows))
+
+    spaces = _quotient_spaces(mdim * d ** n for n in range(top + 1))
+    cx = CocyclicComplex.assemble(N, spaces, make, name)
+    return CoalgebraComplexData(cx, quotients, _coalgebra_ambients(mdim, d, top), iso)
 
 
 class SubspaceComplexData:
@@ -834,7 +1169,8 @@ class HopfComplexData:
 def build_hopf_complex(mp, N) -> HopfComplexData:
     """Coalgebra complex of H over itself with 1-dim twisted coefficients,
     the simplified complex on tensor powers, and the certified conjugating
-    isomorphism between them."""
+    isomorphism between them: Phi_F, the normalization map on the classes
+    of the free columns (phi_degrees)."""
     from .actions import mpi_coefficients, validate_sayd
     from .fixtures import self_module_coalgebra
     h = mp.hopf
@@ -842,48 +1178,14 @@ def build_hopf_complex(mp, N) -> HopfComplexData:
     rep = validate_sayd(sayd)
     if not rep.ok:
         raise ValueError("coefficient pair is not stable anti-Yetter-Drinfeld: %r" % rep)
-    mc = self_module_coalgebra(h)
-    quot = build_coalgebra_complex(mc, sayd, N, name="hopf-quotient")
+    quot = build_coalgebra_complex(self_module_coalgebra(h), sayd, N, name="hopf-quotient")
     power = build_power_complex(mp, N)
-    iso = []
-    for n in range(N + 2):
-        I_n = _normalization_map(quot, mp, n)
-        if I_n.rows != I_n.cols or image_rank(I_n) != I_n.cols:
-            raise ConjugationFailure("normalization map is not invertible at degree %d" % n, n)
-        iso.append(I_n)
     # certify conjugation of every operator
-    bad = intertwines(quot.complex, power, iso)
+    bad = intertwines(quot.complex, power, quot.iso)
     if bad is not None:
         key, column, residual = bad
         raise ConjugationFailure(describe_map(*key), key[1], column, residual)
-    return HopfComplexData(quot, power, iso)
-
-
-def _normalization_map(quot, mp, n):
-    """Degree-n matrix of the map from the quotient side to H^(x)n:
-    the class of m (x) h0 (x) h~ goes to delta(h0^(1)) S(h0^(2)) . h~."""
-    h = mp.hopf
-    tabs = HopfTables.of(h)
-    delta = dict(mp.delta)
-    mi = quot.ambients[n]
-    quo = quot.quotients[n]
-    mi_t = MultiIndex((h.dim,) * n)
-    cols = []
-    for k in range(quo.dim):
-        amb = quo.include_vec({k: 1})
-        out = {}
-        for f, c0 in amb.items():
-            idx = mi.unflat(f)
-            h0, rest = idx[1], idx[2:]
-            # m h0^(1) (x) S(h0^(2)) . (h1 .. hn)
-            hvec = {}
-            for (a, b), x1 in tabs.comul[h0]:
-                vec_axpy(hvec, c0 * x1 * delta.get(a, 0), tabs.S[b])
-            moved = tabs.diag_act(hvec, [tabs.right_mul[hi] for hi in rest])
-            for keys, x in moved.items():
-                vec_acc(out, mi_t.flat(keys), x)
-        cols.append(out)
-    return SparseMatrix.from_columns(cols, mi_t.size)
+    return HopfComplexData(quot, power, quot.iso)
 
 
 def build_power_complex(mp, N) -> CocyclicComplex:

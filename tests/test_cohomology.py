@@ -5,10 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from hopfcyclic.linalg import SparseMatrix, SpanSolver, compose, image_rank, kernel_basis, vec_acc
 from hopfcyclic.complexes import (build_coalgebra_complex, build_hopf_complex,
-                                  plain_cyclic_complex, CocyclicComplex)
+                                  plain_cyclic_complex, CocyclicComplex, phi_degrees,
+                                  same_complex, _coalgebra_by_relations)
 from hopfcyclic.cohomology import (hochschild_b, connes_B, compute_cohomology,
                                    cyclic_cocycles, total_differential, NotAComplex, lam)
-from hopfcyclic.actions import trivial_sayd
+from hopfcyclic.actions import trivial_sayd, mpi_coefficients
 from hopfcyclic.fixtures import (trivial_hopf, group_algebra, mpi_trivial, mpi_h4,
                                  self_module_coalgebra, swap_module_algebra,
                                  fixture_file_texts)
@@ -256,7 +257,9 @@ BASIS_CHANGE_PAIRS = {
 @pytest.mark.parametrize("name", sorted(BASIS_CHANGE_PAIRS))
 def test_random_basis_change_preserves_cohomology(name):
     # HH and HC of the Hopf complex do not depend on the basis: transport
-    # the algebra through T, delta to delta o T and sigma to T^-1 sigma
+    # the algebra through T, delta to delta o T and sigma to T^-1 sigma.
+    # Under the same T, the coinvariant quotient built through Phi has the
+    # free columns, projections and operators of the QuotientSpace oracle
     from hopfcyclic.hopf import validate_hopf, validate_modular_pair, ModularPair
     from hopfcyclic.linalg import invert_matrix
     make, examples = BASIS_CHANGE_PAIRS[name]
@@ -274,5 +277,12 @@ def test_random_basis_change_preserves_cohomology(name):
         mp2 = ModularPair(h2, delta, invert_matrix(T).apply(mp.sigma))
         assert validate_hopf(h2).ok and validate_modular_pair(mp2).ok
         assert compute_cohomology(build_hopf_complex(mp2, 3).power).lines() == want
+        mc, sayd = self_module_coalgebra(h2), mpi_coefficients(mp2)
+        got = build_coalgebra_complex(mc, sayd, 2)
+        ref = _coalgebra_by_relations(mc, sayd, 2, "coalgebra")
+        assert [q.free for q in got.quotients] == [q.free for q in ref.quotients]
+        assert ([deg.projection_matrix() for deg in phi_degrees(mc, sayd, 3)]
+                == [q.projection_matrix() for q in ref.quotients])
+        assert same_complex(got.complex, ref.complex)
 
     check()

@@ -480,10 +480,62 @@ def test_ill_defined_raised_for_broken_coaction():
     assert (err.degree, err.column, err.residual) == (1, 0, {3: 2})
 
 def test_quotient_projection_section_identity():
+    # through Phi, the projection of every ambient basis vector is that of
+    # the QuotientSpace oracle, and it is the identity on the free columns
     from hopfcyclic.linalg import compose, SparseMatrix
+    from hopfcyclic.complexes import phi_degrees, _coalgebra_by_relations
     h = group_algebra(3)
-    data = build_coalgebra_complex(self_module_coalgebra(h), trivial_sayd(h), 2)
-    for n, quo in enumerate(data.quotients):
-        pi = quo.projection_matrix()
-        iota = quo.inclusion_matrix()
-        assert compose(pi, iota) == SparseMatrix.identity(quo.dim)
+    mc, sayd = self_module_coalgebra(h), trivial_sayd(h)
+    data = build_coalgebra_complex(mc, sayd, 2)
+    oracle = _coalgebra_by_relations(mc, sayd, 2, "coalgebra").quotients
+    for quo, deg, ref in zip(data.quotients, phi_degrees(mc, sayd, 3), oracle, strict=True):
+        assert quo.free == deg.free == ref.free
+        pi = deg.projection_matrix()
+        assert pi == ref.projection_matrix()
+        assert compose(pi, ref.inclusion_matrix()) == SparseMatrix.identity(quo.dim)
+        assert quo.include_vec({0: 3}) == {quo.free[0]: 3} and quo.pos[quo.free[-1]] == quo.dim - 1
+
+
+# -- the route through Phi: each certificate's failure and its witness ------------
+
+def test_phi_that_does_not_kill_a_relation_is_ill_defined():
+    # delta(e) = 1, delta(g) = 2 is no character, so m.g (x) g - m (x) e,
+    # the generator (1*1 + 0)*2 + 1, has the image 2*2 - 1 under Phi
+    from hopfcyclic.complexes import IllDefined
+    from hopfcyclic.hopf import ModularPair
+    h = group_algebra(2)
+    sayd = mpi_coefficients(ModularPair(h, {0: 1, 1: 2}, {0: 1}))
+    with pytest.raises(IllDefined) as info:
+        build_coalgebra_complex(self_module_coalgebra(h), sayd, 1)
+    err = info.value
+    assert str(err) == "coalgebra normalization map does not kill the relations at degree 0"
+    assert (err.degree, err.column, err.residual) == (0, 3, {0: 3})
+
+def test_phi_whose_kernel_identity_fails_is_ill_defined():
+    # S(g) = -g breaks h(1) S(h(2)) = eps(h): the column g is rebuilt as
+    # g.(1 (x) S(g)) = -g, which leaves -2 g
+    from hopfcyclic.complexes import IllDefined
+    from hopfcyclic.hopf import HopfData
+    h = group_algebra(2)
+    broken = HopfData(h.alg, h.coalg, SparseMatrix(2, 2, {(0, 0): 1, (1, 1): -1}))
+    with pytest.raises(IllDefined) as info:
+        build_coalgebra_complex(self_module_coalgebra(broken), trivial_sayd(broken), 1)
+    err = info.value
+    assert str(err) == ("coalgebra relations do not span the kernel of the normalization map "
+                        "at degree 0")
+    assert (err.degree, err.column, err.residual) == (0, 1, {1: -2})
+
+def test_phi_operator_that_does_not_descend_is_ill_defined():
+    # (eps, 1) over the Taft algebra passes the structure test but is not
+    # anti-Yetter-Drinfeld: Phi' . op = op_W . Phi fails on the ambient
+    # column x at degree 0, which is not free there (the free column is g)
+    from hopfcyclic.complexes import IllDefined, acts_on_itself, phi_degrees
+    h = sweedler_h4()
+    mc, sayd = self_module_coalgebra(h), mpi_coefficients(mpi_trivial(h))
+    assert acts_on_itself(mc, h)
+    assert next(phi_degrees(mc, sayd, 2)).free == [1]
+    with pytest.raises(IllDefined) as info:
+        build_coalgebra_complex(mc, sayd, 1)
+    err = info.value
+    assert str(err) == "coalgebra operator does not descend at degree 0"
+    assert (err.degree, err.column, err.residual) == (0, 2, {2: 2})

@@ -3,7 +3,9 @@
 The equivariant, colinear and coinvariant-quotient conditions are fed
 straight into the echelon solver.  The stacked condition matrices the
 builders used to assemble are kept here as oracles: the RREF is unique, so
-every basis must come out the same, in the same order and key order."""
+every basis must come out the same, in the same order and key order.  A
+coinvariant quotient of H over itself is built through Phi instead, and
+must give the oracle's free columns and projections."""
 
 import functools
 import tracemalloc
@@ -16,8 +18,8 @@ from hopfcyclic.actions import QuotientSpace
 from hopfcyclic.complexes import (HopfTables, _acting_on, action_table, _by_degree,
                                   split_table, build_algebra_complex,
                                   build_coalgebra_complex, build_comodule_algebra_complex,
-                                  build_hopf_complex, plain_cyclic_complex,
-                                  ConjugationFailure)
+                                  build_hopf_complex, plain_cyclic_complex, phi_degrees,
+                                  acts_on_itself, ConjugationFailure, IllDefined)
 from hopfcyclic.fixtures import fixture_file_texts, mpi_kz2_sigma_g, swap_module_algebra
 from hopfcyclic.specfile import parse_spec
 
@@ -138,7 +140,11 @@ def test_streamed_conditions_match_the_stacked_matrix_oracle(fixture):
             got = build_coalgebra_complex(mc, sayd, N).quotients
             ref = quotient_oracle(mc, sayd, N)
             assert [q.free for q in got] == [q.free for q in ref]
-            assert [q.solver.rref_rows() for q in got] == [q.solver.rref_rows() for q in ref]
+            # the projection of every ambient basis vector
+            if acts_on_itself(mc, mc.hopf):
+                got = phi_degrees(mc, sayd, N + 1)
+            assert ([q.projection_matrix() for q in got]
+                    == [q.projection_matrix() for q in ref])
         else:
             continue
         checked += 1
@@ -194,20 +200,45 @@ def test_built_quotients_hold_no_column_index():
     assert held < 3.75, held
 
 
+@functools.lru_cache(maxsize=None)
+def kz4_relative_spec():
+    spec = parse_spec(fixture_file_texts()["kz4_relative.hcy"])
+    HopfTables.of(spec.module_coalgebras["H"].hopf)
+    return spec
+
+
+def test_hopf_build_through_phi_peaks_below_the_relation_elimination():
+    # h4 at N=4: the build that eliminated the relations of every degree
+    # and kept their echelon forms peaked at 5.04-5.25 MB; through Phi,
+    # which holds Phi for three degrees at a time, at about 4.0 MB
+    spec = h4_spec()
+    peak = traced_peak_mb(lambda: build_hopf_complex(spec.modular_pair("taft"), 4))
+    assert peak <= 5.04, peak
+
+
+def test_coalgebra_build_through_phi_peaks_below_the_relation_elimination():
+    # kz4_relative's coalg_triv at N=4: 3.61-3.77 MB with the relations
+    # eliminated, about 3.2 MB through Phi
+    spec = kz4_relative_spec()
+    peak = traced_peak_mb(lambda: build_coalgebra_complex(spec.module_coalgebras["H"],
+                                                          spec.coefficients["triv"], 4))
+    assert peak <= 3.61, peak
+
+
 # -- the Hopf normalization map ------------------------------------------------------------
 
 def test_singular_normalization_map_fails_with_its_degree(monkeypatch):
     import hopfcyclic.complexes as complexes
     normalization_map = complexes._normalization_map
 
-    def singular_at_two(quot, mp, n):
-        m = normalization_map(quot, mp, n)
+    def singular_at_two(n, *args):
+        plan = normalization_map(n, *args)
         if n != 2:
-            return m
-        # the last column becomes the first: rank drops by one
-        ent = {(r, c): x for (r, c), x in m.entries.items() if c != m.cols - 1}
-        ent.update({(r, m.cols - 1): x for (r, c), x in m.entries.items() if c == 0})
-        return SparseMatrix(m.rows, m.cols, ent)
+            return plan
+        # no column reaches the last coordinate: rank drops by one, and the
+        # relations are still killed
+        last = max(r for col in plan for r, _ in col)
+        return [[(r, x) for r, x in col if r != last] for col in plan]
 
     monkeypatch.setattr(complexes, "_normalization_map", singular_at_two)
     with pytest.raises(ConjugationFailure) as e:
@@ -215,6 +246,30 @@ def test_singular_normalization_map_fails_with_its_degree(monkeypatch):
     assert str(e.value) == "normalization map is not invertible at degree 2"
     assert e.value.degree == 2
     assert e.value.column is None and e.value.residual is None
+
+
+def test_relations_are_checked_at_the_top_degree(monkeypatch):
+    # Phi doubled on the ambient column e (x) e (x) e of the top degree
+    # (N = 1) no longer kills the relation g (x) e~ - e (x) g.e~ at t = 0,
+    # the generator (0*1 + 0)*2 + 1; its image is 2 Phi(e_0) - Phi(e_7)
+    import hopfcyclic.complexes as complexes
+    from hopfcyclic.actions import trivial_sayd
+    from hopfcyclic.fixtures import group_algebra, self_module_coalgebra
+    normalization_map = complexes._normalization_map
+
+    def doubled_at_top(n, *args):
+        plan = normalization_map(n, *args)
+        if n == 2:
+            plan[0] = [(r, 2 * x) for r, x in plan[0]]
+        return plan
+
+    monkeypatch.setattr(complexes, "_normalization_map", doubled_at_top)
+    h = group_algebra(2)
+    with pytest.raises(IllDefined) as e:
+        build_coalgebra_complex(self_module_coalgebra(h), trivial_sayd(h), 1)
+    err = e.value
+    assert str(err) == "coalgebra normalization map does not kill the relations at degree 2"
+    assert (err.degree, err.column, err.residual) == (2, 1, {0: 1})
 
 
 # -- the plain cyclic complex: the full ambient, no restriction ----------------------------

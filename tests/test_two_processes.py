@@ -326,8 +326,23 @@ def test_a_failing_worker_gives_the_serial_report(tmp_path, monkeypatch, capsys,
         assert err == ""
     else:
         assert err.startswith("hopfcyclic: the worker process failed (")
-        assert err.endswith("; its complexes were computed here\n")
+        assert err.endswith("; its complexes and audit's closing sections were computed here\n")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fixture,command,rerun", [
+    ("h4.hcy", "cohomology", "its complexes"),
+    ("h4.hcy", "audit", "its complexes and audit's closing sections"),
+    # one group, which stays here: the worker had the tail only
+    ("kz4_relative.hcy", "audit", "audit's closing sections")])
+def test_the_failure_line_names_what_ran_again(tmp_path, monkeypatch, capsys,
+                                                fixture, command, rerun):
+    split = Side(tmp_path, "split", fixture_file_texts()[fixture], 2, monkeypatch)
+    monkeypatch.setattr(cli, "_worker_reply", exits)
+    code, _, err, _ = split.run(capsys, command, "--max-degree", "2")
+    assert code == 0 and split.workers == 1
+    assert err == ("hopfcyclic: the worker process failed (exit status 1); "
+                   "%s were computed here\n" % rerun)
 
 
 def no_child_left():

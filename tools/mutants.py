@@ -79,9 +79,23 @@ MUTANTS = [
             "tests/test_linalg.py::test_kernel_basis_matches_free_pivot_loop",
             "tests/test_linalg.py::test_kernel_vectors_annihilated"]),
     Mutant("normalization-rank-check-dropped", COMPLEXES,
-           "if I_n.rows != I_n.cols or image_rank(I_n) != I_n.cols:",
-           "if I_n.rows != I_n.cols:",
+           "        if len(free) != wdim:\n            raise ConjugationFailure(",
+           "        if False:\n            raise ConjugationFailure(",
            ["tests/test_condition_systems.py::test_singular_normalization_map_fails_with_its_degree"]),
+    Mutant("greedy-scan-left-to-right", COMPLEXES,
+           "        for f in reversed(range(adim)):\n",
+           "        for f in range(adim):\n",
+           [STREAMED + "[h4.hcy]", STREAMED + "[kz2.hcy]",
+            "tests/test_complexes.py::test_quotient_projection_section_identity"]),
+    Mutant("relations-unchecked-at-top", COMPLEXES,
+           "        hit = first_residual([(1, None, _Columns(generators))], S)\n",
+           "        hit = first_residual([(1, None, _Columns(generators))], S) if n < top else None\n",
+           ["tests/test_condition_systems.py::test_relations_are_checked_at_the_top_degree"]),
+    Mutant("descent-on-free-columns-only", COMPLEXES,
+           "first_residual([(1, None, image), (-1, op_w, src.phi)], len(src.phi))",
+           "first_residual([(1, None, [image[f] for f in src.free]),"
+           " (-1, op_w, [src.phi[f] for f in src.free])], len(src.free))",
+           ["tests/test_complexes.py::test_phi_operator_that_does_not_descend_is_ill_defined"]),
     Mutant("colinear-one-condition-per-w", COMPLEXES,
            "            yield from rows.values()\n",
            "            yield next(iter(rows.values()))\n",
@@ -268,8 +282,8 @@ MUTANTS = [
            [TWO + "test_a_coalgebra_complex_stays_with_the_hopf_complex_that_feeds_it[%s]" % k
             for k in ("h4", "kz2", "kz2-quotient-replaced")] + QUOTIENT_TAKEN),
     Mutant("any-coalgebra-is-a-hopf-quotient", CLI,
-           "    return (_same_hopf(mc.hopf, h)\n",
-           "    return True or (_same_hopf(mc.hopf, h)\n",
+           "    return (acts_on_itself(mc, mp.hopf)\n",
+           "    return True or (acts_on_itself(mc, mp.hopf)\n",
            [TWO + "test_a_coalgebra_complex_stays_with_the_hopf_complex_that_feeds_it"
             "[kz2-quotient-replaced]",
             "tests/test_audit_pass.py::test_quotient_reused_only_for_the_same_structure"]),
