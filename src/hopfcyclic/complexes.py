@@ -29,6 +29,7 @@ column and the residual there.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 from itertools import product as iproduct
 
@@ -42,8 +43,8 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .linalg import (SparseMatrix, KernelCoords, SpanSolver, compose, tensor_kron, scal,
-                     invert_matrix, kernel_of_rows, matrix_to_text,
+from .linalg import (SparseMatrix, KernelCoords, compose, tensor_kron, scal,
+                     kernel_of_rows, matrix_to_text,
                      parse_scalar, vec_acc, vec_axpy, mul_vec,
                      column_plan, kron_plan, first_residual, matrix_terms)
 from .spaces import BasedSpace, MultiIndex, tensor_power, tensor_space
@@ -382,28 +383,14 @@ class HopfTables:
             left_all, right_all = prev(head), base[v]
             out = {}
             for hh in range(hdim):
-                if len(comul[hh]) == 1:
-                    # one term: no two products meet, so none cancels
-                    ((h1, h2), x), = comul[hh]
-                    left, right = left_all.get(h1), right_all.get(h2)
-                    if left and right:
-                        out[hh] = {a * dim + b: scal(x * y * z)
-                                   for a, y in left.items() for b, z in right.items()}
-                    continue
                 acc = {}
-                get = acc.get
                 for (h1, h2), x in comul[hh]:
                     left, right = left_all.get(h1), right_all.get(h2)
                     if left and right:
                         for a, y in left.items():
                             shift, xy = a * dim, x * y
                             for b, z in right.items():
-                                k = shift + b
-                                w = get(k, 0) + xy * z      # vec_acc, inlined
-                                if w:
-                                    acc[k] = w if type(w) is int else scal(w)
-                                else:
-                                    del acc[k]
+                                vec_acc(acc, shift + b, xy * z)
                 if acc:
                     out[hh] = acc
             return out
@@ -640,11 +627,10 @@ class FreeColumns:
     """One degree of a coinvariant quotient built through Phi, as cup reads
     it: the classes of the free ambient columns are its basis."""
 
-    __slots__ = ("free", "pos")
+    __slots__ = ("free",)
 
     def __init__(self, free):
         self.free = free
-        self.pos = {f: i for i, f in enumerate(free)}
 
     @property
     def dim(self):
@@ -664,47 +650,25 @@ class PhiDegree:
     def __init__(self, n, phi, free, iso, inv):
         self.n, self.phi, self.free, self.iso, self.inv = n, phi, free, iso, inv
 
-    def projection_matrix(self):
-        """Phi_F^-1 Phi: the quotient coordinates of every ambient column."""
-        return compose(self.inv, SparseMatrix.from_columns(
-            [dict(col) for col in self.phi], self.iso.rows))
-
-
-class _Columns:
-    """A column plan whose column c is made by fn(c) when it is read."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __getitem__(self, c):
-        return self.fn(c)
-
 
 def _apply_plan(plan, terms):
     """The map with column plan plan applied to a vector given by its
     (index, x) terms."""
     out = {}
-    get = out.get
     for k, x in terms:
         for r, y in plan[k]:
-            w = get(r, 0) + x * y       # vec_acc, inlined
-            if w:
-                out[r] = w if type(w) is int else scal(w)
-            else:
-                del out[r]
+            vec_acc(out, r, x * y)
     return out
 
 
-def _normalization_map(n, psi, mract, mdim, S, W):
+def _normalization_map(n, psis, mract, mdim, S, W):
     """The column plan of Phi at degree n on the ambient M (x) H^(x)(n+1),
     flat index m*S + t: Phi(m (x) h0 (x) h~) = m.h0(1) (x) S(h0(2)).h~
-    lands at m'*W + w in M (x) H^(x)n, W = dim H^(x)n.  psi(t) gives the
-    terms (a*W + w, x) of h0(1) (x) S(h0(2)).h~ for t = (h0, h~)."""
+    lands at m'*W + w in M (x) H^(x)n, W = dim H^(x)n.  psis yields, for
+    t = (h0, h~) = 0, 1, ..., the terms (a*W + w, x) of h0(1) (x)
+    S(h0(2)).h~."""
     plan = [()] * (mdim * S)
-    for t in range(S):
-        terms = psi(t)
+    for t, terms in enumerate(psis):
         for m in range(mdim):
             col = {}
             for aw, x in terms:
@@ -714,6 +678,52 @@ def _normalization_map(n, psi, mract, mdim, S, W):
             if col:
                 plan[m * S + t] = list(col.items())
     return plan
+
+
+def _free_and_inverse(phi, adim, wdim):
+    """(free, T) for Phi at one degree, from one elimination: the free
+    columns, and T = Phi_F^-1, or None when Phi_F is not invertible.  The
+    columns f of the plan phi are read from the right, each reduced against
+    the echelon rows found so far (row p is 1 at p and 0 before it); one
+    that does not vanish is free and gives a row, with its label, the
+    combination of columns whose image the row is.  The scan stops at wdim
+    rows.  Back-substitution from the last pivot down makes every row a unit
+    vector e_p; its label is then column p of T."""
+    rows, labels, free = {}, {}, []
+    for f in reversed(range(adim)):
+        v, used = dict(phi[f]), []
+        while v:
+            p = min(v)
+            row = rows.get(p)
+            if row is None:
+                break
+            used.append((p, v[p]))
+            vec_axpy(v, -v[p], row)
+        if not v:
+            continue
+        label = {f: 1}
+        for q, x in used:
+            vec_axpy(label, -x, labels[q])
+        lead = v[p]
+        if lead != 1:
+            c = Fraction(1) / lead
+            v = {k: scal(c * x) for k, x in v.items()}
+            label = {k: scal(c * x) for k, x in label.items()}
+        rows[p], labels[p] = v, label
+        free.append(f)
+        if len(free) == wdim:
+            break
+    free.sort()
+    if len(free) != wdim:
+        return free, None
+    for p in sorted(rows, reverse=True):
+        label = labels[p]
+        for q, x in rows[p].items():
+            if q != p:
+                vec_axpy(label, -x, labels[q])
+    pos = {f: j for j, f in enumerate(free)}
+    return free, SparseMatrix(wdim, wdim, {(pos[f], p): x for p, label in labels.items()
+                                           for f, x in label.items()})
 
 
 def phi_degrees(mc, sayd, top, name="coalgebra"):
@@ -732,7 +742,8 @@ def phi_degrees(mc, sayd, top, name="coalgebra"):
     HopfTables checks), and an ambient column is free in the echelon
     form of the relations exactly when its image is independent of the
     images of the columns after it: the free columns are found by a greedy
-    scan from the right that stops at full rank.  A failed identity raises
+    scan from the right that stops at full rank, the elimination that also
+    inverts Phi_F (_free_and_inverse).  A failed identity raises
     IllDefined with its degree, its first failing column (the ambient
     column, or the relation generator (t*mdim + m)*hdim + h) and the
     residual there; Phi_F singular raises ConjugationFailure."""
@@ -746,6 +757,19 @@ def phi_degrees(mc, sayd, top, name="coalgebra"):
              for c in range(d)}
     prev = [{u: {0: e} for u, e in tabs.eps.items()}].__getitem__     # u.() = eps(u)
     base = _acting_on(mc.action)
+    # a -> the terms (c, a2, x) of a(1).1 (x) a(2), a(1).1 read from the action table
+    times_one = {a: {} for a in range(d)}
+    for k, u in unit:
+        for a, col in base[k].items():
+            for c, y in col.items():
+                vec_acc(times_one[a], c, u * y)
+    lifted = {}
+    for a in range(d):
+        acc = {}
+        for (a1, a2), z in tabs.comul[a]:
+            for c, y in times_one[a1].items():
+                vec_acc(acc, (c, a2), z * y)
+        lifted[a] = [(c, a2, x) for (c, a2), x in acc.items()]
     for n, moved in enumerate(tabs.diag_act_degrees(base, d, top)):
         W, S = d ** n, d ** (n + 1)
         adim, wdim = mdim * S, mdim * W
@@ -754,87 +778,80 @@ def phi_degrees(mc, sayd, top, name="coalgebra"):
             """h0(1) (x) S(h0(2)).h~ for t = (h0, h~), on flat indices a*W + w."""
             h0, rest = divmod(t, W)
             moved_rest, col = prev(rest), {}
-            get = col.get
             for a, u, x in twist[h0]:
                 for w, y in moved_rest.get(u, {}).items():
-                    k = a * W + w
-                    v = get(k, 0) + x * y       # vec_acc, inlined
-                    if v:
-                        col[k] = v if type(v) is int else scal(v)
-                    else:
-                        del col[k]
-            return col.items()
+                    vec_acc(col, a * W + w, x * y)
+            return list(col.items())
 
-        def rebuilt(c):
-            """sum m (x) a.(1 (x) w~) over the terms a (x) w~ of psi(t): a.1
-            at degree 0, and a(1).1 (x) a(2).w~ above it, which is h.c~ of
-            the relations by coassociativity (HopfTables checks it)."""
-            m, t = divmod(c, S)
-            out = []
-            for aw, x in psi(t):
+        def rebuilt(m, terms):
+            """sum m (x) a.(1 (x) w~) over the terms a (x) w~ of psi(t), read
+            as a(1).1 (x) a(2).w~, which is h.c~ of the relations by
+            coassociativity (HopfTables checks it)."""
+            out = {}
+            for aw, x in terms:
                 a, w = divmod(aw, W)
-                if n == 0:
-                    for k, u in unit:
-                        out.extend((m * S + i, x * u * y) for i, y in base[k].get(a, {}).items())
-                    continue
                 moved_w = prev(w)
-                for (a1, a2), z in tabs.comul[a]:
+                for c, a2, z in lifted[a]:
                     right = moved_w.get(a2)
                     if right:
-                        for k, u in unit:
-                            for c1, y in base[k].get(a1, {}).items():
-                                shift, xy = m * S + c1 * W, x * z * u * y
-                                out.extend((shift + i, xy * v) for i, v in right.items())
+                        shift, xz = m * S + c * W, x * z
+                        for i, v in right.items():
+                            vec_acc(out, shift + i, xz * v)
             return out
 
-        # x = sum m (x) h0(1).(1 (x) S(h0(2)).h~ on every ambient column
-        hit = first_residual([(1, None, _Columns(rebuilt)), (-1, None, None)], adim)
-        if hit is not None:
-            raise IllDefined("%s relations do not span the kernel of the normalization map "
-                             "at degree %d" % (name, n), n, *hit)
-        phi = _normalization_map(n, psi, mract, mdim, S, W)
+        def checked_psi():
+            """psi(t) for t = 0, 1, ..., made once each, after the kernel
+            identity x = sum m (x) h0(1).(1 (x) S(h0(2)).h~ is checked on
+            the columns m*S + t.  The columns of one t fail together (m is
+            carried along), so the first failure met is the first failing
+            column."""
+            for t in range(S):
+                terms = psi(t)
+                for m in range(mdim):
+                    residual = rebuilt(m, terms)
+                    vec_acc(residual, m * S + t, -1)
+                    if residual:
+                        raise IllDefined("%s relations do not span the kernel of the "
+                                         "normalization map at degree %d" % (name, n),
+                                         n, m * S + t, dict(sorted(residual.items())))
+                yield terms
+
+        phi = _normalization_map(n, checked_psi(), mract, mdim, S, W)
         blocks = mdim * d
 
         def generators(t):
             """Phi of the generators r(m, h, t~) of one t, (m*hdim + h)*wdim
-            + r holding the term at row r of the generator's image."""
-            row, out = moved(t), []
-            append = out.append
+            + r holding the entry at row r of the generator's image."""
+            row, out = moved(t), {}
             for m in range(mdim):
                 for hh in range(d):
                     shift = (m * d + hh) * wdim
                     for mj, x in mract.get((m, hh), ()):
                         for r, y in phi[mj * S + t]:
-                            append((shift + r, x * y))
+                            vec_acc(out, shift + r, x * y)
                     for k, x in row.get(hh, {}).items():
+                        x = -x
                         for r, y in phi[m * S + k]:
-                            append((shift + r, -x * y))
+                            vec_acc(out, shift + r, x * y)
             return out
 
-        # Phi(m.h (x) c~) = Phi(m (x) h.c~): the images of the generators of t
-        # are checked in one column, each in rows of its own
-        hit = first_residual([(1, None, _Columns(generators))], S)
-        if hit is not None:
-            t, residual = hit
-            block = min(residual) // wdim
-            raise IllDefined("%s normalization map does not kill the relations at degree %d"
-                             % (name, n), n, t * blocks + block,
-                             {r - block * wdim: x for r, x in residual.items()
-                              if r // wdim == block})
+        # Phi(m.h (x) c~) = Phi(m (x) h.c~): the images of the generators of
+        # one t are checked together, each in rows of its own
+        for t in range(S):
+            residual = generators(t)
+            if residual:
+                block = min(residual) // wdim
+                raise IllDefined("%s normalization map does not kill the relations at degree %d"
+                                 % (name, n), n, t * blocks + block,
+                                 {r - block * wdim: x for r, x in sorted(residual.items())
+                                  if r // wdim == block})
 
-        solver, free = SpanSolver(), []
-        for f in reversed(range(adim)):
-            if solver.add(phi[f]):
-                free.append(f)
-                if len(free) == wdim:
-                    break
-        if len(free) != wdim:
+        free, inv = _free_and_inverse(phi, adim, wdim)
+        if inv is None:
             raise ConjugationFailure("normalization map is not invertible at degree %d" % n, n)
-        del solver
-        free.sort()
         iso = SparseMatrix.from_columns([dict(phi[f]) for f in free], wdim)
         prev = moved
-        yield PhiDegree(n, phi, free, iso, invert_matrix(iso))
+        yield PhiDegree(n, phi, free, iso, inv)
 
 
 def _coalgebra_through_phi(mc, sayd, N, name):
@@ -864,23 +881,16 @@ def _coalgebra_through_phi(mc, sayd, N, name):
         window.pop(n - 2, None)
         src, tgt = degree(n), degree(n + _SHIFT[kind])
         S, W = d ** (n + 1), d ** n
-        phi_t = tgt.phi
-        # Phi' . op on every ambient column; most columns of op hold one term
-        image = []
-        for terms in col_fns[kind](n, i):
-            if len(terms) == 1:
-                (k, x), = terms
-                image.append(phi_t[k] if x == 1 else [(r, x * y) for r, y in phi_t[k]])
-            else:
-                image.append(_apply_plan(phi_t, terms).items())
+        op = list(col_fns[kind](n, i))
         # op_W = Phi' . op . s reads the section columns m (x) 1 (x) w~
-        op_w = [_apply_plan(image, [(m * S + k * W + w, x) for k, x in unit]).items()
+        op_w = [_apply_plan(tgt.phi, [(r, x * u) for k, u in unit
+                                      for r, x in op[m * S + k * W + w]]).items()
                 for m in range(mdim) for w in range(W)]
-        hit = first_residual([(1, None, image), (-1, op_w, src.phi)], len(src.phi))
+        hit = first_residual([(1, tgt.phi, op), (-1, op_w, src.phi)], len(op))
         if hit is not None:
             raise IllDefined("%s operator does not descend at degree %d" % (name, n), n, *hit)
-        return compose(tgt.inv, SparseMatrix.from_columns([dict(image[f]) for f in src.free],
-                                                         tgt.iso.rows))
+        return compose(tgt.inv, SparseMatrix.from_columns(
+            [_apply_plan(tgt.phi, op[f]) for f in src.free], tgt.iso.rows))
 
     spaces = _quotient_spaces(mdim * d ** n for n in range(top + 1))
     cx = CocyclicComplex.assemble(N, spaces, make, name)

@@ -281,7 +281,9 @@ def test_random_basis_change_preserves_cohomology(name):
         got = build_coalgebra_complex(mc, sayd, 2)
         ref = _coalgebra_by_relations(mc, sayd, 2, "coalgebra")
         assert [q.free for q in got.quotients] == [q.free for q in ref.quotients]
-        assert ([deg.projection_matrix() for deg in phi_degrees(mc, sayd, 3)]
+        # Phi_F^-1 Phi: the quotient coordinates of every ambient column
+        assert ([compose(deg.inv, SparseMatrix.from_columns([dict(c) for c in deg.phi], deg.iso.rows))
+                 for deg in phi_degrees(mc, sayd, 3)]
                 == [q.projection_matrix() for q in ref.quotients])
         assert same_complex(got.complex, ref.complex)
 

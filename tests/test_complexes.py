@@ -490,10 +490,11 @@ def test_quotient_projection_section_identity():
     oracle = _coalgebra_by_relations(mc, sayd, 2, "coalgebra").quotients
     for quo, deg, ref in zip(data.quotients, phi_degrees(mc, sayd, 3), oracle, strict=True):
         assert quo.free == deg.free == ref.free
-        pi = deg.projection_matrix()
+        # Phi_F^-1 Phi: the quotient coordinates of every ambient column
+        pi = compose(deg.inv, SparseMatrix.from_columns([dict(c) for c in deg.phi], deg.iso.rows))
         assert pi == ref.projection_matrix()
         assert compose(pi, ref.inclusion_matrix()) == SparseMatrix.identity(quo.dim)
-        assert quo.include_vec({0: 3}) == {quo.free[0]: 3} and quo.pos[quo.free[-1]] == quo.dim - 1
+        assert quo.include_vec({0: 3}) == {quo.free[0]: 3}
 
 
 # -- the route through Phi: each certificate's failure and its witness ------------
@@ -524,6 +525,26 @@ def test_phi_whose_kernel_identity_fails_is_ill_defined():
     assert str(err) == ("coalgebra relations do not span the kernel of the normalization map "
                         "at degree 0")
     assert (err.degree, err.column, err.residual) == (0, 1, {1: -2})
+
+@given(st.integers(1, 4).flatmap(lambda w: st.tuples(
+    st.just(w), st.lists(st.lists(st.sampled_from([0, 0, 1, -1, 2, -3]), min_size=w, max_size=w),
+                         min_size=w, max_size=w + 3))))
+def test_free_and_inverse_is_a_greedy_scan_and_an_inverse(shape):
+    # oracle: a SpanSolver scan of the columns from the right, and
+    # invert_matrix of the free columns
+    from hopfcyclic.complexes import _free_and_inverse
+    from hopfcyclic.linalg import SpanSolver
+    wdim, cols = shape
+    plan = [[(r, x) for r, x in enumerate(col) if x] for col in cols]
+    solver = SpanSolver()
+    want = sorted(f for f in reversed(range(len(plan))) if solver.add(dict(plan[f])))
+    free, inv = _free_and_inverse(plan, len(plan), wdim)
+    assert free == want
+    if len(want) < wdim:
+        assert inv is None
+    else:
+        assert inv == invert_matrix(SparseMatrix.from_columns([dict(plan[f]) for f in free], wdim))
+
 
 def test_phi_operator_that_does_not_descend_is_ill_defined():
     # (eps, 1) over the Taft algebra passes the structure test but is not

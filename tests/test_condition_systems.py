@@ -13,7 +13,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from hopfcyclic.linalg import SparseMatrix, KernelCoords, kernel_basis, vec_acc, vec_axpy
+from hopfcyclic.linalg import SparseMatrix, KernelCoords, compose, kernel_basis, vec_acc, vec_axpy
 from hopfcyclic.actions import QuotientSpace
 from hopfcyclic.complexes import (HopfTables, _acting_on, action_table, _by_degree,
                                   split_table, build_algebra_complex,
@@ -140,11 +140,14 @@ def test_streamed_conditions_match_the_stacked_matrix_oracle(fixture):
             got = build_coalgebra_complex(mc, sayd, N).quotients
             ref = quotient_oracle(mc, sayd, N)
             assert [q.free for q in got] == [q.free for q in ref]
-            # the projection of every ambient basis vector
+            # the projection of every ambient basis vector: Phi_F^-1 Phi through Phi
             if acts_on_itself(mc, mc.hopf):
-                got = phi_degrees(mc, sayd, N + 1)
-            assert ([q.projection_matrix() for q in got]
-                    == [q.projection_matrix() for q in ref])
+                got = [compose(deg.inv, SparseMatrix.from_columns([dict(c) for c in deg.phi],
+                                                                   deg.iso.rows))
+                       for deg in phi_degrees(mc, sayd, N + 1)]
+            else:
+                got = [q.projection_matrix() for q in got]
+            assert got == [q.projection_matrix() for q in ref]
         else:
             continue
         checked += 1
@@ -210,7 +213,7 @@ def kz4_relative_spec():
 def test_hopf_build_through_phi_peaks_below_the_relation_elimination():
     # h4 at N=4: the build that eliminated the relations of every degree
     # and kept their echelon forms peaked at 5.04-5.25 MB; through Phi,
-    # which holds Phi for three degrees at a time, at about 4.0 MB
+    # which holds Phi for three degrees at a time, at about 4.2 MB
     spec = h4_spec()
     peak = traced_peak_mb(lambda: build_hopf_complex(spec.modular_pair("taft"), 4))
     assert peak <= 5.04, peak
@@ -218,7 +221,7 @@ def test_hopf_build_through_phi_peaks_below_the_relation_elimination():
 
 def test_coalgebra_build_through_phi_peaks_below_the_relation_elimination():
     # kz4_relative's coalg_triv at N=4: 3.61-3.77 MB with the relations
-    # eliminated, about 3.2 MB through Phi
+    # eliminated, about 3.5 MB through Phi
     spec = kz4_relative_spec()
     peak = traced_peak_mb(lambda: build_coalgebra_complex(spec.module_coalgebras["H"],
                                                           spec.coefficients["triv"], 4))

@@ -79,21 +79,26 @@ MUTANTS = [
             "tests/test_linalg.py::test_kernel_basis_matches_free_pivot_loop",
             "tests/test_linalg.py::test_kernel_vectors_annihilated"]),
     Mutant("normalization-rank-check-dropped", COMPLEXES,
-           "        if len(free) != wdim:\n            raise ConjugationFailure(",
+           "        if inv is None:\n            raise ConjugationFailure(",
            "        if False:\n            raise ConjugationFailure(",
            ["tests/test_condition_systems.py::test_singular_normalization_map_fails_with_its_degree"]),
     Mutant("greedy-scan-left-to-right", COMPLEXES,
-           "        for f in reversed(range(adim)):\n",
-           "        for f in range(adim):\n",
+           "    for f in reversed(range(adim)):\n",
+           "    for f in range(adim):\n",
            [STREAMED + "[h4.hcy]", STREAMED + "[kz2.hcy]",
             "tests/test_complexes.py::test_quotient_projection_section_identity"]),
+    Mutant("inverse-skips-back-substitution", COMPLEXES,
+           "            if q != p:\n                vec_axpy(label, -x, labels[q])\n",
+           "            pass\n",
+           [STREAMED + "[h4.hcy]",
+            "tests/test_cohomology.py::test_random_basis_change_preserves_cohomology[h4]"]),
     Mutant("relations-unchecked-at-top", COMPLEXES,
-           "        hit = first_residual([(1, None, _Columns(generators))], S)\n",
-           "        hit = first_residual([(1, None, _Columns(generators))], S) if n < top else None\n",
+           "        for t in range(S):\n            residual = generators(t)\n",
+           "        for t in range(S if n < top else 0):\n            residual = generators(t)\n",
            ["tests/test_condition_systems.py::test_relations_are_checked_at_the_top_degree"]),
     Mutant("descent-on-free-columns-only", COMPLEXES,
-           "first_residual([(1, None, image), (-1, op_w, src.phi)], len(src.phi))",
-           "first_residual([(1, None, [image[f] for f in src.free]),"
+           "first_residual([(1, tgt.phi, op), (-1, op_w, src.phi)], len(op))",
+           "first_residual([(1, tgt.phi, [op[f] for f in src.free]),"
            " (-1, op_w, [src.phi[f] for f in src.free])], len(src.free))",
            ["tests/test_complexes.py::test_phi_operator_that_does_not_descend_is_ill_defined"]),
     Mutant("colinear-one-condition-per-w", COMPLEXES,
