@@ -82,11 +82,22 @@ def _load(path):
         raise Failure("cannot read %s: %s" % (path, e))
 
 
+def _cannot_write(path, e):
+    sys.stderr.write("input error: cannot write %s: %s\n" % (path, e))
+    return 2
+
+
 def _emit(report_text, out):
-    if out:
-        with open(out, "w") as f:
-            f.write(report_text)
+    """Print the report, then write it to out when given: exit status 0,
+    or 2 when out cannot be written."""
     sys.stdout.write(report_text)
+    if out:
+        try:
+            with open(out, "w") as f:
+                f.write(report_text)
+        except OSError as e:
+            return _cannot_write(out, e)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +109,11 @@ def _complex_key(spec_text, name, kind, args, N):
 
 def build_declared_complex(spec, spec_text, name, N, no_cache=False, cache_dir=CACHE_DIR,
                            quotients=None):
-    """(complex, "cached" or "built").  quotients, when given, is a list
-    that a group of _groups passes along: a hopf build appends its
-    coinvariant quotient, and the coalgebra build after it takes that in
-    place of building it."""
+    """(complex, "cached", "built" or "unwritten"): unwritten when the
+    cache entry cannot be written, a miss served by the complex built.
+    quotients, when given, is a list that a group of _groups passes along:
+    a hopf build appends its coinvariant quotient, and the coalgebra build
+    after it takes that in place of building it."""
     kind, args = spec.complexes[name]
     key = _complex_key(spec_text, name, kind, args, N)
     path = os.path.join(cache_dir, key + ".cx")
@@ -128,15 +140,18 @@ def build_declared_complex(spec, spec_text, name, N, no_cache=False, cache_dir=C
         cx = build_comodule_algebra_complex(spec.comodule_algebras[args[0]], sayd, N).complex
     if not no_cache:
         # a complete entry or none: write aside, then rename over the entry
-        os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as f:
-                f.write(complex_to_text(cx, key))
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+            os.makedirs(cache_dir, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w") as f:
+                    f.write(complex_to_text(cx, key))
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+        except OSError:
+            return cx, "unwritten"
     return cx, "built"
 
 
@@ -165,7 +180,8 @@ def _is_hopf_quotient(mp, mc, sayd):
 def _get_declared_complex(spec, spec_text, name, flags, quotients):
     """The declared complex, got once: read from the cache, or built.  A
     complex built in cached mode is read back from the entry just written
-    and must equal it; the parsed complex is the one returned."""
+    and must equal it; the parsed complex is the one returned.  One whose
+    entry could not be written is returned as built."""
     args = (spec, spec_text, name, flags.max_degree)
     cx, how = build_declared_complex(*args, no_cache=flags.no_cache, quotients=quotients)
     if how == "built" and not flags.no_cache:
@@ -738,6 +754,15 @@ def _audit_tail(spec, flags, rep):
             rep.failed = True
 
 
+def nonnegative_int(text):
+    """A degree given on the command line: argparse refuses any other
+    value with exit status 2."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="hopfcyclic",
                                      description="exact Hopf-cyclic cohomology engine")
@@ -746,7 +771,7 @@ def main(argv=None):
     def common(p, needs_file=True):
         if needs_file:
             p.add_argument("file", help="structure-constant input file")
-        p.add_argument("--max-degree", type=int, default=5)
+        p.add_argument("--max-degree", type=nonnegative_int, default=5)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--no-cache", action="store_true")
         p.add_argument("--out", default=None)
@@ -758,8 +783,8 @@ def main(argv=None):
     common(pc)
     pc.add_argument("--kind", choices=["coalgebra", "crossed", "relative", "traces"],
                     required=True)
-    pc.add_argument("--p", type=int, required=True)
-    pc.add_argument("--q", type=int, required=True)
+    pc.add_argument("--p", type=nonnegative_int, required=True)
+    pc.add_argument("--q", type=nonnegative_int, required=True)
     common(sub.add_parser("fixtures", help="write the shipped fixture files"), needs_file=False)
     common(sub.add_parser("audit", help="every certificate in one run"))
 
@@ -767,9 +792,11 @@ def main(argv=None):
 
     if flags.command == "fixtures":
         rep = Report("fixtures")
-        cmd_fixtures(rep, flags)
-        _emit(rep.text(), None)
-        return 0
+        try:
+            cmd_fixtures(rep, flags)
+        except OSError as e:
+            return _cannot_write(flags.out or "fixtures", e)
+        return _emit(rep.text(), None)
 
     try:
         spec_text_raw = _load(flags.file)
@@ -779,8 +806,7 @@ def main(argv=None):
         return 2
 
     rep = run(spec, flags.command, flags)
-    _emit(rep.text(), flags.out)
-    return 1 if rep.failed else 0
+    return _emit(rep.text(), flags.out) or (1 if rep.failed else 0)
 
 
 def run(spec, command, flags):

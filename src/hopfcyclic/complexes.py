@@ -13,11 +13,13 @@ kernel of Phi is the span of the relations and that every operator
 descends (phi_degrees).  Every other module coalgebra is a QuotientSpace of
 its relations.
 
-The degreewise product of two complexes, which is also the diagonal of their
-tensor product, is a view on its two factors (ProductComplex): it stores no
-operator, and the certificates read its column plans from the factors'.
+A complex is its dims and one table of matrices keyed by structure map.
+The bicocyclic module of two complexes (tensor_bicocyclic) is a view on its
+two factors (ProductComplex), and so is its diagonal, the degreewise
+product: it stores no operator, and the certificates read its column plans
+from the factors'.
 
-A complex built with truncation N carries spaces 0..N+1 so that faces, and
+A complex built with truncation N carries degrees 0..N+1 so that faces, and
 hence the Hochschild coboundary, exist at degree N.  Its structure maps are
 walked in one order (structure_maps): every complex is assembled along it,
 a degreewise map is certified along it (intertwines), and two complexes are
@@ -47,7 +49,7 @@ from .linalg import (SparseMatrix, KernelCoords, compose, tensor_kron, scal,
                      kernel_of_rows, matrix_to_text,
                      parse_scalar, vec_acc, vec_axpy, mul_vec,
                      column_plan, kron_plan, first_residual, matrix_terms)
-from .spaces import BasedSpace, MultiIndex, tensor_power, tensor_space
+from .spaces import MultiIndex
 from .hopf import iterated_coproduct
 from .actions import QuotientSpace
 
@@ -79,27 +81,26 @@ class ConjugationFailure(CertificateFailure):
 
 
 class CocyclicComplex:
-    """Spaces 0..top with faces, degeneracies and cyclic operators.
+    """Degrees 0..top of dims[n] each, and one matrix per structure map,
+    maps[kind, n, i] for the keys of structure_maps(N, top):
 
-    faces[n][i] : space_n -> space_{n+1}   for 0 <= n <= N,   0 <= i <= n+1
-    degens[n][j]: space_n -> space_{n-1}   for 1 <= n <= top, 0 <= j <= n-1
-    taus[n]     : space_n -> space_n       for 0 <= n <= top
+    ("face", n, i) : degree n -> n+1   for 0 <= n <= N,   0 <= i <= n+1
+    ("degen", n, j): degree n -> n-1   for 1 <= n <= top, 0 <= j <= n-1
+    ("tau", n, 0)  : degree n -> n     for 0 <= n <= top
 
     Its mixed complex (b, B) is read off the operators on first use of b or
     B and kept, so the operators must not change after that.
     """
 
-    def __init__(self, N, spaces, faces, degens, taus, name=""):
+    def __init__(self, N, dims, maps, name=""):
         self.N = N
-        self.top = len(spaces) - 1
-        self.spaces = spaces
-        self.faces = faces
-        self.degens = degens
-        self.taus = taus
+        self.top = len(dims) - 1
+        self._dims = list(dims)
+        self.maps = maps
         self.name = name
 
     def dim(self, n):
-        return self.spaces[n].dim
+        return self._dims[n]
 
     def face(self, n, i):
         return self.op("face", n, i)
@@ -115,11 +116,7 @@ class CocyclicComplex:
 
     def op(self, kind, n, i):
         """The structure map of key (kind, n, i); i is 0 for tau."""
-        if kind == "face":
-            return self.faces[n][i]
-        if kind == "degen":
-            return self.degens[n][i]
-        return self.taus[n]
+        return self.maps[kind, n, i]
 
     def plan(self, kind, n, i):
         """The column plan of op(kind, n, i), the operand form the
@@ -143,19 +140,10 @@ class CocyclicComplex:
         return Bs
 
     @classmethod
-    def assemble(cls, N, spaces, make, name=""):
+    def assemble(cls, N, dims, make, name=""):
         """The complex whose map of key (kind, n, i) is make(kind, n, i),
         evaluated in the order of structure_maps."""
-        faces, degens, taus = [[] for _ in range(N + 1)], {}, []
-        for kind, n, i in structure_maps(N, len(spaces) - 1):
-            m = make(kind, n, i)
-            if kind == "face":
-                faces[n].append(m)
-            elif kind == "degen":
-                degens.setdefault(n, []).append(m)
-            else:
-                taus.append(m)
-        return cls(N, spaces, faces, degens, taus, name=name)
+        return cls(N, dims, {key: make(*key) for key in structure_maps(N, len(dims) - 1)}, name)
 
 
 # degree shift of each kind of structure map: faces raise it, degeneracies
@@ -610,13 +598,8 @@ def _coalgebra_by_relations(mc, sayd, N, name):
                              n, solver.pivots[k], residual)
         return SparseMatrix.from_columns([images[f] for f in quo_s.free], quo_t.dim)
 
-    cx = CocyclicComplex.assemble(N, _quotient_spaces(q.dim for q in quotients), lift, name)
+    cx = CocyclicComplex.assemble(N, [q.dim for q in quotients], lift, name)
     return CoalgebraComplexData(cx, quotients, _coalgebra_ambients(mdim, cdim, top))
-
-
-def _quotient_spaces(dims):
-    return [BasedSpace(tuple("q%d_%d" % (n, i) for i in range(dim)))
-            for n, dim in enumerate(dims)]
 
 
 def _coalgebra_ambients(mdim, cdim, top):
@@ -892,8 +875,7 @@ def _coalgebra_through_phi(mc, sayd, N, name):
         return compose(tgt.inv, SparseMatrix.from_columns(
             [_apply_plan(tgt.phi, op[f]) for f in src.free], tgt.iso.rows))
 
-    spaces = _quotient_spaces(mdim * d ** n for n in range(top + 1))
-    cx = CocyclicComplex.assemble(N, spaces, make, name)
+    cx = CocyclicComplex.assemble(N, [mdim * d ** n for n in range(top + 1)], make, name)
     return CoalgebraComplexData(cx, quotients, _coalgebra_ambients(mdim, d, top), iso)
 
 
@@ -968,14 +950,12 @@ def _unit_degen(unit, dim, mdim, n, j):
 _OP_NAMES = {"face": "face", "degen": "degeneracy", "tau": "cyclic"}
 
 
-def _subspace_complex(N, name, prefix, preserves, bases, ambients, mul, unit, last_face, tau):
+def _subspace_complex(N, name, preserves, bases, ambients, mul, unit, last_face, tau):
     """The complex on the spans of bases: the product faces, the builder's
     last face, the unit degeneracies and the builder's tau, each restricted
     to the subspaces.  IllDefined("... does not preserve <preserves>") when
     an image leaves them."""
     mdim, dim = ambients[0].dims
-    spaces = [BasedSpace(tuple("%s%d_%d" % (prefix, n, i) for i in range(len(basis))))
-              for n, basis in enumerate(bases)]
     # every basis standard: the subspaces are the ambients, and each
     # operator is its ambient table (the plain cyclic complexes)
     full = all(len(basis) == amb.size and all(v == {k: 1} for k, v in enumerate(basis))
@@ -995,7 +975,7 @@ def _subspace_complex(N, name, prefix, preserves, bases, ambients, mul, unit, la
         message = "%s %s does not preserve %s (deg %d)" % (name, _OP_NAMES[kind], preserves, n)
         return _restrict(by_source, bases[n], readers[target], message, n)
 
-    cx = CocyclicComplex.assemble(N, spaces, make, name)
+    cx = CocyclicComplex.assemble(N, [len(basis) for basis in bases], make, name)
     return SubspaceComplexData(cx, bases, ambients)
 
 
@@ -1080,7 +1060,7 @@ def build_algebra_complex(ma, sayd, N, name="algebra") -> SubspaceComplexData:
                         vec_acc(by_source[mj * S + b * pw[n] + rest], v, x1 * x2 * x3)
         return by_source
 
-    return _subspace_complex(N, name, "e", "equivariance", bases, ambients, mul, unit,
+    return _subspace_complex(N, name, "equivariance", bases, ambients, mul, unit,
                              last_face, tau)
 
 
@@ -1161,7 +1141,7 @@ def build_comodule_algebra_complex(ba, sayd, N, name="comodule-algebra") -> Subs
                         vec_acc(by_source[m * S + w], mj * S + t, x1 * x2)
         return by_source
 
-    return _subspace_complex(N, name, "c", "colinearity", bases, ambients, mul, unit,
+    return _subspace_complex(N, name, "colinearity", bases, ambients, mul, unit,
                              last_face, tau)
 
 
@@ -1214,7 +1194,6 @@ def build_power_complex(mp, N) -> CocyclicComplex:
             sigma_slot[leg] = sorted(v.items())
     unit = tabs.unit
     top = N + 1
-    spaces = [tensor_power(h.space, n) for n in range(top + 1)]
     mis = [MultiIndex((d,) * n) for n in range(top + 1)]
 
     def face_col(n, i, ht):
@@ -1251,72 +1230,18 @@ def build_power_complex(mp, N) -> CocyclicComplex:
         cols = [col_fns[kind](n, i, ht) for ht in iproduct(range(d), repeat=n)]
         return SparseMatrix.from_columns(cols, mis[n + _SHIFT[kind]].size)
 
-    return CocyclicComplex.assemble(N, spaces, materialize, "hopf-power")
+    return CocyclicComplex.assemble(N, [mi.size for mi in mis], materialize, "hopf-power")
 
 
 # ---------------------------------------------------------------------------
-# bicocyclic complexes, diagonals, products
-
-class BicocyclicComplex:
-    """Tensor product of two cocyclic complexes: horizontal operators act on
-    the first factor, vertical on the second; they commute by construction
-    and the validator checks it."""
-
-    def __init__(self, c1, c2):
-        self.c1 = c1
-        self.c2 = c2
-        self.N = min(c1.N, c2.N)
-        self.top = min(c1.top, c2.top)
-
-    def hface(self, p, q, i):
-        return tensor_kron(self.c1.face(p, i), SparseMatrix.identity(self.c2.dim(q)))
-
-    def vface(self, p, q, i):
-        return tensor_kron(SparseMatrix.identity(self.c1.dim(p)), self.c2.face(q, i))
-
-    def hdegen(self, p, q, j):
-        return tensor_kron(self.c1.degen(p, j), SparseMatrix.identity(self.c2.dim(q)))
-
-    def vdegen(self, p, q, j):
-        return tensor_kron(SparseMatrix.identity(self.c1.dim(p)), self.c2.degen(q, j))
-
-    def htau(self, p, q):
-        return tensor_kron(self.c1.tau(p), SparseMatrix.identity(self.c2.dim(q)))
-
-    def vtau(self, p, q):
-        return tensor_kron(SparseMatrix.identity(self.c1.dim(p)), self.c2.tau(q))
-
-
-def tensor_bicocyclic(c1, c2) -> BicocyclicComplex:
-    return BicocyclicComplex(c1, c2)
-
-
-def check_bicocyclic(b: BicocyclicComplex):
-    """Rows/columns are cocyclic (delegated) plus pairwise commutation."""
-    bad = []
-    N = b.N
-
-    def commute(family, p, indices, f, g, f2, g2):
-        """f . g = f2 . g2, checked over the columns of g."""
-        hit = first_residual(matrix_terms([(1, f, g), (-1, f2, g2)]), g.cols)
-        if hit is not None:
-            bad.append(CocyclicViolation(family, p, indices, *hit))
-
-    for p in range(N + 1):
-        for q in range(N + 1):
-            if p <= N - 1 and q <= N - 1:
-                for i in range(p + 2):
-                    for j in range(q + 2):
-                        commute("h-v-face", p, (q, i, j), b.hface(p, q + 1, i), b.vface(p, q, j),
-                                b.vface(p + 1, q, j), b.hface(p, q, i))
-            commute("h-v-cyclic", p, (q,), b.htau(p, q), b.vtau(p, q),
-                    b.vtau(p, q), b.htau(p, q))
-    return bad
-
+# the bicocyclic module of two complexes and its diagonal
 
 class ProductComplex(CocyclicComplex):
-    """Degreewise tensor product with operators d_i (x) d_i, s_j (x) s_j,
-    t (x) t, on flat indices with the first factor major.
+    """The bicocyclic module of c1 and c2: spot (p, q) is degree p of c1
+    (x) degree q of c2, first factor major; horizontal maps act on c1 and
+    vertical maps on c2, so they commute (check_bicocyclic).  As a
+    CocyclicComplex it is its diagonal, the degreewise product: degree n is
+    the spot (n, n), and (d_i (x) 1)(1 (x) d_i) = d_i (x) d_i.
 
     It holds its two factors and no operator.  op forms the Kronecker
     product of the factors' maps when a matrix is asked for; plan reads the
@@ -1330,12 +1255,16 @@ class ProductComplex(CocyclicComplex):
         self.top = min(c1.top, c2.top)
         self.name = "product"
 
-    @property
-    def spaces(self):
-        return [tensor_space(self.c1.spaces[n], self.c2.spaces[n]) for n in range(self.top + 1)]
-
     def dim(self, n):
         return self.c1.dim(n) * self.c2.dim(n)
+
+    def horizontal(self, kind, p, q, i):
+        """The map of key (kind, p, i) of c1 at the spot (p, q)."""
+        return tensor_kron(self.c1.op(kind, p, i), SparseMatrix.identity(self.c2.dim(q)))
+
+    def vertical(self, kind, p, q, i):
+        """The map of key (kind, q, i) of c2 at the spot (p, q)."""
+        return tensor_kron(SparseMatrix.identity(self.c1.dim(p)), self.c2.op(kind, q, i))
 
     def op(self, kind, n, i):
         return tensor_kron(self.c1.op(kind, n, i), self.c2.op(kind, n, i))
@@ -1345,16 +1274,38 @@ class ProductComplex(CocyclicComplex):
                          self.c2.dim(n + _SHIFT[kind]))
 
 
-def diagonal(b: BicocyclicComplex) -> ProductComplex:
-    """Diagonal complex: degree n is the (n,n) spot, and each structure map
-    is the composite of the matching horizontal and vertical maps.  As
-    (d_i (x) 1)(1 (x) d_i) = d_i (x) d_i, that is the degreewise product."""
-    return product_complex(b.c1, b.c2)
-
-
-def product_complex(c1, c2) -> ProductComplex:
-    """Degreewise tensor product with operators d_i (x) d_i, s_j (x) s_j, t (x) t."""
+def tensor_bicocyclic(c1, c2) -> ProductComplex:
+    """The bicocyclic module c1 (x) c2."""
     return ProductComplex(c1, c2)
+
+
+def diagonal(b: ProductComplex) -> ProductComplex:
+    """The diagonal complex of the bicocyclic module b, which b already is."""
+    return b
+
+
+def check_bicocyclic(b: ProductComplex):
+    """Rows/columns are cocyclic (delegated) plus pairwise commutation."""
+    bad = []
+    N = b.N
+    H, V = b.horizontal, b.vertical
+
+    def commute(family, p, indices, f, g, f2, g2):
+        """f . g = f2 . g2, checked over the columns of g."""
+        hit = first_residual(matrix_terms([(1, f, g), (-1, f2, g2)]), g.cols)
+        if hit is not None:
+            bad.append(CocyclicViolation(family, p, indices, *hit))
+
+    for p in range(N + 1):
+        for q in range(N + 1):
+            if p <= N - 1 and q <= N - 1:
+                for i in range(p + 2):
+                    for j in range(q + 2):
+                        commute("h-v-face", p, (q, i, j), H("face", p, q + 1, i),
+                                V("face", p, q, j), V("face", p + 1, q, j), H("face", p, q, i))
+            commute("h-v-cyclic", p, (q,), H("tau", p, q, 0), V("tau", p, q, 0),
+                    V("tau", p, q, 0), H("tau", p, q, 0))
+    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -1430,7 +1381,6 @@ def complex_from_text(text):
         if len(words) != 4 or words[:3] != ["degree", str(n), "dim"] or not words[3].isdigit():
             raise ValueError("complex dump lacks the dim of degree %d" % n)
         dims.append(int(words[3]))
-    spaces = [BasedSpace(tuple("b%d_%d" % (n, i) for i in range(dims[n]))) for n in range(top + 1)]
 
     keys = _dump_order(N, top)
     labels = [_dump_label(*key) for key in keys]
@@ -1462,7 +1412,7 @@ def complex_from_text(text):
         m.entries = ent
         mats[key] = m
         pos = end
-    cx = CocyclicComplex.assemble(N, spaces, lambda *key: mats[key])
+    cx = CocyclicComplex(N, dims, mats)
     cx.content_hash = content_hash
     return cx
 

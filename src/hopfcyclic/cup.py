@@ -42,7 +42,7 @@ from .actions import (CoalgebraAction, SAYDModule, convolution_algebra,
                       ActionNotDescended)
 from .complexes import (build_algebra_complex, build_coalgebra_complex,
                         build_comodule_algebra_complex, plain_cyclic_complex,
-                        product_complex, HopfTables, expand_terms, intertwines,
+                        tensor_bicocyclic, diagonal, HopfTables, expand_terms, intertwines,
                         describe_map, CertificateFailure, action_table, split_table,
                         build_power_complex)
 from .cohomology import lam
@@ -175,7 +175,8 @@ def _quotient_pairing(adata, cdata, slot, tdim, N):
 
 class _CupContext:
     """What every context shares.  A context holds its algebra complex
-    alg, the product diag of alg's complex with its x-side complex, and its
+    alg, the diagonal diag of the bicocyclic module of alg's complex and its
+    x-side complex (their degreewise product), and its
     target cyclic complex in the attribute named TARGET.  Its pairing is the
     method named PAIRING, looked up at call time.  Pairing matrices are
     kept only once certified, so a failed certificate is raised again on the
@@ -226,7 +227,7 @@ class CoalgebraCupContext(_CupContext):
         self.hopf = ca.hopf
         self.alg = build_algebra_complex(ca.ma, sayd, N)
         self.coalg = build_coalgebra_complex(ca.mc, sayd, N)
-        self.diag = product_complex(self.alg.complex, self.coalg.complex)
+        self.diag = diagonal(tensor_bicocyclic(self.alg.complex, self.coalg.complex))
         self.a_cx = plain_cyclic_complex(ca.ma.alg, N)
         self._amul = action_table(ca.ma.alg.mul)
         # the slot c (x) a -> c.a of the pairing, the trace and explicit formulas
@@ -311,7 +312,7 @@ class RelativeCupContext(_CupContext):
         self._build_class_action()
         self.alg = build_algebra_complex(ma, sayd, N)
         self.coalg = build_coalgebra_complex(self.relc, sayd, N)
-        self.diag = product_complex(self.alg.complex, self.coalg.complex)
+        self.diag = diagonal(tensor_bicocyclic(self.alg.complex, self.coalg.complex))
         self.ak_cx = plain_cyclic_complex(self.inv_alg, N)
 
     def _build_class_action(self):
@@ -363,7 +364,7 @@ class CrossedCupContext(_CupContext):
         self.hopf = ma.hopf
         self.alg = build_algebra_complex(ma, sayd, N)
         self.comod = build_comodule_algebra_complex(ba, sayd, N)
-        self.diag = product_complex(self.alg.complex, self.comod.complex)
+        self.diag = diagonal(tensor_bicocyclic(self.alg.complex, self.comod.complex))
         self.ab = crossed_product(ma, ba)
         self.ab_cx = plain_cyclic_complex(self.ab, N)
         self.tabs = HopfTables.of(self.hopf)

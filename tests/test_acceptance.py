@@ -13,8 +13,7 @@ import pytest
 from hopfcyclic.linalg import SparseMatrix, SpanSolver, KernelCoords, compose, image_rank, kernel_basis, vec_sub
 from hopfcyclic.complexes import (build_coalgebra_complex, build_algebra_complex,
                                   build_comodule_algebra_complex, build_hopf_complex,
-                                  check_cocyclic, tensor_bicocyclic, diagonal,
-                                  product_complex)
+                                  check_cocyclic, tensor_bicocyclic, diagonal)
 from hopfcyclic.cohomology import (hochschild_b, connes_B, compute_cohomology,
                                    cyclic_cocycles)
 from hopfcyclic.actions import trivial_sayd, mpi_coefficients, relative_coalgebra
@@ -87,13 +86,9 @@ def all_built_complexes():
         hd = build_hopf_complex(mp, N_FULL)
         out["hopf/%s" % label] = hd.power
         out["hopf-quotient/%s" % label] = hd.quot.complex
-    # diagonal and product builders
-    alg2 = out["alg/kZ2-swap"]
-    coalg2 = out["coalg/kZ2"]
-    out["diagonal/kZ2"] = diagonal(tensor_bicocyclic(alg2, coalg2))
-    out["product/kZ2"] = product_complex(alg2, coalg2)
+    # diagonals of bicocyclic modules
+    out["diagonal/kZ2"] = diagonal(tensor_bicocyclic(out["alg/kZ2-swap"], out["coalg/kZ2"]))
     out["diagonal/trivial"] = diagonal(tensor_bicocyclic(out["alg/trivial"], out["coalg/trivial"]))
-    out["product/trivial"] = product_complex(out["alg/trivial"], out["coalg/trivial"])
     return out
 
 
@@ -140,15 +135,18 @@ def test_criterion_1_identity_suite():
     for label, cx in sorted(built.items()):
         bad = check_cocyclic(cx)
         assert bad == [], (label, bad[:3])
-    # the diagonal of the tensor product IS the degreewise product, exactly
+    # the diagonal of the tensor product IS the degreewise product, exactly:
+    # each of its faces and taus is the composite of the horizontal and the
+    # vertical map
     for base in ("kZ2", "trivial"):
-        d, p = built["diagonal/%s" % base], built["product/%s" % base]
-        assert d.dims() == p.dims()
+        d = built["diagonal/%s" % base]
+        assert d.dims() == [d.c1.dim(n) * d.c2.dim(n) for n in range(d.top + 1)]
         for n in range(d.N + 1):
             for i in range(n + 2):
-                assert d.face(n, i) == p.face(n, i)
+                assert d.face(n, i) == compose(d.horizontal("face", n, n + 1, i),
+                                               d.vertical("face", n, n, i))
         for n in range(d.top + 1):
-            assert d.tau(n) == p.tau(n)
+            assert d.tau(n) == compose(d.horizontal("tau", n, n, 0), d.vertical("tau", n, n, 0))
     note(1, "identity families hold exactly on %d built complexes, degrees <= %d"
          % (len(built), N_FULL))
 

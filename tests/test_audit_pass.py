@@ -111,11 +111,11 @@ def test_read_back_catches_a_faulty_cache_writer(tmp_path, monkeypatch, capsys):
 
     def lossy(cx, key=""):
         if key == faulty:
-            faces = [list(row) for row in cx.faces]
-            m = faces[1][0]
-            faces[1][0] = complexes.SparseMatrix(m.rows, m.cols,
-                                                 dict(sorted(m.entries.items())[1:]))
-            cx = complexes.CocyclicComplex(cx.N, cx.spaces, faces, cx.degens, cx.taus)
+            maps = dict(cx.maps)
+            m = maps["face", 1, 0]
+            maps["face", 1, 0] = complexes.SparseMatrix(m.rows, m.cols,
+                                                        dict(sorted(m.entries.items())[1:]))
+            cx = complexes.CocyclicComplex(cx.N, cx.dims(), maps)
         return real(cx, key)
 
     monkeypatch.setattr(cli, "complex_to_text", lossy)

@@ -279,7 +279,7 @@ def flipped(cx, key):
     else:
         ent[0, 0] = 1
     broken = SparseMatrix(m.rows, m.cols, ent)
-    return CocyclicComplex.assemble(cx.N, cx.spaces,
+    return CocyclicComplex.assemble(cx.N, cx.dims(),
                                     lambda *k: broken if k == key else cx.op(*k))
 
 
@@ -304,7 +304,7 @@ def point_complex(N):
 def test_cocyclic_violation_witness_is_the_residual_of_its_column():
     h = group_algebra(2)
     cx = build_coalgebra_complex(self_module_coalgebra(h), trivial_sayd(h), 2).complex
-    cx.taus[2] = cx.taus[2].scale(-1)
+    cx.maps["tau", 2, 0] = cx.tau(2).scale(-1)
     v = next(v for v in check_cocyclic(cx) if v.family == "cyclic-order")
     assert v.degree == 2
     t = cx.tau(2)
@@ -315,7 +315,7 @@ def test_cocyclic_violation_witness_is_the_residual_of_its_column():
 
 def test_not_a_complex_witness_is_the_residual_of_its_column():
     cx = point_complex(3)
-    cx.faces[0][0] = cx.faces[0][0].scale(2)
+    cx.maps["face", 0, 0] = cx.face(0, 0).scale(2)
     with pytest.raises(NotAComplex) as e:
         hochschild_b(cx)
     err = e.value
@@ -331,7 +331,7 @@ def test_not_a_complex_witness_of_the_boundary(degree, message):
     # a doubled tau keeps every face, hence b, but breaks the B certificates
     h = group_algebra(2)
     cx = build_coalgebra_complex(self_module_coalgebra(h), trivial_sayd(h), 3).complex
-    cx.taus[degree] = cx.taus[degree].scale(2)
+    cx.maps["tau", degree, 0] = cx.tau(degree).scale(2)
     bs = hochschild_b(cx)
     with pytest.raises(NotAComplex) as e:
         cx.B
@@ -387,7 +387,7 @@ def test_chain_map_failure_on_the_product_view_is_that_of_the_built_product():
     ent[at] = -ent[at]
     mats[2] = SparseMatrix(mats[2].rows, mats[2].cols, ent)
     view = ctx.diag
-    built = CocyclicComplex.assemble(view.N, view.spaces, view.op)
+    built = CocyclicComplex.assemble(view.N, view.dims(), view.op)
     failures = []
     for src in (view, built):
         with pytest.raises(ChainMapFailure) as e:

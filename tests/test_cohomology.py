@@ -45,7 +45,7 @@ def test_b_squared_zero_everywhere():
 
 def test_not_a_complex_raised_on_corruption():
     cx = constant_point_complex(3)
-    cx.faces[0][0] = cx.faces[0][0].scale(2)
+    cx.maps["face", 0, 0] = cx.face(0, 0).scale(2)
     with pytest.raises(NotAComplex):
         hochschild_b(cx)
 
@@ -182,7 +182,7 @@ def test_a_complex_owns_its_certified_families():
     # every read raises
     h = group_algebra(2)
     cx = build_coalgebra_complex(self_module_coalgebra(h), trivial_sayd(h), 3).complex
-    cx.taus[2] = cx.taus[2].scale(2)
+    cx.maps["tau", 2, 0] = cx.tau(2).scale(2)
     for _ in range(2):
         with pytest.raises(NotAComplex, match=r"bB \+ Bb != 0 at degree 2"):
             cx.B

@@ -7,16 +7,16 @@ from hopfcyclic.linalg import SparseMatrix, column_plan, compose, invert_matrix,
 from hopfcyclic.complexes import (build_coalgebra_complex, build_algebra_complex,
                                   build_comodule_algebra_complex, build_hopf_complex,
                                   check_cocyclic, tensor_bicocyclic, check_bicocyclic,
-                                  diagonal, product_complex, plain_cyclic_complex,
+                                  diagonal, plain_cyclic_complex, build_power_complex,
                                   CocyclicComplex, complex_to_text, complex_from_text,
                                   content_hash, structure_maps, same_complex,
                                   ConjugationFailure)
-from hopfcyclic.actions import trivial_sayd, mpi_coefficients
+from hopfcyclic.actions import trivial_sayd, mpi_coefficients, relative_coalgebra
 from hopfcyclic.fixtures import (trivial_hopf, group_algebra, sweedler_h4,
                                  self_module_coalgebra, swap_module_algebra,
                                  self_comodule_algebra, trivial_comodule_algebra,
                                  trivial_module_algebra, mpi_trivial, mpi_kz2_sigma_g,
-                                 mpi_h4)
+                                 mpi_h4, kz4_with_kz2)
 
 
 def complexes_equal(a, b):
@@ -68,7 +68,7 @@ def test_tau_degree_zero_is_identity_trivial_coefficients():
 def test_corrupted_tau_reported_under_cyclic_order():
     h = group_algebra(2)
     cx = build_coalgebra_complex(self_module_coalgebra(h), trivial_sayd(h), 2).complex
-    cx.taus[2] = cx.taus[2].scale(-1)
+    cx.maps["tau", 2, 0] = cx.tau(2).scale(-1)
     bad = check_cocyclic(cx)
     assert any(v.family == "cyclic-order" and v.degree == 2 for v in bad)
 
@@ -167,7 +167,7 @@ def test_conjugation_certificate_names_the_broken_operator(monkeypatch, key, mes
     def flipped(mp, N):
         cx = build_power(mp, N)
         return CocyclicComplex.assemble(
-            cx.N, cx.spaces, lambda *k: cx.op(*k).scale(-1) if k == key else cx.op(*k))
+            cx.N, cx.dims(), lambda *k: cx.op(*k).scale(-1) if k == key else cx.op(*k))
 
     monkeypatch.setattr(complexes, "build_power_complex", flipped)
     with pytest.raises(ConjugationFailure) as e:
@@ -191,13 +191,14 @@ def test_structure_maps_list_every_map_once_degree_by_degree(N):
 def test_assemble_gives_back_a_built_complex():
     alg, coalg = _kz2_pair()
     for cx in (alg, coalg, build_hopf_complex(mpi_h4(), 2).power):
-        back = CocyclicComplex.assemble(cx.N, cx.spaces, cx.op)
+        back = CocyclicComplex.assemble(cx.N, cx.dims(), cx.op)
         assert (back.N, back.top, back.dims()) == (cx.N, cx.top, cx.dims())
-        assert [len(fam) for fam in back.faces] == [n + 2 for n in range(cx.N + 1)]
-        assert {n: len(fam) for n, fam in back.degens.items()} == {
-            n: n for n in range(1, cx.top + 1)}
-        assert len(back.taus) == cx.top + 1
-        assert back.faces == cx.faces and back.degens == cx.degens and back.taus == cx.taus
+        assert set(back.maps) == (
+            {("face", n, i) for n in range(cx.N + 1) for i in range(n + 2)}
+            | {("degen", n, j) for n in range(1, cx.top + 1) for j in range(n)}
+            | {("tau", n, 0) for n in range(cx.top + 1)})
+        assert list(back.maps) == list(structure_maps(cx.N, cx.top))
+        assert back.maps == cx.maps
         assert same_complex(back, cx)
 
 @pytest.mark.parametrize("key", [("face", 1, 2), ("degen", 2, 1), ("tau", 2, 0)])
@@ -207,7 +208,7 @@ def test_same_complex_rejects_one_changed_entry(key):
     ent = dict(m.entries)
     ent[0, 0] = ent.get((0, 0), 0) + 1 or 2     # changed, and never a stored zero
     changed = SparseMatrix(m.rows, m.cols, ent)
-    copy = CocyclicComplex.assemble(alg.N, alg.spaces,
+    copy = CocyclicComplex.assemble(alg.N, alg.dims(),
                                     lambda *k: changed if k == key else alg.op(*k))
     assert not same_complex(alg, copy)
     assert not same_complex(copy, alg)
@@ -229,13 +230,13 @@ def test_bicocyclic_commutation():
 def test_bicocyclic_commutation_names_the_failing_pair():
     # a vertical face replaced by zero: h-v-face commutation fails where it
     # is the inner map, at p=0, q=0, j=0 for both horizontal faces i, with
-    # the witness column and residual -(vface . hface) there
+    # the witness column and residual -(vertical face . horizontal face) there
     alg, coalg = _kz2_pair()
     b = tensor_bicocyclic(alg, coalg)
-    real = b.vface
-    zero = SparseMatrix(real(0, 0, 0).rows, real(0, 0, 0).cols, {})
-    b.vface = lambda p, q, i: zero if (p, q, i) == (0, 0, 0) else real(p, q, i)
-    expected = compose(real(1, 0, 0), b.hface(0, 0, 0))
+    real = b.vertical
+    zero = SparseMatrix(real("face", 0, 0, 0).rows, real("face", 0, 0, 0).cols, {})
+    b.vertical = lambda *key: zero if key == ("face", 0, 0, 0) else real(*key)
+    expected = compose(real("face", 1, 0, 0), b.horizontal("face", 0, 0, 0))
     column = min(c for _, c in expected.entries)
     bad = check_bicocyclic(b)
     assert [(v.family, v.degree, v.indices) for v in bad] == \
@@ -257,34 +258,37 @@ def test_diagonal_with_point_complex_is_original():
 
 def composite(b, kind, n, i):
     """The diagonal's map of key (kind, n, i) composed from the horizontal
-    and vertical maps of the bicocyclic complex b: the oracle for every
+    and vertical maps of the bicocyclic module b: the oracle for every
     operator of the product."""
-    if kind == "face":
-        return compose(b.hface(n, n + 1, i), b.vface(n, n, i))
-    if kind == "degen":
-        return compose(b.hdegen(n, n - 1, i), b.vdegen(n, n, i))
-    return compose(b.htau(n, n), b.vtau(n, n))
+    q = n + {"face": 1, "degen": -1, "tau": 0}[kind]
+    return compose(b.horizontal(kind, n, q, i), b.vertical(kind, n, n, i))
 
 def sorted_plan(plan):
     return [sorted(col) for col in plan]
 
 def test_diagonal_equals_product():
+    # the factors come from every builder: the algebra complex, the
+    # coalgebra complex through Phi (kZ2 over itself) and as a
+    # QuotientSpace (the relative coalgebra kZ4/kZ2), the comodule-algebra
+    # complex and the power complex of H4
     h = group_algebra(2)
     twisted = mpi_coefficients(mpi_kz2_sigma_g())
+    kz4, k = kz4_with_kz2()
+    relc, _ = relative_coalgebra(kz4, k)
+    alg = build_algebra_complex(swap_module_algebra(), twisted, 2).complex
     pairs = [_kz2_pair(),
-             (build_algebra_complex(swap_module_algebra(), twisted, 2).complex,
-              build_comodule_algebra_complex(self_comodule_algebra(h), twisted, 3).complex)]
-    for alg, other in pairs:
-        b = tensor_bicocyclic(alg, other)
-        d = diagonal(b)
-        p = product_complex(alg, other)
-        assert complexes_equal(d, p)
-        assert (p.N, p.dims()) == (2, [alg.dim(n) * other.dim(n) for n in range(4)])
-        for key in structure_maps(p.N, p.top):
+             (alg, build_comodule_algebra_complex(self_comodule_algebra(h), twisted, 3).complex),
+             (alg, build_coalgebra_complex(relc, trivial_sayd(kz4), 2).complex),
+             (build_power_complex(mpi_h4(), 2), alg)]
+    for c1, c2 in pairs:
+        b = tensor_bicocyclic(c1, c2)
+        assert diagonal(b) is b
+        assert (b.N, b.dims()) == (2, [c1.dim(n) * c2.dim(n) for n in range(4)])
+        for key in structure_maps(b.N, b.top):
             m = composite(b, *key)
-            assert p.op(*key) == m, key
-            assert sorted_plan(p.plan(*key)) == sorted_plan(column_plan(m)), key
-        assert check_cocyclic(p) == []
+            assert b.op(*key) == m, key
+            assert sorted_plan(b.plan(*key)) == sorted_plan(column_plan(m)), key
+        assert check_cocyclic(b) == []
 
 
 # -- plain cyclic complex of an algebra ---------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 import hopfcyclic.cup as cup_module
 from hopfcyclic.linalg import vec_sub, SpanSolver, KernelCoords, compose, tensor_kron
 from hopfcyclic.spaces import StructureTensor
-from hopfcyclic.complexes import build_hopf_complex, CocyclicComplex
+from hopfcyclic.complexes import (build_hopf_complex, CocyclicComplex, ProductComplex,
+                                  tensor_bicocyclic, diagonal, same_complex)
 from hopfcyclic.cohomology import cyclic_cocycles, hochschild_b
 from hopfcyclic.actions import (trivial_sayd, mpi_coefficients, CoalgebraAction, SubHopf,
                                 ActionNotDescended)
@@ -101,6 +102,19 @@ def test_psi_r_certificate_kz4():
     rctx = RelativeCupContext(permutation_module_algebra(4), k, trivial_sayd(h4), N=2)
     rctx.psi_r_matrices()
 
+@pytest.mark.parametrize("make,x_side", [
+    (kz2_coalgebra_ctx, "coalg"),
+    (kz2_crossed_ctx, "comod"),
+    (lambda: RelativeCupContext(permutation_module_algebra(4), kz4_with_kz2()[1],
+                                trivial_sayd(kz4_with_kz2()[0]), N=2), "coalg"),
+], ids=["coalgebra", "crossed", "relative"])
+def test_a_context_diagonal_is_the_bicocyclic_module_of_its_complexes(make, x_side):
+    ctx = make()
+    alg, x = ctx.alg.complex, getattr(ctx, x_side).complex
+    assert isinstance(ctx.diag, ProductComplex)
+    assert ctx.diag.c1 is alg and ctx.diag.c2 is x
+    assert same_complex(ctx.diag, diagonal(tensor_bicocyclic(alg, x)))
+
 def test_psi_r_unit_subhopf_equals_psi():
     h = group_algebra(2)
     rctx = RelativeCupContext(swap_module_algebra(), unit_subhopf(h), trivial_sayd(h), N=2)
@@ -122,7 +136,7 @@ def test_chain_map_certificate_names_the_failing_operator(key, message):
     mats = ctx.psi_c_matrices()
     tgt = ctx.conv_cx.complex
     broken = CocyclicComplex.assemble(
-        tgt.N, tgt.spaces, lambda *k: tgt.op(*k).scale(-1) if k == key else tgt.op(*k))
+        tgt.N, tgt.dims(), lambda *k: tgt.op(*k).scale(-1) if k == key else tgt.op(*k))
     certify_chain_map(ctx.diag, tgt, mats, "convolution pairing")
     with pytest.raises(ChainMapFailure) as e:
         certify_chain_map(ctx.diag, broken, mats, "convolution pairing")
@@ -208,7 +222,7 @@ def test_a_failed_pairing_certificate_is_not_kept(make, method, target):
     tgt = getattr(ctx, target).complex
     key = ("face", 1, 0)
     broken = CocyclicComplex.assemble(
-        tgt.N, tgt.spaces, lambda *k: tgt.op(*k).scale(-1) if k == key else tgt.op(*k))
+        tgt.N, tgt.dims(), lambda *k: tgt.op(*k).scale(-1) if k == key else tgt.op(*k))
     setattr(ctx, target, SimpleNamespace(complex=broken))
     for _ in range(2):
         with pytest.raises(ChainMapFailure):

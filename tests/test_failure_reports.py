@@ -235,15 +235,92 @@ def test_validate_skips_a_trace_on_no_module_algebra(run):
     assert section(lines, "validate trace trB") == ["no module algebra on B; skipped"]
 
 
+# -- the command line ------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv,flag", [
+    (["cup", "kz2.hcy", "--kind", "coalgebra", "--p", "0", "--q", "-2"], "--q"),
+    (["identities", "trivial.hcy", "--max-degree", "-3", "--no-cache"], "--max-degree"),
+    (["audit", "kz2.hcy", "--max-degree", "-1", "--no-cache"], "--max-degree"),
+    (["cup", "kz2.hcy", "--kind", "coalgebra", "--p", "-1", "--q", "0"], "--p"),
+], ids=["cup-q", "identities-max-degree", "audit-max-degree", "cup-p"])
+def test_a_negative_degree_is_refused(tmp_path, monkeypatch, capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / argv[1]).write_text(fixture_file_texts()[argv[1]])
+    value = argv[argv.index(flag) + 1]
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == ("hopfcyclic %s: error: argument %s: invalid "
+                                    "nonnegative_int value: '%s'" % (argv[0], flag, value))
+
+
+def test_a_report_path_that_cannot_be_written_exits_two_after_the_report(tmp_path, monkeypatch,
+                                                                          capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.hcy").write_text(KZ2)
+    assert main(["validate", "in.hcy"]) == 0
+    report, _ = capsys.readouterr()
+    assert main(["validate", "in.hcy", "--out", "missing/report.txt"]) == 2
+    out, err = capsys.readouterr()
+    assert out == report
+    assert err == ("input error: cannot write missing/report.txt: "
+                   "[Errno 2] No such file or directory: 'missing/report.txt'\n")
+
+
+def test_a_fixtures_directory_that_cannot_be_written_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("")
+    assert main(["fixtures", "--out", "taken"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "input error: cannot write taken: [Errno 17] File exists: 'taken'\n"
+
+
 # -- the cache writer ----------------------------------------------------------------
 
-def test_a_failed_cache_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+def cohomology_in(directory, monkeypatch, capsys, cpus, *flags):
+    """(exit code, stdout, stderr) of cohomology of KZ2 at N=2 run in
+    directory on cpus usable CPUs; on two, a worker must be forked."""
+    directory.mkdir(exist_ok=True)
+    monkeypatch.chdir(directory)
+    (directory / "in.hcy").write_text(KZ2)
+    forks, real_fork = [], cli._fork_worker
+
+    def fork(work):
+        forks.append(work)
+        return real_fork(work)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_usable_cpus", lambda: cpus)
+        m.setattr(cli, "_fork_worker", fork)
+        code = main(["cohomology", "in.hcy", "--max-degree", "2"] + list(flags))
+    assert len(forks) == cpus - 1
+    return (code,) + capsys.readouterr()
+
+
+def test_a_failed_cache_write_leaves_no_temporary_file(tmp_path, monkeypatch, capsys):
+    # every entry's rename fails: each is a miss that the built complex
+    # serves, and the report is that of a run without the cache
     def failing(src, dst):
         raise OSError(28, "No space left on device")
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "in.hcy").write_text(TRIVIAL)
-    monkeypatch.setattr(os, "replace", failing)
-    with pytest.raises(OSError) as e:
-        main(["cohomology", "in.hcy", "--max-degree", "2"])
-    assert str(e.value) == "[Errno 28] No space left on device"
-    assert list((tmp_path / cli.CACHE_DIR).iterdir()) == []
+    for cpus in (1, 2):
+        expected = cohomology_in(tmp_path / ("plain-%d" % cpus), monkeypatch, capsys, cpus,
+                                 "--no-cache")
+        assert expected[0] == 0 and expected[2] == ""
+        with monkeypatch.context() as m:
+            m.setattr(os, "replace", failing)
+            got = cohomology_in(tmp_path / ("cpus-%d" % cpus), monkeypatch, capsys, cpus)
+        assert got == expected
+        assert list((tmp_path / ("cpus-%d" % cpus) / cli.CACHE_DIR).iterdir()) == []
+
+
+def test_a_cache_directory_that_is_a_file_is_a_miss(tmp_path, monkeypatch, capsys):
+    for cpus in (1, 2):
+        expected = cohomology_in(tmp_path / ("plain-%d" % cpus), monkeypatch, capsys, cpus,
+                                 "--no-cache")
+        directory = tmp_path / ("cpus-%d" % cpus)
+        directory.mkdir()
+        (directory / cli.CACHE_DIR).write_text("not a directory\n")
+        assert cohomology_in(directory, monkeypatch, capsys, cpus) == expected
+        assert (directory / cli.CACHE_DIR).read_text() == "not a directory\n"

@@ -120,15 +120,13 @@ def test_scalar_round_trip():
 def test_matrix_text_round_trip():
     # every operator block of the cache dump reads back as the matrix written
     from hopfcyclic.complexes import CocyclicComplex, complex_from_text, complex_to_text
-    from hopfcyclic.spaces import BasedSpace
     rng = random.Random(29)
     d0, d1 = 4, 6
-    spaces = [BasedSpace(tuple("v%d" % i for i in range(d))) for d in (d0, d1)]
-    faces = [[random_matrix(rng, d1, d0) for _ in range(2)]]
-    degens = {1: [random_matrix(rng, d0, d1)]}
-    taus = [random_matrix(rng, d0, d0), random_matrix(rng, d1, d1)]
-    back = complex_from_text(complex_to_text(CocyclicComplex(0, spaces, faces, degens, taus)))
-    assert back.faces == faces and back.degens == degens and back.taus == taus
+    maps = {("face", 0, 0): random_matrix(rng, d1, d0), ("face", 0, 1): random_matrix(rng, d1, d0),
+            ("degen", 1, 0): random_matrix(rng, d0, d1),
+            ("tau", 0, 0): random_matrix(rng, d0, d0), ("tau", 1, 0): random_matrix(rng, d1, d1)}
+    back = complex_from_text(complex_to_text(CocyclicComplex(0, [d0, d1], maps)))
+    assert back.dims() == [d0, d1] and back.maps == maps
 
 def test_rref_is_canonical():
     # same row space, different presentations -> identical RREF

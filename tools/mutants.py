@@ -45,6 +45,7 @@ CONJUGATION = "tests/test_complexes.py::test_conjugation_certificate_names_the_b
 CHAIN_MAP = "tests/test_cup.py::test_chain_map_certificate_names_the_failing_operator"
 CLI = "src/hopfcyclic/cli.py"
 TWO = "tests/test_two_processes.py::"
+FAILURES = "tests/test_failure_reports.py::"
 OPEN_INPUT = "tests/test_cup.py::test_cups_reject_an_open_input_or_the_wrong_context"
 QUOTIENT_TAKEN = [TWO + "test_a_coalgebra_complex_in_a_hopf_group_takes_its_quotient[%s-%d]"
                   % (k, cpus) for k in ("kz2", "kz2-quotient-replaced") for cpus in (1, 2)]
@@ -160,6 +161,16 @@ MUTANTS = [
            "self.c2.dim(n))",
            ["tests/test_certificates.py::test_product_plans_are_the_plans_of_its_operators",
             "tests/test_complexes.py::test_diagonal_equals_product"]),
+    Mutant("horizontal-identity-of-p", COMPLEXES,
+           "SparseMatrix.identity(self.c2.dim(q)))",
+           "SparseMatrix.identity(self.c2.dim(p)))",
+           ["tests/test_complexes.py::test_diagonal_equals_product",
+            "tests/test_complexes.py::test_bicocyclic_commutation"]),
+    Mutant("vertical-identity-of-q", COMPLEXES,
+           "SparseMatrix.identity(self.c1.dim(p)), self.c2.op(kind, q, i))",
+           "SparseMatrix.identity(self.c1.dim(q)), self.c2.op(kind, q, i))",
+           ["tests/test_complexes.py::test_bicocyclic_commutation",
+            "tests/test_complexes.py::test_bicocyclic_commutation_names_the_failing_pair"]),
     Mutant("intertwines-src-plan-of-tgt", COMPLEXES,
            "(1, plans[n + _SHIFT[key[0]]], src.plan(*key))",
            "(1, plans[n + _SHIFT[key[0]]], tgt.plan(*key))",
@@ -296,6 +307,15 @@ MUTANTS = [
            "parts[name] = _complex_part(spec, spec_text, name, flags, quotients,",
            "parts[name] = _complex_part(spec, spec_text, name, flags, [],",
            QUOTIENT_TAKEN + ["tests/test_audit_pass.py::test_no_cache_audit_builds_each_complex_once"]),
+    Mutant("negative-q-accepted", CLI,
+           '    pc.add_argument("--q", type=nonnegative_int, required=True)\n',
+           '    pc.add_argument("--q", type=int, required=True)\n',
+           [FAILURES + "test_a_negative_degree_is_refused[cup-q]"]),
+    Mutant("cache-write-error-reraised", CLI,
+           '        except OSError:\n            return cx, "unwritten"\n',
+           '        except OSError:\n            raise\n',
+           [FAILURES + "test_a_failed_cache_write_leaves_no_temporary_file",
+            FAILURES + "test_a_cache_directory_that_is_a_file_is_a_miss"]),
     Mutant("worker-stopped-without-clean-up", CLI,
            "    os.kill(pid, signal.SIGTERM)\n",
            "    os.kill(pid, signal.SIGKILL)\n",
