@@ -266,7 +266,7 @@ def validate_subhopf(k: SubHopf) -> ValidationReport:
         solver.add(v)
     if solver.reduce(dict(h.alg.unit)):
         rep.violations.append(Violation("contains-unit", ("1",), dict(h.alg.unit)))
-    basis = solver.rref_rows()
+    basis = solver.rref()
     mul = h.alg.mul
     for i, u in enumerate(basis):
         for j, v in enumerate(basis):
@@ -406,7 +406,7 @@ class QuotientSpace:
         self.solver = SpanSolver()
         for v in relation_vectors:
             self.solver.add(v)
-        self.solver.freeze()
+        self.solver.rref()
         pivot_set = set(self.solver.pivots)
         self.free = [i for i in range(ambient_dim) if i not in pivot_set]
         self.pos = {f: i for i, f in enumerate(self.free)}

@@ -75,11 +75,18 @@ class Report:
 
 
 def _load(path):
+    """The text of the input file, read as UTF-8: a byte that is not
+    UTF-8 is an InputError at its line."""
     try:
-        with open(path) as f:
-            return f.read()
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as e:
         raise Failure("cannot read %s: %s" % (path, e))
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise InputError("not UTF-8: byte 0x%02x (%s)" % (data[e.start], e.reason),
+                         data.count(b"\n", 0, e.start) + 1)
 
 
 def _cannot_write(path, e):
@@ -93,7 +100,7 @@ def _emit(report_text, out):
     sys.stdout.write(report_text)
     if out:
         try:
-            with open(out, "w") as f:
+            with open(out, "w", encoding="utf-8") as f:
                 f.write(report_text)
         except OSError as e:
             return _cannot_write(out, e)
@@ -144,7 +151,7 @@ def build_declared_complex(spec, spec_text, name, N, no_cache=False, cache_dir=C
             os.makedirs(cache_dir, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
             try:
-                with os.fdopen(fd, "w") as f:
+                with os.fdopen(fd, "w", encoding="utf-8") as f:
                     f.write(complex_to_text(cx, key))
                 os.replace(tmp, path)
             except BaseException:
@@ -160,7 +167,7 @@ def _read_cache_entry(path, key):
     unreadable, cut short, edited or stored under another key: such an
     entry is a miss and gets rebuilt."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             cx = complex_from_text(f.read())
     except (OSError, ValueError):
         return None
@@ -584,6 +591,7 @@ def _coboundaries(cx, n):
     sol = SpanSolver()
     for col in cx.b[n - 1].columns():
         sol.add(col)
+    sol.rref()
     return sol
 
 
@@ -657,7 +665,7 @@ def cmd_fixtures(rep, flags):
     rep.section("fixtures")
     for name, text in sorted(fixture_file_texts().items()):
         path = os.path.join(outdir, name)
-        with open(path, "w") as f:
+        with open(path, "w", encoding="utf-8") as f:
             f.write(text)
         rep.add("wrote %s (%d bytes)" % (name, len(text)))
     return rep

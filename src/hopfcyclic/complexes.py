@@ -31,7 +31,6 @@ column and the residual there.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import product as iproduct
 
@@ -45,7 +44,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .linalg import (SparseMatrix, KernelCoords, compose, tensor_kron, scal,
+from .linalg import (SparseMatrix, SpanSolver, KernelCoords, compose, tensor_kron, scal,
                      kernel_of_rows, matrix_to_text,
                      parse_scalar, vec_acc, vec_axpy, mul_vec,
                      column_plan, kron_plan, first_residual, matrix_terms)
@@ -590,7 +589,7 @@ def _coalgebra_by_relations(mc, sayd, N, name):
         quo_s, quo_t = quotients[n], quotients[n + _SHIFT[kind]]
         images = [quo_t.project_vec(col) for col in col_fns[kind](n, i)]
         solver = quo_s.solver
-        rows = [solver.rows[p].items() for p in solver.pivots]
+        rows = [row.items() for row in solver.rref()]
         hit = first_residual([(1, [img.items() for img in images], rows)], len(rows))
         if hit is not None:
             k, residual = hit
@@ -664,49 +663,28 @@ def _normalization_map(n, psis, mract, mdim, S, W):
 
 
 def _free_and_inverse(phi, adim, wdim):
-    """(free, T) for Phi at one degree, from one elimination: the free
+    """(free, T) for Phi at one degree, from one SpanSolver: the free
     columns, and T = Phi_F^-1, or None when Phi_F is not invertible.  The
-    columns f of the plan phi are read from the right, each reduced against
-    the echelon rows found so far (row p is 1 at p and 0 before it); one
-    that does not vanish is free and gives a row, with its label, the
-    combination of columns whose image the row is.  The scan stops at wdim
-    rows.  Back-substitution from the last pivot down makes every row a unit
-    vector e_p; its label is then column p of T."""
-    rows, labels, free = {}, {}, []
+    columns f of the plan phi are read from the right as the rows
+    [Phi(e_f) | e_(wdim+f)] of SpanSolver(width=wdim); a row it keeps has
+    a free column, and the scan stops at wdim rows.  RREF row p is then
+    e_p beside the combination of free columns whose image is e_p: column
+    p of T."""
+    solver, free = SpanSolver(width=wdim), []
     for f in reversed(range(adim)):
-        v, used = dict(phi[f]), []
-        while v:
-            p = min(v)
-            row = rows.get(p)
-            if row is None:
+        row = dict(phi[f])
+        row[wdim + f] = 1
+        if solver.add(row):
+            free.append(f)
+            if len(free) == wdim:
                 break
-            used.append((p, v[p]))
-            vec_axpy(v, -v[p], row)
-        if not v:
-            continue
-        label = {f: 1}
-        for q, x in used:
-            vec_axpy(label, -x, labels[q])
-        lead = v[p]
-        if lead != 1:
-            c = Fraction(1) / lead
-            v = {k: scal(c * x) for k, x in v.items()}
-            label = {k: scal(c * x) for k, x in label.items()}
-        rows[p], labels[p] = v, label
-        free.append(f)
-        if len(free) == wdim:
-            break
     free.sort()
     if len(free) != wdim:
         return free, None
-    for p in sorted(rows, reverse=True):
-        label = labels[p]
-        for q, x in rows[p].items():
-            if q != p:
-                vec_axpy(label, -x, labels[q])
     pos = {f: j for j, f in enumerate(free)}
-    return free, SparseMatrix(wdim, wdim, {(pos[f], p): x for p, label in labels.items()
-                                           for f, x in label.items()})
+    return free, SparseMatrix(wdim, wdim, {(pos[c - wdim], p): x
+                                           for p, row in enumerate(solver.rref())
+                                           for c, x in row.items() if c >= wdim})
 
 
 def phi_degrees(mc, sayd, top, name="coalgebra"):

@@ -401,91 +401,83 @@ def kron_plan(a, b, brows):
 # canonical echelon machinery
 
 class SpanSolver:
-    """Incremental row space with canonical RREF.
+    """Incremental row space in echelon form, with its RREF on demand.
 
-    add(vector) reduces against current pivots, inserts a new normalized
-    pivot row if independent and back-substitutes, so the stored rows are
-    always the unique RREF of the span.  reduce() gives the canonical coset
-    representative of a vector modulo the span, and solve() its coordinates
-    over the RREF rows.
+    add(vector) reduces only the leading entry, row by row, until it lands
+    on a column that is not a pivot, and stores the vector normalized to 1
+    there: every stored row p is 1 at p and 0 before it.  With width w, a
+    vector whose leading entry lands at or past w is not stored.  rref()
+    back-substitutes once, from the last pivot down, so the rows become
+    the unique RREF of the span; it is done again only after another add.
+    reduce() gives the canonical coset representative of a vector modulo
+    the span, and solve() its coordinates over the RREF rows; both read
+    the RREF.
 
-    In full RREF every row is supported on its pivot column plus free
+    In the RREF every row is supported on its pivot column plus free
     columns only, so reduction touches just the pivots in the input's own
-    support; a column index keeps back-substitution proportional to the
-    rows actually containing the new pivot column.
+    support.
     """
 
-    def __init__(self):
+    def __init__(self, width=None):
         self.pivots = []        # sorted pivot column list
-        self.rows = {}          # pivot col -> row dict (RREF)
-        self._colidx = {}       # free col -> set of pivots whose row touches it
-
-    def _reduce(self, v):
-        v = dict(v)
-        # rows only ever add support at free columns, one pass suffices
-        for p in sorted(k for k in v if k in self.rows):
-            x = v.get(p)
-            if x:
-                vec_axpy(v, -x, self.rows[p])
-        return v
+        self.rows = {}          # pivot col -> row dict
+        self.width = width
+        self._reduced = True    # the rows are the RREF
 
     def add(self, v):
-        """Insert a vector; returns True if it enlarged the span."""
-        v = self._reduce(v)
-        if not v:
+        """Insert a vector; returns True if it was stored, which it is
+        exactly when it enlarged the span and, with a width, its leading
+        entry landed before the width."""
+        v = dict(v)
+        rows = self.rows
+        while v:
+            p = min(v)
+            row = rows.get(p)
+            if row is None:
+                break
+            vec_axpy(v, -v[p], row)
+        if not v or (self.width is not None and p >= self.width):
             return False
-        p = min(v)
         lead = v[p]
         if lead != 1:
-            inv = Fraction(1, 1) / Fraction(lead)
+            inv = Fraction(1) / lead
             v = {i: scal(inv * x) for i, x in v.items()}
-        # back-substitute into the rows that actually contain column p
-        for q in list(self._colidx.get(p, ())):
-            row = self.rows[q]
-            x = row.get(p)
-            if x:
-                self._row_axpy(q, row, -x, v)
-        self._colidx.pop(p, None)
-        self.rows[p] = v
-        for c in v:
-            if c != p:
-                self._colidx.setdefault(c, set()).add(p)
+        rows[p] = v
         bisect.insort(self.pivots, p)
+        self._reduced = False
         return True
 
-    def freeze(self):
-        """Drop the column index, which only add needs; no vector can be
-        added afterwards."""
-        self._colidx = None
-
-    def _row_axpy(self, q, row, c, v):
-        """row += c*v for the stored row with pivot q, maintaining the column index."""
-        for i, x in v.items():
-            y = row.get(i, 0) + c * x
-            if y:
-                if i not in row and i != q:
-                    self._colidx.setdefault(i, set()).add(q)
-                row[i] = scal(y)
-            else:
-                if row.pop(i, None) is not None and i != q:
-                    s = self._colidx.get(i)
-                    if s is not None:
-                        s.discard(q)
+    def rref(self):
+        """The RREF rows in pivot order.  Back-substitution runs from the
+        last pivot down: the rows after p are already reduced, and each is
+        0 at every other pivot, so one pass over the pivots in row p's
+        support clears them."""
+        rows = self.rows
+        if not self._reduced:
+            for p in reversed(self.pivots):
+                row = rows[p]
+                for q in [q for q in row if q != p and q in rows]:
+                    vec_axpy(row, -row[q], rows[q])
+            self._reduced = True
+        return [rows[p] for p in self.pivots]
 
     def reduce(self, v):
         """Canonical coset representative of v modulo the span."""
-        return self._reduce(v)
+        self.rref()
+        rows = self.rows
+        v = dict(v)
+        # RREF rows only ever add support at free columns, one pass suffices
+        for p in sorted(k for k in v if k in rows):
+            vec_axpy(v, -v[p], rows[p])
+        return v
 
     def solve(self, v):
         """Coordinates of v over the RREF rows, {pivot p: v[p]}, or None
         when v is not in the span: row p is 1 at p and 0 at every other
         pivot."""
-        if self._reduce(v):
+        if self.reduce(v):
             return None
         return {p: v[p] for p in self.pivots if p in v}
-
-    def rref_rows(self):
-        return [dict(self.rows[p]) for p in self.pivots]
 
 
 def rref(matrix):
@@ -494,12 +486,14 @@ def rref(matrix):
     for row in matrix.row_vectors():
         if row:
             solver.add(row)
-    return solver.pivots, [solver.rows[p] for p in solver.pivots]
+    return solver.pivots, solver.rref()
 
 
 def image_rank(matrix):
-    """Exact rank over Q."""
-    return len(rref(matrix)[0])
+    """Exact rank over Q: the number of echelon rows add stores, with no
+    back-substitution."""
+    solver = SpanSolver()
+    return sum(solver.add(row) for row in matrix.row_vectors() if row)
 
 
 def kernel_of_rows(rows, ncols):
@@ -519,8 +513,8 @@ def kernel_of_rows(rows, ncols):
         if row:
             solver.add(row)
     vecs = {f: {f: 1} for f in range(ncols) if f not in solver.rows}
-    for p in solver.pivots:
-        for f, x in solver.rows[p].items():
+    for p, row in zip(solver.pivots, solver.rref()):
+        for f, x in row.items():
             if f != p:
                 vecs[f][p] = scal(-x)
     return list(vecs.values())
@@ -571,19 +565,18 @@ def invert_matrix(m):
 
     Gauss-Jordan: the RREF of [A | I] is [I | A^-1] exactly when A is
     invertible.  [A | I] always has rank n, so A is invertible exactly when
-    the pivots are 0..n-1, and then the RREF row i holds A^-1[i, j] at
-    column n + j."""
+    SpanSolver(width=n) keeps every row, its pivots then being 0..n-1, and
+    the RREF row i holds A^-1[i, j] at column n + j."""
     n = m.rows
     if m.cols != n:
         return None
-    solver = SpanSolver()
+    solver = SpanSolver(width=n)
     for i, row in enumerate(m.row_vectors()):
         row[n + i] = 1
-        solver.add(row)
-    if solver.pivots != list(range(n)):
-        return None
-    return SparseMatrix(n, n, {(i, j - n): x for i in range(n)
-                               for j, x in solver.rows[i].items() if j >= n})
+        if not solver.add(row):
+            return None
+    return SparseMatrix(n, n, {(i, j - n): x for i, row in enumerate(solver.rref())
+                               for j, x in row.items() if j >= n})
 
 
 # ---------------------------------------------------------------------------

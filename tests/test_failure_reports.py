@@ -75,6 +75,19 @@ def test_a_file_that_cannot_be_read_is_an_input_error(tmp_path, monkeypatch, cap
                    "[Errno 2] No such file or directory: 'missing.hcy'\n")
 
 
+@pytest.mark.parametrize("data,line", [
+    (b"\xff\xfe", "line 1: not UTF-8: byte 0xff (invalid start byte)"),
+    (b"space H = a b\n# caf\xe9\n", "line 2: not UTF-8: byte 0xe9 (invalid continuation byte)"),
+    (TRIVIAL.encode() + b"# \xc3", "line %d: not UTF-8: byte 0xc3 (unexpected end of data)"
+     % (TRIVIAL.count("\n") + 1)),
+], ids=["byte-order-mark", "latin-1-comment", "cut-after-a-valid-file"])
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, monkeypatch, capsys, data, line):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.hcy").write_bytes(data)
+    assert main(["validate", "in.hcy"]) == 2
+    assert capsys.readouterr() == ("", "input error: %s\n" % line)
+
+
 # -- cup ---------------------------------------------------------------------------
 
 def test_cup_without_a_context_of_the_kind(run):

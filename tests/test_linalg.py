@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from hopfcyclic.linalg import (
-    SparseMatrix, ShapeMismatch, KernelCoords,
+    SparseMatrix, ShapeMismatch, KernelCoords, SpanSolver,
     compose, tensor_kron, kernel_basis, kernel_of_rows, image_rank,
     rref, invert_matrix, parse_scalar, format_scalar, scal,
     vec_acc, vec_axpy, mul_vec, push_slots,
@@ -450,6 +450,87 @@ def test_invert_matrix_is_a_two_sided_inverse_or_none(m):
     assert compose(m, inv) == SparseMatrix.identity(n)
     assert compose(inv, m) == SparseMatrix.identity(n)
     assert_normal(inv.entries)
+
+
+@st.composite
+def row_lists(draw):
+    """(ncols, dense rational rows): some rows repeated or scaled, some
+    zero, all in any order."""
+    ncols = draw(st.integers(1, 7))
+    cell = st.one_of(st.just(0), st.just(0), rationals)
+    rows = draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols), max_size=6))
+    for row in draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else ():
+        c = draw(st.sampled_from([1, -1, Fraction(2, 3)]))
+        rows.append([scal(c * x) for x in row])
+    rows += [[0] * ncols] * draw(st.integers(0, 2))
+    return ncols, draw(st.permutations(rows))
+
+
+def sparse_row(row):
+    return {j: scal(x) for j, x in enumerate(row) if x}
+
+
+def dense_representative(w, pivots, rref_rows, ncols):
+    """w less its pivot entries, read off dense RREF rows: the vector of
+    w's coset that is zero at every pivot."""
+    rep = [Fraction(w.get(j, 0)) for j in range(ncols)]
+    for p, row in zip(pivots, rref_rows):
+        c = rep[p]
+        rep = [x - c * row.get(j, 0) for j, x in enumerate(rep)]
+    return sparse_row(rep)
+
+
+@given(row_lists(), st.data())
+def test_span_solver_is_dense_gauss_jordan(case, data):
+    ncols, rows = case
+    pivots, want = dense_rref_oracle(rows, ncols)
+    solver = SpanSolver()
+    for row in rows:
+        solver.add(sparse_row(row))
+    assert solver.pivots == pivots
+    assert solver.rref() == want
+    for row in solver.rref():
+        assert_normal(row)
+    assert image_rank(SparseMatrix(len(rows), ncols, {(i, j): x for i, row in enumerate(rows)
+                                                       for j, x in enumerate(row)})) == len(pivots)
+    ker = kernel_of_rows((sparse_row(row) for row in rows), ncols)
+    assert len(ker) == ncols - len(pivots)
+    for v in ker:
+        assert all(sum(row[j] * x for j, x in v.items()) == 0 for row in rows)
+    # the same span in another order, with rref() read part way: add after
+    # rref() gives the same RREF and the same representatives
+    order = data.draw(st.permutations(rows))
+    split = data.draw(st.integers(0, len(order)))
+    other = SpanSolver()
+    for row in order[:split]:
+        other.add(sparse_row(row))
+    other.rref()
+    for row in order[split:]:
+        other.add(sparse_row(row))
+    w = sparse_row(data.draw(st.lists(rationals, min_size=ncols, max_size=ncols)))
+    rep = dense_representative(w, pivots, want, ncols)
+    assert other.reduce(w) == solver.reduce(w) == rep
+    assert_normal(rep)
+    assert other.pivots == pivots and other.rref() == want
+
+
+@given(row_lists(), st.data())
+def test_span_solver_width_drops_exactly_the_rows_led_at_or_past_it(case, data):
+    # a row is kept exactly when its first width entries are independent
+    # of those of the rows kept before it
+    ncols, rows = case
+    width = data.draw(st.integers(0, ncols))
+    solver, kept = SpanSolver(width=width), []
+    for row in rows:
+        head = [r[:width] for r in kept]
+        rank = len(dense_rref_oracle(head, width)[0])
+        grows = len(dense_rref_oracle(head + [row[:width]], width)[0]) > rank
+        assert solver.add(sparse_row(row)) == grows
+        if grows:
+            kept.append(row)
+    assert solver.pivots == dense_rref_oracle(kept, ncols)[0]
+    assert all(p < width for p in solver.pivots)
+    assert solver.rref() == dense_rref_oracle(kept, ncols)[1]
 
 
 @pytest.mark.parametrize("rows,cols", [(2, 3), (3, 2), (0, 1), (1, 0)])

@@ -40,6 +40,8 @@ NOT_KEPT = "tests/test_cup.py::test_a_failed_pairing_certificate_is_not_kept"
 GRAMMAR = "tests/test_specfile_grammar.py::"
 PINNED = "tests/test_specfile_cli.py::test_validate_lists_every_violation_of_broken_input"
 INVERSE = "tests/test_linalg.py::test_invert_matrix_is_a_two_sided_inverse_or_none"
+GAUSS_JORDAN = "tests/test_linalg.py::test_span_solver_is_dense_gauss_jordan"
+WIDTH = "tests/test_linalg.py::test_span_solver_width_drops_exactly_the_rows_led_at_or_past_it"
 STREAMED = "tests/test_condition_systems.py::test_streamed_conditions_match_the_stacked_matrix_oracle"
 CONJUGATION = "tests/test_complexes.py::test_conjugation_certificate_names_the_broken_operator"
 CHAIN_MAP = "tests/test_cup.py::test_chain_map_certificate_names_the_failing_operator"
@@ -64,14 +66,36 @@ MUTANTS = [
             "tests/test_actions.py::test_not_closed_for_inconsistent_action",
             "tests/test_complexes.py::test_ill_defined_raised_for_broken_module_algebra",
             "tests/test_complexes.py::test_ill_defined_raised_for_broken_coaction"]),
-    Mutant("inverse-pivot-count-only", LINALG,
-           "    if solver.pivots != list(range(n)):",
-           "    if len(solver.pivots) != n:",
+    Mutant("inverse-keeps-a-dropped-row", LINALG,
+           "        if not solver.add(row):\n            return None\n",
+           "        solver.add(row)\n",
            [INVERSE]),
     Mutant("inverse-read-transposed", LINALG,
-           "{(i, j - n): x for i in range(n)",
-           "{(j - n, i): x for i in range(n)",
+           "{(i, j - n): x for i, row",
+           "{(j - n, i): x for i, row",
            [INVERSE]),
+    Mutant("add-stores-a-row-led-at-a-pivot", LINALG,
+           "            if row is None:\n                break\n            vec_axpy(v, -v[p], row)\n",
+           "            break\n",
+           [GAUSS_JORDAN, WIDTH, INVERSE,
+            "tests/test_linalg.py::test_rref_matches_dense_oracle"]),
+    Mutant("width-compared-with-gt", LINALG,
+           "p >= self.width",
+           "p > self.width",
+           [WIDTH]),
+    Mutant("image-rank-counts-refused-rows", LINALG,
+           "sum(solver.add(row) for row",
+           "sum(solver.add(row) is not None for row",
+           [GAUSS_JORDAN, "tests/test_linalg.py::test_rank_nullity_random",
+            "tests/test_linalg.py::test_kernel_of_rows_is_the_kernel_of_the_stacked_matrix",
+            "tests/test_reference_reports.py::test_report_matches_reference"
+            "[audit h4.hcy --max-degree 4]"]),
+    Mutant("inverse-skips-back-substitution", LINALG,
+           "                for q in [q for q in row if q != p and q in rows]:\n"
+           "                    vec_axpy(row, -row[q], rows[q])\n",
+           "                pass\n",
+           [GAUSS_JORDAN, INVERSE, STREAMED + "[h4.hcy]",
+            "tests/test_cohomology.py::test_random_basis_change_preserves_cohomology[h4]"]),
     Mutant("kernel-of-rows-drops-first-row", LINALG,
            "    solver = SpanSolver()\n    for row in rows:\n",
            "    solver = SpanSolver()\n    rows = iter(rows)\n    next(rows, None)\n"
@@ -88,11 +112,6 @@ MUTANTS = [
            "    for f in range(adim):\n",
            [STREAMED + "[h4.hcy]", STREAMED + "[kz2.hcy]",
             "tests/test_complexes.py::test_quotient_projection_section_identity"]),
-    Mutant("inverse-skips-back-substitution", COMPLEXES,
-           "            if q != p:\n                vec_axpy(label, -x, labels[q])\n",
-           "            pass\n",
-           [STREAMED + "[h4.hcy]",
-            "tests/test_cohomology.py::test_random_basis_change_preserves_cohomology[h4]"]),
     Mutant("relations-unchecked-at-top", COMPLEXES,
            "        for t in range(S):\n            residual = generators(t)\n",
            "        for t in range(S if n < top else 0):\n            residual = generators(t)\n",
