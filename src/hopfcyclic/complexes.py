@@ -897,7 +897,9 @@ def _restrict(by_source, basis, target, message, n):
 
 
 def _product_face(mul, dim, mdim, n, i):
-    """(d_i psi)(m (x) v~) = psi(m (x) v_0..v_i v_{i+1}..v_{n+1}), i <= n."""
+    """(d_i psi)(m (x) v~) = psi(m (x) v_0..v_i v_{i+1}..v_{n+1}), i <= n.
+    Each (source, target) pair is hit once: the target fixes every slot
+    but the product's, and the source fixes the product's term."""
     S, T = dim ** (n + 1), dim ** (n + 2)
     low = dim ** (n - i)
     by_source = [{} for _ in range(mdim * S)]
@@ -907,21 +909,24 @@ def _product_face(mul, dim, mdim, n, i):
         for k, x in mul.get(divmod(pair, dim), ()):
             w = (head * dim + k) * low + tail
             for m in range(mdim):
-                vec_acc(by_source[m * S + w], m * T + t, x)
+                by_source[m * S + w][m * T + t] = x
     return by_source
 
 
 def _unit_degen(unit, dim, mdim, n, j):
-    """(s_j psi)(m (x) v~) = psi(m (x) v_0..v_j, 1, v_{j+1}..v_{n-1})."""
+    """(s_j psi)(m (x) v~) = psi(m (x) v_0..v_j, 1, v_{j+1}..v_{n-1}).
+    Each (source, target) pair is hit once, as in _product_face; the unit,
+    an algebra's plain dict, is normalized here."""
     S, T = dim ** (n + 1), dim ** n
     low = dim ** (n - 1 - j)
+    unit = [(k, scal(x)) for k, x in unit if x]
     by_source = [{} for _ in range(mdim * S)]
     for t in range(T):
         head, tail = divmod(t, low)
         for k, x in unit:
             w = (head * dim + k) * low + tail
             for m in range(mdim):
-                vec_acc(by_source[m * S + w], m * T + t, x)
+                by_source[m * S + w][m * T + t] = x
     return by_source
 
 
@@ -934,11 +939,7 @@ def _subspace_complex(N, name, preserves, bases, ambients, mul, unit, last_face,
     to the subspaces.  IllDefined("... does not preserve <preserves>") when
     an image leaves them."""
     mdim, dim = ambients[0].dims
-    # every basis standard: the subspaces are the ambients, and each
-    # operator is its ambient table (the plain cyclic complexes)
-    full = all(len(basis) == amb.size and all(v == {k: 1} for k, v in enumerate(basis))
-               for basis, amb in zip(bases, ambients))
-    readers = None if full else [KernelCoords(basis) for basis in bases]
+    readers = [KernelCoords(basis) for basis in bases]
 
     def make(kind, n, i):
         if kind == "face":
@@ -948,8 +949,6 @@ def _subspace_complex(N, name, preserves, bases, ambients, mul, unit, last_face,
         else:
             by_source = tau(n)
         target = n + _SHIFT[kind]
-        if full:
-            return SparseMatrix.from_columns(by_source, len(bases[target]))
         message = "%s %s does not preserve %s (deg %d)" % (name, _OP_NAMES[kind], preserves, n)
         return _restrict(by_source, bases[n], readers[target], message, n)
 
@@ -1287,19 +1286,53 @@ def check_bicocyclic(b: ProductComplex):
 
 
 # ---------------------------------------------------------------------------
-# plain cyclic complex of an algebra (trivial symmetry), used as cup targets
+# plain cyclic complex of an algebra, used as cup targets
 
 def plain_cyclic_complex(alg, N, name="cyclic"):
-    """The standard cocyclic module of a unital algebra, realized as the
-    equivariant complex over the trivial Hopf algebra with trivial
-    coefficients (the conditions are vacuous there: every equivariance row
-    cancels, so each basis is the standard one and the operators are the
-    ambient tables)."""
-    from .fixtures import trivial_hopf, trivial_module_algebra
-    from .actions import trivial_sayd
-    h = trivial_hopf()
-    ma = trivial_module_algebra(h, alg)
-    return build_algebra_complex(ma, trivial_sayd(h), N, name=name)
+    """The standard cocyclic module of a unital algebra A (Connes 1985;
+    Loday 2.1): degree n is the dual of A^(x)(n+1) on its standard basis,
+    the faces multiply neighbouring slots, the last face multiplies the
+    last slot into the first, the degeneracies insert the unit and tau
+    rotates the last slot to the front.  Every operator is built straight
+    from alg.mul and alg.unit, on the ambients (1, A, ..., A) that the
+    algebra complex uses, with one trivial coefficient index."""
+    mul = action_table(alg.mul)
+    unit = sorted(alg.unit.items())
+    dim = alg.space.dim
+    top = N + 1
+    ambients = [MultiIndex((1,) + (dim,) * (n + 1)) for n in range(top + 2)]
+    pw = [dim ** k for k in range(top + 3)]
+
+    def last_face(n):
+        """(d_{n+1} phi)(a~) = phi(a_{n+1} a_0 (x) a_1..a_n)."""
+        by_source = [{} for _ in range(pw[n + 1])]
+        for t in range(pw[n + 2]):
+            a0, rest = divmod(t, pw[n + 1])
+            mid, last = divmod(rest, dim)
+            for k, x in mul.get((last, a0), ()):
+                by_source[k * pw[n] + mid][t] = x
+        return by_source
+
+    def tau(n):
+        """(t phi)(a~) = phi(a_n (x) a_0..a_{n-1})."""
+        by_source = [None] * pw[n + 1]
+        for t in range(pw[n + 1]):
+            rest, last = divmod(t, dim)
+            by_source[last * pw[n] + rest] = {t: 1}
+        return by_source
+
+    def make(kind, n, i):
+        if kind == "face":
+            by_source = last_face(n) if i == n + 1 else _product_face(mul, dim, 1, n, i)
+        elif kind == "degen":
+            by_source = _unit_degen(unit, dim, 1, n, i)
+        else:
+            by_source = tau(n)
+        return SparseMatrix.from_columns(by_source, pw[n + 1 + _SHIFT[kind]])
+
+    cx = CocyclicComplex.assemble(N, pw[1:top + 2], make, name)
+    bases = [[{k: 1} for k in range(size)] for size in pw[1:top + 2]]
+    return SubspaceComplexData(cx, bases, ambients)
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,20 @@ chain-map certificates, the composed front/back-face cup, the explicit
 closed formulas with mismatch surfacing, the characteristic map of an
 invariant trace and the shuffle-sum cups.
 
-Every pairing is one factored contraction.  The algebra-side functional phi
-on M (x) A^(x)(n+1) is pushed slot by slot through per-slot tables, built
-once per context, that send a basis element of A to the (x-side key,
-target) pairs whose slot value contains it (linalg.push_slots).  The
-pushforward is then contracted with the x side (linalg.contract): a
-quotient representative keyed by (m, c_0, ..., c_n) on the coalgebra side,
-or, per b-tuple, the coaction expansion into a b0-tuple and leg products in
-H on the comodule side.  Every pairing matrix is still certified to be a
-chain map (certify_chain_map).
+Every pairing is one factored contraction on flat indices.  The
+algebra-side functional phi on M (x) A^(x)(n+1), keyed by its flat ambient
+index, is pushed through per-slot tables, built once per context, that send
+a basis element of A to the (x-side key, target) pairs whose slot value
+contains it (linalg.push_slots).  Each slot has a key base and a target
+base, so keys and targets are flat ints.  The pushforward is then
+contracted with the x side, a list of (offset, x vector) pairs
+(linalg.contract): a quotient representative keyed by its ambient index
+m * C^(n+1) + (c_0, ..., c_n) on the coalgebra side, or, per b-tuple, the
+coaction expansion into a b0-tuple and leg products in H on the comodule
+side, where the b-tuple is the offset of its b digits among the targets in
+(A#B)^(x)(n+1).  Every pairing matrix is still certified to be a chain map
+(certify_chain_map).  The targets are plain cyclic complexes, built from
+the algebra's product and unit (complexes.plain_cyclic_complex).
 
 Conventions pinned by calibration (see the repo notes): the composed cup
 applies zeroth faces to the algebra-side argument and twisted last faces to
@@ -42,7 +47,7 @@ from .actions import (CoalgebraAction, SAYDModule, convolution_algebra,
                       ActionNotDescended)
 from .complexes import (build_algebra_complex, build_coalgebra_complex,
                         build_comodule_algebra_complex, plain_cyclic_complex,
-                        tensor_bicocyclic, diagonal, HopfTables, expand_terms, intertwines,
+                        tensor_bicocyclic, diagonal, HopfTables, intertwines,
                         describe_map, CertificateFailure, action_table, split_table,
                         build_power_complex)
 from .cohomology import lam
@@ -89,14 +94,15 @@ def certify_chain_map(src, tgt, mats, what):
 # ---------------------------------------------------------------------------
 # the factored contraction shared by every pairing
 
-def _slot_table(values):
-    """a -> [(key, target tuple, coeff)]: the transpose of a slot map
-    (key, target tuple) -> sparse vector in A."""
+def _slot(values, kbase, tbase):
+    """The slot (table, key base, target base) of linalg.push_slots whose
+    table, a -> [(key, target, coeff)], is the transpose of a slot map
+    (key, target) -> sparse vector in A."""
     table = {}
-    for (key, targets), vec in values.items():
+    for (key, target), vec in values.items():
         for a, x in vec.items():
-            table.setdefault(a, []).append((key, targets, x))
-    return table
+            table.setdefault(a, []).append((key, target, x))
+    return table, kbase, tbase
 
 
 def _mul_all(table, vecs, unit=None):
@@ -112,61 +118,54 @@ def _mul_all(table, vecs, unit=None):
     return out
 
 
-def _product_table(amul, factor, keys, adim):
-    """Slot table of a slot that holds a product in A: for each key
-    (k_0, ..., k_r) and targets (a_0, ..., a_r), the product
-    factor[k_0, a_0] ... factor[k_r, a_r] of sparse A-vectors."""
+def _product_slot(amul, factor, keys, kdim, adim, tdim, width):
+    """The slot of a factor of phi that holds a product in A: for each key
+    (k_1, ..., k_width) of keys, flat in base kdim, and targets (a_1, ...,
+    a_width), the product factor[k_1, a_1] ... factor[k_width, a_width] of
+    sparse A-vectors.  The target is flat in base tdim with digits a_i *
+    (tdim // adim), whose b digits the crossed x side's offsets add."""
+    scale = tdim // adim
+    mk = MultiIndex((kdim,) * width)
     values = {}
     for key in keys:
-        for ats in iproduct(range(adim), repeat=len(key)):
-            values[key, ats] = _mul_all(amul, [factor.get((k, a), {}) for k, a in zip(key, ats)])
-    return _slot_table(values)
+        ks = mk.unflat(key)
+        for ats in iproduct(range(adim), repeat=width):
+            t = 0
+            for a in ats:
+                t = t * tdim + a * scale
+            values[key, t] = _mul_all(amul, [factor.get((k, a), {}) for k, a in zip(ks, ats)])
+    return _slot(values, kdim ** width, tdim ** width)
 
 
 def _push(adata, phi, n, slots):
     """phi (ambient coefficients of the algebra complex at degree n) pushed
-    through one table per A slot; the M index passes through unchanged."""
+    through one slot per A factor; the M index passes through as the
+    leading key digit."""
     mi = adata.ambients[n]
-    keep_m = {m: [(m, (), 1)] for m in range(mi.dims[0])}
-    return push_slots({mi.unflat(f): c for f, c in phi.items()}, [keep_m] + list(slots))
+    mdim = mi.dims[0]
+    keep_m = ({m: [(m, 0, 1)] for m in range(mdim)}, mdim, 1)
+    return push_slots(phi, mi.dims, [keep_m] + list(slots))
 
 
-def _rep(cdata, n, qvec):
-    """Quotient representative of a coalgebra-complex class, keyed by
-    (m, c_0, ..., c_n)."""
-    mi = cdata.ambients[n]
-    return {mi.unflat(f): c for f, c in cdata.quotients[n].include_vec(qvec).items()}
-
-
-def _evaluate(pushed, xside, mi_t, bdim=1):
-    """One pairing value as a target vector.  The x side is a list of
-    (b tuple, x vector); each x vector contracted with phi's pushforward
-    lands at the target (a_k * bdim + b_k)_k."""
-    out = {}
-    for bts, xvec in xside:
-        for ats, y in contract(pushed, xvec).items():
-            vec_acc(out, mi_t.flat([a * bdim + b for a, b in zip(ats, bts)]), y)
-    return out
-
-
-def _pairing_matrix(adata, n, slots, xsides, tdim, bdim=1):
-    """Degree-n pairing matrix, columns phi-major over adata.bases[n] x xsides."""
-    mi_t = MultiIndex((tdim,) * (n + 1))
+def _pairing_matrix(adata, n, slots, xsides):
+    """Degree-n pairing matrix, columns phi-major over adata.bases[n] x
+    xsides; its rows are the flat targets of the slots."""
     cols = []
     for phi in adata.bases[n]:
         pushed = _push(adata, phi, n, slots)
-        cols.extend(_evaluate(pushed, xside, mi_t, bdim) for xside in xsides)
-    return SparseMatrix.from_columns(cols, mi_t.size)
+        cols.extend(contract(pushed, xside) for xside in xsides)
+    return SparseMatrix.from_columns(cols, prod(tbase for _, _, tbase in slots))
 
 
-def _quotient_pairing(adata, cdata, slot, tdim, N):
+def _quotient_pairing(adata, cdata, slot, N):
     """Pairing matrices of an algebra complex with a coalgebra complex
-    through one slot table; the x sides are the quotient representatives."""
+    through one slot; the x sides are the quotient representatives, keyed
+    by their ambient index m * C^(n+1) + (c_0, ..., c_n)."""
     mats = []
     for n in range(N + 2):
-        zero = (0,) * (n + 1)
-        xsides = [[(zero, _rep(cdata, n, {j: 1}))] for j in range(cdata.quotients[n].dim)]
-        mats.append(_pairing_matrix(adata, n, [slot] * (n + 1), xsides, tdim))
+        quot = cdata.quotients[n]
+        xsides = [[(0, quot.include_vec({j: 1}))] for j in range(quot.dim)]
+        mats.append(_pairing_matrix(adata, n, [slot] * (n + 1), xsides))
     return mats
 
 
@@ -231,14 +230,14 @@ class CoalgebraCupContext(_CupContext):
         self.a_cx = plain_cyclic_complex(ca.ma.alg, N)
         self._amul = action_table(ca.ma.alg.mul)
         # the slot c (x) a -> c.a of the pairing, the trace and explicit formulas
-        self._act_slot = _slot_table({(c, (a,)): v for (c, a), v in ca.action.entries.items()})
+        self._act_slot = _slot(ca.action.entries, ca.mc.space.dim, ca.ma.space.dim)
         self._nat = None
 
     # -- the evaluation pairing into the algebra
 
     def psi_matrices(self):
         return self._certify_once("algebra pairing", self.a_cx, lambda: _quotient_pairing(
-            self.alg, self.coalg, self._act_slot, self.ca.ma.space.dim, self.N))
+            self.alg, self.coalg, self._act_slot, self.N))
 
     # -- the convolution algebra: the evaluation pairing into it and the
     # natural embedding of A, which pulls it back to psi_matrices
@@ -255,9 +254,10 @@ class CoalgebraCupContext(_CupContext):
         # slot c -> the value of each convolution basis map at c
         return self._certify_once("convolution pairing", self.conv_cx, lambda: _quotient_pairing(
             self.alg, self.coalg,
-            _slot_table({(c, (b,)): v for b, m in enumerate(self.conv.maps)
-                         for c, v in enumerate(m.columns())}),
-            self.conv.algebra.space.dim, self.N))
+            _slot({(c, b): v for b, m in enumerate(self.conv.maps)
+                   for c, v in enumerate(m.columns())},
+                  self.ca.mc.space.dim, self.conv.algebra.space.dim),
+            self.N))
 
     def natural_map(self):
         if self._nat is not None:
@@ -343,8 +343,7 @@ class RelativeCupContext(_CupContext):
     def psi_r_matrices(self):
         return self._certify_once("relative pairing", self.ak_cx, lambda: _quotient_pairing(
             self.alg, self.coalg,
-            _slot_table({(j, (a,)): v for (j, a), v in self.class_act_in_A.items()}),
-            self.inv_alg.space.dim, self.N))
+            _slot(self.class_act_in_A, self.relc.space.dim, self.inv_alg.space.dim), self.N))
 
 
 class CrossedCupContext(_CupContext):
@@ -372,11 +371,16 @@ class CrossedCupContext(_CupContext):
         self._coaction_memo = {}
         self._amul = action_table(ma.alg.mul)
         act = action_table(ma.action)
-        # (h, a) -> S^-1(h).a: the twisted slot; h.a: the plain slot
+        # (h, a) -> S^-1(h).a: the twisted slot; h.a: the plain slot.  A
+        # target a of A sits at a * bdim in A#B, whose b digit the x side's
+        # offset adds
+        hdim, adim, bdim = self.hopf.dim, ma.space.dim, ba.space.dim
         self._twisted = {(h, a): mul_vec(act, self.tabs.Sinv[h], {a: 1})
-                         for h in range(self.hopf.dim) for a in range(ma.space.dim)}
-        self._twisted_slot = _slot_table({(h, (a,)): v for (h, a), v in self._twisted.items()})
-        self._plain_slot = _slot_table({(h, (a,)): v for (h, a), v in ma.action.entries.items()})
+                         for h in range(hdim) for a in range(adim)}
+        self._twisted_slot = _slot({(h, a * bdim): v for (h, a), v in self._twisted.items()},
+                                   hdim, adim * bdim)
+        self._plain_slot = _slot({(h, a * bdim): v for (h, a), v in ma.action.entries.items()},
+                                 hdim, adim * bdim)
 
     def _coaction_legs(self, b, depth):
         """[(legs, b0, coeff)] of depth iterated coactions of b; legs[0] is
@@ -394,50 +398,60 @@ class CrossedCupContext(_CupContext):
 
     def coaction_sides(self, depths, slot_legs):
         """The x side of a crossed pairing before the comodule cochain, per
-        b-tuple: {b tuple: {(b0 tuple, h tuple): coeff}}.
+        b-tuple: {offset: {(b0, h): coeff}}.
 
         b_t is expanded by depths[t] iterated coactions; slot s carries the
         product in H, left to right, of the legs legs_t[i] for (t, i) in
-        slot_legs[s] (the unit when there are none)."""
-        bdim = self.ba.space.dim
+        slot_legs[s] (the unit when there are none).  The b-tuple is the
+        offset sum_t b_t * (A#B)^(n-t) of its b digits among the targets in
+        (A#B)^(x)(n+1); the b0 tuple is flat in base B and the h tuple in
+        base H."""
+        adim, bdim, hdim = self.ma.space.dim, self.ba.space.dim, self.hopf.dim
+        tdim = adim * bdim
         per_slot = [[(b,) + term for b in range(bdim) for term in self._coaction_legs(b, d)]
                     for d in depths]
         unit = dict(self.tabs.unit)
         sides = {}
         for combo in iproduct(*per_slot):
             c = prod(t[3] for t in combo)
-            b0s = tuple(t[2] for t in combo)
-            hvecs = [_mul_all(self.tabs.mul, [{combo[t][1][i]: 1} for t, i in legs], unit)
-                     for legs in slot_legs]
-            side = sides.setdefault(tuple(t[0] for t in combo), {})
-            for hs, y in expand_terms([sorted(v.items()) for v in hvecs]):
-                vec_acc(side, (b0s, hs), c * y)
+            offset = b0 = 0
+            for t in combo:
+                offset = offset * tdim + t[0]
+                b0 = b0 * bdim + t[2]
+            hs = [(0, c)]
+            for legs in slot_legs:
+                hvec = _mul_all(self.tabs.mul, [{combo[t][1][i]: 1} for t, i in legs], unit)
+                hs = [(h * hdim + k, y * x) for h, y in hs for k, x in sorted(hvec.items())]
+            side = sides.setdefault(offset, {})
+            for h, y in hs:
+                vec_acc(side, (b0, h), y)
         return sides
 
-    def x_side(self, sides, psi, n):
-        """[(b tuple, {(m,) + h keys: coeff})]: the comodule cochain psi
+    def x_side(self, sides, psi, n, width):
+        """[(offset, {m * H^width + h: coeff})]: the comodule cochain psi
         (ambient coefficients at degree n) evaluated on the b0 tuples of
-        coaction sides {b tuple: {(b0 tuple, h keys): coeff}}."""
-        mi = self.comod.ambients[n]
+        coaction sides {offset: {(b0, h): coeff}} whose h tuples have width
+        digits."""
+        bpow = self.ba.space.dim ** (n + 1)
+        hpow = self.hopf.dim ** width
         by_b0 = {}
         for f, c in psi.items():
-            m, *b0s = mi.unflat(f)
-            by_b0.setdefault(tuple(b0s), []).append((m, c))
+            m, b0 = divmod(f, bpow)
+            by_b0.setdefault(b0, []).append((m * hpow, c))
         out = []
-        for bts, terms in sides.items():
+        for offset, terms in sides.items():
             xvec = {}
-            for (b0s, hs), c in terms.items():
-                for m, y in by_b0.get(b0s, ()):
-                    vec_acc(xvec, (m,) + hs, c * y)
+            for (b0, h), c in terms.items():
+                for m, y in by_b0.get(b0, ()):
+                    vec_acc(xvec, m + h, c * y)
             if xvec:
-                out.append((bts, xvec))
+                out.append((offset, xvec))
         return out
 
     def psi_cross_matrices(self):
         return self._certify_once("crossed pairing", self.ab_cx, self._crossed_pairing)
 
     def _crossed_pairing(self):
-        adim, bdim = self.ma.space.dim, self.ba.space.dim
         mats = []
         for n in range(self.N + 2):
             # slot i: S^-1 of the product of leg j - i of b_j for j >= i,
@@ -445,9 +459,8 @@ class CrossedCupContext(_CupContext):
             sides = self.coaction_sides([j + 1 for j in range(n + 1)],
                                         [[(j, j - i) for j in range(i, n + 1)]
                                          for i in range(n + 1)])
-            xsides = [self.x_side(sides, psi, n) for psi in self.comod.bases[n]]
-            mats.append(_pairing_matrix(self.alg, n, [self._twisted_slot] * (n + 1), xsides,
-                                        adim * bdim, bdim))
+            xsides = [self.x_side(sides, psi, n, n + 1) for psi in self.comod.bases[n]]
+            mats.append(_pairing_matrix(self.alg, n, [self._twisted_slot] * (n + 1), xsides))
         return mats
 
 
@@ -520,17 +533,21 @@ def cup_explicit_coalgebra(ctx, phi, p, x, q):
     cdim = ctx.ca.mc.space.dim
     # p+1 fold coproduct legs of the first coalgebra slot
     it = iterated_coproduct(ctx.ca.mc.coalg, p + 1)
-    mi_l = MultiIndex((cdim,) * (p + 1))
-    # phi's first slot: c0^(p+1)(a0) c1(a1) ... cq(aq) multiplied out; slot
-    # k = 1..p: c0^(k)(a_{q+k})
+    # phi's first slot: c0^(p+1)(a0) c1(a1) ... cq(aq) multiplied out, its
+    # key the q+1 digits (c0^(p+1), c1, ..., cq); slot k = 1..p:
+    # c0^(k)(a_{q+k}).  A key m (x) legs has m * C^(n+1) + flat legs.
+    cq, cp = cdim ** q, cdim ** p
     xvec = {}
-    for (m, c0, *cs), x0 in _rep(ctx.coalg, q, dict(x)).items():
+    for g, x0 in ctx.coalg.quotients[q].include_vec(dict(x)).items():
+        m, rest = divmod(g, cdim * cq)
+        c0, cs = divmod(rest, cq)
         for f, y in it.value((c0,)).items():
-            legs = mi_l.unflat(f)
-            vec_acc(xvec, (m, (legs[p],) + tuple(cs)) + legs[:p], x0 * y)
-    slot0 = _product_table(ctx._amul, ctx.ca.action.entries, {k[1] for k in xvec}, adim)
+            head, last = divmod(f, cdim)
+            vec_acc(xvec, (((m * cdim + last) * cq) + cs) * cp + head, x0 * y)
+    slot0 = _product_slot(ctx._amul, ctx.ca.action.entries,
+                          {key // cp % (cdim * cq) for key in xvec}, cdim, adim, adim, q + 1)
     pushed = _push(acx, acx.functional(phi, p), p, [slot0] + [ctx._act_slot] * p)
-    out = _evaluate(pushed, [((0,) * (n + 1), xvec)], MultiIndex((adim,) * (n + 1)))
+    out = contract(pushed, [(0, xvec)])
     composed = aw_cup(ctx, phi, p, x, q)
     diff = vec_sub(out, composed.vector)
     if diff:
@@ -548,7 +565,7 @@ def cup_explicit_crossed(ctx, phi, p, psi, q):
         raise TypeError("explicit crossed cup needs a crossed context")
     normative = aw_cup(ctx, phi, p, psi, q)
     n = p + q
-    adim, bdim = ctx.ma.space.dim, ctx.ba.space.dim
+    adim, bdim, hdim = ctx.ma.space.dim, ctx.ba.space.dim, ctx.hopf.dim
     bmul = action_table(ctx.ba.alg.mul)
     # coaction depths: b^t for t <= q gets t+1 legs; for q+1 <= t <= n it
     # gets n-t legs.  Slot i <= q: S^-1 of the legs j - i of b^j, i <= j <= q;
@@ -560,18 +577,26 @@ def cup_explicit_crossed(ctx, phi, p, psi, q):
                                   for s in range(q + 1, n + 1)])
     # psi argument: (b^{q+1}(0) ... b^{p+q}(0) b^0(0), b^1(0), ..., b^q(0));
     # the first q+1 twisted values go into phi's first slot as a PRODUCT --
-    # a product, not a tensor, is what makes the formula well-typed
+    # a product, not a tensor, is what makes the formula well-typed.  That
+    # slot's key is the first q+1 digits of the h tuple, so a key keeps its
+    # flat h tuple
+    mi_b = MultiIndex((bdim,) * (n + 1))
+    bq = bdim ** q
     args = {}
-    for bts, terms in sides.items():
-        side = args[bts] = {}
-        for (b0s, hs), c in terms.items():
+    for offset, terms in sides.items():
+        side = args[offset] = {}
+        for (b0, h), c in terms.items():
+            b0s = mi_b.unflat(b0)
             first = _mul_all(bmul, [{b: 1} for b in b0s[q + 1:] + b0s[:1]])
             for bf, y in first.items():
-                vec_acc(side, ((bf,) + b0s[1:q + 1], (hs[:q + 1],) + hs[q + 1:]), c * y)
-    xside = ctx.x_side(args, ctx.comod.functional(psi, q), q)
-    slot0 = _product_table(ctx._amul, ctx._twisted, {k[1] for _, xv in xside for k in xv}, adim)
+                vec_acc(side, (bf * bq + b0 // bdim ** p % bq, h), c * y)
+    xside = ctx.x_side(args, ctx.comod.functional(psi, q), q, n + 1)
+    hp = hdim ** p
+    slot0 = _product_slot(ctx._amul, ctx._twisted,
+                          {key // hp % hdim ** (q + 1) for _, xv in xside for key in xv},
+                          hdim, adim, adim * bdim, q + 1)
     pushed = _push(ctx.alg, ctx.alg.functional(phi, p), p, [slot0] + [ctx._plain_slot] * p)
-    out = _evaluate(pushed, xside, MultiIndex((adim * bdim,) * (n + 1)), bdim)
+    out = contract(pushed, xside)
     match = (vec_sub(out, normative.vector) == {})
     return normative, out, match
 
@@ -647,8 +672,6 @@ def shuffle_cup_traces(ctx: CrossedCupContext, phi, p, psi, q):
     if not is_b_closed(ccx, q, psi):
         raise NotACocycle("comodule-side input is not closed")
     n = p + q
-    bdim = ctx.ba.space.dim
-    mi_t = MultiIndex((ctx.ma.space.dim * bdim,) * (n + 1))
     # b^t emits n-t legs; slot k multiplies the legs k - t - 1 of
     # b^0..b^{k-1} (no antipode; slot 0 is bare)
     sides = ctx.coaction_sides([n - t for t in range(n + 1)],
@@ -659,8 +682,8 @@ def shuffle_cup_traces(ctx: CrossedCupContext, phi, p, psi, q):
         phi_up = _raise_by_faces(acx, phi, p, [v - 1 for v in sig.first_block()])
         psi_up = _raise_by_faces(ccx, psi, q, [v - 1 for v in sig.second_block()])
         pushed = _push(ctx.alg, ctx.alg.functional(phi_up, n), n, [ctx._plain_slot] * (n + 1))
-        xside = ctx.x_side(sides, ctx.comod.functional(psi_up, n), n)
-        vec_axpy(out, sig.sign, _evaluate(pushed, xside, mi_t, bdim))
+        xside = ctx.x_side(sides, ctx.comod.functional(psi_up, n), n, n + 1)
+        vec_axpy(out, sig.sign, contract(pushed, xside))
     tgt = ctx.target().complex
     return CupResult(out, n, is_b_closed(tgt, n, out), is_cyclic(tgt, n, out))
 
@@ -679,13 +702,11 @@ def cotrace_cup(ctx: CoalgebraCupContext, x, p, phi, q):
     if not is_b_closed(acx, q, phi):
         raise NotACocycle("algebra-side input is not closed")
     n = p + q
-    mi_t = MultiIndex((ctx.ca.ma.space.dim,) * (n + 1))
-    zero = (0,) * (n + 1)
     out = {}
     for sig in shuffle_set(p, q):
         phi_up = _raise_by_faces(acx, phi, q, [v - 1 for v in sig.first_block()])
         x_up = _raise_by_faces(ccx, x, p, [v - 1 for v in sig.second_block()])
         pushed = _push(ctx.alg, ctx.alg.functional(phi_up, n), n, [ctx._act_slot] * (n + 1))
-        vec_axpy(out, sig.sign, _evaluate(pushed, [(zero, _rep(ctx.coalg, n, x_up))], mi_t))
+        vec_axpy(out, sig.sign, contract(pushed, [(0, ctx.coalg.quotients[n].include_vec(x_up))]))
     tgt = ctx.target().complex
     return CupResult(out, n, is_b_closed(tgt, n, out), is_cyclic(tgt, n, out))

@@ -103,35 +103,67 @@ def mul_vec(table, u, v):
                 vec_acc(out, k, x * y * z)
     return out
 
-def push_slots(tensor, tables):
+def push_slots(tensor, radix, slots):
     """Mode-k products of a sparse tensor with one sparse table per slot
-    (Kolda & Bader, SIAM Review 2009), applied slot by slot.
+    (Kolda & Bader, SIAM Review 2009), on flat indices.
 
-    tensor maps index tuples (i_0, ..., i_n) to scalars; tables[k] maps an
-    index of slot k to terms [(key, target tuple, coeff)].  The result maps
-    (key_0, ..., key_n) to the sparse vector over the concatenated targets
-    target_0 + ... + target_n."""
-    cur = {((), (), idx): c for idx, c in tensor.items()}
-    for table in tables:
-        nxt = {}
-        for (keys, targets, rest), c in cur.items():
-            for key, t, x in table.get(rest[0], ()):
-                vec_acc(nxt, (keys + (key,), targets + t, rest[1:]), c * x)
-        cur = nxt
+    tensor maps flat indices to scalars.  An index has one digit per slot,
+    left major, slot k's digit in base radix[k]; the digits are read with
+    divmod.  slots[k] is (table, key base, target base), and table maps a
+    digit of slot k to terms [(key, target, coeff)] with key < key base and
+    target < target base.  Every entry of the tensor expands into the list
+    of its terms, one choice of term per slot, and the terms are summed into
+    one dict per key at the end.  The result maps each flat key, sum_k
+    key_k * (key bases of the slots after k), to the sparse vector over the
+    flat targets, built the same way from the target bases."""
+    # per slot, right to left: its table, its radix and the place values of
+    # its key and target digits
+    steps = []
+    kplace = tplace = 1
+    for (table, kbase, tbase), r in reversed(list(zip(slots, radix))):
+        steps.append((table, r, kplace, tplace))
+        kplace *= kbase
+        tplace *= tbase
+    terms = []
+    for f, c in tensor.items():
+        cur = [(0, 0, c)]
+        for table, r, kp, tp in steps:
+            f, d = divmod(f, r)
+            row = table.get(d)
+            if not row:
+                break
+            cur = [(key + k * kp, t + u * tp, y * x) for key, t, y in cur for k, u, x in row]
+        else:
+            terms += cur
+    sums = {}
+    for key, t, y in terms:
+        row = sums.get(key)
+        if row is None:
+            sums[key] = {t: y}
+        else:
+            row[t] = row.get(t, 0) + y
     out = {}
-    for (keys, targets, _), c in cur.items():
-        out.setdefault(keys, {})[targets] = c
-    return out
-
-def contract(pushed, xvec):
-    """Sum of xvec[keys] * pushed[keys] over the keys of xvec: the other
-    side of a pairing contracted with the output of push_slots."""
-    out = {}
-    for keys, c in xvec.items():
-        row = pushed.get(keys)
+    for key, row in sums.items():
+        row = {t: scal(y) for t, y in row.items() if y}
         if row:
-            vec_axpy(out, c, row)
+            out[key] = row
     return out
+
+def contract(pushed, xside):
+    """The other side of a pairing contracted with the output of
+    push_slots: the sum, over the pairs (offset, xvec) of xside and the
+    keys of xvec, of xvec[key] * pushed[key] with every target moved up by
+    offset."""
+    acc = {}
+    get = acc.get
+    for offset, xvec in xside:
+        for key, c in xvec.items():
+            row = pushed.get(key)
+            if row:
+                for t, x in row.items():
+                    t += offset
+                    acc[t] = get(t, 0) + c * x
+    return {t: scal(y) for t, y in acc.items() if y}
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +218,19 @@ class SparseMatrix:
 
     @staticmethod
     def from_columns(cols_list, rows):
-        """Columns given as sparse dicts."""
+        """Columns given as sparse dicts; each row index is range-checked
+        as its entry is stored."""
+        m = SparseMatrix(rows, len(cols_list))
         ent = {}
         for j, col in enumerate(cols_list):
             for i, x in col.items():
                 if x:
+                    if not 0 <= i < rows:
+                        raise ShapeMismatch("index (%d,%d) out of range %dx%d"
+                                            % (i, j, rows, m.cols))
                     ent[(i, j)] = scal(x)
-        return SparseMatrix(rows, len(cols_list), ent)
+        m.entries = ent
+        return m
 
     # -- basic structure
 

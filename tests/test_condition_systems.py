@@ -14,13 +14,16 @@ from itertools import product as iproduct
 import pytest
 
 from hopfcyclic.linalg import SparseMatrix, KernelCoords, compose, kernel_basis, vec_acc, vec_axpy
-from hopfcyclic.actions import QuotientSpace
+from hopfcyclic.actions import (QuotientSpace, trivial_sayd, crossed_product,
+                                invariant_subalgebra, convolution_algebra)
 from hopfcyclic.complexes import (HopfTables, _acting_on, action_table, _by_degree,
                                   split_table, build_algebra_complex,
                                   build_coalgebra_complex, build_comodule_algebra_complex,
                                   build_hopf_complex, plain_cyclic_complex, phi_degrees,
-                                  acts_on_itself, ConjugationFailure, IllDefined)
-from hopfcyclic.fixtures import fixture_file_texts, mpi_kz2_sigma_g, swap_module_algebra
+                                  acts_on_itself, same_complex, ConjugationFailure,
+                                  IllDefined)
+from hopfcyclic.fixtures import (fixture_file_texts, mpi_kz2_sigma_g, swap_module_algebra,
+                                 trivial_hopf, trivial_module_algebra)
 from hopfcyclic.specfile import parse_spec
 
 
@@ -309,3 +312,33 @@ def test_plain_cyclic_complex_is_the_ambient_cyclic_module():
         assert cx.tau(n) == matrix(n, n, lambda v: {v[-1:] + v[:-1]: 1})
     # the standard basis is a kernel basis too: coordinates are the entries
     assert KernelCoords(data.bases[1]).solve({3: 2}) == {3: 2}
+
+
+@functools.lru_cache(maxsize=None)
+def cup_target_algebras():
+    """The algebras the shipped cup contexts land in."""
+    kz2 = parse_spec(fixture_file_texts()["kz2.hcy"])
+    kz3 = parse_spec(fixture_file_texts()["kz3.hcy"])
+    rel = kz4_relative_spec()
+    return {
+        "kz2-A": kz2.module_algebras["A"].alg,
+        "kz2-A#B": crossed_product(kz2.module_algebras["A"], kz2.comodule_algebras["B"]),
+        "kz4_relative-A^K": invariant_subalgebra(rel.module_algebras["A"],
+                                                 rel.subhopfs["K"])[0],
+        "kz3-convolution": convolution_algebra(kz3.actions["ca"]).algebra,
+    }
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("which", ["kz2-A", "kz2-A#B", "kz4_relative-A^K", "kz3-convolution"])
+def test_plain_cyclic_complex_is_the_algebra_complex_over_the_trivial_hopf_algebra(which, N):
+    # the oracle: the equivariant complex over the one-dimensional Hopf
+    # algebra with trivial coefficients, whose conditions all cancel
+    alg = cup_target_algebras()[which]
+    h = trivial_hopf()
+    old = build_algebra_complex(trivial_module_algebra(h, alg), trivial_sayd(h), N, name="cyclic")
+    new = plain_cyclic_complex(alg, N)
+    assert new.complex.name == old.complex.name
+    assert same_complex(new.complex, old.complex)
+    assert new.bases == old.bases
+    assert [a.dims for a in new.ambients] == [a.dims for a in old.ambients]

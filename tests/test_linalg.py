@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product as iproduct
+from math import prod
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -297,33 +298,70 @@ def test_compose_matches_dense(pair):
         compose(a, SparseMatrix(b.rows + 1, b.cols))
 
 
-SLOT = 2
-slot_tables = st.dictionaries(
-    st.integers(0, SLOT - 1),
-    st.lists(st.tuples(st.integers(0, SLOT - 1), st.tuples(st.integers(0, SLOT - 1)),
-                       rationals.filter(bool)), max_size=3))
+@given(st.lists(st.dictionaries(st.integers(0, DIM - 1), rationals), max_size=4))
+def test_from_columns_is_the_matrix_of_its_columns(cols):
+    m = SparseMatrix.from_columns(cols, DIM)
+    assert (m.rows, m.cols) == (DIM, len(cols))
+    assert m.entries == {(i, j): x for j, col in enumerate(cols) for i, x in col.items() if x}
+    assert_normal(m.entries)
 
 
-@given(st.integers(1, 3).flatmap(lambda r: st.tuples(
-    st.dictionaries(st.tuples(*[st.integers(0, SLOT - 1)] * r), rationals.filter(bool)),
-    st.lists(slot_tables, min_size=r, max_size=r),
-    st.dictionaries(st.tuples(*[st.integers(0, SLOT - 1)] * r), rationals.filter(bool)))))
+def flat(digits, bases):
+    """The left-major flat index of digits in the given bases."""
+    f = 0
+    for d, b in zip(digits, bases):
+        f = f * b + d
+    return f
+
+
+@st.composite
+def pushes(draw):
+    """(tensor, radix, slots, xside): one to three slots, each with its own
+    radix, key base and target base, and an x side of one or two offsets."""
+    r = draw(st.integers(1, 3))
+    radix = draw(st.lists(st.integers(1, 3), min_size=r, max_size=r))
+    slots = []
+    for d in radix:
+        kbase, tbase = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        table = draw(st.dictionaries(st.integers(0, d - 1), st.lists(st.tuples(
+            st.integers(0, kbase - 1), st.integers(0, tbase - 1), rationals.filter(bool)),
+            max_size=3)))
+        slots.append((table, kbase, tbase))
+    size = prod(radix)
+    tensor = draw(st.dictionaries(st.integers(0, size - 1), rationals.filter(bool)))
+    keys = prod(kbase for _, kbase, _ in slots)
+    xside = draw(st.lists(st.tuples(st.integers(0, 40), st.dictionaries(
+        st.integers(0, keys - 1), rationals.filter(bool))), min_size=1, max_size=2))
+    return tensor, radix, slots, xside
+
+
+@given(pushes())
+@example(({5: Fraction(1, 2), 1: 3}, [2, 3],
+          [({0: [(1, 0, 2)], 1: [(0, 2, Fraction(1, 3)), (1, 1, -1)]}, 2, 3),
+           ({1: [(2, 1, 3)], 2: [(0, 0, Fraction(2, 3))]}, 3, 2)],
+          [(0, {5: 2, 3: Fraction(-1, 2)}), (7, {0: 1})]))
 def test_push_slots_contract_match_dense(case):
-    tensor, tables, xvec = case
-    # dense reference: every index tuple, every choice of one term per slot
+    tensor, radix, slots, xside = case
+    kbases = [kbase for _, kbase, _ in slots]
+    tbases = [tbase for _, _, tbase in slots]
+    # dense reference: every digit tuple, every choice of one term per slot
     ref = {}
-    for idx in iproduct(range(SLOT), repeat=len(tables)):
-        for terms in iproduct(*[table.get(i, []) for table, i in zip(tables, idx)]):
-            keys = tuple(k for k, _, _ in terms)
-            value = Fraction(tensor.get(idx, 0)) * xvec.get(keys, 0)
+    for digits in iproduct(*[range(d) for d in radix]):
+        c = Fraction(tensor.get(flat(digits, radix), 0))
+        for terms in iproduct(*[table.get(d, []) for (table, _, _), d in zip(slots, digits)]):
+            value = c
             for _, _, x in terms:
                 value *= x
-            targets = sum((t for _, t, _ in terms), ())
-            ref[targets] = ref.get(targets, 0) + value
-    pushed = push_slots(tensor, tables)
+            key = flat([k for k, _, _ in terms], kbases)
+            target = flat([t for _, t, _ in terms], tbases)
+            for offset, xvec in xside:
+                t = target + offset
+                ref[t] = ref.get(t, 0) + value * xvec.get(key, 0)
+    pushed = push_slots(tensor, radix, slots)
     for row in pushed.values():
+        assert row
         assert_normal(row)
-    out = contract(pushed, xvec)
+    out = contract(pushed, xside)
     assert out == {t: x for t, x in ref.items() if x}
     assert_normal(out)
 
@@ -545,7 +583,12 @@ def test_invert_matrix_of_a_non_square_matrix_is_none(rows, cols):
     (lambda: SparseMatrix(2, 2, {(2, 0): 1}), ShapeMismatch, "index (2,0) out of range 2x2"),
     (lambda: M([[1, 2], [3]]), ShapeMismatch, "ragged rows"),
     (lambda: SparseMatrix.identity(2) + SparseMatrix(2, 3), ShapeMismatch, "add 2x2 + 2x3"),
-], ids=["scal-float", "negative-dimensions", "index-out-of-range", "ragged-rows", "add-shapes"])
+    (lambda: SparseMatrix.from_columns([{}, {0: 1, 2: 3}], 2), ShapeMismatch,
+     "index (2,1) out of range 2x2"),
+    (lambda: SparseMatrix.from_columns([{-1: 1}], 2), ShapeMismatch,
+     "index (-1,0) out of range 2x1"),
+], ids=["scal-float", "negative-dimensions", "index-out-of-range", "ragged-rows", "add-shapes",
+        "column-row-past-the-end", "column-row-negative"])
 def test_malformed_input_raises_with_its_message(call, exc, message):
     with pytest.raises(exc) as e:
         call()

@@ -38,6 +38,9 @@ CUP = "src/hopfcyclic/cup.py"
 ORACLE = "tests/test_cup.py::test_algebra_pairing_is_the_pulled_back_convolution_pairing"
 NOT_KEPT = "tests/test_cup.py::test_a_failed_pairing_certificate_is_not_kept"
 GRAMMAR = "tests/test_specfile_grammar.py::"
+PLAIN = ("tests/test_condition_systems.py::"
+         "test_plain_cyclic_complex_is_the_algebra_complex_over_the_trivial_hopf_algebra")
+PUSH = "tests/test_linalg.py::test_push_slots_contract_match_dense"
 PINNED = "tests/test_specfile_cli.py::test_validate_lists_every_violation_of_broken_input"
 INVERSE = "tests/test_linalg.py::test_invert_matrix_is_a_two_sided_inverse_or_none"
 GAUSS_JORDAN = "tests/test_linalg.py::test_span_solver_is_dense_gauss_jordan"
@@ -127,13 +130,11 @@ MUTANTS = [
            [STREAMED + "[h4.hcy]",
             "tests/test_reference_reports.py::test_report_matches_reference"
             "[audit h4.hcy --max-degree 4]"]),
-    Mutant("full-ambient-tau-transposed", COMPLEXES,
-           "        if full:\n"
-           "            return SparseMatrix.from_columns(by_source, len(bases[target]))\n",
-           "        if full:\n"
-           "            m = SparseMatrix.from_columns(by_source, len(bases[target]))\n"
-           "            return m.transpose() if kind == \"tau\" else m\n",
-           ["tests/test_condition_systems.py::test_plain_cyclic_complex_is_the_ambient_cyclic_module"]),
+    Mutant("plain-tau-transposed", COMPLEXES,
+           "            by_source[last * pw[n] + rest] = {t: 1}\n",
+           "            by_source[t] = {last * pw[n] + rest: 1}\n",
+           ["tests/test_condition_systems.py::test_plain_cyclic_complex_is_the_ambient_cyclic_module",
+            PLAIN + "[kz2-A#B-2]", PLAIN + "[kz3-convolution-3]"]),
     Mutant("restrict-reads-source-degree", COMPLEXES,
            "_restrict(by_source, bases[n], readers[target], message, n)",
            "_restrict(by_source, bases[n], readers[n], message, n)",
@@ -154,6 +155,19 @@ MUTANTS = [
            "rows)], len(rows))",
            "rows)], len(rows) - 1)",
            ["tests/test_complexes.py::test_ill_defined_at_the_last_relation_row"]),
+    Mutant("push-target-base-of-keys", LINALG,
+           "        tplace *= tbase\n",
+           "        tplace *= kbase\n",
+           [PUSH, "tests/test_cup.py::test_psi_cross_certificate",
+            "tests/test_reference_reports.py::test_report_matches_reference"
+            "[cup kz2.hcy --kind crossed --p 0 --q 3]"]),
+    Mutant("contract-drops-offset", LINALG,
+           "                    t += offset\n",
+           "",
+           [PUSH, "tests/test_cup.py::test_psi_cross_certificate",
+            "tests/test_cup.py::test_crossed_explicit_trivial_a",
+            "tests/test_reference_reports.py::test_report_matches_reference"
+            "[cup kz2.hcy --kind traces --p 0 --q 3]"]),
     Mutant("residuals-stops-at-first", LINALG,
            "sorted(acc.items())}\n            acc.clear()\n",
            "sorted(acc.items())}\n            return\n",
@@ -256,14 +270,15 @@ MUTANTS = [
             GRAMMAR + "test_input_error_exits_two_at_its_line[stray-under-space]",
             GRAMMAR + "test_input_error_exits_two_at_its_line[orphaned-lines]"]),
     Mutant("pairing-slot-ignores-action", CUP,
-           "_slot_table({(c, (a,)): v for (c, a), v in ca.action.entries.items()})",
-           "_slot_table({(c, (a,)): {a: 1} for (c, a), v in ca.action.entries.items()})",
+           "_slot(ca.action.entries, ca.mc.space.dim, ca.ma.space.dim)",
+           "_slot({key: {key[1]: 1} for key in ca.action.entries}, ca.mc.space.dim,"
+           " ca.ma.space.dim)",
            [ORACLE + "[kz2]", ORACLE + "[kz3]", ORACLE + "[kz2-sigma-g]",
             "tests/test_cup.py::test_psi_certificates_sigma_g",
             "tests/test_cup.py::test_psi_r_unit_subhopf_equals_psi"]),
     Mutant("pairing-tdim-of-coalgebra", CUP,
-           "self.alg, self.coalg, self._act_slot, self.ca.ma.space.dim, self.N))",
-           "self.alg, self.coalg, self._act_slot, self.ca.mc.space.dim, self.N))",
+           "_slot(ca.action.entries, ca.mc.space.dim, ca.ma.space.dim)",
+           "_slot(ca.action.entries, ca.mc.space.dim, ca.mc.space.dim)",
            [ORACLE + "[kz2-counit-on-q3]"]),
     Mutant("memo-before-certificate", CUP,
            "            certify_chain_map(self.diag, tgt.complex, mats, what)\n"
