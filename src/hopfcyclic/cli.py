@@ -10,6 +10,7 @@ certificate or validation failed, 2 input error.
 from __future__ import annotations
 
 import argparse
+import gc
 import marshal
 import os
 import random
@@ -830,5 +831,24 @@ def run(spec, command, flags):
     return rep
 
 
+def entry():
+    """main() as the whole life of a process: ``python -m hopfcyclic.cli``
+    and the ``hopfcyclic`` script.  The cyclic collector is off, because a
+    job leaves no cyclic garbage but argparse's parser, the same for every
+    job.  Once main returns and stdout and stderr are flushed, the process
+    leaves by os._exit, as the forked worker does, so the interpreter's
+    teardown is skipped; if a flush fails, it leaves by sys.exit, whose
+    teardown reports the failure as it always has.  A caller of main in its
+    own process keeps the normal lifecycle."""
+    gc.disable()
+    status = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        sys.exit(status)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -39,14 +39,13 @@ def lam(cx, n):
 
 
 def norm_operator(cx, n):
-    """1 + lam + ... + lam^n."""
-    l = lam(cx, n)
+    """1 + lam + ... + lam^n = sum over k <= n of (-1)^(nk) tau_n^k, each
+    power read from the complex's table (CocyclicComplex.tau_power), which
+    check_cocyclic fills too."""
     total = SparseMatrix.identity(cx.dim(n))
-    power = l
-    for k in range(n):
-        if k:
-            power = compose(l, power)
-        total = total + power
+    for k in range(1, n + 1):
+        power = cx.tau_power(n, k)
+        total = total - power if n * k % 2 else total + power
     return total
 
 
@@ -71,15 +70,23 @@ _B_VARIANTS = ("norm.degen.tau.(1-lam)",)
 def connes_B(cx: CocyclicComplex):
     """(per-degree matrices B_n: n -> n-1, reading name).
 
-    Certifies B.B = 0 and bB + Bb = 0, the latter against cx.b on degrees
-    1..N, and raises NotAComplex otherwise.
+    B_n = N_{n-1} . b0_n with b0_n = s_{n-1} tau_n (1 - lam_n) =
+    s_{n-1} (tau_n - (-1)^n tau_n^2); tau_n^2 and the powers in the norm
+    N_{n-1} (norm_operator) come from the complex's table of tau powers, so
+    none that check_cocyclic composed is composed again.  B_n is the last
+    reader of the powers of tau_{n-1}, so they are dropped once it is
+    built, and the top degree's after the last.  Certifies B.B = 0 and
+    bB + Bb = 0, the latter against cx.b on degrees 1..N, and raises
+    NotAComplex otherwise.
     """
     bs = cx.b
     Bs = [SparseMatrix.zeros(0, cx.dim(0))]   # degree 0 -> nothing, by convention
     for n in range(1, cx.top + 1):
-        I = SparseMatrix.identity(cx.dim(n))
-        b0 = compose(cx.degen(n, n - 1), compose(cx.tau(n), I - lam(cx, n)))
+        t, t2 = cx.tau(n), cx.tau_power(n, 2)
+        b0 = compose(cx.degen(n, n - 1), t + t2 if n % 2 else t - t2)
         Bs.append(compose(norm_operator(cx, n - 1), b0))
+        cx.drop_tau_powers(n - 1)
+    cx.drop_tau_powers(cx.top)
     B_plans = [column_plan(B) for B in Bs]
     for n in range(2, cx.top + 1):
         _certify_zero("B.B != 0 at degree %d", n, [(1, B_plans[n - 1], B_plans[n])], cx.dim(n))

@@ -88,7 +88,9 @@ class CocyclicComplex:
     ("tau", n, 0)  : degree n -> n     for 0 <= n <= top
 
     Its mixed complex (b, B) is read off the operators on first use of b or
-    B and kept, so the operators must not change after that.
+    B and kept, so the operators must not change after that.  The powers of
+    each tau_n are kept in one table (tau_power) from the first that is
+    asked for until connes_B has read them; it follows a replaced tau.
     """
 
     def __init__(self, N, dims, maps, name=""):
@@ -97,6 +99,7 @@ class CocyclicComplex:
         self._dims = list(dims)
         self.maps = maps
         self.name = name
+        self._tau_powers = {}       # n -> [tau_n, tau_n^2, ...]
 
     def dim(self, n):
         return self._dims[n]
@@ -121,6 +124,27 @@ class CocyclicComplex:
         """The column plan of op(kind, n, i), the operand form the
         certificates read (linalg.residuals)."""
         return column_plan(self.op(kind, n, i))
+
+    def tau_power(self, n, k):
+        """tau_n^k for k >= 1, from the table of powers of tau_n that
+        check_cocyclic and cohomology.connes_B share: each power is composed
+        once, from the one below it.  The table of degree n starts again
+        when maps["tau", n, 0] is replaced."""
+        t = self.tau(n)
+        powers = self._tau_powers.get(n)
+        if powers is None or powers[0] is not t:
+            powers = self._tau_powers[n] = [t]
+        while len(powers) < k:
+            powers.append(compose(t, powers[-1]))
+        return powers[k - 1]
+
+    def tau_power_plan(self, n, k):
+        """The column plan of tau_power(n, k)."""
+        return column_plan(self.tau_power(n, k))
+
+    def drop_tau_powers(self, n):
+        """Forget the kept powers of tau_n, once their last reader is done."""
+        self._tau_powers.pop(n, None)
 
     @cached_property
     def b(self):
@@ -262,17 +286,16 @@ def check_cocyclic(cx: CocyclicComplex):
         check("cyclic-face", n, (0,), n - 1, (1, T(n), F(n - 1, 0)), (-1, F(n - 1, n), None))
     # cyclic-degen:  t_n s_i = s_{i-1} t_{n+1} (1<=i<=n),  t_n s_0 = s_n t_{n+1}^2
     # cyclic-order:  t_m^{m+1} = id, checked as t_m^h t_m^(m+1-h) - id, h = (m+1)//2
-    # Both run in one pass over m = n+1, so each power of t_m is composed once
-    # (t_m^2 serves both); the cyclic-order violations follow all others.
+    # Both run in one pass over m = n+1 on the powers of the complex's table
+    # (tau_power), each planned once here (t_m^2 serves both); the
+    # cyclic-order violations follow all others.
     order = []
     for m in range(top + 1):
         h = (m + 1) // 2
-        highest = max(2, m + 1 - h) if m else 1
-        powers = [None, T(m)]                   # plans of t_m^0 = id, t_m^1, ...
-        t = tm = cx.tau(m)
-        while len(powers) <= highest:
-            tm = compose(t, tm)
-            powers.append(column_plan(tm))
+        powers = {0: None, 1: T(m)}             # plans of t_m^0 = id, t_m^1, ...
+        for k in (2, h, m + 1 - h) if m else ():
+            if k not in powers:
+                powers[k] = cx.tau_power_plan(m, k)
         n = m - 1
         if m:
             for i in range(1, n + 1):
@@ -1220,10 +1243,11 @@ class ProductComplex(CocyclicComplex):
     CocyclicComplex it is its diagonal, the degreewise product: degree n is
     the spot (n, n), and (d_i (x) 1)(1 (x) d_i) = d_i (x) d_i.
 
-    It holds its two factors and no operator.  op forms the Kronecker
-    product of the factors' maps when a matrix is asked for; plan reads the
-    Kronecker column plan straight from the factors' plans, so the
-    certificates never build an operator of the product."""
+    It holds its two factors and no operator, and no table of tau powers.
+    op and tau_power form the Kronecker product of the factors' maps or
+    powers when a matrix is asked for; plan and tau_power_plan read the
+    Kronecker column plan straight from the factors' plans and powers, so
+    the certificates never build an operator of the product."""
 
     def __init__(self, c1, c2):
         self.c1 = c1
@@ -1249,6 +1273,17 @@ class ProductComplex(CocyclicComplex):
     def plan(self, kind, n, i):
         return kron_plan(self.c1.plan(kind, n, i), self.c2.plan(kind, n, i),
                          self.c2.dim(n + _SHIFT[kind]))
+
+    def tau_power(self, n, k):
+        return tensor_kron(self.c1.tau_power(n, k), self.c2.tau_power(n, k))
+
+    def tau_power_plan(self, n, k):
+        """(t1 (x) t2)^k = t1^k (x) t2^k, planned from the factors' tables."""
+        return kron_plan(self.c1.tau_power_plan(n, k), self.c2.tau_power_plan(n, k),
+                         self.c2.dim(n))
+
+    def drop_tau_powers(self, n):
+        pass
 
 
 def tensor_bicocyclic(c1, c2) -> ProductComplex:

@@ -20,8 +20,7 @@ from hopfcyclic.linalg import (SparseMatrix, column_plan, compose, first_residua
                                matrix_terms, residuals, tensor_kron, vec_add, vec_sub)
 from hopfcyclic.complexes import (CocyclicComplex, build_coalgebra_complex, build_hopf_complex,
                                   check_cocyclic, structure_maps, ConjugationFailure)
-from hopfcyclic.cohomology import (hochschild_b, cyclic_cocycles, lam, norm_operator,
-                                   NotAComplex)
+from hopfcyclic.cohomology import hochschild_b, cyclic_cocycles, lam, NotAComplex
 from hopfcyclic.cup import (CoalgebraCupContext, RelativeCupContext, ChainMapFailure, aw_cup,
                             certify_chain_map)
 from hopfcyclic.actions import trivial_sayd
@@ -176,6 +175,13 @@ def test_product_plans_are_the_plans_of_its_operators():
                 d = ctx.diag
                 for key in structure_maps(d.N, d.top):
                     assert d.plan(*key) == column_plan(d.op(*key)), (fixture, name, key)
+                for n in range(d.top + 1):
+                    power = t = d.tau(n)
+                    for k in range(1, 4):
+                        assert d.tau_power(n, k) == power, (fixture, name, n, k)
+                        assert d.tau_power_plan(n, k) == column_plan(power), (fixture, name, n, k)
+                        power = compose(t, power)
+                assert set(vars(d)) == {"c1", "c2", "N", "top", "name"}
     assert kinds == {"coalgebra", "crossed", "relative"}
 
 
@@ -301,16 +307,31 @@ def point_complex(N):
     return build_coalgebra_complex(self_module_coalgebra(h), trivial_sayd(h), N).complex
 
 
+def certify(cx):
+    """connes_B and then check_cocyclic on cx, both passing, which leaves
+    its table of tau powers filled (connes_B empties it)."""
+    cohomology.connes_B(cx)
+    assert check_cocyclic(cx) == []
+    assert cx._tau_powers
+
+
 def test_cocyclic_violation_witness_is_the_residual_of_its_column():
+    # certified first, the check must read the powers of the new tau, not
+    # those kept from the one it replaced; (-tau)^2 = tau^2, so only the
+    # doubled tau tells them apart
     h = group_algebra(2)
-    cx = build_coalgebra_complex(self_module_coalgebra(h), trivial_sayd(h), 2).complex
-    cx.maps["tau", 2, 0] = cx.tau(2).scale(-1)
-    v = next(v for v in check_cocyclic(cx) if v.family == "cyclic-order")
-    assert v.degree == 2
-    t = cx.tau(2)
-    residuals = [vec_sub(apply_chain({c: 1}, t, t, t), {c: 1}) for c in range(cx.dim(2))]
-    assert v.column == next(c for c, r in enumerate(residuals) if r)
-    assert v.residual == residuals[v.column]
+    for factor in (-1, 2):
+        for certified_first in (False, True):
+            cx = build_coalgebra_complex(self_module_coalgebra(h), trivial_sayd(h), 2).complex
+            if certified_first:
+                certify(cx)
+            cx.maps["tau", 2, 0] = cx.tau(2).scale(factor)
+            v = next(v for v in check_cocyclic(cx) if v.family == "cyclic-order")
+            assert v.degree == 2
+            t = cx.tau(2)
+            residuals = [vec_sub(apply_chain({c: 1}, t, t, t), {c: 1}) for c in range(cx.dim(2))]
+            assert v.column == next(c for c, r in enumerate(residuals) if r)
+            assert v.residual == residuals[v.column], (factor, certified_first)
 
 
 def test_not_a_complex_witness_is_the_residual_of_its_column():
@@ -328,29 +349,39 @@ def test_not_a_complex_witness_is_the_residual_of_its_column():
 @pytest.mark.parametrize("degree,message", [(2, "bB + Bb != 0 at degree 2"),
                                             (3, "B.B != 0 at degree 4")])
 def test_not_a_complex_witness_of_the_boundary(degree, message):
-    # a doubled tau keeps every face, hence b, but breaks the B certificates
+    # a doubled tau keeps every face, hence b, but breaks the B certificates;
+    # certified first, B must read the powers of the new tau
     h = group_algebra(2)
-    cx = build_coalgebra_complex(self_module_coalgebra(h), trivial_sayd(h), 3).complex
-    cx.maps["tau", degree, 0] = cx.tau(degree).scale(2)
-    bs = hochschild_b(cx)
-    with pytest.raises(NotAComplex) as e:
-        cx.B
-    err = e.value
-    assert str(err) == message
+    for certified_first in (False, True):
+        cx = build_coalgebra_complex(self_module_coalgebra(h), trivial_sayd(h), 3).complex
+        if certified_first:
+            certify(cx)
+        cx.maps["tau", degree, 0] = cx.tau(degree).scale(2)
+        bs = hochschild_b(cx)
+        with pytest.raises(NotAComplex) as e:
+            cx.B
+        err = e.value
+        assert str(err) == message
 
-    def B(n, v):
-        # norm_{n-1} . s_{n-1} . tau_n . (1 - lam_n)
-        v = vec_sub(v, lam(cx, n).apply(v))
-        return apply_chain(v, norm_operator(cx, n - 1), cx.degen(n, n - 1), cx.tau(n))
+        def B(n, v):
+            # norm_{n-1} . s_{n-1} . tau_n . (1 - lam_n), on one vector, with
+            # the norm sum_{k < n} lam_{n-1}^k applied power by power
+            v = apply_chain(vec_sub(v, lam(cx, n).apply(v)), cx.degen(n, n - 1), cx.tau(n))
+            total = v
+            for _ in range(n - 1):
+                v = lam(cx, n - 1).apply(v)
+                total = vec_add(total, v)
+            return total
 
-    n = err.degree
-    if message.startswith("B.B"):
-        residual = lambda c: B(n - 1, B(n, {c: 1}))
-    else:
-        residual = lambda c: vec_add(bs[n - 1].apply(B(n, {c: 1})), B(n + 1, bs[n].apply({c: 1})))
-    residuals = [residual(c) for c in range(cx.dim(n))]
-    assert err.column == next(c for c, r in enumerate(residuals) if r)
-    assert err.residual == residuals[err.column]
+        n = err.degree
+        if message.startswith("B.B"):
+            residual = lambda c: B(n - 1, B(n, {c: 1}))
+        else:
+            residual = lambda c: vec_add(bs[n - 1].apply(B(n, {c: 1})),
+                                         B(n + 1, bs[n].apply({c: 1})))
+        residuals = [residual(c) for c in range(cx.dim(n))]
+        assert err.column == next(c for c, r in enumerate(residuals) if r)
+        assert err.residual == residuals[err.column], certified_first
 
 
 def kz2_ctx():
@@ -395,6 +426,16 @@ def test_chain_map_failure_on_the_product_view_is_that_of_the_built_product():
         failures.append((str(e.value), e.value.degree, e.value.column, e.value.residual))
     assert failures[0] == failures[1]
     assert failures[0][2] is not None and failures[0][3]
+
+
+def test_the_product_view_has_the_checks_and_boundaries_of_the_built_product():
+    # the view reads its tau powers from its factors' tables and keeps none
+    ctx = kz2_ctx()
+    view = ctx.diag
+    built = CocyclicComplex.assemble(view.N, view.dims(), view.op)
+    assert check_cocyclic(view) == check_cocyclic(built) == []
+    assert view.B == built.B
+    assert set(vars(view)) == {"c1", "c2", "N", "top", "name", "b", "B", "boundary_reading"}
 
 
 def tampered(tensor, key, value):

@@ -49,6 +49,9 @@ STREAMED = "tests/test_condition_systems.py::test_streamed_conditions_match_the_
 CONJUGATION = "tests/test_complexes.py::test_conjugation_certificate_names_the_broken_operator"
 CHAIN_MAP = "tests/test_cup.py::test_chain_map_certificate_names_the_failing_operator"
 CLI = "src/hopfcyclic/cli.py"
+COHOMOLOGY = "src/hopfcyclic/cohomology.py"
+BOUNDARY_WITNESS = "tests/test_certificates.py::test_not_a_complex_witness_of_the_boundary"
+LIFECYCLE = "tests/test_lifecycle.py::test_the_process_prints_and_exits_as_main_does"
 TWO = "tests/test_two_processes.py::"
 FAILURES = "tests/test_failure_reports.py::"
 OPEN_INPUT = "tests/test_cup.py::test_cups_reject_an_open_input_or_the_wrong_context"
@@ -354,6 +357,32 @@ MUTANTS = [
            "    os.kill(pid, signal.SIGTERM)\n",
            "    os.kill(pid, signal.SIGKILL)\n",
            [TWO + "test_a_parent_that_raises_stops_and_reaps_its_worker"]),
+    Mutant("b0-plus-tau-squared-at-even-n", COHOMOLOGY,
+           "t + t2 if n % 2 else t - t2",
+           "t + t2",
+           [BOUNDARY_WITNESS + "[3-B.B != 0 at degree 4]",
+            "tests/test_cohomology.py::test_connes_B1_on_kz2_hopf_complex",
+            "tests/test_reference_reports.py::test_report_matches_reference"
+            "[audit kz2.hcy --max-degree 4]"]),
+    Mutant("tau-power-kept-after-tau-replaced", COMPLEXES,
+           "        if powers is None or powers[0] is not t:\n",
+           "        if powers is None:\n",
+           ["tests/test_certificates.py::"
+            "test_cocyclic_violation_witness_is_the_residual_of_its_column",
+            BOUNDARY_WITNESS + "[2-bB + Bb != 0 at degree 2]",
+            BOUNDARY_WITNESS + "[3-B.B != 0 at degree 4]"]),
+    Mutant("norm-drops-last-power", COHOMOLOGY,
+           "    for k in range(1, n + 1):\n        power = cx.tau_power(n, k)\n",
+           "    for k in range(1, n):\n        power = cx.tau_power(n, k)\n",
+           [BOUNDARY_WITNESS + "[2-bB + Bb != 0 at degree 2]",
+            "tests/test_cohomology.py::test_connes_B_certificates_on_fixtures",
+            "tests/test_reference_reports.py::test_report_matches_reference"
+            "[audit h4.hcy --max-degree 4]"]),
+    Mutant("entry-exits-with-status-0", CLI,
+           "        sys.exit(status)\n    os._exit(status)\n",
+           "        sys.exit(status)\n    os._exit(0)\n",
+           [LIFECYCLE + "[exit-1-invalid]", LIFECYCLE + "[exit-2-unreadable]",
+            LIFECYCLE + "[exit-2-unwritable-out]"]),
 ]
 
 # "FAILED <id> - <reason>" / "ERROR <id>" lines of pytest's short summary
