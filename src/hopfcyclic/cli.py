@@ -627,7 +627,7 @@ def cmd_cup(spec, spec_text, rep, flags):
                 rep.add("no cyclic cocycle pair at (p,q)=(%d,%d); counts %d,%d"
                         % (p, q, len(phis), len(xs)))
                 continue
-            coboundaries = _coboundaries(ctx.target().complex, p + q)
+            coboundaries = _coboundaries(ctx.target(), p + q)
             for i, phi in enumerate(phis):
                 for j, x in enumerate(xs):
                     try:

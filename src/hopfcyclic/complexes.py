@@ -32,7 +32,6 @@ column and the residual there.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product as iproduct
 
 # sha256 from the interpreter's built-in module: hashlib would load OpenSSL's
 # libcrypto, several MB of resident memory for the one digest used here
@@ -46,10 +45,10 @@ except ImportError:
 
 from .linalg import (SparseMatrix, SpanSolver, KernelCoords, compose, tensor_kron, scal,
                      kernel_of_rows, matrix_to_text,
-                     parse_scalar, vec_acc, vec_axpy, mul_vec,
+                     parse_scalar, vec_acc, vec_axpy,
                      column_plan, kron_plan, first_residual, matrix_terms)
 from .spaces import MultiIndex
-from .hopf import iterated_coproduct
+from .hopf import iterated_coproduct, twisted_antipode
 from .actions import QuotientSpace
 
 
@@ -314,8 +313,10 @@ class HopfTables:
     """Sparse lookup tables for one Hopf algebra, shared by the builders.
 
     Obtain them with HopfTables.of(hopf): they are built once per Hopf
-    algebra and kept on it.  Iterated coproduct legs are expanded from the
-    comultiplication table on first use.
+    algebra and kept on it.  No iterated coproduct is tabulated: the one
+    diagonal action (diag_act_degrees) applies the comultiplication table
+    one degree at a time, which coassociativity, checked here, makes the
+    action of every iterated coproduct.
     """
 
     def __init__(self, hopf):
@@ -325,58 +326,17 @@ class HopfTables:
         # agree, so checking the triple one suffices (BracketingMismatch)
         iterated_coproduct(hopf.coalg, 3)
         self.mul = action_table(hopf.alg.mul)           # (i,j) -> list (k, coeff)
-        self.right_mul = _by_slot(hopf.alg.mul)         # j -> {i: terms of i*j}
         self.unit = sorted(hopf.alg.unit.items())
         self.eps = dict(hopf.coalg.counit)
         self.comul = split_table(hopf.coalg.comul)      # i -> list ((a,b), coeff)
         self.S = hopf.antipode.columns()                # i -> sparse vector S(i)
         self.Sinv = hopf.antipode_inv.columns()
-        # legs[k][i] = sorted list of (k-tuple, coeff); k = 0 is the counit
-        self._legs = {0: {i: [((), x)] for i, x in self.eps.items() if x},
-                      1: {i: [((i,), 1)] for i in range(hopf.dim)}}
 
     @staticmethod
     def of(hopf):
         if hopf.tables is None:
             hopf.tables = HopfTables(hopf)
         return hopf.tables
-
-    def legs(self, k):
-        """i -> the k-fold iterated coproduct of basis element i (leftmost
-        bracketing) as a sorted list of (k-tuple of legs, coeff)."""
-        tab = self._legs.get(k)
-        if tab is None:
-            tab = {}
-            for i, terms in self.legs(k - 1).items():
-                out = {}
-                for prev, x in terms:
-                    for (a, b), y in self.comul[prev[0]]:
-                        vec_acc(out, (a, b) + prev[1:], x * y)
-                tab[i] = sorted(out.items())
-            self._legs[k] = tab
-        return tab
-
-    def diag_act(self, hvec, slots):
-        """Diagonal action of the sparse vector hvec on a tensor of slots.
-
-        slots[k] maps a basis element h to the terms [(key, coeff), ...] of
-        h acting on the k-th slot; each basis element u of hvec acts through
-        the legs of its len(slots)-fold coproduct.  The result is keyed by
-        tuples of slot keys."""
-        out = {}
-        legs_tab = self.legs(len(slots))
-        for u, c in hvec.items():
-            for legs, x in legs_tab.get(u, ()):
-                parts = []
-                for leg, slot in zip(legs, slots):
-                    t = slot.get(leg)
-                    if not t:
-                        break
-                    parts.append(t)
-                else:
-                    for keys, y in expand_terms(parts):
-                        vec_acc(out, keys, c * x * y)
-        return out
 
     def diag_act_degrees(self, base, dim, top):
         """The diagonal action on V^(x)(n+1) for n = 0..top, on flat indices.
@@ -430,15 +390,6 @@ def action_table(action):
     return tab
 
 
-def _by_slot(tensor):
-    """x -> {h: terms} for an arity-2 structure tensor (h, x) -> terms: what
-    every h does to one basis element x of the second slot."""
-    tab = {x: {} for x in range(tensor.domains[1].dim)}
-    for (h, x), vec in tensor.entries.items():
-        tab[x][h] = sorted(vec.items())
-    return tab
-
-
 def _acting_on(action):
     """x -> {h: h.x as a sparse vector} for an action tensor (h, x) -> h.x."""
     tab = {x: {} for x in range(action.domains[1].dim)}
@@ -456,27 +407,14 @@ def split_table(tensor):
             for i in range(vdim)}
 
 
-def expand_terms(parts):
-    """Cartesian product of [(key, coeff)] lists -> list of (tuple_of_keys, coeff)."""
-    out = [((), 1)]
-    for part in parts:
-        nxt = []
-        for keys, c in out:
-            for k, x in part:
-                nxt.append((keys + (k,), scal(c * x)))
-        out = nxt
-    return out
-
-
 # ---------------------------------------------------------------------------
 # coalgebra complex: the coinvariant quotient M (x)_H C^(x)(n+1)
 
 class CoalgebraComplexData:
 
-    def __init__(self, complex, quotients, ambients, iso=None):
+    def __init__(self, complex, quotients, iso=None):
         self.complex = complex
         self.quotients = quotients      # per degree: the free ambient columns (QuotientSpace, FreeColumns)
-        self.ambients = ambients        # per-degree MultiIndex (m, c, ..., c)
         self.iso = iso                  # through Phi: per-degree Phi_F, quotient -> M (x) H^(x)n
 
 
@@ -621,11 +559,7 @@ def _coalgebra_by_relations(mc, sayd, N, name):
         return SparseMatrix.from_columns([images[f] for f in quo_s.free], quo_t.dim)
 
     cx = CocyclicComplex.assemble(N, [q.dim for q in quotients], lift, name)
-    return CoalgebraComplexData(cx, quotients, _coalgebra_ambients(mdim, cdim, top))
-
-
-def _coalgebra_ambients(mdim, cdim, top):
-    return [MultiIndex((mdim,) + (cdim,) * (n + 1)) for n in range(top + 1)]
+    return CoalgebraComplexData(cx, quotients)
 
 
 class FreeColumns:
@@ -877,7 +811,7 @@ def _coalgebra_through_phi(mc, sayd, N, name):
             [_apply_plan(tgt.phi, op[f]) for f in src.free], tgt.iso.rows))
 
     cx = CocyclicComplex.assemble(N, [mdim * d ** n for n in range(top + 1)], make, name)
-    return CoalgebraComplexData(cx, quotients, _coalgebra_ambients(mdim, d, top), iso)
+    return CoalgebraComplexData(cx, quotients, iso)
 
 
 class SubspaceComplexData:
@@ -1179,58 +1113,71 @@ def build_hopf_complex(mp, N) -> HopfComplexData:
 
 
 def build_power_complex(mp, N) -> CocyclicComplex:
-    """The simplified complex: degree n space is H^(x) n."""
+    """The simplified complex of (H, delta, sigma) on tensor powers (Connes-
+    Moscovici 1998): degree n is H^(x)n, flat index t = sum h_k d^(n-k).
+    Face 0 inserts the unit in front, face i <= n applies the coproduct at
+    slot i, face n+1 appends sigma; degeneracy j applies the counit at slot
+    j; tau_n(h1 (x) h~) = S~(h1).(h~ (x) sigma), S~ the twisted antipode
+    acting diagonally.  tau_n reads degree n-1 of the diagonal action
+    (HopfTables.diag_act_degrees), which is held only while tau_n is made."""
     h = mp.hopf
     d = h.dim
     tabs = HopfTables.of(h)
-    from .hopf import twisted_antipode
     St = twisted_antipode(mp).columns()
     sigma = sorted(mp.sigma.items())
-    # leg -> terms of leg * sigma, the slot table of the appended sigma
-    sigma_slot = {}
-    for leg in range(d):
-        v = mul_vec(tabs.mul, {leg: 1}, mp.sigma)
-        if v:
-            sigma_slot[leg] = sorted(v.items())
-    unit = tabs.unit
+    unit, comul, eps = tabs.unit, tabs.comul, tabs.eps
     top = N + 1
-    mis = [MultiIndex((d,) * n) for n in range(top + 1)]
+    # structure_maps asks for tau_n once per n, in order of n: degree n-1
+    # of the action is the next one
+    moved_by_degree = tabs.diag_act_degrees(_acting_on(h.alg.mul), d, N)
 
-    def face_col(n, i, ht):
-        mi1 = mis[n + 1]
-        out = {}
+    def face(n, i):
         if i == 0:
-            for k, x in unit:
-                out[mi1.flat((k,) + ht)] = x
-        elif i <= n:
-            for (a, b), x in tabs.comul[ht[i - 1]]:
-                out[mi1.flat(ht[:i - 1] + (a, b) + ht[i:])] = x
-        else:
-            for k, x in sigma:
-                out[mi1.flat(ht + (k,))] = x
-        return out
+            return [{k * d ** n + t: x for k, x in unit} for t in range(d ** n)]
+        if i == n + 1:
+            return [{t * d + k: x for k, x in sigma} for t in range(d ** n)]
+        low = d ** (n - i)
+        cols = []
+        for t in range(d ** n):
+            head, rest = divmod(t, d * low)
+            c, tail = divmod(rest, low)
+            cols.append({((head * d + a) * d + b) * low + tail: x for (a, b), x in comul[c]})
+        return cols
 
-    def degen_col(n, j, ht):
-        e = tabs.eps.get(ht[j], 0)
-        if not e:
-            return {}
-        return {mis[n - 1].flat(ht[:j] + ht[j + 1:]): e}
+    def degen(n, j):
+        low = d ** (n - j - 1)
+        cols = []
+        for t in range(d ** n):
+            head, rest = divmod(t, d * low)
+            c, tail = divmod(rest, low)
+            e = eps.get(c, 0)
+            cols.append({head * low + tail: e} if e else {})
+        return cols
 
-    def tau_col(n, _, ht):
-        # (iterated coproduct of the twisted antipode of h1) . (h2..hn, sigma)
+    def tau(n, _):
         if n == 0:
-            return {0: 1}
-        # multiply slotwise: legs[k] * h_{k+1} for k < n-1, legs[n-1] * sigma
-        slots = [tabs.right_mul[t] for t in ht[1:]] + [sigma_slot]
-        return {mis[n].flat(keys): x for keys, x in tabs.diag_act(St[ht[0]], slots).items()}
+            return [{0: 1}]
+        moved = next(moved_by_degree)
+        W = d ** (n - 1)
+        cols = [{} for _ in range(d * W)]
+        # column h1*W + rest is sum_k sigma_k sum_u S~(h1)_u u.(rest*d + k)
+        for rest in range(W):
+            rows = [(s, moved(rest * d + k)) for k, s in sigma]
+            for h1 in range(d):
+                col = cols[h1 * W + rest]
+                for s, row in rows:
+                    for u, c in St[h1].items():
+                        if u in row:
+                            vec_axpy(col, s * c, row[u])
+        return cols
 
-    col_fns = {"face": face_col, "degen": degen_col, "tau": tau_col}
+    col_fns = {"face": face, "degen": degen, "tau": tau}
 
     def materialize(kind, n, i):
-        cols = [col_fns[kind](n, i, ht) for ht in iproduct(range(d), repeat=n)]
-        return SparseMatrix.from_columns(cols, mis[n + _SHIFT[kind]].size)
+        return SparseMatrix.from_columns(col_fns[kind](n, i), d ** (n + _SHIFT[kind]))
 
-    return CocyclicComplex.assemble(N, [mi.size for mi in mis], materialize, "hopf-power")
+    return CocyclicComplex.assemble(N, [d ** n for n in range(top + 1)], materialize,
+                                    "hopf-power")
 
 
 # ---------------------------------------------------------------------------
@@ -1323,19 +1270,18 @@ def check_bicocyclic(b: ProductComplex):
 # ---------------------------------------------------------------------------
 # plain cyclic complex of an algebra, used as cup targets
 
-def plain_cyclic_complex(alg, N, name="cyclic"):
+def plain_cyclic_complex(alg, N, name="cyclic") -> CocyclicComplex:
     """The standard cocyclic module of a unital algebra A (Connes 1985;
     Loday 2.1): degree n is the dual of A^(x)(n+1) on its standard basis,
-    the faces multiply neighbouring slots, the last face multiplies the
-    last slot into the first, the degeneracies insert the unit and tau
-    rotates the last slot to the front.  Every operator is built straight
-    from alg.mul and alg.unit, on the ambients (1, A, ..., A) that the
-    algebra complex uses, with one trivial coefficient index."""
+    flat index t, the faces multiply neighbouring slots, the last face
+    multiplies the last slot into the first, the degeneracies insert the
+    unit and tau rotates the last slot to the front.  Every operator is
+    built straight from alg.mul and alg.unit, with the face and degeneracy
+    tables of the algebra complex at one trivial coefficient index."""
     mul = action_table(alg.mul)
     unit = sorted(alg.unit.items())
     dim = alg.space.dim
     top = N + 1
-    ambients = [MultiIndex((1,) + (dim,) * (n + 1)) for n in range(top + 2)]
     pw = [dim ** k for k in range(top + 3)]
 
     def last_face(n):
@@ -1365,9 +1311,7 @@ def plain_cyclic_complex(alg, N, name="cyclic"):
             by_source = tau(n)
         return SparseMatrix.from_columns(by_source, pw[n + 1 + _SHIFT[kind]])
 
-    cx = CocyclicComplex.assemble(N, pw[1:top + 2], make, name)
-    bases = [[{k: 1} for k in range(size)] for size in pw[1:top + 2]]
-    return SubspaceComplexData(cx, bases, ambients)
+    return CocyclicComplex.assemble(N, pw[1:top + 2], make, name)
 
 
 # ---------------------------------------------------------------------------

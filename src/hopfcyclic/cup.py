@@ -204,7 +204,7 @@ class _CupContext:
         diagonal to tgt and kept under what."""
         if what not in self._certified:
             mats = build()
-            certify_chain_map(self.diag, tgt.complex, mats, what)
+            certify_chain_map(self.diag, tgt, mats, what)
             self._certified[what] = mats
         return self._certified[what]
 
@@ -382,7 +382,7 @@ class CrossedCupContext(_CupContext):
         self._plain_slot = _slot({(h, a * bdim): v for (h, a), v in ma.action.entries.items()},
                                  hdim, adim * bdim)
 
-    def _coaction_legs(self, b, depth):
+    def _iterated_coaction(self, b, depth):
         """[(legs, b0, coeff)] of depth iterated coactions of b; legs[0] is
         the H leg of the first coaction.  Memoized per (b, depth)."""
         key = (b, depth)
@@ -391,7 +391,7 @@ class CrossedCupContext(_CupContext):
                 terms = [((), b, 1)]
             else:
                 terms = [(legs + (hh,), b0, scal(c * x))
-                         for legs, bb, c in self._coaction_legs(b, depth - 1)
+                         for legs, bb, c in self._iterated_coaction(b, depth - 1)
                          for (hh, b0), x in self._coact.get(bb, ())]
             self._coaction_memo[key] = terms
         return self._coaction_memo[key]
@@ -408,7 +408,7 @@ class CrossedCupContext(_CupContext):
         base H."""
         adim, bdim, hdim = self.ma.space.dim, self.ba.space.dim, self.hopf.dim
         tdim = adim * bdim
-        per_slot = [[(b,) + term for b in range(bdim) for term in self._coaction_legs(b, d)]
+        per_slot = [[(b,) + term for b in range(bdim) for term in self._iterated_coaction(b, d)]
                     for d in depths]
         unit = dict(self.tabs.unit)
         sides = {}
@@ -514,7 +514,7 @@ def aw_cup(ctx, phi, p, x, q):
             vec[a * xdim + j] = scal(ca * cj)
     mats = ctx.pairing()
     out = mats[n].apply(vec)
-    tgt = ctx.target().complex
+    tgt = ctx.target()
     return CupResult(out, n, is_b_closed(tgt, n, out),
                      cyc_in and is_cyclic(tgt, n, out))
 
@@ -652,7 +652,7 @@ def char_map(mp: ModularPair, ma, trace, N=3):
                     col[mi_t.flat(at)] = total
             cols.append(col)
         mats.append(SparseMatrix.from_columns(cols, mi_t.size))
-    certify_chain_map(power, a_cx.complex, mats, "characteristic map")
+    certify_chain_map(power, a_cx, mats, "characteristic map")
     return mats, power, a_cx
 
 
@@ -684,7 +684,7 @@ def shuffle_cup_traces(ctx: CrossedCupContext, phi, p, psi, q):
         pushed = _push(ctx.alg, ctx.alg.functional(phi_up, n), n, [ctx._plain_slot] * (n + 1))
         xside = ctx.x_side(sides, ctx.comod.functional(psi_up, n), n, n + 1)
         vec_axpy(out, sig.sign, contract(pushed, xside))
-    tgt = ctx.target().complex
+    tgt = ctx.target()
     return CupResult(out, n, is_b_closed(tgt, n, out), is_cyclic(tgt, n, out))
 
 
@@ -708,5 +708,5 @@ def cotrace_cup(ctx: CoalgebraCupContext, x, p, phi, q):
         x_up = _raise_by_faces(ccx, x, p, [v - 1 for v in sig.second_block()])
         pushed = _push(ctx.alg, ctx.alg.functional(phi_up, n), n, [ctx._act_slot] * (n + 1))
         vec_axpy(out, sig.sign, contract(pushed, [(0, ctx.coalg.quotients[n].include_vec(x_up))]))
-    tgt = ctx.target().complex
+    tgt = ctx.target()
     return CupResult(out, n, is_b_closed(tgt, n, out), is_cyclic(tgt, n, out))

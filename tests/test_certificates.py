@@ -393,7 +393,7 @@ def kz2_ctx():
 def test_chain_map_failure_witness_is_the_residual_of_its_column():
     ctx = kz2_ctx()
     mats = ctx.psi_c_matrices()
-    tgt = ctx.conv_cx.complex
+    tgt = ctx.conv_cx
     key = ("face", 1, 2)
     broken = flipped(tgt, key)
     with pytest.raises(ChainMapFailure) as e:
@@ -422,7 +422,7 @@ def test_chain_map_failure_on_the_product_view_is_that_of_the_built_product():
     failures = []
     for src in (view, built):
         with pytest.raises(ChainMapFailure) as e:
-            certify_chain_map(src, ctx.conv_cx.complex, mats, "convolution pairing")
+            certify_chain_map(src, ctx.conv_cx, mats, "convolution pairing")
         failures.append((str(e.value), e.value.degree, e.value.column, e.value.residual))
     assert failures[0] == failures[1]
     assert failures[0][2] is not None and failures[0][3]
@@ -539,4 +539,4 @@ def test_cups_of_one_context_build_each_b_family_once(monkeypatch):
                     assert aw_cup(ctx, phi, p, x, q).b_closed
                     pairs += 1
     assert pairs > 1
-    assert calls == [acx, xcx, ctx.target().complex]
+    assert calls == [acx, xcx, ctx.target()]

@@ -154,7 +154,7 @@ def test_ranks_agree_with_the_kernel_oracle(fixture):
 # -- cyclic cocycles -------------------------------------------------------------------
 
 def test_cyclic_cocycles_are_closed_and_invariant():
-    cx = plain_cyclic_complex(swap_module_algebra().alg, 3).complex
+    cx = plain_cyclic_complex(swap_module_algebra().alg, 3)
     bs = hochschild_b(cx)
     for n in range(3):
         for v in cyclic_cocycles(cx, n):
@@ -165,7 +165,7 @@ def test_cyclic_cocycles_are_closed_and_invariant():
 def test_degree_zero_cyclic_cocycles_of_commutative_algebra():
     # every functional on a commutative algebra is a trace: b phi (a,b) =
     # phi(ab) - phi(ba) = 0 and tau_0 = id
-    cx = plain_cyclic_complex(swap_module_algebra().alg, 2).complex
+    cx = plain_cyclic_complex(swap_module_algebra().alg, 2)
     assert len(cyclic_cocycles(cx, 0)) == 2
 
 

@@ -5,25 +5,31 @@ straight into the echelon solver.  The stacked condition matrices the
 builders used to assemble are kept here as oracles: the RREF is unique, so
 every basis must come out the same, in the same order and key order.  A
 coinvariant quotient of H over itself is built through Phi instead, and
-must give the oracle's free columns and projections."""
+must give the oracle's free columns and projections.  The complex on
+tensor powers once built per basis tuple is kept too, as the oracle of
+the flat-index builder."""
 
 import functools
 import tracemalloc
+from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
 
-from hopfcyclic.linalg import SparseMatrix, KernelCoords, compose, kernel_basis, vec_acc, vec_axpy
+from hopfcyclic.linalg import SparseMatrix, compose, invert_matrix, kernel_basis, vec_acc, vec_axpy
 from hopfcyclic.actions import (QuotientSpace, trivial_sayd, crossed_product,
                                 invariant_subalgebra, convolution_algebra)
 from hopfcyclic.complexes import (HopfTables, _acting_on, action_table, _by_degree,
                                   split_table, build_algebra_complex,
                                   build_coalgebra_complex, build_comodule_algebra_complex,
-                                  build_hopf_complex, plain_cyclic_complex, phi_degrees,
-                                  acts_on_itself, same_complex, ConjugationFailure,
-                                  IllDefined)
-from hopfcyclic.fixtures import (fixture_file_texts, mpi_kz2_sigma_g, swap_module_algebra,
-                                 trivial_hopf, trivial_module_algebra)
+                                  build_hopf_complex, build_power_complex,
+                                  plain_cyclic_complex, phi_degrees, acts_on_itself,
+                                  same_complex, CocyclicComplex, complex_to_text,
+                                  ConjugationFailure, IllDefined)
+from hopfcyclic.fixtures import (fixture_file_texts, group_algebra, mpi_h4, mpi_kz2_sigma_g,
+                                 mpi_trivial, swap_module_algebra, sweedler_h4, trivial_hopf,
+                                 trivial_module_algebra)
+from hopfcyclic.hopf import ModularPair
 from hopfcyclic.specfile import parse_spec
 
 
@@ -283,8 +289,7 @@ def test_relations_are_checked_at_the_top_degree(monkeypatch):
 def test_plain_cyclic_complex_is_the_ambient_cyclic_module():
     alg = swap_module_algebra().alg
     d = alg.space.dim
-    data = plain_cyclic_complex(alg, 2)
-    cx = data.complex
+    cx = plain_cyclic_complex(alg, 2)
 
     def matrix(n_src, n_tgt, image):
         """(op psi)(v) = psi(image(v)) for v a basis tuple of degree n_tgt."""
@@ -310,8 +315,6 @@ def test_plain_cyclic_complex_is_the_ambient_cyclic_module():
                 v[:j + 1] + (k,) + v[j + 1:]: x for k, x in alg.unit.items()})
     for n in range(cx.top + 1):
         assert cx.tau(n) == matrix(n, n, lambda v: {v[-1:] + v[:-1]: 1})
-    # the standard basis is a kernel basis too: coordinates are the entries
-    assert KernelCoords(data.bases[1]).solve({3: 2}) == {3: 2}
 
 
 @functools.lru_cache(maxsize=None)
@@ -338,7 +341,91 @@ def test_plain_cyclic_complex_is_the_algebra_complex_over_the_trivial_hopf_algeb
     h = trivial_hopf()
     old = build_algebra_complex(trivial_module_algebra(h, alg), trivial_sayd(h), N, name="cyclic")
     new = plain_cyclic_complex(alg, N)
-    assert new.complex.name == old.complex.name
-    assert same_complex(new.complex, old.complex)
-    assert new.bases == old.bases
-    assert [a.dims for a in new.ambients] == [a.dims for a in old.ambients]
+    assert new.name == old.complex.name
+    assert same_complex(new, old.complex)
+    # the old route's kernel bases are the standard ones, so the plain
+    # complex is the dual of A^(x)(n+1) on its standard basis
+    assert old.bases == [[{k: 1} for k in range(new.dim(n))] for n in range(new.top + 1)]
+
+
+# -- the power complex: the per-tuple builder as the oracle --------------------------------
+
+def power_complex_oracle(mp, N):
+    """The complex of (H, delta, sigma) on H^(x)n built per basis tuple, as
+    it once was: every column is a dict over tuples, tau_n(h1 (x) h~) sums
+    S~(h1)_(1) h2 (x) ... (x) S~(h1)_(n) sigma over the legs of
+    iterated_coproduct, and the tuples are flattened at the end."""
+    from hopfcyclic.hopf import iterated_coproduct, twisted_antipode
+    from hopfcyclic.spaces import MultiIndex
+    h = mp.hopf
+    d, top = h.dim, N + 1
+    mis = [MultiIndex((d,) * n) for n in range(top + 1)]
+    St = twisted_antipode(mp).columns()
+    coproducts = {n: iterated_coproduct(h.coalg, n) for n in range(1, top + 1)}
+
+    def column(kind, n, i, ht):
+        if kind == "face" and i == 0:
+            return {(k,) + ht: x for k, x in h.alg.unit.items()}
+        if kind == "face" and i <= n:
+            return {ht[:i - 1] + divmod(f, d) + ht[i:]: x
+                    for f, x in h.coalg.comul.value((ht[i - 1],)).items()}
+        if kind == "face":
+            return {ht + (k,): x for k, x in mp.sigma.items()}
+        if kind == "degen":
+            e = h.coalg.counit.get(ht[i], 0)
+            return {ht[:i] + ht[i + 1:]: e} if e else {}
+        if n == 0:
+            return {(): 1}
+        slots = [{v: 1} for v in ht[1:]] + [mp.sigma]
+        out = {}
+        for u, c in St[ht[0]].items():
+            for f, x in coproducts[n].value((u,)).items():
+                terms = {(): c * x}
+                for leg, slot in zip(mis[n].unflat(f), slots):
+                    images = {}
+                    for v, y in slot.items():
+                        for k, z in h.alg.mul.value((leg, v)).items():
+                            vec_acc(images, k, y * z)
+                    terms = {key + (k,): y * z for key, y in terms.items()
+                             for k, z in images.items()}
+                for key, y in terms.items():
+                    vec_acc(out, key, y)
+        return out
+
+    def make(kind, n, i):
+        mi = mis[n + {"face": 1, "degen": -1, "tau": 0}[kind]]
+        return SparseMatrix.from_columns(
+            [{mi.flat(key): x for key, x in column(kind, n, i, ht).items()}
+             for ht in iproduct(range(d), repeat=n)], mi.size)
+
+    return CocyclicComplex.assemble(N, [mi.size for mi in mis], make, "hopf-power")
+
+
+def basis_changed_h4():
+    """mpi_h4 transported through T = diag(2, 1/2, -1, 1) + 1/2 at (1, 2):
+    delta to delta o T and sigma to T^-1 sigma."""
+    from test_cohomology import change_basis_hopf
+    mp = mpi_h4()
+    T = SparseMatrix(4, 4, {(0, 0): 2, (1, 1): Fraction(1, 2), (2, 2): -1, (3, 3): 1,
+                            (1, 2): Fraction(1, 2)})
+    delta = {}
+    for (i, j), x in T.entries.items():
+        vec_acc(delta, j, mp.delta.get(i, 0) * x)
+    return ModularPair(change_basis_hopf(mp.hopf, T), delta, invert_matrix(T).apply(mp.sigma))
+
+
+POWER_PAIRS = {
+    "h4": mpi_h4,
+    "kZ2-sigma-g": mpi_kz2_sigma_g,
+    "kZ3": lambda: mpi_trivial(group_algebra(3)),
+    "kZ4": lambda: mpi_trivial(group_algebra(4)),
+    "H4": lambda: mpi_trivial(sweedler_h4()),
+    "h4-basis-changed": basis_changed_h4,
+}
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+@pytest.mark.parametrize("which", sorted(POWER_PAIRS))
+def test_power_complex_is_the_per_tuple_builder(which, N):
+    mp = POWER_PAIRS[which]()
+    assert complex_to_text(build_power_complex(mp, N)) == complex_to_text(power_complex_oracle(mp, N))

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import pytest
 
 import hopfcyclic.cup as cup_module
@@ -134,7 +132,7 @@ def test_chain_map_certificate_names_the_failing_operator(key, message):
     # the real pairing, certified against a target with one map's sign flipped
     ctx = kz2_coalgebra_ctx()
     mats = ctx.psi_c_matrices()
-    tgt = ctx.conv_cx.complex
+    tgt = ctx.conv_cx
     broken = CocyclicComplex.assemble(
         tgt.N, tgt.dims(), lambda *k: tgt.op(*k).scale(-1) if k == key else tgt.op(*k))
     certify_chain_map(ctx.diag, tgt, mats, "convolution pairing")
@@ -204,7 +202,7 @@ def test_coalgebra_pairing_is_certified_in_one_walk(monkeypatch):
     ctx = kz2_coalgebra(2)
     ctx.pairing()
     ctx.pairing()
-    assert targets == [ctx.a_cx.complex]
+    assert targets == [ctx.a_cx]
 
 @pytest.mark.parametrize("make,method,target", [
     (lambda: kz2_coalgebra(2), "psi_matrices", "a_cx"),
@@ -219,11 +217,11 @@ def test_coalgebra_pairing_is_certified_in_one_walk(monkeypatch):
 def test_a_failed_pairing_certificate_is_not_kept(make, method, target):
     # the pairing against its target with the face 0 at degree 1 negated
     ctx = make()
-    tgt = getattr(ctx, target).complex
+    tgt = getattr(ctx, target)
     key = ("face", 1, 0)
     broken = CocyclicComplex.assemble(
         tgt.N, tgt.dims(), lambda *k: tgt.op(*k).scale(-1) if k == key else tgt.op(*k))
-    setattr(ctx, target, SimpleNamespace(complex=broken))
+    setattr(ctx, target, broken)
     for _ in range(2):
         with pytest.raises(ChainMapFailure):
             getattr(ctx, method)()
@@ -450,7 +448,7 @@ def test_shuffle_cup_agrees_with_composed_on_degenerate_pairs():
 
 def test_shuffle_cup_cohomologous_to_composed():
     ctx = kz2_crossed_ctx()
-    bs = hochschild_b(ctx.target().complex)
+    bs = hochschild_b(ctx.target())
     for fa, p, fx, q in cocycle_pairs(ctx):
         n = p + q
         sh = shuffle_cup_traces(ctx, fa, p, fx, q)

@@ -41,6 +41,7 @@ GRAMMAR = "tests/test_specfile_grammar.py::"
 PLAIN = ("tests/test_condition_systems.py::"
          "test_plain_cyclic_complex_is_the_algebra_complex_over_the_trivial_hopf_algebra")
 PUSH = "tests/test_linalg.py::test_push_slots_contract_match_dense"
+PER_TUPLE = "tests/test_condition_systems.py::test_power_complex_is_the_per_tuple_builder"
 PINNED = "tests/test_specfile_cli.py::test_validate_lists_every_violation_of_broken_input"
 INVERSE = "tests/test_linalg.py::test_invert_matrix_is_a_two_sided_inverse_or_none"
 GAUSS_JORDAN = "tests/test_linalg.py::test_span_solver_is_dense_gauss_jordan"
@@ -138,6 +139,20 @@ MUTANTS = [
            "            by_source[t] = {last * pw[n] + rest: 1}\n",
            ["tests/test_condition_systems.py::test_plain_cyclic_complex_is_the_ambient_cyclic_module",
             PLAIN + "[kz2-A#B-2]", PLAIN + "[kz3-convolution-3]"]),
+    Mutant("power-tau-untwisted", COMPLEXES,
+           "    St = twisted_antipode(mp).columns()\n",
+           "    St = tabs.S\n",
+           [PER_TUPLE + "[h4-2]", PER_TUPLE + "[h4-basis-changed-3]",
+            "tests/test_complexes.py::test_hopf_complex_h4",
+            "tests/test_reference_reports.py::test_report_matches_reference"
+            "[audit h4.hcy --max-degree 4]"]),
+    Mutant("power-last-face-drops-sigma", COMPLEXES,
+           "            return [{t * d + k: x for k, x in sigma} for t in range(d ** n)]\n",
+           "            return [{t * d + k: x for k, x in unit} for t in range(d ** n)]\n",
+           [PER_TUPLE + "[kZ2-sigma-g-2]",
+            "tests/test_complexes.py::test_hopf_complex_append_sigma_face",
+            "tests/test_reference_reports.py::test_report_matches_reference"
+            "[audit kz2.hcy --max-degree 4]"]),
     Mutant("restrict-reads-source-degree", COMPLEXES,
            "_restrict(by_source, bases[n], readers[target], message, n)",
            "_restrict(by_source, bases[n], readers[n], message, n)",
@@ -284,10 +299,10 @@ MUTANTS = [
            "_slot(ca.action.entries, ca.mc.space.dim, ca.mc.space.dim)",
            [ORACLE + "[kz2-counit-on-q3]"]),
     Mutant("memo-before-certificate", CUP,
-           "            certify_chain_map(self.diag, tgt.complex, mats, what)\n"
+           "            certify_chain_map(self.diag, tgt, mats, what)\n"
            "            self._certified[what] = mats\n",
            "            self._certified[what] = mats\n"
-           "            certify_chain_map(self.diag, tgt.complex, mats, what)\n",
+           "            certify_chain_map(self.diag, tgt, mats, what)\n",
            [NOT_KEPT + "[algebra]", NOT_KEPT + "[convolution]", NOT_KEPT + "[crossed]",
             NOT_KEPT + "[relative]"]),
     Mutant("conv-cx-one-degree-short", CUP,
