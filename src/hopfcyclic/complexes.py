@@ -3,7 +3,15 @@
 Four builders: the coalgebra complex (coinvariant-quotient realization), the
 algebra complex (equivariant-functional realization), the comodule-algebra
 complex (colinear-map realization) and the normalized Hopf complex on tensor
-powers together with its certified isomorphism to the coalgebra complex.
+powers together with its certified isomorphism to the coalgebra complex; and
+the plain cyclic complex of an algebra.  All of them work on flat indices.
+Each face and degeneracy applies one structure tensor at one slot,
+1 (x) f (x) 1 (_slot_map), read as columns, as matrix entries or
+transposed.  Each last face and tau of a functional complex moves the last
+slot to the front after the coefficients twist it (_functional_maps, one
+twist table per complex); the coalgebra ambient twists its first slot
+(_coaction_twist), and the tau of the power complex is the diagonal action
+of the twisted antipode.
 When the module coalgebra is H acting on itself (acts_on_itself), the
 quotient (M (x) H^(x)(n+1))_H is read through Phi(m (x) h0 (x) h~) =
 m.h0(1) (x) S(h0(2)).h~ onto M (x) H^(x)n (Connes-Moscovici 1998;
@@ -32,6 +40,7 @@ column and the residual there.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import repeat
 
 # sha256 from the interpreter's built-in module: hashlib would load OpenSSL's
 # libcrypto, several MB of resident memory for the one digest used here
@@ -47,7 +56,6 @@ from .linalg import (SparseMatrix, SpanSolver, KernelCoords, compose, tensor_kro
                      kernel_of_rows, matrix_to_text,
                      parse_scalar, vec_acc, vec_axpy,
                      column_plan, kron_plan, first_residual, matrix_terms)
-from .spaces import MultiIndex
 from .hopf import iterated_coproduct, twisted_antipode
 from .actions import QuotientSpace
 
@@ -408,6 +416,80 @@ def split_table(tensor):
 
 
 # ---------------------------------------------------------------------------
+# the two shapes of a structure map on flat indices
+
+def _slot_map(table, outer, low, wout):
+    """1 (x) f (x) 1 on flat indices, block by block.  f sends the slot
+    value x < win = len(table) to the terms (y, c) of table[x], y < wout,
+    between outer head values and low tail values.  Block (o, x) holds the
+    inputs (o*win + x)*low + l, l < low, and is yielded, in input order, as
+    (base, terms): the image of input l is the terms (base + k + l, c),
+    base = o*wout*low and k = y*low; the caller adds base and the tail."""
+    terms = [[(y * low, c) for y, c in t] for t in table]
+    for o in range(outer):
+        base = o * wout * low
+        for t in terms:
+            yield base, t
+
+
+def _slot_columns(table, outer, low, wout):
+    """The columns of 1 (x) f (x) 1 (_slot_map) in order, each a tuple of
+    (row, c)."""
+    # zips of ranges, not a comprehension per column: most degeneracy
+    # columns hold one term, and a comprehension each doubled their cost
+    empty = [()] * low
+    for base, terms in _slot_map(table, outer, low, wout):
+        yield from (zip(*[zip(range(base + k, base + k + low), repeat(c)) for k, c in terms])
+                    if terms else empty)
+
+
+def _slot_entries(table, outer, low, wout):
+    """1 (x) f (x) 1 (_slot_map) as SparseMatrix entries {(row, column): c}.
+    Each (row, column) is met once, so every entry is assigned."""
+    entries = {}
+    for b, (base, terms) in enumerate(_slot_map(table, outer, low, wout)):
+        v = b * low
+        for k, c in terms:
+            k += base
+            for l in range(low):
+                entries[(k + l, v + l)] = c
+    return entries
+
+
+def _slot_pullback(table, outer, low, wout, size):
+    """1 (x) f (x) 1 (_slot_map) read transposed, as the ambient table
+    by_source of an operator on functionals (below): by_source[k][v] = c for
+    each term (k, c) of the input v, over size sources k.  Each (k, v) is
+    met once, so every entry is assigned."""
+    by_source = [{} for _ in range(size)]
+    for b, (base, terms) in enumerate(_slot_map(table, outer, low, wout)):
+        v = b * low
+        for k, c in terms:
+            k += base
+            for l in range(low):
+                by_source[k + l][v + l] = c
+    return by_source
+
+
+def _coaction_twist(mco, act, vdim, antipode=None):
+    """m -> v -> the terms (m', v', x) of m(0) (x) m(-1).v, or of m(0) (x)
+    antipode(m(-1)).v when the antipode's columns are given, for the left
+    coaction mco of M (split_table) and the action table act on V."""
+    twist = []
+    for m in range(len(mco)):
+        row = []
+        for v in range(vdim):
+            acc = {}
+            for (hh, mj), x in mco[m]:
+                for u, y in antipode[hh].items() if antipode else ((hh, 1),):
+                    for b, z in act.get((u, v), ()):
+                        vec_acc(acc, (mj, b), x * y * z)
+            row.append([(mj, b, x) for (mj, b), x in acc.items()])
+        twist.append(row)
+    return twist
+
+
+# ---------------------------------------------------------------------------
 # coalgebra complex: the coinvariant quotient M (x)_H C^(x)(n+1)
 
 class CoalgebraComplexData:
@@ -455,59 +537,44 @@ def _ambient_maps(mc, sayd, top):
     """kind -> cols(n, i): the images of the basis columns f = 0, 1, ... of
     the ambient M (x) C^(x)(n+1), flat index m*cdim^(n+1) + t, under the
     structure map (kind, n, i), in order, each as a list of (row, x)."""
-    act = action_table(mc.action)
     comul, eps = split_table(mc.coalg.comul), dict(mc.coalg.counit)
-    mco = split_table(sayd.lcoaction)
     mdim, cdim = sayd.space.dim, mc.space.dim
+    pairs = [[(a * cdim + b, x) for (a, b), x in comul[c]] for c in range(cdim)]
+    counit = [[(0, eps[c])] if eps.get(c) else [] for c in range(cdim)]
+    twist = _coaction_twist(split_table(sayd.lcoaction), action_table(mc.action), cdim)
     pw = [cdim ** k for k in range(top + 3)]
-    size = pw[1:]
+
+    def rotated(n, first):
+        """The columns m (x) c0 (x) rest, rest < cdim^n, each the terms
+        (k, x) of first(m, c0) with the remaining slots rest moved to
+        rest*cdim."""
+        for m in range(mdim):
+            for c0 in range(cdim):
+                pre = first(m, c0)
+                for rest in range(pw[n]):
+                    yield [(k + rest * cdim, x) for k, x in pre]
 
     def face_cols(n, i):
         if i <= n:
             # m (x) head (x) c (x) tail -> m (x) head (x) c(1) (x) c(2) (x) tail
-            low = pw[n - i]
-            for m in range(mdim):
-                for head in range(pw[i]):
-                    for c in range(cdim):
-                        pre = [(m * size[n + 1] + ((head * cdim + a) * cdim + b) * low, x)
-                               for (a, b), x in comul[c]]
-                        for tail in range(low):
-                            yield [(k + tail, x) for k, x in pre]
-            return
+            return _slot_columns(pairs, mdim * pw[i], pw[n - i], cdim * cdim)
+
         # twisted last coface: m0 (x) c0^(2), c1..cn, m^(-1) c0^(1)
-        for m in range(mdim):
-            for c0 in range(cdim):
-                pre = {}
-                for (hh, mj), x1 in mco[m]:
-                    for (a, b), x2 in comul[c0]:
-                        for cc, x3 in act.get((hh, a), ()):
-                            vec_acc(pre, mj * size[n + 1] + b * pw[n] * cdim + cc, x1 * x2 * x3)
-                pre = list(pre.items())
-                for rest in range(pw[n]):
-                    yield [(k + rest * cdim, x) for k, x in pre]
+        def first(m, c0):
+            pre = {}
+            for (a, b), x in comul[c0]:
+                for mj, cc, y in twist[m][a]:
+                    vec_acc(pre, mj * pw[n + 2] + b * pw[n + 1] + cc, x * y)
+            return list(pre.items())
+        return rotated(n, first)
 
     def degen_cols(n, j):
         # m (x) head (x) c (x) tail -> eps(c) m (x) head (x) tail
-        low = pw[n - j - 1]
-        for m in range(mdim):
-            for head in range(pw[j + 1]):
-                base = m * size[n - 1] + head * low
-                for c in range(cdim):
-                    e = eps.get(c, 0)
-                    for tail in range(low):
-                        yield [(base + tail, e)] if e else []
+        return _slot_columns(counit, mdim * pw[j + 1], pw[n - j - 1], 1)
 
     def tau_cols(n, _):
         # m (x) c0 (x) rest -> m0 (x) rest (x) m^(-1) c0
-        for m in range(mdim):
-            for c0 in range(cdim):
-                pre = {}
-                for (hh, mj), x1 in mco[m]:
-                    for cc, x2 in act.get((hh, c0), ()):
-                        vec_acc(pre, mj * size[n] + cc, x1 * x2)
-                pre = list(pre.items())
-                for rest in range(pw[n]):
-                    yield [(k + rest * cdim, x) for k, x in pre]
+        return rotated(n, lambda m, c0: [(mj * pw[n + 1] + cc, x) for mj, cc, x in twist[m][c0]])
 
     return {"face": face_cols, "degen": degen_cols, "tau": tau_cols}
 
@@ -816,12 +883,14 @@ def _coalgebra_through_phi(mc, sayd, N, name):
 
 class SubspaceComplexData:
     """An algebra or comodule-algebra complex with its realization: degree
-    n is the span of bases[n] in the ambient M (x) V^(x)(n+1)."""
+    n is the span of bases[n] in the ambient M (x) V^(x)(n+1), flat index
+    m*dim^(n+1) + t, mdim = dim M and dim = dim V."""
 
-    def __init__(self, complex, bases, ambients):
+    def __init__(self, complex, bases, mdim, dim):
         self.complex = complex
         self.bases = bases          # per-degree kernel_of_rows basis of ambient vectors
-        self.ambients = ambients    # per-degree MultiIndex (m, v, ..., v)
+        self.mdim = mdim
+        self.dim = dim
 
     def functional(self, coords, n):
         """Ambient coefficients of a subspace cochain."""
@@ -835,6 +904,49 @@ class SubspaceComplexData:
 # m*dim^(n+1) + t.  An operator is given by its ambient table by_source:
 # by_source[w] maps the target coordinates v to the coefficient with which
 # the source coordinate w enters (op psi)(v).
+
+def _functional_maps(mul, unit, twist, dim, mdim):
+    """by_source(kind, n, i), the ambient table of the structure map (kind,
+    n, i) on the functionals on M (x) V^(x)(n+1).  Face i <= n multiplies
+    slots i and i+1 through mul (action_table), degeneracy j puts the unit
+    (the items of an algebra's unit dict) after slot j, and the last face and
+    tau read the last slot v twisted into the first, twist[m][v] listing
+    the terms (m', v', x):
+
+        (d_i psi)(m (x) v~)     = psi(m (x) v_0..v_i v_{i+1}..v_{n+1}),
+        (s_j psi)(m (x) v~)     = psi(m (x) v_0..v_j, 1, v_{j+1}..v_{n-1}),
+        (d_{n+1} psi)(m (x) v~) = sum x psi(m' (x) v' v_0 (x) v_1..v_n),
+        (t psi)(m (x) v~)       = sum x psi(m' (x) v' (x) v_0..v_{n-1})."""
+    pairs = [mul.get(divmod(x, dim), ()) for x in range(dim * dim)]
+    ones = [[(k, scal(x)) for k, x in unit if x]]
+
+    def by_source(kind, n, i):
+        W, S = dim ** n, dim ** (n + 1)
+        if kind == "face" and i <= n:
+            return _slot_pullback(pairs, mdim * dim ** i, dim ** (n - i), dim, mdim * S)
+        if kind == "degen":
+            return _slot_pullback(ones, mdim * dim ** (i + 1), dim ** (n - 1 - i), dim, mdim * S)
+        out = [{} for _ in range(mdim * S)]
+        if kind == "tau":
+            # the terms of one twist[m][v] differ in (m', v'): each entry is assigned
+            for v in range(mdim * S):
+                m, t = divmod(v, S)
+                rest, last = divmod(t, dim)
+                for mj, b, x in twist[m][last]:
+                    out[mj * S + b * W + rest][v] = x
+            return out
+        T = S * dim
+        for v in range(mdim * T):
+            m, t = divmod(v, T)
+            a0, rest = divmod(t, S)
+            mid, last = divmod(rest, dim)
+            for mj, b, x in twist[m][last]:
+                for k, y in mul.get((b, a0), ()):
+                    vec_acc(out[mj * S + k * W + mid], v, x * y)
+        return out
+
+    return by_source
+
 
 def _restrict(by_source, basis, target, message, n):
     """Matrix of an ambient operator on subspace coordinates.  The image of
@@ -853,64 +965,22 @@ def _restrict(by_source, basis, target, message, n):
     return SparseMatrix.from_columns(cols, len(target.basis))
 
 
-def _product_face(mul, dim, mdim, n, i):
-    """(d_i psi)(m (x) v~) = psi(m (x) v_0..v_i v_{i+1}..v_{n+1}), i <= n.
-    Each (source, target) pair is hit once: the target fixes every slot
-    but the product's, and the source fixes the product's term."""
-    S, T = dim ** (n + 1), dim ** (n + 2)
-    low = dim ** (n - i)
-    by_source = [{} for _ in range(mdim * S)]
-    for t in range(T):
-        head, rest = divmod(t, low * dim * dim)
-        pair, tail = divmod(rest, low)
-        for k, x in mul.get(divmod(pair, dim), ()):
-            w = (head * dim + k) * low + tail
-            for m in range(mdim):
-                by_source[m * S + w][m * T + t] = x
-    return by_source
-
-
-def _unit_degen(unit, dim, mdim, n, j):
-    """(s_j psi)(m (x) v~) = psi(m (x) v_0..v_j, 1, v_{j+1}..v_{n-1}).
-    Each (source, target) pair is hit once, as in _product_face; the unit,
-    an algebra's plain dict, is normalized here."""
-    S, T = dim ** (n + 1), dim ** n
-    low = dim ** (n - 1 - j)
-    unit = [(k, scal(x)) for k, x in unit if x]
-    by_source = [{} for _ in range(mdim * S)]
-    for t in range(T):
-        head, tail = divmod(t, low)
-        for k, x in unit:
-            w = (head * dim + k) * low + tail
-            for m in range(mdim):
-                by_source[m * S + w][m * T + t] = x
-    return by_source
-
-
 _OP_NAMES = {"face": "face", "degen": "degeneracy", "tau": "cyclic"}
 
 
-def _subspace_complex(N, name, preserves, bases, ambients, mul, unit, last_face, tau):
-    """The complex on the spans of bases: the product faces, the builder's
-    last face, the unit degeneracies and the builder's tau, each restricted
-    to the subspaces.  IllDefined("... does not preserve <preserves>") when
-    an image leaves them."""
-    mdim, dim = ambients[0].dims
+def _subspace_complex(N, name, preserves, bases, mdim, dim, mul, unit, twist):
+    """The complex on the spans of bases: every structure map of
+    _functional_maps restricted to the subspaces.  IllDefined("... does not
+    preserve <preserves>") when an image leaves them."""
     readers = [KernelCoords(basis) for basis in bases]
+    by_source = _functional_maps(mul, unit, twist, dim, mdim)
 
     def make(kind, n, i):
-        if kind == "face":
-            by_source = last_face(n) if i == n + 1 else _product_face(mul, dim, mdim, n, i)
-        elif kind == "degen":
-            by_source = _unit_degen(unit, dim, mdim, n, i)
-        else:
-            by_source = tau(n)
-        target = n + _SHIFT[kind]
         message = "%s %s does not preserve %s (deg %d)" % (name, _OP_NAMES[kind], preserves, n)
-        return _restrict(by_source, bases[n], readers[target], message, n)
+        return _restrict(by_source(kind, n, i), bases[n], readers[n + _SHIFT[kind]], message, n)
 
     cx = CocyclicComplex.assemble(N, [len(basis) for basis in bases], make, name)
-    return SubspaceComplexData(cx, bases, ambients)
+    return SubspaceComplexData(cx, bases, mdim, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -919,23 +989,14 @@ def _subspace_complex(N, name, preserves, bases, ambients, mul, unit, last_face,
 def build_algebra_complex(ma, sayd, N, name="algebra") -> SubspaceComplexData:
     h = ma.hopf
     tabs = HopfTables.of(h)
-    act = action_table(ma.action)
-    mul = action_table(ma.alg.mul)
-    mco = split_table(sayd.lcoaction)
     mract = action_table(sayd.raction)
-    unit = sorted(ma.alg.unit.items())
     mdim, adim = sayd.space.dim, ma.space.dim
     top = N + 1
-
-    ambients = [MultiIndex((mdim,) + (adim,) * (n + 1)) for n in range(top + 2)]
-    # ambient of degree n: flat index m*size[n] + t, t a flat index of A^(x)(n+1)
-    pw = [adim ** k for k in range(top + 3)]
-    size = pw[1:]
 
     def equivariant(n, moved_by):
         """The conditions phi(m.h1 (x) S(h2).a~) = eps(h) phi(m (x) a~), one
         row per basis a~, h and m, made as the kernel eliminates them."""
-        S = size[n]
+        S = adim ** (n + 1)
         for t in range(S):
             moved = moved_by(t)
             twisted = {}        # h2 -> S(h2) acting diagonally on a~
@@ -963,39 +1024,12 @@ def build_algebra_complex(ma, sayd, N, name="algebra") -> SubspaceComplexData:
                     yield row
 
     moved_by_degree = tabs.diag_act_degrees(_acting_on(ma.action), adim, top)
-    bases = [kernel_of_rows(equivariant(n, moved_by), ambients[n].size)
+    bases = [kernel_of_rows(equivariant(n, moved_by), mdim * adim ** (n + 1))
              for n, moved_by in enumerate(moved_by_degree)]
-
-    def last_face(n):
-        """(d_{n+1} phi)(m (x) a~) = phi(m0 (x) (Sinv(m-1) a_{n+1}) a0 (x) a1..an)."""
-        S, T = size[n], size[n + 1]
-        by_source = [{} for _ in range(mdim * S)]
-        for v in range(mdim * T):
-            m, t = divmod(v, T)
-            a0, rest = divmod(t, pw[n + 1])
-            mid, last = divmod(rest, adim)
-            for (hh, mj), x1 in mco[m]:
-                for u, x2 in tabs.Sinv[hh].items():
-                    for b, x3 in act.get((u, last), ()):
-                        for k, x4 in mul.get((b, a0), ()):
-                            vec_acc(by_source[mj * S + k * pw[n] + mid], v, x1 * x2 * x3 * x4)
-        return by_source
-
-    def tau(n):
-        """(t phi)(m (x) a~) = phi(m0 (x) Sinv(m-1) a_n (x) a0..a_{n-1})."""
-        S = size[n]
-        by_source = [{} for _ in range(mdim * S)]
-        for v in range(mdim * S):
-            m, t = divmod(v, S)
-            rest, last = divmod(t, adim)
-            for (hh, mj), x1 in mco[m]:
-                for u, x2 in tabs.Sinv[hh].items():
-                    for b, x3 in act.get((u, last), ()):
-                        vec_acc(by_source[mj * S + b * pw[n] + rest], v, x1 * x2 * x3)
-        return by_source
-
-    return _subspace_complex(N, name, "equivariance", bases, ambients, mul, unit,
-                             last_face, tau)
+    # m -> a -> the terms of m0 (x) Sinv(m-1).a
+    twist = _coaction_twist(split_table(sayd.lcoaction), action_table(ma.action), adim, tabs.Sinv)
+    return _subspace_complex(N, name, "equivariance", bases, mdim, adim,
+                             action_table(ma.alg.mul), sorted(ma.alg.unit.items()), twist)
 
 
 # ---------------------------------------------------------------------------
@@ -1005,16 +1039,11 @@ def build_comodule_algebra_complex(ba, sayd, N, name="comodule-algebra") -> Subs
     h = ba.hopf
     tabs = HopfTables.of(h)
     coact = split_table(ba.coaction)
-    mul = action_table(ba.alg.mul)
-    unit = sorted(ba.alg.unit.items())
     mco = split_table(sayd.lcoaction)
     mract = action_table(sayd.raction)
     mdim, bdim = sayd.space.dim, ba.space.dim
     top = N + 1
-    # hom coordinates: (m, b-tuple), m major; flat index m*size[n] + t
-    ambients = [MultiIndex((mdim,) + (bdim,) * (n + 1)) for n in range(top + 2)]
-    pw = [bdim ** k for k in range(top + 3)]
-    size = pw[1:]
+    # hom coordinates: (m, b-tuple), m major; flat index m*bdim^(n+1) + t
 
     def coact_step(prev, head, v):
         """Diagonal coaction of (b~, v) from that of b~: the H legs are
@@ -1030,7 +1059,7 @@ def build_comodule_algebra_complex(ba, sayd, N, name="comodule-algebra") -> Subs
     def colinear(n, coact_of):
         """The conditions coact_M(psi(w)) = w^(-1) (x) psi(w^(0)), one row per
         basis w, h and m'; the rows of one w are complete once w is done."""
-        S = size[n]
+        S = bdim ** (n + 1)
         for w in range(S):
             rows = {}
             for m in range(mdim):
@@ -1044,39 +1073,19 @@ def build_comodule_algebra_complex(ba, sayd, N, name="comodule-algebra") -> Subs
 
     first = [{key: x for key, x in coact.get(v, ())} for v in range(bdim)]
     coact_by_degree = _by_degree(first.__getitem__, coact_step, bdim, top)
-    bases = [kernel_of_rows(colinear(n, coact_of), ambients[n].size)
+    bases = [kernel_of_rows(colinear(n, coact_of), mdim * bdim ** (n + 1))
              for n, coact_of in enumerate(coact_by_degree)]
-
-    def last_face(n):
-        """(d_{n+1} psi)(v~) = psi(v_{n+1}^(0) v_0, v_1..v_n) . v_{n+1}^(-1)."""
-        S, T = size[n], size[n + 1]
-        by_source = [{} for _ in range(mdim * S)]
-        for t in range(T):
-            v0, rest = divmod(t, pw[n + 1])
-            mid, last = divmod(rest, bdim)
-            for (hh, b0), x1 in coact.get(last, ()):
-                for k, x2 in mul.get((b0, v0), ()):
-                    w = k * pw[n] + mid
-                    for m in range(mdim):
-                        for mj, x3 in mract.get((m, hh), ()):
-                            vec_acc(by_source[m * S + w], mj * T + t, x1 * x2 * x3)
-        return by_source
-
-    def tau(n):
-        """(t psi)(v_0..v_n) = psi(v_n^(0), v_0..v_{n-1}) . v_n^(-1)."""
-        S = size[n]
-        by_source = [{} for _ in range(mdim * S)]
-        for t in range(S):
-            rest, last = divmod(t, bdim)
-            for (hh, b0), x1 in coact.get(last, ()):
-                w = b0 * pw[n] + rest
-                for m in range(mdim):
-                    for mj, x2 in mract.get((m, hh), ()):
-                        vec_acc(by_source[m * S + w], mj * S + t, x1 * x2)
-        return by_source
-
-    return _subspace_complex(N, name, "colinearity", bases, ambients, mul, unit,
-                             last_face, tau)
+    # m' -> v -> the terms (m, v(0), x), x the coefficient of m' in m.v(-1):
+    # psi(v(0) ...).v(-1) read at m'
+    twist = [[{} for _ in range(bdim)] for _ in range(mdim)]
+    for v in range(bdim):
+        for (hh, b0), x in coact.get(v, ()):
+            for m in range(mdim):
+                for mj, y in mract.get((m, hh), ()):
+                    vec_acc(twist[mj][v], (m, b0), x * y)
+    twist = [[[(m, b0, x) for (m, b0), x in terms.items()] for terms in row] for row in twist]
+    return _subspace_complex(N, name, "colinearity", bases, mdim, bdim,
+                             action_table(ba.alg.mul), sorted(ba.alg.unit.items()), twist)
 
 
 # ---------------------------------------------------------------------------
@@ -1125,7 +1134,8 @@ def build_power_complex(mp, N) -> CocyclicComplex:
     tabs = HopfTables.of(h)
     St = twisted_antipode(mp).columns()
     sigma = sorted(mp.sigma.items())
-    unit, comul, eps = tabs.unit, tabs.comul, tabs.eps
+    pairs = [[(a * d + b, x) for (a, b), x in tabs.comul[c]] for c in range(d)]
+    counit = [[(0, tabs.eps[c])] if tabs.eps.get(c) else [] for c in range(d)]
     top = N + 1
     # structure_maps asks for tau_n once per n, in order of n: degree n-1
     # of the action is the next one
@@ -1133,30 +1143,17 @@ def build_power_complex(mp, N) -> CocyclicComplex:
 
     def face(n, i):
         if i == 0:
-            return [{k * d ** n + t: x for k, x in unit} for t in range(d ** n)]
+            return _slot_entries([tabs.unit], 1, d ** n, d)
         if i == n + 1:
-            return [{t * d + k: x for k, x in sigma} for t in range(d ** n)]
-        low = d ** (n - i)
-        cols = []
-        for t in range(d ** n):
-            head, rest = divmod(t, d * low)
-            c, tail = divmod(rest, low)
-            cols.append({((head * d + a) * d + b) * low + tail: x for (a, b), x in comul[c]})
-        return cols
+            return _slot_entries([sigma], d ** n, 1, d)
+        return _slot_entries(pairs, d ** (i - 1), d ** (n - i), d * d)
 
     def degen(n, j):
-        low = d ** (n - j - 1)
-        cols = []
-        for t in range(d ** n):
-            head, rest = divmod(t, d * low)
-            c, tail = divmod(rest, low)
-            e = eps.get(c, 0)
-            cols.append({head * low + tail: e} if e else {})
-        return cols
+        return _slot_entries(counit, d ** j, d ** (n - j - 1), 1)
 
     def tau(n, _):
         if n == 0:
-            return [{0: 1}]
+            return {(0, 0): 1}
         moved = next(moved_by_degree)
         W = d ** (n - 1)
         cols = [{} for _ in range(d * W)]
@@ -1169,12 +1166,12 @@ def build_power_complex(mp, N) -> CocyclicComplex:
                     for u, c in St[h1].items():
                         if u in row:
                             vec_axpy(col, s * c, row[u])
-        return cols
+        return {(r, j): x for j, col in enumerate(cols) for r, x in col.items()}
 
-    col_fns = {"face": face, "degen": degen, "tau": tau}
+    entry_fns = {"face": face, "degen": degen, "tau": tau}
 
     def materialize(kind, n, i):
-        return SparseMatrix.from_columns(col_fns[kind](n, i), d ** (n + _SHIFT[kind]))
+        return SparseMatrix(d ** (n + _SHIFT[kind]), d ** n, entry_fns[kind](n, i))
 
     return CocyclicComplex.assemble(N, [d ** n for n in range(top + 1)], materialize,
                                     "hopf-power")
@@ -1275,43 +1272,17 @@ def plain_cyclic_complex(alg, N, name="cyclic") -> CocyclicComplex:
     Loday 2.1): degree n is the dual of A^(x)(n+1) on its standard basis,
     flat index t, the faces multiply neighbouring slots, the last face
     multiplies the last slot into the first, the degeneracies insert the
-    unit and tau rotates the last slot to the front.  Every operator is
-    built straight from alg.mul and alg.unit, with the face and degeneracy
-    tables of the algebra complex at one trivial coefficient index."""
-    mul = action_table(alg.mul)
-    unit = sorted(alg.unit.items())
+    unit and tau rotates the last slot to the front: the functional maps
+    of the algebra complex (_functional_maps) at one trivial coefficient
+    index, with the last slot untwisted."""
     dim = alg.space.dim
-    top = N + 1
-    pw = [dim ** k for k in range(top + 3)]
-
-    def last_face(n):
-        """(d_{n+1} phi)(a~) = phi(a_{n+1} a_0 (x) a_1..a_n)."""
-        by_source = [{} for _ in range(pw[n + 1])]
-        for t in range(pw[n + 2]):
-            a0, rest = divmod(t, pw[n + 1])
-            mid, last = divmod(rest, dim)
-            for k, x in mul.get((last, a0), ()):
-                by_source[k * pw[n] + mid][t] = x
-        return by_source
-
-    def tau(n):
-        """(t phi)(a~) = phi(a_n (x) a_0..a_{n-1})."""
-        by_source = [None] * pw[n + 1]
-        for t in range(pw[n + 1]):
-            rest, last = divmod(t, dim)
-            by_source[last * pw[n] + rest] = {t: 1}
-        return by_source
+    by_source = _functional_maps(action_table(alg.mul), sorted(alg.unit.items()),
+                                 [[[(0, v, 1)] for v in range(dim)]], dim, 1)
 
     def make(kind, n, i):
-        if kind == "face":
-            by_source = last_face(n) if i == n + 1 else _product_face(mul, dim, 1, n, i)
-        elif kind == "degen":
-            by_source = _unit_degen(unit, dim, 1, n, i)
-        else:
-            by_source = tau(n)
-        return SparseMatrix.from_columns(by_source, pw[n + 1 + _SHIFT[kind]])
+        return SparseMatrix.from_columns(by_source(kind, n, i), dim ** (n + 1 + _SHIFT[kind]))
 
-    return CocyclicComplex.assemble(N, pw[1:top + 2], make, name)
+    return CocyclicComplex.assemble(N, [dim ** (n + 1) for n in range(N + 2)], make, name)
 
 
 # ---------------------------------------------------------------------------

@@ -141,10 +141,9 @@ def _push(adata, phi, n, slots):
     """phi (ambient coefficients of the algebra complex at degree n) pushed
     through one slot per A factor; the M index passes through as the
     leading key digit."""
-    mi = adata.ambients[n]
-    mdim = mi.dims[0]
+    mdim = adata.mdim
     keep_m = ({m: [(m, 0, 1)] for m in range(mdim)}, mdim, 1)
-    return push_slots(phi, mi.dims, [keep_m] + list(slots))
+    return push_slots(phi, (mdim,) + (adata.dim,) * (n + 1), [keep_m] + list(slots))
 
 
 def _pairing_matrix(adata, n, slots, xsides):

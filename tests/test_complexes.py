@@ -1,4 +1,6 @@
 import hashlib
+from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -567,3 +569,39 @@ def test_phi_operator_that_does_not_descend_is_ill_defined():
     err = info.value
     assert str(err) == "coalgebra operator does not descend at degree 0"
     assert (err.degree, err.column, err.residual) == (0, 2, {2: 2})
+
+
+# -- the slot map against its per-tuple definition -----------------------------------------
+
+@st.composite
+def slot_maps(draw):
+    """(table, outer, low, wout): f sends x < len(table) to the terms (y, c)
+    of table[x], y < wout; a term list may be empty and wout may be 1."""
+    wout = draw(st.integers(1, 4))
+    terms = st.dictionaries(st.integers(0, wout - 1), st.sampled_from([1, -1, 2, Fraction(1, 2)]),
+                            max_size=wout)
+    table = [sorted(t.items()) for t in draw(st.lists(terms, min_size=1, max_size=3))]
+    return table, draw(st.integers(1, 3)), draw(st.integers(1, 4)), wout
+
+
+@settings(max_examples=200, deadline=None)
+@given(slot_maps())
+def test_slot_map_is_one_tensor_f_tensor_one_on_tuples(case):
+    # the input (o, x, l) goes to the terms (o, y, l) of f(x), both tuples
+    # flattened by MultiIndex; the column form lists them input by input,
+    # the entry form keys them by (output, input) and the transposed form
+    # by output
+    from hopfcyclic.complexes import _slot_columns, _slot_entries, _slot_pullback
+    from hopfcyclic.spaces import MultiIndex
+    table, outer, low, wout = case
+    ins, outs = MultiIndex((outer, len(table), low)), MultiIndex((outer, wout, low))
+    columns = [[(outs.flat((o, y, l)), c) for y, c in table[x]]
+               for o, x, l in iproduct(range(outer), range(len(table)), range(low))]
+    assert [list(col) for col in _slot_columns(table, outer, low, wout)] == columns
+    assert _slot_entries(table, outer, low, wout) == {(k, v): c for v, col in enumerate(columns)
+                                                       for k, c in col}
+    by_source = [{} for _ in range(outs.size)]
+    for v, col in enumerate(columns):
+        for k, c in col:
+            by_source[k][v] = c
+    assert _slot_pullback(table, outer, low, wout, outs.size) == by_source

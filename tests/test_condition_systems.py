@@ -429,3 +429,159 @@ POWER_PAIRS = {
 def test_power_complex_is_the_per_tuple_builder(which, N):
     mp = POWER_PAIRS[which]()
     assert complex_to_text(build_power_complex(mp, N)) == complex_to_text(power_complex_oracle(mp, N))
+
+
+# -- the functional complexes: per-tuple builders as the oracles ---------------------------
+
+def regular_sayd(h):
+    """H over itself as coefficients: right multiplication, and the left
+    coaction m -> S(m(3)) m(1) (x) m(2).  It is dim H dimensional, its
+    action is no permutation matrix that equals its transpose, and over the
+    Taft algebra its coaction has legs where S and S^-1 differ."""
+    from hopfcyclic.actions import SAYDModule, validate_sayd
+    from hopfcyclic.hopf import iterated_coproduct
+    from hopfcyclic.spaces import BasedSpace, StructureTensor, tensor_space
+    d = h.dim
+    M = BasedSpace(tuple("m%d" % m for m in range(d)))
+    antipode = h.antipode.columns()
+    legs = iterated_coproduct(h.coalg, 3)
+    lco = {}
+    for m in range(d):
+        out = {}
+        for f, x in legs.value((m,)).items():
+            m1, m2, m3 = f // (d * d), f // d % d, f % d
+            for s, y in antipode[m3].items():
+                for u, z in h.alg.mul.value((s, m1)).items():
+                    vec_acc(out, u * d + m2, x * y * z)
+        lco[(m,)] = out
+    ract = {(m, u): dict(h.alg.mul.value((m, u))) for m in range(d) for u in range(d)}
+    sayd = SAYDModule(h, M, StructureTensor((M, h.space), M, ract),
+                      StructureTensor((M,), tensor_space(h.space, M), lco))
+    assert validate_sayd(sayd).ok
+    return sayd
+
+
+def functional_complex_oracle(data, image, N, name):
+    """The complex of SubspaceComplexData data rebuilt map by map: image(kind,
+    n, i, m, v) gives the terms {(m', w): x} of the source tuples with
+    (op psi)(m (x) v) = sum x psi(m' (x) w), each ambient map is the matrix
+    of these on tuples, and its restriction reads every image of a basis
+    vector on the target basis at its free entries, checked to add up."""
+    mdim, dim = data.mdim, data.dim
+
+    def flat(m, v):
+        t = m
+        for a in v:
+            t = t * dim + a
+        return t
+
+    def make(kind, n, i):
+        tgt = n + {"face": 1, "degen": -1, "tau": 0}[kind]
+        by_source = {}
+        for m in range(mdim):
+            for v in iproduct(range(dim), repeat=tgt + 1):
+                for (mj, w), x in image(kind, n, i, m, v).items():
+                    vec_acc(by_source.setdefault(flat(mj, w), {}), flat(m, v), x)
+        cols = []
+        for psi in data.bases[n]:
+            img = {}
+            for w, c in psi.items():
+                vec_axpy(img, c, by_source.get(w, {}))
+            coords = {k: img[max(b)] for k, b in enumerate(data.bases[tgt]) if max(b) in img}
+            back = {}
+            for k, c in coords.items():
+                vec_axpy(back, c, data.bases[tgt][k])
+            assert back == img, (kind, n, i)
+            cols.append(coords)
+        return SparseMatrix.from_columns(cols, len(data.bases[tgt]))
+
+    return CocyclicComplex.assemble(N, [len(b) for b in data.bases], make, name)
+
+
+def inner_image(alg, kind, n, i, m, v):
+    """The product faces and the unit degeneracies, per tuple."""
+    if kind == "face":
+        return {(m, v[:i] + (k,) + v[i + 2:]): x for k, x in alg.mul.value(v[i:i + 2]).items()}
+    return {(m, v[:i + 1] + (k,) + v[i + 1:]): x for k, x in alg.unit.items()}
+
+
+def algebra_image(ma, sayd):
+    """(d_{n+1} phi)(m (x) a~) = phi(m0 (x) (Sinv(m-1).a_{n+1}) a_0 (x) a_1..a_n)
+    and (t phi)(m (x) a~) = phi(m0 (x) Sinv(m-1).a_n (x) a_0..a_{n-1})."""
+    mdim = sayd.space.dim
+    sinv = ma.hopf.antipode_inv.columns()
+
+    def image(kind, n, i, m, v):
+        if kind != "tau" and i <= n:
+            return inner_image(ma.alg, kind, n, i, m, v)
+        out = {}
+        for f, x in sayd.lcoaction.value((m,)).items():
+            hh, mj = divmod(f, mdim)
+            for u, y in sinv[hh].items():
+                for b, z in ma.action.value((u, v[-1])).items():
+                    if kind == "tau":
+                        vec_acc(out, (mj, (b,) + v[:-1]), x * y * z)
+                        continue
+                    for k, w in ma.alg.mul.value((b, v[0])).items():
+                        vec_acc(out, (mj, (k,) + v[1:-1]), x * y * z * w)
+        return out
+    return image
+
+
+def comodule_image(ba, sayd):
+    """(d_{n+1} psi)(v~) = psi(v_{n+1}(0) v_0, v_1..v_n).v_{n+1}(-1) and
+    (t psi)(v~) = psi(v_n(0), v_0..v_{n-1}).v_n(-1), read at the M index m."""
+    mdim, bdim = sayd.space.dim, ba.space.dim
+
+    def image(kind, n, i, m, v):
+        if kind != "tau" and i <= n:
+            return inner_image(ba.alg, kind, n, i, m, v)
+        out = {}
+        for f, x in ba.coaction.value((v[-1],)).items():
+            hh, b0 = divmod(f, bdim)
+            for mj in range(mdim):
+                y = sayd.raction.value((mj, hh)).get(m, 0)
+                if not y:
+                    continue
+                if kind == "tau":
+                    vec_acc(out, (mj, (b0,) + v[:-1]), x * y)
+                    continue
+                for k, z in ba.alg.mul.value((b0, v[0])).items():
+                    vec_acc(out, (mj, (k,) + v[1:-1]), x * y * z)
+        return out
+    return image
+
+
+FUNCTIONAL_CASES = [("h4.hcy", "alg_taft"), ("h4.hcy", "comod_taft"), ("kz2.hcy", "alg_triv"),
+                    ("kz2.hcy", "comod_triv"), ("kz3.hcy", "alg_triv"), ("kz3.hcy", "comod_triv")]
+
+
+def functional_case(fixture, name, N, coefficients=None):
+    spec = parse_spec(fixture_file_texts()[fixture])
+    kind, (space, coeffs) = spec.complexes[name]
+    sayd = coefficients(spec.hopfs["H"]) if coefficients else spec.coefficients[coeffs]
+    if kind == "algebra":
+        ma = spec.module_algebras[space]
+        return build_algebra_complex(ma, sayd, N), algebra_image(ma, sayd)
+    ba = spec.comodule_algebras[space]
+    return build_comodule_algebra_complex(ba, sayd, N), comodule_image(ba, sayd)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("fixture,name", FUNCTIONAL_CASES)
+def test_functional_complexes_are_the_per_tuple_builders(fixture, name, N):
+    data, image = functional_case(fixture, name, N)
+    assert (complex_to_text(data.complex)
+            == complex_to_text(functional_complex_oracle(data, image, N, data.complex.name)))
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("fixture,name", [("h4.hcy", "alg_taft"), ("h4.hcy", "comod_taft"),
+                                          ("kz3.hcy", "alg_triv"), ("kz3.hcy", "comod_triv")])
+def test_functional_complexes_with_regular_coefficients(fixture, name, N):
+    # coefficients of dimension dim H with a coaction that is not grouplike:
+    # every fixture's coefficients are one-dimensional
+    data, image = functional_case(fixture, name, N, regular_sayd)
+    assert data.mdim > 1 and data.dim > 1
+    assert (complex_to_text(data.complex)
+            == complex_to_text(functional_complex_oracle(data, image, N, data.complex.name)))

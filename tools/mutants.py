@@ -38,10 +38,11 @@ CUP = "src/hopfcyclic/cup.py"
 ORACLE = "tests/test_cup.py::test_algebra_pairing_is_the_pulled_back_convolution_pairing"
 NOT_KEPT = "tests/test_cup.py::test_a_failed_pairing_certificate_is_not_kept"
 GRAMMAR = "tests/test_specfile_grammar.py::"
-PLAIN = ("tests/test_condition_systems.py::"
-         "test_plain_cyclic_complex_is_the_algebra_complex_over_the_trivial_hopf_algebra")
 PUSH = "tests/test_linalg.py::test_push_slots_contract_match_dense"
 PER_TUPLE = "tests/test_condition_systems.py::test_power_complex_is_the_per_tuple_builder"
+FUNCTIONAL = "tests/test_condition_systems.py::test_functional_complexes_are_the_per_tuple_builders"
+REGULAR = "tests/test_condition_systems.py::test_functional_complexes_with_regular_coefficients"
+SLOT_MAP = "tests/test_complexes.py::test_slot_map_is_one_tensor_f_tensor_one_on_tuples"
 PINNED = "tests/test_specfile_cli.py::test_validate_lists_every_violation_of_broken_input"
 INVERSE = "tests/test_linalg.py::test_invert_matrix_is_a_two_sided_inverse_or_none"
 GAUSS_JORDAN = "tests/test_linalg.py::test_span_solver_is_dense_gauss_jordan"
@@ -135,10 +136,10 @@ MUTANTS = [
             "tests/test_reference_reports.py::test_report_matches_reference"
             "[audit h4.hcy --max-degree 4]"]),
     Mutant("plain-tau-transposed", COMPLEXES,
-           "            by_source[last * pw[n] + rest] = {t: 1}\n",
-           "            by_source[t] = {last * pw[n] + rest: 1}\n",
+           "                    out[mj * S + b * W + rest][v] = x\n",
+           "                    out[v][mj * S + b * W + rest] = x\n",
            ["tests/test_condition_systems.py::test_plain_cyclic_complex_is_the_ambient_cyclic_module",
-            PLAIN + "[kz2-A#B-2]", PLAIN + "[kz3-convolution-3]"]),
+            FUNCTIONAL + "[kz3.hcy-alg_triv-2]", FUNCTIONAL + "[h4.hcy-comod_taft-2]"]),
     Mutant("power-tau-untwisted", COMPLEXES,
            "    St = twisted_antipode(mp).columns()\n",
            "    St = tabs.S\n",
@@ -147,18 +148,32 @@ MUTANTS = [
             "tests/test_reference_reports.py::test_report_matches_reference"
             "[audit h4.hcy --max-degree 4]"]),
     Mutant("power-last-face-drops-sigma", COMPLEXES,
-           "            return [{t * d + k: x for k, x in sigma} for t in range(d ** n)]\n",
-           "            return [{t * d + k: x for k, x in unit} for t in range(d ** n)]\n",
+           "            return _slot_entries([sigma], d ** n, 1, d)\n",
+           "            return _slot_entries([tabs.unit], d ** n, 1, d)\n",
            [PER_TUPLE + "[kZ2-sigma-g-2]",
             "tests/test_complexes.py::test_hopf_complex_append_sigma_face",
             "tests/test_reference_reports.py::test_report_matches_reference"
             "[audit kz2.hcy --max-degree 4]"]),
     Mutant("restrict-reads-source-degree", COMPLEXES,
-           "_restrict(by_source, bases[n], readers[target], message, n)",
-           "_restrict(by_source, bases[n], readers[n], message, n)",
+           "readers[n + _SHIFT[kind]], message, n)",
+           "readers[n], message, n)",
            ["tests/test_complexes.py::test_algebra_complex_h4_passes",
             "tests/test_complexes.py::test_comodule_complex_kz2",
             "tests/test_acceptance.py::test_criterion_8_characteristic_map_agreement"]),
+    Mutant("algebra-twist-by-the-antipode", COMPLEXES,
+           "action_table(ma.action), adim, tabs.Sinv)",
+           "action_table(ma.action), adim, tabs.S)",
+           [REGULAR + "[h4.hcy-alg_taft-1]", REGULAR + "[h4.hcy-alg_taft-2]"]),
+    Mutant("comodule-twist-m-swapped", COMPLEXES,
+           "vec_acc(twist[mj][v], (m, b0), x * y)",
+           "vec_acc(twist[m][v], (mj, b0), x * y)",
+           [REGULAR + "[h4.hcy-comod_taft-1]", REGULAR + "[kz3.hcy-comod_triv-2]"]),
+    Mutant("slot-map-drops-low-offset", COMPLEXES,
+           "    terms = [[(y * low, c) for y, c in t] for t in table]\n",
+           "    terms = [[(y, c) for y, c in t] for t in table]\n",
+           [SLOT_MAP, PER_TUPLE + "[h4-3]", FUNCTIONAL + "[h4.hcy-alg_taft-3]",
+            "tests/test_reference_reports.py::test_report_matches_reference"
+            "[audit h4.hcy --max-degree 4]"]),
     Mutant("restrict-witness-residual-none", COMPLEXES,
            "raise IllDefined(message, n, k, dict(sorted(residual.items())))",
            "raise IllDefined(message, n, k, None)",
