@@ -9,7 +9,7 @@ exact matrix identity; validators return exhaustive reports.
 from __future__ import annotations
 
 from .linalg import (SparseMatrix, SpanSolver, KernelCoords, compose, first_residual,
-                     matrix_terms, tensor_kron, kernel_of_rows, scal, vec_acc, vec_axpy)
+                     tensor_kron, kernel_of_rows, scal, vec_acc, vec_axpy)
 from .spaces import BasedSpace, GROUND, MultiIndex, StructureTensor, tensor_space
 from .hopf import (AlgebraData, CoalgebraData, HopfData, ModularPair,
                    ValidationReport, Violation, swap_matrix, validate_algebra)
@@ -222,13 +222,9 @@ def perm_tensor_matrix(dims, order):
     """Permutation of tensor slots: output slot k carries input slot order[k]."""
     mi_in = MultiIndex(dims)
     mi_out = MultiIndex(tuple(dims[i] for i in order))
-    ent = {}
-    for f in range(mi_in.size):
-        idx = mi_in.unflat(f)
-        ent[(mi_out.flat(tuple(idx[i] for i in order)), f)] = 1
-    m = SparseMatrix(mi_out.size, mi_in.size)
-    m.entries = ent
-    return m
+    return SparseMatrix.from_columns(
+        [{mi_out.flat(tuple(idx[i] for i in order)): 1}
+         for idx in map(mi_in.unflat, range(mi_in.size))], mi_out.size)
 
 
 def validate_coalgebra_action(ca: CoalgebraAction) -> ValidationReport:
@@ -374,17 +370,17 @@ def relative_coalgebra(h: HopfData, k: SubHopf):
     R = SparseMatrix.from_columns(rel, d)       # the relations as columns
     # counit must kill the ideal
     epsM = h.coalg.counit_matrix()
-    if first_residual(matrix_terms([(1, epsM, R)]), len(rel)) is not None:
+    if first_residual([(1, epsM.plan, R.plan)], len(rel)) is not None:
         raise CoalgebraNotInduced("counit does not vanish on the ideal")
     # comultiplication must descend: (pi (x) pi) Delta (ideal) = 0
     pp = tensor_kron(proj, proj)
     com = h.coalg.comul_matrix()
-    if first_residual(matrix_terms([(1, pp, compose(com, R))]), len(rel)) is not None:
+    if first_residual([(1, pp.plan, compose(com, R).plan)], len(rel)) is not None:
         raise CoalgebraNotInduced("comultiplication does not descend to the quotient")
     # left action must descend: pi(mul(H (x) ideal)) = 0
     mul = h.alg.mul_matrix()
     I_H = SparseMatrix.identity(d)
-    if first_residual(matrix_terms([(1, proj, compose(mul, tensor_kron(I_H, R)))]),
+    if first_residual([(1, proj.plan, compose(mul, tensor_kron(I_H, R)).plan)],
                       d * len(rel)) is not None:
         raise ActionNotDescended("left action does not descend to the quotient")
     labels = tuple("[%s]" % h.space.labels[f] for f in quo.free)
@@ -392,7 +388,7 @@ def relative_coalgebra(h: HopfData, k: SubHopf):
     comul_q = compose(pp, compose(com, sect))
     counit_q = compose(epsM, sect)
     coalg = CoalgebraData(C, StructureTensor.from_matrix(comul_q, (C,), tensor_space(C, C)),
-                          {i: x for (r0, i), x in counit_q.entries.items()})
+                          {i: x for i, col in enumerate(counit_q.plan) for _, x in col})
     act_q = compose(proj, compose(mul, tensor_kron(I_H, sect)))
     action = StructureTensor.from_matrix(act_q, (h.space, C), C)
     return ModuleCoalgebra(h, coalg, action), proj
@@ -482,11 +478,13 @@ class ConvolutionAlgebra:
         self.reader = reader
         self.cdim = cdim
 
-    def flatten(self, matrix):
-        return {ia * self.cdim + ic: x for (ia, ic), x in matrix.entries.items()}
-
     def coords(self, matrix):
-        return self.reader.solve(self.flatten(matrix))
+        return self.reader.solve(_flatten(matrix, self.cdim))
+
+
+def _flatten(matrix, cdim):
+    """A map C -> A as a vector on the flat coordinates (a major, c minor)."""
+    return {ia * cdim + ic: x for ic, col in enumerate(matrix.plan) for ia, x in col}
 
 
 def convolution_algebra(ca: CoalgebraAction) -> ConvolutionAlgebra:
@@ -525,13 +523,13 @@ def convolution_algebra(ca: CoalgebraAction) -> ConvolutionAlgebra:
     for i, fi in enumerate(maps):
         for j, fj in enumerate(maps):
             prod = compose(mulA, compose(tensor_kron(fi, fj), comC))
-            coeff = reader.solve({ia * c + ic: x for (ia, ic), x in prod.entries.items()})
+            coeff = reader.solve(_flatten(prod, c))
             if coeff is None:
                 raise NotClosed("convolution product left the equivariant span")
             if coeff:
                 ent[(i, j)] = coeff
     unit_map = compose(A.unit_matrix(), C.counit_matrix())
-    unit = reader.solve({ia * c + ic: x for (ia, ic), x in unit_map.entries.items()})
+    unit = reader.solve(_flatten(unit_map, c))
     if unit is None:
         raise NotClosed("unit eta.eps is not equivariant; inputs are inconsistent")
     mul = StructureTensor((space, space), space, ent)

@@ -590,7 +590,7 @@ def _coboundaries(cx, n):
     if n == 0:
         return None
     sol = SpanSolver()
-    for col in cx.b[n - 1].columns():
+    for col in cx.b[n - 1].plan:
         sol.add(col)
     sol.rref()
     return sol

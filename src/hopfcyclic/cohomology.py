@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .linalg import (SparseMatrix, compose, image_rank, kernel_of_rows, column_plan,
-                     first_residual)
+from .linalg import (SparseMatrix, compose, image_rank, kernel_of_rows, first_residual,
+                     linear_combination)
 from .complexes import CocyclicComplex, CertificateFailure
 
 
@@ -41,26 +41,21 @@ def lam(cx, n):
 def norm_operator(cx, n):
     """1 + lam + ... + lam^n = sum over k <= n of (-1)^(nk) tau_n^k, each
     power read from the complex's table (CocyclicComplex.tau_power), which
-    check_cocyclic fills too."""
-    total = SparseMatrix.identity(cx.dim(n))
+    check_cocyclic fills too; summed column by column in one pass."""
+    terms = [(1, SparseMatrix.identity(cx.dim(n)))]
     for k in range(1, n + 1):
         power = cx.tau_power(n, k)
-        total = total - power if n * k % 2 else total + power
-    return total
+        terms.append((-1 if n * k % 2 else 1, power))
+    return linear_combination(terms)
 
 
 def hochschild_b(cx: CocyclicComplex):
-    """Alternating-sum coboundaries b_n for 0 <= n <= N; b.b = 0 is asserted."""
-    bs = []
-    for n in range(cx.N + 1):
-        m = SparseMatrix.zeros(cx.dim(n + 1), cx.dim(n))
-        for i in range(n + 2):
-            f = cx.face(n, i)
-            m = m + (f if i % 2 == 0 else f.scale(-1))
-        bs.append(m)
-    plans = [column_plan(b) for b in bs]
+    """Alternating-sum coboundaries b_n for 0 <= n <= N, each summed column
+    by column in one pass; b.b = 0 is asserted."""
+    bs = [linear_combination([(-1 if i % 2 else 1, cx.face(n, i)) for i in range(n + 2)])
+          for n in range(cx.N + 1)]
     for n in range(cx.N):
-        _certify_zero("b.b != 0 at degree %d", n, [(1, plans[n + 1], plans[n])], cx.dim(n))
+        _certify_zero("b.b != 0 at degree %d", n, [(1, bs[n + 1].plan, bs[n].plan)], cx.dim(n))
     return bs
 
 
@@ -87,10 +82,10 @@ def connes_B(cx: CocyclicComplex):
         Bs.append(compose(norm_operator(cx, n - 1), b0))
         cx.drop_tau_powers(n - 1)
     cx.drop_tau_powers(cx.top)
-    B_plans = [column_plan(B) for B in Bs]
+    B_plans = [B.plan for B in Bs]
     for n in range(2, cx.top + 1):
         _certify_zero("B.B != 0 at degree %d", n, [(1, B_plans[n - 1], B_plans[n])], cx.dim(n))
-    b_plans = [column_plan(b) for b in bs]
+    b_plans = [b.plan for b in bs]
     for n in range(1, cx.N + 1):
         _certify_zero("bB + Bb != 0 at degree %d", n,
                       [(1, b_plans[n - 1], B_plans[n]), (1, B_plans[n + 1], b_plans[n])],
@@ -141,17 +136,19 @@ def total_differential(cx, n):
         tgt_off.append(off)
         off += cx.dim(d)
     tgt_total = off
-    ent = {}
+    plan = []
     bs, Bs = cx.b, cx.B
     for k, d in enumerate(src):
-        # b: stays in column k
-        for (r, c), x in bs[d].entries.items():
-            ent[(tgt_off[k] + r, src_off[k] + c)] = x
-        # B: moves to column k+1 (target degree d-1)
+        # b stays in column k; B moves to column k+1 (target degree d-1),
+        # whose rows follow
+        lo = tgt_off[k]
         if d >= 1 and k + 1 < len(tgt):
-            for (r, c), x in Bs[d].entries.items():
-                ent[(tgt_off[k + 1] + r, src_off[k] + c)] = x
-    return SparseMatrix(tgt_total, src_total, ent)
+            hi = tgt_off[k + 1]
+            plan += [tuple([(lo + r, x) for r, x in bcol] + [(hi + r, x) for r, x in Bcol])
+                     for bcol, Bcol in zip(bs[d].plan, Bs[d].plan)]
+        else:
+            plan += [tuple([(lo + r, x) for r, x in bcol]) for bcol in bs[d].plan]
+    return SparseMatrix.of_plan(tgt_total, src_total, plan)
 
 
 def cyclic_cocycles(cx, n):

@@ -6,12 +6,11 @@ complex (colinear-map realization) and the normalized Hopf complex on tensor
 powers together with its certified isomorphism to the coalgebra complex; and
 the plain cyclic complex of an algebra.  All of them work on flat indices.
 Each face and degeneracy applies one structure tensor at one slot,
-1 (x) f (x) 1 (_slot_map), read as columns, as matrix entries or
-transposed.  Each last face and tau of a functional complex moves the last
-slot to the front after the coefficients twist it (_functional_maps, one
-twist table per complex); the coalgebra ambient twists its first slot
-(_coaction_twist), and the tau of the power complex is the diagonal action
-of the twisted antipode.
+1 (x) f (x) 1 (_slot_map), read as columns or transposed.  Each last face
+and tau of a functional complex moves the last slot to the front after the
+coefficients twist it (_functional_maps, one twist table per complex); the
+coalgebra ambient twists its first slot (_coaction_twist), and the tau of
+the power complex is the diagonal action of the twisted antipode.
 When the module coalgebra is H acting on itself (acts_on_itself), the
 quotient (M (x) H^(x)(n+1))_H is read through Phi(m (x) h0 (x) h~) =
 m.h0(1) (x) S(h0(2)).h~ onto M (x) H^(x)n (Connes-Moscovici 1998;
@@ -24,8 +23,8 @@ its relations.
 A complex is its dims and one table of matrices keyed by structure map.
 The bicocyclic module of two complexes (tensor_bicocyclic) is a view on its
 two factors (ProductComplex), and so is its diagonal, the degreewise
-product: it stores no operator, and the certificates read its column plans
-from the factors'.
+product: it stores no operator, and each map the certificates read is the
+Kronecker product of the factors' maps, formed when it is asked for.
 
 A complex built with truncation N carries degrees 0..N+1 so that faces, and
 hence the Hochschild coboundary, exist at degree N.  Its structure maps are
@@ -53,9 +52,8 @@ except ImportError:
         from hashlib import sha256
 
 from .linalg import (SparseMatrix, SpanSolver, KernelCoords, compose, tensor_kron, scal,
-                     kernel_of_rows, matrix_to_text,
-                     parse_scalar, vec_acc, vec_axpy,
-                     column_plan, kron_plan, first_residual, matrix_terms)
+                     kernel_of_rows, matrix_to_text, parse_scalar, vec_acc, vec_axpy,
+                     first_residual)
 from .hopf import iterated_coproduct, twisted_antipode
 from .actions import QuotientSpace
 
@@ -94,8 +92,10 @@ class CocyclicComplex:
     ("degen", n, j): degree n -> n-1   for 1 <= n <= top, 0 <= j <= n-1
     ("tau", n, 0)  : degree n -> n     for 0 <= n <= top
 
-    Its mixed complex (b, B) is read off the operators on first use of b or
-    B and kept, so the operators must not change after that.  The powers of
+    Each map is a SparseMatrix, and the certificates read its columns
+    (SparseMatrix.plan).  Its mixed complex (b, B) is read off the
+    operators on first use of b or B and kept, so the operators must not
+    change after that.  The powers of
     each tau_n are kept in one table (tau_power) from the first that is
     asked for until connes_B has read them; it follows a replaced tau.
     """
@@ -127,11 +127,6 @@ class CocyclicComplex:
         """The structure map of key (kind, n, i); i is 0 for tau."""
         return self.maps[kind, n, i]
 
-    def plan(self, kind, n, i):
-        """The column plan of op(kind, n, i), the operand form the
-        certificates read (linalg.residuals)."""
-        return column_plan(self.op(kind, n, i))
-
     def tau_power(self, n, k):
         """tau_n^k for k >= 1, from the table of powers of tau_n that
         check_cocyclic and cohomology.connes_B share: each power is composed
@@ -144,10 +139,6 @@ class CocyclicComplex:
         while len(powers) < k:
             powers.append(compose(t, powers[-1]))
         return powers[k - 1]
-
-    def tau_power_plan(self, n, k):
-        """The column plan of tau_power(n, k)."""
-        return column_plan(self.tau_power(n, k))
 
     def drop_tau_powers(self, n):
         """Forget the kept powers of tau_n, once their last reader is done."""
@@ -207,11 +198,11 @@ def intertwines(src, tgt, mats):
     mats[n]: src degree n -> tgt degree n fails to commute, as (key,
     column, residual) with the first failing source column and the residual
     mats . op - op . mats there; None when every map commutes."""
-    plans = [column_plan(m) for m in mats]
+    plans = [m.plan for m in mats]
     for key in structure_maps(src.N, src.top):
         n = key[1]
-        hit = first_residual([(1, plans[n + _SHIFT[key[0]]], src.plan(*key)),
-                              (-1, tgt.plan(*key), plans[n])], src.dim(n))
+        hit = first_residual([(1, plans[n + _SHIFT[key[0]]], src.op(*key).plan),
+                              (-1, tgt.op(*key).plan, plans[n])], src.dim(n))
         if hit is not None:
             return (key,) + hit
     return None
@@ -245,12 +236,12 @@ def check_cocyclic(cx: CocyclicComplex):
     """Exhaustive identity check; returns the (possibly empty) violation list.
 
     Each identity lhs = rhs is one first_residual call over the column
-    plans of the structure maps, built once here: every column of every
+    plans of the structure maps, each read once here: every column of every
     identity is checked, and a violation carries its first failing column
     and the residual lhs - rhs there."""
     bad = []
     N, top = cx.N, cx.top
-    plans = {key: cx.plan(*key) for key in structure_maps(N, top)}
+    plans = {key: cx.op(*key).plan for key in structure_maps(N, top)}
     F = lambda n, i: plans["face", n, i]
     S = lambda n, j: plans["degen", n, j]
     T = lambda n: plans["tau", n, 0]
@@ -294,7 +285,7 @@ def check_cocyclic(cx: CocyclicComplex):
     # cyclic-degen:  t_n s_i = s_{i-1} t_{n+1} (1<=i<=n),  t_n s_0 = s_n t_{n+1}^2
     # cyclic-order:  t_m^{m+1} = id, checked as t_m^h t_m^(m+1-h) - id, h = (m+1)//2
     # Both run in one pass over m = n+1 on the powers of the complex's table
-    # (tau_power), each planned once here (t_m^2 serves both); the
+    # (tau_power), each read once here (t_m^2 serves both); the
     # cyclic-order violations follow all others.
     order = []
     for m in range(top + 1):
@@ -302,7 +293,7 @@ def check_cocyclic(cx: CocyclicComplex):
         powers = {0: None, 1: T(m)}             # plans of t_m^0 = id, t_m^1, ...
         for k in (2, h, m + 1 - h) if m else ():
             if k not in powers:
-                powers[k] = cx.tau_power_plan(m, k)
+                powers[k] = cx.tau_power(m, k).plan
         n = m - 1
         if m:
             for i in range(1, n + 1):
@@ -441,19 +432,6 @@ def _slot_columns(table, outer, low, wout):
     for base, terms in _slot_map(table, outer, low, wout):
         yield from (zip(*[zip(range(base + k, base + k + low), repeat(c)) for k, c in terms])
                     if terms else empty)
-
-
-def _slot_entries(table, outer, low, wout):
-    """1 (x) f (x) 1 (_slot_map) as SparseMatrix entries {(row, column): c}.
-    Each (row, column) is met once, so every entry is assigned."""
-    entries = {}
-    for b, (base, terms) in enumerate(_slot_map(table, outer, low, wout)):
-        v = b * low
-        for k, c in terms:
-            k += base
-            for l in range(low):
-                entries[(k + l, v + l)] = c
-    return entries
 
 
 def _slot_pullback(table, outer, low, wout, size):
@@ -834,7 +812,7 @@ def phi_degrees(mc, sayd, top, name="coalgebra"):
         free, inv = _free_and_inverse(phi, adim, wdim)
         if inv is None:
             raise ConjugationFailure("normalization map is not invertible at degree %d" % n, n)
-        iso = SparseMatrix.from_columns([dict(phi[f]) for f in free], wdim)
+        iso = SparseMatrix.from_columns([phi[f] for f in free], wdim)
         prev = moved
         yield PhiDegree(n, phi, free, iso, inv)
 
@@ -1143,17 +1121,17 @@ def build_power_complex(mp, N) -> CocyclicComplex:
 
     def face(n, i):
         if i == 0:
-            return _slot_entries([tabs.unit], 1, d ** n, d)
+            return _slot_columns([tabs.unit], 1, d ** n, d)
         if i == n + 1:
-            return _slot_entries([sigma], d ** n, 1, d)
-        return _slot_entries(pairs, d ** (i - 1), d ** (n - i), d * d)
+            return _slot_columns([sigma], d ** n, 1, d)
+        return _slot_columns(pairs, d ** (i - 1), d ** (n - i), d * d)
 
     def degen(n, j):
-        return _slot_entries(counit, d ** j, d ** (n - j - 1), 1)
+        return _slot_columns(counit, d ** j, d ** (n - j - 1), 1)
 
     def tau(n, _):
         if n == 0:
-            return {(0, 0): 1}
+            return [{0: 1}]
         moved = next(moved_by_degree)
         W = d ** (n - 1)
         cols = [{} for _ in range(d * W)]
@@ -1166,12 +1144,12 @@ def build_power_complex(mp, N) -> CocyclicComplex:
                     for u, c in St[h1].items():
                         if u in row:
                             vec_axpy(col, s * c, row[u])
-        return {(r, j): x for j, col in enumerate(cols) for r, x in col.items()}
+        return cols
 
-    entry_fns = {"face": face, "degen": degen, "tau": tau}
+    col_fns = {"face": face, "degen": degen, "tau": tau}
 
     def materialize(kind, n, i):
-        return SparseMatrix(d ** (n + _SHIFT[kind]), d ** n, entry_fns[kind](n, i))
+        return SparseMatrix.from_columns(col_fns[kind](n, i), d ** (n + _SHIFT[kind]))
 
     return CocyclicComplex.assemble(N, [d ** n for n in range(top + 1)], materialize,
                                     "hopf-power")
@@ -1183,15 +1161,14 @@ def build_power_complex(mp, N) -> CocyclicComplex:
 class ProductComplex(CocyclicComplex):
     """The bicocyclic module of c1 and c2: spot (p, q) is degree p of c1
     (x) degree q of c2, first factor major; horizontal maps act on c1 and
-    vertical maps on c2, so they commute (check_bicocyclic).  As a
-    CocyclicComplex it is its diagonal, the degreewise product: degree n is
-    the spot (n, n), and (d_i (x) 1)(1 (x) d_i) = d_i (x) d_i.
+    vertical maps on c2, so they commute.  As a CocyclicComplex it is its
+    diagonal, the degreewise product: degree n is the spot (n, n), and
+    (d_i (x) 1)(1 (x) d_i) = d_i (x) d_i.
 
     It holds its two factors and no operator, and no table of tau powers.
-    op and tau_power form the Kronecker product of the factors' maps or
-    powers when a matrix is asked for; plan and tau_power_plan read the
-    Kronecker column plan straight from the factors' plans and powers, so
-    the certificates never build an operator of the product."""
+    op and tau_power return the Kronecker product of the factors' maps or
+    powers, (t1 (x) t2)^k = t1^k (x) t2^k, formed on each call; the
+    certificates read its columns and keep nothing."""
 
     def __init__(self, c1, c2):
         self.c1 = c1
@@ -1203,28 +1180,11 @@ class ProductComplex(CocyclicComplex):
     def dim(self, n):
         return self.c1.dim(n) * self.c2.dim(n)
 
-    def horizontal(self, kind, p, q, i):
-        """The map of key (kind, p, i) of c1 at the spot (p, q)."""
-        return tensor_kron(self.c1.op(kind, p, i), SparseMatrix.identity(self.c2.dim(q)))
-
-    def vertical(self, kind, p, q, i):
-        """The map of key (kind, q, i) of c2 at the spot (p, q)."""
-        return tensor_kron(SparseMatrix.identity(self.c1.dim(p)), self.c2.op(kind, q, i))
-
     def op(self, kind, n, i):
         return tensor_kron(self.c1.op(kind, n, i), self.c2.op(kind, n, i))
 
-    def plan(self, kind, n, i):
-        return kron_plan(self.c1.plan(kind, n, i), self.c2.plan(kind, n, i),
-                         self.c2.dim(n + _SHIFT[kind]))
-
     def tau_power(self, n, k):
         return tensor_kron(self.c1.tau_power(n, k), self.c2.tau_power(n, k))
-
-    def tau_power_plan(self, n, k):
-        """(t1 (x) t2)^k = t1^k (x) t2^k, planned from the factors' tables."""
-        return kron_plan(self.c1.tau_power_plan(n, k), self.c2.tau_power_plan(n, k),
-                         self.c2.dim(n))
 
     def drop_tau_powers(self, n):
         pass
@@ -1238,30 +1198,6 @@ def tensor_bicocyclic(c1, c2) -> ProductComplex:
 def diagonal(b: ProductComplex) -> ProductComplex:
     """The diagonal complex of the bicocyclic module b, which b already is."""
     return b
-
-
-def check_bicocyclic(b: ProductComplex):
-    """Rows/columns are cocyclic (delegated) plus pairwise commutation."""
-    bad = []
-    N = b.N
-    H, V = b.horizontal, b.vertical
-
-    def commute(family, p, indices, f, g, f2, g2):
-        """f . g = f2 . g2, checked over the columns of g."""
-        hit = first_residual(matrix_terms([(1, f, g), (-1, f2, g2)]), g.cols)
-        if hit is not None:
-            bad.append(CocyclicViolation(family, p, indices, *hit))
-
-    for p in range(N + 1):
-        for q in range(N + 1):
-            if p <= N - 1 and q <= N - 1:
-                for i in range(p + 2):
-                    for j in range(q + 2):
-                        commute("h-v-face", p, (q, i, j), H("face", p, q + 1, i),
-                                V("face", p, q, j), V("face", p + 1, q, j), H("face", p, q, i))
-            commute("h-v-cyclic", p, (q,), H("tau", p, q, 0), V("tau", p, q, 0),
-                    V("tau", p, q, 0), H("tau", p, q, 0))
-    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -1321,8 +1257,10 @@ def complex_from_text(text):
     version, one whose body does not match its digest (cut short or
     edited), and one whose body is not the layout complex_to_text writes:
     a block missing or out of order, a ``rows cols`` header that does not
-    match the degree dims, or a line inside a block that is not an
-    in-range ``r c p/q`` triplet."""
+    match the degree dims, a line inside a block that is not an in-range
+    ``r c p/q`` triplet, or an entry at or above a row already given in
+    its column: each block is parsed straight into its columns, whose rows
+    the dump lists in ascending order."""
     head, _, body = text.partition("\n")
     if not head.startswith(DUMP_VERSION):
         raise ValueError("unrecognized complex dump")
@@ -1358,7 +1296,7 @@ def complex_from_text(text):
         except ValueError:
             raise ValueError("complex dump lacks block %r of shape %dx%d"
                              % ((labels[b + 1],) + shapes[b + 1])) from None
-        ent = {}
+        plan = [()] * cols
         for line in lines[pos:end]:
             words = line.split()
             if len(words) == 3:
@@ -1366,12 +1304,17 @@ def complex_from_text(text):
                 x = int(x) if "/" not in x else parse_scalar(x)
             if len(words) != 3 or not (x and 0 <= r < rows and 0 <= c < cols):
                 raise ValueError("complex dump block %r has entry %r" % (label, line))
-            ent[(r, c)] = x
-        if len(ent) != end - pos:
-            raise ValueError("complex dump block %r repeats an entry" % label)
-        m = SparseMatrix(rows, cols)
-        m.entries = ent
-        mats[key] = m
+            col = plan[c]
+            if not col:
+                plan[c] = [(r, x)]
+            elif col[-1][0] < r:
+                col.append((r, x))
+            elif col[-1][0] == r:
+                raise ValueError("complex dump block %r repeats an entry" % label)
+            else:
+                raise ValueError("complex dump block %r has entry %r out of order"
+                                 % (label, line))
+        mats[key] = SparseMatrix.of_plan(rows, cols, list(map(tuple, plan)))
         pos = end
     cx = CocyclicComplex(N, dims, mats)
     cx.content_hash = content_hash

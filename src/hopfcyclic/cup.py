@@ -34,9 +34,8 @@ from functools import cached_property
 from itertools import product as iproduct
 from math import prod
 
-from .linalg import (SparseMatrix, KernelCoords, compose, first_residual, matrix_terms,
-                     tensor_kron, scal, vec_acc, vec_axpy, vec_sub, mul_vec, push_slots,
-                     contract)
+from .linalg import (SparseMatrix, KernelCoords, compose, first_residual, tensor_kron, scal,
+                     vec_acc, vec_axpy, vec_sub, mul_vec, push_slots, contract)
 from .spaces import MultiIndex
 from .hopf import ModularPair, ValidationReport, iterated_coproduct, swap_matrix
 from .actions import (CoalgebraAction, SAYDModule, convolution_algebra,
@@ -275,13 +274,13 @@ class CoalgebraCupContext(_CupContext):
         nat = SparseMatrix.from_columns(cols, self.conv.algebra.space.dim)
         alg, conv = self.ca.ma.alg, self.conv.algebra
         # unital: nat(1) = 1
-        hit = first_residual(matrix_terms([(1, nat, alg.unit_matrix()),
-                                           (-1, conv.unit_matrix(), None)]), 1)
+        hit = first_residual([(1, nat.plan, alg.unit_matrix().plan),
+                              (-1, conv.unit_matrix().plan, None)], 1)
         if hit is not None:
             raise ChainMapFailure("natural embedding is not unital", None, *hit)
         # multiplicative: nat(xy) = nat(x) nat(y), column i*adim + j at (x, y) = (e_i, e_j)
-        hit = first_residual(matrix_terms([(1, nat, alg.mul_matrix()),
-                                           (-1, conv.mul_matrix(), tensor_kron(nat, nat))]),
+        hit = first_residual([(1, nat.plan, alg.mul_matrix().plan),
+                              (-1, conv.mul_matrix().plan, tensor_kron(nat, nat).plan)],
                              adim * adim)
         if hit is not None:
             raise ChainMapFailure("natural embedding is not multiplicative at (%d,%d)"

@@ -8,8 +8,8 @@ tuple with its residual vector, never just the first.
 
 from __future__ import annotations
 
-from .linalg import (SparseMatrix, compose, first_residual, invert_matrix, matrix_terms,
-                     residuals, tensor_kron, vector_to_text)
+from .linalg import (SparseMatrix, compose, first_residual, invert_matrix, residuals,
+                     tensor_kron, vector_to_text)
 from .spaces import GROUND, MultiIndex, StructureTensor
 
 
@@ -56,7 +56,9 @@ class ValidationReport:
         term is (sign, A, B) with matrices, None standing for the identity;
         the source columns are the flat basis tuples of domains."""
         mi = MultiIndex(tuple(s.dim for s in domains))
-        for c, residual in residuals(matrix_terms(terms), mi.size):
+        plans = [(sign, None if a is None else a.plan, None if b is None else b.plan)
+                 for sign, a, b in terms]
+        for c, residual in residuals(plans, mi.size):
             labels = tuple(s.labels[i] for s, i in zip(domains, mi.unflat(c)))
             self.violations.append(Violation(name, labels, residual))
 
@@ -228,9 +230,9 @@ def iterated_coproduct(c: CoalgebraData, n: int) -> StructureTensor:
         alt = com
         for k in range(2, n - 1):
             alt = compose(tensor_kron(SparseMatrix.identity(d ** (k - 1)), com), alt)
-        hit = first_residual(matrix_terms([(1, left, None),
-                                           (-1, tensor_kron(SparseMatrix.identity(d ** (n - 2)), com),
-                                            alt)]), d)
+        hit = first_residual([(1, left.plan, None),
+                              (-1, tensor_kron(SparseMatrix.identity(d ** (n - 2)), com).plan,
+                               alt.plan)], d)
         if hit is not None:
             raise BracketingMismatch("iterated coproduct depends on bracketing", *hit)
     from .spaces import tensor_power
@@ -296,9 +298,9 @@ def involution_flags(mp: ModularPair):
     sinv_m = SparseMatrix(d, 1, {(i, 0): x for i, x in sinv.items()})
     # Ad_sigma(x) = sigma x sigma^{-1}
     left = compose(mul, tensor_kron(sm, SparseMatrix.identity(d)))      # d x d
-    minus_ad = (-1, mul, tensor_kron(left, sinv_m))
-    literal = first_residual(matrix_terms([(1, St, None), minus_ad]), d) is None
-    squared = first_residual(matrix_terms([(1, St, St), minus_ad]), d) is None
+    minus_ad = (-1, mul.plan, tensor_kron(left, sinv_m).plan)
+    literal = first_residual([(1, St.plan, None), minus_ad], d) is None
+    squared = first_residual([(1, St.plan, St.plan), minus_ad], d) is None
     return (literal, squared)
 
 

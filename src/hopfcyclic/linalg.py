@@ -15,10 +15,6 @@ from __future__ import annotations
 
 import bisect
 from fractions import Fraction
-from operator import itemgetter
-
-
-_second = itemgetter(1)
 
 
 class ShapeMismatch(Exception):
@@ -170,34 +166,57 @@ def contract(pushed, xside):
 # sparse matrices
 
 class SparseMatrix:
-    """Immutable-by-convention sparse matrix over Q.
+    """Immutable-by-convention sparse matrix over Q, stored as its columns.
 
-    entries: dict {(row, col): nonzero scalar}.  Stored entries are never
-    zero; indices are range-checked at construction.
+    plan holds one item per column: the column's nonzero entries as a
+    tuple of (row, x) pairs, rows ascending, so an empty column is the one
+    shared empty tuple ().  It is the operand form residuals reads, and it
+    is canonical, so two matrices are equal exactly when their shapes and
+    plans are.  Tuples, not lists: a column of one entry, the most common
+    kind, then costs two objects, about the memory of one entry of a dict
+    keyed by (row, col).  entries is the same matrix as a dict {(row, col):
+    x}, built on each read.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "plan")
 
     def __init__(self, rows, cols, entries=None):
+        """From a dict {(row, col): scalar}; zeros are dropped and every
+        index is range-checked."""
         if rows < 0 or cols < 0:
             raise ShapeMismatch("negative dimensions")
-        self.rows = rows
-        self.cols = cols
-        ent = {}
+        plan = [()] * cols
         if entries:
             for (r, c), x in entries.items():
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise ShapeMismatch("index (%d,%d) out of range %dx%d" % (r, c, rows, cols))
                 x = scal(x)
                 if x:
-                    ent[(r, c)] = x
-        self.entries = ent
+                    col = plan[c]
+                    if col:
+                        col.append((r, x))
+                    else:
+                        plan[c] = [(r, x)]
+            for c, col in enumerate(plan):
+                if col:
+                    col.sort()
+                    plan[c] = tuple(col)
+        self.rows = rows
+        self.cols = cols
+        self.plan = plan
+
+    @staticmethod
+    def of_plan(rows, cols, plan):
+        """The matrix of a plan that is already canonical."""
+        m = object.__new__(SparseMatrix)
+        m.rows, m.cols, m.plan = rows, cols, plan
+        return m
 
     # -- constructors
 
     @staticmethod
     def identity(n):
-        return SparseMatrix(n, n, {(i, i): 1 for i in range(n)})
+        return SparseMatrix.of_plan(n, n, [((i, 1),) for i in range(n)])
 
     @staticmethod
     def zeros(rows, cols):
@@ -218,142 +237,163 @@ class SparseMatrix:
 
     @staticmethod
     def from_columns(cols_list, rows):
-        """Columns given as sparse dicts; each row index is range-checked
-        as its entry is stored."""
-        m = SparseMatrix(rows, len(cols_list))
-        ent = {}
+        """Columns given as sparse dicts {row: x}, or as iterables of (row,
+        x) pairs with distinct rows.  Zeros are dropped, each column is
+        sorted once and its rows are range-checked."""
+        plan = []
+        append = plan.append
+        bad = None
+        # a plain loop, not a comprehension per column: most columns hold
+        # one entry or none, and the comprehension's call dominated the cost
         for j, col in enumerate(cols_list):
-            for i, x in col.items():
+            if not col:
+                append(())
+                continue
+            out = []
+            for i, x in (col.items() if type(col) is dict else col):
                 if x:
-                    if not 0 <= i < rows:
-                        raise ShapeMismatch("index (%d,%d) out of range %dx%d"
-                                            % (i, j, rows, m.cols))
-                    ent[(i, j)] = scal(x)
-        m.entries = ent
-        return m
+                    out.append((i, x if type(x) is int else scal(x)))
+            if not out:
+                append(())
+                continue
+            out.sort()
+            if bad is None and (out[0][0] < 0 or out[-1][0] >= rows):
+                bad = (out[0][0] if out[0][0] < 0 else out[-1][0], j)
+            append(tuple(out))
+        if bad is not None:
+            raise ShapeMismatch("index (%d,%d) out of range %dx%d" % (bad + (rows, len(plan))))
+        return SparseMatrix.of_plan(rows, len(plan), plan)
 
     # -- basic structure
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+                and self.cols == other.cols and self.plan == other.plan)
+
+    @property
+    def entries(self):
+        """{(row, col): x}, built on each read."""
+        return {(r, c): x for c, col in enumerate(self.plan) for r, x in col}
 
     def is_zero(self):
-        return not self.entries
+        return not any(self.plan)
 
     def column(self, j):
-        return {r: x for (r, c), x in self.entries.items() if c == j}
+        return dict(self.plan[j])
 
     def columns(self):
-        """List of sparse columns."""
-        cols = [dict() for _ in range(self.cols)]
-        for (r, c), x in self.entries.items():
-            cols[c][r] = x
-        return cols
+        """List of sparse columns as dicts."""
+        return [dict(col) for col in self.plan]
 
     def row_vectors(self):
-        rows = [dict() for _ in range(self.rows)]
-        for (r, c), x in self.entries.items():
-            rows[r][c] = x
+        """List of sparse rows as dicts, each in column order."""
+        rows = [{} for _ in range(self.rows)]
+        for c, col in enumerate(self.plan):
+            for r, x in col:
+                rows[r][c] = x
         return rows
 
     def transpose(self):
-        return SparseMatrix(self.cols, self.rows,
-                            {(c, r): x for (r, c), x in self.entries.items()})
+        plan = [[] for _ in range(self.rows)]
+        for c, col in enumerate(self.plan):
+            for r, x in col:
+                plan[r].append((c, x))
+        return SparseMatrix.of_plan(self.cols, self.rows, list(map(tuple, plan)))
 
     # -- arithmetic
 
     def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeMismatch("add %dx%d + %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        m = SparseMatrix(self.rows, self.cols)
-        m.entries = vec_add(self.entries, other.entries)
-        return m
+        return linear_combination([(1, self), (1, other)])
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return linear_combination([(1, self), (-1, other)])
 
     def scale(self, c):
-        m = SparseMatrix(self.rows, self.cols)
-        if c:
-            m.entries = {k: scal(c * x) for k, x in self.entries.items()}
-        return m
+        if not c:
+            return SparseMatrix(self.rows, self.cols)
+        return SparseMatrix.of_plan(self.rows, self.cols,
+                                    [tuple([(r, scal(c * x)) for r, x in col])
+                                     for col in self.plan])
 
     def apply(self, v):
         """Matrix times sparse column vector (dict col -> scalar)."""
         out = {}
-        cols = None
+        get = out.get
+        plan = self.plan
         for j, c in v.items():
-            if cols is None:
-                cols = self.columns()
-            vec_axpy(out, c, cols[j])
-        return out
+            for i, x in plan[j]:
+                out[i] = get(i, 0) + c * x
+        return {i: scal(y) for i, y in out.items() if y}
+
+
+def _column(acc):
+    """The canonical column of an accumulator {row: sum}: its nonzero sums,
+    integral Fractions as int, rows ascending."""
+    col = [(i, v if type(v) is int else scal(v)) for i, v in acc.items() if v]
+    col.sort()
+    return tuple(col)
+
+
+def linear_combination(terms):
+    """sum c * M over the pairs (c, M) of terms, all of one shape, summed
+    column by column in one pass."""
+    rows, cols = terms[0][1].rows, terms[0][1].cols
+    for _, m in terms:
+        if (m.rows, m.cols) != (rows, cols):
+            raise ShapeMismatch("add %dx%d + %dx%d" % (rows, cols, m.rows, m.cols))
+    plans = [(c, m.plan) for c, m in terms if c]
+    plan = []
+    append = plan.append
+    acc = {}
+    get = acc.get
+    for j in range(cols):
+        for c, p in plans:
+            for i, x in p[j]:
+                acc[i] = get(i, 0) + c * x
+        if acc:
+            append(_column(acc))
+            acc.clear()
+        else:
+            append(())
+    return SparseMatrix.of_plan(rows, cols, plan)
 
 
 def compose(a, b):
     """Matrix product a @ b (a after b).
 
-    A scatter over the stored entries of b, taken column by column
-    (Gustavson, ACM TOMS 1978): each (k, j) -> x adds x*y into the
-    accumulator of column j for every (i, y) in column k of a.  When the
-    column ends, its nonzero sums go to the result, integral Fractions as
-    int.  Beyond sorting the keys of b by column, the work is proportional
-    to the number of terms.  Only one column of sums is held at a time.
-    An identity between products is checked with residuals, which never
-    builds them."""
+    Gustavson's scatter (ACM TOMS 1978) over the columns of b: each entry
+    (k, x) of column j adds x*y into column j's accumulator for every
+    (i, y) in column k of a, and when the column ends its nonzero sums are
+    the result's column j (_column).  The work is proportional to the
+    number of terms, plus one sort per column.  Only one column of sums is
+    held at a time.  An identity between products is checked with
+    residuals, which never builds them."""
     if a.cols != b.rows:
         raise ShapeMismatch("compose %dx%d with %dx%d" % (a.rows, a.cols, b.rows, b.cols))
-    acols = {}
-    for (i, k), y in a.entries.items():
-        col = acols.get(k)
-        if col is None:
-            acols[k] = [(i, y)]
-        else:
-            col.append((i, y))
-    bent = b.entries
-    ent = {}
+    acols = a.plan
+    plan = []
+    append = plan.append
     acc = {}
     get = acc.get
-    j = None
-    # the sentinel key after the last column flushes that column
-    for key in sorted(bent, key=_second) + [(None, None)]:
-        if key[1] != j:
-            for i, v in acc.items():
-                if v:
-                    ent[(i, j)] = v if type(v) is int else scal(v)
-            acc.clear()
-            j = key[1]
-        col = acols.get(key[0])
-        if col:
-            x = bent[key]
-            for i, y in col:
+    for bcol in b.plan:
+        for k, x in bcol:
+            for i, y in acols[k]:
                 acc[i] = get(i, 0) + x * y
-    m = SparseMatrix(a.rows, b.cols)
-    m.entries = ent
-    return m
-
-
-def column_plan(m):
-    """The columns of m as a list of sparse columns, each a list of (row,
-    x) pairs, every empty column being one shared empty tuple: the operand
-    form of residuals.  A plan is read, never written."""
-    empty = ()
-    cols = [empty] * m.cols
-    for (r, c), x in m.entries.items():
-        col = cols[c]
-        if col is empty:
-            cols[c] = [(r, x)]
+        if acc:
+            append(_column(acc))
+            acc.clear()
         else:
-            col.append((r, x))
-    return cols
+            append(())
+    return SparseMatrix.of_plan(a.rows, b.cols, plan)
 
 
 def residuals(terms, ncols):
     """Every column at which an operator identity sum(sign * A @ B) = 0
     fails, as (column, residual) pairs in column order.
 
-    Each term is (sign, A, B) with A and B column plans (column_plan); None
-    stands for the identity.  For each source column c in order, the terms'
+    Each term is (sign, A, B) with A and B column plans (SparseMatrix.plan,
+    or any list of columns of (row, x) pairs); None stands for the
+    identity.  For each source column c in order, the terms'
     contributions A[:, k] * B[k, c] are scattered into one accumulator, as
     compose does (Gustavson, ACM TOMS 1978), but the sums are the residual
     of the identity: no product and no difference matrix is ever built.  A
@@ -393,46 +433,31 @@ def first_residual(terms, ncols):
     return next(residuals(terms, ncols), None)
 
 
-def matrix_terms(terms):
-    """Terms (sign, A, B) of matrices, None for the identity, as the terms
-    of column plans that residuals reads."""
-    return [(sign, None if a is None else column_plan(a), None if b is None else column_plan(b))
-            for sign, a, b in terms]
-
-
 def tensor_kron(a, b):
-    """Kronecker product, left factor major: index (i,k) -> i*dim_b + k."""
-    ent = {}
-    br, bc = b.rows, b.cols
-    for (i, j), x in a.entries.items():
-        for (k, l), y in b.entries.items():
-            ent[(i * br + k, j * bc + l)] = scal(x * y)
-    m = SparseMatrix(a.rows * b.rows, a.cols * b.cols)
-    m.entries = ent
-    return m
-
-
-def kron_plan(a, b, brows):
-    """The column plan of tensor_kron(A, B), read from the plans a of A and
-    b of B, where B has brows rows: column (j, l) holds (i*brows + k, x*y)
-    for each (i, x) of a[j] and (k, y) of b[l].  Built as a list on each
-    call; no matrix is formed.  Plain loops, not a comprehension per
-    column: most columns hold one entry, and the comprehension's call
-    dominated the cost."""
+    """Kronecker product, left factor major: index (i,k) -> i*dim_b + k.
+    Column (j, l) holds (i*rows_b + k, x*y) for each (i, x) of column j of
+    a and (k, y) of column l of b, rows ascending as they are made.  Plain
+    loops, not a comprehension per column: most columns hold one entry,
+    and the comprehension's call dominated the cost."""
+    brows, bplan = b.rows, b.plan
     plan = []
     append = plan.append
-    for aj in a:
-        for bl in b:
-            if not (aj and bl):
+    for aj in a.plan:
+        if not aj:
+            plan += [()] * len(bplan)
+            continue
+        for bl in bplan:
+            if not bl:
                 append(())
                 continue
             col = []
             for i, x in aj:
                 i *= brows
                 for k, y in bl:
-                    col.append((i + k, x * y))
-            append(col)
-    return plan
+                    v = x * y
+                    col.append((i + k, v if type(v) is int else scal(v)))
+            append(tuple(col))
+    return SparseMatrix.of_plan(a.rows * brows, a.cols * b.cols, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +488,9 @@ class SpanSolver:
         self._reduced = True    # the rows are the RREF
 
     def add(self, v):
-        """Insert a vector; returns True if it was stored, which it is
-        exactly when it enlarged the span and, with a width, its leading
-        entry landed before the width."""
+        """Insert a vector, a dict or (index, x) pairs; returns True if it
+        was stored, which it is exactly when it enlarged the span and, with
+        a width, its leading entry landed before the width."""
         v = dict(v)
         rows = self.rows
         while v:
@@ -622,8 +647,9 @@ def invert_matrix(m):
 
 def matrix_to_text(m):
     lines = ["%d %d" % (m.rows, m.cols)]
-    for (r, c) in sorted(m.entries):
-        lines.append("%d %d %s" % (r, c, format_scalar(m.entries[(r, c)])))
+    for r, row in enumerate(m.row_vectors()):
+        for c, x in row.items():
+            lines.append("%d %d %s" % (r, c, format_scalar(x)))
     return "\n".join(lines)
 
 

@@ -123,14 +123,10 @@ class StructureTensor:
 
     def as_matrix(self):
         """Matrix from the tensor product of the domains to the codomain."""
-        ent = {}
+        cols = [()] * self._mi.size
         for idx, vec in self.entries.items():
-            col = self._mi.flat(idx)
-            for r, x in vec.items():
-                ent[(r, col)] = x
-        m = SparseMatrix(self.codomain.dim, self._mi.size)
-        m.entries = ent
-        return m
+            cols[self._mi.flat(idx)] = vec
+        return SparseMatrix.from_columns(cols, self.codomain.dim)
 
     @staticmethod
     def from_matrix(matrix, domains, codomain):
@@ -138,8 +134,9 @@ class StructureTensor:
         if matrix.cols != mi.size or matrix.rows != codomain.dim:
             raise ShapeMismatch("matrix does not fit the given spaces")
         ent = {}
-        for (r, c), x in matrix.entries.items():
-            ent.setdefault(mi.unflat(c), {})[r] = x
+        for c, col in enumerate(matrix.plan):
+            if col:
+                ent[mi.unflat(c)] = dict(col)
         return StructureTensor(domains, codomain, ent)
 
     def apply(self, *vectors):

@@ -30,6 +30,7 @@ from hopfcyclic.fixtures import (trivial_hopf, group_algebra, sweedler_h4,
                                  counit_coalgebra_action,
                                  module_action_as_coalgebra_action, kz4_with_kz2,
                                  sum_trace, fixture_file_texts)
+from test_complexes import horizontal, vertical
 
 N_FULL = 5
 
@@ -143,10 +144,10 @@ def test_criterion_1_identity_suite():
         assert d.dims() == [d.c1.dim(n) * d.c2.dim(n) for n in range(d.top + 1)]
         for n in range(d.N + 1):
             for i in range(n + 2):
-                assert d.face(n, i) == compose(d.horizontal("face", n, n + 1, i),
-                                               d.vertical("face", n, n, i))
+                assert d.face(n, i) == compose(horizontal(d, "face", n, n + 1, i),
+                                               vertical(d, "face", n, n, i))
         for n in range(d.top + 1):
-            assert d.tau(n) == compose(d.horizontal("tau", n, n, 0), d.vertical("tau", n, n, 0))
+            assert d.tau(n) == compose(horizontal(d, "tau", n, n, 0), vertical(d, "tau", n, n, 0))
     note(1, "identity families hold exactly on %d built complexes, degrees <= %d"
          % (len(built), N_FULL))
 

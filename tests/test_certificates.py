@@ -16,10 +16,10 @@ from hypothesis import given, settings, strategies as st
 
 import hopfcyclic
 import hopfcyclic.cohomology as cohomology
-from hopfcyclic.linalg import (SparseMatrix, column_plan, compose, first_residual, kron_plan,
-                               matrix_terms, residuals, tensor_kron, vec_add, vec_sub)
+from hopfcyclic.linalg import (SparseMatrix, compose, first_residual, residuals, vec_add,
+                               vec_sub)
 from hopfcyclic.complexes import (CocyclicComplex, build_coalgebra_complex, build_hopf_complex,
-                                  check_cocyclic, structure_maps, ConjugationFailure)
+                                  check_cocyclic, ConjugationFailure)
 from hopfcyclic.cohomology import hochschild_b, cyclic_cocycles, lam, NotAComplex
 from hopfcyclic.cup import (CoalgebraCupContext, RelativeCupContext, ChainMapFailure, aw_cup,
                             certify_chain_map)
@@ -53,13 +53,6 @@ def apply_chain(vec, *ops):
 
 
 # -- the kernel ------------------------------------------------------------------------
-
-def test_column_plan_lists_each_column_and_shares_one_empty_column():
-    m = SparseMatrix(3, 4, {(0, 1): 2, (2, 1): Fraction(1, 2), (1, 3): -1})
-    plan = column_plan(m)
-    assert plan == [(), [(0, 2), (2, Fraction(1, 2))], (), [(1, -1)]]
-    assert plan[0] is plan[2]
-
 
 SCALARS = st.sampled_from([1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 3)])
 
@@ -109,6 +102,13 @@ def product(a, b, rows):
     return compose(a, b)
 
 
+def plans(terms):
+    """The terms of matrices as the terms of their plans, which residuals
+    reads."""
+    return [(s, None if a is None else a.plan, None if b is None else b.plan)
+            for s, a, b in terms]
+
+
 def signed_sum(terms, rows, cols):
     """The materialized sum(sign * A @ B)."""
     total = SparseMatrix.zeros(rows, cols)
@@ -121,50 +121,27 @@ def signed_sum(terms, rows, cols):
 @given(identity_terms())
 def test_first_residual_is_the_first_nonzero_column_of_the_sum(case):
     terms, rows, cols = case
-    plans = [(s, None if a is None else column_plan(a), None if b is None else column_plan(b))
-             for s, a, b in terms]
-    assert first_residual(plans, cols) == first_nonzero_column(signed_sum(terms, rows, cols))
+    assert first_residual(plans(terms), cols) == first_nonzero_column(signed_sum(terms, rows, cols))
 
 
 @settings(max_examples=200, deadline=None)
 @given(identity_terms())
 def test_residuals_are_every_nonzero_column_of_the_sum(case):
     terms, rows, cols = case
-    assert list(residuals(matrix_terms(terms), cols)) == nonzero_columns(signed_sum(terms, rows, cols))
+    assert list(residuals(plans(terms), cols)) == nonzero_columns(signed_sum(terms, rows, cols))
 
 
 def test_first_residual_keeps_integral_fractions_as_int():
-    half = column_plan(SparseMatrix(1, 1, {(0, 0): Fraction(1, 2)}))
-    two = column_plan(SparseMatrix(1, 1, {(0, 0): 4}))
+    half = SparseMatrix(1, 1, {(0, 0): Fraction(1, 2)}).plan
+    two = SparseMatrix(1, 1, {(0, 0): 4}).plan
     c, residual = first_residual([(1, half, two)], 1)
     assert (c, residual) == (0, {0: 2}) and type(residual[0]) is int
 
 
-# -- the product complex: Kronecker plans read from its two factors ----------------------
+# -- the product complex: Kronecker products of its two factors' maps ---------------------
 
-@st.composite
-def small_matrices(draw):
-    """A random small rational matrix; 0 rows or columns and empty columns
-    included."""
-    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
-    cells = draw(st.lists(st.tuples(st.integers(0, max(rows - 1, 0)),
-                                    st.integers(0, max(cols - 1, 0)), SCALARS),
-                          max_size=rows * cols))
-    return SparseMatrix(rows, cols, {(i, j): x for i, j, x in cells})
-
-
-@settings(max_examples=300, deadline=None)
-@given(small_matrices(), small_matrices())
-def test_kron_plan_is_the_plan_of_the_kronecker_product(a, b):
-    plan = kron_plan(column_plan(a), column_plan(b), b.rows)
-    expected = column_plan(tensor_kron(a, b))
-    assert len(plan) == len(expected) == a.cols * b.cols
-    for c, (col, want) in enumerate(zip(plan, expected)):
-        assert col == want, c
-
-
-def test_product_plans_are_the_plans_of_its_operators():
-    # every key of the product of every fixture context at N=3
+def test_product_tau_powers_are_the_powers_of_its_tau():
+    # every degree of the product of every fixture context at N=3
     kinds = set()
     for fixture, text in sorted(fixture_file_texts().items()):
         spec = parse_spec(text)
@@ -173,13 +150,10 @@ def test_product_plans_are_the_plans_of_its_operators():
                 assert error is None, (fixture, name)
                 kinds.add(kind)
                 d = ctx.diag
-                for key in structure_maps(d.N, d.top):
-                    assert d.plan(*key) == column_plan(d.op(*key)), (fixture, name, key)
                 for n in range(d.top + 1):
                     power = t = d.tau(n)
                     for k in range(1, 4):
                         assert d.tau_power(n, k) == power, (fixture, name, n, k)
-                        assert d.tau_power_plan(n, k) == column_plan(power), (fixture, name, n, k)
                         power = compose(t, power)
                 assert set(vars(d)) == {"c1", "c2", "N", "top", "name"}
     assert kinds == {"coalgebra", "crossed", "relative"}

@@ -348,6 +348,44 @@ def test_plain_cyclic_complex_is_the_algebra_complex_over_the_trivial_hopf_algeb
     assert old.bases == [[{k: 1} for k in range(new.dim(n))] for n in range(new.top + 1)]
 
 
+def plain_complex_oracle(alg, N):
+    """The plain cyclic complex of alg built per basis tuple from alg.mul
+    and alg.unit: (op psi)(v) = sum x psi(w) over the terms {w: x} of the
+    image of the target tuple v.  The faces multiply neighbouring slots, the
+    last face multiplies the last slot into the first, the degeneracies
+    insert the unit and tau moves the last slot to the front."""
+    from hopfcyclic.spaces import MultiIndex
+    d = alg.space.dim
+    mis = [MultiIndex((d,) * (n + 1)) for n in range(N + 2)]
+
+    def image(kind, n, i, v):
+        if kind == "face" and i <= n:
+            return {v[:i] + (k,) + v[i + 2:]: x for k, x in alg.mul.value(v[i:i + 2]).items()}
+        if kind == "face":
+            return {(k,) + v[1:-1]: x for k, x in alg.mul.value((v[-1], v[0])).items()}
+        if kind == "degen":
+            return {v[:i + 1] + (k,) + v[i + 1:]: x for k, x in alg.unit.items()}
+        return {v[-1:] + v[:-1]: 1}
+
+    def make(kind, n, i):
+        tgt = n + {"face": 1, "degen": -1, "tau": 0}[kind]
+        ent = {}
+        for v in iproduct(range(d), repeat=tgt + 1):
+            for w, x in image(kind, n, i, v).items():
+                vec_acc(ent, (mis[tgt].flat(v), mis[n].flat(w)), x)
+        return SparseMatrix(mis[tgt].size, mis[n].size, ent)
+
+    return CocyclicComplex.assemble(N, [mi.size for mi in mis], make, "cyclic")
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("which", ["kz2-A", "kz2-A#B", "kz4_relative-A^K", "kz3-convolution"])
+def test_plain_cyclic_complex_is_the_per_tuple_builder(which, N):
+    alg = cup_target_algebras()[which]
+    assert (complex_to_text(plain_cyclic_complex(alg, N))
+            == complex_to_text(plain_complex_oracle(alg, N)))
+
+
 # -- the power complex: the per-tuple builder as the oracle --------------------------------
 
 def power_complex_oracle(mp, N):

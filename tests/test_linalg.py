@@ -306,6 +306,87 @@ def test_from_columns_is_the_matrix_of_its_columns(cols):
     assert_normal(m.entries)
 
 
+# -- the column form against dense Fraction matrices ------------------------
+
+@st.composite
+def column_form_cases(draw):
+    """Dense A (r x k), B (k x c) and C (r x k), each a list of rows of
+    Fractions, with a scalar s, a sparse vector v over k entries and a seed
+    for shuffling the rows within each column."""
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    cell = st.one_of(st.just(0), rationals).map(Fraction)
+
+    def matrix(rows, cols):
+        return [draw(st.lists(cell, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+    v = draw(st.dictionaries(st.integers(0, k - 1), rationals)) if k else {}
+    return ((r, k, matrix(r, k)), (k, c, matrix(k, c)), (r, k, matrix(r, k)),
+            draw(rationals), v, draw(st.integers(0, 2 ** 16)))
+
+
+def dense_entries(d):
+    rows, cols, m = d
+    return {(i, j): scal(m[i][j]) for i in range(rows) for j in range(cols) if m[i][j]}
+
+
+def assert_canonical(m):
+    # one tuple per column, rows strictly ascending and in range, no stored
+    # zero, integral values as int; an empty column is the empty tuple
+    assert len(m.plan) == m.cols
+    for col in m.plan:
+        assert type(col) is tuple
+        rows = [i for i, _ in col]
+        assert rows == sorted(set(rows)) and all(0 <= i < m.rows for i in rows)
+        assert_normal(dict(col))
+
+
+@given(column_form_cases())
+@example((((2, 2, [[0, 1], [1, 0]]), (2, 1, [[1], [1]]), (2, 2, [[0, 0], [0, 0]]),
+           1, {}, 0)))                   # compose's first sum lands on the lower row
+@example((((2, 1, [[1], [2]]), (1, 1, [[3]]), (2, 1, [[0], [0]]),
+           1, {}, 0)))                   # the Kronecker rows step by B's row count
+def test_column_form_matches_the_dense_oracle(case):
+    (da, db, dc, s, v, seed) = case
+    rng = random.Random(seed)
+
+    def built(d):
+        """The matrix of d from its entries and from its columns with their
+        rows shuffled, which must be one and the same canonical matrix."""
+        rows, cols, m = d
+        ent = dense_entries(d)
+        columns = [[(i, x) for (i, jj), x in ent.items() if jj == j] for j in range(cols)]
+        for col in columns:
+            rng.shuffle(col)
+        a = SparseMatrix(rows, cols, ent)
+        assert SparseMatrix.from_columns(columns, rows) == a
+        assert SparseMatrix.from_columns([dict(col) for col in columns], rows) == a
+        assert_canonical(a)
+        assert a.entries == ent
+        return a
+
+    def same(m, rows, cols, values):
+        assert_canonical(m)
+        assert (m.rows, m.cols) == (rows, cols)
+        assert m.entries == {(i, j): scal(x) for (i, j), x in values.items() if x}
+
+    a, b, c = built(da), built(db), built(dc)
+    (r, k, A), (_, cc, B), (_, _, C) = da, db, dc
+    same(compose(a, b), r, cc, {(i, j): sum((A[i][t] * B[t][j] for t in range(k)), Fraction(0))
+                                 for i in range(r) for j in range(cc)})
+    same(tensor_kron(a, b), r * k, k * cc,
+         {(i * k + p, j * cc + q): A[i][j] * B[p][q]
+          for i in range(r) for j in range(k) for p in range(k) for q in range(cc)})
+    same(a + c, r, k, {(i, j): A[i][j] + C[i][j] for i in range(r) for j in range(k)})
+    same(a - c, r, k, {(i, j): A[i][j] - C[i][j] for i in range(r) for j in range(k)})
+    same(a.scale(s), r, k, {(i, j): s * A[i][j] for i in range(r) for j in range(k)})
+    same(a.transpose(), k, r, {(j, i): A[i][j] for i in range(r) for j in range(k)})
+    assert a.row_vectors() == [{j: scal(x) for j, x in enumerate(row) if x} for row in A]
+    out = a.apply(v)
+    assert_normal(out)
+    assert out == {i: scal(y) for i in range(r)
+                   if (y := sum((A[i][j] * x for j, x in v.items()), Fraction(0)))}
+
+
 def flat(digits, bases):
     """The left-major flat index of digits in the given bases."""
     f = 0

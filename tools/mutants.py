@@ -39,6 +39,7 @@ ORACLE = "tests/test_cup.py::test_algebra_pairing_is_the_pulled_back_convolution
 NOT_KEPT = "tests/test_cup.py::test_a_failed_pairing_certificate_is_not_kept"
 GRAMMAR = "tests/test_specfile_grammar.py::"
 PUSH = "tests/test_linalg.py::test_push_slots_contract_match_dense"
+COLUMN_FORM = "tests/test_linalg.py::test_column_form_matches_the_dense_oracle"
 PER_TUPLE = "tests/test_condition_systems.py::test_power_complex_is_the_per_tuple_builder"
 FUNCTIONAL = "tests/test_condition_systems.py::test_functional_complexes_are_the_per_tuple_builders"
 REGULAR = "tests/test_condition_systems.py::test_functional_complexes_with_regular_coefficients"
@@ -139,6 +140,8 @@ MUTANTS = [
            "                    out[mj * S + b * W + rest][v] = x\n",
            "                    out[v][mj * S + b * W + rest] = x\n",
            ["tests/test_condition_systems.py::test_plain_cyclic_complex_is_the_ambient_cyclic_module",
+            "tests/test_condition_systems.py::"
+            "test_plain_cyclic_complex_is_the_per_tuple_builder[kz2-A#B-2]",
             FUNCTIONAL + "[kz3.hcy-alg_triv-2]", FUNCTIONAL + "[h4.hcy-comod_taft-2]"]),
     Mutant("power-tau-untwisted", COMPLEXES,
            "    St = twisted_antipode(mp).columns()\n",
@@ -148,8 +151,8 @@ MUTANTS = [
             "tests/test_reference_reports.py::test_report_matches_reference"
             "[audit h4.hcy --max-degree 4]"]),
     Mutant("power-last-face-drops-sigma", COMPLEXES,
-           "            return _slot_entries([sigma], d ** n, 1, d)\n",
-           "            return _slot_entries([tabs.unit], d ** n, 1, d)\n",
+           "            return _slot_columns([sigma], d ** n, 1, d)\n",
+           "            return _slot_columns([tabs.unit], d ** n, 1, d)\n",
            [PER_TUPLE + "[kZ2-sigma-g-2]",
             "tests/test_complexes.py::test_hopf_complex_append_sigma_face",
             "tests/test_reference_reports.py::test_report_matches_reference"
@@ -207,39 +210,43 @@ MUTANTS = [
            ["tests/test_certificates.py::test_residuals_are_every_nonzero_column_of_the_sum",
             PINNED + "[h4-comul]", PINNED + "[kz2-act]"]),
     Mutant("law-drops-sign", HOPF,
-           "residuals(matrix_terms(terms), mi.size)",
-           "residuals(matrix_terms((1, a, b) for _, a, b in terms), mi.size)",
+           "        plans = [(sign, None if a is None",
+           "        plans = [(1, None if a is None",
            ["tests/test_hopf.py::test_group_algebra_kz2_valid",
             "tests/test_hopf.py::test_sweedler_h4_valid",
             PINNED + "[kz2-sayd-stability]"]),
     Mutant("law-skips-identity-term", HOPF,
-           "residuals(matrix_terms(terms), mi.size)",
-           "residuals(matrix_terms(t for t in terms if t[1:] != (None, None)), mi.size)",
+           "                 for sign, a, b in terms]\n",
+           "                 for sign, a, b in terms if a is not None or b is not None]\n",
            ["tests/test_hopf.py::test_group_algebra_kz2_valid",
             PINNED + "[kz2-sayd-stability]"]),
     Mutant("product-plan-factors-swapped", COMPLEXES,
-           "kron_plan(self.c1.plan(kind, n, i), self.c2.plan(kind, n, i),",
-           "kron_plan(self.c2.plan(kind, n, i), self.c1.plan(kind, n, i),",
-           ["tests/test_certificates.py::test_product_plans_are_the_plans_of_its_operators",
-            "tests/test_complexes.py::test_diagonal_equals_product"]),
-    Mutant("product-plan-rows-from-source", COMPLEXES,
-           "self.c2.dim(n + _SHIFT[kind]))",
-           "self.c2.dim(n))",
-           ["tests/test_certificates.py::test_product_plans_are_the_plans_of_its_operators",
-            "tests/test_complexes.py::test_diagonal_equals_product"]),
-    Mutant("horizontal-identity-of-p", COMPLEXES,
-           "SparseMatrix.identity(self.c2.dim(q)))",
-           "SparseMatrix.identity(self.c2.dim(p)))",
+           "tensor_kron(self.c1.op(kind, n, i), self.c2.op(kind, n, i))",
+           "tensor_kron(self.c2.op(kind, n, i), self.c1.op(kind, n, i))",
            ["tests/test_complexes.py::test_diagonal_equals_product",
-            "tests/test_complexes.py::test_bicocyclic_commutation"]),
-    Mutant("vertical-identity-of-q", COMPLEXES,
-           "SparseMatrix.identity(self.c1.dim(p)), self.c2.op(kind, q, i))",
-           "SparseMatrix.identity(self.c1.dim(q)), self.c2.op(kind, q, i))",
-           ["tests/test_complexes.py::test_bicocyclic_commutation",
-            "tests/test_complexes.py::test_bicocyclic_commutation_names_the_failing_pair"]),
+            "tests/test_certificates.py::test_product_tau_powers_are_the_powers_of_its_tau",
+            "tests/test_cup.py::test_psi_r_certificate_kz4"]),
+    Mutant("product-plan-rows-from-source", LINALG,
+           "    brows, bplan = b.rows, b.plan\n",
+           "    brows, bplan = b.cols, b.plan\n",
+           [COLUMN_FORM, "tests/test_complexes.py::test_diagonal_equals_product"]),
+    Mutant("kron-rows-of-the-wrong-factor", LINALG,
+           "    brows, bplan = b.rows, b.plan\n",
+           "    brows, bplan = a.rows, b.plan\n",
+           [COLUMN_FORM, "tests/test_complexes.py::test_diagonal_equals_product",
+            "tests/test_hopf.py::test_sweedler_h4_valid"]),
+    Mutant("compose-leaves-a-column-unsorted", LINALG,
+           "    col.sort()\n    return tuple(col)\n",
+           "    return tuple(col)\n",
+           [COLUMN_FORM]),
+    Mutant("from-text-accepts-a-row-out-of-order", COMPLEXES,
+           "            elif col[-1][0] < r:\n",
+           "            elif col[-1][0] != r:\n",
+           ["tests/test_complexes.py::"
+            "test_resigned_dump_with_two_entries_of_a_column_swapped_is_refused"]),
     Mutant("intertwines-src-plan-of-tgt", COMPLEXES,
-           "(1, plans[n + _SHIFT[key[0]]], src.plan(*key))",
-           "(1, plans[n + _SHIFT[key[0]]], tgt.plan(*key))",
+           "(1, plans[n + _SHIFT[key[0]]], src.op(*key).plan)",
+           "(1, plans[n + _SHIFT[key[0]]], tgt.op(*key).plan)",
            ["tests/test_cup.py::test_psi_c_and_psi_certificates_kz2",
             "tests/test_cup.py::test_psi_r_certificate_kz4",
             "tests/test_certificates.py::"
