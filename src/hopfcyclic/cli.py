@@ -618,8 +618,8 @@ def cmd_cup(spec, spec_text, rep, flags):
                 rep.fail("context build failed: %s" % error)
                 continue
             try:
-                phis = cyclic_cocycles(ctx.phi_complex().complex, p)
-                xs = cyclic_cocycles(ctx.x_complex(), q)
+                phis = cyclic_cocycles(ctx.diag.c1, p)
+                xs = cyclic_cocycles(ctx.diag.c2, q)
             except NotAComplex as e:
                 rep.fail("cocycle search failed: %s" % e)
                 continue
@@ -627,31 +627,34 @@ def cmd_cup(spec, spec_text, rep, flags):
                 rep.add("no cyclic cocycle pair at (p,q)=(%d,%d); counts %d,%d"
                         % (p, q, len(phis), len(xs)))
                 continue
-            coboundaries = _coboundaries(ctx.target(), p + q)
+            coboundaries = _coboundaries(ctx.target, p + q)
             for i, phi in enumerate(phis):
                 for j, x in enumerate(xs):
+                    label, match = "pair (%d,%d)" % (i, j), ""
                     try:
                         if flags.kind == "traces":
+                            label += " shuffle"
                             if kind == "crossed":
                                 res = shuffle_cup_traces(ctx, phi, p, x, q)
                             else:
                                 res = cotrace_cup(ctx, x, q, phi, p)
-                            _report_cup_result(rep, "pair (%d,%d) shuffle" % (i, j), res,
-                                               " class=" + _class_info(coboundaries, res.vector))
+                        elif kind == "coalgebra":
+                            # the explicit formula is checked against the
+                            # composed cup, which it returns when they agree
+                            try:
+                                res = cup_explicit_coalgebra(ctx, phi, p, x, q)
+                                match = " explicit-match=True"
+                            except MismatchWithAW:
+                                res = aw_cup(ctx, phi, p, x, q)
+                                match = " explicit-match=False"
+                                rep.failed = True
+                        elif kind == "crossed":
+                            res, _, same = cup_explicit_crossed(ctx, phi, p, x, q)
+                            match = " closed-formula-match=%s" % same
                         else:
                             res = aw_cup(ctx, phi, p, x, q)
-                            extra = " class=" + _class_info(coboundaries, res.vector)
-                            if kind == "coalgebra":
-                                try:
-                                    cup_explicit_coalgebra(ctx, phi, p, x, q)
-                                    extra += " explicit-match=True"
-                                except MismatchWithAW:
-                                    extra += " explicit-match=False"
-                                    rep.failed = True
-                            elif kind == "crossed":
-                                _, _, match = cup_explicit_crossed(ctx, phi, p, x, q)
-                                extra += " closed-formula-match=%s" % match
-                            _report_cup_result(rep, "pair (%d,%d)" % (i, j), res, extra)
+                        _report_cup_result(rep, label, res, " class=%s%s"
+                                           % (_class_info(coboundaries, res.vector), match))
                     except (NotACocycle, ChainMapFailure) as e:
                         rep.fail("pair (%d,%d) failed: %s" % (i, j, e))
     if not any_ctx:
@@ -704,7 +707,7 @@ def _audit_tail(spec, flags, rep):
                     rep.fail("diagonal violated %s at degree %d %s" % (v.family, v.degree, v.indices))
             else:
                 rep.add("diagonal cocyclic identities: ok")
-            acx, xcx = ctx.phi_complex().complex, ctx.x_complex()
+            acx, xcx = ctx.diag.c1, ctx.diag.c2
             phis = [cyclic_cocycles(acx, p) for p in range(3)]
             xs = [cyclic_cocycles(xcx, q) for q in range(3)]
             for p in range(3):

@@ -51,9 +51,9 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .linalg import (SparseMatrix, SpanSolver, KernelCoords, compose, tensor_kron, scal,
-                     kernel_of_rows, matrix_to_text, parse_scalar, vec_acc, vec_axpy,
-                     first_residual)
+from .linalg import (SparseMatrix, KernelCoords, compose, tensor_kron, scal, kernel_of_rows,
+                     matrix_to_text, parse_scalar, vec_acc, vec_axpy, first_residual,
+                     free_and_inverse)
 from .hopf import iterated_coproduct, twisted_antipode
 from .actions import QuotientSpace
 
@@ -664,31 +664,6 @@ def _normalization_map(n, psis, mract, mdim, S, W):
     return plan
 
 
-def _free_and_inverse(phi, adim, wdim):
-    """(free, T) for Phi at one degree, from one SpanSolver: the free
-    columns, and T = Phi_F^-1, or None when Phi_F is not invertible.  The
-    columns f of the plan phi are read from the right as the rows
-    [Phi(e_f) | e_(wdim+f)] of SpanSolver(width=wdim); a row it keeps has
-    a free column, and the scan stops at wdim rows.  RREF row p is then
-    e_p beside the combination of free columns whose image is e_p: column
-    p of T."""
-    solver, free = SpanSolver(width=wdim), []
-    for f in reversed(range(adim)):
-        row = dict(phi[f])
-        row[wdim + f] = 1
-        if solver.add(row):
-            free.append(f)
-            if len(free) == wdim:
-                break
-    free.sort()
-    if len(free) != wdim:
-        return free, None
-    pos = {f: j for j, f in enumerate(free)}
-    return free, SparseMatrix(wdim, wdim, {(pos[c - wdim], p): x
-                                           for p, row in enumerate(solver.rref())
-                                           for c, x in row.items() if c >= wdim})
-
-
 def phi_degrees(mc, sayd, top, name="coalgebra"):
     """Degrees 0..top of the coinvariant quotient of M (x) H^(x)(n+1), for
     mc the Hopf algebra H over itself (acts_on_itself), one PhiDegree each.
@@ -706,7 +681,7 @@ def phi_degrees(mc, sayd, top, name="coalgebra"):
     form of the relations exactly when its image is independent of the
     images of the columns after it: the free columns are found by a greedy
     scan from the right that stops at full rank, the elimination that also
-    inverts Phi_F (_free_and_inverse).  A failed identity raises
+    inverts Phi_F (linalg.free_and_inverse).  A failed identity raises
     IllDefined with its degree, its first failing column (the ambient
     column, or the relation generator (t*mdim + m)*hdim + h) and the
     residual there; Phi_F singular raises ConjugationFailure."""
@@ -809,7 +784,7 @@ def phi_degrees(mc, sayd, top, name="coalgebra"):
                                  {r - block * wdim: x for r, x in sorted(residual.items())
                                   if r // wdim == block})
 
-        free, inv = _free_and_inverse(phi, adim, wdim)
+        free, inv = free_and_inverse(phi, adim, wdim)
         if inv is None:
             raise ConjugationFailure("normalization map is not invertible at degree %d" % n, n)
         iso = SparseMatrix.from_columns([phi[f] for f in free], wdim)

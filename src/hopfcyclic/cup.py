@@ -19,8 +19,12 @@ m * C^(n+1) + (c_0, ..., c_n) on the coalgebra side, or, per b-tuple, the
 coaction expansion into a b0-tuple and leg products in H on the comodule
 side, where the b-tuple is the offset of its b digits among the targets in
 (A#B)^(x)(n+1).  Every pairing matrix is still certified to be a chain map
-(certify_chain_map).  The targets are plain cyclic complexes, built from
-the algebra's product and unit (complexes.plain_cyclic_complex).
+(certify_chain_map).  A context's target is the plain cyclic complex of its
+target algebra (A, A^K or A#B), built from the algebra's product and unit
+(complexes.plain_cyclic_complex) on its first read, so a job that finds no
+cocycle pair never builds it.  Every cup reads its closure flags in that
+target; the two shuffle-sum cups are one signed sum over the shuffles
+(_shuffle_cup).
 
 Conventions pinned by calibration (see the repo notes): the composed cup
 applies zeroth faces to the algebra-side argument and twisted last faces to
@@ -171,24 +175,26 @@ def _quotient_pairing(adata, cdata, slot, N):
 # contexts
 
 class _CupContext:
-    """What every context shares.  A context holds its algebra complex
-    alg, the diagonal diag of the bicocyclic module of alg's complex and its
-    x-side complex (their degreewise product), and its
-    target cyclic complex in the attribute named TARGET.  Its pairing is the
-    method named PAIRING, looked up at call time.  Pairing matrices are
-    kept only once certified, so a failed certificate is raised again on the
-    next call.  The phi, x and target complexes each hold their own
-    certified Hochschild coboundaries (CocyclicComplex.b), which every cup
-    of the context shares."""
+    """What every context shares: its algebra complex alg, the diagonal diag
+    of the bicocyclic module of alg's complex and its x-side complex (diag.c1
+    is alg's complex, diag.c2 the x side), the degree bound N and its target,
+    the plain cyclic complex of the target algebra.  The target is built on
+    its first read, so a job that finds no cocycle pair never builds it.
+    The pairing is the method named PAIRING, looked up at call time.
+    Pairing matrices are kept only once certified, so a failed certificate
+    is raised again on the next call.  The phi, x and target complexes each
+    hold their own certified Hochschild coboundaries (CocyclicComplex.b),
+    which every cup of the context shares."""
 
-    def phi_complex(self):
-        return self.alg
+    def __init__(self, alg, xcx, target_alg, N):
+        self.N = N
+        self.alg = alg
+        self.diag = diagonal(tensor_bicocyclic(alg.complex, xcx))
+        self.target_alg = target_alg
 
-    def x_complex(self):
-        return self.diag.c2
-
+    @cached_property
     def target(self):
-        return getattr(self, self.TARGET)
+        return plain_cyclic_complex(self.target_alg, self.N)
 
     def pairing(self):
         return getattr(self, self.PAIRING)()
@@ -211,7 +217,6 @@ class CoalgebraCupContext(_CupContext):
     """Module coalgebra acting on a module algebra, plus coefficients."""
 
     kind = "coalgebra"
-    TARGET = "a_cx"
     PAIRING = "psi_matrices"
 
     def __init__(self, ca: CoalgebraAction, sayd: SAYDModule, N=3):
@@ -220,12 +225,10 @@ class CoalgebraCupContext(_CupContext):
                         validate_coalgebra_action(ca),
                         validate_sayd(sayd)])
         self.ca = ca
-        self.N = N
         self.hopf = ca.hopf
-        self.alg = build_algebra_complex(ca.ma, sayd, N)
+        alg = build_algebra_complex(ca.ma, sayd, N)
         self.coalg = build_coalgebra_complex(ca.mc, sayd, N)
-        self.diag = diagonal(tensor_bicocyclic(self.alg.complex, self.coalg.complex))
-        self.a_cx = plain_cyclic_complex(ca.ma.alg, N)
+        super().__init__(alg, self.coalg.complex, ca.ma.alg, N)
         self._amul = action_table(ca.ma.alg.mul)
         # the slot c (x) a -> c.a of the pairing, the trace and explicit formulas
         self._act_slot = _slot(ca.action.entries, ca.mc.space.dim, ca.ma.space.dim)
@@ -234,7 +237,7 @@ class CoalgebraCupContext(_CupContext):
     # -- the evaluation pairing into the algebra
 
     def psi_matrices(self):
-        return self._certify_once("algebra pairing", self.a_cx, lambda: _quotient_pairing(
+        return self._certify_once("algebra pairing", self.target, lambda: _quotient_pairing(
             self.alg, self.coalg, self._act_slot, self.N))
 
     # -- the convolution algebra: the evaluation pairing into it and the
@@ -294,7 +297,6 @@ class RelativeCupContext(_CupContext):
     the invariant subalgebra."""
 
     kind = "relative"
-    TARGET = "ak_cx"
     PAIRING = "psi_r_matrices"
 
     def __init__(self, ma, k, sayd, N=3):
@@ -302,16 +304,14 @@ class RelativeCupContext(_CupContext):
                         validate_subhopf(k)])
         self.ma = ma
         self.k = k
-        self.N = N
         self.hopf = ma.hopf
         self.inv_alg, self.inclusion = invariant_subalgebra(ma, k)
         self.relc, self.proj = relative_coalgebra(ma.hopf, k)
         _require_valid([validate_module_coalgebra(self.relc)])
         self._build_class_action()
-        self.alg = build_algebra_complex(ma, sayd, N)
+        alg = build_algebra_complex(ma, sayd, N)
         self.coalg = build_coalgebra_complex(self.relc, sayd, N)
-        self.diag = diagonal(tensor_bicocyclic(self.alg.complex, self.coalg.complex))
-        self.ak_cx = plain_cyclic_complex(self.inv_alg, N)
+        super().__init__(alg, self.coalg.complex, self.inv_alg, N)
 
     def _build_class_action(self):
         """Representative action of the relative coalgebra on the invariants.
@@ -339,7 +339,7 @@ class RelativeCupContext(_CupContext):
                                              "class %d on invariant %d" % (j, a))
 
     def psi_r_matrices(self):
-        return self._certify_once("relative pairing", self.ak_cx, lambda: _quotient_pairing(
+        return self._certify_once("relative pairing", self.target, lambda: _quotient_pairing(
             self.alg, self.coalg,
             _slot(self.class_act_in_A, self.relc.space.dim, self.inv_alg.space.dim), self.N))
 
@@ -348,7 +348,6 @@ class CrossedCupContext(_CupContext):
     """Module algebra paired with a comodule algebra over one Hopf algebra."""
 
     kind = "crossed"
-    TARGET = "ab_cx"
     PAIRING = "psi_cross_matrices"
 
     def __init__(self, ma, ba, sayd, N=3):
@@ -357,13 +356,10 @@ class CrossedCupContext(_CupContext):
                         validate_sayd(sayd)])
         self.ma = ma
         self.ba = ba
-        self.N = N
         self.hopf = ma.hopf
-        self.alg = build_algebra_complex(ma, sayd, N)
+        alg = build_algebra_complex(ma, sayd, N)
         self.comod = build_comodule_algebra_complex(ba, sayd, N)
-        self.diag = diagonal(tensor_bicocyclic(self.alg.complex, self.comod.complex))
-        self.ab = crossed_product(ma, ba)
-        self.ab_cx = plain_cyclic_complex(self.ab, N)
+        super().__init__(alg, self.comod.complex, crossed_product(ma, ba), N)
         self.tabs = HopfTables.of(self.hopf)
         self._coact = split_table(ba.coaction)
         self._coaction_memo = {}
@@ -447,7 +443,7 @@ class CrossedCupContext(_CupContext):
         return out
 
     def psi_cross_matrices(self):
-        return self._certify_once("crossed pairing", self.ab_cx, self._crossed_pairing)
+        return self._certify_once("crossed pairing", self.target, self._crossed_pairing)
 
     def _crossed_pairing(self):
         mats = []
@@ -490,16 +486,27 @@ class CupResult:
         self.cyclic = cyclic
 
 
+def _require_closed(*inputs):
+    """NotACocycle for the first (complex, degree, vector, side) of inputs
+    whose vector is not Hochschild-closed."""
+    for cx, n, vec, side in inputs:
+        if not is_b_closed(cx, n, vec):
+            raise NotACocycle("%s input is not closed" % side)
+
+
+def _result(ctx, out, n, cyclic_in=True):
+    """The cup out of degree n with its flags read in the context's target:
+    b-closed, and cyclic when the inputs were (cyclic_in)."""
+    tgt = ctx.target
+    return CupResult(out, n, is_b_closed(tgt, n, out), cyclic_in and is_cyclic(tgt, n, out))
+
+
 def aw_cup(ctx, phi, p, x, q):
     """Composed cup: raise phi with zeroth faces, x with twisted last faces,
     pair on the diagonal.  Inputs must be Hochschild-closed in their own
     complexes; the output closure flags are verified, not assumed."""
-    acx = ctx.phi_complex().complex
-    xcx = ctx.x_complex()
-    if not is_b_closed(acx, p, phi):
-        raise NotACocycle("algebra-side input is not closed")
-    if not is_b_closed(xcx, q, x):
-        raise NotACocycle("second input is not closed")
+    acx, xcx = ctx.diag.c1, ctx.diag.c2
+    _require_closed((acx, p, phi, "algebra-side"), (xcx, q, x, "second"))
     cyc_in = is_cyclic(acx, p, phi) and is_cyclic(xcx, q, x)
     n = p + q
     phi2 = _raise_by_faces(acx, phi, p, [0] * q)
@@ -510,11 +517,7 @@ def aw_cup(ctx, phi, p, x, q):
     for a, ca in phi2.items():
         for j, cj in x2.items():
             vec[a * xdim + j] = scal(ca * cj)
-    mats = ctx.pairing()
-    out = mats[n].apply(vec)
-    tgt = ctx.target()
-    return CupResult(out, n, is_b_closed(tgt, n, out),
-                     cyc_in and is_cyclic(tgt, n, out))
+    return _result(ctx, ctx.pairing()[n].apply(vec), n, cyc_in)
 
 
 # ---------------------------------------------------------------------------
@@ -522,11 +525,10 @@ def aw_cup(ctx, phi, p, x, q):
 
 def cup_explicit_coalgebra(ctx, phi, p, x, q):
     """The closed evaluation formula; must agree with the composed cup
-    entrywise, otherwise the difference is raised, not suppressed."""
+    entrywise, otherwise the difference is raised, not suppressed.  Returns
+    the composed cup (aw_cup)."""
     if not isinstance(ctx, (CoalgebraCupContext,)):
         raise TypeError("explicit coalgebra cup needs a coalgebra-action context")
-    acx = ctx.phi_complex()
-    n = p + q
     adim = ctx.ca.ma.space.dim
     cdim = ctx.ca.mc.space.dim
     # p+1 fold coproduct legs of the first coalgebra slot
@@ -544,13 +546,13 @@ def cup_explicit_coalgebra(ctx, phi, p, x, q):
             vec_acc(xvec, (((m * cdim + last) * cq) + cs) * cp + head, x0 * y)
     slot0 = _product_slot(ctx._amul, ctx.ca.action.entries,
                           {key // cp % (cdim * cq) for key in xvec}, cdim, adim, adim, q + 1)
-    pushed = _push(acx, acx.functional(phi, p), p, [slot0] + [ctx._act_slot] * p)
+    pushed = _push(ctx.alg, ctx.alg.functional(phi, p), p, [slot0] + [ctx._act_slot] * p)
     out = contract(pushed, [(0, xvec)])
     composed = aw_cup(ctx, phi, p, x, q)
     diff = vec_sub(out, composed.vector)
     if diff:
         raise MismatchWithAW("explicit coalgebra cup differs from the composed cup", diff)
-    return CupResult(out, n, composed.b_closed, composed.cyclic)
+    return composed
 
 
 def cup_explicit_crossed(ctx, phi, p, psi, q):
@@ -634,7 +636,7 @@ def char_map(mp: ModularPair, ma, trace, N=3):
         raise NotInvariantTrace("trace conditions violated: %r" % bad[:5])
     h = mp.hopf
     power = build_power_complex(mp, N)
-    a_cx = plain_cyclic_complex(ma.alg, N)
+    tgt = plain_cyclic_complex(ma.alg, N)
     adim = ma.space.dim
     amul = action_table(ma.alg.mul)
     mats = []
@@ -650,8 +652,8 @@ def char_map(mp: ModularPair, ma, trace, N=3):
                     col[mi_t.flat(at)] = total
             cols.append(col)
         mats.append(SparseMatrix.from_columns(cols, mi_t.size))
-    certify_chain_map(power, a_cx, mats, "characteristic map")
-    return mats, power, a_cx
+    certify_chain_map(power, tgt, mats, "characteristic map")
+    return mats, power, tgt
 
 
 # ---------------------------------------------------------------------------
@@ -660,30 +662,34 @@ def char_map(mp: ModularPair, ma, trace, N=3):
 from .shuffles import shuffle_set, dg_expand_oracle   # re-exported operations
 
 
+def _shuffle_cup(ctx, phi, p, x, xcx, q, slot, x_side):
+    """The signed sum over the shuffles of Sh(q, p) of the pairing of phi
+    (degree p in ctx.alg) raised by the faces of the first block with x
+    (degree q in xcx) raised by those of the second: phi is pushed through
+    slot in every A factor and contracted with x_side(raised x)."""
+    acx = ctx.alg.complex
+    n = p + q
+    out = {}
+    for sig in shuffle_set(q, p):
+        phi_up = _raise_by_faces(acx, phi, p, [v - 1 for v in sig.first_block()])
+        x_up = _raise_by_faces(xcx, x, q, [v - 1 for v in sig.second_block()])
+        pushed = _push(ctx.alg, ctx.alg.functional(phi_up, n), n, [slot] * (n + 1))
+        vec_axpy(out, sig.sign, contract(pushed, x_side(x_up)))
+    return _result(ctx, out, n)
+
+
 def shuffle_cup_traces(ctx: CrossedCupContext, phi, p, psi, q):
     """Signed shuffle-sum cup of a module-algebra cocycle with a
     comodule-algebra cocycle, valued on the crossed product."""
-    acx = ctx.alg.complex
-    ccx = ctx.comod.complex
-    if not is_b_closed(acx, p, phi):
-        raise NotACocycle("algebra-side input is not closed")
-    if not is_b_closed(ccx, q, psi):
-        raise NotACocycle("comodule-side input is not closed")
+    _require_closed((ctx.alg.complex, p, phi, "algebra-side"),
+                    (ctx.comod.complex, q, psi, "comodule-side"))
     n = p + q
     # b^t emits n-t legs; slot k multiplies the legs k - t - 1 of
     # b^0..b^{k-1} (no antipode; slot 0 is bare)
     sides = ctx.coaction_sides([n - t for t in range(n + 1)],
                                [[(t, k - t - 1) for t in range(k)] for k in range(n + 1)])
-    out = {}
-    for sig in shuffle_set(q, p):
-        # first block raises the algebra cochain, second block the comodule one
-        phi_up = _raise_by_faces(acx, phi, p, [v - 1 for v in sig.first_block()])
-        psi_up = _raise_by_faces(ccx, psi, q, [v - 1 for v in sig.second_block()])
-        pushed = _push(ctx.alg, ctx.alg.functional(phi_up, n), n, [ctx._plain_slot] * (n + 1))
-        xside = ctx.x_side(sides, ctx.comod.functional(psi_up, n), n, n + 1)
-        vec_axpy(out, sig.sign, contract(pushed, xside))
-    tgt = ctx.target()
-    return CupResult(out, n, is_b_closed(tgt, n, out), is_cyclic(tgt, n, out))
+    return _shuffle_cup(ctx, phi, p, psi, ctx.comod.complex, q, ctx._plain_slot,
+                        lambda psi_up: ctx.x_side(sides, ctx.comod.functional(psi_up, n), n, n + 1))
 
 
 def cotrace_cup(ctx: CoalgebraCupContext, x, p, phi, q):
@@ -693,18 +699,8 @@ def cotrace_cup(ctx: CoalgebraCupContext, x, p, phi, q):
     Degree-correct block sizes: the algebra cochain (degree q) is raised by p
     faces indexed by the first block of Sh(p,q), the coalgebra class by q
     faces from the second block; both block choices agree when p = q."""
-    acx = ctx.alg.complex
-    ccx = ctx.coalg.complex
-    if not is_b_closed(ccx, p, x):
-        raise NotACocycle("coalgebra-side input is not closed")
-    if not is_b_closed(acx, q, phi):
-        raise NotACocycle("algebra-side input is not closed")
-    n = p + q
-    out = {}
-    for sig in shuffle_set(p, q):
-        phi_up = _raise_by_faces(acx, phi, q, [v - 1 for v in sig.first_block()])
-        x_up = _raise_by_faces(ccx, x, p, [v - 1 for v in sig.second_block()])
-        pushed = _push(ctx.alg, ctx.alg.functional(phi_up, n), n, [ctx._act_slot] * (n + 1))
-        vec_axpy(out, sig.sign, contract(pushed, [(0, ctx.coalg.quotients[n].include_vec(x_up))]))
-    tgt = ctx.target()
-    return CupResult(out, n, is_b_closed(tgt, n, out), is_cyclic(tgt, n, out))
+    _require_closed((ctx.coalg.complex, p, x, "coalgebra-side"),
+                    (ctx.alg.complex, q, phi, "algebra-side"))
+    quot = ctx.coalg.quotients[p + q]
+    return _shuffle_cup(ctx, phi, q, x, ctx.coalg.complex, p, ctx._act_slot,
+                        lambda x_up: [(0, quot.include_vec(x_up))])

@@ -275,9 +275,6 @@ class SparseMatrix:
         """{(row, col): x}, built on each read."""
         return {(r, c): x for c, col in enumerate(self.plan) for r, x in col}
 
-    def is_zero(self):
-        return not any(self.plan)
-
     def column(self, j):
         return dict(self.plan[j])
 
@@ -292,13 +289,6 @@ class SparseMatrix:
             for r, x in col:
                 rows[r][c] = x
         return rows
-
-    def transpose(self):
-        plan = [[] for _ in range(self.rows)]
-        for c, col in enumerate(self.plan):
-            for r, x in col:
-                plan[r].append((c, x))
-        return SparseMatrix.of_plan(self.cols, self.rows, list(map(tuple, plan)))
 
     # -- arithmetic
 
@@ -622,24 +612,37 @@ class KernelCoords:
         return None if res else coords
 
 
+def free_and_inverse(plan, adim, wdim):
+    """(free, T) for the wdim x adim matrix whose column plan is plan, from
+    one SpanSolver: the free columns, and T = Phi_F^-1 for Phi_F the
+    columns free, or None when Phi_F is not invertible.  The columns f are
+    read from the right as the rows [Phi(e_f) | e_(wdim+f)] of
+    SpanSolver(width=wdim); a row it keeps has a free column, and the scan
+    stops at wdim rows.  RREF row p is then e_p beside the combination of
+    free columns whose image is e_p: column p of T."""
+    solver, free = SpanSolver(width=wdim), []
+    for f in reversed(range(adim)):
+        row = dict(plan[f])
+        row[wdim + f] = 1
+        if solver.add(row):
+            free.append(f)
+            if len(free) == wdim:
+                break
+    free.sort()
+    if len(free) != wdim:
+        return free, None
+    pos = {f: j for j, f in enumerate(free)}
+    return free, SparseMatrix(wdim, wdim, {(pos[c - wdim], p): x
+                                           for p, row in enumerate(solver.rref())
+                                           for c, x in row.items() if c >= wdim})
+
+
 def invert_matrix(m):
     """Exact inverse of a square SparseMatrix, or None if it is singular or
-    not square.
-
-    Gauss-Jordan: the RREF of [A | I] is [I | A^-1] exactly when A is
-    invertible.  [A | I] always has rank n, so A is invertible exactly when
-    SpanSolver(width=n) keeps every row, its pivots then being 0..n-1, and
-    the RREF row i holds A^-1[i, j] at column n + j."""
-    n = m.rows
-    if m.cols != n:
+    not square: the inverse of free_and_inverse over all of m's columns."""
+    if m.cols != m.rows:
         return None
-    solver = SpanSolver(width=n)
-    for i, row in enumerate(m.row_vectors()):
-        row[n + i] = 1
-        if not solver.add(row):
-            return None
-    return SparseMatrix(n, n, {(i, j - n): x for i, row in enumerate(solver.rref())
-                               for j, x in row.items() if j >= n})
+    return free_and_inverse(m.plan, m.cols, m.rows)[1]
 
 
 # ---------------------------------------------------------------------------

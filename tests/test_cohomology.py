@@ -32,7 +32,7 @@ def test_b_alternating_pattern_on_point():
     bs = hochschild_b(cx)
     for n, b in enumerate(bs):
         if n % 2 == 0:
-            assert b.is_zero()
+            assert not any(b.plan)
         else:
             assert b == SparseMatrix.identity(1)
 
@@ -41,7 +41,7 @@ def test_b_squared_zero_everywhere():
     cx = build_coalgebra_complex(self_module_coalgebra(h), trivial_sayd(h), 4).complex
     bs = hochschild_b(cx)
     for n in range(len(bs) - 1):
-        assert compose(bs[n + 1], bs[n]).is_zero()
+        assert not any(compose(bs[n + 1], bs[n]).plan)
 
 def test_not_a_complex_raised_on_corruption():
     cx = constant_point_complex(3)
@@ -64,9 +64,9 @@ def test_connes_B_certificates_on_fixtures():
         bs = hochschild_b(cx)
         Bs, _ = connes_B(cx)
         for n in range(2, cx.top + 1):
-            assert compose(Bs[n - 1], Bs[n]).is_zero()
+            assert not any(compose(Bs[n - 1], Bs[n]).plan)
         for n in range(1, cx.N + 1):
-            assert (compose(bs[n - 1], Bs[n]) + compose(Bs[n + 1], bs[n])).is_zero()
+            assert not any((compose(bs[n - 1], Bs[n]) + compose(Bs[n + 1], bs[n])).plan)
 
 def test_connes_B1_on_kz2_hopf_complex():
     hd = build_hopf_complex(mpi_trivial(group_algebra(2)), 3)
@@ -177,7 +177,7 @@ def test_a_complex_owns_its_certified_families():
     assert cx.b is bs and cx.B is Bs
     assert cx.boundary_reading == "norm.degen.tau.(1-lam)"
     for n in range(1, cx.N + 1):
-        assert (compose(bs[n - 1], Bs[n]) + compose(Bs[n + 1], bs[n])).is_zero()
+        assert not any((compose(bs[n - 1], Bs[n]) + compose(Bs[n + 1], bs[n])).plan)
     # a doubled tau keeps b but breaks bB + Bb = 0: nothing is kept, and
     # every read raises
     h = group_algebra(2)

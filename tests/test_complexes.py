@@ -596,20 +596,21 @@ def test_phi_whose_kernel_identity_fails_is_ill_defined():
     st.just(w), st.lists(st.lists(st.sampled_from([0, 0, 1, -1, 2, -3]), min_size=w, max_size=w),
                          min_size=w, max_size=w + 3))))
 def test_free_and_inverse_is_a_greedy_scan_and_an_inverse(shape):
-    # oracle: a SpanSolver scan of the columns from the right, and
-    # invert_matrix of the free columns
-    from hopfcyclic.complexes import _free_and_inverse
-    from hopfcyclic.linalg import SpanSolver
+    # oracle: a SpanSolver scan of the columns from the right, and the
+    # two-sided inverse T . Phi_F = Phi_F . T = 1 of the free columns
+    from hopfcyclic.linalg import SpanSolver, free_and_inverse
     wdim, cols = shape
     plan = [[(r, x) for r, x in enumerate(col) if x] for col in cols]
     solver = SpanSolver()
     want = sorted(f for f in reversed(range(len(plan))) if solver.add(dict(plan[f])))
-    free, inv = _free_and_inverse(plan, len(plan), wdim)
+    free, inv = free_and_inverse(plan, len(plan), wdim)
     assert free == want
     if len(want) < wdim:
         assert inv is None
     else:
-        assert inv == invert_matrix(SparseMatrix.from_columns([dict(plan[f]) for f in free], wdim))
+        phi_f = SparseMatrix.from_columns([dict(plan[f]) for f in free], wdim)
+        one = SparseMatrix.identity(wdim)
+        assert compose(inv, phi_f) == one and compose(phi_f, inv) == one
 
 
 def test_phi_operator_that_does_not_descend_is_ill_defined():

@@ -1,7 +1,7 @@
 import pytest
 
 import hopfcyclic.cup as cup_module
-from hopfcyclic.linalg import vec_sub, SpanSolver, KernelCoords, compose, tensor_kron
+from hopfcyclic.linalg import vec_sub, SparseMatrix, SpanSolver, KernelCoords, compose, tensor_kron
 from hopfcyclic.spaces import StructureTensor
 from hopfcyclic.complexes import (build_hopf_complex, CocyclicComplex, ProductComplex,
                                   tensor_bicocyclic, diagonal, same_complex)
@@ -20,7 +20,8 @@ from hopfcyclic.fixtures import (trivial_hopf, group_algebra, swap_module_algebr
                                  module_action_as_coalgebra_action, mpi_trivial,
                                  mpi_kz2_sigma_g, kz4_with_kz2, unit_subhopf,
                                  permutation_module_algebra, sum_trace, sweedler_h4,
-                                 adjoint_module_algebra, mpi_h4)
+                                 adjoint_module_algebra, mpi_h4, fixture_file_texts)
+import hopfcyclic.cli as cli
 
 N = 3
 
@@ -64,8 +65,8 @@ def kz3_coalgebra_ctx():
 
 
 def cocycle_pairs(ctx, max_total=3):
-    phi_cx = ctx.phi_complex().complex
-    x_cx = ctx.x_complex()
+    phi_cx = ctx.diag.c1
+    x_cx = ctx.diag.c2
     cap = min(max_total, phi_cx.N)
     out = []
     for p in range(cap + 1):
@@ -154,12 +155,15 @@ def pulled_back(ctx):
     """The convolution pairing pulled back through nat^(x)(n+1) at every
     degree: the algebra pairing by way of the convolution algebra."""
     nat = ctx.natural_map()
+    # a functional on the convolution algebra pulls back through nat by
+    # the transpose of nat: its columns are the rows of nat
+    nat_t = SparseMatrix.from_columns(nat.row_vectors(), nat.cols)
     mats = []
     for n, m in enumerate(ctx.psi_c_matrices()):
-        pull = nat
+        pull = nat_t
         for _ in range(n):
-            pull = tensor_kron(pull, nat)
-        mats.append(compose(pull.transpose(), m))
+            pull = tensor_kron(pull, nat_t)
+        mats.append(compose(pull, m))
     return mats
 
 def kz2_counit_on_q3():
@@ -181,6 +185,61 @@ def test_algebra_pairing_is_the_pulled_back_convolution_pairing(make):
 
 # -- what the cup path builds --------------------------------------------------------------
 
+def run_cup(tmp_path, monkeypatch, fixture, kind, p, q):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / fixture).write_text(fixture_file_texts()[fixture])
+    return cli.main(["cup", fixture, "--kind", kind, "--p", str(p), "--q", str(q)])
+
+
+@pytest.mark.parametrize("fixture,kind,p,q,with_pairs", [
+    ("kz3.hcy", "crossed", 1, 3, 0),
+    ("kz3.hcy", "crossed", 1, 2, 0),
+    ("kz2.hcy", "coalgebra", 1, 0, 0),
+    ("kz2.hcy", "crossed", 0, 3, 1),
+    ("kz4_relative.hcy", "relative", 0, 3, 1),
+    ("kz3.hcy", "coalgebra", 0, 2, 1),
+    ("kz2.hcy", "traces", 0, 3, 2),
+], ids=lambda v: str(v).replace(".hcy", ""))
+def test_a_cup_job_builds_the_target_of_each_context_with_a_pair_once(
+        tmp_path, monkeypatch, capsys, fixture, kind, p, q, with_pairs):
+    # the target is built on its first read: never in a context whose
+    # cocycle search finds no pair, once in every other
+    built = []
+    plain = cup_module.plain_cyclic_complex
+
+    def counted(alg, n):
+        built.append(alg)
+        return plain(alg, n)
+    monkeypatch.setattr(cup_module, "plain_cyclic_complex", counted)
+    assert run_cup(tmp_path, monkeypatch, fixture, kind, p, q) == 0
+    sections = capsys.readouterr().out.split("\n== ")[1:]
+    no_pair = "no cyclic cocycle pair at (p,q)=(%d,%d)" % (p, q)
+    assert len([s for s in sections if no_pair not in s]) == with_pairs
+    assert len(built) == with_pairs
+    assert len({id(alg) for alg in built}) == with_pairs
+
+
+@pytest.mark.parametrize("fixture,kind,p,q", [
+    ("kz3.hcy", "coalgebra", 0, 2),
+    ("kz2.hcy", "crossed", 0, 3),
+], ids=lambda v: str(v).replace(".hcy", ""))
+def test_a_cup_job_composes_each_pair_once(tmp_path, monkeypatch, capsys, fixture, kind, p, q):
+    # the explicit cups return the composed cup they are checked against,
+    # so the command line reports it without composing it again
+    composed = []
+    aw = cup_module.aw_cup
+
+    def counted(*args):
+        composed.append(args[2])
+        return aw(*args)
+    monkeypatch.setattr(cup_module, "aw_cup", counted)
+    monkeypatch.setattr(cli, "aw_cup", counted)
+    assert run_cup(tmp_path, monkeypatch, fixture, kind, p, q) == 0
+    pairs = [line for line in capsys.readouterr().out.splitlines() if line.startswith("pair (")]
+    assert pairs and all("match=True" in line for line in pairs)
+    assert len(composed) == len(pairs)
+
+
 def test_coalgebra_cup_path_builds_no_convolution_algebra(monkeypatch):
     def refuse(ca):
         raise AssertionError("convolution algebra built")
@@ -188,7 +247,7 @@ def test_coalgebra_cup_path_builds_no_convolution_algebra(monkeypatch):
     ctx = kz2_coalgebra(2)
     ctx.pairing()
     fa = cyclic_cocycles(ctx.alg.complex, 0)[0]
-    fx = cyclic_cocycles(ctx.x_complex(), 2)[0]
+    fx = cyclic_cocycles(ctx.diag.c2, 2)[0]
     assert aw_cup(ctx, fa, 0, fx, 2).b_closed
     assert "conv" not in vars(ctx) and "conv_cx" not in vars(ctx) and ctx._nat is None
 
@@ -202,17 +261,17 @@ def test_coalgebra_pairing_is_certified_in_one_walk(monkeypatch):
     ctx = kz2_coalgebra(2)
     ctx.pairing()
     ctx.pairing()
-    assert targets == [ctx.a_cx]
+    assert targets == [ctx.target]
 
 @pytest.mark.parametrize("make,method,target", [
-    (lambda: kz2_coalgebra(2), "psi_matrices", "a_cx"),
+    (lambda: kz2_coalgebra(2), "psi_matrices", "target"),
     (lambda: kz2_coalgebra(2), "psi_c_matrices", "conv_cx"),
     (lambda: CrossedCupContext(swap_module_algebra(), self_comodule_algebra(group_algebra(2)),
                                trivial_sayd(group_algebra(2)), N=2),
-     "psi_cross_matrices", "ab_cx"),
+     "psi_cross_matrices", "target"),
     (lambda: RelativeCupContext(permutation_module_algebra(4), kz4_with_kz2()[1],
                                 trivial_sayd(kz4_with_kz2()[0]), N=2),
-     "psi_r_matrices", "ak_cx"),
+     "psi_r_matrices", "target"),
 ], ids=["algebra", "convolution", "crossed", "relative"])
 def test_a_failed_pairing_certificate_is_not_kept(make, method, target):
     # the pairing against its target with the face 0 at degree 1 negated
@@ -282,7 +341,7 @@ def test_aw_cup_rejects_non_cocycle():
         if bad:
             break
     assert bad is not None
-    x = cyclic_cocycles(ctx.x_complex(), 0)[0]
+    x = cyclic_cocycles(ctx.diag.c2, 0)[0]
     with pytest.raises(NotACocycle):
         aw_cup(ctx, bad, deg, x, 0)
     # the same cup with both inputs closed goes through
@@ -306,7 +365,7 @@ def non_closed(cx):
         "explicit-coalgebra-on-crossed", "explicit-crossed-on-coalgebra"])
 def test_cups_reject_an_open_input_or_the_wrong_context(cup, make, sides, open_side, error):
     ctx = make()
-    cxs = {"phi": ctx.phi_complex().complex, "x": ctx.x_complex()}
+    cxs = {"phi": ctx.diag.c1, "x": ctx.diag.c2}
     args, closed = [], []
     for k, side in enumerate(sides.split()):
         cx = cxs[side]
@@ -323,7 +382,7 @@ def test_aw_cup_sigma_g_closed_but_not_cyclic_at_1_1():
     # for b only: closure always holds, chain-level cyclicity does not
     ctx = kz2_sigma_g_ctx()
     fa = cyclic_cocycles(ctx.alg.complex, 1)[0]
-    fx = cyclic_cocycles(ctx.x_complex(), 1)[0]
+    fx = cyclic_cocycles(ctx.diag.c2, 1)[0]
     r = aw_cup(ctx, fa, 1, fx, 1)
     assert r.b_closed
     assert not r.cyclic
@@ -340,7 +399,7 @@ def test_explicit_equals_composed_on_trivially_coacting_fixtures():
 def test_explicit_mismatch_surfaced_for_twisted_coefficients():
     ctx = kz2_sigma_g_ctx()
     fa = cyclic_cocycles(ctx.alg.complex, 1)[0]
-    fx = cyclic_cocycles(ctx.x_complex(), 1)[0]
+    fx = cyclic_cocycles(ctx.diag.c2, 1)[0]
     with pytest.raises(MismatchWithAW) as exc:
         cup_explicit_coalgebra(ctx, fa, 1, fx, 1)
     assert exc.value.difference
@@ -448,7 +507,7 @@ def test_shuffle_cup_agrees_with_composed_on_degenerate_pairs():
 
 def test_shuffle_cup_cohomologous_to_composed():
     ctx = kz2_crossed_ctx()
-    bs = hochschild_b(ctx.target())
+    bs = hochschild_b(ctx.target)
     for fa, p, fx, q in cocycle_pairs(ctx):
         n = p + q
         sh = shuffle_cup_traces(ctx, fa, p, fx, q)

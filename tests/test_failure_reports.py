@@ -2,7 +2,8 @@
 each pinned with its exit code.  A line that a broken input reaches is run
 on one; a line that no valid input can reach (every context validates its
 components, so its complexes are complexes) is reached by a monkeypatch of
-the name the command line calls, which a forked worker inherits.  Every
+the name the command line calls, or that the cup it calls calls, which a
+forked worker inherits.  Every
 audit runs on one CPU and on two, cold and warm: on two, its closing
 sections come from the worker."""
 
@@ -119,7 +120,8 @@ def test_cup_whose_cocycle_search_fails(run, monkeypatch):
 def test_cup_of_a_pair_that_fails(run, monkeypatch, error):
     def failing(*args):
         raise error
-    monkeypatch.setattr(cli, "aw_cup", failing)
+    # the composed cup, which the explicit coalgebra cup is checked against
+    monkeypatch.setattr(cup, "aw_cup", failing)
     code, lines = run(KZ2, "cup", "--kind", "coalgebra", "--p", "0", "--q", "0")
     assert code == 1
     assert section(lines, "cup cup_coalg kind=coalgebra p=0 q=0") == \
@@ -127,8 +129,8 @@ def test_cup_of_a_pair_that_fails(run, monkeypatch, error):
 
 
 def test_cup_of_a_pair_that_is_not_closed(run, monkeypatch):
-    monkeypatch.setattr(cli, "aw_cup", lambda ctx, phi, p, x, q: CupResult({0: 1}, p + q, False, True))
-    monkeypatch.setattr(cli, "cup_explicit_coalgebra", lambda *args: None)
+    monkeypatch.setattr(cli, "cup_explicit_coalgebra",
+                        lambda ctx, phi, p, x, q: CupResult({0: 1}, p + q, False, True))
     code, lines = run(KZ2, "cup", "--kind", "coalgebra", "--p", "0", "--q", "0")
     assert code == 1
     assert section(lines, "cup cup_coalg kind=coalgebra p=0 q=0") == [

@@ -379,7 +379,6 @@ def test_column_form_matches_the_dense_oracle(case):
     same(a + c, r, k, {(i, j): A[i][j] + C[i][j] for i in range(r) for j in range(k)})
     same(a - c, r, k, {(i, j): A[i][j] - C[i][j] for i in range(r) for j in range(k)})
     same(a.scale(s), r, k, {(i, j): s * A[i][j] for i in range(r) for j in range(k)})
-    same(a.transpose(), k, r, {(j, i): A[i][j] for i in range(r) for j in range(k)})
     assert a.row_vectors() == [{j: scal(x) for j, x in enumerate(row) if x} for row in A]
     out = a.apply(v)
     assert_normal(out)

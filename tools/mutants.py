@@ -46,6 +46,7 @@ REGULAR = "tests/test_condition_systems.py::test_functional_complexes_with_regul
 SLOT_MAP = "tests/test_complexes.py::test_slot_map_is_one_tensor_f_tensor_one_on_tuples"
 PINNED = "tests/test_specfile_cli.py::test_validate_lists_every_violation_of_broken_input"
 INVERSE = "tests/test_linalg.py::test_invert_matrix_is_a_two_sided_inverse_or_none"
+FREE_AND_INVERSE = "tests/test_complexes.py::test_free_and_inverse_is_a_greedy_scan_and_an_inverse"
 GAUSS_JORDAN = "tests/test_linalg.py::test_span_solver_is_dense_gauss_jordan"
 WIDTH = "tests/test_linalg.py::test_span_solver_width_drops_exactly_the_rows_led_at_or_past_it"
 STREAMED = "tests/test_condition_systems.py::test_streamed_conditions_match_the_stacked_matrix_oracle"
@@ -58,6 +59,8 @@ LIFECYCLE = "tests/test_lifecycle.py::test_the_process_prints_and_exits_as_main_
 TWO = "tests/test_two_processes.py::"
 FAILURES = "tests/test_failure_reports.py::"
 OPEN_INPUT = "tests/test_cup.py::test_cups_reject_an_open_input_or_the_wrong_context"
+LAZY_TARGET = ("tests/test_cup.py::"
+               "test_a_cup_job_builds_the_target_of_each_context_with_a_pair_once")
 QUOTIENT_TAKEN = [TWO + "test_a_coalgebra_complex_in_a_hopf_group_takes_its_quotient[%s-%d]"
                   % (k, cpus) for k in ("kz2", "kz2-quotient-replaced") for cpus in (1, 2)]
 
@@ -76,13 +79,13 @@ MUTANTS = [
             "tests/test_complexes.py::test_ill_defined_raised_for_broken_module_algebra",
             "tests/test_complexes.py::test_ill_defined_raised_for_broken_coaction"]),
     Mutant("inverse-keeps-a-dropped-row", LINALG,
-           "        if not solver.add(row):\n            return None\n",
-           "        solver.add(row)\n",
-           [INVERSE]),
+           "        if solver.add(row):\n            free.append(f)\n",
+           "        solver.add(row)\n        if True:\n            free.append(f)\n",
+           [INVERSE, FREE_AND_INVERSE]),
     Mutant("inverse-read-transposed", LINALG,
-           "{(i, j - n): x for i, row",
-           "{(j - n, i): x for i, row",
-           [INVERSE]),
+           "{(pos[c - wdim], p): x",
+           "{(p, pos[c - wdim]): x",
+           [INVERSE, FREE_AND_INVERSE]),
     Mutant("add-stores-a-row-led-at-a-pivot", LINALG,
            "            if row is None:\n                break\n            vec_axpy(v, -v[p], row)\n",
            "            break\n",
@@ -116,7 +119,7 @@ MUTANTS = [
            "        if inv is None:\n            raise ConjugationFailure(",
            "        if False:\n            raise ConjugationFailure(",
            ["tests/test_condition_systems.py::test_singular_normalization_map_fails_with_its_degree"]),
-    Mutant("greedy-scan-left-to-right", COMPLEXES,
+    Mutant("greedy-scan-left-to-right", LINALG,
            "    for f in reversed(range(adim)):\n",
            "    for f in range(adim):\n",
            [STREAMED + "[h4.hcy]", STREAMED + "[kz2.hcy]",
@@ -338,6 +341,16 @@ MUTANTS = [
            ["tests/test_cup.py::test_psi_r_unit_subhopf_equals_psi",
             "tests/test_reference_reports.py::test_report_matches_reference"
             "[cup kz4_relative.hcy --kind relative --p 0 --q 3]"]),
+    Mutant("target-built-in-init", CUP,
+           "        self.target_alg = target_alg\n",
+           "        self.target_alg = target_alg\n        plain_cyclic_complex(target_alg, N)\n",
+           [LAZY_TARGET + "[kz3-crossed-1-3-0]", LAZY_TARGET + "[kz3-crossed-1-2-0]",
+            LAZY_TARGET + "[kz2-crossed-0-3-1]"]),
+    Mutant("cup-composed-twice", CLI,
+           "                                res = cup_explicit_coalgebra(ctx, phi, p, x, q)\n",
+           "                                cup_explicit_coalgebra(ctx, phi, p, x, q)\n"
+           "                                res = aw_cup(ctx, phi, p, x, q)\n",
+           ["tests/test_cup.py::test_a_cup_job_composes_each_pair_once[kz3-coalgebra-0-2]"]),
     Mutant("merge-worker-after-parent", CLI,
            "    for name in spec.complexes:\n        ident.merge(parts[name][0])\n",
            "    for name in parts:\n        ident.merge(parts[name][0])\n",
