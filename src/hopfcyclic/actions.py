@@ -96,7 +96,7 @@ class SubHopf:
 
 def _module_law(rep, hopf, space, act_m, prefix):
     I_A = SparseMatrix.identity(space.dim)
-    mul = hopf.alg.mul_matrix()
+    mul = hopf.alg.mul.matrix
     eta = hopf.alg.unit_matrix()
     rep.law(prefix + "-action-associative", (hopf.space, hopf.space, space),
             (1, act_m, tensor_kron(mul, I_A)),
@@ -109,12 +109,12 @@ def validate_module_algebra(ma: ModuleAlgebra) -> ValidationReport:
     rep.merge(validate_algebra(ma.alg))
     h, A = ma.hopf, ma.alg
     d, a = h.dim, A.space.dim
-    act = ma.action.as_matrix()
+    act = ma.action.matrix
     _module_law(rep, h, A.space, act, "module")
     I_H = SparseMatrix.identity(d)
     I_A = SparseMatrix.identity(a)
-    mulA = A.mul_matrix()
-    com = h.coalg.comul_matrix()
+    mulA = A.mul.matrix
+    com = h.coalg.comul.matrix
     # h(xy) = (h1 x)(h2 y)
     rep.law("action-multiplicative", (h.space, A.space, A.space),
             (1, act, tensor_kron(I_H, mulA)),
@@ -134,11 +134,11 @@ def validate_module_coalgebra(mc: ModuleCoalgebra) -> ValidationReport:
     rep.merge(validate_coalgebra(mc.coalg))
     h, C = mc.hopf, mc.coalg
     d, c = h.dim, C.space.dim
-    act = mc.action.as_matrix()
+    act = mc.action.matrix
     _module_law(rep, h, C.space, act, "module")
     I_H = SparseMatrix.identity(d)
-    comC = C.comul_matrix()
-    comH = h.coalg.comul_matrix()
+    comC = C.comul.matrix
+    comH = h.coalg.comul.matrix
     # Delta(hc) = h1 c1 (x) h2 c2
     rep.law("comul-equivariant", (h.space, C.space), (1, comC, act),
             (-1, tensor_kron(act, act),
@@ -157,18 +157,18 @@ def validate_comodule_algebra(ba: ComoduleAlgebra) -> ValidationReport:
     rep.merge(validate_algebra(ba.alg))
     h, B = ba.hopf, ba.alg
     d, b = h.dim, B.space.dim
-    co = ba.coaction.as_matrix()        # B -> H (x) B
+    co = ba.coaction.matrix        # B -> H (x) B
     I_B = SparseMatrix.identity(b)
     I_H = SparseMatrix.identity(d)
-    comH = h.coalg.comul_matrix()
+    comH = h.coalg.comul.matrix
     epsH = h.coalg.counit_matrix()
     # comodule laws
     rep.law("coaction-coassociative", (B.space,),
             (1, tensor_kron(I_H, co), co), (-1, tensor_kron(comH, I_B), co))
     rep.law("coaction-counital", (B.space,), (1, tensor_kron(epsH, I_B), co), (-1, None, None))
     # coaction is an algebra map
-    mulB = B.mul_matrix()
-    mulH = h.alg.mul_matrix()
+    mulB = B.mul.matrix
+    mulH = h.alg.mul.matrix
     rep.law("coaction-multiplicative", (B.space, B.space), (1, co, mulB),
             (-1, tensor_kron(mulH, mulB),
              compose(tensor_kron(I_H, tensor_kron(swap_matrix(b, d), I_B)), tensor_kron(co, co))))
@@ -183,13 +183,13 @@ def validate_sayd(m: SAYDModule) -> ValidationReport:
     rep = ValidationReport("sayd")
     h = m.hopf
     d, mm = h.dim, m.space.dim
-    ract = m.raction.as_matrix()        # M (x) H -> M
-    coact = m.lcoaction.as_matrix()     # M -> H (x) M
+    ract = m.raction.matrix        # M (x) H -> M
+    coact = m.lcoaction.matrix     # M -> H (x) M
     I_H = SparseMatrix.identity(d)
     I_M = SparseMatrix.identity(mm)
-    mul = h.alg.mul_matrix()
+    mul = h.alg.mul.matrix
     eta = h.alg.unit_matrix()
-    comH = h.coalg.comul_matrix()
+    comH = h.coalg.comul.matrix
     epsH = h.coalg.counit_matrix()
     # right module laws
     rep.law("module-associative", (m.space, h.space, h.space),
@@ -232,16 +232,16 @@ def validate_coalgebra_action(ca: CoalgebraAction) -> ValidationReport:
     h = ca.hopf
     C, A = ca.mc.coalg, ca.ma.alg
     d, c, a = h.dim, C.space.dim, A.space.dim
-    act = ca.action.as_matrix()         # C (x) A -> A
-    actC = ca.mc.action.as_matrix()     # H (x) C -> C
-    actA = ca.ma.action.as_matrix()     # H (x) A -> A
+    act = ca.action.matrix         # C (x) A -> A
+    actC = ca.mc.action.matrix     # H (x) C -> C
+    actA = ca.ma.action.matrix     # H (x) A -> A
     I_H, I_C, I_A = (SparseMatrix.identity(n) for n in (d, c, a))
     # (hc)a = h(ca)
     rep.law("h-linearity", (h.space, C.space, A.space),
             (1, act, tensor_kron(actC, I_A)), (-1, actA, tensor_kron(I_H, act)))
     # c(xy) = (c1 x)(c2 y)
-    mulA = A.mul_matrix()
-    comC = C.comul_matrix()
+    mulA = A.mul.matrix
+    comC = C.comul.matrix
     rep.law("action-multiplicative", (C.space, A.space, A.space),
             (1, act, tensor_kron(I_C, mulA)),
             (-1, mulA, compose(tensor_kron(act, act),
@@ -374,11 +374,11 @@ def relative_coalgebra(h: HopfData, k: SubHopf):
         raise CoalgebraNotInduced("counit does not vanish on the ideal")
     # comultiplication must descend: (pi (x) pi) Delta (ideal) = 0
     pp = tensor_kron(proj, proj)
-    com = h.coalg.comul_matrix()
+    com = h.coalg.comul.matrix
     if first_residual([(1, pp.plan, compose(com, R).plan)], len(rel)) is not None:
         raise CoalgebraNotInduced("comultiplication does not descend to the quotient")
     # left action must descend: pi(mul(H (x) ideal)) = 0
-    mul = h.alg.mul_matrix()
+    mul = h.alg.mul.matrix
     I_H = SparseMatrix.identity(d)
     if first_residual([(1, proj.plan, compose(mul, tensor_kron(I_H, R)).plan)],
                       d * len(rel)) is not None:
@@ -517,8 +517,8 @@ def convolution_algebra(ca: CoalgebraAction) -> ConvolutionAlgebra:
         maps.append(SparseMatrix(a, c, ent))
     reader = KernelCoords(basis)
     space = BasedSpace(tuple("f%d" % i for i in range(len(basis))))
-    mulA = A.mul_matrix()
-    comC = C.comul_matrix()
+    mulA = A.mul.matrix
+    comC = C.comul.matrix
     ent = {}
     for i, fi in enumerate(maps):
         for j, fj in enumerate(maps):

@@ -376,13 +376,8 @@ def _worker_share(spec, flags, groups, tail):
     a worker is forked when there are two usable CPUs, os.fork and at least
     two units, warm or cold.  It takes the tail, and _deal gives it a share
     of the groups, weighed by the top ambient dimensions of their complexes.
-    No least share is asked of the worker.  Per warm audit at N=4 on a
-    2-core VM with Python 3.11 (medians of 12 runs), it took h4 from 0.42
-    to 0.30 s and kz4_relative, one group beside the tail, from 0.21 to
-    0.18 s; kz2 went from 0.13 to 0.14 s, as the deal does not count the
-    tail's load, which there equals that of all the groups.  Both processes
-    together hold more memory than one: 36 MB resident against 20 MB for
-    the warm h4 audit, 38 against 21 MB cold."""
+    No least share is asked of the worker, and the deal does not count the
+    tail's load.  Both processes together hold more memory than one."""
     if _usable_cpus() < 2 or not hasattr(os, "fork") or len(groups) + (tail is not None) < 2:
         return groups, None
     N = flags.max_degree
@@ -780,25 +775,32 @@ def main(argv=None):
                                      description="exact Hopf-cyclic cohomology engine")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_file=True):
+    options = {"--max-degree": dict(type=nonnegative_int, default=5),
+               "--seed": dict(type=int, default=0),
+               "--no-cache": dict(action="store_true")}
+
+    def command(name, help, *takes, needs_file=True):
+        """A subcommand that takes its input file (unless needs_file is
+        false), the options named in takes and --out."""
+        p = sub.add_parser(name, help=help)
         if needs_file:
             p.add_argument("file", help="structure-constant input file")
-        p.add_argument("--max-degree", type=nonnegative_int, default=5)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--no-cache", action="store_true")
+        for option in takes:
+            p.add_argument(option, **options[option])
         p.add_argument("--out", default=None)
+        return p
 
-    common(sub.add_parser("validate", help="run every axiom validator"))
-    common(sub.add_parser("identities", help="cocyclic identities and coboundary certificates"))
-    common(sub.add_parser("cohomology", help="dimension tables"))
-    pc = sub.add_parser("cup", help="cup products on declared contexts")
-    common(pc)
+    command("validate", "run every axiom validator")
+    command("identities", "cocyclic identities and coboundary certificates",
+            "--max-degree", "--no-cache")
+    command("cohomology", "dimension tables", "--max-degree", "--no-cache")
+    pc = command("cup", "cup products on declared contexts")
     pc.add_argument("--kind", choices=["coalgebra", "crossed", "relative", "traces"],
                     required=True)
     pc.add_argument("--p", type=nonnegative_int, required=True)
     pc.add_argument("--q", type=nonnegative_int, required=True)
-    common(sub.add_parser("fixtures", help="write the shipped fixture files"), needs_file=False)
-    common(sub.add_parser("audit", help="every certificate in one run"))
+    command("fixtures", "write the shipped fixture files", needs_file=False)
+    command("audit", "every certificate in one run", "--max-degree", "--seed", "--no-cache")
 
     flags = parser.parse_args(argv)
 

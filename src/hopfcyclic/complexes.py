@@ -324,7 +324,7 @@ class HopfTables:
         # coassociativity makes every bracketing of every iterated coproduct
         # agree, so checking the triple one suffices (BracketingMismatch)
         iterated_coproduct(hopf.coalg, 3)
-        self.mul = action_table(hopf.alg.mul)           # (i,j) -> list (k, coeff)
+        self.mul = action_table(hopf.alg.mul)           # (i,j) -> column (k, coeff)
         self.unit = sorted(hopf.alg.unit.items())
         self.eps = dict(hopf.coalg.counit)
         self.comul = split_table(hopf.coalg.comul)      # i -> list ((a,b), coeff)
@@ -382,28 +382,29 @@ def _by_degree(first, step, dim, top):
 
 
 def action_table(action):
-    """(i_h, i_x) -> list (j, coeff) for an arity-2 structure tensor."""
-    tab = {}
-    for idx, vec in action.entries.items():
-        tab[idx] = sorted(vec.items())
-    return tab
+    """(i_h, i_x) -> the column (j, coeff), rows ascending, of an arity-2
+    structure tensor."""
+    xdim = action.domains[1].dim
+    return {divmod(k, xdim): col for k, col in enumerate(action.matrix.plan) if col}
 
 
 def _acting_on(action):
     """x -> {h: h.x as a sparse vector} for an action tensor (h, x) -> h.x."""
-    tab = {x: {} for x in range(action.domains[1].dim)}
-    for (h, x), vec in action.entries.items():
-        tab[x][h] = dict(vec)
+    xdim = action.domains[1].dim
+    tab = {x: {} for x in range(xdim)}
+    for k, col in enumerate(action.matrix.plan):
+        if col:
+            h, x = divmod(k, xdim)
+            tab[x][h] = dict(col)
     return tab
 
 
 def split_table(tensor):
-    """i -> sorted list ((x, v), coeff), for every basis element i of V, of
-    an arity-1 structure tensor V -> X (x) V: a comultiplication, a
-    coaction or a left coaction of coefficients."""
+    """i -> the list ((x, v), coeff), (x, v) ascending, for every basis
+    element i of V, of an arity-1 structure tensor V -> X (x) V: a
+    comultiplication, a coaction or a left coaction of coefficients."""
     vdim = tensor.domains[0].dim
-    return {i: sorted((divmod(k, vdim), x) for k, x in tensor.value((i,)).items())
-            for i in range(vdim)}
+    return {i: [(divmod(k, vdim), x) for k, x in col] for i, col in enumerate(tensor.matrix.plan)}
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +480,8 @@ class CoalgebraComplexData:
 
 
 def structure_tables(t):
-    """A StructureTensor's shape and structure constants."""
-    return tuple(s.dim for s in t.domains), t.codomain.dim, t.entries
+    """A StructureTensor's shape and the columns of its matrix."""
+    return tuple(s.dim for s in t.domains), t.codomain.dim, t.matrix.plan
 
 
 def same_hopf(a, b):
@@ -515,9 +516,8 @@ def _ambient_maps(mc, sayd, top):
     """kind -> cols(n, i): the images of the basis columns f = 0, 1, ... of
     the ambient M (x) C^(x)(n+1), flat index m*cdim^(n+1) + t, under the
     structure map (kind, n, i), in order, each as a list of (row, x)."""
-    comul, eps = split_table(mc.coalg.comul), dict(mc.coalg.counit)
+    comul, eps = mc.coalg.comul.matrix.plan, dict(mc.coalg.counit)
     mdim, cdim = sayd.space.dim, mc.space.dim
-    pairs = [[(a * cdim + b, x) for (a, b), x in comul[c]] for c in range(cdim)]
     counit = [[(0, eps[c])] if eps.get(c) else [] for c in range(cdim)]
     twist = _coaction_twist(split_table(sayd.lcoaction), action_table(mc.action), cdim)
     pw = [cdim ** k for k in range(top + 3)]
@@ -535,12 +535,13 @@ def _ambient_maps(mc, sayd, top):
     def face_cols(n, i):
         if i <= n:
             # m (x) head (x) c (x) tail -> m (x) head (x) c(1) (x) c(2) (x) tail
-            return _slot_columns(pairs, mdim * pw[i], pw[n - i], cdim * cdim)
+            return _slot_columns(comul, mdim * pw[i], pw[n - i], cdim * cdim)
 
         # twisted last coface: m0 (x) c0^(2), c1..cn, m^(-1) c0^(1)
         def first(m, c0):
             pre = {}
-            for (a, b), x in comul[c0]:
+            for ab, x in comul[c0]:
+                a, b = divmod(ab, cdim)
                 for mj, cc, y in twist[m][a]:
                     vec_acc(pre, mj * pw[n + 2] + b * pw[n + 1] + cc, x * y)
             return list(pre.items())
@@ -861,7 +862,8 @@ class SubspaceComplexData:
 def _functional_maps(mul, unit, twist, dim, mdim):
     """by_source(kind, n, i), the ambient table of the structure map (kind,
     n, i) on the functionals on M (x) V^(x)(n+1).  Face i <= n multiplies
-    slots i and i+1 through mul (action_table), degeneracy j puts the unit
+    slots i and i+1 through mul, the columns of the product's matrix (its
+    plan, column a*dim + b the product of a and b), degeneracy j puts the unit
     (the items of an algebra's unit dict) after slot j, and the last face and
     tau read the last slot v twisted into the first, twist[m][v] listing
     the terms (m', v', x):
@@ -870,13 +872,12 @@ def _functional_maps(mul, unit, twist, dim, mdim):
         (s_j psi)(m (x) v~)     = psi(m (x) v_0..v_j, 1, v_{j+1}..v_{n-1}),
         (d_{n+1} psi)(m (x) v~) = sum x psi(m' (x) v' v_0 (x) v_1..v_n),
         (t psi)(m (x) v~)       = sum x psi(m' (x) v' (x) v_0..v_{n-1})."""
-    pairs = [mul.get(divmod(x, dim), ()) for x in range(dim * dim)]
     ones = [[(k, scal(x)) for k, x in unit if x]]
 
     def by_source(kind, n, i):
         W, S = dim ** n, dim ** (n + 1)
         if kind == "face" and i <= n:
-            return _slot_pullback(pairs, mdim * dim ** i, dim ** (n - i), dim, mdim * S)
+            return _slot_pullback(mul, mdim * dim ** i, dim ** (n - i), dim, mdim * S)
         if kind == "degen":
             return _slot_pullback(ones, mdim * dim ** (i + 1), dim ** (n - 1 - i), dim, mdim * S)
         out = [{} for _ in range(mdim * S)]
@@ -894,7 +895,7 @@ def _functional_maps(mul, unit, twist, dim, mdim):
             a0, rest = divmod(t, S)
             mid, last = divmod(rest, dim)
             for mj, b, x in twist[m][last]:
-                for k, y in mul.get((b, a0), ()):
+                for k, y in mul[b * dim + a0]:
                     vec_acc(out[mj * S + k * W + mid], v, x * y)
         return out
 
@@ -982,7 +983,7 @@ def build_algebra_complex(ma, sayd, N, name="algebra") -> SubspaceComplexData:
     # m -> a -> the terms of m0 (x) Sinv(m-1).a
     twist = _coaction_twist(split_table(sayd.lcoaction), action_table(ma.action), adim, tabs.Sinv)
     return _subspace_complex(N, name, "equivariance", bases, mdim, adim,
-                             action_table(ma.alg.mul), sorted(ma.alg.unit.items()), twist)
+                             ma.alg.mul.matrix.plan, sorted(ma.alg.unit.items()), twist)
 
 
 # ---------------------------------------------------------------------------
@@ -1038,7 +1039,7 @@ def build_comodule_algebra_complex(ba, sayd, N, name="comodule-algebra") -> Subs
                     vec_acc(twist[mj][v], (m, b0), x * y)
     twist = [[[(m, b0, x) for (m, b0), x in terms.items()] for terms in row] for row in twist]
     return _subspace_complex(N, name, "colinearity", bases, mdim, bdim,
-                             action_table(ba.alg.mul), sorted(ba.alg.unit.items()), twist)
+                             ba.alg.mul.matrix.plan, sorted(ba.alg.unit.items()), twist)
 
 
 # ---------------------------------------------------------------------------
@@ -1087,7 +1088,6 @@ def build_power_complex(mp, N) -> CocyclicComplex:
     tabs = HopfTables.of(h)
     St = twisted_antipode(mp).columns()
     sigma = sorted(mp.sigma.items())
-    pairs = [[(a * d + b, x) for (a, b), x in tabs.comul[c]] for c in range(d)]
     counit = [[(0, tabs.eps[c])] if tabs.eps.get(c) else [] for c in range(d)]
     top = N + 1
     # structure_maps asks for tau_n once per n, in order of n: degree n-1
@@ -1099,7 +1099,7 @@ def build_power_complex(mp, N) -> CocyclicComplex:
             return _slot_columns([tabs.unit], 1, d ** n, d)
         if i == n + 1:
             return _slot_columns([sigma], d ** n, 1, d)
-        return _slot_columns(pairs, d ** (i - 1), d ** (n - i), d * d)
+        return _slot_columns(h.coalg.comul.matrix.plan, d ** (i - 1), d ** (n - i), d * d)
 
     def degen(n, j):
         return _slot_columns(counit, d ** j, d ** (n - j - 1), 1)
@@ -1187,7 +1187,7 @@ def plain_cyclic_complex(alg, N, name="cyclic") -> CocyclicComplex:
     of the algebra complex (_functional_maps) at one trivial coefficient
     index, with the last slot untwisted."""
     dim = alg.space.dim
-    by_source = _functional_maps(action_table(alg.mul), sorted(alg.unit.items()),
+    by_source = _functional_maps(alg.mul.matrix.plan, sorted(alg.unit.items()),
                                  [[[(0, v, 1)] for v in range(dim)]], dim, 1)
 
     def make(kind, n, i):

@@ -54,6 +54,7 @@ from .complexes import (build_algebra_complex, build_coalgebra_complex,
                         describe_map, CertificateFailure, action_table, split_table,
                         build_power_complex)
 from .cohomology import lam
+from .shuffles import shuffle_set
 
 
 class ChainMapFailure(CertificateFailure):
@@ -282,8 +283,8 @@ class CoalgebraCupContext(_CupContext):
         if hit is not None:
             raise ChainMapFailure("natural embedding is not unital", None, *hit)
         # multiplicative: nat(xy) = nat(x) nat(y), column i*adim + j at (x, y) = (e_i, e_j)
-        hit = first_residual([(1, nat.plan, alg.mul_matrix().plan),
-                              (-1, conv.mul_matrix().plan, tensor_kron(nat, nat).plan)],
+        hit = first_residual([(1, nat.plan, alg.mul.matrix.plan),
+                              (-1, conv.mul.matrix.plan, tensor_kron(nat, nat).plan)],
                              adim * adim)
         if hit is not None:
             raise ChainMapFailure("natural embedding is not multiplicative at (%d,%d)"
@@ -612,13 +613,13 @@ def validate_trace(mp: ModularPair, ma, trace):
     rep = ValidationReport("trace")
     A = ma.space
     tr = SparseMatrix(1, A.dim, {(0, i): x for i, x in trace.items()})
-    act = ma.action.as_matrix()
+    act = ma.action.matrix
     rep.law("delta-invariance", (ma.hopf.space, A),
             (1, tr, act), (-1, tensor_kron(mp.delta_matrix(), tr), None))
     # a (x) b -> b (x) sigma.a
     sigma_act = compose(act, tensor_kron(mp.sigma_matrix(), SparseMatrix.identity(A.dim)))
     moved = compose(tensor_kron(SparseMatrix.identity(A.dim), sigma_act), swap_matrix(A.dim, A.dim))
-    tr_mul = compose(tr, ma.alg.mul_matrix())
+    tr_mul = compose(tr, ma.alg.mul.matrix)
     rep.law("sigma-trace", (A, A), (1, tr_mul, None), (-1, tr_mul, moved))
     return rep.violations
 
@@ -658,9 +659,6 @@ def char_map(mp: ModularPair, ma, trace, N=3):
 
 # ---------------------------------------------------------------------------
 # shuffle-sum cups (closed trace formulas)
-
-from .shuffles import shuffle_set, dg_expand_oracle   # re-exported operations
-
 
 def _shuffle_cup(ctx, phi, p, x, xcx, q, slot, x_side):
     """The signed sum over the shuffles of Sh(q, p) of the pairing of phi

@@ -127,8 +127,7 @@ def adjoint_module_algebra(h: HopfData) -> ModuleAlgebra:
 
 def self_module_coalgebra(h: HopfData) -> ModuleCoalgebra:
     """H over itself by left multiplication."""
-    act = StructureTensor.from_matrix(h.alg.mul_matrix(), (h.space, h.space), h.space)
-    return ModuleCoalgebra(h, h.coalg, act)
+    return ModuleCoalgebra(h, h.coalg, h.alg.mul)
 
 
 def trivial_module_coalgebra(h: HopfData) -> ModuleCoalgebra:
@@ -146,8 +145,7 @@ def trivial_module_coalgebra(h: HopfData) -> ModuleCoalgebra:
 
 def self_comodule_algebra(h: HopfData) -> ComoduleAlgebra:
     """H over itself with the comultiplication as coaction."""
-    co = StructureTensor.from_matrix(h.coalg.comul_matrix(), (h.space,), tensor_space(h.space, h.space))
-    return ComoduleAlgebra(h, h.alg, co)
+    return ComoduleAlgebra(h, h.alg, h.coalg.comul)
 
 
 def trivial_comodule_algebra(h: HopfData) -> ComoduleAlgebra:

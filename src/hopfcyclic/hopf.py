@@ -93,9 +93,6 @@ class AlgebraData:
         self.mul = mul        # StructureTensor, arity 2
         self.unit = dict(unit)
 
-    def mul_matrix(self):
-        return self.mul.as_matrix()
-
     def unit_matrix(self):
         return SparseMatrix(self.space.dim, 1, {(i, 0): x for i, x in self.unit.items()})
 
@@ -107,9 +104,6 @@ class CoalgebraData:
         self.space = space
         self.comul = comul    # StructureTensor, arity 1, codomain space (x) space
         self.counit = dict(counit)
-
-    def comul_matrix(self):
-        return self.comul.as_matrix()
 
     def counit_matrix(self):
         return SparseMatrix(1, self.space.dim, {(0, i): x for i, x in self.counit.items()})
@@ -141,7 +135,7 @@ class HopfData:
 def validate_algebra(a: AlgebraData) -> ValidationReport:
     rep = ValidationReport("algebra")
     I = SparseMatrix.identity(a.space.dim)
-    mul = a.mul_matrix()
+    mul = a.mul.matrix
     eta = a.unit_matrix()
     # (xy)z = x(yz)
     rep.law("associativity", (a.space,) * 3,
@@ -155,7 +149,7 @@ def validate_algebra(a: AlgebraData) -> ValidationReport:
 def validate_coalgebra(c: CoalgebraData) -> ValidationReport:
     rep = ValidationReport("coalgebra")
     I = SparseMatrix.identity(c.space.dim)
-    com = c.comul_matrix()
+    com = c.comul.matrix
     eps = c.counit_matrix()
     rep.law("coassociativity", (c.space,),
             (1, tensor_kron(com, I), com), (-1, tensor_kron(I, com), com))
@@ -179,8 +173,8 @@ def validate_hopf(h: HopfData) -> ValidationReport:
     rep.merge(validate_coalgebra(h.coalg))
     d = h.dim
     I = SparseMatrix.identity(d)
-    mul, eta = h.alg.mul_matrix(), h.alg.unit_matrix()
-    com, eps = h.coalg.comul_matrix(), h.coalg.counit_matrix()
+    mul, eta = h.alg.mul.matrix, h.alg.unit_matrix()
+    com, eps = h.coalg.comul.matrix, h.coalg.counit_matrix()
     sw = swap_matrix(d, d)
     # comultiplication and counit are algebra maps
     rep.law("comul-multiplicative", (h.space, h.space), (1, com, mul),
@@ -218,7 +212,7 @@ def iterated_coproduct(c: CoalgebraData, n: int) -> StructureTensor:
         raise ValueError("n must be positive")
     d = c.space.dim
     I = SparseMatrix.identity(d)
-    com = c.comul_matrix()
+    com = c.comul.matrix
     if n == 1:
         return StructureTensor.from_matrix(I, (c.space,), c.space)
     left = com
@@ -262,8 +256,8 @@ def validate_modular_pair(mp: ModularPair) -> ValidationReport:
     h = mp.hopf
     dm = mp.delta_matrix()
     sm = mp.sigma_matrix()
-    mul, eta = h.alg.mul_matrix(), h.alg.unit_matrix()
-    com, eps = h.coalg.comul_matrix(), h.coalg.counit_matrix()
+    mul, eta = h.alg.mul.matrix, h.alg.unit_matrix()
+    com, eps = h.coalg.comul.matrix, h.coalg.counit_matrix()
     rep.law("character-multiplicative", (h.space, h.space),
             (1, dm, mul), (-1, tensor_kron(dm, dm), None))
     rep.law("character-unital", (GROUND,), (1, dm, eta), (-1, None, None))
@@ -277,7 +271,7 @@ def twisted_antipode(mp: ModularPair) -> SparseMatrix:
     """h -> delta(h^(1)) S(h^(2))."""
     h = mp.hopf
     S = h.antipode
-    com = h.coalg.comul_matrix()
+    com = h.coalg.comul.matrix
     return compose(tensor_kron(mp.delta_matrix(), S), com)
 
 
@@ -290,7 +284,7 @@ def involution_flags(mp: ModularPair):
     h = mp.hopf
     d = h.dim
     St = twisted_antipode(mp)
-    mul = h.alg.mul_matrix()
+    mul = h.alg.mul.matrix
     sm = mp.sigma_matrix()
     sinv = _grouplike_inverse(h, mp.sigma)
     if sinv is None:
@@ -310,7 +304,7 @@ def _grouplike_inverse(h, sigma):
     In finite dimension sigma * y = 1 has a solution exactly when left
     multiplication by sigma is invertible, and the solution is unique."""
     d = h.dim
-    mul = h.alg.mul_matrix()
+    mul = h.alg.mul.matrix
     left = compose(mul, tensor_kron(SparseMatrix(d, 1, {(i, 0): x for i, x in sigma.items()}),
                                     SparseMatrix.identity(d)))
     inv = invert_matrix(left)

@@ -68,12 +68,6 @@ def vec_acc(out, key, x):
     else:
         out.pop(key, None)
 
-def vec_add(u, v):
-    out = dict(u)
-    for i, x in v.items():
-        vec_acc(out, i, x)
-    return out
-
 def vec_sub(u, v):
     return vec_axpy(dict(u), -1, v)
 

@@ -6,12 +6,16 @@ lexicographically with the LEFT factor major, globally: the flat index of
 All higher modules rely on this one convention.
 
 A StructureTensor stores a multilinear map (product, coproduct, action,
-coaction...) as raw structure constants before any axiom checking.
+coaction...) as its matrix on that flat index, before any axiom checking:
+the column of (i_1, ..., i_k) is the image of that basis tensor.  The
+builders read the matrix's columns (its plan) as their structure tables.
 """
 
 from __future__ import annotations
 
-from .linalg import SparseMatrix, ShapeMismatch, scal, vec_acc
+from math import prod
+
+from .linalg import SparseMatrix, ShapeMismatch, vec_acc
 
 
 class BasedSpace:
@@ -33,9 +37,6 @@ class BasedSpace:
 
     def __repr__(self):
         return "BasedSpace(%d: %s)" % (self.dim, ",".join(self.labels[:6]) + ("..." if self.dim > 6 else ""))
-
-    def index(self, label):
-        return self.labels.index(label)
 
 
 GROUND = BasedSpace(("1",))   # the ground field Q as a based space
@@ -85,73 +86,73 @@ class MultiIndex:
 
 
 class StructureTensor:
-    """Multilinear map as structure constants.
+    """Multilinear map as its matrix, from the tensor product of the
+    domains (flat index, left major) to the codomain.  Arity 0 is allowed
+    (a distinguished codomain vector, e.g. a unit; one column).
 
-    entries: dict {input multi-index tuple: sparse codomain vector}.
-    Arity 0 is allowed (a distinguished codomain vector, e.g. a unit).
+    Built from the structure constants {input multi-index tuple: sparse
+    codomain vector}, every index range-checked, or around a matrix
+    (from_matrix).  entries is that dict, built on each read.
     """
 
-    __slots__ = ("domains", "codomain", "entries", "_mi")
+    __slots__ = ("domains", "codomain", "matrix")
 
     def __init__(self, domains, codomain, entries=None):
         self.domains = tuple(domains)
         self.codomain = codomain
-        self._mi = MultiIndex(tuple(s.dim for s in self.domains))
-        ent = {}
-        if entries:
-            for idx, vec in entries.items():
-                idx = tuple(idx)
-                if len(idx) != len(self.domains):
-                    raise ShapeMismatch("multi-index arity mismatch")
-                for k, (i, s) in enumerate(zip(idx, self.domains)):
-                    if not (0 <= i < s.dim):
-                        raise ShapeMismatch("index %d out of range in slot %d" % (i, k))
-                vec = {j: scal(x) for j, x in vec.items() if x}
-                for j in vec:
-                    if not (0 <= j < codomain.dim):
-                        raise ShapeMismatch("codomain index out of range")
-                if vec:
-                    ent[idx] = vec
-        self.entries = ent
+        cols = [()] * prod(s.dim for s in self.domains)
+        for idx, vec in (entries or {}).items():
+            idx = tuple(idx)
+            if len(idx) != len(self.domains):
+                raise ShapeMismatch("multi-index arity mismatch")
+            for k, (i, s) in enumerate(zip(idx, self.domains)):
+                if not (0 <= i < s.dim):
+                    raise ShapeMismatch("index %d out of range in slot %d" % (i, k))
+            for j, x in vec.items():
+                if x and not (0 <= j < codomain.dim):
+                    raise ShapeMismatch("codomain index out of range")
+            cols[self._flat(idx)] = vec
+        self.matrix = SparseMatrix.from_columns(cols, codomain.dim)
+
+    @staticmethod
+    def from_matrix(matrix, domains, codomain):
+        domains = tuple(domains)
+        if matrix.cols != prod(s.dim for s in domains) or matrix.rows != codomain.dim:
+            raise ShapeMismatch("matrix does not fit the given spaces")
+        t = object.__new__(StructureTensor)
+        t.domains, t.codomain, t.matrix = domains, codomain, matrix
+        return t
 
     @property
     def arity(self):
         return len(self.domains)
 
+    @property
+    def entries(self):
+        mi = MultiIndex(tuple(s.dim for s in self.domains))
+        return {mi.unflat(c): dict(col) for c, col in enumerate(self.matrix.plan) if col}
+
+    def _flat(self, idx):
+        f = 0
+        for i, s in zip(idx, self.domains):
+            f = f * s.dim + i
+        return f
+
     def value(self, idx):
-        return self.entries.get(tuple(idx), {})
-
-    def as_matrix(self):
-        """Matrix from the tensor product of the domains to the codomain."""
-        cols = [()] * self._mi.size
-        for idx, vec in self.entries.items():
-            cols[self._mi.flat(idx)] = vec
-        return SparseMatrix.from_columns(cols, self.codomain.dim)
-
-    @staticmethod
-    def from_matrix(matrix, domains, codomain):
-        mi = MultiIndex(tuple(s.dim for s in domains))
-        if matrix.cols != mi.size or matrix.rows != codomain.dim:
-            raise ShapeMismatch("matrix does not fit the given spaces")
-        ent = {}
-        for c, col in enumerate(matrix.plan):
-            if col:
-                ent[mi.unflat(c)] = dict(col)
-        return StructureTensor(domains, codomain, ent)
+        return dict(self.matrix.plan[self._flat(idx)])
 
     def apply(self, *vectors):
-        """Apply to sparse vectors, one per domain slot."""
+        """Apply to sparse vectors, one per domain slot; an index out of its
+        slot's range is skipped."""
         if len(vectors) != self.arity:
             raise ShapeMismatch("arity mismatch")
+        flat = {0: 1}
+        for v, s in zip(vectors, self.domains):
+            flat = {f * s.dim + i: c * x for f, c in flat.items() for i, x in v.items()
+                    if 0 <= i < s.dim}
         out = {}
-        from itertools import product
-        for combo in product(*[list(v.items()) for v in vectors]):
-            idx = tuple(i for i, _ in combo)
-            c = 1
-            for _, x in combo:
-                c *= x
-            val = self.entries.get(idx)
-            if val:
-                for r, x in val.items():
-                    vec_acc(out, r, c * x)
+        plan = self.matrix.plan
+        for f, c in flat.items():
+            for r, x in plan[f]:
+                vec_acc(out, r, c * x)
         return out

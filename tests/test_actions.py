@@ -160,11 +160,11 @@ def test_relative_coalgebra_unit_subhopf_is_h():
     from hopfcyclic.linalg import image_rank
     assert image_rank(proj) == 2
     d = h.dim
-    assert compose(mc.coalg.comul_matrix(), proj) == compose(tensor_kron(proj, proj), h.coalg.comul_matrix())
+    assert compose(mc.coalg.comul.matrix, proj) == compose(tensor_kron(proj, proj), h.coalg.comul.matrix)
     assert compose(mc.coalg.counit_matrix(), proj) == h.coalg.counit_matrix()
     selfmc = self_module_coalgebra(h)
-    assert compose(mc.action.as_matrix(), tensor_kron(SparseMatrix.identity(d), proj)) == \
-           compose(proj, selfmc.action.as_matrix())
+    assert compose(mc.action.matrix, tensor_kron(SparseMatrix.identity(d), proj)) == \
+           compose(proj, selfmc.action.matrix)
 
 def test_relative_coalgebra_full_subhopf_is_ground():
     h = group_algebra(2)

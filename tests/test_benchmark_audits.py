@@ -6,7 +6,9 @@ across sequences), and every job still running under traced_job.py, which
 wraps package names and sizes their arguments.  The smoke test in perfbench/
 covers trivial.hcy and kz2.hcy only; this runs the audit workload's own
 inputs (h4, kz4_relative and kz2) at degree 2, with references recorded
-from the current code.
+from the current code, and then as the benchmark runs them: at its shipped
+degree, against its shipped references, with two traced sequences whose
+counters must agree.
 """
 
 import importlib.util
@@ -65,3 +67,20 @@ def test_traced_audit_of_the_benchmark_inputs_is_correct(bench, capsys, workload
     assert result["correct"] and result["failed"] == 0, result
     assert result["attempted"] == 2 * len(bench.AUDIT_FILES)
     assert result["metrics"]["cli.cache.hit_ratio"]["value"] == ratio
+
+
+def test_traced_cold_audit_at_the_shipped_degree_keeps_its_counts(tmp_path):
+    # the shipped MAX_DEGREE and references.json: one audit-cold set-up,
+    # then plain, traced, plain and traced sequences, after which
+    # check_layers compares the counters of the two traced ones
+    bench = _load_bench()
+    bench.WORK = str(tmp_path / "work")
+    bench.RESULTS = str(tmp_path / "results")
+    run = bench.Run("audit-cold", 0, 0, True)
+    base, cold_reports = run.setup_once(0)
+    for seq_index in range(4):
+        run.sequence(seq_index, base, cold_reports, seq_index % 2 == 1)
+    run.check_layers()
+    assert run.failures == [] and run.problems == []
+    assert run.attempted == 4 * len(bench.AUDIT_FILES)
+    assert len(run.layers) == 2

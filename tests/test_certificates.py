@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import hopfcyclic
 import hopfcyclic.cohomology as cohomology
-from hopfcyclic.linalg import (SparseMatrix, compose, first_residual, residuals, vec_add,
+from hopfcyclic.linalg import (SparseMatrix, compose, first_residual, residuals, vec_axpy,
                                vec_sub)
 from hopfcyclic.complexes import (CocyclicComplex, build_coalgebra_complex, build_hopf_complex,
                                   check_cocyclic, ConjugationFailure)
@@ -344,15 +344,15 @@ def test_not_a_complex_witness_of_the_boundary(degree, message):
             total = v
             for _ in range(n - 1):
                 v = lam(cx, n - 1).apply(v)
-                total = vec_add(total, v)
+                total = vec_axpy(dict(total), 1, v)
             return total
 
         n = err.degree
         if message.startswith("B.B"):
             residual = lambda c: B(n - 1, B(n, {c: 1}))
         else:
-            residual = lambda c: vec_add(bs[n - 1].apply(B(n, {c: 1})),
-                                         B(n + 1, bs[n].apply({c: 1})))
+            residual = lambda c: vec_axpy(dict(bs[n - 1].apply(B(n, {c: 1}))), 1,
+                                          B(n + 1, bs[n].apply({c: 1})))
         residuals = [residual(c) for c in range(cx.dim(n))]
         assert err.column == next(c for c, r in enumerate(residuals) if r)
         assert err.residual == residuals[err.column], certified_first
@@ -428,12 +428,12 @@ def test_natural_map_failure_witness_is_the_residual_of_its_column(broken):
     ctx._nat = None
     adim = alg.space.dim
     if broken == "unit":
-        conv.unit = vec_add(conv.unit, {0: 1})
+        conv.unit = vec_axpy(dict(conv.unit), 1, {0: 1})
         expected = ("natural embedding is not unital", 0,
                     vec_sub(nat.apply(alg.unit), conv.unit))
     else:
         key = sorted(conv.mul.entries)[0]
-        conv.mul = tampered(conv.mul, key, vec_add(conv.mul.entries[key], {0: 1}))
+        conv.mul = tampered(conv.mul, key, vec_axpy(dict(conv.mul.entries[key]), 1, {0: 1}))
         diffs = [vec_sub(nat.apply(alg.mul.apply({i: 1}, {j: 1})),
                          conv.mul.apply(nat.column(i), nat.column(j)))
                  for i in range(adim) for j in range(adim)]

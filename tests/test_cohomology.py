@@ -199,8 +199,8 @@ def change_basis_hopf(h, T):
     Ti = invert_matrix(T)
     d = h.dim
     s = BasedSpace(tuple("n%d" % i for i in range(d)))
-    mul = compose(Ti, compose(h.alg.mul_matrix(), tensor_kron(T, T)))
-    comul = compose(tensor_kron(Ti, Ti), compose(h.coalg.comul_matrix(), T))
+    mul = compose(Ti, compose(h.alg.mul.matrix, tensor_kron(T, T)))
+    comul = compose(tensor_kron(Ti, Ti), compose(h.coalg.comul.matrix, T))
     counit = compose(h.coalg.counit_matrix(), T)
     unit = Ti.apply(dict(h.alg.unit))
     S = compose(Ti, compose(h.antipode, T))

@@ -271,6 +271,25 @@ def test_a_negative_degree_is_refused(tmp_path, monkeypatch, capsys, argv, flag)
                                     "nonnegative_int value: '%s'" % (argv[0], flag, value))
 
 
+@pytest.mark.parametrize("argv,option", [
+    (["cup", "kz2.hcy", "--kind", "crossed", "--p", "0", "--q", "1", "--no-cache"],
+     "--no-cache"),
+    (["validate", "kz2.hcy", "--max-degree", "3"], "--max-degree 3"),
+    (["fixtures", "--seed", "1"], "--seed 1"),
+], ids=["cup-no-cache", "validate-max-degree", "fixtures-seed"])
+def test_an_option_the_subcommand_does_not_read_is_refused(tmp_path, monkeypatch, capsys,
+                                                            argv, option):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kz2.hcy").write_text(KZ2)
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == "hopfcyclic: error: unrecognized arguments: " + option
+    assert list(tmp_path.iterdir()) == [tmp_path / "kz2.hcy"]
+
+
 def test_a_report_path_that_cannot_be_written_exits_two_after_the_report(tmp_path, monkeypatch,
                                                                           capsys):
     monkeypatch.chdir(tmp_path)

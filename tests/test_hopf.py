@@ -61,7 +61,7 @@ def test_broken_algebra_reported_exhaustively():
     rep = validate_algebra(a)
     assert not rep.ok
     assoc_oracle = {idx for law, idx in oracle if law == "assoc"}
-    assoc_report = {tuple(s.index(l) for l in v.where) for v in rep.violations if v.law == "associativity"}
+    assoc_report = {tuple(s.labels.index(l) for l in v.where) for v in rep.violations if v.law == "associativity"}
     assert assoc_report == assoc_oracle
 
 def test_coalgebra_group_like_valid():
@@ -109,7 +109,7 @@ def test_eps_S_and_S_of_unit():
 def test_iterated_coproduct_identity():
     h = group_algebra(2)
     t = iterated_coproduct(h.coalg, 1)
-    assert t.as_matrix() == SparseMatrix.identity(2)
+    assert t.matrix == SparseMatrix.identity(2)
 
 def test_iterated_coproduct_group_like():
     h = group_algebra(2)
@@ -136,7 +136,7 @@ def test_iterated_coproduct_counit_contraction():
         eps = h.coalg.counit
         for n in (2, 3, 4):
             big = iterated_coproduct(h.coalg, n)
-            small = iterated_coproduct(h.coalg, n - 1).as_matrix() if n > 2 else SparseMatrix.identity(d)
+            small = iterated_coproduct(h.coalg, n - 1).matrix if n > 2 else SparseMatrix.identity(d)
             mi = MultiIndex((d,) * n)
             mi_small = MultiIndex((d,) * (n - 1))
             for slot in range(n):

@@ -191,12 +191,15 @@ def test_pairs_on_lists_the_coefficient_pairs_of_one_hopf_algebra():
 _BROKEN = {"h4.hcy": ("  comul g = 1*g|g\n", ""),
            "kz2.hcy": ("  antipode g = 1*g\n", "  antipode g = 1*e\n")}
 
+_BUILD = ["--max-degree", "2", "--no-cache"]
+
 @pytest.mark.parametrize("fixture,command,failure", [
     ("h4.hcy", ["validate"], "sayd: VIOLATIONS (2):"),
-    ("h4.hcy", ["identities"], "build failed: iterated coproduct depends on bracketing"),
-    ("h4.hcy", ["cohomology"], "failed: iterated coproduct depends on bracketing"),
-    ("h4.hcy", ["audit"], "build failed: iterated coproduct depends on bracketing"),
-    ("kz2.hcy", ["audit"], "context build failed: cup context components failed validation"),
+    ("h4.hcy", ["identities"] + _BUILD, "build failed: iterated coproduct depends on bracketing"),
+    ("h4.hcy", ["cohomology"] + _BUILD, "failed: iterated coproduct depends on bracketing"),
+    ("h4.hcy", ["audit"] + _BUILD, "build failed: iterated coproduct depends on bracketing"),
+    ("kz2.hcy", ["audit"] + _BUILD,
+     "context build failed: cup context components failed validation"),
     ("kz2.hcy", ["cup", "--kind", "coalgebra", "--p", "0", "--q", "2"],
      "context build failed: cup context components failed validation"),
     ("kz2.hcy", ["cup", "--kind", "crossed", "--p", "0", "--q", "2"],
@@ -209,7 +212,7 @@ def test_invalid_structure_data_ends_in_a_report(tmp_path, capsys, fixture, comm
     assert text.count(old) == 1
     p = tmp_path / "broken.hcy"
     p.write_text(text.replace(old, new))
-    code = main([command[0], str(p)] + command[1:] + ["--max-degree", "2", "--no-cache"])
+    code = main([command[0], str(p)] + command[1:])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == ""

@@ -35,6 +35,7 @@ COMPLEXES = "src/hopfcyclic/complexes.py"
 SPECFILE = "src/hopfcyclic/specfile.py"
 HOPF = "src/hopfcyclic/hopf.py"
 CUP = "src/hopfcyclic/cup.py"
+SPACES = "src/hopfcyclic/spaces.py"
 ORACLE = "tests/test_cup.py::test_algebra_pairing_is_the_pulled_back_convolution_pairing"
 NOT_KEPT = "tests/test_cup.py::test_a_failed_pairing_certificate_is_not_kept"
 GRAMMAR = "tests/test_specfile_grammar.py::"
@@ -428,6 +429,14 @@ MUTANTS = [
             "tests/test_cohomology.py::test_connes_B_certificates_on_fixtures",
             "tests/test_reference_reports.py::test_report_matches_reference"
             "[audit h4.hcy --max-degree 4]"]),
+    Mutant("tensor-value-transposed", SPACES,
+           "        return dict(self.matrix.plan[self._flat(idx)])\n",
+           "        return dict(self.matrix.plan[self._flat(tuple(reversed(idx)))])\n",
+           ["tests/test_spaces.py::test_structure_tensor_agrees_with_the_dense_oracle"]),
+    Mutant("cup-takes-no-cache", CLI,
+           '    pc = command("cup", "cup products on declared contexts")\n',
+           '    pc = command("cup", "cup products on declared contexts", "--no-cache")\n',
+           [FAILURES + "test_an_option_the_subcommand_does_not_read_is_refused[cup-no-cache]"]),
     Mutant("entry-exits-with-status-0", CLI,
            "        sys.exit(status)\n    os._exit(status)\n",
            "        sys.exit(status)\n    os._exit(0)\n",
